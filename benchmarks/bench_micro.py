@@ -56,7 +56,7 @@ GRID = Box((0, 0, 0), (40, 29, 23))
 
 PARTITIONERS = [
     "consistent_hash", "extendible_hash", "kd_tree",
-    "hilbert_curve", "round_robin",
+    "hilbert_curve", "round_robin", "uniform_range",
 ]
 
 #: Input-size multiplier (CI perf gate may shrink the run).
@@ -384,6 +384,42 @@ def test_window_average_batch(benchmark):
     )
     ref = ops.window_average_scalar(coords, values, (1, 2), 16)
     assert buckets.shape[0] == len(ref)
+
+
+# ----------------------------------------------------------------------
+# position join (the §3.3 vegetation-index engine; int64 position keys)
+# ----------------------------------------------------------------------
+JOIN_CELLS = max(1_000, int(20_000 * SCALE))
+
+
+def test_position_join(benchmark):
+    """One day slice of two bands sampling the same positions.
+
+    MODIS-shaped coordinates (minute, longitude, latitude), each side
+    in its own order — the packing, sort and match of every
+    ``join_ndvi`` query.
+    """
+    rng = np.random.default_rng(16)
+    coords = np.unique(
+        np.stack(
+            [
+                rng.integers(0, 1440, JOIN_CELLS),
+                rng.integers(-180, 180, JOIN_CELLS),
+                rng.integers(-90, 90, JOIN_CELLS),
+            ],
+            axis=1,
+        ),
+        axis=0,
+    )
+    side_b = rng.permutation(coords.shape[0])
+    band1 = rng.random(coords.shape[0])
+    band2 = rng.random(coords.shape[0])
+    benchmark.extra_info["items"] = 2 * coords.shape[0]
+
+    matched, _a, _b = benchmark(
+        ops.position_join, coords, band1, coords[side_b], band2[side_b]
+    )
+    assert np.array_equal(matched, coords)
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ SPEEDUP_PAIRS = [
         (f"placement:{name}", f"test_placement_throughput[{name}]",
          f"test_place_batch_throughput[{name}]")
         for name in ("consistent_hash", "extendible_hash", "kd_tree",
-                     "hilbert_curve", "round_robin")
+                     "hilbert_curve", "round_robin", "uniform_range")
     ),
 ]
 

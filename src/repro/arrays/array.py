@@ -253,7 +253,7 @@ def _validated_keys(
     return (coords - starts) // intervals
 
 
-def _cell_byte_width(
+def cell_byte_width(
     schema: ArraySchema, columns: Mapping[str, np.ndarray]
 ) -> int:
     """Physical bytes one cell contributes (coords row + value columns).
@@ -261,7 +261,7 @@ def _cell_byte_width(
     Matches :meth:`ChunkData._actual_nbytes` exactly: 8 bytes per
     coordinate, each column's dtype width, and the declared itemsize for
     object-dtype columns — so group footprints can be priced as one
-    multiply instead of a per-chunk recount.
+    multiply (chunks here, whole batches in the generators).
     """
     width = 8 * schema.ndim
     for spec in schema.attributes:
@@ -287,7 +287,7 @@ def _build_chunks(
     batch was bounds-checked up front and keys derive from coordinates,
     so per-chunk re-validation and footprint recounts are skipped.
     """
-    per_cell = _cell_byte_width(schema, attrs_sorted)
+    per_cell = cell_byte_width(schema, attrs_sorted)
     names = schema.attribute_names
     chunks: List[ChunkData] = []
     for i in range(len(boundaries) - 1):

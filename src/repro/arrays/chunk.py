@@ -302,11 +302,8 @@ class ChunkData:
         coordinates (SciDB stores per-attribute chunks addressable by
         position); we fold the coordinate overhead proportionally.
         """
-        widths = {a.name: a.itemsize for a in self.schema.attributes}
-        denom = sum(widths.values())
-        if denom == 0:
-            denom = 1
-        return {name: total * w / denom for name, w in widths.items()}
+        widths, denom = self.schema.vertical_widths
+        return {name: total * w / denom for name, w in widths}
 
     # ------------------------------------------------------------------
     @property

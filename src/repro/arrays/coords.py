@@ -5,7 +5,8 @@ integer lattice obtained by dividing each array dimension by its chunk
 interval.  This module provides the half-open box abstraction they share,
 plus the mixed-radix row packing (:func:`row_packing` / :func:`pack_rows`)
 that the batch kernels use to turn n-dimensional integer rows into one
-sortable int64 key column.
+sortable int64 key column, and the position-key codec built on it
+(:func:`position_keys`, with the void view as its overflow fallback).
 
 A :class:`Box` is the n-dimensional generalization of a half-open interval
 ``[lo, hi)``.  Boxes are immutable; all operations return new boxes.
@@ -14,18 +15,18 @@ A :class:`Box` is the n-dimensional generalization of a half-open interval
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ChunkError
 
 Coordinate = Tuple[int, ...]
+#: ``(lo, span)`` of :func:`row_packing`; ``None`` = extent beyond int64.
+Packing = Optional[Tuple[np.ndarray, np.ndarray]]
 
 
-def row_packing(
-    rows: np.ndarray, pad: int = 0
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def row_packing(rows: np.ndarray, pad: int = 0) -> Packing:
     """(lo, span) packing of an int row table, or ``None`` on overflow.
 
     The shared front half of every packed-key kernel (cell chunking,
@@ -91,11 +92,57 @@ def pack_rows_void(rows: np.ndarray) -> np.ndarray:
     (no copy when ``rows`` is already contiguous int64) whose scalar
     comparisons order rows lexicographically, so ``sort`` /
     ``searchsorted`` / ``intersect1d`` work on rows of any magnitude.
-    Prefer :func:`pack_rows` when the extent fits int64 — arithmetic
-    keys compare faster than structured voids.
+    :func:`position_keys` falls back to this view by itself; its
+    arithmetic keys compare ~8x faster than structured voids.
     """
     r = np.ascontiguousarray(rows, dtype=np.int64)
     return r.view([("", np.int64)] * r.shape[1]).reshape(-1)
+
+
+def position_keys(rows: np.ndarray, packing: Packing) -> np.ndarray:
+    """One sortable key column for int rows: the position-key codec.
+
+    Int64 keys under a ``packing`` from :func:`row_packing`, the void
+    view when it is ``None`` (extent beyond int64) — the same row order
+    either way.  Only key columns of one packing compare.
+    """
+    if packing is None:
+        return pack_rows_void(rows)
+    return pack_rows(rows, *packing)
+
+
+def joint_packing(*tables: np.ndarray) -> Packing:
+    """:func:`row_packing` over the union of several row tables."""
+    ends = [
+        end for t in tables if t.shape[0]
+        for end in (t.min(axis=0), t.max(axis=0))
+    ]
+    return row_packing(np.array(ends)) if ends else None
+
+
+def joint_position_keys(*tables: np.ndarray) -> List[np.ndarray]:
+    """Key columns of several row tables under one shared packing."""
+    packing = joint_packing(*tables)
+    return [position_keys(t, packing) for t in tables]
+
+
+def packing_admits(rows: np.ndarray, packing: Packing) -> bool:
+    """Whether :func:`position_keys` stays exact for ``rows``.
+
+    Every column but the first must lie in its ``[lo, lo + span)``; the
+    top mixed-radix digit is unbounded, so the first (a growing time
+    dimension) only has to keep the scaled offset inside int64.
+    """
+    if packing is None or rows.shape[0] == 0:
+        return True
+    lo, span = packing[0].tolist(), packing[1].tolist()
+    mins, maxs = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+    scale = 1
+    for d in range(1, len(lo)):
+        if mins[d] < lo[d] or maxs[d] >= lo[d] + span[d]:
+            return False
+        scale *= span[d]
+    return max(maxs[0] - lo[0], lo[0] - mins[0]) * scale < 2**62
 
 
 @dataclass(frozen=True)

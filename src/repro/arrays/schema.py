@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -264,6 +265,13 @@ class ArraySchema:
     def cell_width_bytes(self) -> int:
         """Bytes per fully-populated cell across all attributes."""
         return sum(a.itemsize for a in self.attributes)
+
+    @cached_property
+    def vertical_widths(self) -> Tuple[Tuple[Tuple[str, int], ...], int]:
+        """``((attribute, itemsize), ...)`` and their sum (1 when zero):
+        the per-schema constants of a chunk's vertical byte shares."""
+        widths = tuple((a.name, a.itemsize) for a in self.attributes)
+        return widths, sum(w for _, w in widths) or 1
 
     # ------------------------------------------------------------------
     # chunk-grid math

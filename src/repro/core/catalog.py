@@ -142,8 +142,8 @@ def concat_payload(
     return coords, values
 
 
-#: Chunk keys sort by their lexicographic void view (shared helper —
-#: :func:`repro.query.operators.pack_coords` is the same packing).
+#: Chunk keys sort by their lexicographic void view: chunk-count-sized
+#: columns, keys of any magnitude (cell positions use int64 keys).
 _pack_keys = pack_rows_void
 
 

@@ -19,7 +19,10 @@ hot chunks in one leaf block (§6.2.2: "Uniform Range is brittle to skew").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
@@ -114,7 +117,21 @@ class UniformRangePartitioner(ElasticPartitioner):
                 f"{len(nodes)} nodes; increase height or grid size"
             )
         self._leaf_owner: List[NodeId] = self._deal(len(self._nodes))
-        self._count_cache: Dict[Tuple[Box, int], int] = {}
+        # Leaf-index table over the split dims, compressed to the cells
+        # between cut coordinates: each leaf's box painted with its index.
+        self._edges: List[List[int]] = [
+            sorted({leaf.lo[d] for leaf in self._leaves})
+            for d in self.split_dims
+        ]
+        self._leaf_table = np.empty(
+            [len(edges) for edges in self._edges], dtype=np.int64
+        )
+        for index, leaf in enumerate(self._leaves):
+            self._leaf_table[tuple(
+                slice(bisect_left(edges, leaf.lo[d]),
+                      bisect_left(edges, leaf.hi[d]))
+                for d, edges in zip(self.split_dims, self._edges)
+            )] = index
 
     # ------------------------------------------------------------------
     @property
@@ -132,82 +149,59 @@ class UniformRangePartitioner(ElasticPartitioner):
         l = len(self._leaves)
         return [self._nodes[min(i * n // l, n - 1)] for i in range(l)]
 
-    def _clamp(self, key: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(
-            min(max(int(k), lo), hi - 1)
-            for k, lo, hi in zip(key, self.grid.lo, self.grid.hi)
-        )
-
     def leaf_index_of(self, key: Sequence[int]) -> int:
         """Index (in traversal order) of the leaf containing ``key``.
 
-        Descends the same recursive bisection used by :func:`build_leaves`,
-        so lookup is O(height), not O(l).
+        One table lookup; keys outside the grid clamp onto its border
+        cells (the first / last cut interval of each split dimension).
         """
-        clamped = self._clamp(key)
-        box = self.grid
-        index_lo, index_hi = 0, len(self._leaves)
-        depth = 0
-        while index_hi - index_lo > 1:
-            split = self._split_of(box, depth)
-            if split is None:
-                break
-            dim, lower, upper = split
-            # Leaves under each half are contiguous in traversal order and
-            # proportional to each half's leaf population; recompute by
-            # descending with explicit counts.
-            lower_count = self._count_leaves(lower, depth + 1)
-            if clamped[dim] < lower.hi[dim]:
-                box = lower
-                index_hi = index_lo + lower_count
-            else:
-                box = upper
-                index_lo = index_lo + lower_count
-            depth += 1
-        return index_lo
+        return int(self._leaf_table[tuple(
+            max(bisect_right(edges, int(key[d])) - 1, 0)
+            for d, edges in zip(self.split_dims, self._edges)
+        )])
 
-    def _split_of(
-        self, box: Box, depth: int
-    ) -> Optional[Tuple[int, Box, Box]]:
-        if depth == self.height:
-            return None
-        dims = self.split_dims
-        for offset in range(len(dims)):
-            dim = dims[(depth + offset) % len(dims)]
-            if box.hi[dim] - box.lo[dim] >= 2:
-                lower, upper = box.halve(dim)
-                return dim, lower, upper
-        return None
-
-    def _count_leaves(self, box: Box, depth: int) -> int:
-        cached = self._count_cache.get((box, depth))
-        if cached is not None:
-            return cached
-        split = self._split_of(box, depth)
-        if split is None:
-            count = 1
-        else:
-            _, lower, upper = split
-            count = (
-                self._count_leaves(lower, depth + 1)
-                + self._count_leaves(upper, depth + 1)
+    def leaf_indices_of(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`leaf_index_of` over an ``(n, ndim)`` int64 key matrix."""
+        cell = tuple(
+            np.maximum(
+                np.searchsorted(edges, keys[:, d], side="right") - 1, 0
             )
-        self._count_cache[(box, depth)] = count
-        return count
+            for d, edges in zip(self.split_dims, self._edges)
+        )
+        if not cell:  # no split dims: the grid is the single leaf
+            return np.zeros(len(keys), dtype=np.int64)
+        return self._leaf_table[cell]
+
+    def _owners_of(self, refs: Sequence[ChunkRef]) -> List[NodeId]:
+        """Leaf owner of every ref under the current deal, in one pass."""
+        if not refs:
+            return []
+        try:
+            keys = np.array([r.key for r in refs], dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged or beyond-int64 keys
+            return [self._place_new(r, 0.0) for r in refs]
+        owners = np.asarray(self._leaf_owner)
+        return owners[self.leaf_indices_of(keys)].tolist()
 
     # ------------------------------------------------------------------
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
         return self._leaf_owner[self.leaf_index_of(ref.key)]
 
+    def place_batch(self, refs_and_sizes):
+        """Batch placement via :meth:`leaf_indices_of` (≡ sequential
+        :meth:`place`, per the base class's batch contract)."""
+        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
+        return self._commit_batch(
+            first_sizes, self._owners_of(list(first_sizes)), merges
+        )
+
     def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
-        # Global re-slice: iterate over all tree leaves and update each
-        # leaf's destination under the new l/n blocks (linear in l).
+        # Global re-slice: re-deal the leaves under the new l/n blocks and
+        # move, in (array, key) order, every chunk whose block changed.
         self._leaf_owner = self._deal(len(self._nodes))
-        moves: List[Move] = []
-        for ref in sorted(
-            self._assignment, key=lambda r: (r.array, r.key)
-        ):
-            dest = self._leaf_owner[self.leaf_index_of(ref.key)]
-            if dest != self._assignment[ref]:
-                moves.append(self._relocate(ref, dest))
-        return moves
+        refs = sorted(self._assignment, key=lambda r: (r.array, r.key))
+        return [
+            self._relocate(ref, dest)
+            for ref, dest in zip(refs, self._owners_of(refs))
+            if dest != self._assignment[ref]
+        ]

@@ -52,7 +52,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import config as parity_config
-from repro.arrays.coords import Box
+from repro.arrays.coords import (
+    Box,
+    joint_packing,
+    joint_position_keys,
+    packing_admits,
+    position_keys,
+)
 from repro.cluster.session import ClusterSession
 from repro.errors import QueryError
 from repro.query import operators as ops
@@ -153,10 +159,11 @@ class GridGroupByState:
     """Per-bucket count/sum/min/max integrated under signed cell batches.
 
     The ZSet integrator behind the maintained grid statistics: buckets
-    are interned into a sorted packed-void key column (new groups splice
-    in via ``searchsorted`` + ``np.insert``, the ``_ArrayView`` idiom)
-    and every :meth:`apply` folds a whole batch with ``np.bincount`` /
-    ``ufunc.at`` — no per-cell Python.
+    are interned into a sorted int64 key column (new groups splice in
+    via ``searchsorted`` + ``np.insert``, the ``_ArrayView`` idiom) and
+    every :meth:`apply` folds a whole batch with ``np.bincount`` /
+    ``ufunc.at`` — no per-cell Python.  A batch outside the key packing
+    re-keys the groups under a wider one (order-preserving).
 
     Counts and sums are linear, so signed folds maintain them exactly.
     Min/max are *not* invertible: positive weights tighten them
@@ -169,7 +176,8 @@ class GridGroupByState:
 
     __slots__ = (
         "dims", "cell_sizes", "track_minmax",
-        "_keys", "_rows", "counts", "sums", "mins", "maxs", "dirty",
+        "_keys", "_rows", "_packing",
+        "counts", "sums", "mins", "maxs", "dirty",
     )
 
     def __init__(
@@ -188,6 +196,7 @@ class GridGroupByState:
         width = len(self.dims)
         self._keys: Optional[np.ndarray] = None
         self._rows = np.empty((0, width), dtype=np.int64)
+        self._packing: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.counts = np.empty(0, dtype=np.int64)
         self.sums = np.empty(0)
         self.mins = np.empty(0)
@@ -202,18 +211,15 @@ class GridGroupByState:
         """Whether any bucket's extrema were invalidated by a removal."""
         return self.track_minmax and bool(self.dirty.any())
 
+    def _bucket_keys(self, buckets: np.ndarray) -> np.ndarray:
+        """Sortable keys of bucket rows, widening the packing to fit."""
+        if not len(self) or not packing_admits(buckets, self._packing):
+            self._packing = joint_packing(buckets, self._rows)
+            self._keys = position_keys(self._rows, self._packing)
+        return position_keys(buckets, self._packing)
+
     def _intern(self, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Slot indices of sorted-unique ``keys``, inserting new groups."""
-        if self._keys is None or self._keys.shape[0] == 0:
-            self._keys = keys.copy()
-            self._rows = rows.astype(np.int64, copy=True)
-            n = keys.shape[0]
-            self.counts = np.zeros(n, dtype=np.int64)
-            self.sums = np.zeros(n)
-            self.mins = np.full(n, np.inf)
-            self.maxs = np.full(n, -np.inf)
-            self.dirty = np.zeros(n, dtype=bool)
-            return np.arange(n)
         pos = np.searchsorted(self._keys, keys)
         found = np.zeros(keys.shape[0], dtype=bool)
         in_range = pos < self._keys.shape[0]
@@ -248,7 +254,7 @@ class GridGroupByState:
         if coords.shape[0] == 0:
             return
         buckets = ops.grid_buckets(coords, self.dims, self.cell_sizes)
-        keys = ops.pack_coords(np.ascontiguousarray(buckets))
+        keys = self._bucket_keys(buckets)
         uniq, first, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
@@ -312,7 +318,7 @@ class GridGroupByState:
         self.maxs[slots] = -np.inf
         if coords.shape[0] and self._keys is not None:
             buckets = ops.grid_buckets(coords, self.dims, self.cell_sizes)
-            keys = ops.pack_coords(np.ascontiguousarray(buckets))
+            keys = self._bucket_keys(buckets)
             pos = np.searchsorted(self._keys, keys)
             in_range = pos < self._keys.shape[0]
             hit = np.zeros(keys.shape[0], dtype=bool)
@@ -365,7 +371,7 @@ class DeltaJoinState:
     against the *updated* A state computes exactly
     ``ΔA ⋈ B + A' ⋈ ΔB``.  Per-key state is four parallel columns
     (count and value sum per side) behind one sorted key column — keys
-    may be any sortable numpy dtype (packed-void positions for the
+    may be any sortable numpy dtype (int64 position keys for the
     position join, id scalars for the equi join).
     """
 
@@ -391,14 +397,8 @@ class DeltaJoinState:
         return 0 if self._keys is None else int(self._keys.shape[0])
 
     def _intern(self, keys: np.ndarray) -> np.ndarray:
-        if self._keys is None or self._keys.shape[0] == 0:
-            self._keys = keys.copy()
-            n = keys.shape[0]
-            self.cnt_a = np.zeros(n)
-            self.sum_a = np.zeros(n)
-            self.cnt_b = np.zeros(n)
-            self.sum_b = np.zeros(n)
-            return np.arange(n)
+        if self._keys is None:
+            self._keys = keys[:0]
         pos = np.searchsorted(self._keys, keys)
         found = np.zeros(keys.shape[0], dtype=bool)
         in_range = pos < self._keys.shape[0]
@@ -477,8 +477,11 @@ def join_aggregate_full(
     One vectorized pass: per-key counts and value sums on each side,
     then an ``intersect1d`` dot product — the oracle
     :class:`DeltaJoinState` must converge to (exact pair count, product
-    sum to float tolerance).
+    sum to float tolerance).  ``(n, d)`` position tables are keyed
+    under a joint packing of their own first.
     """
+    if keys_a.ndim == 2:
+        keys_a, keys_b = joint_position_keys(keys_a, keys_b)
     uniq_a, inv_a = np.unique(keys_a, return_inverse=True)
     cnt_a = np.bincount(inv_a, minlength=uniq_a.shape[0]).astype(
         np.float64
@@ -719,7 +722,8 @@ class JoinSide:
     array: str
     #: Attributes the side reads from the payload.
     attrs: Tuple[str, ...]
-    #: ``(coords, values) -> (keys, join_values)`` column extractor.
+    #: ``(coords, values) -> (keys, join_values)`` column extractor;
+    #: ``keys`` is a 1-d column, or an ``(n, d)`` position table.
     extract: Callable[
         [np.ndarray, Dict[str, np.ndarray]],
         Tuple[np.ndarray, np.ndarray],
@@ -727,14 +731,11 @@ class JoinSide:
 
 
 def position_side(array: str, attr: str) -> JoinSide:
-    """A position-join side: cells key on their packed coordinates."""
+    """A position-join side: cells key on their coordinates."""
     return JoinSide(
         array=array,
         attrs=(attr,),
-        extract=lambda coords, values: (
-            ops.pack_coords(np.ascontiguousarray(coords)),
-            values[attr],
-        ),
+        extract=lambda coords, values: (coords, values[attr]),
     )
 
 
@@ -750,6 +751,16 @@ def equi_side(array: str, key_attr: str, value_attr: str) -> JoinSide:
     )
 
 
+def _declared_bounds(schema) -> Optional[np.ndarray]:
+    """``[starts, ends]`` of a schema's dimensions, or ``None``; only
+    the leading one may be unbounded (the top digit needs no span)."""
+    if schema is None or any(d.end is None for d in schema.dimensions[1:]):
+        return None
+    dims = schema.dimensions
+    ends = [d.start if d.end is None else d.end for d in dims]
+    return np.array([[d.start for d in dims], ends], dtype=np.int64)
+
+
 class MaintainedJoin:
     """A maintained position/equi join aggregate between two arrays.
 
@@ -758,7 +769,10 @@ class MaintainedJoin:
     against the old *b* state, then side *b* against the updated *a*)
     when the planner prices the combined delta fold cheaper than
     rescanning both arrays — otherwise it rebuilds the state from full
-    payloads.  ``REPRO_INCR=full`` forces the rebuild arm.
+    payloads.  ``REPRO_INCR=full`` forces the rebuild arm.  Position
+    tables key as int64 under one packing fixed at each rebuild from the
+    sides' declared dimension bounds and live cells; a delta that does
+    not fit it takes the rebuild arm.
     """
 
     def __init__(
@@ -777,48 +791,62 @@ class MaintainedJoin:
         self.ndim = int(ndim)
         self.cpu_intensity = float(cpu_intensity)
         self.state = DeltaJoinState()
+        self._packing: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Per-side epoch cursors (``-1`` = unprimed).
         self.cursors = {"a": -1, "b": -1}
 
     def _sides(self) -> Tuple[Tuple[str, JoinSide], ...]:
         return (("a", self.side_a), ("b", self.side_b))
 
-    def _refresh_full(self, session, acc, costs) -> Tuple[int, float]:
-        self.state.clear()
+    def _fold(
+        self, session, acc, costs, delta: bool
+    ) -> Optional[Tuple[int, float]]:
+        """Read every side — its delta, or all of it — then fold them;
+        ``None`` when a delta falls outside the key packing."""
+        batches = []
         rows = 0
         scanned = 0.0
         for label, side in self._sides():
-            scanned += charge_scan_array(
-                acc, session, side.array, list(side.attrs), costs,
-                self.cpu_intensity,
-            )
-            coords, values = session.array_payload(
-                side.array, list(side.attrs), self.ndim
-            )
-            keys, join_values = side.extract(coords, values)
-            self.state.apply(
-                label, keys, join_values,
-                np.ones(keys.shape[0], dtype=np.int64),
-            )
+            attrs = list(side.attrs)
+            if delta:
+                cursor = self.cursors[label]
+                scanned += charge_scan_delta(
+                    acc, session, side.array, cursor, attrs, costs,
+                    self.cpu_intensity,
+                )
+                coords, values, weights = delta_cells(
+                    session.deltas_since(side.array, cursor),
+                    attrs, self.ndim,
+                )
+            else:
+                scanned += charge_scan_array(
+                    acc, session, side.array, attrs, costs,
+                    self.cpu_intensity,
+                )
+                coords, values = session.array_payload(
+                    side.array, attrs, self.ndim
+                )
+                weights = np.ones(coords.shape[0], dtype=np.int64)
+            batches.append((label, *side.extract(coords, values), weights))
             rows += int(coords.shape[0])
-        return rows, scanned
-
-    def _refresh_delta(self, session, acc, costs) -> Tuple[int, float]:
-        rows = 0
-        scanned = 0.0
-        for label, side in self._sides():
-            cursor = self.cursors[label]
-            delta = session.deltas_since(side.array, cursor)
-            scanned += charge_scan_delta(
-                acc, session, side.array, cursor,
-                list(side.attrs), costs, self.cpu_intensity,
+        tables = [keys for _, keys, _, _ in batches if keys.ndim == 2]
+        if not delta:
+            self.state.clear()
+            bounds = [
+                _declared_bounds(session.snapshot_of(side.array).schema)
+                for _, side in self._sides()
+            ]
+            self._packing = (
+                joint_packing(*bounds, *tables)
+                if tables and all(b is not None for b in bounds)
+                else None
             )
-            coords, values, weights = delta_cells(
-                delta, list(side.attrs), self.ndim
-            )
-            keys, join_values = side.extract(coords, values)
+        elif not all(packing_admits(t, self._packing) for t in tables):
+            return None
+        for label, keys, join_values, weights in batches:
+            if keys.ndim == 2:
+                keys = position_keys(keys, self._packing)
             self.state.apply(label, keys, join_values, weights)
-            rows += int(coords.shape[0])
         return rows, scanned
 
     def refresh(self) -> MaintenanceReport:
@@ -855,12 +883,13 @@ class MaintainedJoin:
                 delta_seconds=delta_seconds,
                 full_seconds=full_seconds,
             )
+        folded = None
         if plan is not None and plan.incremental:
-            mode = "delta"
-            rows, scanned = self._refresh_delta(session, acc, costs)
-        else:
-            mode = "full"
-            rows, scanned = self._refresh_full(session, acc, costs)
+            folded = self._fold(session, acc, costs, delta=True)
+        mode = "full" if folded is None else "delta"
+        rows, scanned = folded or self._fold(
+            session, acc, costs, delta=False
+        )
         for label, side in self._sides():
             self.cursors[label] = int(
                 session.payload_epoch_of(side.array)

@@ -27,7 +27,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkData
-from repro.arrays.coords import Box, pack_rows, pack_rows_void, row_packing
+from repro.arrays.coords import (
+    Box,
+    joint_position_keys,
+    pack_rows,
+    row_packing,
+)
 from repro.errors import QueryError
 
 
@@ -125,33 +130,18 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return np.unique(values)
 
 
-def pack_coords(coords: np.ndarray) -> np.ndarray:
-    """View an (n, d) int64 coordinate table as one void key column.
-
-    The packed keys are what :func:`position_join` intersects on.
-    Packing is cheap (a reinterpreting view when the input is already
-    contiguous int64) but not free; callers that join the same
-    coordinate table repeatedly should pack once and pass the keys
-    through ``position_join(..., keys_a=..., keys_b=...)``.
-    """
-    return pack_rows_void(coords)
-
-
 def position_join(
     coords_a: np.ndarray,
     values_a: np.ndarray,
     coords_b: np.ndarray,
     values_b: np.ndarray,
-    keys_a: Optional[np.ndarray] = None,
-    keys_b: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Join two cell sets on exact array position.
 
     Returns ``(coords, a_values, b_values)`` for the matching positions —
-    the engine of the §3.3 vegetation-index query.  ``keys_a`` /
-    ``keys_b`` accept coordinate keys precomputed with
-    :func:`pack_coords`, so repeated joins against the same side skip
-    the re-pack.
+    the engine of the §3.3 vegetation-index query — in lexicographic
+    position order: both sides pack under one joint extent into int64
+    keys (void rows on overflow; see ``joint_position_keys``).
     """
     if coords_a.shape[0] == 0 or coords_b.shape[0] == 0:
         ndim = coords_a.shape[1] if coords_a.size else coords_b.shape[1]
@@ -160,10 +150,7 @@ def position_join(
             np.empty(0),
             np.empty(0),
         )
-    if keys_a is None:
-        keys_a = pack_coords(coords_a)
-    if keys_b is None:
-        keys_b = pack_coords(coords_b)
+    keys_a, keys_b = joint_position_keys(coords_a, coords_b)
     _common, idx_a, idx_b = np.intersect1d(
         keys_a, keys_b, return_indices=True
     )
@@ -223,7 +210,7 @@ def _unique_rows(
     """``np.unique(rows, axis=0)`` with inverse and counts, fast path.
 
     Packs the rows into scalar keys when their extent allows, falling
-    back to the void-view ``axis=0`` unique otherwise.  The unique rows
+    back to the multi-column ``axis=0`` unique otherwise.  The unique rows
     come out in lexicographic order either way.
     """
     packing = _row_packing(rows)
@@ -544,7 +531,7 @@ def window_average_arrays(
         )
         sums = np.bincount(inverse, weights=cvals)
         occupied = np.unique(base, axis=0)
-        keep = np.isin(pack_coords(uniq), pack_coords(occupied))
+        keep = np.isin(*joint_position_keys(uniq, occupied))
     return uniq[keep], sums[keep] / counts[keep]
 
 

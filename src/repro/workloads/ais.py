@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.arrays.array import LocalArray, chunk_cells
+from repro.arrays.array import LocalArray, cell_byte_width, chunk_cells
 from repro.arrays.coords import Box
 from repro.arrays.schema import ArraySchema, parse_schema
 from repro.cluster.costs import GB
@@ -278,22 +278,15 @@ class AisWorkload(CyclicWorkload):
             ),
         }
 
-        chunks = chunk_cells(self.broadcast, coords, attrs, inflate=1.0)
-        actual = sum(c.size_bytes for c in chunks)
+        # The batch's physical footprint, exact in float64.
+        actual = float(n * cell_byte_width(self.broadcast, attrs))
         season_total = sum(
             self.seasonal_weight(i) for i in range(1, self.n_cycles + 1)
         )
         target = self.target_total_bytes * weight / season_total
         inflate = target / actual if actual else 1.0
-        rescaled = [
-            type(c)(
-                c.schema, c.key, c.coords, c.attributes,
-                size_bytes=c.size_bytes * inflate,
-            )
-            for c in chunks
-        ]
         return InsertBatch(
             cycle=cycle,
-            chunks=rescaled,
+            chunks=chunk_cells(self.broadcast, coords, attrs, inflate),
             description=f"AIS quarter {cycle}",
         )

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.arrays.array import chunk_cells
+from repro.arrays.array import cell_byte_width, chunk_cells
 from repro.arrays.coords import Box
 from repro.arrays.schema import ArraySchema, parse_schema
 from repro.cluster.costs import GB
@@ -150,13 +150,13 @@ class ModisWorkload(CyclicWorkload):
         coords = np.unique(coords, axis=0)
         n = coords.shape[0]
 
-        chunks: List = []
-        for band_idx, schema in enumerate((self.band1, self.band2)):
-            attrs = self._band_values(rng, schema, coords, band_idx, cycle)
-            band_chunks = chunk_cells(schema, coords, attrs, inflate=1.0)
-            chunks.extend(band_chunks)
-
-        actual = sum(c.size_bytes for c in chunks)
+        bands = [
+            (schema, self._band_values(rng, schema, coords, band_idx, cycle))
+            for band_idx, schema in enumerate((self.band1, self.band2))
+        ]
+        # The batch's physical footprint, exact in float64: every chunk
+        # is its cell count times the band's cell byte width.
+        actual = float(n * sum(cell_byte_width(*band) for band in bands))
         # Daily volumes vary a few percent (orbit coverage, cloud masks,
         # downlink windows); the jitter is what Algorithm 1's what-if
         # analysis smooths over — steady growth plus i.i.d. noise is why
@@ -165,20 +165,12 @@ class ModisWorkload(CyclicWorkload):
         noise = float(vol_rng.lognormal(mean=0.0, sigma=0.05))
         target = self.target_total_bytes / self.n_cycles * noise
         inflate = target / actual if actual else 1.0
-        rescaled = []
-        for chunk in chunks:
-            rescaled.append(
-                type(chunk)(
-                    chunk.schema,
-                    chunk.key,
-                    chunk.coords,
-                    chunk.attributes,
-                    size_bytes=chunk.size_bytes * inflate,
-                )
-            )
+        chunks: List = []
+        for schema, attrs in bands:
+            chunks.extend(chunk_cells(schema, coords, attrs, inflate))
         return InsertBatch(
             cycle=cycle,
-            chunks=rescaled,
+            chunks=chunks,
             description=f"MODIS day {cycle}",
         )
 

@@ -4,11 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.arrays import Box, ChunkRef, DiskIO, parse_schema
 from repro.cluster import CostParameters, ElasticCluster, GB
 from repro.core import make_partitioner
 from repro.workloads import AisWorkload, ModisWorkload
+
+
+# Tier-1 is deterministic: a fixed example sequence, no replay database.
+# ``--hypothesis-profile=search`` (CI's property-search leg) keeps the
+# randomized hunt.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None
+)
+settings.register_profile("search", deadline=None)
+
+
+def pytest_configure(config):
+    # Runs when this conftest is registered — before any test module is
+    # imported, so every ``@settings(...)`` inherits the chosen profile.
+    settings.load_profile(
+        config.getoption("--hypothesis-profile", None) or "tier1"
+    )
 
 
 class FaultyIO(DiskIO):

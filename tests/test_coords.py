@@ -1,10 +1,18 @@
 """Box algebra: the geometry layer under every range partitioner."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrays.coords import Box, bounding_box
+from repro.arrays.coords import (
+    Box,
+    bounding_box,
+    pack_rows_void,
+    packing_admits,
+    position_keys,
+    row_packing,
+)
 from repro.errors import ChunkError
 
 
@@ -206,3 +214,44 @@ def test_property_split_partitions(data):
     assert not lower.intersects(upper)
     for p in box.points():
         assert lower.contains(p) != upper.contains(p)
+
+
+class TestPositionKeyCodec:
+    """int64 position keys: order-preserving, with a checked range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_keys_order_rows_like_the_void_view(self, data):
+        d = data.draw(st.integers(1, 4))
+        rows = np.array(data.draw(st.lists(
+            st.tuples(*[st.integers(-40, 40)] * d),
+            min_size=1, max_size=30,
+        )), dtype=np.int64)
+        packing = row_packing(rows)
+        keys = position_keys(rows, packing)
+        assert keys.dtype == np.int64
+        assert packing_admits(rows, packing)
+        void = pack_rows_void(rows)
+        assert np.array_equal(
+            np.argsort(keys, kind="stable"),
+            np.argsort(void, kind="stable"),
+        )
+        assert len(np.unique(keys)) == len(np.unique(void))
+
+    def test_admits_checks_every_column_but_the_leading_span(self):
+        packing = row_packing(np.array([[0, -3, 10], [4, 3, 19]]))
+        inside = np.array([[2, 0, 15]])
+        assert packing_admits(inside, packing)
+        assert packing_admits(np.empty((0, 3), dtype=np.int64), packing)
+        assert packing_admits(np.array([[2, 0, 99]]), None)  # void keys
+        assert not packing_admits(np.array([[2, 4, 15]]), packing)
+        assert not packing_admits(np.array([[2, 0, 9]]), packing)
+        # the top mixed-radix digit is unbounded: time may grow (or
+        # start earlier) and the keys stay ordered and collision-free
+        late = np.array([[10**9, 3, 19], [-7, -3, 10], [2, 0, 15]])
+        assert packing_admits(late, packing)
+        keys = position_keys(late, packing)
+        assert keys.argsort().tolist() == [1, 2, 0]
+        # ... until the scaled offset would leave int64
+        assert not packing_admits(np.array([[2**62 // 70 + 1, 0, 15]]), packing)
+        assert packing_admits(np.array([[2**62 // 70 - 1, 0, 15]]), packing)

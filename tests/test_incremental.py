@@ -24,11 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkData, parse_schema
+from repro.arrays.coords import pack_rows_void, position_keys, row_packing
 from repro.cluster import CostParameters, ElasticCluster, GB
 from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import QueryError
 from repro.harness import figure8_retention, incremental_churn
+from repro.query import incremental
 from repro.query import operators as ops
 from repro.query.cost import maintenance_plan
 from repro.query.incremental import (
@@ -513,6 +515,189 @@ class TestJoinKernels:
             got["product_sum"], want["product_sum"],
             rtol=1e-9, atol=1e-9,
         )
+
+
+def _signed_row_batches(rng, width, lo, hi, drift=0):
+    """Random signed batches of int rows, and the rows left live.
+
+    Inserts, then removals of rows that are live (so no count ever goes
+    negative); ``drift`` moves each insert batch's range along.
+    """
+    live = []
+    batches = []
+    for step in range(int(rng.integers(2, 7))):
+        n = int(rng.integers(1, 25))
+        rows = rng.integers(lo, hi, size=(n, width)) + step * drift
+        values = rng.integers(-9, 10, n).astype(np.float64)
+        batches.append((rows, values, np.ones(n, dtype=np.int64)))
+        live.extend(zip(map(tuple, rows.tolist()), values.tolist()))
+        if rng.random() < 0.6:
+            picks = sorted(
+                rng.choice(len(live), int(rng.integers(1, 6)))
+            )[::-1]
+            gone = [live.pop(int(i)) for i in dict.fromkeys(picks)]
+            batches.append((
+                np.array([row for row, _ in gone], dtype=np.int64),
+                np.array([value for _, value in gone]),
+                -np.ones(len(gone), dtype=np.int64),
+            ))
+    return batches, live
+
+
+class TestKeyEncodingParity:
+    """int64 position keys vs structured-void rows: identical state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31))
+    def test_join_state_same_under_int64_and_void_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        batches, _ = _signed_row_batches(rng, 3, -6, 7)
+        packing = row_packing(np.concatenate([b[0] for b in batches]))
+        packed, void = DeltaJoinState(), DeltaJoinState()
+        for rows, values, weights in batches:
+            side = "ab"[int(rng.integers(0, 2))]
+            packed.apply(
+                side, position_keys(rows, packing), values, weights
+            )
+            void.apply(side, pack_rows_void(rows), values, weights)
+        assert packed._keys.dtype == np.int64
+        assert void._keys.dtype.kind == "V"
+        assert packed.emit() == void.emit()
+        assert len(packed) == len(void)
+        for column in ("cnt_a", "sum_a", "cnt_b", "sum_b"):
+            assert np.array_equal(
+                getattr(packed, column), getattr(void, column)
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31))
+    def test_groupby_state_same_under_int64_and_void_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        # Ranges that keep moving on both bucket columns force re-keying.
+        batches, live = _signed_row_batches(
+            rng, 3, -8, 9, drift=np.array([3, -2, 5])
+        )
+        live_rows = np.array(
+            [row for row, _ in live], dtype=np.int64
+        ).reshape(-1, 3)
+        live_values = np.array([value for _, value in live])
+        packed = GridGroupByState(dims=(0, 2), cell_sizes=(2, 3))
+        void = GridGroupByState(dims=(0, 2), cell_sizes=(2, 3))
+        for state, force_void in ((packed, False), (void, True)):
+            with pytest.MonkeyPatch.context() as patch:
+                if force_void:
+                    patch.setattr(
+                        incremental, "joint_packing", lambda *tables: None
+                    )
+                for rows, values, weights in batches:
+                    state.apply(rows, values, weights)
+                state.rescan(live_rows, live_values)
+        assert packed._keys.dtype == np.int64
+        assert void._keys.dtype.kind == "V"
+        assert np.array_equal(packed._rows, void._rows)
+        for column in ("counts", "sums", "mins", "maxs", "dirty"):
+            assert np.array_equal(
+                getattr(packed, column), getattr(void, column)
+            )
+        want = ops.group_stats_by_grid_arrays(
+            live_rows, live_values, (0, 2), (2, 3)
+        )
+        for got, expected in zip(packed.emit(), want):
+            assert np.array_equal(got, expected)
+
+    def test_groupby_rekeys_when_a_batch_leaves_the_packing(self):
+        state = GridGroupByState(dims=(0, 1), cell_sizes=(1, 1))
+        first = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        state.apply(first, np.array([1.0, 2.0]), np.array([1, 1]))
+        narrow = state._packing
+        # column 1 leaves [0, 1]: the groups re-key under a wider one
+        wide = np.array([[0, -5], [1, 9]], dtype=np.int64)
+        state.apply(wide, np.array([3.0, 4.0]), np.array([1, 1]))
+        assert state._packing[1][1] > narrow[1][1]
+        # the leading column may run past its span without re-keying
+        packing = state._packing
+        late = np.array([[10_000, 3]], dtype=np.int64)
+        state.apply(late, np.array([5.0]), np.array([1]))
+        assert state._packing is packing
+        buckets, counts, sums, _, _ = state.emit()
+        want = ops.group_stats_by_grid_arrays(
+            np.concatenate([first, wide, late]),
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0]), (0, 1), (1, 1),
+        )
+        assert np.array_equal(buckets, want[0])
+        assert np.array_equal(counts, want[1])
+        assert np.array_equal(sums, want[2])
+        # an extent beyond int64 falls back to void rows, same answer
+        state.apply(
+            np.array([[0, 2**62], [0, -(2**62)]], dtype=np.int64),
+            np.array([6.0, 7.0]), np.array([1, 1]),
+        )
+        assert state._packing is None
+        assert state._keys.dtype.kind == "V"
+        assert state.emit()[1].sum() == 7
+
+
+class TestMaintainedJoinKeyPacking:
+    """The join's int64 packing: fixed per rebuild, void on overflow."""
+
+    def _join(self, cluster):
+        return MaintainedJoin(
+            cluster, position_side("A", "v"), position_side("B", "v"),
+            ndim=3,
+        )
+
+    def test_growing_time_range_stays_int64_on_the_delta_arm(self):
+        cluster = _make_cluster("uniform_range")
+        join = self._join(cluster)
+        view = _grid_view(cluster, dims=(0, 1), cell_sizes=(2, 4))
+        window = []
+        modes = []
+        for t in range(8):
+            batch = [
+                _chunk(array, 40 * t, x, (x + t) % 16, x - t, 10.0 + x)
+                for array in "AB" for x in range(0, 16, 2 + (t % 2))
+            ]
+            cluster.ingest(batch)
+            window.append([c.ref() for c in batch])
+            if len(window) > 3:
+                cluster.remove_chunks(window.pop(0))
+            if t == 4:
+                cluster.scale_out(2)
+            modes.append(join.refresh().mode)
+            view.refresh()
+            _assert_join_parity(join)
+            _assert_grid_parity(view)
+            assert join.state._keys.dtype == np.int64
+            assert view.state._keys.dtype == np.int64
+        assert modes[0] == "full" and "delta" in modes[1:]
+        assert join.result()["pairs"] > 0
+
+    def test_delta_outside_the_packing_takes_the_rebuild_arm(self):
+        cluster = _make_cluster("round_robin")
+        join = self._join(cluster)
+        cluster.ingest([
+            _chunk(array, t, x, x, 1.0 + x)
+            for array in "AB" for t in range(3) for x in range(12)
+        ])
+        assert join.refresh().mode == "full"
+        cluster.ingest([_chunk("A", 3, 1, 1, 2.0)])
+        assert join.refresh().mode == "delta"
+        # x = -1 lies below the declared start: outside the packing
+        cluster.ingest([_chunk("A", 4, -1, 0, 5.0), _chunk("B", 4, -1, 0, 7.0)])
+        report = join.refresh()
+        assert report.mode == "full" and report.plan.incremental
+        assert join.state._keys.dtype == np.int64  # widened, not void
+        _assert_join_parity(join)
+        # a leading offset beyond int64 headroom: void rows from here on
+        far = 2**62
+        cluster.ingest([_chunk("A", far, 2, 2, 3.0), _chunk("B", far, 2, 2, 4.0)])
+        assert join.refresh().mode == "full"
+        assert join.state._keys.dtype.kind == "V"
+        _assert_join_parity(join)
+        cluster.ingest([_chunk("B", 5, 3, 3, 1.5)])
+        assert join.refresh().mode == "delta"
+        _assert_join_parity(join)
+        assert join.result()["pairs"] == 3 * 12 + 2
 
 
 class TestMaintainedEquiJoin:

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrays.coords import (
+    joint_position_keys,
+    pack_rows_void,
+    row_packing,
+)
 from repro.query import operators as ops
+
 
 def _int_points(draw, n_max=60, d_min=1, d_max=3, lo=-50, hi=50):
     n = draw(st.integers(1, n_max))
@@ -27,18 +33,46 @@ def _int_points(draw, n_max=60, d_min=1, d_max=3, lo=-50, hi=50):
     return np.array(rows, dtype=np.float64).reshape(n, d)
 
 
+def _inertia(pts, centroids, labels):
+    return float(((pts - centroids[labels]) ** 2).sum(axis=1).mean())
+
+
 class TestKmeansParity:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_integer_points_exact(self, data):
+        """Integer points: same labels imply bit-identical centroids.
+
+        Centroids stop being integers after the first update, so the
+        matmul expansion and the oracle's explicit differences can
+        round an exact tie to different sides.  Where the labels
+        differ, only that is accepted: at the first Lloyd step the arms
+        part ways they start from bit-identical centroids, and against
+        those the two assignments must have equal inertia (the quality
+        measure of ``test_continuous_points_close``; later steps may
+        settle in different optima, so final inertia is no criterion).
+        """
         pts = _int_points(data.draw)
         k = data.draw(st.integers(1, 6))
         iterations = data.draw(st.integers(1, 6))
         seed = data.draw(st.integers(0, 1000))
         c_vec, l_vec = ops.kmeans(pts, k, iterations, seed=seed)
         c_sca, l_sca = ops.kmeans_scalar(pts, k, iterations, seed=seed)
-        assert np.array_equal(c_vec, c_sca)
-        assert np.array_equal(l_vec, l_sca)
+        if np.array_equal(l_vec, l_sca):
+            assert np.array_equal(c_vec, c_sca)
+            return
+        for step in range(1, iterations + 1):
+            l_vec = ops.kmeans(pts, k, step, seed=seed)[1]
+            l_sca = ops.kmeans_scalar(pts, k, step, seed=seed)[1]
+            if not np.array_equal(l_vec, l_sca):
+                break
+        shared = ops.kmeans(pts, k, step - 1, seed=seed)[0]
+        assert np.array_equal(
+            shared, ops.kmeans_scalar(pts, k, step - 1, seed=seed)[0]
+        )
+        assert _inertia(pts, shared, l_vec) == pytest.approx(
+            _inertia(pts, shared, l_sca), rel=1e-9
+        )
 
     def test_continuous_points_close(self):
         # On continuous inputs the matmul expansion may round near-tie
@@ -49,14 +83,8 @@ class TestKmeansParity:
         pts = rng.normal(0, 10, size=(500, 3))
         c_vec, l_vec = ops.kmeans(pts, 5, iterations=8, seed=3)
         c_sca, l_sca = ops.kmeans_scalar(pts, 5, iterations=8, seed=3)
-
-        def inertia(centroids, labels):
-            return float(
-                ((pts - centroids[labels]) ** 2).sum(axis=1).mean()
-            )
-
-        assert inertia(c_vec, l_vec) == pytest.approx(
-            inertia(c_sca, l_sca), rel=0.01
+        assert _inertia(pts, c_vec, l_vec) == pytest.approx(
+            _inertia(pts, c_sca, l_sca), rel=0.01
         )
 
     def test_empty_rejected_like_scalar(self):
@@ -238,42 +266,68 @@ class TestClosePairsParity:
         assert combined == split
 
 
-class TestJoinHoisting:
-    """Regression: pre-packed coordinate keys must be honoured."""
+def _void_position_join(coords_a, values_a, coords_b, values_b):
+    """The pre-int64 join: intersect structured-void views of the rows."""
+    _, idx_a, idx_b = np.intersect1d(
+        pack_rows_void(coords_a), pack_rows_void(coords_b),
+        return_indices=True,
+    )
+    return coords_a[idx_a], values_a[idx_a], values_b[idx_b]
 
-    def test_position_join_with_hoisted_keys(self):
-        rng = np.random.default_rng(1)
-        ca = rng.integers(0, 20, size=(40, 3))
-        cb = rng.integers(0, 20, size=(40, 3))
-        va = rng.random(40)
-        vb = rng.random(40)
-        plain = ops.position_join(ca, va, cb, vb)
-        hoisted = ops.position_join(
-            ca, va, cb, vb,
-            keys_a=ops.pack_coords(ca),
-            keys_b=ops.pack_coords(cb),
-        )
-        for left, right in zip(plain, hoisted):
+
+class TestPositionJoinKeyParity:
+    """int64 position keys are an order-preserving re-encoding: the
+    join returns the void path's arrays element for element."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_int64_keys_match_void_keys(self, data):
+        d = data.draw(st.integers(1, 4))
+        # Small pools force overlaps and duplicates; the wide one packs
+        # with large negative offsets; the last overflows 2**62.
+        lo, hi = data.draw(st.sampled_from(
+            [(-6, 6), (-50, 50), (-2**40, 2**40), (-2**62, 2**62)]
+        ))
+        row = st.tuples(*[st.integers(lo, hi)] * d)
+        pool = data.draw(st.lists(row, min_size=1, max_size=12))
+        rows = st.lists(st.one_of(st.sampled_from(pool), row), max_size=30)
+        ca = np.array(data.draw(rows), dtype=np.int64).reshape(-1, d)
+        cb = np.array(data.draw(rows), dtype=np.int64).reshape(-1, d)
+        va = np.arange(ca.shape[0], dtype=np.float64)
+        vb = np.arange(cb.shape[0], dtype=np.float64) + 0.5
+        coords, a, b = ops.position_join(ca, va, cb, vb)
+        if not ca.shape[0] or not cb.shape[0]:
+            assert coords.shape == (0, d) and a.size == 0 and b.size == 0
+            return
+        want = _void_position_join(ca, va, cb, vb)
+        assert np.array_equal(coords, want[0])
+        assert np.array_equal(a, want[1])
+        assert np.array_equal(b, want[2])
+
+    def test_overflowing_extent_takes_the_void_fallback(self):
+        big = 2**62
+        ca = np.array([[big, 1], [-big, 2], [0, 0], [big, 1]])
+        cb = np.array([[0, 0], [big, 1], [5, 5], [-big, 2]])
+        assert row_packing(np.concatenate([ca, cb])) is None
+        keys = joint_position_keys(ca, cb)
+        assert all(k.dtype.kind == "V" for k in keys)
+        va, vb = np.arange(4.0), np.arange(4.0) * 10
+        got = ops.position_join(ca, va, cb, vb)
+        want = _void_position_join(ca, va, cb, vb)
+        for left, right in zip(got, want):
             assert np.array_equal(left, right)
+        assert got[0].tolist() == [[-big, 2], [0, 0], [big, 1]]
 
-    def test_position_join_skips_repacking(self, monkeypatch):
-        calls = []
-        original = ops.pack_coords
+    def test_packable_extent_keys_are_int64(self):
+        ca = np.array([[-3, 7], [4, -9]])
+        cb = np.array([[4, -9]])
+        keys_a, keys_b = joint_position_keys(ca, cb)
+        assert keys_a.dtype == np.int64 and keys_b.dtype == np.int64
+        assert keys_a[1] == keys_b[0] and keys_a[0] < keys_a[1]
 
-        def counting(coords):
-            calls.append(1)
-            return original(coords)
 
-        monkeypatch.setattr(ops, "pack_coords", counting)
-        ca = np.array([[0, 0], [1, 1]])
-        cb = np.array([[1, 1], [2, 2]])
-        keys_a = original(ca)
-        keys_b = original(cb)
-        ops.position_join(
-            ca, np.ones(2), cb, np.ones(2),
-            keys_a=keys_a, keys_b=keys_b,
-        )
-        assert not calls  # no re-pack when keys are supplied
+class TestJoinHoisting:
+    """Regression: hoisted lookup tables must be honoured."""
 
     def test_make_sorted_lookup_matches_manual_sort(self):
         keys = np.array([5, 1, 9, 3])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkRef
 from repro.core.hilbert_curve import HilbertCurvePartitioner
@@ -271,3 +273,114 @@ class TestUniformRange:
     def test_invalid_height(self):
         with pytest.raises(PartitioningError):
             UniformRangePartitioner([0], GRID, height=0)
+
+
+def _per_ref_moves(p, new_nodes):
+    """The per-ref re-slice loop Uniform Range's ``_extend`` replaced.
+
+    Computed from the outside, before the scale-out: re-deal the leaves
+    over the grown node list, then walk the chunks in (array, key)
+    order descending once per ref.
+    """
+    nodes = list(p.nodes) + list(new_nodes)
+    n, l = len(nodes), p.leaf_count
+    moves = []
+    for ref in sorted(p.assignment(), key=lambda r: (r.array, r.key)):
+        i = p.leaf_index_of(ref.key)
+        dest = nodes[min(i * n // l, n - 1)]
+        if dest != p.locate(ref):
+            moves.append((ref, p.locate(ref), dest, p.size_of(ref)))
+    return moves
+
+
+class TestUniformRangeLeafTable:
+    """The painted leaf table ≡ the tree it was painted from."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_leaf_indices_match_scalar_and_contain_the_key(self, data):
+        ndim = data.draw(st.integers(1, 3))
+        lo = [data.draw(st.integers(-5, 5)) for _ in range(ndim)]
+        extent = [data.draw(st.integers(1, 40)) for _ in range(ndim)]
+        grid = Box(tuple(lo), tuple(l + e for l, e in zip(lo, extent)))
+        split_dims = data.draw(st.one_of(
+            st.none(),
+            st.lists(
+                st.integers(0, ndim - 1), min_size=1, max_size=ndim,
+                unique=True,
+            ),
+        ))
+        p = UniformRangePartitioner(
+            [0], grid, height=data.draw(st.integers(1, 7)),
+            split_dims=split_dims,
+        )
+        keys = np.array(data.draw(st.lists(
+            st.tuples(*[
+                st.integers(l - 6, l + e + 6) for l, e in zip(lo, extent)
+            ]),  # up to six cells outside the grid on either side
+            min_size=1, max_size=40,
+        )), dtype=np.int64)
+        batch = p.leaf_indices_of(keys)
+        assert batch.tolist() == [p.leaf_index_of(k) for k in keys.tolist()]
+        leaves = p.leaves()
+        assert sorted(set(p._leaf_table.ravel().tolist())) == list(
+            range(len(leaves))
+        )
+        for key, index in zip(keys.tolist(), batch.tolist()):
+            clamped = [
+                min(max(k, l), h - 1)
+                for k, l, h in zip(key, grid.lo, grid.hi)
+            ]
+            assert leaves[index].contains(clamped)
+
+    @pytest.mark.parametrize("split_dims", [None, (1, 2)])
+    def test_extend_emits_the_per_ref_move_list(self, split_dims):
+        p = UniformRangePartitioner(
+            [0, 1], GRID3, height=5, split_dims=split_dims
+        )
+        rng = np.random.default_rng(8)
+        items = []
+        for i in range(400):
+            key = (  # time runs past the grid's horizon
+                int(rng.integers(0, 14)),
+                int(rng.integers(0, 16)),
+                int(rng.integers(0, 12)),
+            )
+            items.append(
+                (ChunkRef("ab"[i % 2], key), float(rng.lognormal(2, 1)))
+            )
+        p.place_batch(items)
+        for new_nodes in ([2, 3], [7], [4, 5, 6]):
+            want = _per_ref_moves(p, new_nodes)
+            plan = p.scale_out(new_nodes)
+            got = [
+                (m.ref, m.source, m.dest, m.size_bytes)
+                for m in plan.moves
+            ]
+            assert got == want
+            assert got  # a global re-slice moves something each time
+
+    def test_keys_beyond_int64_take_the_scalar_path(self):
+        huge = ChunkRef("a", (2**70, 3))
+        items = [(ChunkRef("a", (x, x)), 1.0 + x) for x in range(16)]
+        items.insert(5, (huge, 9.0))
+        seq = UniformRangePartitioner([0, 1, 2], GRID, height=4)
+        bat = UniformRangePartitioner([0, 1, 2], GRID, height=4)
+        expected = {ref: seq.place(ref, size) for ref, size in items}
+        assert bat.place_batch(items) == expected
+        assert expected[huge] == seq.leaf_owners()[
+            seq.leaf_index_of((15, 3))  # clamps onto the border cell
+        ]
+        want = _per_ref_moves(bat, [3])
+        got = [
+            (m.ref, m.source, m.dest, m.size_bytes)
+            for m in bat.scale_out([3]).moves
+        ]
+        assert got == want
+
+    def test_no_split_dims_is_one_leaf(self):
+        p = UniformRangePartitioner([0], GRID, height=3, split_dims=())
+        assert p.leaf_count == 1
+        keys = np.array([[0, 0], [99, -4]])
+        assert p.leaf_indices_of(keys).tolist() == [0, 0]
+        assert p.leaf_index_of((3, 3)) == 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.arrays import ChunkData
+from repro.arrays.array import chunk_cells
 from repro.cluster import GB
 from repro.errors import WorkloadError
 from repro.workloads import (
@@ -211,3 +213,82 @@ class TestAisWorkload:
         assert small_ais.schema("broadcast").name == "broadcast"
         with pytest.raises(WorkloadError):
             small_ais.schema("unknown")
+
+
+def _first_pass(chunks):
+    """Re-chunk a batch's cells of one array at ``inflate=1.0``.
+
+    The cells are read back from the single-pass chunks (grouped by
+    chunk, batch order inside); the stable chunking sort maps them onto
+    the same groups in the same order.
+    """
+    schema = chunks[0].schema
+    coords = np.concatenate([c.coords for c in chunks])
+    attrs = {
+        name: np.concatenate([c.values(name) for c in chunks])
+        for name in schema.attribute_names
+    }
+    return chunk_cells(schema, coords, attrs, inflate=1.0)
+
+
+class TestSinglePassGeneration:
+    """One ``chunk_cells(..., inflate)`` pass ≡ the two passes it
+    replaced: chunk at 1.0, sum the footprints, then rebuild every chunk
+    through the validating constructor at ``size * target / sum``."""
+
+    def _check(self, batch, target):
+        by_array = {}
+        for chunk in batch.chunks:
+            by_array.setdefault(chunk.schema.name, []).append(chunk)
+        first = [
+            c for chunks in by_array.values() for c in _first_pass(chunks)
+        ]
+        inflate = target / sum(c.size_bytes for c in first)
+        rebuilt = [
+            ChunkData(
+                c.schema, c.key, c.coords, c.attributes,
+                size_bytes=c.size_bytes * inflate,
+            )
+            for c in first
+        ]
+        assert [c.ref() for c in batch.chunks] == [
+            c.ref() for c in rebuilt
+        ]
+        for got, want in zip(batch.chunks, rebuilt):
+            assert got.size_bytes == want.size_bytes  # exact
+            assert got.attr_bytes == want.attr_bytes  # exact
+            assert list(got.attr_bytes) == list(want.attr_bytes)
+            assert np.array_equal(got.coords, want.coords)
+            for name in got.schema.attribute_names:
+                assert np.array_equal(got.values(name), want.values(name))
+
+    @pytest.mark.parametrize("seed", [20140622, 7, 123456])
+    def test_modis_batches_match_two_pass_construction(self, seed):
+        w = ModisWorkload(
+            n_cycles=3, cells_per_band_per_cycle=700,
+            target_total_gb=100.0, seed=seed,
+        )
+        for cycle in (1, 2, 3):
+            noise = float(
+                np.random.default_rng((seed, cycle, 7)).lognormal(
+                    mean=0.0, sigma=0.05
+                )
+            )
+            self._check(
+                w.batch(cycle),
+                w.target_total_bytes / w.n_cycles * noise,
+            )
+
+    @pytest.mark.parametrize("seed", [20090101, 7, 123456])
+    def test_ais_batches_match_two_pass_construction(self, seed):
+        w = AisWorkload(
+            n_cycles=3, ships=60, broadcasts_per_ship=8,
+            target_total_gb=50.0, seed=seed,
+        )
+        season_total = sum(w.seasonal_weight(i) for i in (1, 2, 3))
+        for cycle in (1, 2, 3):
+            self._check(
+                w.batch(cycle),
+                w.target_total_bytes * w.seasonal_weight(cycle)
+                / season_total,
+            )

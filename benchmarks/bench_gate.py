@@ -6,7 +6,10 @@ items/second exactly like ``bench_report.py``, and compares each hot
 path against the committed ``BENCH_micro.json``.  Any benchmark whose
 items/second falls more than ``--tolerance`` (default 25 %) below the
 baseline fails the gate, as does a baseline benchmark missing from the
-current run (renames must refresh the baseline).
+current run (renames must refresh the baseline).  ``--input`` also takes
+an already-normalized record — a regenerated ``BENCH_micro.json`` — and
+then a top-level section of the baseline that the new record lost
+(``"calibration"``, ``"concurrent"``) fails the gate as well.
 
 Usage::
 
@@ -119,7 +122,17 @@ def main(argv=None) -> int:
             with open(raw_path) as fh:
                 raw = json.load(fh)
 
-    report = normalize(raw)
+    # A record bench_report.py wrote gates as it is; a raw
+    # pytest-benchmark JSON becomes the record bench_report.py would
+    # leave behind: the baseline with this run's sections merged in.
+    report = (
+        raw if "hot_paths" in raw
+        else {**baseline_report, **normalize(raw)}
+    )
+    vanished = sorted(
+        section for section, value in baseline_report.items()
+        if isinstance(value, dict) and section not in report
+    )
     if args.mode == "speedups":
         base_speedups = baseline_report.get(
             "batch_vs_scalar_speedup", {}
@@ -140,7 +153,9 @@ def main(argv=None) -> int:
     )
 
     unit = "items/s" if args.mode == "items" else "x scalar"
-    failures = 0
+    failures = len(vanished)
+    for section in vanished:
+        print(f"FAIL section {section!r} of the baseline is gone")
     for name, base_ips, cur_ips, ratio, ok in rows:
         if cur_ips is None:
             print(f"FAIL {name:45s} missing from current run")
@@ -161,8 +176,9 @@ def main(argv=None) -> int:
 
     if failures:
         print(
-            f"\nperf gate FAILED: {failures} benchmark(s) regressed "
-            f"more than {args.tolerance:.0%} vs {args.baseline}"
+            f"\nperf gate FAILED: {failures} benchmark(s) or section(s) "
+            f"regressed more than {args.tolerance:.0%} vs, or vanished "
+            f"from, {args.baseline}"
         )
         return 1
     print(

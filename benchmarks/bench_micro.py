@@ -5,7 +5,8 @@ indexing, tree lookups, batch chunking, and the query-operator kernels —
 rather than simulated workloads.
 
 Scalar and batch variants of each hot path run side by side on identical
-inputs; ``benchmark.extra_info["items"]`` records the per-round item
+inputs — the scalar arms are the reference implementations in
+``tests/oracles`` — and ``benchmark.extra_info["items"]`` records the per-round item
 count so ``bench_report.py`` can normalize every result to items/second
 and derive batch-vs-scalar speedups from one run (the BENCH trajectory
 tracked in ``BENCH_micro.json`` at the repo root).
@@ -22,27 +23,19 @@ import numpy as np
 import pytest
 
 from repro.arrays import Box, ChunkData, ChunkRef, hilbert_index, parse_schema
-from repro.arrays.array import chunk_cells, chunk_cells_scalar
+from repro.arrays.array import chunk_cells
 from repro.arrays.sfc import RectangleHilbert, hilbert_index_batch
-from repro.cluster import (
-    ElasticCluster,
-    TieredStorage,
-    execute_rebalance,
-    execute_rebalance_scalar,
-)
+from repro.cluster import ElasticCluster, TieredStorage, execute_rebalance
 from repro.cluster.costs import CostParameters
 from repro.core import make_partitioner
 from repro.core.base import Move, RebalancePlan
-from repro.config import parity
 from repro.query import operators as ops
 from repro.query.cost import (
     CostAccumulator,
     accumulator_for,
     add_scan_work,
-    add_scan_work_scalar,
     charge_scan_region,
     halo_shuffle_bytes,
-    halo_shuffle_bytes_scalar,
     scan_columns,
 )
 from repro.query.incremental import (
@@ -50,6 +43,16 @@ from repro.query.incremental import (
     GridGroupByState,
     MaintainedGridStats,
     join_aggregate_full,
+)
+from tests import oracles
+from tests.oracles import (
+    add_scan_work_scalar,
+    array_payload_scan,
+    chunk_cells_scalar,
+    chunks_in_region_scan,
+    chunks_of_array_scan,
+    execute_rebalance_scalar,
+    halo_shuffle_bytes_scalar,
 )
 
 GRID = Box((0, 0, 0), (40, 29, 23))
@@ -268,7 +271,7 @@ def test_kmeans_scalar(benchmark):
     pts = _kmeans_points()
     benchmark.extra_info["items"] = pts.shape[0]
 
-    out = benchmark(ops.kmeans_scalar, pts, 8, 6, 0)
+    out = benchmark(oracles.kmeans_scalar, pts, 8, 6, 0)
     assert out[0].shape == (8, 3)
 
 
@@ -278,7 +281,7 @@ def test_kmeans_batch(benchmark):
     benchmark.extra_info["items"] = pts.shape[0]
 
     centroids, labels = benchmark(ops.kmeans, pts, 8, 6, 0)
-    ref_c, ref_l = ops.kmeans_scalar(pts, 8, 6, 0)
+    ref_c, ref_l = oracles.kmeans_scalar(pts, 8, 6, 0)
     # Near-tie assignments may round differently across BLAS builds;
     # compare clustering quality, not exact centroids.
     inertia = ((pts - centroids[labels]) ** 2).sum(axis=1).mean()
@@ -296,7 +299,7 @@ def test_knn_scalar(benchmark):
     pts, queries = _knn_inputs()
     benchmark.extra_info["items"] = queries.shape[0]
 
-    out = benchmark(ops.knn_mean_distance_scalar, pts, queries, 5)
+    out = benchmark(oracles.knn_mean_distance_scalar, pts, queries, 5)
     assert out.shape == (queries.shape[0],)
 
 
@@ -306,7 +309,7 @@ def test_knn_batch(benchmark):
     benchmark.extra_info["items"] = queries.shape[0]
 
     out = benchmark(ops.knn_mean_distance, pts, queries, 5)
-    ref = ops.knn_mean_distance_scalar(pts, queries, 5)
+    ref = oracles.knn_mean_distance_scalar(pts, queries, 5)
     assert np.allclose(out, ref, rtol=1e-9, equal_nan=True)
 
 
@@ -369,7 +372,7 @@ def test_window_average_scalar(benchmark):
     benchmark.extra_info["items"] = coords.shape[0]
 
     out = benchmark(
-        ops.window_average_scalar, coords, values, (1, 2), 16
+        oracles.window_average_scalar, coords, values, (1, 2), 16
     )
     assert out
 
@@ -382,7 +385,7 @@ def test_window_average_batch(benchmark):
     buckets, _means = benchmark(
         ops.window_average_arrays, coords, values, (1, 2), 16
     )
-    ref = ops.window_average_scalar(coords, values, (1, 2), 16)
+    ref = oracles.window_average_scalar(coords, values, (1, 2), 16)
     assert buckets.shape[0] == len(ref)
 
 
@@ -535,7 +538,7 @@ def test_close_pairs_scalar(benchmark):
     lon, lat, radius = _close_pairs_inputs()
     benchmark.extra_info["items"] = lon.shape[0]
 
-    out = benchmark(ops.count_close_pairs_scalar, lon, lat, radius)
+    out = benchmark(oracles.count_close_pairs_scalar, lon, lat, radius)
     assert out >= 0
 
 
@@ -545,7 +548,7 @@ def test_close_pairs_batch(benchmark):
     benchmark.extra_info["items"] = lon.shape[0]
 
     out = benchmark(ops.count_close_pairs, lon, lat, radius)
-    assert out == ops.count_close_pairs_scalar(lon, lat, radius)
+    assert out == oracles.count_close_pairs_scalar(lon, lat, radius)
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +595,13 @@ def _route_query(cluster):
     return len(pairs), coords.shape[0]
 
 
+def _route_query_scan(cluster):
+    """The same reads through the store walks."""
+    pairs = chunks_of_array_scan(cluster, "Q")
+    coords, _vals = array_payload_scan(cluster, "Q", ["v"], ndim=3)
+    return len(pairs), coords.shape[0]
+
+
 #: Region-scoped selection over the 20k-chunk routing cluster: the
 #: t=0 slice's x < 60, y < 120 corner (~7 200 of 20 000 chunks).
 REGION = Box((0, 0, 0), (1, 60, 120))
@@ -602,11 +612,7 @@ def test_region_route_scan(benchmark):
     cluster = _routing_cluster()
     benchmark.extra_info["items"] = CATALOG_CHUNKS
 
-    def route():
-        with parity(catalog="scan"):
-            return cluster.chunks_in_region("Q", REGION)
-
-    touched = benchmark(route)
+    touched = benchmark(chunks_in_region_scan, cluster, "Q", REGION)
     assert 0 < len(touched) < CATALOG_CHUNKS
 
 
@@ -616,8 +622,7 @@ def test_region_route_catalog(benchmark):
     benchmark.extra_info["items"] = CATALOG_CHUNKS
 
     touched = benchmark(cluster.chunks_in_region, "Q", REGION)
-    with parity(catalog="scan"):
-        ref = cluster.chunks_in_region("Q", REGION)
+    ref = chunks_in_region_scan(cluster, "Q", REGION)
     assert [(id(c), n) for c, n in touched] == [
         (id(c), n) for c, n in ref
     ]
@@ -630,8 +635,7 @@ def test_region_cost_scalar(benchmark):
     benchmark.extra_info["items"] = CATALOG_CHUNKS
 
     def charge():
-        with parity(catalog="scan"):
-            touched = cluster.chunks_in_region("Q", REGION)
+        touched = chunks_in_region_scan(cluster, "Q", REGION)
         per_node = {}
         add_scan_work_scalar(per_node, touched, ["v"], costs, 1.0)
         return per_node
@@ -654,8 +658,7 @@ def test_region_cost_batch(benchmark):
         return acc
 
     acc = benchmark(charge)
-    with parity(catalog="scan"):
-        touched = cluster.chunks_in_region("Q", REGION)
+    touched = chunks_in_region_scan(cluster, "Q", REGION)
     per_node = {}
     add_scan_work_scalar(per_node, touched, ["v"], costs, 1.0)
     got = acc.as_dict()
@@ -669,11 +672,7 @@ def test_query_route_scan(benchmark):
     cluster = _routing_cluster()
     benchmark.extra_info["items"] = CATALOG_CHUNKS
 
-    def route():
-        with parity(catalog="scan"):
-            return _route_query(cluster)
-
-    pairs, cells = benchmark(route)
+    pairs, cells = benchmark(_route_query_scan, cluster)
     assert pairs == CATALOG_CHUNKS == cells
 
 
@@ -684,9 +683,7 @@ def test_query_route_catalog(benchmark):
 
     pairs, cells = benchmark(_route_query, cluster)
     assert pairs == CATALOG_CHUNKS == cells
-    with parity(catalog="scan"):
-        ref_pairs, ref_cells = _route_query(cluster)
-    assert (pairs, cells) == (ref_pairs, ref_cells)
+    assert (pairs, cells) == _route_query_scan(cluster)
 
 
 # ----------------------------------------------------------------------
@@ -962,8 +959,8 @@ def test_incr_cycle_full(benchmark):
     benchmark.extra_info["items"] = CATALOG_CHUNKS + delta_n
 
     def cycle():
-        with parity(incr="full"):
-            return view.refresh()
+        view.cursor = -1  # unprimed: the planner is skipped, full arm
+        return view.refresh()
 
     report = benchmark(cycle)
     assert report.mode == "full"

@@ -4,8 +4,10 @@ This is the repo's perf-regression harness: it executes
 ``bench_micro.py`` under ``pytest-benchmark --benchmark-json``, converts
 every result to items/second (using the per-benchmark ``extra_info``
 item counts), derives batch-vs-scalar speedups for the hot paths that
-have both variants, and writes ``BENCH_micro.json`` at the repo root so
-the performance trajectory is tracked PR over PR.
+have both variants, and merges the result into ``BENCH_micro.json`` at
+the repo root so the performance trajectory is tracked PR over PR.
+Sections another tool wrote (``bench_concurrent.py``'s ``"concurrent"``)
+or that this run skipped (``--calibration-repeats 0``) are kept.
 
 Usage::
 
@@ -189,6 +191,27 @@ def normalize(raw: dict) -> dict:
     }
 
 
+def write_merged(path: str, report: dict) -> None:
+    """Update the record at ``path`` with ``report``'s sections.
+
+    Top-level sections this run did not produce are kept, so one tool
+    never erases what another wrote into the shared file.
+    """
+    record: dict = {}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                record = json.load(fh)
+        except (OSError, ValueError):
+            record = {}
+    record.update(report)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=False)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -229,9 +252,7 @@ def main(argv=None) -> int:
         report["calibration"] = run_calibration(
             args.calibration_repeats
         )
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_merged(args.output, report)
 
     print(f"wrote {args.output}")
     for key, ratio in report["batch_vs_scalar_speedup"].items():

@@ -22,7 +22,7 @@ Public surface:
   :class:`~repro.arrays.sfc.RectangleHilbert` — space-filling curve.
 """
 
-from repro.arrays.array import LocalArray, chunk_cells, chunk_cells_scalar
+from repro.arrays.array import LocalArray, chunk_cells
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef, empty_chunk
 from repro.arrays.coords import Box, bounding_box
 from repro.arrays.schema import (
@@ -58,7 +58,6 @@ __all__ = [
     "bits_for_extent",
     "bounding_box",
     "chunk_cells",
-    "chunk_cells_scalar",
     "empty_chunk",
     "hilbert_index",
     "hilbert_index_batch",

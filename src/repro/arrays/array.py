@@ -202,11 +202,10 @@ def _validated_keys(
 ) -> np.ndarray:
     """Bounds-check a cell batch and return its per-cell chunk keys.
 
-    Shared front half of :func:`chunk_cells` and
-    :func:`chunk_cells_scalar`: validates attribute columns, rejects
-    cells outside the schema's declared bounds, and computes every
-    cell's chunk-grid key as ``(cell - start) // interval`` per
-    dimension in one vector pass.
+    Shared front half of :func:`chunk_cells` and its per-cell
+    reference: validates attribute columns, rejects cells outside the
+    schema's declared bounds, and computes every cell's chunk-grid key
+    as ``(cell - start) // interval`` per dimension in one vector pass.
 
     Parameters
     ----------
@@ -326,8 +325,8 @@ def chunk_cells(
     column.  When a batch's key extent cannot be packed into int64 the
     grouping falls back to the per-dimension ``lexsort`` (the previous
     implementation's grouping strategy).  A deliberately naive per-cell
-    reference implementation, :func:`chunk_cells_scalar`, serves as the
-    parity oracle.
+    reference implementation (``tests/oracles/arrays.py``) is the
+    specification.
 
     Parameters
     ----------
@@ -382,53 +381,3 @@ def chunk_cells(
         schema, keys_sorted, coords_sorted, attrs_sorted, boundaries,
         inflate,
     )
-
-
-def chunk_cells_scalar(
-    schema: ArraySchema,
-    coords: np.ndarray,
-    attributes: Mapping[str, np.ndarray],
-    inflate: float = 1.0,
-) -> List[ChunkData]:
-    """Parity oracle: per-cell Python loop building a dict of cell masks.
-
-    A deliberately naive reference implementation — one dict probe per
-    cell, one boolean-mask gather per chunk — that defines the
-    semantics without sharing any code with the packed-sort path.
-    Output is identical to :func:`chunk_cells` (checked by
-    ``tests/test_batch_parity.py``): same chunks in the same key order,
-    cells in batch order within each chunk, bit-identical sizes.
-    """
-    coords = np.asarray(coords, dtype=np.int64)
-    keys = _validated_keys(schema, coords, attributes)
-    n_cells = coords.shape[0]
-    if n_cells == 0:
-        return []
-
-    mask_by_key: Dict[Tuple[int, ...], np.ndarray] = {}
-    for i in range(n_cells):
-        key = tuple(int(v) for v in keys[i])
-        mask = mask_by_key.get(key)
-        if mask is None:
-            mask = np.zeros(n_cells, dtype=bool)
-            mask_by_key[key] = mask
-        mask[i] = True
-
-    chunks: List[ChunkData] = []
-    attr_columns = {
-        name: np.asarray(attributes[name])
-        for name in schema.attribute_names
-    }
-    for key in sorted(mask_by_key):
-        mask = mask_by_key[key]
-        chunk_attrs = {
-            name: column[mask] for name, column in attr_columns.items()
-        }
-        chunk = ChunkData(schema, key, coords[mask], chunk_attrs)
-        if inflate != 1.0:
-            chunk = ChunkData(
-                schema, key, coords[mask], chunk_attrs,
-                size_bytes=chunk.size_bytes * inflate,
-            )
-        chunks.append(chunk)
-    return chunks

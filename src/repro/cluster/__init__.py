@@ -17,18 +17,13 @@ from repro.cluster.coordinator import (
     RemoveReport,
     execute_insert,
     execute_rebalance,
-    execute_rebalance_scalar,
     execute_remove,
 )
 from repro.cluster.costs import DEFAULT_COSTS, GB, CostParameters
 from repro.cluster.metrics import CycleMetrics, RunMetrics, relative_std
 from repro.cluster.network import insert_time, nic_bytes, rebalance_time
 from repro.cluster.node import Node
-from repro.cluster.session import (
-    ClusterSession,
-    SnapshotRaceError,
-    ensure_session,
-)
+from repro.cluster.session import ClusterSession, SnapshotRaceError
 
 __all__ = [
     "ClusterSession",
@@ -45,10 +40,8 @@ __all__ = [
     "RunMetrics",
     "SnapshotRaceError",
     "TieredStorage",
-    "ensure_session",
     "execute_insert",
     "execute_rebalance",
-    "execute_rebalance_scalar",
     "execute_remove",
     "insert_time",
     "nic_bytes",

@@ -15,9 +15,8 @@ current — so :meth:`chunks_of_array` / :meth:`placement_of_array` are
 O(live-chunks-of-array) column gathers instead of per-node store walks,
 and :meth:`array_payload` serves concatenated cell tables cached per
 catalog epoch (repeated queries between reorganizations skip the
-re-concatenation).  ``REPRO_CATALOG=scan`` (or
-:func:`repro.core.catalog.catalog_mode`) restores the pre-catalog
-store-walk reads as a parity oracle.
+re-concatenation).  The pre-catalog store walks are the specification
+of these reads and live in ``tests/oracles/cluster.py``.
 """
 
 from __future__ import annotations
@@ -45,11 +44,7 @@ from repro.cluster.costs import CostParameters
 from repro.cluster.metrics import relative_std
 from repro.cluster.node import Node
 from repro.core.base import ElasticPartitioner
-from repro.core.catalog import (
-    ChunkCatalog,
-    concat_payload,
-    default_catalog_mode,
-)
+from repro.core.catalog import ChunkCatalog
 from repro.config import mode as parity_mode
 from repro.core.provisioner import LeadingStaircase
 from repro.errors import ClusterError
@@ -161,7 +156,7 @@ class ElasticCluster:
         self._exec_engine = None
         self._exec_finalizer = None
         #: The cluster-wide columnar chunk index; maintained by every
-        #: mutation regardless of the read-path mode.
+        #: mutation.
         self.catalog = ChunkCatalog()
 
     def _make_node(self, node_id: int) -> Node:
@@ -305,17 +300,8 @@ class ElasticCluster:
         """All (chunk, node) pairs of one array, key-sorted.
 
         Served from the chunk catalog's per-array sorted view (one
-        object-column gather); under ``REPRO_CATALOG=scan`` the
-        pre-catalog oracle re-walks every node's store and re-sorts.
+        object-column gather).
         """
-        if default_catalog_mode() == "scan":
-            out: List[Tuple[ChunkData, int]] = []
-            for node_id in self.node_ids:
-                for chunk in self.nodes[node_id].store.chunks():
-                    if chunk.schema.name == array:
-                        out.append((chunk, node_id))
-            out.sort(key=lambda pair: pair[0].key)
-            return out
         return self.catalog.pairs_of_array(array)
 
     def chunks_in_region(
@@ -327,64 +313,43 @@ class ElasticCluster:
         query box into per-dimension chunk-coordinate intervals (the
         inverse of ``schema.chunk_box``) and selects live chunks with
         one vectorized comparison over its key matrix — no per-chunk
-        ``Box`` construction.  Under ``REPRO_CATALOG=scan`` the
-        pre-catalog oracle walks every chunk of the array and tests
-        ``chunk_box().intersects(region)`` one at a time; both paths
-        return the same pairs in the same key-sorted order.
+        ``Box`` construction.
 
-        Unknown arrays yield an empty list.  In catalog mode a region
-        whose arity differs from the array's raises
-        :class:`~repro.errors.SchemaError` (the oracle raises
-        :class:`~repro.errors.ChunkError` from the box test).
+        Unknown arrays yield an empty list.  A region whose arity
+        differs from the array's raises
+        :class:`~repro.errors.SchemaError`.
         """
-        if default_catalog_mode() == "scan":
-            return [
-                (chunk, node)
-                for chunk, node in self.chunks_of_array(array)
-                if chunk.schema.chunk_box(chunk.key).intersects(region)
-            ]
         return self.catalog.pairs_in_region(array, region)
 
     def region_scan_columns(
         self, array: str, region: Box
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[object]]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
         """``(sizes, nodes, schema)`` columns of a region's chunks.
 
         The region-scoped sibling of :meth:`array_scan_columns`: the
         cost model lowers region-touched scan charges straight from
         these catalog gathers
-        (:func:`repro.query.cost.region_scan_columns`).  Returns
-        ``None`` under the scan oracle so callers fall back to the
-        pair-list lowering over :meth:`chunks_in_region`.
+        (:func:`repro.query.cost.region_scan_columns`).
         """
-        if default_catalog_mode() == "scan":
-            return None
         return self.catalog.region_scan_columns(array, region)
 
     def region_read(
         self, array: str, region: Box
     ) -> Tuple[
         List[Tuple[ChunkData, int]],
-        Optional[Tuple[np.ndarray, np.ndarray, Optional[object]]],
+        Tuple[np.ndarray, np.ndarray, Optional[object]],
     ]:
         """Region-touched pairs plus scan columns, from one routing pass.
 
         The combined read for queries that materialize the touched
         chunks *and* charge the scan: one :meth:`chunks_in_region`-style
         selection feeds both (the catalog gathers pairs and byte/owner
-        columns from the same id set).  Under the scan oracle the pairs
-        come from the per-chunk ``intersects`` walk and the columns are
-        ``None`` — :func:`repro.query.cost.charge_scan_routed` then
-        falls back to the pair-list lowering.
+        columns from the same id set).
         """
-        if default_catalog_mode() == "scan":
-            return self.chunks_in_region(array, region), None
         return self.catalog.region_read(array, region)
 
     def chunk_data(self, ref: ChunkRef) -> ChunkData:
         """Fetch one chunk's payload from whichever node holds it."""
-        if default_catalog_mode() == "scan":
-            return self.nodes[self.locate(ref)].store.get(ref)
         try:
             return self.catalog.payload_of(ref)
         except KeyError:
@@ -392,25 +357,17 @@ class ElasticCluster:
 
     def placement_of_array(self, array: str) -> Dict[Tuple[int, ...], int]:
         """Chunk key → node map for one array."""
-        if default_catalog_mode() == "scan":
-            return {
-                chunk.key: node
-                for chunk, node in self.chunks_of_array(array)
-            }
         return self.catalog.placement_of_array(array)
 
     def array_scan_columns(
         self, array: str
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[object]]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
         """``(sizes, nodes, schema)`` columns of one array's chunks.
 
         The cost model lowers whole-array scan charges from these
         directly (:func:`repro.query.cost.array_scan_columns`), with no
-        (chunk, node) pair list in between.  Returns ``None`` under the
-        scan oracle so callers fall back to the pair-list lowering.
+        (chunk, node) pair list in between.
         """
-        if default_catalog_mode() == "scan":
-            return None
         return self.catalog.scan_columns_of(array)
 
     def array_payload(
@@ -421,16 +378,12 @@ class ElasticCluster:
     ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Concatenated cell table of one whole array, key-sorted.
 
-        In catalog mode the result is cached per ``(array, attrs,
-        catalog epoch)`` — repeated queries between reorganizations skip
-        the re-concatenation, and any mutation invalidates the entry via
-        the epoch bump.  The scan oracle re-concatenates every call.
-        Callers must treat the returned arrays as read-only.
+        The result is cached per ``(array, attrs, payload epoch)`` —
+        repeated queries between reorganizations skip the
+        re-concatenation, and any content mutation invalidates the
+        entry via the epoch bump.  Callers must treat the returned
+        arrays as read-only.
         """
-        if default_catalog_mode() == "scan":
-            return concat_payload(
-                [c for c, _ in self.chunks_of_array(array)], attrs, ndim
-            )
         return self.catalog.payload_of_array(array, attrs, ndim)
 
     def payload_in_region(
@@ -442,28 +395,14 @@ class ElasticCluster:
     ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Cell table of one array clipped to ``region``, key-sorted.
 
-        The region-scoped sibling of :meth:`array_payload`: in catalog
-        mode the clipped cells are cached per ``(array, region, attrs,
-        payload epoch)`` in the same LRU as whole-array payloads, so a
-        hot selection skips the per-chunk concatenation *and* the
-        per-chunk region mask entirely between content mutations (pure
-        relocations keep the entry warm).  The scan oracle re-walks the
-        touched chunks and re-masks every call.  Callers must treat the
+        The region-scoped sibling of :meth:`array_payload`: the
+        clipped cells are cached per ``(array, region, attrs, payload
+        epoch)`` in the same LRU as whole-array payloads, so a hot
+        selection skips the per-chunk concatenation *and* the per-chunk
+        region mask entirely between content mutations (pure
+        relocations keep the entry warm).  Callers must treat the
         returned arrays as read-only.
         """
-        if default_catalog_mode() == "scan":
-            coords, values = concat_payload(
-                [c for c, _ in self.chunks_in_region(array, region)],
-                attrs, ndim,
-            )
-            if coords.shape[0]:
-                mask = np.ones(coords.shape[0], dtype=bool)
-                for d in range(len(region.lo)):
-                    mask &= coords[:, d] >= region.lo[d]
-                    mask &= coords[:, d] < region.hi[d]
-                coords = coords[mask]
-                values = {a: v[mask] for a, v in values.items()}
-            return coords, values
         return self.catalog.payload_in_region(array, region, attrs, ndim)
 
     def session(self):
@@ -539,10 +478,8 @@ class ElasticCluster:
     def deltas_since(self, array: str, epoch: int):
         """One array's content mutations after an epoch cursor.
 
-        Passthrough to :meth:`ChunkCatalog.deltas_since` — the delta log
-        is maintained in both catalog modes (like the catalog itself),
-        so the incremental maintenance layer reads it regardless of the
-        routing oracle in force.
+        Passthrough to :meth:`ChunkCatalog.deltas_since`, which the
+        incremental maintenance layer reads.
         """
         return self.catalog.deltas_since(array, epoch)
 

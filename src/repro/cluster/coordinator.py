@@ -10,9 +10,9 @@ Every mutation keeps the cluster's columnar chunk catalog
 (:class:`repro.core.catalog.ChunkCatalog`) current, so the query read
 path never re-scans node stores.  The rebalance executor runs as one
 grouped pass — whole-plan validation, per-source bulk evictions,
-per-destination bulk installs, one catalog relocation — with the
-original per-move evict/put loop preserved as the parity oracle behind
-``REPRO_CATALOG=scan`` (:func:`execute_rebalance_scalar`).
+per-destination bulk installs, one catalog relocation; the original
+per-move evict/put loop is its specification
+(``tests/oracles/cluster.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.cluster.costs import CostParameters
 from repro.cluster.network import insert_time, rebalance_time
 from repro.cluster.node import Node
 from repro.core.base import ElasticPartitioner, RebalancePlan
-from repro.core.catalog import ChunkCatalog, default_catalog_mode
+from repro.core.catalog import ChunkCatalog
 from repro.errors import ClusterError
 
 
@@ -134,13 +134,8 @@ def execute_rebalance(
     every first source actually holding its chunk), collapses per-ref
     move chains to ``first source → final destination``, then runs one
     bulk eviction per donor and one bulk install per receiver, followed
-    by a single catalog relocation pass.  Under ``REPRO_CATALOG=scan``
-    the original per-move evict/put loop
-    (:func:`execute_rebalance_scalar`) runs instead — the parity oracle
-    ``tests/test_catalog.py`` compares against.
+    by a single catalog relocation pass.
     """
-    if default_catalog_mode() == "scan":
-        return execute_rebalance_scalar(nodes, plan, costs, catalog)
     moves = plan.moves
     if not moves:
         return RebalanceReport(
@@ -200,30 +195,6 @@ def execute_rebalance(
         nodes[dest].store.put_many([payload[r] for r in refs])
     if catalog is not None:
         catalog.relocate_batch(net, [final_dest[r] for r in net])
-    return RebalanceReport(
-        chunks_moved=plan.chunk_count,
-        bytes_moved=plan.total_bytes,
-        elapsed_seconds=rebalance_time(plan, costs),
-        touched_nodes=len(plan.touched_nodes()),
-    )
-
-
-def execute_rebalance_scalar(
-    nodes: Mapping[int, Node],
-    plan: RebalancePlan,
-    costs: CostParameters,
-    catalog: Optional[ChunkCatalog] = None,
-) -> RebalanceReport:
-    """Parity oracle: the pre-catalog per-move evict/put loop."""
-    for move in plan.moves:
-        if move.source not in nodes or move.dest not in nodes:
-            raise ClusterError(
-                f"rebalance references unknown node: {move}"
-            )
-        chunk = nodes[move.source].store.evict(move.ref)
-        nodes[move.dest].store.put(chunk)
-        if catalog is not None:
-            catalog.relocate_batch([move.ref], [move.dest])
     return RebalanceReport(
         chunks_moved=plan.chunk_count,
         bytes_moved=plan.total_bytes,

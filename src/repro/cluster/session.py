@@ -30,11 +30,6 @@ with :meth:`ElasticCluster.session`::
     with_session = cluster.session()
     result = query.run(with_session, cycle)
 
-Raw-cluster query reads survive as a deprecation shim —
-:func:`ensure_session` wraps a bare cluster in a fresh session and
-issues a :class:`DeprecationWarning`, which CI promotes to an error so
-un-migrated call sites inside the library cannot creep back in.
-
 Consistency contract
 --------------------
 Pins are **per array** (MVCC-lite, not full MVCC): two arrays touched
@@ -62,7 +57,6 @@ overlap with an in-flight mutation (``ArraySnapshot._live_payload``).
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -273,12 +267,7 @@ class ClusterSession:
     def region_scan_columns(
         self, array: str, region: Box
     ) -> Tuple[npt.NDArray[Any], npt.NDArray[Any], Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns of a region.
-
-        Always served from the snapshot — the catalog is maintained in
-        both parity modes, so sessions never fall back to the store
-        walk (the ``None`` contract of the raw cluster surface).
-        """
+        """Pinned ``(sizes, nodes, schema)`` columns of a region."""
         return self.snapshot_of(array).region_scan_columns(region)
 
     def region_read(
@@ -410,24 +399,3 @@ class ClusterSession:
         with self._lock:
             pins = {a: s.epoch for a, s in self._snapshots.items()}
         return f"ClusterSession(pinned={pins!r})"
-
-
-def ensure_session(target: Any) -> ClusterSession:
-    """Coerce a query target to a session (deprecation shim).
-
-    Passes sessions through untouched.  A raw cluster is wrapped in a
-    fresh single-query session and a :class:`DeprecationWarning` is
-    issued, attributed to the query's caller — CI promotes warnings from
-    ``repro.*`` modules to errors, so an un-migrated raw-cluster read
-    inside the library fails the build while external callers get a
-    grace period.
-    """
-    if isinstance(target, ClusterSession):
-        return target
-    warnings.warn(
-        "passing a raw cluster to a query is deprecated; open an "
-        "epoch-pinned read session with cluster.session()",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ClusterSession(target)

@@ -1,31 +1,35 @@
-"""Process-wide parity configuration.
+"""Process-wide backend configuration.
 
-Every vectorized layer keeps its pre-vectorization implementation as a
-parity oracle, historically switched by four independent environment
-variables (``REPRO_LEDGER`` / ``REPRO_COST`` / ``REPRO_CATALOG`` /
-``REPRO_INCR``) with four copy-pasted ``default_*_mode()`` helpers and
-``*_mode()`` context managers.  This module is now the single source of
-truth: :class:`ParityConfig` names the four switches as one frozen
-record, :func:`mode` resolves a single field (override stack first, then
-the environment, then the default), and :func:`parity` overrides any
-subset for one ``with`` block::
+Two switches select a real backend, each with an environment variable
+for CI's matrix legs:
+
+``storage`` / ``REPRO_STORAGE``
+    ``tier`` (default) honours a cluster's
+    :class:`~repro.cluster.cluster.TieredStorage`; ``memory`` ignores it
+    and keeps every chunk resident — the byte-identical reference the
+    tier is compared against.
+``exec`` / ``REPRO_EXEC``
+    ``inprocess`` (default) runs queries in the driver; ``process``
+    gathers payloads from one worker process per node.
+
+:func:`mode` resolves one field (override first, then the environment,
+then the default) and :func:`parity` overrides any subset for one
+``with`` block::
 
     from repro.config import parity
 
-    with parity(incr="full", cost="scalar"):
-        view.refresh(cluster)   # full recompute, per-chunk cost oracle
+    with parity(exec="process"):
+        run_suite(queries, cluster.session(), cycle)
 
-The environment variables are still honored for CI — an unset override
-falls through to ``os.environ`` on every read, so exporting
-``REPRO_CATALOG=scan`` before launching pytest behaves exactly as
-before.  The four legacy helpers (``ledger_mode`` and friends) survive
-as thin delegating shims over this module.
+Everything else that used to be a mode — the dict ledger, the per-chunk
+cost walk, the store-scan reads, forced full recomputation — is a
+reference implementation under ``tests/oracles/`` that tests call
+directly; production code has one path per layer.
 
-Overrides are **process-wide**, exactly like the legacy context
-managers: a ``parity(...)`` block changes what every thread resolves.
-The concurrent query executor therefore treats the parity config as
-fixed for the duration of a batch; parity test suites that flip modes
-do so around, not inside, concurrent sections.
+Overrides are **process-wide**: a ``parity(...)`` block changes what
+every thread resolves.  The concurrent query executor therefore treats
+the configuration as fixed for the duration of a batch; suites that flip
+backends do so around, not inside, concurrent sections.
 """
 
 from __future__ import annotations
@@ -42,176 +46,42 @@ from repro.errors import ConfigError
 #: allowed value is the default.  This table *is* the registry — the
 #: dataclass fields, :func:`mode`, and :func:`parity` all key off it.
 PARITY_FIELDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "ledger": ("REPRO_LEDGER", ("array", "dict")),
-    "cost": ("REPRO_COST", ("batch", "scalar")),
-    "catalog": ("REPRO_CATALOG", ("catalog", "scan")),
-    "incr": ("REPRO_INCR", ("delta", "full")),
     "storage": ("REPRO_STORAGE", ("tier", "memory")),
     "exec": ("REPRO_EXEC", ("inprocess", "process")),
 }
 
-#: The parity-oracle registry.  Every vectorized kernel that keeps a
-#: ``*_scalar`` reference implementation is declared here; the
-#: ``parity-registry`` checker in ``tools/reprolint`` parses this
-#: literal and verifies each entry against the source:
-#:
-#: ``module``
-#:     Repo-relative path (under ``src/``) defining both twins.
-#: ``batch`` / ``scalar``
-#:     Qualified names (``Class.method`` for methods) of the vectorized
-#:     kernel and its oracle.
-#: ``field``
-#:     The :data:`PARITY_FIELDS` switch that selects the oracle at
-#:     runtime, or ``None`` for oracles exercised only by parity tests
-#:     and benchmarks.
-#: ``dispatch``
-#:     The function whose mode comparison routes between the twins
-#:     (required exactly when ``field`` is set).
-#: ``signature``
-#:     ``"same"`` — the twins are drop-in interchangeable and the
-#:     checker enforces identical parameter names; ``"lowered"`` — the
-#:     oracle keeps a pre-vectorization calling convention and the
-#:     named ``dispatch`` adapter owns the translation.
-#:
-#: Keep this a **pure literal** — the checker reads it without
-#: importing the module.
-PARITY_ORACLES: Tuple[Dict[str, Optional[str]], ...] = (
-    {
-        "module": "repro/arrays/array.py",
-        "batch": "chunk_cells",
-        "scalar": "chunk_cells_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/cluster/coordinator.py",
-        "batch": "execute_rebalance",
-        "scalar": "execute_rebalance_scalar",
-        "field": "catalog",
-        "dispatch": "execute_rebalance",
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/cost.py",
-        "batch": "add_scan_work",
-        "scalar": "add_scan_work_scalar",
-        "field": "cost",
-        "dispatch": "charge_scan",
-        "signature": "lowered",
-    },
-    {
-        "module": "repro/query/cost.py",
-        "batch": "add_network_work",
-        "scalar": "add_network_work_scalar",
-        "field": "cost",
-        "dispatch": "charge_network",
-        "signature": "lowered",
-    },
-    {
-        "module": "repro/query/cost.py",
-        "batch": "halo_shuffle_bytes",
-        "scalar": "halo_shuffle_bytes_scalar",
-        "field": "cost",
-        "dispatch": "halo_shuffle_bytes",
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/cost.py",
-        "batch": "colocation_shuffle_bytes",
-        "scalar": "colocation_shuffle_bytes_scalar",
-        "field": "cost",
-        "dispatch": "colocation_shuffle_bytes",
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/incremental.py",
-        "batch": "join_aggregate_full",
-        "scalar": "join_aggregate_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "group_count_by_grid",
-        "scalar": "group_count_by_grid_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "group_mean_by_grid",
-        "scalar": "group_mean_by_grid_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "group_stats_by_grid_arrays",
-        "scalar": "group_stats_by_grid_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "window_average",
-        "scalar": "window_average_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "kmeans",
-        "scalar": "kmeans_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "knn_mean_distance",
-        "scalar": "knn_mean_distance_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/operators.py",
-        "batch": "count_close_pairs",
-        "scalar": "count_close_pairs_scalar",
-        "field": None,
-        "dispatch": None,
-        "signature": "same",
-    },
-    {
-        "module": "repro/query/science.py",
-        "batch": "AisKnn._account_samples_batch",
-        "scalar": "AisKnn._account_samples_scalar",
-        "field": "cost",
-        "dispatch": "AisKnn._run",
-        "signature": "same",
-    },
-)
+
+def _from_env(field: str) -> str:
+    """The value the environment selects for ``field`` (unset = default).
+
+    Raises
+    ------
+    ConfigError
+        If the variable is set to a value the field does not accept —
+        a typo must not silently run the other backend.
+    """
+    env, allowed = PARITY_FIELDS[field]
+    raw = os.environ.get(env)
+    if raw is None:
+        return allowed[0]
+    value = raw.strip().lower()
+    if value not in allowed:
+        raise ConfigError(
+            f"{env}={raw!r} is not a {field} backend; expected one of "
+            f"{allowed}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
 class ParityConfig:
-    """A snapshot of all parity switches.
+    """A snapshot of both backend switches.
 
     Instances are immutable values — :func:`current` materializes one
     from the live override stack + environment, and :func:`parity`
     yields the config in force inside its block.
     """
 
-    ledger: str = "array"
-    cost: str = "batch"
-    catalog: str = "catalog"
-    incr: str = "delta"
     storage: str = "tier"
     exec: str = "inprocess"
 
@@ -226,12 +96,14 @@ class ParityConfig:
 
     @classmethod
     def from_env(cls) -> "ParityConfig":
-        """The config the environment alone selects (no overrides)."""
-        values: Dict[str, str] = {}
-        for field, (env, allowed) in PARITY_FIELDS.items():
-            raw = os.environ.get(env, allowed[0]).strip().lower()
-            values[field] = raw if raw in allowed else allowed[0]
-        return cls(**values)
+        """The config the environment alone selects (no overrides).
+
+        Raises
+        ------
+        ConfigError
+            On an unrecognised value in either variable.
+        """
+        return cls(**{f: _from_env(f) for f in PARITY_FIELDS})
 
 
 # Per-field override slot; ``None`` falls through to the environment.
@@ -242,21 +114,20 @@ _OVERRIDE_LOCK = threading.Lock()
 
 
 def mode(field: str) -> str:
-    """Resolve one parity field: override, else environment, else default.
+    """Resolve one field: override, else environment, else default.
 
     Parameters
     ----------
     field : str
-        One of ``"ledger"``, ``"cost"``, ``"catalog"``, ``"incr"``,
-        ``"storage"``, ``"exec"``.
+        ``"storage"`` or ``"exec"``.
 
     Raises
     ------
     ConfigError
-        If ``field`` is not a parity field.
+        If ``field`` is not a parity field, or its environment variable
+        holds an unrecognised value.
     """
-    spec = PARITY_FIELDS.get(field)
-    if spec is None:
+    if field not in PARITY_FIELDS:
         raise ConfigError(
             f"unknown parity field {field!r}; expected one of "
             f"{tuple(PARITY_FIELDS)}"
@@ -264,9 +135,7 @@ def mode(field: str) -> str:
     override = _OVERRIDES[field]
     if override is not None:
         return override
-    env, allowed = spec
-    raw = os.environ.get(env, allowed[0]).strip().lower()
-    return raw if raw in allowed else allowed[0]
+    return _from_env(field)
 
 
 def current() -> ParityConfig:
@@ -276,11 +145,11 @@ def current() -> ParityConfig:
 
 @contextmanager
 def parity(**overrides: str) -> Iterator[ParityConfig]:
-    """Override any subset of parity fields for one block.
+    """Override either backend switch for one block.
 
-    ``with parity(incr="full"):`` pins the incremental-maintenance
-    oracle while leaving the other three switches on their environment
-    defaults.  Blocks nest; each restores exactly what it changed.
+    ``with parity(storage="memory"):`` pins the all-in-memory stores
+    while leaving ``exec`` on its environment default.  Blocks nest;
+    each restores exactly what it changed.
 
     Raises
     ------

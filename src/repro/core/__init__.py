@@ -11,12 +11,7 @@
 
 from repro.core.append import AppendPartitioner
 from repro.core.base import ElasticPartitioner, Move, NodeId, RebalancePlan
-from repro.core.catalog import (
-    CATALOG_MODES,
-    ChunkCatalog,
-    catalog_mode,
-    default_catalog_mode,
-)
+from repro.core.catalog import ChunkCatalog
 from repro.core.consistent_hash import ConsistentHashPartitioner
 from repro.core.extendible_hash import ExtendibleHashPartitioner
 from repro.core.hashing import hash_chunk_ref, stable_hash64
@@ -48,7 +43,6 @@ from repro.core.uniform_range import UniformRangePartitioner
 __all__ = [
     "ALL_PARTITIONERS",
     "AppendPartitioner",
-    "CATALOG_MODES",
     "ChunkCatalog",
     "ConsistentHashPartitioner",
     "DISPLAY_NAMES",
@@ -71,8 +65,6 @@ __all__ = [
     "UniformRangePartitioner",
     "best_planning_cycles",
     "best_sample_count",
-    "catalog_mode",
-    "default_catalog_mode",
     "fit_sample_count",
     "hash_chunk_ref",
     "make_partitioner",

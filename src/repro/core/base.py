@@ -40,16 +40,11 @@ every registered scheme).
 
 Ledger invariants
 -----------------
-The bookkeeping lives in a pluggable chunk ledger
-(:mod:`repro.core.ledger`): by default the array-backed ledger that
-interns refs to dense integer ids and keeps bytes/owner/coordinates in
-parallel numpy columns, with the PR-1 dict ledger selectable as parity
-oracle — set ``REPRO_LEDGER=dict`` or wrap construction in
-:func:`repro.core.ledger.ledger_mode`; registered schemes do not
-forward the base ``ledger=`` keyword, which exists for direct
-subclass/test construction.
-Whatever the backing store, it is redundant by design and must stay
-consistent at every public-method boundary:
+The bookkeeping lives in the chunk ledger
+(:class:`repro.core.ledger.ArrayChunkLedger`), which interns refs to
+dense integer ids and keeps bytes/owner/coordinates in parallel numpy
+columns.  It is redundant by design and must stay consistent at every
+public-method boundary:
 
 * ``sum(sizes) == total_bytes`` — the running counter updated by
   :meth:`place` / :meth:`update_size` / :meth:`remove` (relocations move
@@ -74,7 +69,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
-from repro.core.ledger import make_ledger
+from repro.core.ledger import ArrayChunkLedger
 from repro.core.traits import PartitionerTraits
 from repro.errors import PartitioningError
 
@@ -153,21 +148,15 @@ class ElasticPartitioner(ABC):
     #: The scheme's Table-1 feature row.
     traits: PartitionerTraits
 
-    def __init__(
-        self,
-        nodes: Sequence[NodeId],
-        *,
-        ledger: Optional[str] = None,
-    ) -> None:
+    def __init__(self, nodes: Sequence[NodeId]) -> None:
         if not nodes:
             raise PartitioningError("partitioner needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise PartitioningError(f"duplicate node ids in {list(nodes)}")
         self._nodes: List[NodeId] = [int(n) for n in nodes]
         # All chunk bookkeeping (assignment, sizes, per-node loads, the
-        # running byte total) lives in the ledger; ``ledger`` picks the
-        # backing store ("array" default, "dict" parity oracle).
-        self._ledger = make_ledger(ledger, self._nodes)
+        # running byte total) lives in the ledger.
+        self._ledger = ArrayChunkLedger(self._nodes)
 
     # ------------------------------------------------------------------
     # ledger views (read-only; subclasses must mutate through the
@@ -461,12 +450,11 @@ class ElasticPartitioner(ABC):
     def compact_ledger(self, min_dead_fraction: float = 0.0) -> bool:
         """Reclaim dead ledger slots left by removed chunks.
 
-        Forwards to the backing ledger's ``compact``: the array ledger
-        re-interns live refs and shrinks its columns when at least
-        ``min_dead_fraction`` of the allocated slots are dead; the dict
-        ledger never fragments and returns ``False``.  Observable
-        partitioner state is unchanged either way.  The cluster calls
-        this from its reorganization cycle (see
+        Forwards to the ledger's ``compact``, which re-interns live
+        refs and shrinks its columns when at least
+        ``min_dead_fraction`` of the allocated slots are dead.
+        Observable partitioner state is unchanged either way.  The
+        cluster calls this from its reorganization cycle (see
         :meth:`repro.cluster.cluster.ElasticCluster.scale_out`).
 
         Returns:
@@ -598,8 +586,8 @@ class ElasticPartitioner(ABC):
 
         ``commit_nodes`` holds the chosen node of each ``first_sizes``
         ref, in iteration order.  The ledger applies first-time
-        placements as bulk column writes (or C-level dict updates on
-        the dict oracle); merges replay in batch order.  Assignments,
+        placements as bulk column writes; merges replay in batch
+        order.  Assignments,
         returned placements, and per-chunk sizes come out bit-identical
         to sequential :meth:`place`; per-node loads and the running
         total accumulate the same bytes in a different order (see the

@@ -54,15 +54,12 @@ ids, so :meth:`compact` leaves it untouched, and replaying it from
 epoch 0 must land exactly on the live set — :meth:`verify_delta_log`
 checks that, and ``ElasticCluster.check_consistency`` calls it.
 
-Parity oracle
+Specification
 -------------
-Mirroring ``REPRO_LEDGER`` / ``REPRO_COST``, the ``REPRO_CATALOG``
-environment variable (and the :func:`catalog_mode` context manager)
-selects between ``catalog`` routing and the pre-catalog ``scan`` oracle:
-under ``scan`` the cluster re-walks every node's store per query and the
-coordinator executes rebalances one evict/put at a time, exactly as
-before.  The catalog is maintained in both modes, so
-``tests/test_catalog.py`` can compare the two read paths on one cluster.
+The pre-catalog read path — re-walk every node's store per query, and
+execute rebalances one evict/put at a time — lives on as plain
+functions of a cluster in ``tests/oracles/cluster.py``;
+``tests/test_catalog.py`` compares both read paths on one cluster.
 """
 
 from __future__ import annotations
@@ -75,47 +72,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import config as parity_config
 from repro import lockdep
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
 from repro.arrays.coords import Box, pack_rows_void
 from repro.errors import ClusterError
 
 NodeId = int
-
-#: Catalog modes accepted by ``REPRO_CATALOG`` / :func:`catalog_mode`.
-CATALOG_MODES = parity_config.PARITY_FIELDS["catalog"][1]
-
-
-def default_catalog_mode() -> str:
-    """The process-wide catalog mode.
-
-    Thin shim over :func:`repro.config.mode` — the ``REPRO_CATALOG``
-    environment variable and ``parity(catalog=...)`` overrides both
-    resolve there.
-    """
-    return parity_config.mode("catalog")
-
-
-@contextmanager
-def catalog_mode(mode: str) -> Iterator[None]:
-    """Temporarily pin the catalog mode (parity tests).
-
-    Legacy shim over :func:`repro.config.parity`; prefer
-    ``parity(catalog=...)``.
-
-    Raises
-    ------
-    ClusterError
-        If ``mode`` is not a known catalog mode.
-    """
-    if mode not in CATALOG_MODES:
-        raise ClusterError(
-            f"unknown catalog mode {mode!r}; expected one of "
-            f"{CATALOG_MODES}"
-        )
-    with parity_config.parity(catalog=mode):
-        yield
 
 
 def concat_payload(
@@ -347,10 +309,11 @@ class ArraySnapshot:
     (:meth:`pairs` / :meth:`placement` / :meth:`scan_columns` / the
     region family / :meth:`payload` / :meth:`deltas_since`) so the
     cluster session facade can route either way.  Payload
-    concatenations are memoized per snapshot; when the live catalog is
-    still at the pinned payload epoch the read delegates to the shared
-    payload LRU instead, so quiescent callers keep its hit telemetry
-    and share one concatenation across sessions.
+    concatenations are memoized per snapshot; the first read delegates
+    to the shared payload LRU while the live catalog is still at the
+    pinned payload epoch, so sessions share one concatenation.  From
+    the caller's side memo and LRU are one cache: a repeat the memo
+    answers counts on the catalog's ``payload_hits`` like an LRU hit.
     """
 
     __slots__ = (
@@ -522,9 +485,10 @@ class ArraySnapshot:
         key = (tuple(sorted(set(attrs))), int(ndim))
         with self._memo_lock:
             hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         cat = self._catalog
+        if hit is not None:
+            cat.count_payload_hit()
+            return hit
         result = self._live_payload(
             lambda: cat.payload_of_array(self.array, attrs, ndim),
             lambda: cat.payload_epoch_of(self.array),
@@ -548,9 +512,10 @@ class ArraySnapshot:
         )
         with self._memo_lock:
             hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         cat = self._catalog
+        if hit is not None:
+            cat.count_payload_hit()
+            return hit
         result = self._live_payload(
             lambda: cat.payload_in_region(
                 self.array, region, attrs, ndim
@@ -778,8 +743,8 @@ class ChunkCatalog:
     ) -> List[Tuple[ChunkData, NodeId]]:
         """All (payload, node) pairs of one array, key-sorted.
 
-        One object-column gather in view order — the catalog-mode
-        implementation of ``ElasticCluster.chunks_of_array``.
+        One object-column gather in view order — the implementation
+        of ``ElasticCluster.chunks_of_array``.
         """
         return self._gather_pairs(self._ids_of_array(array))
 
@@ -840,8 +805,7 @@ class ChunkCatalog:
         """Region-touched (payload, node) pairs, key-sorted.
 
         The region-scoped sibling of :meth:`pairs_of_array` — the
-        catalog-mode implementation of
-        ``ElasticCluster.chunks_in_region``.
+        implementation of ``ElasticCluster.chunks_in_region``.
         """
         return self._gather_pairs(self.ids_in_region(array, region))
 
@@ -962,6 +926,11 @@ class ChunkCatalog:
             values = {a: v[mask] for a, v in values.items()}
         self._store_payload(key, epoch, coords, values)
         return coords, values
+
+    def count_payload_hit(self) -> None:
+        """Count a repeat that a snapshot's memo answered."""
+        with self._payload_lock, lockdep.held("payload-lru"):
+            self.payload_hits += 1
 
     def _store_payload(
         self,

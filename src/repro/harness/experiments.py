@@ -657,8 +657,8 @@ def figure8_retention(
     (:class:`~repro.query.incremental.MaintainedGridStats`) rides the
     whole staircase, folding each cycle's content delta (expiry as
     negative rows); when ``verify_incremental`` the refreshed view is
-    checked against a full recompute every cycle — the ``REPRO_INCR``
-    parity contract, enforced inline.
+    checked against a full recompute every cycle — the maintained ≡
+    recomputed contract, enforced inline.
     """
     rng = np.random.default_rng(seed)
     partitioner = make_partitioner(
@@ -711,8 +711,7 @@ def figure8_retention(
             cluster.remove_chunks(window.pop(0))
         # Repeated whole-array reads between reorganizations through an
         # epoch-pinned session: the first pays the concatenation, the
-        # rest hit the per-epoch cache (live-epoch pins delegate to the
-        # shared catalog cache, so telemetry still counts them).
+        # rest hit the per-epoch cache.
         session = cluster.session()
         for _ in range(queries_per_cycle):
             session.array_payload("R", ["v"], ndim=3)

@@ -29,30 +29,23 @@ cross-node chunk pairs with one packed-key ``searchsorted`` per stencil
 offset (:func:`neighbor_pairs`) rather than a Python dict probe per
 neighbour.
 
-Each batch kernel keeps its pre-vectorization implementation as a
-``*_scalar`` parity oracle, and the query-facing ``charge_*`` helpers
-dispatch between the two: the process-wide mode comes from the
-``REPRO_COST`` environment variable (``batch`` unless overridden) and
-:func:`cost_mode` temporarily pins a mode, so
-``tests/test_cost_parity.py`` can run the full benchmark suites through
-both paths and compare them to float tolerance.
+The specification of every kernel here is its per-chunk dict walk in
+``tests/oracles/cost.py``; ``tests/test_cost_parity.py`` runs the full
+benchmark suites through both and compares them to float tolerance.
 
-Float semantics: both paths charge the same bytes, but the batch path is
+Float semantics: both charge the same bytes, but the column kernels are
 free to reassociate additions (vectorized reductions) and to fold the
 vertical-partitioning attribute fraction into one multiply, so per-node
-busy-seconds agree with the scalar oracle only up to float ulps — the
+busy-seconds agree with the per-chunk walk only up to float ulps — the
 same contract ``place_batch`` and the array ledger already document.
 """
 
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from itertools import product
 from typing import (
     Dict,
-    Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -63,45 +56,11 @@ from typing import (
 
 import numpy as np
 
-from repro import config as parity_config
 from repro.arrays.chunk import ChunkData, ChunkKey
-from repro.arrays.coords import pack_rows, row_packing
+from repro.arrays.coords import position_keys, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.cluster.costs import GB, CostParameters
 from repro.errors import QueryError
-
-#: Cost-accounting modes accepted by ``REPRO_COST`` / :func:`cost_mode`.
-COST_MODES = parity_config.PARITY_FIELDS["cost"][1]
-
-
-def default_cost_mode() -> str:
-    """The process-wide cost mode.
-
-    Thin shim over :func:`repro.config.mode` — the ``REPRO_COST``
-    environment variable and ``parity(cost=...)`` overrides both
-    resolve there.
-    """
-    return parity_config.mode("cost")
-
-
-@contextmanager
-def cost_mode(mode: str) -> Iterator[None]:
-    """Temporarily pin the cost-accounting mode (parity tests).
-
-    Legacy shim over :func:`repro.config.parity`; prefer
-    ``parity(cost=...)``.
-
-    Raises
-    ------
-    QueryError
-        If ``mode`` is not a known cost mode.
-    """
-    if mode not in COST_MODES:
-        raise QueryError(
-            f"unknown cost mode {mode!r}; expected one of {COST_MODES}"
-        )
-    with parity_config.parity(cost=mode):
-        yield
 
 
 class CostAccumulator:
@@ -173,7 +132,7 @@ class CostAccumulator:
         np.add.at(self._busy, self.slots_of(nodes), seconds)
 
     def add_one(self, node: int, seconds: float) -> None:
-        """Accumulate seconds onto a single node (scalar-path helper)."""
+        """Accumulate seconds onto a single node."""
         self._busy[self.slots_of(np.asarray([node]))[0]] += seconds
 
     def add_mapping(self, per_node: Mapping[int, float]) -> None:
@@ -394,10 +353,7 @@ def array_scan_columns(
     The catalog-era entry point for queries that touch every chunk of an
     array: the byte and owner columns come straight from the cluster's
     chunk catalog (:meth:`ElasticCluster.array_scan_columns`) with no
-    (chunk, node) pair list materialized in between.  Under the
-    ``REPRO_CATALOG=scan`` oracle the cluster returns no columns and the
-    lowering falls back to :func:`scan_columns` over
-    ``chunks_of_array`` — byte-identical output either way.
+    (chunk, node) pair list materialized in between.
 
     Parameters
     ----------
@@ -416,10 +372,9 @@ def array_scan_columns(
     nodes : numpy.ndarray of int64
         Hosting node of each chunk.
     """
-    cols = cluster.array_scan_columns(array)
-    if cols is None:  # scan oracle: pair-list lowering
-        return scan_columns(cluster.chunks_of_array(array), attrs)
-    return _lower_catalog_columns(cols, attrs)
+    return _lower_catalog_columns(
+        cluster.array_scan_columns(array), attrs
+    )
 
 
 def charge_scan_array(
@@ -430,23 +385,16 @@ def charge_scan_array(
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for every chunk of one array (mode-dispatching).
+    """Charge scan work for every chunk of one array.
 
-    Batch cost mode lowers the catalog columns directly
-    (:func:`array_scan_columns` → :func:`add_scan_work`, zero per-chunk
-    Python); scalar cost mode replays the per-chunk dict oracle over the
-    materialized ``chunks_of_array`` pairs.
+    Lowers the catalog columns directly (:func:`array_scan_columns` →
+    :func:`add_scan_work`, zero per-chunk Python).
 
     Returns
     -------
     float
         Total bytes scanned.
     """
-    if default_cost_mode() == "scalar":
-        return charge_scan(
-            acc, cluster.chunks_of_array(array), attrs, costs,
-            cpu_intensity,
-        )
     sizes, nodes = array_scan_columns(cluster, array, attrs)
     return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
 
@@ -487,10 +435,7 @@ def region_scan_columns(
     catalog routes the region (one vectorized key-interval test) and the
     byte/owner columns come back as direct gathers
     (:meth:`ElasticCluster.region_scan_columns`) — no (chunk, node) pair
-    list, no per-chunk Python.  Under the ``REPRO_CATALOG=scan`` oracle
-    the cluster returns no columns and the lowering falls back to
-    :func:`scan_columns` over the per-chunk ``intersects`` walk —
-    byte-identical output either way.
+    list, no per-chunk Python.
 
     Parameters
     ----------
@@ -511,10 +456,9 @@ def region_scan_columns(
     nodes : numpy.ndarray of int64
         Hosting node of each touched chunk.
     """
-    cols = cluster.region_scan_columns(array, region)
-    if cols is None:  # scan oracle: pair-list lowering
-        return scan_columns(cluster.chunks_in_region(array, region), attrs)
-    return _lower_catalog_columns(cols, attrs)
+    return _lower_catalog_columns(
+        cluster.region_scan_columns(array, region), attrs
+    )
 
 
 def charge_scan_region(
@@ -526,23 +470,17 @@ def charge_scan_region(
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for a region's touched chunks (mode-dispatching).
+    """Charge scan work for a region's touched chunks.
 
-    Batch cost mode lowers the catalog's region gathers directly
+    Lowers the catalog's region gathers directly
     (:func:`region_scan_columns` → :func:`add_scan_work`, zero per-chunk
-    Python); scalar cost mode replays the per-chunk dict oracle over the
-    materialized ``chunks_in_region`` pairs.
+    Python).
 
     Returns
     -------
     float
         Total bytes scanned.
     """
-    if default_cost_mode() == "scalar":
-        return charge_scan(
-            acc, cluster.chunks_in_region(array, region), attrs, costs,
-            cpu_intensity,
-        )
     sizes, nodes = region_scan_columns(cluster, array, region, attrs)
     return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
 
@@ -550,27 +488,24 @@ def charge_scan_region(
 def charge_scan_routed(
     acc: CostAccumulator,
     pairs: Sequence[Tuple[ChunkData, int]],
-    cols: Optional[Tuple[np.ndarray, np.ndarray, Optional[object]]],
+    cols: Tuple[np.ndarray, np.ndarray, Optional[object]],
     attrs: Optional[Sequence[str]],
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for an already-routed region (mode-dispatching).
+    """Charge scan work for an already-routed region.
 
     The companion of :meth:`ElasticCluster.region_read`: queries that
     need the touched pair list anyway (to read cells) pass both halves
     of that single routing pass here, so the region is never routed
-    twice.  Batch cost mode charges from the ``cols`` gathers; scalar
-    cost mode — or a ``None`` ``cols`` from the scan oracle — replays
-    the per-chunk dict oracle over ``pairs``.
+    twice.  The charge comes from the ``cols`` gathers; ``pairs`` is
+    what the per-chunk reference walks instead.
 
     Returns
     -------
     float
         Total bytes scanned.
     """
-    if cols is None or default_cost_mode() == "scalar":
-        return charge_scan(acc, pairs, attrs, costs, cpu_intensity)
     sizes, nodes = _lower_catalog_columns(cols, attrs)
     return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
 
@@ -607,21 +542,16 @@ def charge_scan_delta(
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for a content delta's rows (mode-dispatching).
+    """Charge scan work for a content delta's rows.
 
-    The incremental plan's charge: batch cost mode lowers the delta
-    log's byte/owner columns directly; scalar cost mode replays the
-    per-chunk dict oracle over the delta's (payload, node) rows.
+    The incremental plan's charge, lowered from the delta log's
+    byte/owner columns.
 
     Returns
     -------
     float
         Total bytes scanned.
     """
-    if default_cost_mode() == "scalar":
-        delta = cluster.deltas_since(array, since_epoch)
-        pairs = list(zip(delta.chunks.tolist(), delta.nodes.tolist()))
-        return charge_scan(acc, pairs, attrs, costs, cpu_intensity)
     sizes, nodes = delta_scan_columns(cluster, array, since_epoch, attrs)
     return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
 
@@ -727,7 +657,7 @@ def add_scan_work(
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge each node for scanning its chunks (batch kernel).
+    """Charge each node for scanning its chunks.
 
     One fused multiply prices I/O plus compute for every chunk and one
     ``np.add.at`` lands the seconds on the owning nodes.
@@ -757,45 +687,6 @@ def add_scan_work(
     return float(sizes.sum())
 
 
-def add_scan_work_scalar(
-    per_node: Dict[int, float],
-    chunks_nodes: Iterable[Tuple[ChunkData, int]],
-    attrs: Optional[Sequence[str]],
-    costs: CostParameters,
-    cpu_intensity: float,
-) -> float:
-    """Parity oracle: per-chunk dict updates (the pre-batch scan charge).
-
-    Parameters
-    ----------
-    per_node : dict of int to float
-        Mutable node → busy-seconds map to update.
-    chunks_nodes : iterable of (ChunkData, int)
-        The (chunk, node) pairs the query touches.
-    attrs : sequence of str or None
-        Attributes read (``None`` = all).
-    costs : CostParameters
-        Cost constants.
-    cpu_intensity : float
-        Multiplier on the per-GB compute rate.
-
-    Returns
-    -------
-    float
-        Total bytes scanned.
-    """
-    scanned = 0.0
-    for chunk, node in chunks_nodes:
-        size = (
-            chunk.size_bytes if attrs is None else chunk.bytes_for(attrs)
-        )
-        per_node[node] = per_node.get(node, 0.0) + (
-            costs.io_time(size) + costs.cpu_time(size, cpu_intensity)
-        )
-        scanned += size
-    return scanned
-
-
 def charge_scan(
     acc: CostAccumulator,
     chunks_nodes: Sequence[Tuple[ChunkData, int]],
@@ -803,24 +694,13 @@ def charge_scan(
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for the touched chunks (mode-dispatching).
-
-    The query-facing entry point: routes to :func:`add_scan_work` (batch
-    columns) or :func:`add_scan_work_scalar` (per-chunk oracle) per the
-    current cost mode; both land in ``acc``.
+    """Charge scan work for an explicit (chunk, node) pair list.
 
     Returns
     -------
     float
         Total bytes scanned.
     """
-    if default_cost_mode() == "scalar":
-        per_node: Dict[int, float] = {}
-        scanned = add_scan_work_scalar(
-            per_node, chunks_nodes, attrs, costs, cpu_intensity
-        )
-        acc.add_mapping(per_node)
-        return scanned
     sizes, nodes = scan_columns(chunks_nodes, attrs)
     return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
 
@@ -828,12 +708,12 @@ def charge_scan(
 # ----------------------------------------------------------------------
 # network work
 # ----------------------------------------------------------------------
-def add_network_work(
+def charge_network(
     acc: CostAccumulator,
     bytes_by_node: Mapping[int, float],
     costs: CostParameters,
 ) -> float:
-    """Charge per-node NIC time for shuffled bytes (batch kernel).
+    """Charge per-node NIC time for a wire-bytes map.
 
     Returns
     -------
@@ -849,45 +729,6 @@ def add_network_work(
     )
     acc.add(nodes, sizes * (costs.network_seconds_per_gb / GB))
     return float(sizes.sum())
-
-
-def add_network_work_scalar(
-    per_node: Dict[int, float],
-    bytes_by_node: Mapping[int, float],
-    costs: CostParameters,
-) -> float:
-    """Parity oracle: per-node dict updates for NIC time.
-
-    Returns
-    -------
-    float
-        Total bytes on the wire.
-    """
-    total = 0.0
-    for node, size in bytes_by_node.items():
-        per_node[node] = per_node.get(node, 0.0) + costs.network_time(size)
-        total += size
-    return total
-
-
-def charge_network(
-    acc: CostAccumulator,
-    bytes_by_node: Mapping[int, float],
-    costs: CostParameters,
-) -> float:
-    """Charge NIC time for a wire-bytes map (mode-dispatching).
-
-    Returns
-    -------
-    float
-        Total bytes on the wire.
-    """
-    if default_cost_mode() == "scalar":
-        per_node: Dict[int, float] = {}
-        total = add_network_work_scalar(per_node, bytes_by_node, costs)
-        acc.add_mapping(per_node)
-        return total
-    return add_network_work(acc, bytes_by_node, costs)
 
 
 def charge_io(
@@ -936,8 +777,8 @@ def elapsed_time(
     Parameters
     ----------
     per_node : mapping or CostAccumulator
-        Per-node busy-seconds — either the dict shape of the scalar
-        oracles or a :class:`CostAccumulator`.
+        Per-node busy-seconds — a ``node -> seconds`` dict or a
+        :class:`CostAccumulator`.
     costs : CostParameters
         Cost constants.
     wire_bytes : float
@@ -984,13 +825,15 @@ def spatial_neighbors(
 def neighbor_pairs(
     keys: np.ndarray,
     spatial_dims: Sequence[int],
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """All (receiver, neighbour) index pairs among present chunk keys.
 
     For every chunk ``i`` and every face-or-diagonal stencil offset along
     ``spatial_dims``, emits ``(i, j)`` when the offset neighbour's key is
-    present at index ``j``.  One packed-key ``searchsorted`` per offset
-    replaces the per-chunk dict probes of the scalar halo accounting.
+    present at index ``j``.  One ``searchsorted`` per offset over the
+    position-key column (:func:`repro.arrays.coords.position_keys`:
+    int64 mixed-radix keys, or the lexicographic void view when the key
+    extent is beyond int64) replaces a dict probe per neighbour.
 
     Parameters
     ----------
@@ -1001,10 +844,8 @@ def neighbor_pairs(
 
     Returns
     -------
-    (src, dst) : pair of numpy.ndarray, or None
-        Receiver and neighbour indices into ``keys``; ``None`` when the
-        key extent cannot be packed into int64 (callers fall back to the
-        scalar oracle).
+    (src, dst) : pair of numpy.ndarray
+        Receiver and neighbour indices into ``keys``.
     """
     n = keys.shape[0]
     if n == 0:
@@ -1012,10 +853,7 @@ def neighbor_pairs(
     # pad=1: neighbour keys one step outside the observed extremes must
     # still pack without overflow.
     packing = row_packing(keys, pad=1)
-    if packing is None:
-        return None
-    lo, span = packing
-    packed = pack_rows(keys, lo, span)
+    packed = position_keys(keys, packing)
     order = np.argsort(packed)
     packed_sorted = packed[order]
     offsets = []
@@ -1027,12 +865,19 @@ def neighbor_pairs(
     for combo in product(*offsets):
         if all(o == 0 for o in combo):
             continue
-        target = pack_rows(
-            keys + np.asarray(combo, dtype=np.int64), lo, span
-        )
+        step = np.asarray(combo, dtype=np.int64)
+        shifted = keys + step
+        target = position_keys(shifted, packing)
         pos = np.searchsorted(packed_sorted, target)
         pos_clipped = np.minimum(pos, n - 1)
         found = packed_sorted[pos_clipped] == target
+        if packing is None:
+            # Void keys span all of int64, where a step off either end
+            # wraps: such a row has no neighbour, whatever it lands on.
+            moved = step != 0
+            found &= (
+                (shifted > keys)[:, moved] == (step > 0)[moved]
+            ).all(axis=1)
         if found.any():
             src_parts.append(base[found])
             dst_parts.append(order[pos_clipped[found]])
@@ -1094,11 +939,8 @@ def halo_shuffle_bytes(
     neighbours hosted on the *same* node are free.  Both endpoints pay NIC
     time (sender and receiver), mirroring the rebalance network model.
 
-    The batch path finds cross-node neighbour pairs with
-    :func:`neighbor_pairs` and accumulates both endpoints' bytes with two
-    ``np.add.at`` passes; the scalar oracle
-    (:func:`halo_shuffle_bytes_scalar`) runs instead under scalar cost
-    mode or when the key extent defeats packing.
+    Cross-node neighbour pairs come from :func:`neighbor_pairs`; both
+    endpoints' bytes accumulate in one :func:`sum_endpoint_bytes` pass.
 
     Parameters
     ----------
@@ -1116,22 +958,13 @@ def halo_shuffle_bytes(
     dict of int to float
         ``node -> bytes`` on the wire (in + out summed per node).
     """
-    if default_cost_mode() == "scalar":
-        return halo_shuffle_bytes_scalar(
-            chunks_nodes, attrs, spatial_dims, halo_fraction
-        )
     n = len(chunks_nodes)
     if n == 0:
         return {}
     keys = np.array(
         [chunk.key for chunk, _ in chunks_nodes], dtype=np.int64
     )
-    pairs = neighbor_pairs(keys, spatial_dims)
-    if pairs is None:  # unpackable key extent: exact oracle fallback
-        return halo_shuffle_bytes_scalar(
-            chunks_nodes, attrs, spatial_dims, halo_fraction
-        )
-    src, dst = pairs
+    src, dst = neighbor_pairs(keys, spatial_dims)
     sizes, nodes = scan_columns(chunks_nodes, attrs)
     cross = nodes[src] != nodes[dst]
     src, dst = src[cross], dst[cross]
@@ -1140,40 +973,6 @@ def halo_shuffle_bytes(
     return sum_endpoint_bytes(
         nodes[src], nodes[dst], sizes[dst] * halo_fraction
     )
-
-
-def halo_shuffle_bytes_scalar(
-    chunks_nodes: Sequence[Tuple[ChunkData, int]],
-    attrs: Optional[Sequence[str]],
-    spatial_dims: Sequence[int],
-    halo_fraction: float = 0.25,
-) -> Dict[int, float]:
-    """Parity oracle: per-chunk dict probes for the halo exchange.
-
-    Returns
-    -------
-    dict of int to float
-        ``node -> bytes`` on the wire (in + out summed per node).
-    """
-    by_key: Dict[ChunkKey, Tuple[ChunkData, int]] = {
-        chunk.key: (chunk, node) for chunk, node in chunks_nodes
-    }
-    wire: Dict[int, float] = {}
-    for chunk, node in chunks_nodes:
-        for nkey in spatial_neighbors(chunk.key, spatial_dims):
-            neighbor = by_key.get(nkey)
-            if neighbor is None:
-                continue
-            n_chunk, n_node = neighbor
-            if n_node == node:
-                continue
-            size = (
-                n_chunk.size_bytes if attrs is None
-                else n_chunk.bytes_for(attrs)
-            ) * halo_fraction
-            wire[node] = wire.get(node, 0.0) + size       # receiver
-            wire[n_node] = wire.get(n_node, 0.0) + size   # sender
-    return wire
 
 
 # ----------------------------------------------------------------------
@@ -1187,10 +986,8 @@ def colocation_shuffle_bytes(
 
     For every chunk-key pair hosted on different nodes, the smaller side
     ships to the larger side's host; co-located pairs are free — the
-    pay-off of placing both arrays by chunk key alone.  The batch path
-    vectorizes the side selection and both endpoint charges; the scalar
-    oracle (:func:`colocation_shuffle_bytes_scalar`) runs under scalar
-    cost mode.
+    pay-off of placing both arrays by chunk key alone.  The side
+    selection and both endpoint charges are vectorized.
 
     Parameters
     ----------
@@ -1204,8 +1001,6 @@ def colocation_shuffle_bytes(
     dict of int to float
         ``node -> bytes`` on the wire.
     """
-    if default_cost_mode() == "scalar":
-        return colocation_shuffle_bytes_scalar(pairs, attrs_small)
     n = len(pairs)
     if n == 0:
         return {}
@@ -1233,31 +1028,3 @@ def colocation_shuffle_bytes(
     src = np.where(a_ships, nodes_a, nodes_b)[cross]
     dst = np.where(a_ships, nodes_b, nodes_a)[cross]
     return sum_endpoint_bytes(src, dst, shipped[cross])
-
-
-def colocation_shuffle_bytes_scalar(
-    pairs: Sequence[Tuple[ChunkData, int, ChunkData, int]],
-    attrs_small: Optional[Sequence[str]] = None,
-) -> Dict[int, float]:
-    """Parity oracle: per-pair dict updates for the join shuffle.
-
-    Returns
-    -------
-    dict of int to float
-        ``node -> bytes`` on the wire.
-    """
-    wire: Dict[int, float] = {}
-    for chunk_a, node_a, chunk_b, node_b in pairs:
-        if node_a == node_b:
-            continue
-        if chunk_a.size_bytes <= chunk_b.size_bytes:
-            shipped, src, dst = chunk_a, node_a, node_b
-        else:
-            shipped, src, dst = chunk_b, node_b, node_a
-        size = (
-            shipped.size_bytes if attrs_small is None
-            else shipped.bytes_for(attrs_small)
-        )
-        wire[src] = wire.get(src, 0.0) + size
-        wire[dst] = wire.get(dst, 0.0) + size
-    return wire

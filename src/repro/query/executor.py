@@ -5,55 +5,35 @@ themselves with the placement-sensitive cost model.  The query layer is
 batch-first: queries concatenate the chunk payloads they touch
 (:func:`repro.query.operators.concat_chunk_payload`) and invoke each
 vectorized operator kernel once over the concatenation, instead of once
-per chunk.  For genuinely heavy per-chunk math, :func:`map_chunks` still
-optionally fans a per-chunk computation across a ``multiprocessing``
-pool (the actual parallelism of the prototype; the *simulated* latency
-always comes from the cost model so results don't depend on the test
-machine).
+per chunk.  The *simulated* latency always comes from the cost model,
+so results don't depend on the test machine.
 
 Reads go through epoch-pinned sessions
 (:class:`~repro.cluster.session.ClusterSession`): :meth:`Query.run`
-coerces its target with :func:`~repro.cluster.session.ensure_session`,
-so every kernel sees an immutable per-array snapshot even while the
-coordinator mutates the live cluster.  :class:`ConcurrentExecutor` is
-the thread-pool face of that contract — it runs mixed query batches
-against per-query sessions concurrently with ingest/rebalance churn,
-retrying the rare consistent-pin race
+and :func:`run_suite` open one with ``target.session()`` (a session
+answers with itself), so every kernel sees an immutable per-array
+snapshot even while the coordinator mutates the live cluster.
+:class:`ConcurrentExecutor` is the thread-pool face of that contract —
+it runs mixed query batches against per-query sessions concurrently
+with ingest/rebalance churn, retrying the rare consistent-pin race
 (:class:`~repro.cluster.session.SnapshotRaceError`) on a fresh session.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    TypeVar,
-    Union,
-)
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.cluster.cluster import ElasticCluster
-from repro.cluster.session import (
-    ClusterSession,
-    SnapshotRaceError,
-    ensure_session,
-)
+from repro.cluster.session import ClusterSession, SnapshotRaceError
 from repro.errors import ClusterError
 from repro.query.cost import CostAccumulator, charge_io
 from repro.query.result import QueryResult
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Either query target: the sanctioned session surface or (deprecated,
-#: wrapped by :func:`~repro.cluster.session.ensure_session`) a cluster.
+#: Either query target: a session, or a cluster to open one on.
 QueryTarget = Union[ClusterSession, ElasticCluster]
 
 #: Query categories used by Figure 5's grouping.
@@ -78,11 +58,9 @@ class Query(ABC):
     def run(self, cluster: QueryTarget, cycle: int) -> QueryResult:
         """Execute against a session as of workload cycle ``cycle``.
 
-        Accepts a :class:`~repro.cluster.session.ClusterSession` (the
-        sanctioned surface) or, deprecated, a raw cluster — wrapped in a
-        single-query session with a :class:`DeprecationWarning`.
+        A raw cluster gets a fresh single-query session.
         """
-        return _run_charged(self, ensure_session(cluster), cycle)
+        return _run_charged(self, cluster.session(), cycle)
 
     @abstractmethod
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
@@ -134,35 +112,6 @@ def _run_charged(
     return result
 
 
-def map_chunks(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    processes: Optional[int] = None,
-) -> List[R]:
-    """Apply ``fn`` to every item, optionally in a process pool.
-
-    Args:
-        fn: a picklable (module-level) function.
-        items: inputs.
-        processes: ``None``/``0``/``1`` = run inline; otherwise the pool
-            size.  Pools are only worth it for genuinely heavy per-chunk
-            math (see ``examples/parallel_scan.py``).
-
-    Items are shipped to the workers in explicit blocks of
-    ``max(1, len(items) // (4 * processes))`` — ``pool.map``'s default
-    chunksize heuristic is similar, but passing it explicitly pins the
-    IPC batching so small-chunk fan-out never degrades to per-item
-    round-trips.
-    """
-    if processes and processes > 1:
-        if len(items) == 0:
-            return []
-        chunksize = max(1, len(items) // (4 * processes))
-        with multiprocessing.Pool(processes=processes) as pool:
-            return pool.map(fn, items, chunksize=chunksize)
-    return [fn(item) for item in items]
-
-
 def run_suite(
     queries: Iterable[Query],
     cluster: QueryTarget,
@@ -171,15 +120,9 @@ def run_suite(
     """Run a list of queries back to back (one benchmark pass).
 
     One shared session serves the whole pass, so every query in the
-    suite reads the same pinned view of each array it touches.  This is
-    a sanctioned entry point: a raw cluster is promoted to a session
-    without the deprecation warning.
+    suite reads the same pinned view of each array it touches.
     """
-    session = (
-        cluster
-        if isinstance(cluster, ClusterSession)
-        else cluster.session()
-    )
+    session = cluster.session()
     results = []
     for query in queries:
         results.append(_run_charged(query, session, cycle))

@@ -33,25 +33,24 @@ repo's numpy-column discipline:
   ``-1`` plus their replacements at ``+1`` (≈2× live bytes) and full
   recompute wins; in steady state the delta is a sliver.
 
-Parity oracle
+Specification
 -------------
-``REPRO_INCR=full`` (or an :func:`incr_mode` block) forces every refresh
-through the full-recompute arm, mirroring the ``REPRO_LEDGER`` /
-``REPRO_COST`` / ``REPRO_CATALOG`` switches: the maintained results must
-match to 1e-9 on floats and exactly on integer aggregates, which is what
+Each maintained view's :meth:`recompute` is its from-scratch
+specification: the maintained result must match it to 1e-9 on floats
+and exactly on integer aggregates, which is what
 ``tests/test_incremental.py`` pins through randomized
-ingest/expiry/rebalance interleavings.
+ingest/expiry/rebalance interleavings.  Delta-vs-full is a costed
+per-refresh decision, not a setting; an unprimed cursor (``-1``) is
+what forces the full arm.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import config as parity_config
 from repro.arrays.coords import (
     Box,
     joint_packing,
@@ -70,40 +69,6 @@ from repro.query.cost import (
     charge_scan_region,
     maintenance_plan,
 )
-
-#: Maintenance modes accepted by ``REPRO_INCR`` / :func:`incr_mode`.
-INCR_MODES = parity_config.PARITY_FIELDS["incr"][1]
-
-
-def default_incr_mode() -> str:
-    """The process-wide maintenance mode.
-
-    Thin shim over :func:`repro.config.mode` — the ``REPRO_INCR``
-    environment variable and ``parity(incr=...)`` overrides both
-    resolve there.
-    """
-    return parity_config.mode("incr")
-
-
-@contextmanager
-def incr_mode(mode: str) -> Iterator[None]:
-    """Temporarily pin the maintenance mode (parity tests).
-
-    Legacy shim over :func:`repro.config.parity`; prefer
-    ``parity(incr=...)``.
-
-    Raises
-    ------
-    QueryError
-        If ``mode`` is not a known maintenance mode.
-    """
-    if mode not in INCR_MODES:
-        raise QueryError(
-            f"unknown incremental mode {mode!r}; expected one of "
-            f"{INCR_MODES}"
-        )
-    with parity_config.parity(incr=mode):
-        yield
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +327,11 @@ class GridGroupByState:
 # ----------------------------------------------------------------------
 # mergeable join state
 # ----------------------------------------------------------------------
+#: Dead share of :class:`DeltaJoinState`'s rows at which they are
+#: dropped — the ratio the cluster compacts its chunk ledger at.
+DEAD_KEY_FRACTION = 0.5
+
+
 class DeltaJoinState:
     """Bilinear join-aggregate state over one shared key column.
 
@@ -372,12 +342,15 @@ class DeltaJoinState:
     ``ΔA ⋈ B + A' ⋈ ΔB``.  Per-key state is four parallel columns
     (count and value sum per side) behind one sorted key column — keys
     may be any sortable numpy dtype (int64 position keys for the
-    position join, id scalars for the equi join).
+    position join, id scalars for the equi join).  A key neither side
+    holds any more is dead; a fold drops the dead rows once they make
+    up :data:`DEAD_KEY_FRACTION` of the state, so under a sliding
+    window the state tracks the live keys, not every key ever seen.
     """
 
     __slots__ = (
         "_keys", "cnt_a", "sum_a", "cnt_b", "sum_b",
-        "pair_count", "product_sum",
+        "pair_count", "product_sum", "_dead",
     )
 
     def __init__(self) -> None:
@@ -392,9 +365,16 @@ class DeltaJoinState:
         self.sum_b = np.empty(0)
         self.pair_count = 0.0
         self.product_sum = 0.0
+        # Rows with both counts zero, kept current by every fold so the
+        # drop test stays O(1) and a fold O(|delta|).
+        self._dead = 0
 
     def __len__(self) -> int:
         return 0 if self._keys is None else int(self._keys.shape[0])
+
+    def _is_dead(self, at) -> np.ndarray:
+        # Counts are integer-valued floats, so "zero" is exact.
+        return (self.cnt_a[at] == 0) & (self.cnt_b[at] == 0)
 
     def _intern(self, keys: np.ndarray) -> np.ndarray:
         if self._keys is None:
@@ -411,6 +391,7 @@ class DeltaJoinState:
             self.sum_a = np.insert(self.sum_a, at, 0.0)
             self.cnt_b = np.insert(self.cnt_b, at, 0.0)
             self.sum_b = np.insert(self.sum_b, at, 0.0)
+            self._dead += int(at.shape[0])
             pos = np.searchsorted(self._keys, keys)
         return pos
 
@@ -447,6 +428,7 @@ class DeltaJoinState:
             minlength=uniq.shape[0],
         )
         pos = self._intern(uniq)
+        self._dead -= int(self._is_dead(pos).sum())
         if side == "a":
             self.pair_count += float(d_cnt @ self.cnt_b[pos])
             self.product_sum += float(d_sum @ self.sum_b[pos])
@@ -457,6 +439,17 @@ class DeltaJoinState:
             self.product_sum += float(self.sum_a[pos] @ d_sum)
             self.cnt_b[pos] += d_cnt
             self.sum_b[pos] += d_sum
+        self._dead += int(self._is_dead(pos).sum())
+        if self._dead >= DEAD_KEY_FRACTION * len(self):
+            # Dropping a retired key also discards the float residue
+            # its sums keep.
+            live = ~self._is_dead(slice(None))
+            self._keys = self._keys[live]
+            self.cnt_a = self.cnt_a[live]
+            self.sum_a = self.sum_a[live]
+            self.cnt_b = self.cnt_b[live]
+            self.sum_b = self.sum_b[live]
+            self._dead = 0
 
     def emit(self) -> Dict[str, float]:
         """The maintained aggregates: exact pair count, product sum."""
@@ -509,28 +502,6 @@ def join_aggregate_full(
     }
 
 
-def join_aggregate_scalar(
-    keys_a: np.ndarray,
-    values_a: np.ndarray,
-    keys_b: np.ndarray,
-    values_b: np.ndarray,
-) -> Dict[str, float]:
-    """Parity oracle: per-row dict accumulation of the join aggregates."""
-    per_key: Dict[object, Tuple[int, float]] = {}
-    for key, value in zip(keys_a.tolist(), values_a.tolist()):
-        count, total = per_key.get(key, (0, 0.0))
-        per_key[key] = (count + 1, total + float(value))
-    pairs = 0
-    product_sum = 0.0
-    for key, value in zip(keys_b.tolist(), values_b.tolist()):
-        hit = per_key.get(key)
-        if hit is None:
-            continue
-        pairs += hit[0]
-        product_sum += hit[1] * float(value)
-    return {"pairs": pairs, "product_sum": product_sum}
-
-
 # ----------------------------------------------------------------------
 # maintained queries
 # ----------------------------------------------------------------------
@@ -557,10 +528,9 @@ class MaintainedGridStats:
     :func:`~repro.query.operators.group_stats_by_grid_arrays` sweep:
     holds a :class:`GridGroupByState` plus an epoch ``cursor``, and each
     :meth:`refresh` folds only the catalog delta since the cursor —
-    unless the Tempura-style planner (or ``REPRO_INCR=full``) rules the
-    full recompute cheaper.  Dirty min/max groups re-aggregate from a
-    region-scoped payload gather clipped to the dirty buckets' bounding
-    box inside ``domain``.
+    unless the Tempura-style planner rules the full recompute cheaper.
+    Dirty min/max groups re-aggregate from a region-scoped payload
+    gather clipped to the dirty buckets' bounding box inside ``domain``.
 
     Parameters
     ----------
@@ -673,7 +643,7 @@ class MaintainedGridStats:
         acc = accumulator_for(session)
         costs = session.costs
         plan = None
-        if default_incr_mode() == "delta" and self.cursor >= 0:
+        if self.cursor >= 0:
             plan = maintenance_plan(
                 session, self.array, self.cursor, [self.attr],
                 costs, self.cpu_intensity,
@@ -769,10 +739,9 @@ class MaintainedJoin:
     against the old *b* state, then side *b* against the updated *a*)
     when the planner prices the combined delta fold cheaper than
     rescanning both arrays — otherwise it rebuilds the state from full
-    payloads.  ``REPRO_INCR=full`` forces the rebuild arm.  Position
-    tables key as int64 under one packing fixed at each rebuild from the
-    sides' declared dimension bounds and live cells; a delta that does
-    not fit it takes the rebuild arm.
+    payloads.  Position tables key as int64 under one packing fixed at
+    each rebuild from the sides' declared dimension bounds and live
+    cells; a delta that does not fit it takes the rebuild arm.
     """
 
     def __init__(
@@ -864,7 +833,7 @@ class MaintainedJoin:
         costs = session.costs
         plan = None
         primed = all(c >= 0 for c in self.cursors.values())
-        if default_incr_mode() == "delta" and primed:
+        if primed:
             plans = [
                 maintenance_plan(
                     session, side.array, self.cursors[label],

@@ -5,18 +5,16 @@ synthetic cells; the simulated timing lives in :mod:`repro.query.cost`.
 All operators take plain arrays or :class:`ChunkData` sequences and return
 numpy values, so they are trivially parallelizable by the executor.
 
-Scalar/batch contract
----------------------
-The math-heavy operators come in two flavours, mirroring the ingest
-layer's ``place``/``place_batch`` pairing: the default names
-(:func:`kmeans`, :func:`knn_mean_distance`, :func:`window_average`,
-:func:`count_close_pairs`, the grid group-bys) are the vectorized batch
-kernels used by the queries, and each keeps its pre-vectorization
-implementation as a ``*_scalar`` parity oracle.  The oracles define the
-semantics: ``tests/test_query_parity.py`` checks the vectorized kernels
-against them — exactly on integer-valued inputs (where every float
-operation is exact) and to float tolerance on continuous inputs, since
-the batch kernels may reassociate reductions.
+Specification
+-------------
+The math-heavy operators (:func:`kmeans`, :func:`knn_mean_distance`,
+:func:`window_average`, :func:`count_close_pairs`, the grid group-bys)
+are vectorized batch kernels; each one's pre-vectorization twin in
+``tests/oracles/operators.py`` defines its semantics.
+``tests/test_query_parity.py`` checks the kernels against them —
+exactly on integer-valued inputs (where every float operation is exact)
+and to float tolerance on continuous inputs, since the batch kernels may
+reassociate reductions.
 """
 
 from __future__ import annotations
@@ -355,39 +353,6 @@ def group_mean_by_grid(
     }
 
 
-def group_count_by_grid_scalar(
-    coords: np.ndarray,
-    dims: Sequence[int],
-    cell_sizes: Sequence[int],
-) -> Dict[Tuple[int, ...], int]:
-    """Parity oracle: per-row Python accumulation of the bucket counts."""
-    out: Dict[Tuple[int, ...], int] = {}
-    dims = list(dims)
-    sizes = list(cell_sizes)
-    for row in coords:
-        bucket = tuple(int(row[d]) // s for d, s in zip(dims, sizes))
-        out[bucket] = out.get(bucket, 0) + 1
-    return out
-
-
-def group_mean_by_grid_scalar(
-    coords: np.ndarray,
-    values: np.ndarray,
-    dims: Sequence[int],
-    cell_sizes: Sequence[int],
-) -> Dict[Tuple[int, ...], float]:
-    """Parity oracle: per-row Python accumulation of the bucket means."""
-    sums: Dict[Tuple[int, ...], float] = {}
-    counts: Dict[Tuple[int, ...], int] = {}
-    dims = list(dims)
-    sizes = list(cell_sizes)
-    for row, value in zip(coords, values):
-        bucket = tuple(int(row[d]) // s for d, s in zip(dims, sizes))
-        sums[bucket] = sums.get(bucket, 0.0) + float(value)
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return {b: sums[b] / counts[b] for b in sums}
-
-
 def group_stats_by_grid_arrays(
     coords: np.ndarray,
     values: np.ndarray,
@@ -428,26 +393,6 @@ def group_stats_by_grid_arrays(
     np.minimum.at(mins, inverse, vals)
     np.maximum.at(maxs, inverse, vals)
     return uniq, counts, sums, mins, maxs
-
-
-def group_stats_by_grid_scalar(
-    coords: np.ndarray,
-    values: np.ndarray,
-    dims: Sequence[int],
-    cell_sizes: Sequence[int],
-) -> Dict[Tuple[int, ...], Tuple[int, float, float, float]]:
-    """Parity oracle: per-row ``(count, sum, min, max)`` accumulation."""
-    out: Dict[Tuple[int, ...], Tuple[int, float, float, float]] = {}
-    dims = list(dims)
-    sizes = list(cell_sizes)
-    for row, value in zip(coords, values):
-        bucket = tuple(int(row[d]) // s for d, s in zip(dims, sizes))
-        v = float(value)
-        count, total, lo, hi = out.get(
-            bucket, (0, 0.0, float("inf"), float("-inf"))
-        )
-        out[bucket] = (count + 1, total + v, min(lo, v), max(hi, v))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -557,29 +502,6 @@ def window_average(
     }
 
 
-def window_average_scalar(
-    coords: np.ndarray,
-    values: np.ndarray,
-    spatial_dims: Sequence[int],
-    window: int,
-) -> Dict[Tuple[int, ...], float]:
-    """Parity oracle: mask the full cell table once per occupied bucket."""
-    if coords.shape[0] == 0:
-        return {}
-    spatial = coords[:, list(spatial_dims)].astype(np.int64)
-    buckets = spatial // window
-    out: Dict[Tuple[int, ...], float] = {}
-    uniq = np.unique(buckets, axis=0)
-    vals = values.astype(np.float64)
-    for row in uniq:
-        center = (row + 0.5) * window
-        dist = np.abs(spatial - center)
-        mask = np.all(dist <= window, axis=1)  # overlaps neighbours
-        if mask.any():
-            out[tuple(int(v) for v in row)] = float(vals[mask].mean())
-    return out
-
-
 # ----------------------------------------------------------------------
 # modeling kernels
 # ----------------------------------------------------------------------
@@ -595,8 +517,8 @@ def kmeans(
     deforestation-modeling query.  Assignment runs as one
     ``|x|² - 2x·c + |c|²`` matmul expansion over the full point matrix
     and the centroid update as one ``bincount`` per dimension — no
-    per-cluster Python loop.  Matches :func:`kmeans_scalar` exactly on
-    integer-valued inputs; on continuous inputs the expansion may round
+    per-cluster Python loop.  Matches its per-cluster-loop oracle exactly
+    on integer-valued inputs; on continuous inputs the expansion may round
     differently than the oracle's explicit differences, so near-ties
     can flip (both results are then equally valid Lloyd steps).
 
@@ -646,33 +568,6 @@ def kmeans(
         centroids[nonempty] = (
             sums[nonempty] / counts[nonempty, None]
         )
-    return centroids, labels
-
-
-def kmeans_scalar(
-    points: np.ndarray,
-    k: int,
-    iterations: int = 10,
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Parity oracle: per-cluster centroid update loop."""
-    if points.shape[0] == 0:
-        raise QueryError("kmeans needs at least one point")
-    k = min(k, points.shape[0])
-    rng = np.random.default_rng(seed)
-    centroids = points[
-        rng.choice(points.shape[0], size=k, replace=False)
-    ].astype(np.float64)
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    for _ in range(iterations):
-        dists = np.linalg.norm(
-            points[:, None, :] - centroids[None, :, :], axis=2
-        )
-        labels = dists.argmin(axis=1)
-        for j in range(k):
-            member = points[labels == j]
-            if member.shape[0]:
-                centroids[j] = member.mean(axis=0)
     return centroids, labels
 
 
@@ -732,29 +627,6 @@ def knn_mean_distance(
     return out
 
 
-def knn_mean_distance_scalar(
-    points: np.ndarray,
-    queries: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Parity oracle: one distance vector per query point."""
-    if queries.shape[0] == 0:
-        return np.empty(0)
-    if points.shape[0] == 0:
-        return np.full(queries.shape[0], np.nan)
-    out = np.empty(queries.shape[0])
-    pts = points.astype(np.float64)
-    for i, q in enumerate(queries.astype(np.float64)):
-        d = np.linalg.norm(pts - q, axis=1)
-        d = d[d > 0]
-        if d.size == 0:
-            out[i] = np.nan
-            continue
-        kk = min(k, d.size)
-        out[i] = float(np.sort(d)[:kk].mean())
-    return out
-
-
 def dead_reckon(
     lon: np.ndarray,
     lat: np.ndarray,
@@ -790,8 +662,7 @@ def count_close_pairs(
     ``(segment, gx, gy)`` key, and for each of the nine stencil offsets
     a single ``searchsorted`` finds every point's neighbour-bucket run,
     which expands to candidate pairs with ``repeat`` arithmetic (no
-    per-bucket Python walk; the scalar oracle
-    :func:`count_close_pairs_scalar` still walks every pair).  With
+    per-bucket Python walk).  With
     ``segments``, only pairs within the same segment count: the
     collision query concatenates every chunk's ships and passes the
     chunk index, so one call covers the whole fleet without inventing
@@ -900,49 +771,4 @@ def _count_close_pairs_buckets(
         d2 += (lat[members][:, None] - lat[neighbors][None, :]) ** 2
         later = neighbors[None, :] > members[:, None]
         count += int(((d2 <= r2) & later).sum())
-    return count
-
-
-def count_close_pairs_scalar(
-    lon: np.ndarray,
-    lat: np.ndarray,
-    radius: float,
-    segments: Optional[np.ndarray] = None,
-) -> int:
-    """Parity oracle: Python bucket walk with per-pair distance tests.
-
-    Accepts the same optional ``segments`` column as the batch kernel
-    (pairs must share a segment to count), so the two signatures stay
-    interchangeable under the parity registry.
-    """
-    n = lon.shape[0]
-    if n < 2:
-        return 0
-    gx = np.floor(lon / radius).astype(np.int64)
-    gy = np.floor(lat / radius).astype(np.int64)
-    if segments is None:
-        seg = np.zeros(n, dtype=np.int64)
-    else:
-        seg = np.asarray(segments, dtype=np.int64)
-    buckets: Dict[Tuple[int, int, int], List[int]] = {}
-    for i in range(n):
-        buckets.setdefault(
-            (int(seg[i]), int(gx[i]), int(gy[i])), []
-        ).append(i)
-    count = 0
-    r2 = radius * radius
-    for (s, bx, by), members in buckets.items():
-        neighbors: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighbors.extend(
-                    buckets.get((s, bx + dx, by + dy), ())
-                )
-        for i in members:
-            for j in neighbors:
-                if j <= i:
-                    continue
-                d2 = (lon[i] - lon[j]) ** 2 + (lat[i] - lat[j]) ** 2
-                if d2 <= r2:
-                    count += 1
     return count

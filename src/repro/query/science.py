@@ -35,7 +35,6 @@ from repro.query.cost import (
     charge_scan,
     charge_scan_array,
     charge_scan_routed,
-    default_cost_mode,
     elapsed_time,
     halo_shuffle_bytes,
     neighbor_pairs,
@@ -412,27 +411,17 @@ class AisKnn(Query):
             p=weights, replace=True,
         )
 
-        # Cost accounting: every sample pays its fragment dispatch, as
-        # before, but the bookkeeping runs as one vectorized pass over
-        # the (center, neighbour) chunk pairs weighted by how often each
-        # center was sampled.  The per-sample loop survives as the
-        # scalar parity oracle.  The rng stream is drawn in sample
-        # order either way, so sampling stays deterministic; the
-        # distance math then runs once per distinct neighbourhood with
-        # all its query points batched.
+        # Cost accounting: every sample pays its fragment dispatch,
+        # but the bookkeeping runs as one vectorized pass over the
+        # (center, neighbour) chunk pairs weighted by how often each
+        # center was sampled.  The rng stream is drawn in sample
+        # order, so sampling stays deterministic; the distance math
+        # then runs once per distinct neighbourhood with all its query
+        # points batched.
         acc = accumulator_for(cluster)
-        if default_cost_mode() == "scalar":
-            wire_map, queries_by_key, key_order = (
-                self._account_samples_scalar(
-                    acc, cluster, current, all_keys, sampled_keys, rng
-                )
-            )
-        else:
-            wire_map, queries_by_key, key_order = (
-                self._account_samples_batch(
-                    acc, cluster, current, all_keys, sampled_keys, rng
-                )
-            )
+        wire_map, queries_by_key, key_order = self._account_samples(
+            acc, cluster, current, all_keys, sampled_keys, rng
+        )
 
         distances: List[float] = []
         for center_key in key_order:
@@ -476,62 +465,16 @@ class AisKnn(Query):
                 neighborhood.append(pair)
         return neighborhood
 
-    def _account_samples_scalar(
-        self, acc, cluster, current, all_keys, sampled_keys, rng
-    ):
-        """Parity oracle: the pre-batch per-sample cost loop.
-
-        The owner reads its local chunks, pulls remote position columns,
-        and dispatches a partial-kNN fragment to every remote node
-        involved — the coordination cost clustered placement avoids (all
-        nine chunks on one host: zero fragments).
-        """
-        per_node: Dict[int, float] = {}
-        wire: Dict[int, float] = {}
-        pts_cells: Dict[Tuple[int, ...], int] = {}
-        queries_by_key: Dict[Tuple[int, ...], List[int]] = {}
-        key_order: List[Tuple[int, ...]] = []
-        for key_idx in sampled_keys:
-            center_key = all_keys[int(key_idx)]
-            neighborhood = self._neighborhood(current, center_key)
-            owner = neighborhood[0][1]
-            remote_nodes = set()
-            for chunk, node in neighborhood:
-                # Position columns are ~15 % of a broadcast chunk.
-                size = chunk.size_bytes * 0.15
-                if node == owner:
-                    per_node[owner] = per_node.get(owner, 0.0) + (
-                        cluster.costs.io_time(size)
-                    )
-                else:
-                    remote_nodes.add(node)
-                    wire[owner] = wire.get(owner, 0.0) + size
-                    wire[node] = wire.get(node, 0.0) + size
-                per_node[owner] = per_node.get(owner, 0.0) + (
-                    cluster.costs.cpu_time(size, 2.5)
-                )
-            per_node[owner] = per_node.get(owner, 0.0) + (
-                len(remote_nodes) * cluster.costs.task_dispatch_seconds
-            )
-
-            if center_key not in queries_by_key:
-                pts_cells[center_key] = sum(
-                    c.cell_count for c, _ in neighborhood
-                )
-                queries_by_key[center_key] = []
-                key_order.append(center_key)
-            queries_by_key[center_key].append(
-                int(rng.integers(0, pts_cells[center_key]))
-            )
-        acc.add_mapping(per_node)
-        return wire, queries_by_key, key_order
-
-    def _account_samples_batch(
+    def _account_samples(
         self, acc, cluster, current, all_keys, sampled_keys, rng
     ):
         """Vectorized per-sample bookkeeping.
 
-        One :func:`repro.query.cost.neighbor_pairs` pass finds every
+        The owner reads its local chunks, pulls remote position columns,
+        and dispatches a partial-kNN fragment to every remote node
+        involved — the coordination cost clustered placement avoids (all
+        nine chunks on one host: zero fragments).  One
+        :func:`repro.query.cost.neighbor_pairs` pass finds every
         (center, neighbour) chunk pair; each cost term then lands as a
         single weighted ``np.add.at`` with the per-center sample counts
         as weights, instead of dict updates inside a per-sample loop.
@@ -540,10 +483,6 @@ class AisKnn(Query):
         n = len(all_keys)
         keys_arr = np.array(all_keys, dtype=np.int64)
         pairs = neighbor_pairs(keys_arr, (1, 2))
-        if pairs is None:  # unpackable key extent: exact oracle fallback
-            return self._account_samples_scalar(
-                acc, cluster, current, all_keys, sampled_keys, rng
-            )
         nodes = np.fromiter(
             (current[k][1] for k in all_keys), dtype=np.int64, count=n
         )

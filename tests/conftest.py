@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -80,6 +83,48 @@ class FaultyIO(DiskIO):
 def faulty_io():
     """Factory for :class:`FaultyIO` instances (one per fault scenario)."""
     return FaultyIO
+
+
+@pytest.fixture
+def oracles(monkeypatch):
+    """``with oracles(f, g):`` — run a block on reference implementations.
+
+    Each production callable is replaced by its ``"same"`` twin from
+    :data:`tests.oracles.ORACLES` for the duration of the block: a
+    function in every loaded ``repro.*`` namespace that binds it
+    (``from x import f`` copies the binding), a method on the class that
+    defines it.  This is how a whole query, rebalance or read path runs
+    through an oracle — production code reads no switch.
+    """
+    from tests.oracles import ORACLES
+
+    twins = {
+        production: oracle
+        for production, oracle, signature in ORACLES
+        if signature == "same"
+    }
+
+    @contextmanager
+    def substituted(*productions):
+        with monkeypatch.context() as patch:
+            for production in productions:
+                oracle = twins[production]
+                *owners, name = production.__qualname__.split(".")
+                if owners:
+                    owner = sys.modules[production.__module__]
+                    for part in owners:
+                        owner = getattr(owner, part)
+                    patch.setattr(owner, name, oracle)
+                    continue
+                for mod_name, module in list(sys.modules.items()):
+                    if module is None or mod_name.split(".")[0] != "repro":
+                        continue
+                    for attr, value in list(vars(module).items()):
+                        if value is production:
+                            patch.setattr(module, attr, oracle)
+            yield
+
+    return substituted
 
 
 @pytest.fixture(scope="session")

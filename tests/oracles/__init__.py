@@ -1,0 +1,127 @@
+"""Reference implementations: the specification the fast paths must equal.
+
+A vectorized or incremental program is correct iff it equals the
+from-scratch one, so the from-scratch one is the *spec* — and a spec
+belongs in the test suite, not in the binary as a mode.  Everything here
+was moved verbatim out of ``src/repro`` when the ledger / cost / catalog
+/ incr mode switches were retired; nothing under ``src/`` imports from
+this package.
+
+:data:`ORACLES` is the registry: one ``(production, oracle, signature)``
+row of real imports per pair.  ``"same"`` — the twins are drop-in
+interchangeable (equal parameter names, a method's leading ``self``
+aside), so the ``oracles`` fixture in ``tests/conftest.py`` can
+substitute one for the other and run a whole query, rebalance or read
+path through the reference; ``"lowered"`` — the oracle keeps a
+pre-vectorization calling convention and is only ever called directly.
+``tests/test_oracle_registry.py`` polices the table.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, List, Tuple
+
+from repro.arrays.array import chunk_cells
+from repro.cluster.cluster import ElasticCluster
+from repro.cluster.coordinator import execute_rebalance
+from repro.core.ledger import ArrayChunkLedger
+from repro.query.cost import (
+    add_scan_work,
+    array_scan_columns,
+    charge_network,
+    charge_scan,
+    charge_scan_array,
+    charge_scan_delta,
+    charge_scan_region,
+    charge_scan_routed,
+    colocation_shuffle_bytes,
+    halo_shuffle_bytes,
+    region_scan_columns,
+)
+from repro.query.incremental import join_aggregate_full
+from repro.query.operators import (
+    count_close_pairs,
+    group_count_by_grid,
+    group_mean_by_grid,
+    group_stats_by_grid_arrays,
+    kmeans,
+    knn_mean_distance,
+    window_average,
+)
+from repro.query.science import AisKnn
+
+from tests.oracles.arrays import chunk_cells_scalar
+from tests.oracles.cluster import (
+    array_payload_scan,
+    chunk_data_scan,
+    chunks_in_region_scan,
+    chunks_of_array_scan,
+    execute_rebalance_scalar,
+    payload_in_region_scan,
+    placement_of_array_scan,
+)
+from tests.oracles.cost import (
+    account_samples_scalar,
+    add_network_work_scalar,
+    add_scan_work_scalar,
+    array_scan_columns_scan,
+    charge_network_scalar,
+    charge_scan_array_scalar,
+    charge_scan_delta_scalar,
+    charge_scan_region_scalar,
+    charge_scan_routed_scalar,
+    charge_scan_scalar,
+    colocation_shuffle_bytes_scalar,
+    halo_shuffle_bytes_scalar,
+    region_scan_columns_scan,
+)
+from tests.oracles.incremental import join_aggregate_scalar
+from tests.oracles.ledger import DictChunkLedger
+from tests.oracles.operators import (
+    count_close_pairs_scalar,
+    group_count_by_grid_scalar,
+    group_mean_by_grid_scalar,
+    group_stats_by_grid_scalar,
+    kmeans_scalar,
+    knn_mean_distance_scalar,
+    window_average_scalar,
+)
+
+ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
+    # ledger
+    (ArrayChunkLedger, DictChunkLedger, "same"),
+    # ingest
+    (chunk_cells, chunk_cells_scalar, "same"),
+    # cluster reads and the rebalance executor
+    (ElasticCluster.chunks_of_array, chunks_of_array_scan, "same"),
+    (ElasticCluster.chunks_in_region, chunks_in_region_scan, "same"),
+    (ElasticCluster.chunk_data, chunk_data_scan, "same"),
+    (ElasticCluster.placement_of_array, placement_of_array_scan, "same"),
+    (ElasticCluster.array_payload, array_payload_scan, "same"),
+    (ElasticCluster.payload_in_region, payload_in_region_scan, "same"),
+    (execute_rebalance, execute_rebalance_scalar, "same"),
+    # cost kernels
+    (add_scan_work, add_scan_work_scalar, "lowered"),
+    (charge_network, add_network_work_scalar, "lowered"),
+    (halo_shuffle_bytes, halo_shuffle_bytes_scalar, "same"),
+    (colocation_shuffle_bytes, colocation_shuffle_bytes_scalar, "same"),
+    (array_scan_columns, array_scan_columns_scan, "same"),
+    (region_scan_columns, region_scan_columns_scan, "same"),
+    # cost charges, as the queries call them
+    (charge_scan, charge_scan_scalar, "same"),
+    (charge_scan_array, charge_scan_array_scalar, "same"),
+    (charge_scan_region, charge_scan_region_scalar, "same"),
+    (charge_scan_routed, charge_scan_routed_scalar, "same"),
+    (charge_scan_delta, charge_scan_delta_scalar, "same"),
+    (charge_network, charge_network_scalar, "same"),
+    (AisKnn._account_samples, account_samples_scalar, "same"),
+    # query kernels
+    (group_count_by_grid, group_count_by_grid_scalar, "same"),
+    (group_mean_by_grid, group_mean_by_grid_scalar, "same"),
+    (group_stats_by_grid_arrays, group_stats_by_grid_scalar, "same"),
+    (window_average, window_average_scalar, "same"),
+    (kmeans, kmeans_scalar, "same"),
+    (knn_mean_distance, knn_mean_distance_scalar, "same"),
+    (count_close_pairs, count_close_pairs_scalar, "same"),
+    (join_aggregate_full, join_aggregate_scalar, "same"),
+]

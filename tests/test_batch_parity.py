@@ -300,7 +300,8 @@ class TestChunkCellsParity:
     @given(data=st.data())
     def test_matches_scalar(self, data):
         from repro.arrays import parse_schema
-        from repro.arrays.array import chunk_cells, chunk_cells_scalar
+        from repro.arrays.array import chunk_cells
+        from tests.oracles import chunk_cells_scalar
 
         schema = parse_schema(
             "P<v:double, w:int32>[t=0:*,7, x=0:99,5, y=0:99,5]"
@@ -332,7 +333,8 @@ class TestChunkCellsParity:
 
     def test_cells_keep_batch_order_within_chunk(self):
         from repro.arrays import parse_schema
-        from repro.arrays.array import chunk_cells, chunk_cells_scalar
+        from repro.arrays.array import chunk_cells
+        from tests.oracles import chunk_cells_scalar
 
         schema = parse_schema("Q<v:double>[x=0:9,5]")
         coords = np.array([[1], [7], [0], [8], [3]])
@@ -345,7 +347,8 @@ class TestChunkCellsParity:
 
     def test_out_of_bounds_rejected_by_both(self):
         from repro.arrays import parse_schema
-        from repro.arrays.array import chunk_cells, chunk_cells_scalar
+        from repro.arrays.array import chunk_cells
+        from tests.oracles import chunk_cells_scalar
 
         schema = parse_schema("Q<v:double>[x=0:9,5]")
         coords = np.array([[11]])
@@ -356,7 +359,8 @@ class TestChunkCellsParity:
 
     def test_unpackable_extent_falls_back_to_lexsort(self):
         from repro.arrays import parse_schema
-        from repro.arrays.array import chunk_cells, chunk_cells_scalar
+        from repro.arrays.array import chunk_cells
+        from tests.oracles import chunk_cells_scalar
 
         # Key spans of ~2^31 per dimension overflow the packed int64
         # space in 3-d; the batch path must fall back, not wrap.
@@ -377,7 +381,8 @@ class TestChunkCellsParity:
 
     def test_int64_extreme_span_does_not_wrap(self):
         from repro.arrays import parse_schema
-        from repro.arrays.array import chunk_cells, chunk_cells_scalar
+        from repro.arrays.array import chunk_cells
+        from tests.oracles import chunk_cells_scalar
 
         # Regression: a single-dimension span of ~2^63 wrapped the
         # numpy int64 span product before the overflow guard ran,

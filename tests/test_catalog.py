@@ -6,7 +6,7 @@ Covers the ISSUE-4 catalog contract:
   remove / scale-out across all registered partitioning schemes assert
   that the catalog read path (``chunks_of_array``,
   ``placement_of_array``, ``array_payload``) returns exactly what the
-  pre-catalog store-scan oracle (``REPRO_CATALOG=scan``) returns —
+  pre-catalog store walks (``tests/oracles/cluster.py``) return —
   same payload objects, same order — and that a stale payload cache is
   never served after an epoch bump;
 * the grouped rebalance executor is physically equivalent to the
@@ -28,18 +28,21 @@ from repro.cluster import (
     ElasticCluster,
     GB,
     execute_rebalance,
-    execute_rebalance_scalar,
 )
 from repro.cluster.node import Node
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.base import Move, RebalancePlan
-from repro.core.catalog import (
-    ChunkCatalog,
-    catalog_mode,
-    concat_payload,
-    default_catalog_mode,
+from repro.core.catalog import ChunkCatalog, concat_payload
+from repro.errors import ClusterError, ConfigError, StorageError
+from repro.query.cost import array_scan_columns
+from tests.oracles import (
+    array_payload_scan,
+    array_scan_columns_scan,
+    chunk_data_scan,
+    chunks_of_array_scan,
+    execute_rebalance_scalar,
+    placement_of_array_scan,
 )
-from repro.errors import ClusterError, StorageError
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMAS = {
@@ -71,20 +74,29 @@ def _make_cluster(name, nodes=2):
 def _assert_catalog_matches_scan(cluster):
     """Catalog reads ≡ store-scan oracle reads, on one cluster."""
     for array in SCHEMAS:
-        with parity(catalog="scan"):
-            oracle_pairs = cluster.chunks_of_array(array)
-            oracle_place = cluster.placement_of_array(array)
-            oracle_payload = cluster.array_payload(array, ["v"], ndim=3)
+        oracle_pairs = chunks_of_array_scan(cluster, array)
+        oracle_place = placement_of_array_scan(cluster, array)
+        oracle_payload = array_payload_scan(cluster, array, ["v"], ndim=3)
         pairs = cluster.chunks_of_array(array)
         # Same payload *objects* (the handles track the stores), same
         # owners, same key-sorted order.
         assert [(id(c), n) for c, n in pairs] == [
             (id(c), n) for c, n in oracle_pairs
         ]
+        for chunk, _node in pairs:
+            assert cluster.chunk_data(chunk.ref()) is chunk_data_scan(
+                cluster, chunk.ref()
+            )
         assert cluster.placement_of_array(array) == oracle_place
         coords, values = cluster.array_payload(array, ["v"], ndim=3)
         assert np.array_equal(coords, oracle_payload[0])
         assert np.array_equal(values["v"], oracle_payload[1]["v"])
+        # the cost model's column lowering ≡ the pair-list lowering
+        for got, want in zip(
+            array_scan_columns(cluster, array, ["v"]),
+            array_scan_columns_scan(cluster, array, ["v"]),
+        ):
+            assert np.array_equal(got, want)
 
 
 class TestCatalogParityProperty:
@@ -200,6 +212,23 @@ class TestPayloadCache:
         assert again[0] is first[0]
         assert cluster.catalog.payload_hits == hits + 1
 
+    def test_session_repeats_count_as_hits(self):
+        # N reads at one payload epoch are 1 miss and N-1 hits whether
+        # the snapshot's memo or the catalog LRU answers the repeats.
+        cluster = _make_cluster("round_robin")
+        cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(8)])
+        catalog = cluster.catalog
+        session = cluster.session()
+        for _ in range(5):
+            session.array_payload("A", ["v"], ndim=3)
+        assert (catalog.payload_misses, catalog.payload_hits) == (1, 4)
+        cluster.session().array_payload("A", ["v"], ndim=3)
+        assert (catalog.payload_misses, catalog.payload_hits) == (1, 5)
+        region = Box((0, 0, 0), (1, 4, 1))
+        for _ in range(3):
+            session.payload_in_region("A", region, ["v"], ndim=3)
+        assert (catalog.payload_misses, catalog.payload_hits) == (2, 7)
+
     @pytest.mark.parametrize(
         "mutate",
         ["ingest", "scale_out", "remove", "merge"],
@@ -220,8 +249,7 @@ class TestPayloadCache:
             cluster.ingest([_chunk("A", 0, 0, 0, 5.0, value=9.0)])
         assert cluster.catalog.epoch_of("A") > epoch
         fresh = cluster.array_payload("A", ["v"], ndim=3)
-        with parity(catalog="scan"):
-            oracle = cluster.array_payload("A", ["v"], ndim=3)
+        oracle = array_payload_scan(cluster, "A", ["v"], ndim=3)
         assert np.array_equal(fresh[0], oracle[0])
         assert np.array_equal(fresh[1]["v"], oracle[1]["v"])
         if mutate != "scale_out":
@@ -263,9 +291,8 @@ class TestPayloadCache:
     def test_scan_mode_never_caches(self):
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(4)])
-        with parity(catalog="scan"):
-            first = cluster.array_payload("A", ["v"], ndim=3)
-            again = cluster.array_payload("A", ["v"], ndim=3)
+        first = array_payload_scan(cluster, "A", ["v"], ndim=3)
+        again = array_payload_scan(cluster, "A", ["v"], ndim=3)
         assert first[0] is not again[0]
         assert np.array_equal(first[0], again[0])
 
@@ -341,10 +368,10 @@ class TestGroupedRebalance:
         ])
         return a, b
 
-    def test_scale_out_matches_scalar_oracle(self):
+    def test_scale_out_matches_scalar_oracle(self, oracles):
         batched, oracle = self._twin_clusters()
         report_b = batched.scale_out(2)
-        with parity(catalog="scan"):
+        with oracles(execute_rebalance):
             report_o = oracle.scale_out(2)
         assert report_b.chunks_moved == report_o.chunks_moved
         assert report_b.bytes_moved == pytest.approx(
@@ -555,15 +582,9 @@ class TestCatalogInternals:
         assert schema is SCHEMAS["A"]
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ClusterError):
-            with catalog_mode("nonsense"):
-                pass
-
-    def test_mode_default_and_pin(self):
-        assert default_catalog_mode() == "catalog"
-        with parity(catalog="scan"):
-            assert default_catalog_mode() == "scan"
-        assert default_catalog_mode() == "catalog"
+        with pytest.raises(ConfigError):
+            with parity(catalog="scan"):
+                pass  # pragma: no cover
 
     def test_concat_payload_empty(self):
         coords, values = concat_payload([], ["v"], ndim=3)

@@ -1,46 +1,71 @@
-"""Scalar and batch cost paths must agree to float tolerance.
+"""The column cost model must agree with the per-chunk walk it replaced.
 
 The ISSUE-3 regression contract: the column-shaped cost model
 (:class:`CostAccumulator` + ``np.bincount``/``np.add.at`` kernels) must
-reproduce the per-chunk dict accounting it replaced — unit-level against
-each ``*_scalar`` oracle on randomized layouts, and end-to-end by running
-all six figure-benchmark queries of each workload under both cost modes
-and comparing per-node busy-seconds, elapsed times, byte totals, and the
-computed answers.
+reproduce the per-chunk dict accounting in ``tests/oracles/cost.py`` —
+unit-level against each ``*_scalar`` oracle on randomized layouts, and
+end-to-end by running all six figure-benchmark queries of each workload
+once as shipped and once with every charge substituted by its oracle
+(the ``oracles`` fixture), comparing per-node busy-seconds, elapsed
+times, byte totals, and the computed answers.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.arrays import ChunkData, parse_schema
 from repro.config import parity
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 from repro.harness.runner import ExperimentRunner, RunConfig
-from repro.query import ais_suite, modis_suite
+from repro.query import AisKnn, ais_suite, modis_suite
 from repro.query.cost import (
     CostAccumulator,
-    add_network_work,
-    add_network_work_scalar,
     add_scan_work,
-    add_scan_work_scalar,
     attr_fraction,
+    charge_network,
+    charge_scan,
+    charge_scan_array,
+    charge_scan_delta,
+    charge_scan_region,
+    charge_scan_routed,
     colocation_shuffle_bytes,
-    colocation_shuffle_bytes_scalar,
-    cost_mode,
-    default_cost_mode,
     halo_shuffle_bytes,
-    halo_shuffle_bytes_scalar,
     neighbor_pairs,
     node_byte_sums,
     scan_columns,
     spatial_neighbors,
 )
 from repro.cluster.costs import CostParameters
+from tests.oracles import (
+    account_samples_scalar,
+    add_network_work_scalar,
+    add_scan_work_scalar,
+    colocation_shuffle_bytes_scalar,
+    halo_shuffle_bytes_scalar,
+)
 
 SCHEMA = parse_schema(
     "G<a:double, b:int32, c:int64>[t=0:*,1, x=0:99,1, y=0:99,1]"
 )
+FAR_SCHEMA = parse_schema(
+    "F<a:double, b:int32, c:int64>[t=0:*,1, x=0:*,1, y=0:*,1]"
+)
 COSTS = CostParameters()
+#: Every charge a query makes: substituting all of them runs the query
+#: through the per-chunk walk end to end.
+SCALAR_COST = (
+    charge_scan,
+    charge_scan_array,
+    charge_scan_region,
+    charge_scan_routed,
+    charge_scan_delta,
+    charge_network,
+    halo_shuffle_bytes,
+    colocation_shuffle_bytes,
+    AisKnn._account_samples,
+)
 
 
 def _layout(n, seed, nodes=4):
@@ -69,6 +94,21 @@ def _layout(n, seed, nodes=4):
         )
         out.append((chunk, int(rng.integers(0, nodes))))
     return out
+
+
+def _far_chunk(key, size):
+    """A chunk whose key sits in one of two clusters 2**40 apart."""
+    far = 2**40 * (key[0] % 2)
+    key = (key[0], key[1] + far, key[2] + far)
+    return ChunkData(
+        FAR_SCHEMA, key, np.array([key], dtype=np.int64),
+        {
+            "a": np.array([1.0]),
+            "b": np.array([1], dtype=np.int32),
+            "c": np.array([1], dtype=np.int64),
+        },
+        size_bytes=size,
+    )
 
 
 class TestCostAccumulator:
@@ -143,7 +183,7 @@ class TestNetworkParity:
     def test_matches_scalar(self):
         wire = {0: 3e9, 2: 1.5e9, 3: 7e8}
         acc = CostAccumulator(range(4))
-        total = add_network_work(acc, wire, COSTS)
+        total = charge_network(acc, wire, COSTS)
         per_node = {}
         ref_total = add_network_work_scalar(per_node, wire, COSTS)
         assert total == pytest.approx(ref_total, rel=1e-12)
@@ -183,11 +223,24 @@ class TestNeighborPairs:
         src, dst = neighbor_pairs(np.empty((0, 3), dtype=np.int64), (1, 2))
         assert src.size == 0 and dst.size == 0
 
-    def test_unpackable_extent_returns_none(self):
+    def test_unpackable_extent_uses_void_keys(self):
+        # 2**40 apart on three axes: no int64 packing, same answer.
+        far = 2**40
         keys = np.array(
-            [[0, 0, 0], [2**40, 2**40, 2**40]], dtype=np.int64
+            [[0, 0, 0], [0, 1, 1], [far, far, far], [far, far + 1, far]],
+            dtype=np.int64,
         )
-        assert neighbor_pairs(keys, (0, 1, 2)) is None
+        src, dst = neighbor_pairs(keys, (0, 1, 2))
+        assert sorted(zip(src.tolist(), dst.tolist())) == [
+            (0, 1), (1, 0), (2, 3), (3, 2),
+        ]
+
+    def test_step_off_the_int64_range_finds_no_neighbour(self):
+        # A wrapped step must not pair the two ends of the range.
+        top, bottom = 2**63 - 1, -(2**63)
+        keys = np.array([[top, 0], [bottom, 0]], dtype=np.int64)
+        src, dst = neighbor_pairs(keys, (0, 1))
+        assert src.size == 0 and dst.size == 0
 
 
 class TestHaloParity:
@@ -204,6 +257,20 @@ class TestHaloParity:
     def test_co_located_is_free(self):
         layout = [(c, 0) for c, _ in _layout(30, 14)]
         assert halo_shuffle_bytes(layout, None, (1, 2)) == {}
+
+    def test_matches_scalar_on_unpackable_extent(self):
+        # Chunk keys 2**40 apart defeat int64 packing; the void-key arm
+        # must charge exactly what the per-chunk walk charges.
+        layout = [
+            (_far_chunk(c.key, c.size_bytes), node)
+            for c, node in _layout(40, 15)
+        ]
+        wire = halo_shuffle_bytes(layout, ["a"], (1, 2), 0.5)
+        ref = halo_shuffle_bytes_scalar(layout, ["a"], (1, 2), 0.5)
+        assert ref  # the layout does have cross-node neighbours
+        assert set(wire) == set(ref)
+        for node, v in ref.items():
+            assert wire[node] == pytest.approx(v, rel=1e-9)
 
 
 class TestColocationParity:
@@ -227,20 +294,42 @@ class TestColocationParity:
         assert colocation_shuffle_bytes(pairs) == {}
 
 
+class TestKnnAccountingParity:
+    def test_matches_scalar_on_unpackable_extent(self, small_ais):
+        # The kNN sample bookkeeping on chunk keys 2**40 apart: same
+        # charges, same wire bytes, same rng draws as the per-sample
+        # loop.
+        current = {
+            chunk.key: (chunk, node)
+            for chunk, node in (
+                (_far_chunk(c.key, c.size_bytes), n)
+                for c, n in _layout(60, 16)
+            )
+        }
+        all_keys = sorted(current)
+        sampled = np.random.default_rng(3).choice(len(all_keys), size=40)
+        query = AisKnn(small_ais)
+        session = SimpleNamespace(costs=COSTS)
+        outcomes = []
+        for account in (AisKnn._account_samples, account_samples_scalar):
+            acc = CostAccumulator(range(4))
+            wire, queries_by_key, key_order = account(
+                query, acc, session, current, all_keys, sampled,
+                np.random.default_rng(4),
+            )
+            outcomes.append((acc.as_dict(), wire, queries_by_key, key_order))
+        (busy, wire, queries, order), (ref_busy, ref_wire, *ref) = outcomes
+        assert [queries, order] == ref
+        assert ref_wire  # remote neighbours exist, so dispatch is charged
+        assert wire == pytest.approx(ref_wire, rel=1e-9)
+        assert busy == pytest.approx(ref_busy, rel=1e-9)
+
+
 class TestCostModeSwitch:
-    def test_default_is_batch(self):
-        assert default_cost_mode() == "batch"
-
-    def test_context_manager_restores(self):
-        before = default_cost_mode()
-        with parity(cost="scalar"):
-            assert default_cost_mode() == "scalar"
-        assert default_cost_mode() == before
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(QueryError):
-            with cost_mode("wat"):
-                pass
+        with pytest.raises(ConfigError):
+            with parity(cost="scalar"):
+                pass  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
@@ -287,32 +376,34 @@ def _assert_results_agree(batch, scalar, query_name):
 class TestFigureBenchmarkParity:
     """All six queries per workload agree between the two cost paths."""
 
-    def test_modis_suite(self, small_modis, modis_cluster):
+    def test_modis_suite(self, small_modis, modis_cluster, oracles):
         cycle = small_modis.n_cycles
         for query in modis_suite(small_modis):
             batch = query.run(modis_cluster.session(), cycle)
-            with parity(cost="scalar"):
+            with oracles(*SCALAR_COST):
                 scalar = query.run(modis_cluster.session(), cycle)
             _assert_results_agree(batch, scalar, query.name)
 
-    def test_ais_suite(self, small_ais, ais_cluster):
+    def test_ais_suite(self, small_ais, ais_cluster, oracles):
         cycle = small_ais.n_cycles
         for query in ais_suite(small_ais):
             batch = query.run(ais_cluster.session(), cycle)
-            with parity(cost="scalar"):
+            with oracles(*SCALAR_COST):
                 scalar = query.run(ais_cluster.session(), cycle)
             _assert_results_agree(batch, scalar, query.name)
             # Deterministic sampling: the computed answers are identical
-            # (the rng stream must not depend on the cost mode).
+            # (the rng stream must not depend on the cost path).
             assert batch.value == scalar.value, query.name
 
-    def test_knn_per_node_includes_dispatch(self, small_ais, ais_cluster):
+    def test_knn_per_node_includes_dispatch(
+        self, small_ais, ais_cluster, oracles
+    ):
         # The kNN query's batch bookkeeping must charge the same owners
         # the per-sample oracle charges, at every intermediate cycle.
         query = ais_suite(small_ais)[4]
         assert query.name == "knn"
         for cycle in range(2, small_ais.n_cycles + 1):
             batch = query.run(ais_cluster.session(), cycle)
-            with parity(cost="scalar"):
+            with oracles(*SCALAR_COST):
                 scalar = query.run(ais_cluster.session(), cycle)
             _assert_results_agree(batch, scalar, f"knn@{cycle}")

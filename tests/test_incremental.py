@@ -12,8 +12,9 @@ Covers the ISSUE-6 maintenance contract:
   delta and invalidates no maintained state;
 * the Tempura-style planner picks full recompute at ~100 % churn and
   the incremental arm at small churn — the decision itself is tested;
-* the ``REPRO_INCR=full`` parity oracle forces the recompute arm and
-  still matches, including through the figure-8 retention staircase;
+* an unprimed cursor forces the recompute arm and still matches,
+  including through the figure-8 retention staircase with the planner
+  pinned to "full" from the test side;
 * the mergeable state objects enforce their own invariants (dirty
   extrema refuse to emit, negative counts raise, unknown sides raise).
 """
@@ -28,7 +29,7 @@ from repro.arrays.coords import pack_rows_void, position_keys, row_packing
 from repro.cluster import CostParameters, ElasticCluster, GB
 from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 from repro.harness import figure8_retention, incremental_churn
 from repro.query import incremental
 from repro.query import operators as ops
@@ -38,14 +39,12 @@ from repro.query.incremental import (
     GridGroupByState,
     MaintainedGridStats,
     MaintainedJoin,
-    default_incr_mode,
     delta_cells,
     equi_side,
-    incr_mode,
     join_aggregate_full,
-    join_aggregate_scalar,
     position_side,
 )
+from tests.oracles import join_aggregate_scalar
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 DOMAIN = Box((0, 0, 0), (10_000, 16, 16))
@@ -327,7 +326,7 @@ class TestPlannerDecision:
 
 
 class TestParityOracleMode:
-    """REPRO_INCR=full forces the recompute arm and still matches."""
+    """The full-recompute arm, forced from the test side, still matches."""
 
     def test_full_mode_forces_recompute_arm(self):
         cluster = _make_cluster("round_robin")
@@ -335,30 +334,32 @@ class TestParityOracleMode:
         view = _grid_view(cluster)
         view.refresh()
         cluster.ingest([_chunk("A", 1, 2, 2, 4.0)])
-        with parity(incr="full"):
-            assert default_incr_mode() == "full"
-            report = view.refresh()
+        view.cursor = -1                     # unprimed: no delta to fold
+        report = view.refresh()
         assert report.mode == "full"
         assert report.plan is None           # planner never consulted
         _assert_grid_parity(view)
-        assert default_incr_mode() == "delta"
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(QueryError):
-            with incr_mode("sideways"):
+        with pytest.raises(ConfigError):
+            with parity(incr="full"):
                 pass  # pragma: no cover
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR", "full")
-        assert default_incr_mode() == "full"
-        monkeypatch.setenv("REPRO_INCR", "bogus")
-        assert default_incr_mode() == "delta"
-
-    def test_staircase_parity_both_modes(self):
+    def test_staircase_parity_both_modes(self, monkeypatch):
         # figure8_retention verifies incremental ≡ recompute inline
-        # every cycle; run the staircase through both maintenance modes
+        # every cycle; run the staircase as planned and with the
+        # planner's verdict pinned to "full"
+        def always_full(*args, **kwargs):
+            plan = maintenance_plan(*args, **kwargs)
+            plan.choice = "full"
+            return plan
+
         for mode in ("delta", "full"):
-            with parity(incr=mode):
+            with monkeypatch.context() as patch:
+                if mode == "full":
+                    patch.setattr(
+                        incremental, "maintenance_plan", always_full
+                    )
                 result = figure8_retention(
                     cycles=8, verify_incremental=True
                 )
@@ -515,6 +516,44 @@ class TestJoinKernels:
             got["product_sum"], want["product_sum"],
             rtol=1e-9, atol=1e-9,
         )
+
+    def test_state_forgets_expired_keys_under_a_sliding_window(self):
+        # 30 cycles of fresh keys in, keys older than the window out:
+        # the state must track the live keys, not every key ever seen.
+        rng = np.random.default_rng(17)
+        state = DeltaJoinState()
+        window = []
+        seen = 0
+        for cycle in range(30):
+            keys = np.arange(cycle * 40, cycle * 40 + 40)
+            batch = {
+                side: (keys, rng.normal(0, 2, keys.size)) for side in "ab"
+            }
+            for side, (k, v) in batch.items():
+                state.apply(side, k, v, np.ones(k.size, dtype=np.int64))
+            window.append(batch)
+            seen += keys.size
+            if len(window) > 4:
+                for side, (k, v) in window.pop(0).items():
+                    state.apply(
+                        side, k, v, -np.ones(k.size, dtype=np.int64)
+                    )
+            live = {
+                side: [np.concatenate(col) for col in zip(
+                    *(entry[side] for entry in window)
+                )]
+                for side in "ab"
+            }
+            assert len(state) <= 2 * live["a"][0].size
+            assert state._dead == int(state._is_dead(slice(None)).sum())
+            want = join_aggregate_full(*live["a"], *live["b"])
+            got = state.emit()
+            assert got["pairs"] == want["pairs"]
+            np.testing.assert_allclose(
+                got["product_sum"], want["product_sum"],
+                rtol=1e-9, atol=1e-9,
+            )
+        assert seen > 2 * len(state)    # i.e. it did forget
 
 
 def _signed_row_batches(rng, width, lo, hi, drift=0):

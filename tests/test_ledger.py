@@ -1,7 +1,8 @@
 """Array ledger ≡ dict ledger: the tentpole parity contract.
 
 The array-backed chunk ledger (interned ref ids + numpy columns) must be
-observationally identical to the PR-1 dict ledger through every public
+observationally identical to the dict ledger it replaced
+(``tests/oracles/ledger.py``) through every public
 partitioner operation — placement (scalar and batch, with duplicates),
 merges, size updates, removals, relocation, and scale-out — for every
 registered scheme.  Per-chunk state is bit-exact; per-node loads and the
@@ -15,14 +16,9 @@ import pytest
 from repro.arrays import Box, ChunkRef
 from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.core.ledger import (
-    ArrayChunkLedger,
-    DictChunkLedger,
-    default_ledger_mode,
-    ledger_mode,
-    make_ledger,
-)
-from repro.errors import PartitioningError
+from repro.core.ledger import ArrayChunkLedger
+from repro.errors import ConfigError
+from tests.oracles import DictChunkLedger
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 
@@ -48,10 +44,14 @@ def _batch(n, seed, arrays=("a", "b"), dup_every=9):
 
 
 def _make(name, mode, nodes=(0, 1, 2)):
-    with parity(ledger=mode):
-        return make_partitioner(
-            name, list(nodes), grid=GRID, node_capacity_bytes=1e12
-        )
+    partitioner = make_partitioner(
+        name, list(nodes), grid=GRID, node_capacity_bytes=1e12
+    )
+    if mode == "dict":
+        # A fresh partitioner's ledger is empty: swapping in the oracle
+        # before the first placement loses nothing.
+        partitioner._ledger = DictChunkLedger(partitioner.nodes)
+    return partitioner
 
 
 def _assert_same_state(array_p, dict_p):
@@ -67,33 +67,16 @@ def _assert_same_state(array_p, dict_p):
 
 
 class TestLedgerSelection:
-    def test_default_mode_is_array(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEDGER", raising=False)
-        assert default_ledger_mode() == "array"
-        p = make_partitioner(
-            "round_robin", [0], grid=GRID, node_capacity_bytes=1e12
-        )
-        assert isinstance(p._ledger, ArrayChunkLedger)
-
-    def test_env_selects_dict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER", "dict")
-        p = make_partitioner(
-            "round_robin", [0], grid=GRID, node_capacity_bytes=1e12
-        )
-        assert isinstance(p._ledger, DictChunkLedger)
-
-    def test_context_manager_restores(self):
-        before = default_ledger_mode()
-        with parity(ledger="dict"):
-            assert default_ledger_mode() == "dict"
-        assert default_ledger_mode() == before
+    def test_default_mode_is_array(self):
+        for name in ALL_PARTITIONERS:
+            assert isinstance(_make(name, "array")._ledger, ArrayChunkLedger)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(PartitioningError):
-            make_ledger("wat", [0])
-        with pytest.raises(PartitioningError):
-            with ledger_mode("wat"):
-                pass
+        with pytest.raises(ConfigError):
+            with parity(ledger="dict"):
+                pass  # pragma: no cover
+        with pytest.raises(TypeError):
+            make_partitioner("round_robin", [0], ledger="dict")
 
 
 class TestLedgerParity:

@@ -20,13 +20,10 @@ from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkData, ChunkRef, parse_schema
 from repro.cluster import ElasticCluster, GB
-from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.core.ledger import (
-    ArrayChunkLedger,
-    DictChunkLedger,
-)
+from repro.core.ledger import ArrayChunkLedger
 from repro.errors import ClusterError, PartitioningError
+from tests.oracles import DictChunkLedger
 
 GRID = Box((0, 0, 0), (64, 16, 16))
 
@@ -47,10 +44,12 @@ def _items(n, seed):
 
 
 def _make(name, mode, nodes=(0, 1, 2)):
-    with parity(ledger=mode):
-        return make_partitioner(
-            name, list(nodes), grid=GRID, node_capacity_bytes=1e12
-        )
+    partitioner = make_partitioner(
+        name, list(nodes), grid=GRID, node_capacity_bytes=1e12
+    )
+    if mode == "dict":  # empty-ledger swap on a fresh partitioner
+        partitioner._ledger = DictChunkLedger(partitioner.nodes)
+    return partitioner
 
 
 def _assert_same_observables(array_p, dict_p):

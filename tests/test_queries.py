@@ -16,7 +16,7 @@ from repro.query.cost import (
     halo_shuffle_bytes,
     spatial_neighbors,
 )
-from repro.query.executor import CATEGORY_SCIENCE, CATEGORY_SPJ, map_chunks
+from repro.query.executor import CATEGORY_SCIENCE, CATEGORY_SPJ
 from repro.harness.runner import ExperimentRunner, RunConfig
 
 
@@ -309,20 +309,6 @@ class TestPolarMergeRegression:
 
 
 class TestExecutorHelpers:
-    def test_map_chunks_inline(self):
-        assert map_chunks(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_map_chunks_pool(self):
-        # module-level function required for pickling
-        assert map_chunks(_double, [1, 2, 3], processes=2) == [2, 4, 6]
-
-    def test_map_chunks_empty_pool(self):
-        assert map_chunks(_double, [], processes=2) == []
-
     def test_suite_for_dispatch(self, small_modis, small_ais):
         assert len(suite_for(small_modis)) == 6
         assert len(suite_for(small_ais)) == 6
-
-
-def _double(x):
-    return x * 2

@@ -18,6 +18,7 @@ from repro.arrays.coords import (
     row_packing,
 )
 from repro.query import operators as ops
+from tests import oracles
 
 
 def _int_points(draw, n_max=60, d_min=1, d_max=3, lo=-50, hi=50):
@@ -57,18 +58,18 @@ class TestKmeansParity:
         iterations = data.draw(st.integers(1, 6))
         seed = data.draw(st.integers(0, 1000))
         c_vec, l_vec = ops.kmeans(pts, k, iterations, seed=seed)
-        c_sca, l_sca = ops.kmeans_scalar(pts, k, iterations, seed=seed)
+        c_sca, l_sca = oracles.kmeans_scalar(pts, k, iterations, seed=seed)
         if np.array_equal(l_vec, l_sca):
             assert np.array_equal(c_vec, c_sca)
             return
         for step in range(1, iterations + 1):
             l_vec = ops.kmeans(pts, k, step, seed=seed)[1]
-            l_sca = ops.kmeans_scalar(pts, k, step, seed=seed)[1]
+            l_sca = oracles.kmeans_scalar(pts, k, step, seed=seed)[1]
             if not np.array_equal(l_vec, l_sca):
                 break
         shared = ops.kmeans(pts, k, step - 1, seed=seed)[0]
         assert np.array_equal(
-            shared, ops.kmeans_scalar(pts, k, step - 1, seed=seed)[0]
+            shared, oracles.kmeans_scalar(pts, k, step - 1, seed=seed)[0]
         )
         assert _inertia(pts, shared, l_vec) == pytest.approx(
             _inertia(pts, shared, l_sca), rel=1e-9
@@ -82,7 +83,7 @@ class TestKmeansParity:
         rng = np.random.default_rng(42)
         pts = rng.normal(0, 10, size=(500, 3))
         c_vec, l_vec = ops.kmeans(pts, 5, iterations=8, seed=3)
-        c_sca, l_sca = ops.kmeans_scalar(pts, 5, iterations=8, seed=3)
+        c_sca, l_sca = oracles.kmeans_scalar(pts, 5, iterations=8, seed=3)
         assert _inertia(pts, c_vec, l_vec) == pytest.approx(
             _inertia(pts, c_sca, l_sca), rel=0.01
         )
@@ -111,7 +112,7 @@ class TestKnnParity:
         ]
         k = data.draw(st.integers(1, 5))
         vec = ops.knn_mean_distance(pts, qs, k)
-        sca = ops.knn_mean_distance_scalar(pts, qs, k)
+        sca = oracles.knn_mean_distance_scalar(pts, qs, k)
         assert np.allclose(vec, sca, rtol=1e-9, equal_nan=True)
 
     def test_empty_cases_match(self):
@@ -124,7 +125,7 @@ class TestKnnParity:
     def test_all_duplicates_give_nan(self):
         pts = np.zeros((4, 2))
         vec = ops.knn_mean_distance(pts, pts[:2], 3)
-        sca = ops.knn_mean_distance_scalar(pts, pts[:2], 3)
+        sca = oracles.knn_mean_distance_scalar(pts, pts[:2], 3)
         assert np.isnan(vec).all() and np.isnan(sca).all()
 
 
@@ -140,7 +141,7 @@ class TestGridGroupByParity:
         sizes = [data.draw(st.integers(1, 16)) for _ in range(g)]
         assert ops.group_count_by_grid(
             coords, dims, sizes
-        ) == ops.group_count_by_grid_scalar(coords, dims, sizes)
+        ) == oracles.group_count_by_grid_scalar(coords, dims, sizes)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -160,10 +161,21 @@ class TestGridGroupByParity:
         dims = [0]
         sizes = [data.draw(st.integers(1, 16))]
         vec = ops.group_mean_by_grid(coords, values, dims, sizes)
-        sca = ops.group_mean_by_grid_scalar(coords, values, dims, sizes)
+        sca = oracles.group_mean_by_grid_scalar(coords, values, dims, sizes)
         assert vec.keys() == sca.keys()
         for bucket in vec:
             assert vec[bucket] == sca[bucket]
+        # the one-pass (count, sum, min, max) kernel over the same rows
+        buckets, counts, sums, mins, maxs = ops.group_stats_by_grid_arrays(
+            coords, values, dims, sizes
+        )
+        assert {
+            tuple(b): (c, s, lo, hi)
+            for b, c, s, lo, hi in zip(
+                buckets.tolist(), counts.tolist(), sums.tolist(),
+                mins.tolist(), maxs.tolist(),
+            )
+        } == oracles.group_stats_by_grid_scalar(coords, values, dims, sizes)
 
     def test_empty_inputs(self):
         empty = np.empty((0, 2), dtype=np.int64)
@@ -179,13 +191,13 @@ class TestGridGroupByParity:
             [[-(2**62), 0], [2**62, 0], [2**62, 1]], dtype=np.int64
         )
         vec = ops.group_count_by_grid(coords, [0, 1], [1, 1])
-        sca = ops.group_count_by_grid_scalar(coords, [0, 1], [1, 1])
+        sca = oracles.group_count_by_grid_scalar(coords, [0, 1], [1, 1])
         assert vec == sca
         assert len(vec) == 3
         lo = np.array([[-(2**63)], [2**63 - 1]], dtype=np.int64)
         assert ops.group_count_by_grid(
             lo, [0], [1]
-        ) == ops.group_count_by_grid_scalar(lo, [0], [1])
+        ) == oracles.group_count_by_grid_scalar(lo, [0], [1])
 
 
 class TestWindowAverageParity:
@@ -206,7 +218,7 @@ class TestWindowAverageParity:
         )
         window = data.draw(st.integers(1, 12))
         vec = ops.window_average(coords, values, (1, 2), window)
-        sca = ops.window_average_scalar(coords, values, (1, 2), window)
+        sca = oracles.window_average_scalar(coords, values, (1, 2), window)
         assert vec.keys() == sca.keys()
         for bucket in vec:
             assert vec[bucket] == sca[bucket]
@@ -216,7 +228,7 @@ class TestWindowAverageParity:
         coords = rng.integers(0, 64, size=(400, 3))
         values = rng.normal(0, 1, 400)
         vec = ops.window_average(coords, values, (1, 2), 8)
-        sca = ops.window_average_scalar(coords, values, (1, 2), 8)
+        sca = oracles.window_average_scalar(coords, values, (1, 2), 8)
         assert vec.keys() == sca.keys()
         for bucket in vec:
             assert vec[bucket] == pytest.approx(sca[bucket], rel=1e-9)
@@ -233,7 +245,7 @@ class TestClosePairsParity:
         lat = rng.uniform(0, 4, n)
         radius = float(rng.uniform(0.2, 1.5))
         vec = ops.count_close_pairs(lon, lat, radius)
-        sca = ops.count_close_pairs_scalar(lon, lat, radius)
+        sca = oracles.count_close_pairs_scalar(lon, lat, radius)
         brute = sum(
             1
             for i in range(n)
@@ -258,7 +270,7 @@ class TestClosePairsParity:
             lon, lat, radius, segments=segs
         )
         split = sum(
-            ops.count_close_pairs_scalar(
+            oracles.count_close_pairs_scalar(
                 lon[segs == s], lat[segs == s], radius
             )
             for s in range(n_seg)

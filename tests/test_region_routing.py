@@ -10,13 +10,14 @@ Covers the ISSUE-5 region-routing contract:
   remove / scale-out across all registered partitioning schemes assert
   that ``ElasticCluster.chunks_in_region`` returns exactly what the
   per-chunk ``intersects`` oracle returns (same chunk objects, same
-  owners, same key-sorted order), in both catalog and scan modes, for
-  regions inside, straddling, and outside the domain, empty regions,
-  and unknown array names;
+  owners, same key-sorted order) — walked over the catalog's pairs and
+  over the node stores (``tests/oracles/cluster.py``) — for regions
+  inside, straddling, and outside the domain, empty regions, and
+  unknown array names;
 * the region-scoped cost lowering (``region_scan_columns`` /
-  ``charge_scan_region``) matches the pair-list path in both cost
-  modes, and the pooled per-cluster accumulator behaves like a fresh
-  one.
+  ``charge_scan_region``) matches the pair-list path, as shipped and
+  with the per-chunk cost oracles substituted, and the pooled
+  per-cluster accumulator behaves like a fresh one.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from repro.arrays import Box, ChunkData, parse_schema
 from repro.cluster import CostParameters, ElasticCluster, GB
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.config import parity
 from repro.errors import ChunkError, SchemaError
 from repro.query.cost import (
     CostAccumulator,
@@ -37,6 +37,14 @@ from repro.query.cost import (
     charge_scan_routed,
     region_scan_columns,
     scan_columns,
+)
+from tests.oracles import (
+    charge_scan_region_scalar,
+    charge_scan_routed_scalar,
+    charge_scan_scalar,
+    chunks_in_region_scan,
+    payload_in_region_scan,
+    region_scan_columns_scan,
 )
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
@@ -101,11 +109,10 @@ def _assert_region_parity(cluster, array, region):
         (id(c), n) for c, n in cluster.chunks_in_region(array, region)
     ]
     assert got == expected
-    with parity(catalog="scan"):
-        walked = [
-            (id(c), n)
-            for c, n in cluster.chunks_in_region(array, region)
-        ]
+    walked = [
+        (id(c), n)
+        for c, n in chunks_in_region_scan(cluster, array, region)
+    ]
     assert walked == expected
 
 
@@ -218,8 +225,7 @@ class TestRegionRoutingParityProperty:
         cluster.ingest([_chunk("A", (0, 0, 0))])
         region = Box((0, 0, 0), (10, 10, 10))
         assert cluster.chunks_in_region("nope", region) == []
-        with parity(catalog="scan"):
-            assert cluster.chunks_in_region("nope", region) == []
+        assert chunks_in_region_scan(cluster, "nope", region) == []
 
     def test_empty_and_outside_regions(self):
         cluster = _make_cluster("round_robin")
@@ -239,10 +245,10 @@ class TestRegionRoutingParityProperty:
     def test_arity_mismatch_raises_in_both_modes(self):
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", (0, 0, 0))])
-        with parity(catalog="catalog"), pytest.raises(SchemaError):
+        with pytest.raises(SchemaError):
             cluster.chunks_in_region("A", Box((0, 0), (1, 1)))
-        with parity(catalog="scan"), pytest.raises(ChunkError):
-            cluster.chunks_in_region("A", Box((0, 0), (1, 1)))
+        with pytest.raises(ChunkError):
+            chunks_in_region_scan(cluster, "A", Box((0, 0), (1, 1)))
 
 
 class TestAllSchemesRegionRouting:
@@ -294,10 +300,9 @@ class TestRegionCostLowering:
         sizes, nodes = region_scan_columns(cluster, "A", region, ["v"])
         assert np.allclose(sizes, ref_sizes)
         assert np.array_equal(nodes, ref_nodes)
-        with parity(catalog="scan"):  # pair-list fallback path
-            sizes_o, nodes_o = region_scan_columns(
-                cluster, "A", region, ["v"]
-            )
+        sizes_o, nodes_o = region_scan_columns_scan(
+            cluster, "A", region, ["v"]
+        )
         assert np.allclose(sizes_o, ref_sizes)
         assert np.array_equal(nodes_o, ref_nodes)
 
@@ -305,17 +310,19 @@ class TestRegionCostLowering:
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 9, 9))
         costs = cluster.costs
-        for mode in ("batch", "scalar"):
-            with parity(cost=mode):
-                acc_region = CostAccumulator(cluster.node_ids)
-                scanned_region = charge_scan_region(
-                    acc_region, cluster, "A", region, ["v"], costs, 1.5
-                )
-                acc_pairs = CostAccumulator(cluster.node_ids)
-                scanned_pairs = charge_scan(
-                    acc_pairs, cluster.chunks_in_region("A", region),
-                    ["v"], costs, 1.5,
-                )
+        for region_charge, pair_charge in (
+            (charge_scan_region, charge_scan),
+            (charge_scan_region_scalar, charge_scan_scalar),
+        ):
+            acc_region = CostAccumulator(cluster.node_ids)
+            scanned_region = region_charge(
+                acc_region, cluster, "A", region, ["v"], costs, 1.5
+            )
+            acc_pairs = CostAccumulator(cluster.node_ids)
+            scanned_pairs = pair_charge(
+                acc_pairs, cluster.chunks_in_region("A", region),
+                ["v"], costs, 1.5,
+            )
             assert scanned_region == pytest.approx(scanned_pairs)
             got = acc_region.as_dict()
             ref = acc_pairs.as_dict()
@@ -326,12 +333,10 @@ class TestRegionCostLowering:
 
     def test_region_read_single_pass_matches_two_calls(self):
         # region_read must hand back exactly what chunks_in_region +
-        # region_scan_columns would, from one routing pass — and under
-        # the scan oracle the columns half is None (pair-list fallback).
+        # region_scan_columns would, from one routing pass.
         cluster = self._loaded_cluster()
         region = Box((0, 1, 1), (9, 14, 14))
-        with parity(catalog="catalog"):
-            pairs, cols = cluster.region_read("A", region)
+        pairs, cols = cluster.region_read("A", region)
         assert [(id(c), n) for c, n in pairs] == [
             (id(c), n)
             for c, n in cluster.chunks_in_region("A", region)
@@ -341,37 +346,37 @@ class TestRegionCostLowering:
         assert np.allclose(sizes, ref_sizes)
         assert np.array_equal(nodes, ref_nodes)
         assert schema is SCHEMAS["A"]
-        with parity(catalog="scan"):
-            oracle_pairs, oracle_cols = cluster.region_read("A", region)
-        assert oracle_cols is None
-        assert [(id(c), n) for c, n in oracle_pairs] == [
-            (id(c), n) for c, n in pairs
-        ]
+        assert [
+            (id(c), n)
+            for c, n in chunks_in_region_scan(cluster, "A", region)
+        ] == [(id(c), n) for c, n in pairs]
 
     def test_charge_scan_routed_matches_charge_scan(self):
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 12, 12))
         costs = cluster.costs
-        for mode in ("batch", "scalar"):
-            for catmode in ("catalog", "scan"):
-                with parity(cost=mode, catalog=catmode):
-                    pairs, cols = cluster.region_read("A", region)
-                    acc_routed = CostAccumulator(cluster.node_ids)
-                    scanned_routed = charge_scan_routed(
-                        acc_routed, pairs, cols, ["v"], costs, 1.5
-                    )
-                    acc_pairs = CostAccumulator(cluster.node_ids)
-                    scanned_pairs = charge_scan(
-                        acc_pairs, pairs, ["v"], costs, 1.5
-                    )
-                assert scanned_routed == pytest.approx(scanned_pairs)
-                got = acc_routed.as_dict()
-                ref = acc_pairs.as_dict()
-                assert set(got) == set(ref)
-                assert all(
-                    got[n] == pytest.approx(ref[n], rel=1e-12)
-                    for n in ref
-                )
+        pairs, cols = cluster.region_read("A", region)
+        for routed_charge, pair_charge in (
+            (charge_scan_routed, charge_scan),
+            (charge_scan_routed, charge_scan_scalar),
+            (charge_scan_routed_scalar, charge_scan_scalar),
+        ):
+            acc_routed = CostAccumulator(cluster.node_ids)
+            scanned_routed = routed_charge(
+                acc_routed, pairs, cols, ["v"], costs, 1.5
+            )
+            acc_pairs = CostAccumulator(cluster.node_ids)
+            scanned_pairs = pair_charge(
+                acc_pairs, pairs, ["v"], costs, 1.5
+            )
+            assert scanned_routed == pytest.approx(scanned_pairs)
+            got = acc_routed.as_dict()
+            ref = acc_pairs.as_dict()
+            assert set(got) == set(ref)
+            assert all(
+                got[n] == pytest.approx(ref[n], rel=1e-12)
+                for n in ref
+            )
 
     def test_payload_in_region_matches_scan_oracle(self):
         cluster = self._loaded_cluster()
@@ -381,10 +386,9 @@ class TestRegionCostLowering:
             coords, values = cluster.payload_in_region(
                 "A", region, ["v"], ndim=3
             )
-            with parity(catalog="scan"):
-                oracle_coords, oracle_values = cluster.payload_in_region(
-                    "A", region, ["v"], ndim=3
-                )
+            oracle_coords, oracle_values = payload_in_region_scan(
+                cluster, "A", region, ["v"], ndim=3
+            )
             assert np.array_equal(coords, oracle_coords)
             assert np.array_equal(values["v"], oracle_values["v"])
             # every returned cell is inside the half-open region, and

@@ -14,9 +14,10 @@ Covers the ISSUE-7 MVCC-lite contract:
 * threaded byte-identity — reader sessions racing a live mutator thread
   never observe a changed byte, and the payload LRU stays consistent
   (hits + misses add up, the bound holds) under concurrent hammering;
-* parity config — the consolidated ``repro.config`` switchboard: env
-  defaults, ``parity(...)`` overrides, nesting, validation, and the
-  legacy per-module shims (each preserving its historical error type);
+* parity config — the two backend switches of ``repro.config``: env
+  defaults, a typo in either variable raising instead of selecting the
+  default, ``parity(...)`` overrides, nesting, validation, and the four
+  retired switches staying gone;
 * concurrent executor — a mixed batch under churn completes with zero
   failures and matches the sequential ``run_suite`` answers on a
   quiescent cluster.
@@ -37,16 +38,10 @@ from repro.cluster import (
     ElasticCluster,
     GB,
     SnapshotRaceError,
-    ensure_session,
 )
 from repro.config import ParityConfig, parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.errors import (
-    ClusterError,
-    ConfigError,
-    PartitioningError,
-    QueryError,
-)
+from repro.errors import ConfigError
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMAS = {
@@ -175,16 +170,6 @@ class TestSessionSemantics:
         assert session.payload_epoch_of("A") == cursor
         assert cluster.catalog.payload_epoch_of("A") > cursor
 
-    def test_ensure_session_warns_on_raw_cluster_only(self):
-        cluster, _ = self._loaded()
-        with pytest.warns(DeprecationWarning, match="cluster.session"):
-            wrapped = ensure_session(cluster)
-        assert isinstance(wrapped, ClusterSession)
-        session = cluster.session()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ensure_session(session) is session
-
     def test_run_suite_is_sanctioned_for_raw_clusters(self):
         from repro.query.executor import run_suite
 
@@ -211,10 +196,10 @@ class TestSessionSemantics:
 
         cluster, _ = self._loaded()
         session = cluster.session()
+        assert session.session() is session
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             via_session = Probe().run(session, 1)
-        with pytest.warns(DeprecationWarning):
             via_cluster = Probe().run(cluster, 1)
         assert via_session.value == via_cluster.value
 
@@ -524,76 +509,95 @@ class TestThreadedSnapshotReads:
 
 
 class TestParityConfig:
-    def test_defaults_and_current(self):
-        cfg = ParityConfig.from_env()
-        assert isinstance(cfg, ParityConfig)
-        for field in ("ledger", "cost", "catalog", "incr"):
-            assert getattr(cfg, field) in {
-                "array", "dict", "batch", "scalar",
-                "catalog", "scan", "delta", "full",
-            }
+    def test_defaults_and_current(self, monkeypatch):
+        from repro import config
+
+        monkeypatch.delenv("REPRO_STORAGE", raising=False)
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        assert ParityConfig.from_env() == ParityConfig(
+            storage="tier", exec="inprocess"
+        )
+        assert config.current() == ParityConfig.from_env()
 
     def test_env_honored(self, monkeypatch):
         from repro import config
 
-        monkeypatch.setenv("REPRO_COST", "scalar")
-        monkeypatch.setenv("REPRO_INCR", "full")
-        assert config.mode("cost") == "scalar"
-        assert config.mode("incr") == "full"
-        assert ParityConfig.from_env().cost == "scalar"
+        monkeypatch.setenv("REPRO_STORAGE", " Memory ")
+        monkeypatch.setenv("REPRO_EXEC", "process")
+        assert config.mode("storage") == "memory"
+        assert config.mode("exec") == "process"
+        assert ParityConfig.from_env().storage == "memory"
 
-    def test_override_nesting_and_restore(self):
+    @pytest.mark.parametrize(
+        "variable, field, typo",
+        [
+            ("REPRO_EXEC", "exec", "proces"),
+            ("REPRO_STORAGE", "storage", "teir"),
+        ],
+    )
+    def test_env_typo_is_an_error_not_the_default(
+        self, monkeypatch, variable, field, typo
+    ):
         from repro import config
 
-        base = config.mode("catalog")
-        with parity(catalog="scan", incr="full"):
-            assert config.mode("catalog") == "scan"
-            assert config.mode("incr") == "full"
-            with parity(catalog="catalog"):
-                assert config.mode("catalog") == "catalog"
-                assert config.mode("incr") == "full"  # outer survives
-            assert config.mode("catalog") == "scan"
-        assert config.mode("catalog") == base
+        monkeypatch.setenv(variable, typo)
+        for resolve in (
+            lambda: config.mode(field),
+            ParityConfig.from_env,
+            config.current,
+        ):
+            with pytest.raises(ConfigError) as caught:
+                resolve()
+            message = str(caught.value)
+            assert variable in message and typo in message
+            assert all(
+                allowed in message
+                for allowed in config.PARITY_FIELDS[field][1]
+            )
+        # an override in force never consults the environment
+        with parity(**{field: config.PARITY_FIELDS[field][1][0]}):
+            assert config.mode(field) == config.PARITY_FIELDS[field][1][0]
+
+    def test_override_nesting_and_restore(self, monkeypatch):
+        from repro import config
+
+        monkeypatch.delenv("REPRO_STORAGE", raising=False)
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        with parity(storage="memory", exec="process"):
+            assert config.mode("storage") == "memory"
+            assert config.mode("exec") == "process"
+            with parity(storage="tier"):
+                assert config.mode("storage") == "tier"
+                assert config.mode("exec") == "process"  # outer survives
+            assert config.mode("storage") == "memory"
+        assert config.mode("storage") == "tier"
+        assert config.mode("exec") == "inprocess"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            with parity(catalog="nonsense"):
+            with parity(storage="nonsense"):
                 pass  # pragma: no cover
         with pytest.raises(ConfigError):
             with parity(wat="scan"):
                 pass  # pragma: no cover
         with pytest.raises(ConfigError):
-            ParityConfig(
-                ledger="array", cost="batch",
-                catalog="scan", incr="sideways",
-            )
+            ParityConfig(storage="tier", exec="sideways")
 
-    def test_legacy_shims_delegate_and_keep_error_types(self):
-        from repro.core.catalog import catalog_mode, default_catalog_mode
-        from repro.core.ledger import default_ledger_mode, ledger_mode
-        from repro.query.cost import cost_mode, default_cost_mode
-        from repro.query.incremental import default_incr_mode, incr_mode
+    def test_retired_switches_are_gone(self):
+        from repro import config
 
-        with ledger_mode("dict"):
-            assert default_ledger_mode() == "dict"
-        with cost_mode("scalar"):
-            assert default_cost_mode() == "scalar"
-        with catalog_mode("scan"):
-            assert default_catalog_mode() == "scan"
-        with incr_mode("full"):
-            assert default_incr_mode() == "full"
-        with pytest.raises(PartitioningError):
-            with ledger_mode("wat"):
-                pass  # pragma: no cover
-        with pytest.raises(QueryError):
-            with cost_mode("wat"):
-                pass  # pragma: no cover
-        with pytest.raises(ClusterError):
-            with catalog_mode("wat"):
-                pass  # pragma: no cover
-        with pytest.raises(QueryError):
-            with incr_mode("wat"):
-                pass  # pragma: no cover
+        assert set(config.PARITY_FIELDS) == {"storage", "exec"}
+        for retired in (
+            {"cost": "scalar"},
+            {"ledger": "dict"},
+            {"catalog": "scan"},
+            {"incr": "full"},
+        ):
+            with pytest.raises(ConfigError):
+                with parity(**retired):
+                    pass  # pragma: no cover
+            with pytest.raises(ConfigError):
+                config.mode(next(iter(retired)))
 
 
 class TestConcurrentExecutor:

@@ -4,15 +4,13 @@ Run it over the source tree::
 
     python -m tools.reprolint src/
 
-Five checkers, each guarding a protocol the repo has shipped (and in
+Four checkers, each guarding a protocol the repo has shipped (and in
 two cases, fixed) bugs against — see ``docs/invariants.md`` for the
 checker → protocol → motivating-PR table:
 
 =================  ====================================================
 checker            invariant
 =================  ====================================================
-parity-registry    every ``*_scalar`` oracle is registered, dispatched
-                   through ``ParityConfig``, and signature-faithful
 env-discipline     no raw ``os.environ`` access outside
                    ``repro/config.py``
 seqlock-epoch      catalog column writes stay inside the ``_write_seq``

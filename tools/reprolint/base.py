@@ -10,9 +10,8 @@ A :class:`SourceFile` pairs a file's AST with its *virtual* repo path
 (``rel``), e.g. ``repro/core/catalog.py`` — path-scoped checkers key
 off ``rel``, which lets the fixture corpus present a snippet *as if*
 it lived at a real module path.  A :class:`Project` is the set of
-files one run analyzes plus accessors for the two source-of-truth
-tables (the parity registry in ``repro/config.py`` and the lock tables
-in ``repro/lockdep.py``).
+files one run analyzes plus an accessor for the source-of-truth lock
+tables in ``repro/lockdep.py``.
 
 There is deliberately **no inline-suppression syntax**: a finding is
 either a real violation (fix the code) or a checker bug (fix the
@@ -204,14 +203,12 @@ def all_checkers() -> Dict[str, CheckerFn]:
         from tools.reprolint import (
             envaccess,
             lockorder,
-            parity,
             seqlock,
             shmem,
         )
 
         _REGISTRY.update(
             {
-                "parity-registry": parity.check,
                 "env-discipline": envaccess.check,
                 "seqlock-epoch": seqlock.check,
                 "shm-lifecycle": shmem.check,

@@ -44,7 +44,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 class StabilityProbe(Query):
     """Wrap a query so each run re-derives its answer twice per pin.
 
-    The second pass clears the session's snapshot memos first, forcing a
+    The second pass clears the catalog's payload cache first, forcing a
     fresh gather from the pinned columns; a mismatch means a mutation
     leaked into the snapshot mid-query.
     """
@@ -58,9 +58,9 @@ class StabilityProbe(Query):
 
     def _run(self, cluster, cycle):
         first = self.inner._run(cluster, cycle)
-        for snap in list(cluster._snapshots.values()):
-            with snap._memo_lock:
-                snap._memo.clear()
+        catalog = cluster.cluster.catalog
+        with catalog._payload_lock:
+            catalog._payload_cache.clear()
         second = self.inner._run(cluster, cycle)
         if repr(first.value) != repr(second.value):
             with self._lock:

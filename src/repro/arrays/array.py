@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.arrays.chunk import ChunkData, ChunkKey
-from repro.arrays.coords import Box, pack_rows, row_packing
+from repro.arrays.coords import Box, pack_rows, region_mask, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.errors import ChunkError
 
@@ -60,9 +60,6 @@ class LocalArray:
             raise ChunkError(
                 f"array {self.schema.name} has no chunk {k}"
             ) from None
-
-    def has_chunk(self, key: Sequence[int]) -> bool:
-        return tuple(int(c) for c in key) in self._chunks
 
     def chunk_keys(self) -> List[ChunkKey]:
         """All materialized chunk keys (sorted for determinism)."""
@@ -173,10 +170,7 @@ class LocalArray:
         picked_coords = []
         picked_values: Dict[str, List[np.ndarray]] = {n: [] for n in names}
         for chunk in self.chunks_in_region(region):
-            mask = np.ones(chunk.cell_count, dtype=bool)
-            for d in range(self.schema.ndim):
-                mask &= (chunk.coords[:, d] >= region.lo[d])
-                mask &= (chunk.coords[:, d] < region.hi[d])
+            mask = region_mask(chunk.coords, region)
             if not mask.any():
                 continue
             picked_coords.append(chunk.coords[mask])

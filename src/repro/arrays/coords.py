@@ -337,6 +337,17 @@ class Box:
         return f"Box[{spans}]"
 
 
+def region_mask(coords: np.ndarray, region: Box) -> np.ndarray:
+    """Boolean mask of rows inside a half-open cell-space box."""
+    if coords.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    mask = np.ones(coords.shape[0], dtype=bool)
+    for d in range(region.ndim):
+        mask &= coords[:, d] >= region.lo[d]
+        mask &= coords[:, d] < region.hi[d]
+    return mask
+
+
 def bounding_box(points: Sequence[Sequence[int]]) -> Box:
     """Smallest half-open box containing every point in ``points``."""
     if not points:

@@ -308,11 +308,12 @@ class ArraySchema:
         The vectorized inverse of :meth:`chunk_box`: a chunk key ``k``
         satisfies ``chunk_box(k).intersects(region)`` exactly when
         ``lo[d] <= k[d] <= hi[d]`` for every dimension ``d`` of the
-        returned ``(lo, hi)`` int64 arrays.  Region routing
-        (:meth:`repro.core.catalog.ChunkCatalog.ids_in_region`) turns a
-        query box into these intervals once and selects live chunks
-        with one comparison over the catalog's key matrix — no per-chunk
-        ``Box`` objects.
+        returned ``(lo, hi)`` int64 arrays.  Region routing (the
+        snapshot router behind
+        :meth:`repro.core.catalog.ArraySnapshot.pairs_in_region`) turns
+        a query box into these intervals once and selects pinned chunks
+        with one comparison over the snapshot's key matrix — no
+        per-chunk ``Box`` objects.
 
         Returns ``None`` when no chunk can intersect the region (empty
         box, or a box entirely outside the declared domain).
@@ -354,11 +355,6 @@ class ArraySchema:
             else:
                 extent.append(max(1, observed_max[d]))
         return tuple(extent)
-
-    def chunk_grid_box(self, observed: Optional[Iterable[Coordinate]] = None
-                       ) -> Box:
-        """Bounding :class:`Box` of chunk-grid space (origin at zero)."""
-        return Box((0,) * self.ndim, self.grid_extent(observed))
 
     # ------------------------------------------------------------------
     # rendering / parsing

@@ -382,24 +382,13 @@ class ChunkStore:
         first-time put, the merged :class:`ChunkData` otherwise (the
         chunk catalog tracks exactly this object as the payload handle).
         """
-        if self._tier is not None:
-            return self._put_many_tiered([chunk])[0]
-        ref = chunk.ref()
-        existing = self._chunks.get(ref)
-        if existing is None:
-            self._chunks[ref] = chunk
-            self._bytes += chunk.size_bytes
-            self._sorted = None
-            return chunk
-        merged = existing.merged_with(chunk)
-        self._bytes += merged.size_bytes - existing.size_bytes
-        self._chunks[ref] = merged
-        return merged
+        return self.put_many([chunk])[0]
 
     def put_many(self, chunks: Sequence[ChunkData]) -> List[ChunkData]:
         """Store many chunks (in order); returns the stored objects.
 
-        Equivalent to calling :meth:`put` per chunk, with one sorted-ref
+        The one merge loop per store mode (:meth:`put` is a batch of
+        one): a ref already held merges payloads, with one sorted-ref
         invalidation and one running-bytes update for the whole group.
         In tiered mode the group is durable before it is visible: every
         payload lands in a fresh segment file and the manifest flips
@@ -518,14 +507,7 @@ class ChunkStore:
 
     def evict(self, ref: ChunkRef) -> ChunkData:
         """Remove and return a chunk (the send side of a rebalance move)."""
-        if self._tier is not None:
-            return self._evict_many_tiered([ref])[0]
-        chunk = self._chunks.pop(ref, None)
-        if chunk is None:
-            raise StorageError(f"cannot evict missing chunk {ref}")
-        self._bytes -= chunk.size_bytes
-        self._sorted = None
-        return chunk
+        return self.evict_many([ref])[0]
 
     def evict_many(
         self, refs: Sequence[ChunkRef]
@@ -638,10 +620,6 @@ class ChunkStore:
         return tier.drain_io() if tier is not None else (0.0, 0.0)
 
     # ------------------------------------------------------------------
-    def bytes_of(self, ref: ChunkRef) -> float:
-        """Modeled bytes of one stored chunk."""
-        return self.get(ref).size_bytes
-
     def chunks(self) -> Iterator[ChunkData]:
         for ref in self.refs():
             yield self._chunks[ref]

@@ -7,14 +7,15 @@ inserts and rebalances.  One call — :meth:`ingest` — runs the full §3.4
 ingest phase: provision if needed, redistribute preexisting chunks, insert
 the new ones.
 
-The query engine reads the cluster through the :class:`ClusterView`
-protocol (per-node chunk access plus placement lookups).  Those reads are
-served by the cluster-wide columnar chunk catalog
-(:class:`repro.core.catalog.ChunkCatalog`), which every mutation keeps
-current — so :meth:`chunks_of_array` / :meth:`placement_of_array` are
+Queries read through :meth:`ElasticCluster.session`; the cluster's own
+read methods are passthroughs onto the cluster-wide columnar chunk
+catalog (:class:`repro.core.catalog.ChunkCatalog`), which every mutation
+keeps current and which answers each of them from the array's current
+snapshot — the same code a session's pin runs.  So
+:meth:`chunks_of_array` / :meth:`placement_of_array` are
 O(live-chunks-of-array) column gathers instead of per-node store walks,
 and :meth:`array_payload` serves concatenated cell tables cached per
-catalog epoch (repeated queries between reorganizations skip the
+payload epoch (repeated queries between content mutations skip the
 re-concatenation).  The pre-catalog store walks are the specification
 of these reads and live in ``tests/oracles/cluster.py``.
 """

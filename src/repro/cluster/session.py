@@ -48,10 +48,10 @@ tier's lock (re-checking residency, so racing readers load once), the
 LRU never sheds a payload out from under ``payload_parts`` — the pair
 is taken atomically — and handles retired by a merge or removal are
 materialized before their segment file is reclaimed, so even a chunk
-expired mid-session answers from its pinned bytes.  Snapshot payload
-reads that delegate to the live catalog's cache are validated against
-the mutation seqlock and fall back to the frozen handles on any
-overlap with an in-flight mutation (``ArraySnapshot._live_payload``).
+expired mid-session answers from its pinned bytes.  Payload reads
+concatenate the pin's frozen handles and share the result through the
+catalog's one LRU under the pinned *payload epoch*, so sessions at one
+content version share a concatenation and none can be served another's.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
 import numpy.typing as npt
 
 from repro.arrays.chunk import ChunkData, ChunkRef
-from repro.arrays.coords import Box
+from repro.arrays.coords import Box, region_mask
 from repro.core.catalog import ArraySnapshot, CatalogDelta, concat_payload
 from repro.errors import ClusterError
 
@@ -161,10 +160,10 @@ class ClusterSession:
         Retrying within *this* session cannot help — its node set is
         permanently stale — so the raise is immediate.
 
-        The common check is a memoized ``(min, max)`` bounds test —
-        node ids are contiguous in practice (scale-out only appends),
-        making it equivalent to the subset test; a non-contiguous
-        frozen set falls back to the exact check.
+        The common check is a ``(min, max)`` bounds test, the bounds
+        taken once at capture — node ids are contiguous in practice
+        (scale-out only appends), making it equivalent to the subset
+        test; a non-contiguous frozen set falls back to the exact check.
         """
         if len(snap):
             lo, hi = snap.node_bounds()
@@ -341,14 +340,10 @@ class ClusterSession:
             )
             if gathered is not None:
                 coords, values = gathered
-                if coords.shape[0]:
-                    mask = np.ones(coords.shape[0], dtype=bool)
-                    for d in range(len(region.lo)):
-                        mask &= coords[:, d] >= region.lo[d]
-                        mask &= coords[:, d] < region.hi[d]
-                    coords = coords[mask]
-                    values = {a: v[mask] for a, v in values.items()}
-                return coords, values
+                mask = region_mask(coords, region)
+                return coords[mask], {
+                    a: v[mask] for a, v in values.items()
+                }
         return snap.payload_in_region(region, attrs, ndim)
 
     def gather_payload(

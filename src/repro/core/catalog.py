@@ -6,10 +6,23 @@ maintained index of every chunk physically stored in the cluster:
 interned dense ids over parallel numpy columns in the style of the
 placement ledger (:mod:`repro.core.ledger`).  The coordinator updates it
 in place on every mutation — inserts, rebalances, removals, scale-outs —
-so the query read path (:meth:`pairs_of_array`,
-:meth:`placement_of_array`, :meth:`scan_columns_of`) is an
-O(live-chunks-of-array) column gather with **no per-node store walk and
-no per-query re-sort**.
+so a read is an O(live-chunks-of-array) column gather with **no
+per-node store walk and no per-query re-sort**.
+
+One reader
+----------
+Every per-array read — pairs, placement, scan columns, the region
+family, payloads, deltas — is answered by an :class:`ArraySnapshot`: an
+immutable capture of the array's column slices, validated against the
+mutation seqlock and memoized per array epoch
+(:meth:`ChunkCatalog.snapshot`).  Sessions pin one and keep it; the
+catalog's own per-array methods (:meth:`~ChunkCatalog.pairs_of_array`,
+:meth:`~ChunkCatalog.payload_in_region`, ...) read through the current
+one, so a live read and a pinned read are the same code over the same
+frozen columns and nothing outside a capture ever gathers a mutable
+column.  (The by-ref probes :meth:`~ChunkCatalog.contains` /
+:meth:`~ChunkCatalog.node_of` / :meth:`~ChunkCatalog.payload_of` are
+``check_consistency``'s view of the physical table, not a query read.)
 
 Per-array sorted views
 ----------------------
@@ -24,19 +37,21 @@ Epochs and the payload cache
 ----------------------------
 Every mutation that touches an array bumps that array's **epoch** (and
 the global one); mutations that change cell contents — inserts, merges,
-removals — additionally bump its **payload epoch**.
-:meth:`payload_of_array` concatenates the array's cell coordinates and
-value columns in catalog order and caches the result keyed by
-``(array, normalized attrs, payload epoch)`` — repeated queries (in any
-attr order) skip re-concatenation entirely, a content mutation
-invalidates the cache by construction (the entry is dropped eagerly,
-and a stale one could never be served because its recorded epoch no
-longer matches), pure relocations keep it valid (ownership is not part
-of a payload, so even rebalances don't force a re-concatenation), and a
-small LRU bound (:attr:`ChunkCatalog.PAYLOAD_CACHE_MAX`) ages out attr
-subsets that stop being queried.  Compaction
-(:meth:`compact`) re-interns ids but preserves every observable,
-including live cache entries and epochs.
+removals — additionally bump its **payload epoch**.  A snapshot's
+payload reads concatenate its frozen handles in catalog order and cache
+the result in the catalog's one LRU, keyed by the *content version*:
+``(array, pinned payload epoch, normalized attrs, ndim[, region])``.
+An entry is therefore a pure function of its key — every snapshot of
+one content version, in any session and across relocation-only epochs,
+shares one concatenation (ownership is not part of a payload, so
+rebalances keep the cache warm), no entry can answer a pin of another
+version, and there is no protocol to validate when one is installed.
+A content mutation drops the touched array's entries eagerly (for an
+expired array the same query never recurs), and a small bound
+(:attr:`ChunkCatalog.PAYLOAD_CACHE_MAX`) ages out attr subsets and
+regions that stop being queried.  Compaction (:meth:`compact`)
+re-interns ids but preserves every observable, including live cache
+entries and epochs.
 
 Content delta log
 -----------------
@@ -45,14 +60,15 @@ Every content mutation additionally appends signed rows to a per-array
 append ``-1`` rows, and a merge that replaces a stored payload appends
 the retiring handle at ``-1`` followed by the merged handle at ``+1``.
 Pure relocations append nothing — ownership changes are not content.
-:meth:`deltas_since` slices the log after an epoch cursor in one
-``searchsorted``, returning the added/removed chunk columns the
-incremental query-maintenance layer (:mod:`repro.query.incremental`)
-folds into its operator state, so steady-state maintenance touches only
-what changed.  The log stores refs and payload handles, not interned
-ids, so :meth:`compact` leaves it untouched, and replaying it from
-epoch 0 must land exactly on the live set — :meth:`verify_delta_log`
-checks that, and ``ElasticCluster.check_consistency`` calls it.
+A snapshot pins the log's length; ``deltas_since`` slices the pinned
+prefix after an epoch cursor in one ``searchsorted``, returning the
+added/removed chunk columns the incremental query-maintenance layer
+(:mod:`repro.query.incremental`) folds into its operator state, so
+steady-state maintenance touches only what changed.  The log stores
+refs and payload handles, not interned ids, so :meth:`compact` leaves
+it untouched, and replaying it from epoch 0 must land exactly on the
+live set — :meth:`verify_delta_log` checks that, and
+``ElasticCluster.check_consistency`` calls it.
 
 Specification
 -------------
@@ -68,29 +84,30 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import lockdep
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
-from repro.arrays.coords import Box, pack_rows_void
+from repro.arrays.coords import Box, pack_rows_void, region_mask
 from repro.errors import ClusterError
 
 NodeId = int
+#: A concatenated cell table: ``(coords, {attr: values})``.
+Payload = Tuple[np.ndarray, Dict[str, np.ndarray]]
 
 
 def concat_payload(
     chunks: Sequence[ChunkData],
     attrs: Sequence[str],
     ndim: int = 0,
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+) -> Payload:
     """Concatenate chunks' cells into one coordinate/value table.
 
-    The catalog-internal twin of
-    :func:`repro.query.operators.concat_chunk_payload` (kept separate so
-    the cluster layer never imports the query package).  ``ndim`` shapes
-    the empty coordinate table when ``chunks`` is empty.
+    The one place chunks become a cell table: snapshot payload reads
+    and the session's explicit-pair gather both call it.  ``ndim``
+    shapes the empty coordinate table when ``chunks`` is empty.
     """
     if not chunks:
         return (
@@ -228,11 +245,19 @@ class _DeltaLog:
         self.nodes[sl] = np.asarray(nodes, dtype=np.int64)
         self.count = need
 
-    def since(self, epoch: int) -> CatalogDelta:
-        """Rows strictly after ``epoch``, as fresh column copies."""
-        n = self.count
-        lo = int(np.searchsorted(self.epochs[:n], epoch, side="right"))
-        sl = slice(lo, n)
+    def since(self, epoch: int, count: int) -> CatalogDelta:
+        """Rows strictly after ``epoch`` among the first ``count``.
+
+        ``count`` is a log length some snapshot pinned: the log is
+        append-only and rows below a pinned length are never rewritten
+        (growth copies them into the new columns before rebinding), so
+        the slice needs no copy-out at capture time and rows appended
+        after the pin stay invisible.  Returns fresh column copies.
+        """
+        lo = int(
+            np.searchsorted(self.epochs[:count], epoch, side="right")
+        )
+        sl = slice(lo, count)
         return CatalogDelta(
             epochs=self.epochs[sl].copy(),
             signs=self.signs[sl].copy(),
@@ -243,7 +268,7 @@ class _DeltaLog:
         )
 
 
-#: Shared empty log: ``deltas_since`` on unknown arrays slices this.
+#: Shared empty log: snapshots of arrays without one pin this.
 _EMPTY_LOG = _DeltaLog()
 
 
@@ -253,9 +278,9 @@ class _ArrayView:
     Alongside the packed void keys (scalar comparisons for the
     ``searchsorted`` merge), the view keeps the same keys as an
     ``(n, ndim)`` int64 matrix — region routing selects chunks with one
-    vectorized per-dimension interval comparison over it
-    (:meth:`ChunkCatalog.ids_in_region`), never touching ``Box``
-    objects or per-chunk Python.
+    vectorized per-dimension interval comparison over the snapshot's
+    copy of it (:meth:`ArraySnapshot.pairs_in_region` and siblings),
+    never touching ``Box`` objects or per-chunk Python.
 
     ``epoch`` advances on *any* mutation touching the array;
     ``payload_epoch`` only on mutations that change cell contents
@@ -295,62 +320,58 @@ class _ArrayView:
 class ArraySnapshot:
     """An immutable, epoch-pinned view of one array's catalog state.
 
-    MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers fresh copies of the
-    array's id/key/owner/bytes column slices (cheap — the per-array
-    views are already copy-on-write-shaped) plus the length of its delta
-    log at capture time.  Every read below answers from those frozen
-    columns, so a query holding a snapshot never sees a half-applied
-    rebalance, an expiry, or an ingest that lands after the pin —
-    payload handles are immutable :class:`~repro.arrays.chunk.ChunkData`
-    objects (merges create *new* objects), so even cell reads are safe
-    while the coordinator mutates the live catalog.
+    MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers the array's
+    id/key/owner/bytes column slices (cheap — the per-array views are
+    already copy-on-write-shaped) plus the length of its delta log at
+    capture time.  Every read below answers from those frozen columns,
+    so a query holding a snapshot never sees a half-applied rebalance,
+    an expiry, or an ingest that lands after the pin — payload handles
+    are immutable :class:`~repro.arrays.chunk.ChunkData` objects (merges
+    create *new* objects), so even cell reads are safe while the
+    coordinator mutates the live catalog.
 
-    The API mirrors the catalog's per-array read surface
-    (:meth:`pairs` / :meth:`placement` / :meth:`scan_columns` / the
-    region family / :meth:`payload` / :meth:`deltas_since`) so the
-    cluster session facade can route either way.  Payload
-    concatenations are memoized per snapshot; the first read delegates
-    to the shared payload LRU while the live catalog is still at the
-    pinned payload epoch, so sessions share one concatenation.  From
-    the caller's side memo and LRU are one cache: a repeat the memo
-    answers counts on the catalog's ``payload_hits`` like an LRU hit.
+    This is the catalog's one reader: sessions hold a snapshot per
+    array, and the catalog's own per-array methods read through the
+    current one (module docstring, "One reader").
     """
 
     __slots__ = (
         "array", "schema", "epoch", "payload_epoch",
         "_refs", "_chunks", "_sizes", "_nodes", "_rows",
-        "_log_cols", "_log_count", "_catalog", "_memo", "_memo_lock",
+        "_node_bounds", "_log", "_log_count", "_catalog",
     )
 
-    def __init__(
-        self,
-        array: str,
-        schema: Optional[object],
-        epoch: int,
-        payload_epoch: int,
-        refs: np.ndarray,
-        chunks: np.ndarray,
-        sizes: np.ndarray,
-        nodes: np.ndarray,
-        rows: np.ndarray,
-        log_cols: Optional[Tuple[np.ndarray, ...]],
-        log_count: int,
-        catalog: "ChunkCatalog",
-    ) -> None:
+    def __init__(self, catalog: "ChunkCatalog", array: str) -> None:
+        """Gather ``array``'s column slices from ``catalog``.
+
+        No validation here: :meth:`ChunkCatalog.snapshot` is the only
+        caller and checks the gather against the mutation seqlock.
+        Unknown arrays capture empty columns at epoch 0 and pin the
+        shared empty log.
+        """
+        view = catalog._views.get(array)
+        if view is None:
+            ids = np.empty(0, dtype=np.int64)
+            self.epoch = self.payload_epoch = 0
+            self._rows = np.empty((0, 0), dtype=np.int64)
+        else:
+            ids = view.ids
+            self.epoch = view.epoch
+            self.payload_epoch = view.payload_epoch
+            self._rows = view.rows.copy()
         self.array = array
-        self.schema = schema
-        self.epoch = epoch
-        self.payload_epoch = payload_epoch
-        self._refs = refs
-        self._chunks = chunks
-        self._sizes = sizes
-        self._nodes = nodes
-        self._rows = rows
-        self._log_cols = log_cols
-        self._log_count = log_count
+        self.schema = catalog._schema_of.get(array)
+        # Fancy-indexed gathers are already fresh copies.
+        self._refs = catalog._refs[ids]
+        self._chunks = catalog._chunks[ids]
+        self._sizes = catalog._size[ids]
+        self._nodes = nodes = catalog._node[ids]
+        self._node_bounds = (
+            (int(nodes.min()), int(nodes.max())) if len(ids) else None
+        )
+        self._log = log = catalog._deltas.get(array, _EMPTY_LOG)
+        self._log_count = log.count
         self._catalog = catalog
-        self._memo: Dict[Tuple, Tuple] = {}
-        self._memo_lock = threading.Lock()
 
     def __len__(self) -> int:
         return int(self._sizes.shape[0])
@@ -365,23 +386,16 @@ class ArraySnapshot:
         """
         return np.unique(self._nodes)
 
-    def node_bounds(self) -> Tuple[int, int]:
-        """``(min, max)`` node id holding pinned chunks (memoized).
+    def node_bounds(self) -> Optional[Tuple[int, int]]:
+        """``(min, max)`` node id holding pinned chunks.
 
         The cheap arm of the session's node-universe admission check:
         against a contiguous node set a bounds test is equivalent to
-        the full subset test, and memoizing it keeps repeated pins of
-        one shared snapshot O(1).  Undefined on empty snapshots
-        (callers guard on ``len``).
+        the full subset test, and taking the two reductions once at
+        capture keeps repeated pins of one shared snapshot O(1).
+        ``None`` on empty snapshots (callers guard on ``len``).
         """
-        key = ("node_bounds",)
-        with self._memo_lock:
-            cached = self._memo.get(key)
-        if cached is None:
-            cached = (int(self._nodes.min()), int(self._nodes.max()))
-            with self._memo_lock:
-                self._memo[key] = cached
-        return cached
+        return self._node_bounds
 
     # -- whole-array reads ---------------------------------------------
     def pairs(self) -> List[Tuple[ChunkData, NodeId]]:
@@ -400,12 +414,31 @@ class ArraySnapshot:
     def scan_columns(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns (fresh copies)."""
+        """Pinned ``(sizes, nodes, schema)`` columns (fresh copies).
+
+        The cost model lowers whole-array scans from these directly
+        (:func:`repro.query.cost.array_scan_columns`) instead of
+        materializing a (chunk, node) pair list first.
+        """
         return self._sizes.copy(), self._nodes.copy(), self.schema
 
     # -- region reads --------------------------------------------------
     def _positions_in_region(self, region: Box) -> np.ndarray:
-        """Snapshot positions whose chunk boxes intersect ``region``."""
+        """Snapshot positions whose chunk boxes intersect ``region``.
+
+        The one region router.  The query box is converted into
+        per-dimension chunk-coordinate intervals once
+        (:meth:`repro.arrays.schema.ArraySchema.chunk_intervals_of`, the
+        inverse of ``chunk_box``) and the selection is a single
+        vectorized comparison over the pinned ``(n, ndim)`` key matrix —
+        no per-chunk ``Box`` construction, no Python loop.  The result
+        preserves the key-sorted order, exactly the order the per-chunk
+        ``intersects`` oracle walks.
+
+        Unknown and emptied arrays yield an empty selection.  Raises
+        :class:`~repro.errors.SchemaError` when the region's arity does
+        not match the array's.
+        """
         if self.schema is None or not len(self):
             return np.empty(0, dtype=np.int64)
         intervals = self.schema.chunk_intervals_of(region)
@@ -427,7 +460,12 @@ class ArraySnapshot:
     def region_scan_columns(
         self, region: Box
     ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns of a region."""
+        """Pinned ``(sizes, nodes, schema)`` columns of a region.
+
+        The cost model charges region-touched scans straight from
+        these gathers (:func:`repro.query.cost.region_scan_columns`)
+        without materializing the (chunk, node) pair list.
+        """
         pos = self._positions_in_region(region)
         return self._sizes[pos], self._nodes[pos], self.schema
 
@@ -437,139 +475,94 @@ class ArraySnapshot:
         List[Tuple[ChunkData, NodeId]],
         Tuple[np.ndarray, np.ndarray, Optional[object]],
     ]:
-        """Pinned pairs *and* scan columns from one routing pass."""
+        """Pinned pairs *and* scan columns from one routing pass.
+
+        Queries that both read the touched chunks and charge the scan
+        (selections, the k-means working set) need the pair list and
+        the byte/owner columns together; this routes the region once
+        and gathers both from the same positions.
+        """
         pos = self._positions_in_region(region)
-        pairs = list(
-            zip(self._chunks[pos].tolist(), self._nodes[pos].tolist())
-        )
-        return pairs, (self._sizes[pos], self._nodes[pos], self.schema)
+        nodes = self._nodes[pos]
+        pairs = list(zip(self._chunks[pos].tolist(), nodes.tolist()))
+        return pairs, (self._sizes[pos], nodes, self.schema)
 
     # -- payload reads -------------------------------------------------
-    def _live_payload(
-        self, compute, check_epoch
-    ) -> Optional[Tuple[np.ndarray, Dict[str, np.ndarray]]]:
-        """Serve through the live catalog cache if still at our epoch.
+    def payload(self, attrs: Sequence[str], ndim: int = 0) -> Payload:
+        """Pinned concatenated cells, in catalog (key-sorted) order.
 
-        The delegation is validated against the mutation seqlock, not
-        just the payload epoch: mutators swap payload handles *before*
-        bumping the epoch, so an epoch check alone would accept a
-        concatenation that read a post-pin merged handle (or a torn
-        cache entry installed mid-mutation) as the pinned bytes.  Any
-        overlap with an in-flight mutation — seq odd at entry, or moved
-        during the gather — discards the result and the caller falls
-        back to the frozen handles.  Torn reads that raise from the
-        live gather take the same fallback.
+        Cached in the catalog's LRU under the pinned payload epoch with
+        ``attrs`` normalized (sorted, deduplicated), so permutations of
+        one attr subset — and every snapshot of this content version —
+        share a single entry.  Callers must treat the arrays as
+        read-only.
         """
-        if check_epoch() != self.payload_epoch:
-            return None
-        cat = self._catalog
-        seq = cat._write_seq
-        if seq & 1:
-            return None
-        try:
-            result = compute()
-        except Exception:
-            return None
-        if cat._write_seq != seq:
-            return None
-        return result
-
-    def payload(
-        self, attrs: Sequence[str], ndim: int = 0
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Pinned concatenated cells, memoized per snapshot.
-
-        Equivalent to :meth:`ChunkCatalog.payload_of_array` at the
-        pinned epoch.  Callers must treat the arrays as read-only.
-        """
-        key = (tuple(sorted(set(attrs))), int(ndim))
-        with self._memo_lock:
-            hit = self._memo.get(key)
-        cat = self._catalog
-        if hit is not None:
-            cat.count_payload_hit()
-            return hit
-        result = self._live_payload(
-            lambda: cat.payload_of_array(self.array, attrs, ndim),
-            lambda: cat.payload_epoch_of(self.array),
+        key = (
+            self.array, self.payload_epoch,
+            tuple(sorted(set(attrs))), int(ndim),
         )
-        if result is None:
-            result = concat_payload(self._chunks.tolist(), attrs, ndim)
-        with self._memo_lock:
-            self._memo[key] = result
-        return result
+        return self._catalog._cached_payload(
+            key,
+            lambda: concat_payload(self._chunks.tolist(), attrs, ndim),
+        )
 
     def payload_in_region(
         self, region: Box, attrs: Sequence[str], ndim: int = 0
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Pinned region-clipped cells, memoized per snapshot.
+    ) -> Payload:
+        """Pinned cells strictly inside ``region``, cached.
 
-        Equivalent to :meth:`ChunkCatalog.payload_in_region` at the
-        pinned epoch.  Callers must treat the arrays as read-only.
+        The result is the region's cells *after* the cell-level clip
+        (not just the touched chunks' cells), so a hot selection served
+        from the cache skips both the per-chunk concatenation and the
+        region mask.  Entries share the LRU and the eager drop of
+        whole-array payloads — the region bounds simply extend the
+        cache key.  Callers must treat the arrays as read-only.
         """
         key = (
+            self.array, self.payload_epoch,
             tuple(sorted(set(attrs))), int(ndim), region.lo, region.hi,
         )
-        with self._memo_lock:
-            hit = self._memo.get(key)
-        cat = self._catalog
-        if hit is not None:
-            cat.count_payload_hit()
-            return hit
-        result = self._live_payload(
-            lambda: cat.payload_in_region(
-                self.array, region, attrs, ndim
-            ),
-            lambda: cat.payload_epoch_of(self.array),
-        )
-        if result is None:
+
+        def clipped() -> Payload:
             pos = self._positions_in_region(region)
             coords, values = concat_payload(
                 self._chunks[pos].tolist(), attrs, ndim
             )
-            if coords.shape[0]:
-                mask = np.ones(coords.shape[0], dtype=bool)
-                for d in range(len(region.lo)):
-                    mask &= coords[:, d] >= region.lo[d]
-                    mask &= coords[:, d] < region.hi[d]
-                coords = coords[mask]
-                values = {a: v[mask] for a, v in values.items()}
-            result = (coords, values)
-        with self._memo_lock:
-            self._memo[key] = result
-        return result
+            mask = region_mask(coords, region)
+            return coords[mask], {a: v[mask] for a, v in values.items()}
+
+        return self._catalog._cached_payload(key, clipped)
 
     # -- delta reads ---------------------------------------------------
     def deltas_since(self, epoch: int) -> CatalogDelta:
         """Content mutations after ``epoch`` up to the pinned log end.
 
-        The frozen twin of :meth:`ChunkCatalog.deltas_since`: rows
-        appended after the snapshot was taken are invisible, so a
-        maintained view refreshing against a snapshot folds exactly the
-        mutations between its cursor and the pin — never a half-applied
-        batch that lands mid-refresh.  (The delta log is append-only
-        and rows below the pinned length are never rewritten, so the
-        slice needs no copy-out at capture time.)
+        The incremental-maintenance read path: a consumer takes its
+        next cursor from :attr:`payload_epoch` after folding a batch in
+        and passes it next cycle; the log's epoch column is
+        non-decreasing so the slice is one ``searchsorted`` plus an
+        O(delta) gather.  Rows appended after the snapshot was taken
+        are invisible, so a maintained view refreshing against a
+        snapshot folds exactly the mutations between its cursor and the
+        pin — never a half-applied batch that lands mid-refresh.  Pure
+        relocations log nothing, so a cursor held across a rebalance
+        sees an *empty* delta; so do unknown arrays and a cursor at the
+        pinned payload epoch.
         """
-        if self._log_cols is None or not self._log_count:
-            return _EMPTY_LOG.since(0)
-        epochs = self._log_cols[0][:self._log_count]
-        lo = int(np.searchsorted(epochs, epoch, side="right"))
-        sl = slice(lo, self._log_count)
-        cols = self._log_cols
-        return CatalogDelta(
-            epochs=cols[0][sl].copy(),
-            signs=cols[1][sl].copy(),
-            refs=cols[2][sl].copy(),
-            chunks=cols[3][sl].copy(),
-            sizes=cols[4][sl].copy(),
-            nodes=cols[5][sl].copy(),
-        )
+        return self._log.since(epoch, self._log_count)
 
     def delta_scan_columns(
         self, epoch: int
     ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` of the pinned delta's rows."""
+        """``(sizes, nodes, schema)`` of the pinned delta's rows.
+
+        The maintenance-plan sibling of :meth:`scan_columns`: the cost
+        model charges the incremental plan straight from the delta
+        log's byte/owner columns — added *and* removed rows, since the
+        operators read both — shaped exactly like the other catalog
+        lowerings so :func:`repro.query.cost._lower_catalog_columns`
+        applies unchanged.
+        """
         delta = self.deltas_since(epoch)
         return delta.sizes, delta.nodes, self.schema
 
@@ -612,12 +605,10 @@ class ChunkCatalog:
         self._schema_of: Dict[str, object] = {}
         self._deltas: Dict[str, _DeltaLog] = {}
         self._epoch = 0
-        # payload LRU: (array, normalized attrs, ndim) -> (epoch,
-        # coords, values); most recently used at the end.
-        self._payload_cache: OrderedDict[
-            Tuple[str, Tuple[str, ...], int],
-            Tuple[int, np.ndarray, Dict[str, np.ndarray]],
-        ] = OrderedDict()
+        # payload LRU: (array, payload epoch, normalized attrs, ndim
+        # [, region.lo, region.hi]) -> (coords, values); most recently
+        # used at the end.
+        self._payload_cache: OrderedDict[Tuple, Payload] = OrderedDict()
         #: Cache telemetry (the retention benchmark reports these).
         self.payload_hits = 0
         self.payload_misses = 0
@@ -698,8 +689,10 @@ class ChunkCatalog:
 
     def arrays(self) -> List[str]:
         """Names of arrays with at least one live chunk, sorted."""
+        # list() first: executor threads call this while the
+        # coordinator may be registering a new array's view.
         return sorted(
-            a for a, v in self._views.items() if len(v.ids)
+            a for a, v in list(self._views.items()) if len(v.ids)
         )
 
     def contains(self, ref: ChunkRef) -> bool:
@@ -714,114 +707,36 @@ class ChunkCatalog:
         """The stored payload handle of ``ref`` (KeyError when absent)."""
         return self._chunks[self._id_of[ref]]
 
-    def _ids_of_array(self, array: str) -> np.ndarray:
-        view = self._views.get(array)
-        if view is None:
-            return np.empty(0, dtype=np.int64)
-        return view.ids
-
-    def _gather_pairs(
-        self, ids: np.ndarray
-    ) -> List[Tuple[ChunkData, NodeId]]:
-        """(payload, node) pairs of the given ids, in id order."""
-        return list(
-            zip(self._chunks[ids].tolist(), self._node[ids].tolist())
-        )
-
-    def _gather_columns(
-        self, array: str, ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """(sizes, nodes, schema) columns of the given ids, in id order."""
-        return (
-            self._size[ids],
-            self._node[ids],
-            self._schema_of.get(array),
-        )
-
+    # -- per-array reads: each is a read of the current snapshot -------
+    # (entry points of the cluster facade and the benchmark's span
+    # table; the bodies live on ArraySnapshot)
     def pairs_of_array(
         self, array: str
     ) -> List[Tuple[ChunkData, NodeId]]:
-        """All (payload, node) pairs of one array, key-sorted.
-
-        One object-column gather in view order — the implementation
-        of ``ElasticCluster.chunks_of_array``.
-        """
-        return self._gather_pairs(self._ids_of_array(array))
+        """All (payload, node) pairs of one array, key-sorted."""
+        return self.snapshot(array).pairs()
 
     def placement_of_array(self, array: str) -> Dict[ChunkKey, NodeId]:
-        """Chunk key → node map of one array, from the catalog columns."""
-        ids = self._ids_of_array(array)
-        return {
-            ref.key: node
-            for ref, node in zip(
-                self._refs[ids].tolist(), self._node[ids].tolist()
-            )
-        }
+        """Chunk key → node map of one array."""
+        return self.snapshot(array).placement()
 
     def scan_columns_of(
         self, array: str
     ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of one array's live chunks.
-
-        The cost model lowers whole-array scans from these directly
-        (:func:`repro.query.cost.array_scan_columns`) instead of
-        materializing a (chunk, node) pair list first.  The returned
-        arrays are fresh copies (fancy-indexed gathers) in view order.
-        """
-        return self._gather_columns(array, self._ids_of_array(array))
-
-    # -- region routing ------------------------------------------------
-    def ids_in_region(self, array: str, region: Box) -> np.ndarray:
-        """Live chunk ids of one array whose boxes intersect ``region``.
-
-        The query box is converted into per-dimension chunk-coordinate
-        intervals once
-        (:meth:`repro.arrays.schema.ArraySchema.chunk_intervals_of`, the
-        inverse of ``chunk_box``) and the selection is a single
-        vectorized comparison over the view's ``(n, ndim)`` key matrix —
-        no per-chunk ``Box`` construction, no Python loop.  The result
-        preserves the view's key-sorted order, exactly the order the
-        per-chunk ``intersects`` oracle walks.
-
-        Unknown arrays yield an empty selection.  Raises
-        :class:`~repro.errors.SchemaError` when the region's arity does
-        not match the array's.
-        """
-        view = self._views.get(array)
-        if view is None or not len(view.ids):
-            return np.empty(0, dtype=np.int64)
-        schema = self._schema_of[array]
-        intervals = schema.chunk_intervals_of(region)
-        if intervals is None:
-            return np.empty(0, dtype=np.int64)
-        lows, highs = intervals
-        rows = view.rows
-        mask = ((rows >= lows) & (rows <= highs)).all(axis=1)
-        return view.ids[mask]
+        """``(sizes, nodes, schema)`` columns of one array's live chunks."""
+        return self.snapshot(array).scan_columns()
 
     def pairs_in_region(
         self, array: str, region: Box
     ) -> List[Tuple[ChunkData, NodeId]]:
-        """Region-touched (payload, node) pairs, key-sorted.
-
-        The region-scoped sibling of :meth:`pairs_of_array` — the
-        implementation of ``ElasticCluster.chunks_in_region``.
-        """
-        return self._gather_pairs(self.ids_in_region(array, region))
+        """Region-touched (payload, node) pairs, key-sorted."""
+        return self.snapshot(array).pairs_in_region(region)
 
     def region_scan_columns(
         self, array: str, region: Box
     ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of a region's live chunks.
-
-        The region-scoped sibling of :meth:`scan_columns_of`: the cost
-        model charges region-touched scans straight from these gathers
-        (:func:`repro.query.cost.region_scan_columns`) without
-        materializing the (chunk, node) pair list.
-        """
-        return self._gather_columns(
-            array, self.ids_in_region(array, region)
-        )
+        """``(sizes, nodes, schema)`` columns of a region's live chunks."""
+        return self.snapshot(array).region_scan_columns(region)
 
     def region_read(
         self, array: str, region: Box
@@ -829,56 +744,17 @@ class ChunkCatalog:
         List[Tuple[ChunkData, NodeId]],
         Tuple[np.ndarray, np.ndarray, Optional[object]],
     ]:
-        """Pairs *and* scan columns of a region, from one routing pass.
-
-        Queries that both read the touched chunks and charge the scan
-        (selections, the k-means working set) need the pair list and
-        the byte/owner columns together; this runs
-        :meth:`ids_in_region` once and gathers both from the same ids,
-        instead of routing the region twice.
-        """
-        ids = self.ids_in_region(array, region)
-        return (
-            self._gather_pairs(ids),
-            self._gather_columns(array, ids),
-        )
+        """Pairs *and* scan columns of a region, from one routing pass."""
+        return self.snapshot(array).region_read(region)
 
     def payload_of_array(
         self,
         array: str,
         attrs: Sequence[str],
         ndim: int = 0,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Concatenated cells of one array, cached per payload epoch.
-
-        Returns ``(coords, {attr: values})`` over the array's chunks in
-        catalog (key-sorted) order.  The result is cached keyed by
-        ``(array, attrs, ndim)`` — with ``attrs`` normalized (sorted,
-        deduplicated), so permutations of one attr subset share a single
-        entry — and the array's current payload epoch; any content
-        mutation bumps that epoch and drops the entry, so a stale
-        concatenation can never be served, while pure relocations
-        (rebalances) keep the cache warm.  The cache is a small LRU
-        bounded at :attr:`PAYLOAD_CACHE_MAX` entries, so attr subsets
-        that stop being queried age out instead of pinning their
-        concatenations forever.  Callers must treat the returned arrays
-        as read-only.
-        """
-        key = (array, tuple(sorted(set(attrs))), int(ndim))
-        with self._payload_lock, lockdep.held("payload-lru"):
-            epoch = self.payload_epoch_of(array)
-            cached = self._payload_cache.get(key)
-            if cached is not None and cached[0] == epoch:
-                self.payload_hits += 1
-                self._payload_cache.move_to_end(key)
-                return cached[1], cached[2]
-            self.payload_misses += 1
-        ids = self._ids_of_array(array)
-        coords, values = concat_payload(
-            self._chunks[ids].tolist(), attrs, ndim
-        )
-        self._store_payload(key, epoch, coords, values)
-        return coords, values
+    ) -> Payload:
+        """Concatenated cells of one array, cached per payload epoch."""
+        return self.snapshot(array).payload(attrs, ndim)
 
     def payload_in_region(
         self,
@@ -886,109 +762,56 @@ class ChunkCatalog:
         region: Box,
         attrs: Sequence[str],
         ndim: int = 0,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Cells of one array strictly inside ``region``, cached.
+    ) -> Payload:
+        """Cells of one array strictly inside ``region``, cached."""
+        return self.snapshot(array).payload_in_region(region, attrs, ndim)
 
-        The region-scoped sibling of :meth:`payload_of_array`: the
-        result is the region's cells *after* the cell-level clip (not
-        just the touched chunks' cells), so a hot selection served from
-        the cache skips both the per-chunk concatenation and the
-        per-chunk region mask.  Entries share the same LRU
-        (:attr:`PAYLOAD_CACHE_MAX`) and the same payload-epoch
-        invalidation as whole-array payloads — the region bounds simply
-        extend the cache key — so content mutations drop them eagerly
-        while pure relocations keep them warm, and regions that stop
-        being queried age out of the LRU.  Callers must treat the
-        returned arrays as read-only.
-        """
-        key = (
-            array, tuple(sorted(set(attrs))), int(ndim),
-            region.lo, region.hi,
-        )
-        with self._payload_lock, lockdep.held("payload-lru"):
-            epoch = self.payload_epoch_of(array)
-            cached = self._payload_cache.get(key)
-            if cached is not None and cached[0] == epoch:
-                self.payload_hits += 1
-                self._payload_cache.move_to_end(key)
-                return cached[1], cached[2]
-            self.payload_misses += 1
-        ids = self.ids_in_region(array, region)
-        coords, values = concat_payload(
-            self._chunks[ids].tolist(), attrs, ndim
-        )
-        if coords.shape[0]:
-            mask = np.ones(coords.shape[0], dtype=bool)
-            for d in range(len(region.lo)):
-                mask &= coords[:, d] >= region.lo[d]
-                mask &= coords[:, d] < region.hi[d]
-            coords = coords[mask]
-            values = {a: v[mask] for a, v in values.items()}
-        self._store_payload(key, epoch, coords, values)
-        return coords, values
-
-    def count_payload_hit(self) -> None:
-        """Count a repeat that a snapshot's memo answered."""
-        with self._payload_lock, lockdep.held("payload-lru"):
-            self.payload_hits += 1
-
-    def _store_payload(
-        self,
-        key: Tuple,
-        epoch: int,
-        coords: np.ndarray,
-        values: Dict[str, np.ndarray],
-    ) -> None:
-        """Install a concatenation in the LRU (lock held only here).
-
-        The concatenation itself runs outside the payload lock so a
-        slow concat never blocks cache hits on other threads; the
-        install re-checks the array's payload epoch and drops the entry
-        on the floor if a content mutation landed mid-concat — a stale
-        concatenation must never enter the cache, even transiently,
-        because a snapshot pinned at the new epoch could otherwise be
-        served bytes from the old one.
-        """
-        with self._payload_lock, lockdep.held("payload-lru"):
-            if self.payload_epoch_of(key[0]) != epoch:
-                return
-            self._payload_cache[key] = (epoch, coords, values)
-            self._payload_cache.move_to_end(key)
-            while len(self._payload_cache) > self.PAYLOAD_CACHE_MAX:
-                self._payload_cache.popitem(last=False)
-
-    # -- content delta log ---------------------------------------------
     def deltas_since(self, array: str, epoch: int) -> CatalogDelta:
-        """One array's content mutations strictly after ``epoch``.
-
-        The incremental-maintenance read path: a consumer snapshots
-        :meth:`payload_epoch_of` after folding a batch in and passes
-        that cursor next cycle; the log's epoch column is non-decreasing
-        so the slice is one ``searchsorted`` plus an O(delta) gather.
-        Pure relocations log nothing, so a cursor held across a
-        rebalance sees an *empty* delta.  Unknown arrays (or a cursor at
-        the current payload epoch) yield empty columns.
-        """
-        log = self._deltas.get(array)
-        if log is None:
-            return _EMPTY_LOG.since(0)
-        return log.since(epoch)
+        """One array's content mutations strictly after ``epoch``."""
+        return self.snapshot(array).deltas_since(epoch)
 
     def delta_scan_columns(
         self, array: str, epoch: int
     ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of a delta's touched rows.
+        """``(sizes, nodes, schema)`` columns of a delta's touched rows."""
+        return self.snapshot(array).delta_scan_columns(epoch)
 
-        The maintenance-plan sibling of :meth:`scan_columns_of`: the
-        cost model charges the incremental plan straight from the delta
-        log's byte/owner columns — added *and* removed rows, since the
-        operators read both — shaped exactly like the other catalog
-        lowerings so :func:`repro.query.cost._lower_catalog_columns`
-        applies unchanged.
+    # -- the payload cache ---------------------------------------------
+    def _cached_payload(
+        self, key: Tuple, compute: Callable[[], Payload]
+    ) -> Payload:
+        """Serve ``key`` from the payload LRU, filling it on a miss.
+
+        ``key`` names a content version — ``(array, payload epoch,
+        normalized attrs, ndim[, region.lo, region.hi])`` — and
+        ``compute`` concatenates a snapshot's frozen handles of exactly
+        that version, so an entry is a pure function of its key: it can
+        be shared by every snapshot pinned at that payload epoch and can
+        never answer a pin of another.  ``compute`` runs outside the
+        lock, so a slow concatenation never blocks cache hits on other
+        threads; an install that lands after a content mutation's eager
+        drop (:meth:`_touch`) is harmless — only a pin of that older
+        version can ever ask for it, and it ages out under
+        :attr:`PAYLOAD_CACHE_MAX` like any entry that stops being
+        queried.
         """
-        delta = self.deltas_since(array, epoch)
-        return delta.sizes, delta.nodes, self._schema_of.get(array)
+        cache = self._payload_cache
+        with self._payload_lock, lockdep.held("payload-lru"):
+            cached = cache.get(key)
+            if cached is not None:
+                self.payload_hits += 1
+                cache.move_to_end(key)
+                return cached
+            self.payload_misses += 1
+        result = compute()
+        with self._payload_lock, lockdep.held("payload-lru"):
+            cache[key] = result
+            cache.move_to_end(key)
+            while len(cache) > self.PAYLOAD_CACHE_MAX:
+                cache.popitem(last=False)
+        return result
 
+    # -- content delta log ---------------------------------------------
     def verify_delta_log(self) -> None:
         """Replay every array's delta log and compare to the live set.
 
@@ -1054,50 +877,6 @@ class ChunkCatalog:
                 )
 
     # -- snapshots -----------------------------------------------------
-    def _capture_array(self, array: str) -> ArraySnapshot:
-        """Gather one array's frozen column slices (no validation)."""
-        view = self._views.get(array)
-        log = self._deltas.get(array)
-        if log is not None:
-            log_cols: Optional[Tuple[np.ndarray, ...]] = (
-                log.epochs, log.signs, log.refs, log.chunks,
-                log.sizes, log.nodes,
-            )
-            log_count = log.count
-        else:
-            log_cols, log_count = None, 0
-        if view is None:
-            width = 0
-            return ArraySnapshot(
-                array=array,
-                schema=self._schema_of.get(array),
-                epoch=0,
-                payload_epoch=0,
-                refs=np.empty(0, dtype=object),
-                chunks=np.empty(0, dtype=object),
-                sizes=np.empty(0, dtype=np.float64),
-                nodes=np.empty(0, dtype=np.int64),
-                rows=np.empty((0, width), dtype=np.int64),
-                log_cols=log_cols,
-                log_count=log_count,
-                catalog=self,
-            )
-        ids = view.ids
-        return ArraySnapshot(
-            array=array,
-            schema=self._schema_of.get(array),
-            epoch=view.epoch,
-            payload_epoch=view.payload_epoch,
-            refs=self._refs[ids].copy(),
-            chunks=self._chunks[ids].copy(),
-            sizes=self._size[ids].copy(),
-            nodes=self._node[ids].copy(),
-            rows=view.rows.copy(),
-            log_cols=log_cols,
-            log_count=log_count,
-            catalog=self,
-        )
-
     def snapshot(self, array: str) -> ArraySnapshot:
         """An epoch-pinned :class:`ArraySnapshot` of one array.
 
@@ -1113,8 +892,7 @@ class ChunkCatalog:
         capture is discarded and retried (:attr:`SNAPSHOT_RETRIES`
         times), then the final attempt takes the write lock and
         captures from a provably quiescent catalog.  Unknown arrays
-        yield an empty snapshot at epoch 0, mirroring the live read
-        surface.
+        yield an empty snapshot at epoch 0.
         """
         cached = self._snapshot_cache.get(array)
         if cached is not None:
@@ -1133,19 +911,18 @@ class ChunkCatalog:
                 # A mutation is mid-flight; yield and re-read.
                 continue
             try:
-                snap = self._capture_array(array)
+                snap = ArraySnapshot(self, array)
             except Exception:
                 # Torn gather (columns rewritten under us): retry.
                 continue
             if self._write_seq == seq:
-                if len(snap):
-                    self._snapshot_cache[array] = snap
-                return snap
-        with self._write_lock, lockdep.held("catalog-seqlock"):
-            snap = self._capture_array(array)
-            if len(snap):
-                self._snapshot_cache[array] = snap
-            return snap
+                break
+        else:
+            with self._write_lock, lockdep.held("catalog-seqlock"):
+                snap = ArraySnapshot(self, array)
+        if len(snap):
+            self._snapshot_cache[array] = snap
+        return snap
 
     # -- mutation ------------------------------------------------------
     @contextmanager

@@ -17,8 +17,10 @@ because :meth:`ProcessEngine.sync` holds the request lock while
 faulting chunk payloads through the spill tier — the engine cannot
 publish a frame for a chunk it has not materialized.  The catalog, in
 turn, never calls into the engine or the tiers while holding its
-seqlock, so the order is acyclic (docs/invariants.md walks through the
-reasoning).
+seqlock, and every catalog read is a snapshot read whose capture may
+fall back to the seqlock's write lock — so the engine gathers what it
+needs from the catalog *before* taking ``transport`` — and the order is
+acyclic (docs/invariants.md walks through the reasoning).
 
 Two enforcement layers consume this table:
 
@@ -84,10 +86,20 @@ KNOWN_ACQUIRERS: Dict[str, str] = {
     "remove_batch": "catalog-seqlock",
     "compact": "catalog-seqlock",
     "snapshot": "catalog-seqlock",
+    # ChunkCatalog per-array reads: each is ``snapshot(array).<read>``,
+    # so each can reach the capture's write-lock arm.
+    "pairs_of_array": "catalog-seqlock",
+    "placement_of_array": "catalog-seqlock",
+    "scan_columns_of": "catalog-seqlock",
+    "pairs_in_region": "catalog-seqlock",
+    "region_scan_columns": "catalog-seqlock",
+    "region_read": "catalog-seqlock",
+    "payload_of_array": "catalog-seqlock",
+    "payload_in_region": "catalog-seqlock",
+    "deltas_since": "catalog-seqlock",
+    "delta_scan_columns": "catalog-seqlock",
     # ChunkCatalog payload LRU.
-    "payload_of_array": "payload-lru",
-    "payload_in_region": "payload-lru",
-    "_store_payload": "payload-lru",
+    "_cached_payload": "payload-lru",
     "_touch": "payload-lru",
     # SpillTier / ChunkStore (per-node LRU).
     "fault": "spill-tier",

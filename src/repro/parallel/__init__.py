@@ -13,18 +13,10 @@ from measured worker wall-clock.
 """
 
 from repro.parallel.calibrate import CalibrationResult, calibrate
-from repro.parallel.engine import (
-    ProcessEngine,
-    serial_equi_join,
-    serial_kmeans,
-    serial_knn_mean,
-)
+from repro.parallel.engine import ProcessEngine
 
 __all__ = [
     "CalibrationResult",
     "ProcessEngine",
     "calibrate",
-    "serial_equi_join",
-    "serial_kmeans",
-    "serial_knn_mean",
 ]

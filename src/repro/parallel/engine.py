@@ -5,16 +5,19 @@ process (:mod:`repro.parallel.worker`) and keeps the workers' resident
 chunk sets synchronized with the cluster's chunk catalog.  On top of
 that substrate it provides:
 
-* **Real scatter/gather** — :meth:`sync` scatters chunk payloads to
-  their owner workers over shared-memory frames; :meth:`gather_pairs`
+* **Real scatter/gather** — :meth:`sync` reads the desired placement
+  from one catalog snapshot per array (before it takes the request
+  lock — see its docstring) and scatters chunk payloads to their owner
+  workers over shared-memory frames; :meth:`gather_pairs`
   collects a (chunk, node) pair list back and concatenates it in pair
   order, byte-identically to the in-process
   :func:`repro.core.catalog.concat_payload`.
 * **Shuffle exchanges** — partitioned k-means, kNN mean-distance, and
   hash-shuffled equi-join, each split into per-partition worker kernels
   plus a coordinator combine (:mod:`repro.parallel.kernels`).  The
-  module-level ``serial_*`` twins run the identical kernels serially in
-  this process, so process and in-process execution agree bit-for-bit.
+  ``serial_*`` twins in ``tests/oracles/parallel.py`` run the identical
+  kernels serially in one process, and the exchanges must agree with
+  them bit-for-bit.
 * **Failure containment** — every request is timeout-bounded; a killed,
   hung, or pipe-broken worker surfaces as
   :class:`~repro.errors.WorkerFailedError` carrying the node id, the
@@ -301,21 +304,34 @@ class ProcessEngine:
         and loaded onto the new one, retired chunks are evicted, new
         chunks scattered.  Chunk payloads ship as one shared-memory
         frame per destination node.
+
+        The desired state is gathered *before* the request lock is
+        taken: a catalog read can reach the snapshot capture's
+        write-lock arm (``catalog-seqlock``, rank 0), which must never
+        be acquired under ``transport`` (rank 2) — and reading through
+        seqlock-validated snapshots is what keeps the gather from
+        tearing while executor threads sync during a coordinator
+        mutation.  ``epoch`` is read first, so it is a lower bound on
+        what the snapshots saw: a mutation landing mid-gather leaves
+        ``_synced_epoch`` behind the catalog and the next call re-diffs.
         """
+        catalog = cluster.catalog
+        node_ids = tuple(cluster.node_ids)
+        epoch = catalog.epoch
         with self._lock, lockdep.held("transport"):
-            catalog = cluster.catalog
-            node_ids = tuple(cluster.node_ids)
-            epoch = catalog.epoch
             if (
                 epoch == self._synced_epoch
                 and node_ids == self._synced_nodes
             ):
                 return
+        desired: Dict[object, Tuple[int, object]] = {}
+        for array in catalog.arrays():
+            for chunk, node in catalog.snapshot(array).pairs():
+                desired[chunk.ref()] = (node, chunk)
+        with self._lock, lockdep.held("transport"):
+            if epoch < self._synced_epoch:
+                return  # a racing sync already applied a newer state
             self.ensure_workers(node_ids)
-            desired: Dict[object, Tuple[int, object]] = {}
-            for array in catalog.arrays():
-                for chunk, node in catalog.pairs_of_array(array):
-                    desired[chunk.ref()] = (node, chunk)
             evicts: Dict[int, List[object]] = {}
             loads: Dict[int, List[Tuple[object, object]]] = {}
             for ref, (node, chunk) in desired.items():
@@ -495,7 +511,8 @@ class ProcessEngine:
 
         Scatters each partition to its node, broadcasts centroids each
         sweep, and reduces per-partition sums/counts in partition order
-        — bit-identical to :func:`serial_kmeans` over the same parts.
+        — bit-identical to ``serial_kmeans``
+        (``tests/oracles/parallel.py``) over the same parts.
         """
         with self._lock, lockdep.held("transport"):
             self.ensure_workers(sorted({n for n, _ in parts}))
@@ -638,64 +655,3 @@ class ProcessEngine:
                     if names and node in self._workers:
                         self.drop_blobs(node, names)
             return np.sort(kernels.concat_keys(per_node))
-
-
-# ----------------------------------------------------------------------
-# serial in-process twins (parity oracles for the exchanges)
-# ----------------------------------------------------------------------
-def serial_kmeans(
-    parts: Sequence[Tuple[int, np.ndarray]],
-    k: int,
-    iterations: int,
-    seed: int,
-) -> np.ndarray:
-    """In-process twin of :meth:`ProcessEngine.partitioned_kmeans`."""
-    pts_parts = [np.asarray(p) for _, p in parts]
-    centroids = kernels.kmeans_init(
-        np.concatenate(pts_parts, axis=0), k, seed
-    )
-    for _ in range(iterations):
-        partials = [
-            kernels.kmeans_partials(p, centroids) for p in pts_parts
-        ]
-        centroids = kernels.kmeans_combine(centroids, partials)
-    return centroids
-
-
-def serial_knn_mean(
-    parts: Sequence[Tuple[int, np.ndarray]],
-    queries: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """In-process twin of :meth:`ProcessEngine.partitioned_knn_mean`."""
-    queries = np.asarray(queries)
-    partials = [
-        kernels.knn_partials(np.asarray(p), queries, int(k))
-        for _, p in parts
-    ]
-    return kernels.knn_combine(partials, int(k))
-
-
-def serial_equi_join(
-    parts_a: Sequence[Tuple[int, np.ndarray]],
-    parts_b: Sequence[Tuple[int, np.ndarray]],
-) -> np.ndarray:
-    """In-process twin of :meth:`ProcessEngine.partitioned_equi_join`."""
-    nodes = sorted({n for n, _ in parts_a} | {n for n, _ in parts_b})
-    if not nodes:
-        return np.empty(0, dtype=np.int64)
-    buckets = len(nodes)
-    splits_a = [
-        kernels.join_split(np.asarray(keys, dtype=np.int64), buckets)
-        for _, keys in parts_a
-    ]
-    splits_b = [
-        kernels.join_split(np.asarray(keys, dtype=np.int64), buckets)
-        for _, keys in parts_b
-    ]
-    per_node = []
-    for b in range(buckets):
-        side_a = kernels.concat_keys([s[b] for s in splits_a])
-        side_b = kernels.concat_keys([s[b] for s in splits_b])
-        per_node.append(kernels.join_local(side_a, side_b))
-    return np.sort(kernels.concat_keys(per_node))

@@ -32,13 +32,6 @@ from repro.parallel.transport import frame_nbytes, pack_frame, unpack_frame
 _ATTR = "a"
 
 
-def _chunk_frames(index: int, coords, attrs) -> Dict[str, np.ndarray]:
-    out = {f"{index}:c": coords}
-    for name, column in attrs.items():
-        out[f"{index}:{_ATTR}:{name}"] = column
-    return out
-
-
 def worker_main(conn, node_id: int) -> None:
     """Serve requests for one node until shutdown or pipe loss."""
     chunks: Dict[object, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}

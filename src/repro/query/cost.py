@@ -42,7 +42,6 @@ same contract ``place_batch`` and the array ledger already document.
 
 from __future__ import annotations
 
-import weakref
 from itertools import product
 from typing import (
     Dict,
@@ -152,45 +151,15 @@ class CostAccumulator:
             int(self._node_ids[i]): float(self._busy[i]) for i in nz
         }
 
-    # -- reuse ---------------------------------------------------------
-    def reset(self) -> None:
-        """Zero the busy column so the accumulator can be reused.
-
-        The interned node slots (the sorted-unique pass in the
-        constructor) are the expensive part; :func:`accumulator_for`
-        pools one accumulator per cluster and resets it between
-        queries instead of rebuilding the interning every run.
-        """
-        self._busy[:] = 0.0
-
-
-#: Per-cluster accumulator pool: cluster -> (node ids, accumulator).
-#: Weak keys so a discarded cluster releases its pooled accumulator.
-_ACCUMULATOR_POOL: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 def accumulator_for(cluster) -> CostAccumulator:
-    """A zeroed :class:`CostAccumulator` for the cluster's node set.
+    """A fresh :class:`CostAccumulator` for the cluster's node set.
 
-    Queries used to construct a fresh accumulator per run, re-interning
-    the node ids every time; this pools one per cluster and
-    :meth:`~CostAccumulator.reset`\\ s it instead.  A scale-out changes
-    ``cluster.node_ids`` and transparently rebuilds the pooled entry.
-
-    The pool assumes queries on one cluster execute sequentially (the
-    executor's contract): the returned accumulator is only valid until
-    the next ``accumulator_for`` call on the same cluster, so callers
-    must copy anything they keep (``as_dict`` already does).
+    ``cluster`` is any read surface with ``node_ids`` — a session
+    answers with the node universe it froze at creation, so the
+    accumulator stays valid for the session's whole lifetime.
     """
-    ids = tuple(cluster.node_ids)
-    entry = _ACCUMULATOR_POOL.get(cluster)
-    if entry is not None and entry[0] == ids:
-        acc = entry[1]
-        acc.reset()
-        return acc
-    acc = CostAccumulator(ids)
-    _ACCUMULATOR_POOL[cluster] = (ids, acc)
-    return acc
+    return CostAccumulator(cluster.node_ids)
 
 
 #: Cost inputs accepted by :func:`elapsed_time`.

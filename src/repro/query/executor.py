@@ -2,10 +2,12 @@
 
 Queries compute real answers over the cluster's chunk payloads and price
 themselves with the placement-sensitive cost model.  The query layer is
-batch-first: queries concatenate the chunk payloads they touch
-(:func:`repro.query.operators.concat_chunk_payload`) and invoke each
-vectorized operator kernel once over the concatenation, instead of once
-per chunk.  The *simulated* latency always comes from the cost model,
+batch-first: queries read the chunk payloads they touch as one
+concatenated cell table (the session's ``array_payload`` /
+``payload_in_region`` / ``gather_payload``, all over
+:func:`repro.core.catalog.concat_payload`) and invoke each vectorized
+operator kernel once over the concatenation, instead of once per
+chunk.  The *simulated* latency always comes from the cost model,
 so results don't depend on the test machine.
 
 Reads go through epoch-pinned sessions

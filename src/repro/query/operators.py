@@ -2,8 +2,8 @@
 
 These compute the *real answers* of the benchmark queries over the
 synthetic cells; the simulated timing lives in :mod:`repro.query.cost`.
-All operators take plain arrays or :class:`ChunkData` sequences and return
-numpy values, so they are trivially parallelizable by the executor.
+All operators take plain arrays and return numpy values, so they are
+trivially parallelizable by the executor.
 
 Specification
 -------------
@@ -20,84 +20,16 @@ reassociate reductions.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import (
-    Box,
     joint_position_keys,
     pack_rows,
     row_packing,
 )
 from repro.errors import QueryError
-
-
-def region_mask(coords: np.ndarray, region: Box) -> np.ndarray:
-    """Boolean mask of rows inside a half-open cell-space box."""
-    if coords.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    mask = np.ones(coords.shape[0], dtype=bool)
-    for d in range(region.ndim):
-        mask &= coords[:, d] >= region.lo[d]
-        mask &= coords[:, d] < region.hi[d]
-    return mask
-
-
-def filter_region(
-    chunks: Iterable[ChunkData],
-    region: Box,
-    attrs: Sequence[str],
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Materialize the cells of ``chunks`` inside ``region``."""
-    coords_parts: List[np.ndarray] = []
-    value_parts: Dict[str, List[np.ndarray]] = {a: [] for a in attrs}
-    for chunk in chunks:
-        mask = region_mask(chunk.coords, region)
-        if not mask.any():
-            continue
-        coords_parts.append(chunk.coords[mask])
-        for a in attrs:
-            value_parts[a].append(chunk.values(a)[mask])
-    if not coords_parts:
-        ndim = region.ndim
-        return (
-            np.empty((0, ndim), dtype=np.int64),
-            {a: np.empty(0) for a in attrs},
-        )
-    return (
-        np.concatenate(coords_parts, axis=0),
-        {a: np.concatenate(value_parts[a]) for a in attrs},
-    )
-
-
-def concat_chunk_payload(
-    chunks: Iterable[ChunkData],
-    attrs: Sequence[str],
-    ndim: int = 0,
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Concatenate many chunks' cells into one coordinate/value table.
-
-    The batch-first entry point of the query layer: operators run once
-    over the concatenation instead of once per chunk.  ``ndim`` shapes
-    the empty coordinate table when ``chunks`` is empty.
-    """
-    coords_parts: List[np.ndarray] = []
-    value_parts: Dict[str, List[np.ndarray]] = {a: [] for a in attrs}
-    for chunk in chunks:
-        coords_parts.append(chunk.coords)
-        for a in attrs:
-            value_parts[a].append(chunk.values(a))
-    if not coords_parts:
-        return (
-            np.empty((0, ndim), dtype=np.int64),
-            {a: np.empty(0) for a in attrs},
-        )
-    return (
-        np.concatenate(coords_parts, axis=0),
-        {a: np.concatenate(value_parts[a]) for a in attrs},
-    )
 
 
 def quantiles(

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkData
-from repro.arrays.coords import Box
+from repro.arrays.coords import Box, region_mask
 from repro.cluster.session import ClusterSession
 from repro.query import operators as ops
 from repro.query.cost import (
@@ -115,7 +115,7 @@ class ModisRollingAverage(Query):
                 pairs, ["radiance"], ndim=region.ndim
             )
             if coords.shape[0]:
-                mask = ops.region_mask(coords, region)
+                mask = region_mask(coords, region)
                 coords = coords[mask]
                 values = {a: v[mask] for a, v in values.items()}
             if coords.shape[0] == 0:
@@ -228,7 +228,7 @@ class ModisKMeans(Query):
         )
         if coords.shape[0] == 0:
             return np.empty((0, 3))
-        mask = ops.region_mask(coords, region)
+        mask = region_mask(coords, region)
         if not mask.any():
             return np.empty((0, 3))
         nd = ops.ndvi(v1[mask], v2[mask])

@@ -3,9 +3,10 @@
 A vectorized or incremental program is correct iff it equals the
 from-scratch one, so the from-scratch one is the *spec* — and a spec
 belongs in the test suite, not in the binary as a mode.  Everything here
-was moved verbatim out of ``src/repro`` when the ledger / cost / catalog
-/ incr mode switches were retired; nothing under ``src/`` imports from
-this package.
+was moved verbatim out of ``src/repro`` — when the ledger / cost /
+catalog / incr mode switches were retired, or once its last caller
+outside the tests was gone; nothing under ``src/`` imports from this
+package.
 
 :data:`ORACLES` is the registry: one ``(production, oracle, signature)``
 row of real imports per pair.  ``"same"`` — the twins are drop-in
@@ -25,6 +26,7 @@ from repro.arrays.array import chunk_cells
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.coordinator import execute_rebalance
 from repro.core.ledger import ArrayChunkLedger
+from repro.parallel.engine import ProcessEngine
 from repro.query.cost import (
     add_scan_work,
     array_scan_columns,
@@ -79,12 +81,18 @@ from tests.oracles.incremental import join_aggregate_scalar
 from tests.oracles.ledger import DictChunkLedger
 from tests.oracles.operators import (
     count_close_pairs_scalar,
+    filter_region,
     group_count_by_grid_scalar,
     group_mean_by_grid_scalar,
     group_stats_by_grid_scalar,
     kmeans_scalar,
     knn_mean_distance_scalar,
     window_average_scalar,
+)
+from tests.oracles.parallel import (
+    serial_equi_join,
+    serial_kmeans,
+    serial_knn_mean,
 )
 
 ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
@@ -124,4 +132,10 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (knn_mean_distance, knn_mean_distance_scalar, "same"),
     (count_close_pairs, count_close_pairs_scalar, "same"),
     (join_aggregate_full, join_aggregate_scalar, "same"),
+    # region selection, per chunk
+    (ElasticCluster.payload_in_region, filter_region, "lowered"),
+    # the process backend's shuffle exchanges, run serially
+    (ProcessEngine.partitioned_kmeans, serial_kmeans, "lowered"),
+    (ProcessEngine.partitioned_knn_mean, serial_knn_mean, "lowered"),
+    (ProcessEngine.partitioned_equi_join, serial_equi_join, "lowered"),
 ]

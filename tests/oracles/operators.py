@@ -4,16 +4,47 @@ Moved verbatim.  The oracles define the semantics:
 ``tests/test_query_parity.py`` checks the vectorized kernels against
 them — exactly on integer-valued inputs (where every float operation is
 exact) and to float tolerance on continuous inputs, since the batch
-kernels may reassociate reductions.
+kernels may reassociate reductions.  :func:`filter_region` is the
+per-chunk selection the region payload reads replaced; its one caller
+is the selection oracle in ``tests/test_queries.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arrays.chunk import ChunkData
+from repro.arrays.coords import Box, region_mask
 from repro.errors import QueryError
+
+
+def filter_region(
+    chunks: Iterable[ChunkData],
+    region: Box,
+    attrs: Sequence[str],
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Materialize the cells of ``chunks`` inside ``region``."""
+    coords_parts: List[np.ndarray] = []
+    value_parts: Dict[str, List[np.ndarray]] = {a: [] for a in attrs}
+    for chunk in chunks:
+        mask = region_mask(chunk.coords, region)
+        if not mask.any():
+            continue
+        coords_parts.append(chunk.coords[mask])
+        for a in attrs:
+            value_parts[a].append(chunk.values(a)[mask])
+    if not coords_parts:
+        ndim = region.ndim
+        return (
+            np.empty((0, ndim), dtype=np.int64),
+            {a: np.empty(0) for a in attrs},
+        )
+    return (
+        np.concatenate(coords_parts, axis=0),
+        {a: np.concatenate(value_parts[a]) for a in attrs},
+    )
 
 
 def group_count_by_grid_scalar(

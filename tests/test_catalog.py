@@ -350,6 +350,169 @@ class TestPayloadCache:
         assert catalog.payload_misses == misses + 1
         assert len(catalog._payload_cache) == 4
 
+    def test_sessions_share_one_concatenation_across_relocation(self):
+        # The entry is keyed by content version, so a session opened
+        # after a pure relocation (new epoch, new snapshot, same
+        # payload epoch) is served the very arrays the first one built.
+        cluster = _make_cluster("round_robin")
+        cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(12)])
+        catalog = cluster.catalog
+        region = Box((0, 2, 0), (1, 9, 1))
+        s1 = cluster.session()
+        whole = s1.array_payload("A", ["v"], ndim=3)
+        clipped = s1.payload_in_region("A", region, ["v"], ndim=3)
+        assert (catalog.payload_misses, catalog.payload_hits) == (2, 0)
+        assert cluster.scale_out(1).chunks_moved > 0
+        s2 = cluster.session()
+        assert s2.snapshot_of("A") is not s1.snapshot_of("A")
+        again = s2.array_payload("A", ["v"], ndim=3)
+        again_clipped = s2.payload_in_region("A", region, ["v"], ndim=3)
+        assert (catalog.payload_misses, catalog.payload_hits) == (2, 2)
+        assert again[0] is whole[0] and again[1]["v"] is whole[1]["v"]
+        assert again_clipped[0] is clipped[0]
+        assert again_clipped[1]["v"] is clipped[1]["v"]
+
+    def test_pins_of_two_content_versions_never_cross(self):
+        # A merge-ingest makes a new content version.  The old pin must
+        # re-derive its own bytes from its frozen handles even with the
+        # cache emptied under it, and the new pin must never be handed
+        # the old version's entry.
+        cluster = _make_cluster("round_robin")
+        cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(6)])
+        catalog = cluster.catalog
+        region = Box((0, 0, 0), (1, 4, 1))
+        old = cluster.session()
+        before = old.array_payload("A", ["v"], ndim=3)
+        before_clip = old.payload_in_region("A", region, ["v"], ndim=3)
+        cluster.ingest([_chunk("A", 0, 0, 0, 5.0, value=9.0)])  # merge
+        new = cluster.session()
+        catalog._payload_cache.clear()
+        # old pin first, so its (older-epoch) entries are installed
+        # before the new pin asks
+        again = old.array_payload("A", ["v"], ndim=3)
+        again_clip = old.payload_in_region("A", region, ["v"], ndim=3)
+        assert again[0].tobytes() == before[0].tobytes()
+        assert again[1]["v"].tobytes() == before[1]["v"].tobytes()
+        assert again_clip[1]["v"].tobytes() == before_clip[1]["v"].tobytes()
+        after = new.array_payload("A", ["v"], ndim=3)
+        after_clip = new.payload_in_region("A", region, ["v"], ndim=3)
+        assert after[0] is not again[0]
+        assert after[0].shape[0] == before[0].shape[0] + 1
+        assert after_clip[0].shape[0] == before_clip[0].shape[0] + 1
+        assert 9.0 in after[1]["v"] and 9.0 not in again[1]["v"]
+        assert {k[1] for k in catalog._payload_cache} == {
+            old.payload_epoch_of("A"), new.payload_epoch_of("A"),
+        }
+
+    def test_bound_holds_through_a_session(self):
+        # One session reading more distinct regions than the LRU holds
+        # must not keep the evicted ones alive anywhere: re-reading the
+        # first region is a miss.
+        cluster = _make_cluster("round_robin")
+        cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(16)])
+        catalog = cluster.catalog
+        session = cluster.session()
+        regions = [
+            Box((0, 0, 0), (1, hi, 1))
+            for hi in range(1, catalog.PAYLOAD_CACHE_MAX + 3)
+        ]
+        for region in regions:
+            session.payload_in_region("A", region, ["v"], ndim=3)
+        assert len(catalog._payload_cache) == catalog.PAYLOAD_CACHE_MAX
+        misses = catalog.payload_misses
+        hits = catalog.payload_hits
+        session.payload_in_region("A", regions[0], ["v"], ndim=3)
+        assert catalog.payload_misses == misses + 1
+        assert catalog.payload_hits == hits
+
+
+class TestLiveReadsAreSnapshotReads:
+    """Each per-array catalog read ≡ the same read of its snapshot."""
+
+    REGION = Box((0, 2, 0), (2, 11, 9))
+
+    def _assert_live_equals_pinned(self, catalog, array):
+        snap = catalog.snapshot(array)
+        region = self.REGION
+
+        def same(got, want):
+            """Equal values; chunk handles object-identical."""
+            assert type(got) is type(want)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            elif isinstance(got, (tuple, list)):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    same(g, w)
+            elif isinstance(got, dict):
+                assert list(got) == list(want)
+                for key in got:
+                    same(got[key], want[key])
+            elif isinstance(got, ChunkData):
+                assert got is want
+            else:
+                assert got == want
+
+        same(catalog.pairs_of_array(array), snap.pairs())
+        same(catalog.placement_of_array(array), snap.placement())
+        same(catalog.scan_columns_of(array), snap.scan_columns())
+        same(
+            catalog.pairs_in_region(array, region),
+            snap.pairs_in_region(region),
+        )
+        same(
+            catalog.region_scan_columns(array, region),
+            snap.region_scan_columns(region),
+        )
+        same(catalog.region_read(array, region), snap.region_read(region))
+        same(
+            catalog.payload_of_array(array, ["v"], 3),
+            snap.payload(["v"], 3),
+        )
+        same(
+            catalog.payload_in_region(array, region, ["v"], 3),
+            snap.payload_in_region(region, ["v"], 3),
+        )
+        for cursor in (0, snap.payload_epoch - 1, snap.payload_epoch):
+            live = catalog.deltas_since(array, cursor)
+            pinned = snap.deltas_since(cursor)
+            for column in (
+                "epochs", "signs", "refs", "chunks", "sizes", "nodes"
+            ):
+                same(
+                    getattr(live, column).tolist(),
+                    getattr(pinned, column).tolist(),
+                )
+            same(
+                catalog.delta_scan_columns(array, cursor),
+                snap.delta_scan_columns(cursor),
+            )
+        return snap
+
+    def test_known_emptied_and_unknown_arrays(self):
+        cluster = _make_cluster("kd_tree")
+        a_chunks = [
+            _chunk("A", t, x, (3 * x) % 16, 10.0 + x)
+            for t in range(2) for x in range(12)
+        ]
+        b_chunks = [_chunk("B", 0, x, x, 7.0) for x in range(5)]
+        cluster.ingest(a_chunks + b_chunks)
+        cluster.scale_out(1)
+        cluster.remove_chunks([c.ref() for c in a_chunks[:4]])
+        cluster.remove_chunks([c.ref() for c in b_chunks])  # empties B
+        catalog = cluster.catalog
+        known = self._assert_live_equals_pinned(catalog, "A")
+        assert len(known) == 20
+        assert catalog.pairs_in_region("A", self.REGION)
+        emptied = self._assert_live_equals_pinned(catalog, "B")
+        assert len(emptied) == 0 and emptied.payload_epoch > 0
+        assert len(catalog.deltas_since("B", 0)) == 10  # +5, then -5
+        unknown = self._assert_live_equals_pinned(catalog, "nope")
+        assert len(unknown) == 0 and unknown.epoch == 0
+        assert len(catalog.deltas_since("nope", 0)) == 0
+        assert catalog.payload_of_array("nope", ["v"], 3)[0].shape == (0, 3)
+
 
 class TestGroupedRebalance:
     """The grouped executor ≡ the per-move oracle."""

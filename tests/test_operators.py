@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import Box
+from repro.arrays.coords import region_mask
 from repro.errors import QueryError
 from repro.query import operators as ops
 
@@ -11,11 +12,11 @@ from repro.query import operators as ops
 class TestRegionFiltering:
     def test_region_mask_half_open(self):
         coords = np.array([[0, 0], [1, 1], [2, 2]])
-        mask = ops.region_mask(coords, Box((0, 0), (2, 2)))
+        mask = region_mask(coords, Box((0, 0), (2, 2)))
         assert mask.tolist() == [True, True, False]
 
     def test_region_mask_empty_input(self):
-        mask = ops.region_mask(
+        mask = region_mask(
             np.empty((0, 2), dtype=np.int64), Box((0, 0), (2, 2))
         )
         assert mask.shape == (0,)

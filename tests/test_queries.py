@@ -254,6 +254,7 @@ class TestPolarMergeRegression:
         # formula happened to produce.
         from repro.query import ModisRollingAverage
         from repro.query import operators as ops
+        from tests.oracles.operators import filter_region
 
         cycle = small_modis.n_cycles
         result = ModisRollingAverage(small_modis, days=3).run(
@@ -263,7 +264,7 @@ class TestPolarMergeRegression:
         sums, counts = {}, {}
         for region in small_modis.polar_caps(lo, cycle):
             touched = modis_cluster.chunks_in_region("band1", region)
-            coords, values = ops.filter_region(
+            coords, values = filter_region(
                 (c for c, _ in touched), region, ["radiance"]
             )
             if coords.shape[0] == 0:

@@ -434,21 +434,10 @@ class TestRegionCostLowering:
         assert after[0] is first[0]          # cache keyed on payload epoch
         assert after[1]["v"] is first[1]["v"]
 
-    def test_accumulator_pool_reuses_and_resets(self):
-        cluster = self._loaded_cluster()
-        acc = accumulator_for(cluster)
-        acc.add_one(cluster.node_ids[0], 5.0)
-        assert acc.as_dict()
-        again = accumulator_for(cluster)
-        assert again is acc          # pooled per cluster
-        assert again.as_dict() == {}  # and zeroed on re-acquisition
-
     def test_accumulator_pool_tracks_scale_out(self):
         cluster = self._loaded_cluster()
-        acc = accumulator_for(cluster)
         cluster.scale_out(1)
         grown = accumulator_for(cluster)
-        assert grown is not acc
         new_node = max(cluster.node_ids)
         grown.add_one(new_node, 1.0)  # knows the new node
         assert grown.as_dict() == {new_node: 1.0}

@@ -29,6 +29,7 @@ from repro.cluster import ElasticCluster, TieredStorage, execute_rebalance
 from repro.cluster.costs import CostParameters
 from repro.core import make_partitioner
 from repro.core.base import Move, RebalancePlan
+from repro.core.catalog import concat_payload
 from repro.query import operators as ops
 from repro.query.cost import (
     CostAccumulator,
@@ -44,6 +45,7 @@ from repro.query.incremental import (
     MaintainedGridStats,
     join_aggregate_full,
 )
+from repro.workloads import AisWorkload
 from tests import oracles
 from tests.oracles import (
     add_scan_work_scalar,
@@ -51,6 +53,7 @@ from tests.oracles import (
     chunk_cells_scalar,
     chunks_in_region_scan,
     chunks_of_array_scan,
+    concat_payload_per_chunk,
     execute_rebalance_scalar,
     halo_shuffle_bytes_scalar,
 )
@@ -225,6 +228,52 @@ def test_chunk_cells_throughput(benchmark):
     ref = chunk_cells_scalar(schema, coords, attrs)
     assert [c.key for c in chunks] == [c.key for c in ref]
     assert [c.size_bytes for c in chunks] == [c.size_bytes for c in ref]
+
+
+# ----------------------------------------------------------------------
+# payload gather (one piece per chunk vs one slab per batch)
+# ----------------------------------------------------------------------
+GATHER_ATTRS = ["speed", "course", "ship_id"]
+
+
+def _gather_chunks():
+    """Five AIS-shaped batches in catalog order: ~6.7k ~12-cell chunks.
+
+    Time leads the chunk key, so batch after batch *is* key order — the
+    list a whole-array payload read of ``ais_inproc`` hands the gather.
+    """
+    workload = AisWorkload(
+        n_cycles=5, ships=max(50, int(500 * SCALE)),
+        broadcasts_per_ship=30, seed=20140622,
+    )
+    return [
+        chunk
+        for cycle in range(1, 6)
+        for chunk in workload.batch(cycle).chunks
+    ]
+
+
+def test_payload_gather_per_chunk(benchmark):
+    """The per-chunk oracle: (1 + attrs) reads and one piece per chunk."""
+    chunks = _gather_chunks()
+    benchmark.extra_info["items"] = len(chunks)
+
+    coords, _values = benchmark(
+        concat_payload_per_chunk, chunks, GATHER_ATTRS, 3
+    )
+    assert coords.shape[0] == sum(c.cell_count for c in chunks)
+
+
+def test_payload_gather(benchmark):
+    """The run walk: adjacent extents coalesce into one slab a batch."""
+    chunks = _gather_chunks()
+    benchmark.extra_info["items"] = len(chunks)
+
+    coords, values = benchmark(concat_payload, chunks, GATHER_ATTRS, 3)
+    want = concat_payload_per_chunk(chunks, GATHER_ATTRS, 3)
+    assert np.array_equal(coords, want[0])
+    for attr in GATHER_ATTRS:
+        assert np.array_equal(values[attr], want[1][attr])
 
 
 def test_kd_lookup_latency(benchmark):
@@ -445,7 +494,7 @@ def _cost_layout(n=COST_CHUNKS, seed=20):
         key = (0, i // 200, i % 200)
         layout.append(
             (
-                ChunkData.from_validated_cells(
+                ChunkData(
                     _COST_SCHEMA, key,
                     np.array([key], dtype=np.int64),
                     {
@@ -568,7 +617,7 @@ def _routing_chunks(n=CATALOG_CHUNKS, seed=21):
     for i in range(n):
         key = (i // 40_000, (i // 200) % 200, i % 200)
         chunks.append(
-            ChunkData.from_validated_cells(
+            ChunkData(
                 _CATALOG_SCHEMA, key,
                 np.array([key], dtype=np.int64),
                 {"v": np.array([float(i)])},
@@ -761,7 +810,7 @@ def _spill_batch(n=SPILL_CHUNKS, seed=23):
             ]
         )
         chunks.append(
-            ChunkData.from_validated_cells(
+            ChunkData(
                 _SPILL_SCHEMA, key, coords,
                 {"v": rng.random(SPILL_CELLS)},
                 size_bytes=float(rng.lognormal(18, 0.5)),
@@ -942,7 +991,7 @@ def _incr_view_fixture():
     for i in range(delta_n):
         key = (40_000, (i // 200) % 200, i % 200)
         fresh.append(
-            ChunkData.from_validated_cells(
+            ChunkData(
                 _CATALOG_SCHEMA, key,
                 np.array([key], dtype=np.int64),
                 {"v": np.array([float(i)])},

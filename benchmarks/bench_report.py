@@ -44,6 +44,8 @@ SPEEDUP_PAIRS = [
      "test_kd_lookup_batch_latency"),
     ("chunk_cells", "test_chunk_cells_scalar",
      "test_chunk_cells_throughput"),
+    ("payload_gather", "test_payload_gather_per_chunk",
+     "test_payload_gather"),
     ("cost_scan", "test_cost_scan_scalar", "test_cost_scan_batch"),
     ("halo_bytes", "test_halo_bytes_scalar", "test_halo_bytes_batch"),
     ("kmeans", "test_kmeans_scalar", "test_kmeans_batch"),

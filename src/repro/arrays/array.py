@@ -3,6 +3,11 @@
 :class:`LocalArray` is the in-memory materialization of one array — the
 coordinator uses it to chunk incoming cells, and the query engine uses the
 same interface on each simulated node's slice of the data.
+
+:func:`chunk_cells` is where cell memory is allocated: each call sorts
+its batch by chunk key into one :class:`~repro.arrays.chunk.CellArena`
+and returns the batch's chunks as extents (row ranges) of it — no
+per-chunk array is created on the ingest path.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData, ChunkKey
+from repro.arrays.chunk import CellArena, ChunkData, ChunkKey
 from repro.arrays.coords import Box, pack_rows, region_mask, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.errors import ChunkError
@@ -268,34 +273,32 @@ def cell_byte_width(
 
 def _build_chunks(
     schema: ArraySchema,
-    keys_sorted: np.ndarray,
+    group_keys: np.ndarray,
     coords_sorted: np.ndarray,
-    attrs_sorted: Mapping[str, np.ndarray],
+    attrs_sorted: Dict[str, np.ndarray],
     boundaries: np.ndarray,
     inflate: float,
 ) -> List[ChunkData]:
-    """Materialize one :class:`ChunkData` per key-sorted cell group.
+    """One :class:`ChunkData` per key-sorted cell group, as arena extents.
 
-    Uses the trusted :meth:`ChunkData.from_validated_cells` path: the
-    batch was bounds-checked up front and keys derive from coordinates,
-    so per-chunk re-validation and footprint recounts are skipped.
+    ``group_keys[i]`` is the chunk key of rows ``boundaries[i]`` to
+    ``boundaries[i + 1]``.  The sorted batch becomes one
+    :class:`~repro.arrays.chunk.CellArena` and each group its row range
+    — nothing is sliced here.  Uses the trusted
+    :meth:`ChunkData.from_extent` path: the batch was bounds-checked up
+    front and keys derive from coordinates, so per-chunk re-validation
+    and footprint recounts are skipped.
     """
     per_cell = cell_byte_width(schema, attrs_sorted)
-    names = schema.attribute_names
-    chunks: List[ChunkData] = []
-    for i in range(len(boundaries) - 1):
-        lo, hi = int(boundaries[i]), int(boundaries[i + 1])
-        key = tuple(int(v) for v in keys_sorted[lo])
-        chunk_attrs = {
-            name: attrs_sorted[name][lo:hi] for name in names
-        }
-        chunks.append(
-            ChunkData.from_validated_cells(
-                schema, key, coords_sorted[lo:hi], chunk_attrs,
-                size_bytes=float((hi - lo) * per_cell) * inflate,
-            )
+    arena = CellArena(coords_sorted, attrs_sorted)
+    bounds = boundaries.tolist()
+    return [
+        ChunkData.from_extent(
+            schema, tuple(key), arena, lo, hi,
+            size_bytes=float((hi - lo) * per_cell) * inflate,
         )
-    return chunks
+        for key, lo, hi in zip(group_keys.tolist(), bounds, bounds[1:])
+    ]
 
 
 def chunk_cells(
@@ -361,7 +364,6 @@ def chunk_cells(
         )
         change = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
 
-    keys_sorted = keys[order]
     coords_sorted = coords[order]
     attrs_sorted = {
         name: np.asarray(attributes[name])[order]
@@ -370,8 +372,9 @@ def chunk_cells(
     boundaries = np.concatenate(
         [[0], np.nonzero(change)[0] + 1, [n_cells]]
     )
-    # Groups come out of the order-preserving sort already key-sorted.
+    # Groups come out of the order-preserving sort already key-sorted;
+    # each takes its key from its first cell.
     return _build_chunks(
-        schema, keys_sorted, coords_sorted, attrs_sorted, boundaries,
-        inflate,
+        schema, keys[order[boundaries[:-1]]], coords_sorted, attrs_sorted,
+        boundaries, inflate,
     )

@@ -11,6 +11,19 @@ Chunk *physical* size is variable and tracks occupancy, not the declared
 chunk volume.  Generators may inflate the modeled ``size_bytes`` so that a
 laptop-scale cell count represents a paper-scale (tens of MB) chunk; the
 placement and provisioning layers only ever look at modeled bytes.
+
+Arenas and extents
+------------------
+The unit of cell *memory* is the ingest batch, not the chunk: one
+:func:`repro.arrays.array.chunk_cells` call sorts its batch by chunk key
+into a :class:`CellArena` — one coordinate table plus one column per
+attribute — and every chunk it produces is an *extent* ``(arena, lo,
+hi)`` of it, a row range rather than a set of arrays.  Consecutive
+chunks of one batch are consecutive row ranges, so a gather over
+key-sorted chunks (:func:`repro.core.catalog.concat_payload`) copies
+whole slabs instead of per-chunk pieces.  The per-chunk ``(coords,
+attributes)`` views are built on the first per-chunk read and never
+before.
 """
 
 from __future__ import annotations
@@ -71,6 +84,30 @@ class ChunkRef:
         return f"{self.array}@{','.join(map(str, self.key))}"
 
 
+class CellArena:
+    """The key-sorted cells of one ingest batch: the unit of cell memory.
+
+    ``coords`` is the ``(cells, ndim)`` int64 coordinate table and
+    ``columns`` maps every schema attribute to its value column, all
+    sorted by chunk key, so each chunk of the batch is a contiguous row
+    range ``[lo, hi)`` — its *extent*.  An arena is immutable once
+    built: chunks hand out views of it, gathers copy out of it, nothing
+    writes into it.
+    """
+
+    __slots__ = ("coords", "columns")
+
+    def __init__(
+        self, coords: np.ndarray, columns: Dict[str, np.ndarray]
+    ) -> None:
+        self.coords = coords
+        self.columns = columns
+
+
+#: A chunk's row range in its batch arena: ``(arena, lo, hi)``.
+Extent = Tuple[CellArena, int, int]
+
+
 class ChunkData:
     """The physical payload of one chunk: sparse cells plus byte accounting.
 
@@ -91,20 +128,37 @@ class ChunkData:
 
     Payload handle
     --------------
-    The cell data itself lives behind a one-slot indirection:
-    ``_payload`` is either the ``(coords, attributes)`` pair (*resident*)
-    or ``None`` (*spilled* — the bytes live in the owning store's
-    :class:`~repro.arrays.segment.SegmentStore` and ``_tier`` knows how
-    to fault them back in).  :attr:`coords` and :attr:`attributes` are
-    faulting properties, so every existing consumer reads through the
-    handle unchanged; identity, schema, key, and byte accounting are
-    always available without I/O.  ``_payload`` is read and written as
-    one tuple, so a concurrent evict/fault race hands a reader a stale
-    but internally consistent pair — never half of each.
+    The cell data lives behind a handle that is in one of three states:
+
+    *extent*
+        :attr:`extent` is ``(arena, lo, hi)``: the cells are rows
+        ``[lo, hi)`` of a batch :class:`CellArena` (every chunk
+        :func:`~repro.arrays.array.chunk_cells` produces).  ``_payload``
+        starts ``None`` and :meth:`payload_parts` fills it with views of
+        the arena on the first per-chunk read.  An extent never changes
+        and ``extent is not None`` implies ``_tier is None``.
+    *own arrays*
+        ``extent`` is ``None`` and ``_payload`` is the ``(coords,
+        attributes)`` pair (the validating constructor,
+        :meth:`merged_with`, a payload faulted in from a segment).
+    *spilled*
+        ``extent`` and ``_payload`` are both ``None``: the bytes live in
+        the owning store's :class:`~repro.arrays.segment.SegmentStore`
+        and ``_tier`` knows how to fault them back in.
+
+    The only transitions are extent → own arrays (a spill tier adopting
+    the chunk, :meth:`repro.arrays.storage.SpillTier.register`) and own
+    arrays ⇄ spilled (evict / fault).  :attr:`coords` and
+    :attr:`attributes` read through :meth:`payload_parts` in every
+    state; identity, schema, key, cell count and byte accounting are
+    always available without I/O and without building a view.
+    ``_payload`` is read and written as one tuple, so a concurrent
+    evict/fault race — or two threads materializing one extent — hands
+    a reader a stale but internally consistent pair, never half of each.
     """
 
     __slots__ = ("schema", "key", "size_bytes", "attr_bytes", "_ref",
-                 "_payload", "_tier")
+                 "_payload", "_tier", "_extent")
 
     def __init__(
         self,
@@ -146,6 +200,7 @@ class ChunkData:
             columns[spec.name] = values
         self._payload = (coords, columns)
         self._tier = None
+        self._extent = None
 
         box = schema.chunk_box(self.key)
         if coords.shape[0]:
@@ -168,23 +223,25 @@ class ChunkData:
         self._ref: Optional[ChunkRef] = None
 
     @classmethod
-    def from_validated_cells(
+    def from_extent(
         cls,
         schema: ArraySchema,
         key: ChunkKey,
-        coords: np.ndarray,
-        attributes: Dict[str, np.ndarray],
+        arena: CellArena,
+        lo: int,
+        hi: int,
         size_bytes: float,
     ) -> "ChunkData":
-        """Trusted constructor for pre-validated cell groups (ingest path).
+        """Trusted constructor: rows ``[lo, hi)`` of a batch arena.
 
-        :func:`repro.arrays.array.chunk_cells` validates a whole batch
-        once — attribute completeness and lengths, cell bounds — and the
-        chunk key is *derived* from the coordinates, so every group is
-        in-box by construction.  This path skips the per-chunk
-        re-validation of ``__init__`` (set algebra, box containment,
-        footprint recount), which dominates ingest time for workloads
-        producing many small chunks.
+        The ingest path (:func:`repro.arrays.array.chunk_cells`)
+        validates a whole batch once — attribute completeness and
+        lengths, cell bounds — and the chunk key is *derived* from the
+        coordinates, so every group is in-box by construction.  This
+        path skips the per-chunk re-validation of ``__init__`` (set
+        algebra, box containment, footprint recount) and slices
+        nothing: the views are built by the first
+        :meth:`payload_parts` call.
 
         Parameters
         ----------
@@ -192,25 +249,28 @@ class ChunkData:
             Owning array's schema.
         key : tuple of int
             Chunk-grid coordinates (already plain ints).
-        coords : numpy.ndarray of int64, shape (cells, ndim)
-            Cell coordinates, all inside the chunk's box.
-        attributes : dict of str to numpy.ndarray
-            Exactly the schema's attribute columns, each of length
-            ``cells``.
+        arena : CellArena
+            The batch's key-sorted cells; ``arena.columns`` holds
+            exactly the schema's attribute columns.
+        lo, hi : int
+            The chunk's row range in the arena; every row's cell lies
+            inside the chunk's box.
         size_bytes : float
             Modeled physical size (the caller prices the footprint).
 
         Returns
         -------
         ChunkData
-            An instance indistinguishable from one built by the
-            validating constructor on the same inputs.
+            An instance indistinguishable, through every public read,
+            from one built by the validating constructor on the same
+            cells.
         """
         self = object.__new__(cls)
         self.schema = schema
         self.key = key
-        self._payload = (coords, attributes)
+        self._payload = None
         self._tier = None
+        self._extent = (arena, lo, hi)
         self.size_bytes = float(size_bytes)
         self.attr_bytes = self._vertical_shares(self.size_bytes)
         self._ref = None
@@ -238,6 +298,7 @@ class ChunkData:
         self.key = tuple(int(c) for c in key)
         self._payload = None
         self._tier = None
+        self._extent = None
         self.size_bytes = float(size_bytes)
         if attr_bytes is None:
             self.attr_bytes = self._vertical_shares(self.size_bytes)
@@ -257,9 +318,17 @@ class ChunkData:
         tuple is immutable, so the pair is guaranteed to describe the
         same cells even if the spill tier evicts this chunk between the
         two reads.
+
+        The first call on an extent builds the chunk's views of its
+        arena and keeps them.  That write takes no lock: it stores one
+        tuple that is a pure function of the (immutable) extent, so two
+        racing threads store equal pairs and either is correct.
         """
         parts = self._payload
         if parts is None:
+            extent = self._extent
+            if extent is not None:
+                return self._materialize(extent)
             tier = self._tier
             if tier is None:
                 raise StorageError(
@@ -267,6 +336,26 @@ class ChunkData:
                     "any spill tier; it cannot be read"
                 )
             parts = tier.fault(self)
+        return parts
+
+    def _materialize(
+        self, extent: Extent
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Build and keep this chunk's views of its arena.
+
+        Kept out of :meth:`payload_parts`: the comprehension closes over
+        ``lo`` / ``hi``, and a closure in that body would allocate its
+        cells on every resident read too.
+        """
+        arena, lo, hi = extent
+        parts = (
+            arena.coords[lo:hi],
+            {
+                name: column[lo:hi]
+                for name, column in arena.columns.items()
+            },
+        )
+        self._payload = parts
         return parts
 
     @property
@@ -280,9 +369,18 @@ class ChunkData:
         return self.payload_parts()[1]
 
     @property
+    def extent(self) -> Optional[Extent]:
+        """``(arena, lo, hi)`` for a chunk cut from a batch arena, else ``None``.
+
+        Read-only and, while set, immutable; a spill tier adopting the
+        chunk clears it (the tier owns residency from then on).
+        """
+        return self._extent
+
+    @property
     def is_resident(self) -> bool:
         """Whether the cell payload is currently in memory."""
-        return self._payload is not None
+        return self._payload is not None or self._extent is not None
 
     # ------------------------------------------------------------------
     def _actual_nbytes(self) -> int:
@@ -309,6 +407,9 @@ class ChunkData:
     @property
     def cell_count(self) -> int:
         """Number of non-empty cells stored."""
+        extent = self._extent
+        if extent is not None:
+            return extent[2] - extent[1]
         return int(self.coords.shape[0])
 
     @property
@@ -341,11 +442,12 @@ class ChunkData:
 
     def values(self, attr: str) -> np.ndarray:
         """Value column for one attribute."""
-        if attr not in self.attributes:
+        columns = self.payload_parts()[1]
+        if attr not in columns:
             raise ChunkError(
                 f"array {self.schema.name} has no attribute {attr!r}"
             )
-        return self.attributes[attr]
+        return columns[attr]
 
     def dim_values(self, dim_name: str) -> np.ndarray:
         """Cell coordinates along one named dimension."""
@@ -381,10 +483,13 @@ class ChunkData:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         # Never fault from repr: debugging a spilled handle must not do
         # I/O (or raise, for a detached one).
-        cells = (
-            str(int(self._payload[0].shape[0]))
-            if self._payload is not None else "spilled"
-        )
+        extent, parts = self._extent, self._payload
+        if extent is not None:
+            cells = str(extent[2] - extent[1])
+        elif parts is not None:
+            cells = str(int(parts[0].shape[0]))
+        else:
+            cells = "spilled"
         return (
             f"ChunkData({self.schema.name}@{self.key}, "
             f"cells={cells}, bytes={self.size_bytes:.0f})"

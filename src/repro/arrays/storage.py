@@ -27,6 +27,10 @@ the in-memory payloads, managed by a :class:`SpillTier`:
   ``memory_budget`` bytes; the coldest unpinned chunk spills first.  A
   faulting read (:meth:`SpillTier.fault`) loads the payload back and
   re-enters it into the LRU.
+* **Own arrays on entry** — a chunk cut from a batch arena
+  (:class:`~repro.arrays.chunk.CellArena`) drops its extent when the
+  tier adopts it (:meth:`SpillTier.register`); tiered handles are
+  resident-with-own-arrays or spilled, never extents.
 * **Materialize-on-exit** — any chunk object that leaves the tier (the
   pre-merge handle replaced by a ``put``, an evicted or removed chunk)
   is faulted in and detached *before* its segment file is reclaimed.
@@ -200,7 +204,18 @@ class SpillTier:
 
     # -- membership (called by the owning ChunkStore, under lock) ------
     def register(self, chunk: ChunkData) -> None:
-        """Adopt a chunk into the tier (resident or already spilled)."""
+        """Adopt a chunk into the tier (resident or already spilled).
+
+        A chunk that arrives as an extent of a batch arena gives the
+        extent up here, its views materialized first: from now on the
+        tier alone decides whether the payload is in memory, and a
+        handle that could always re-slice its arena would make eviction
+        a no-op and the byte budget fiction.  So ``extent is not None``
+        implies ``_tier is None``, everywhere.
+        """
+        if chunk._extent is not None:
+            chunk.payload_parts()
+            chunk._extent = None
         chunk._tier = self
         if chunk._payload is not None:
             ref = chunk.ref()
@@ -594,7 +609,7 @@ class ChunkStore:
         with tier.lock, lockdep.held("spill-tier"):
             if ref in self._chunks:
                 raise StorageError(f"store already holds chunk {ref}")
-            if chunk._payload is None and ref not in tier.segments:
+            if not chunk.is_resident and ref not in tier.segments:
                 raise StorageError(
                     f"cannot adopt spilled chunk {ref}: no segment "
                     "backs it"

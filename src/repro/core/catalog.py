@@ -38,9 +38,13 @@ Epochs and the payload cache
 Every mutation that touches an array bumps that array's **epoch** (and
 the global one); mutations that change cell contents — inserts, merges,
 removals — additionally bump its **payload epoch**.  A snapshot's
-payload reads concatenate its frozen handles in catalog order and cache
-the result in the catalog's one LRU, keyed by the *content version*:
-``(array, pinned payload epoch, normalized attrs, ndim[, region])``.
+payload reads gather its frozen handles in catalog order
+(:func:`concat_payload`: chunks are extents of their ingest batch's
+arena, catalog order is batch after batch, so the gather copies one
+slab per run of adjacent extents rather than one piece per chunk) and
+cache the result in the catalog's one LRU, keyed by the *content
+version*: ``(array, pinned payload epoch, normalized attrs, ndim[,
+region])``.
 An entry is therefore a pure function of its key — every snapshot of
 one content version, in any session and across relocation-only epochs,
 shares one concatenation (ownership is not part of a payload, so
@@ -51,7 +55,10 @@ expired array the same query never recurs), and a small bound
 (:attr:`ChunkCatalog.PAYLOAD_CACHE_MAX`) ages out attr subsets and
 regions that stop being queried.  Compaction (:meth:`compact`)
 re-interns ids but preserves every observable, including live cache
-entries and epochs.
+entries and epochs.  Snapshots reach the LRU through a weak reference
+to their catalog: the catalog memoizes its snapshots, so a strong one
+would be a cycle, and a dropped cluster's chunk column and cached
+payloads would wait for the cyclic collector instead of dying with it.
 
 Content delta log
 -----------------
@@ -81,6 +88,7 @@ functions of a cluster in ``tests/oracles/cluster.py``;
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -91,7 +99,7 @@ import numpy as np
 from repro import lockdep
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
 from repro.arrays.coords import Box, pack_rows_void, region_mask
-from repro.errors import ClusterError
+from repro.errors import ChunkError, ClusterError
 
 NodeId = int
 #: A concatenated cell table: ``(coords, {attr: values})``.
@@ -108,15 +116,55 @@ def concat_payload(
     The one place chunks become a cell table: snapshot payload reads
     and the session's explicit-pair gather both call it.  ``ndim``
     shapes the empty coordinate table when ``chunks`` is empty.
+
+    A gather is a walk over *runs*, not chunks.  A chunk cut from a
+    batch arena is a row range of it
+    (:attr:`~repro.arrays.chunk.ChunkData.extent`), and key-sorted
+    neighbours of one batch are adjacent ranges, so the walk widens the
+    open run while ``extent.arena is run.arena and extent.lo == run.hi``
+    and starts a new one otherwise; a chunk without an extent is a run
+    over its own arrays, read through one ``payload_parts()`` call (one
+    fault for a spilled handle).  Each output column is then one
+    ``np.concatenate`` over one slice per run — a handful of slab
+    copies for a whole-array read of batch-ordered data, the per-chunk
+    copy list when no two chunks are adjacent.  The result is always a
+    fresh copy: it never aliases an arena or a chunk's arrays.
     """
     if not chunks:
         return (
             np.empty((0, ndim), dtype=np.int64),
             {a: np.empty(0) for a in attrs},
         )
-    coords = np.concatenate([c.coords for c in chunks], axis=0)
+    # One (coords, columns, lo, hi) per run.  The open arena run lives in
+    # three locals and is appended when it closes: widening it is then a
+    # local store per chunk, a quarter faster than updating a list slot.
+    runs: List[Tuple[np.ndarray, Dict[str, np.ndarray], int, int]] = []
+    arena, lo, hi = None, 0, 0
+    for chunk in chunks:
+        extent = chunk.extent
+        if extent is not None and extent[0] is arena and extent[1] == hi:
+            hi = extent[2]
+            continue
+        if arena is not None:
+            runs.append((arena.coords, arena.columns, lo, hi))
+        if extent is not None:
+            arena, lo, hi = extent
+            columns = arena.columns
+        else:
+            arena = None
+            coords, columns = chunk.payload_parts()
+            runs.append((coords, columns, 0, coords.shape[0]))
+        for a in attrs:
+            if a not in columns:
+                raise ChunkError(
+                    f"array {chunk.schema.name} has no attribute {a!r}"
+                )
+    if arena is not None:
+        runs.append((arena.coords, arena.columns, lo, hi))
+    coords = np.concatenate([c[lo:hi] for c, _, lo, hi in runs], axis=0)
     values = {
-        a: np.concatenate([c.values(a) for c in chunks]) for a in attrs
+        a: np.concatenate([cols[a][lo:hi] for _, cols, lo, hi in runs])
+        for a in attrs
     }
     return coords, values
 
@@ -371,7 +419,11 @@ class ArraySnapshot:
         )
         self._log = log = catalog._deltas.get(array, _EMPTY_LOG)
         self._log_count = log.count
-        self._catalog = catalog
+        # Weak: the catalog memoizes its snapshots, and a strong
+        # back-reference would make the pair a cycle that only the
+        # cyclic collector frees — every dropped cluster's chunk column
+        # and payload LRU would linger until a gen-2 pass.
+        self._catalog = weakref.ref(catalog)
 
     def __len__(self) -> int:
         return int(self._sizes.shape[0])
@@ -501,7 +553,7 @@ class ArraySnapshot:
             self.array, self.payload_epoch,
             tuple(sorted(set(attrs))), int(ndim),
         )
-        return self._catalog._cached_payload(
+        return self._cached(
             key,
             lambda: concat_payload(self._chunks.tolist(), attrs, ndim),
         )
@@ -531,7 +583,21 @@ class ArraySnapshot:
             mask = region_mask(coords, region)
             return coords[mask], {a: v[mask] for a, v in values.items()}
 
-        return self._catalog._cached_payload(key, clipped)
+        return self._cached(key, clipped)
+
+    def _cached(
+        self, key: Tuple, compute: Callable[[], Payload]
+    ) -> Payload:
+        """``compute()`` through the owning catalog's payload LRU.
+
+        A snapshot that outlives its catalog (the catalog does not keep
+        itself alive through the snapshots it memoizes) still answers
+        from its frozen handles — there is just no cache left to share.
+        """
+        catalog = self._catalog()
+        if catalog is None:
+            return compute()
+        return catalog._cached_payload(key, compute)
 
     # -- delta reads ---------------------------------------------------
     def deltas_since(self, epoch: int) -> CatalogDelta:
@@ -630,7 +696,11 @@ class ChunkCatalog:
         cap = len(self._size)
         if need <= cap:
             return
-        new_cap = max(need, cap * 2)
+        # Double until the need fits: capacity stays a power-of-two
+        # multiple of the initial one however large one batch is.
+        new_cap = cap
+        while new_cap < need:
+            new_cap *= 2
         extra = new_cap - cap
         self._refs = np.concatenate(
             [self._refs, np.empty(extra, dtype=object)]
@@ -1007,17 +1077,23 @@ class ChunkCatalog:
             return
         with self._write():
             id_of = self._id_of
+            refs = [chunk.ref() for chunk in chunks]
+            # One id allocation for the whole batch: a ref repeated
+            # inside the batch is new once, and the ids are handed out
+            # in batch order.
+            fresh_ids = iter(
+                self._alloc(len(set(refs) - id_of.keys())).tolist()
+            )
             new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
             log_by_array: Dict[str, List[Tuple]] = {}
             touched = set()
-            for chunk, node in zip(chunks, nodes):
-                ref = chunk.ref()
+            for ref, chunk, node in zip(refs, chunks, nodes):
                 array = ref.array
                 touched.add(array)
                 entries = log_by_array.setdefault(array, [])
                 i = id_of.get(ref)
                 if i is None:
-                    i = int(self._alloc(1)[0])
+                    i = next(fresh_ids)
                     id_of[ref] = i
                     self._refs[i] = ref
                     self._node[i] = node

@@ -47,7 +47,7 @@ what forces the full arm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.arrays.coords import (
     position_keys,
 )
 from repro.cluster.session import ClusterSession
+from repro.core.catalog import concat_payload
 from repro.errors import QueryError
 from repro.query import operators as ops
 from repro.query.cost import (
@@ -86,6 +87,10 @@ def delta_cells(
     ``+1``, expired cells at ``-1``.  A merge's retire/replace pair
     appears as the old payload at ``-1`` followed by the merged payload
     at ``+1`` — folding both yields exactly the net content change.
+    The cells come from the one gather
+    (:func:`repro.core.catalog.concat_payload`): a delta's rows are in
+    log order, an ingest's rows are its batch in key order, so a day's
+    delta is one slab per array and no per-chunk view is built.
 
     Returns
     -------
@@ -95,26 +100,16 @@ def delta_cells(
     weights : numpy.ndarray of int64, shape (cells,)
         Per-cell ZSet weight (the owning row's sign).
     """
-    coords_parts: List[np.ndarray] = []
-    value_parts: Dict[str, List[np.ndarray]] = {a: [] for a in attrs}
-    weight_parts: List[np.ndarray] = []
-    for chunk, sign in zip(delta.chunks.tolist(), delta.signs.tolist()):
-        cells = chunk.coords.shape[0]
-        coords_parts.append(chunk.coords)
-        for a in value_parts:  # keys, not attrs: tolerate duplicates
-            value_parts[a].append(chunk.values(a))
-        weight_parts.append(np.full(cells, int(sign), dtype=np.int64))
-    if not coords_parts:
-        return (
-            np.empty((0, ndim), dtype=np.int64),
-            {a: np.empty(0) for a in attrs},
-            np.empty(0, dtype=np.int64),
-        )
-    return (
-        np.concatenate(coords_parts, axis=0),
-        {a: np.concatenate(value_parts[a]) for a in attrs},
-        np.concatenate(weight_parts),
+    chunks = delta.chunks.tolist()
+    coords, values = concat_payload(chunks, attrs, ndim)
+    weights = np.repeat(
+        delta.signs.astype(np.int64),
+        np.fromiter(
+            (c.cell_count for c in chunks), dtype=np.int64,
+            count=len(chunks),
+        ),
     )
+    return coords, values, weights
 
 
 # ----------------------------------------------------------------------

@@ -389,8 +389,10 @@ class AisKnn(Query):
         latest = cycle * TIME_CHUNKS_PER_CYCLE - 1
         current = {
             c.key: (c, n)
-            for c, n in cluster.chunks_of_array("broadcast")
-            if c.key[0] == latest
+            for c, n in cluster.chunks_in_region(
+                "broadcast",
+                self.workload.time_chunk_box(latest, latest + 1),
+            )
         }
         if not current:
             return QueryResult(
@@ -571,10 +573,10 @@ class AisCollisionPrediction(Query):
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         latest = cycle * TIME_CHUNKS_PER_CYCLE - 1
-        touched = [
-            (c, n) for c, n in cluster.chunks_of_array("broadcast")
-            if c.key[0] == latest
-        ]
+        touched = cluster.chunks_in_region(
+            "broadcast",
+            self.workload.time_chunk_box(latest, latest + 1),
+        )
         acc = accumulator_for(cluster)
         scanned = charge_scan(
             acc, touched, ["speed", "course"], cluster.costs,

@@ -34,7 +34,7 @@ from repro.query.cost import (
 )
 from repro.query.executor import CATEGORY_SPJ, Query
 from repro.query.result import QueryResult
-from repro.workloads.ais import AisWorkload
+from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE, AisWorkload
 from repro.workloads.modis import ModisWorkload
 
 
@@ -320,11 +320,11 @@ class AisVesselJoin(Query):
         return ids, types
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
-        t_chunks = self._latest_time_chunks(cycle)
-        touched = [
-            (c, n) for c, n in cluster.chunks_of_array("broadcast")
-            if c.key[0] in t_chunks
-        ]
+        hi = cycle * TIME_CHUNKS_PER_CYCLE
+        touched = cluster.chunks_in_region(
+            "broadcast",
+            self.workload.time_chunk_box(hi - TIME_CHUNKS_PER_CYCLE, hi),
+        )
         acc = accumulator_for(cluster)
         scanned = charge_scan(
             acc, touched, ["ship_id", "speed"], cluster.costs,
@@ -355,9 +355,3 @@ class AisVesselJoin(Query):
             per_node_seconds=acc.as_dict(),
             scanned_bytes=scanned,
         )
-
-    def _latest_time_chunks(self, cycle: int) -> set:
-        from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE
-
-        hi = cycle * TIME_CHUNKS_PER_CYCLE
-        return set(range(hi - TIME_CHUNKS_PER_CYCLE, hi))

@@ -25,6 +25,7 @@ from typing import Any, Callable, List, Tuple
 from repro.arrays.array import chunk_cells
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.coordinator import execute_rebalance
+from repro.core.catalog import concat_payload
 from repro.core.ledger import ArrayChunkLedger
 from repro.parallel.engine import ProcessEngine
 from repro.query.cost import (
@@ -40,7 +41,7 @@ from repro.query.cost import (
     halo_shuffle_bytes,
     region_scan_columns,
 )
-from repro.query.incremental import join_aggregate_full
+from repro.query.incremental import delta_cells, join_aggregate_full
 from repro.query.operators import (
     count_close_pairs,
     group_count_by_grid,
@@ -53,6 +54,7 @@ from repro.query.operators import (
 from repro.query.science import AisKnn
 
 from tests.oracles.arrays import chunk_cells_scalar
+from tests.oracles.catalog import concat_payload_per_chunk
 from tests.oracles.cluster import (
     array_payload_scan,
     chunk_data_scan,
@@ -77,7 +79,10 @@ from tests.oracles.cost import (
     halo_shuffle_bytes_scalar,
     region_scan_columns_scan,
 )
-from tests.oracles.incremental import join_aggregate_scalar
+from tests.oracles.incremental import (
+    delta_cells_per_chunk,
+    join_aggregate_scalar,
+)
 from tests.oracles.ledger import DictChunkLedger
 from tests.oracles.operators import (
     count_close_pairs_scalar,
@@ -108,6 +113,8 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (ElasticCluster.array_payload, array_payload_scan, "same"),
     (ElasticCluster.payload_in_region, payload_in_region_scan, "same"),
     (execute_rebalance, execute_rebalance_scalar, "same"),
+    # the gather: one read per chunk per column
+    (concat_payload, concat_payload_per_chunk, "same"),
     # cost kernels
     (add_scan_work, add_scan_work_scalar, "lowered"),
     (charge_network, add_network_work_scalar, "lowered"),
@@ -132,6 +139,7 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (knn_mean_distance, knn_mean_distance_scalar, "same"),
     (count_close_pairs, count_close_pairs_scalar, "same"),
     (join_aggregate_full, join_aggregate_scalar, "same"),
+    (delta_cells, delta_cells_per_chunk, "same"),
     # region selection, per chunk
     (ElasticCluster.payload_in_region, filter_region, "lowered"),
     # the process backend's shuffle exchanges, run serially

@@ -22,8 +22,10 @@ from repro.cluster.costs import CostParameters
 from repro.cluster.network import rebalance_time
 from repro.cluster.node import Node
 from repro.core.base import RebalancePlan
-from repro.core.catalog import ChunkCatalog, concat_payload
+from repro.core.catalog import ChunkCatalog
 from repro.errors import ClusterError
+
+from tests.oracles.catalog import concat_payload_per_chunk
 
 
 def chunks_of_array_scan(
@@ -78,7 +80,7 @@ def array_payload_scan(
     ndim: int = 0,
 ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Re-concatenate the walked chunks on every call."""
-    return concat_payload(
+    return concat_payload_per_chunk(
         [c for c, _ in chunks_of_array_scan(cluster, array)], attrs, ndim
     )
 
@@ -91,7 +93,7 @@ def payload_in_region_scan(
     ndim: int = 0,
 ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Re-walk the touched chunks and re-mask on every call."""
-    coords, values = concat_payload(
+    coords, values = concat_payload_per_chunk(
         [c for c, _ in chunks_in_region_scan(cluster, array, region)],
         attrs, ndim,
     )

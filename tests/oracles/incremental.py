@@ -1,13 +1,44 @@
-"""Per-row reference for :func:`repro.query.incremental.join_aggregate_full`.
+"""References for :mod:`repro.query.incremental`, moved verbatim from it.
 
-Moved verbatim from ``repro.query.incremental``.
+``join_aggregate_scalar`` is the per-row form of
+``join_aggregate_full``; ``delta_cells_per_chunk`` is ``delta_cells``
+from before it lowered a delta through the run gather — one ``coords``
+read, one ``values(attr)`` read and one weight array per chunk row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+
+def delta_cells_per_chunk(
+    delta,
+    attrs: Sequence[str],
+    ndim: int,
+) -> Tuple[np.ndarray, Dict[str, np.ndarray], np.ndarray]:
+    """Lower a ``CatalogDelta`` to signed cell columns, chunk by chunk."""
+    coords_parts: List[np.ndarray] = []
+    value_parts: Dict[str, List[np.ndarray]] = {a: [] for a in attrs}
+    weight_parts: List[np.ndarray] = []
+    for chunk, sign in zip(delta.chunks.tolist(), delta.signs.tolist()):
+        cells = chunk.coords.shape[0]
+        coords_parts.append(chunk.coords)
+        for a in value_parts:  # keys, not attrs: tolerate duplicates
+            value_parts[a].append(chunk.values(a))
+        weight_parts.append(np.full(cells, int(sign), dtype=np.int64))
+    if not coords_parts:
+        return (
+            np.empty((0, ndim), dtype=np.int64),
+            {a: np.empty(0) for a in attrs},
+            np.empty(0, dtype=np.int64),
+        )
+    return (
+        np.concatenate(coords_parts, axis=0),
+        {a: np.concatenate(value_parts[a]) for a in attrs},
+        np.concatenate(weight_parts),
+    )
 
 
 def join_aggregate_scalar(

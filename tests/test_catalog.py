@@ -12,8 +12,15 @@ Covers the ISSUE-4 catalog contract:
 * the grouped rebalance executor is physically equivalent to the
   per-move oracle, including chained moves;
 * :class:`ChunkStore`'s batch APIs and the dirty-bit sorted-ref cache;
-* catalog compaction preserves every observable.
+* catalog compaction preserves every observable;
+* the gather (``concat_payload``) walks runs of adjacent arena extents
+  and equals the per-chunk oracle (``tests/oracles/catalog.py``) element
+  for element and dtype for dtype, never aliasing an arena;
+* a dropped catalog is freed by reference counting alone.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkData, ChunkRef, parse_schema
+from repro.arrays.array import chunk_cells
 from repro.arrays.storage import ChunkStore
 from repro.config import parity
 from repro.cluster import (
@@ -33,13 +41,19 @@ from repro.cluster.node import Node
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.base import Move, RebalancePlan
 from repro.core.catalog import ChunkCatalog, concat_payload
-from repro.errors import ClusterError, ConfigError, StorageError
+from repro.errors import (
+    ChunkError,
+    ClusterError,
+    ConfigError,
+    StorageError,
+)
 from repro.query.cost import array_scan_columns
 from tests.oracles import (
     array_payload_scan,
     array_scan_columns_scan,
     chunk_data_scan,
     chunks_of_array_scan,
+    concat_payload_per_chunk,
     execute_rebalance_scalar,
     placement_of_array_scan,
 )
@@ -753,3 +767,256 @@ class TestCatalogInternals:
         coords, values = concat_payload([], ["v"], ndim=3)
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
+
+    def test_repeated_ref_in_one_batch_takes_one_id(self):
+        # Ids are allocated once per batch from the count of *distinct*
+        # unseen refs: 64 refs listed twice fill the initial 64 slots
+        # exactly.
+        catalog = ChunkCatalog()
+        chunks = [_chunk("A", t, 0, 0, 10.0) for t in range(64)]
+        catalog.put_batch(chunks + chunks, [0] * 128)
+        assert catalog.chunk_count == 64
+        assert catalog.column_capacity == 64
+        assert catalog.dead_slot_fraction == 0.0
+        assert [c for c, _ in catalog.pairs_of_array("A")] == chunks
+
+    def test_capacity_doubles_until_the_batch_fits(self):
+        catalog = ChunkCatalog()
+        catalog.put_batch(
+            [_chunk("A", t, 0, 0, 10.0) for t in range(200)], [0] * 200
+        )
+        assert catalog.column_capacity == 256
+        # freed ids are reused before the columns grow again
+        catalog.remove_batch(
+            [ChunkRef("A", (t, 0, 0)) for t in range(100)]
+        )
+        catalog.put_batch(
+            [_chunk("B", t, 0, 0, 10.0) for t in range(150)], [1] * 150
+        )
+        assert catalog.chunk_count == 250
+        assert catalog.column_capacity == 256
+
+
+GATHER_SCHEMA = parse_schema(
+    "G<v:double, n:int32, tag:string>[t=0:*,4, x=0:15,2]"
+)
+GATHER_ATTRS = ("v", "n", "tag")
+
+
+def _gather_batch(seed, t0, cells=60):
+    """One ``chunk_cells`` call: every chunk an extent of one arena."""
+    rng = np.random.default_rng(seed)
+    coords = np.stack(
+        [rng.integers(t0, t0 + 8, cells), rng.integers(0, 16, cells)],
+        axis=1,
+    )
+    attrs = {
+        "v": rng.random(cells),
+        "n": rng.integers(0, 99, cells).astype(np.int32),
+        "tag": np.array([f"s{seed}-{i}" for i in range(cells)], dtype=object),
+    }
+    return chunk_cells(GATHER_SCHEMA, coords, attrs)
+
+
+def _own_arrays(chunk, wide=False):
+    """The validating constructor's copy of ``chunk`` (no extent).
+
+    ``wide`` stores ``n`` as int64, so a gather mixing it with arena
+    chunks has to promote the column exactly as the oracle does.
+    """
+    columns = {a: chunk.values(a).copy() for a in GATHER_ATTRS}
+    if wide:
+        columns["n"] = columns["n"].astype(np.int64)
+    return ChunkData(
+        GATHER_SCHEMA, chunk.key, chunk.coords.copy(), columns
+    )
+
+
+def _gather_pools():
+    """``(batch order, interleaved)``: the same chunks, two orders.
+
+    Three arenas' extents in key order (long runs), validating-
+    constructor chunks, ``merged_with`` results and one empty chunk;
+    the interleaved order deals them round-robin so that no two
+    neighbours are adjacent extents.
+    """
+    arenas = [_gather_batch(seed, 8 * seed) for seed in range(3)]
+    spare = _gather_batch(7, 64)
+    loners = [
+        _own_arrays(spare[0]),
+        _own_arrays(spare[1], wide=True),
+        spare[2].merged_with(_own_arrays(spare[2])),
+        _own_arrays(spare[3]).merged_with(spare[3]),
+        ChunkData(
+            GATHER_SCHEMA, (99, 0),
+            np.empty((0, 2), dtype=np.int64),
+            {
+                "v": np.empty(0),
+                "n": np.empty(0, dtype=np.int32),
+                "tag": np.empty(0, dtype=object),
+            },
+        ),
+    ]
+    ordered = [c for arena in arenas for c in arena] + loners
+    groups = arenas + [loners]
+    longest = max(len(g) for g in groups)
+    interleaved = [
+        g[i] for i in range(longest) for g in groups if i < len(g)
+    ]
+    return ordered, interleaved
+
+
+GATHER_POOLS = _gather_pools()
+
+
+def _assert_same_table(got, want):
+    assert got[0].dtype == want[0].dtype
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0], want[0])
+    assert list(got[1]) == list(want[1])
+    for attr, column in want[1].items():
+        assert got[1][attr].dtype == column.dtype, attr
+        assert got[1][attr].shape == column.shape, attr
+        assert np.array_equal(got[1][attr], column), attr
+
+
+class TestRunGather:
+    """``concat_payload`` ≡ the per-chunk oracle on any chunk list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        interleaved=st.booleans(),
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, len(GATHER_POOLS[0]) - 1),
+                st.integers(1, 40),
+                st.sampled_from([1, 1, 1, 2, -1]),
+            ),
+            max_size=6,
+        ),
+        attrs=st.lists(
+            st.sampled_from(GATHER_ATTRS), max_size=3, unique=True
+        ),
+    )
+    def test_equals_per_chunk_oracle(self, interleaved, windows, attrs):
+        # Each window is a strided slice of one pool order: step 1 over
+        # batch order is a run of adjacent extents, step 2 sub-samples
+        # (adjacency broken by the gaps), step -1 walks a batch
+        # backwards, and windows overlap, repeat and jump arenas.
+        pool = GATHER_POOLS[interleaved]
+        chunks = []
+        for start, length, step in windows:
+            stop = start + length * step
+            chunks.extend(
+                pool[start:stop:step] if stop >= 0 else pool[start::step]
+            )
+        _assert_same_table(
+            concat_payload(chunks, attrs, ndim=2),
+            concat_payload_per_chunk(chunks, attrs, ndim=2),
+        )
+
+    def test_whole_pools_and_every_single_chunk(self):
+        for pool in GATHER_POOLS:
+            _assert_same_table(
+                concat_payload(pool, GATHER_ATTRS, ndim=2),
+                concat_payload_per_chunk(pool, GATHER_ATTRS, ndim=2),
+            )
+        for chunk in GATHER_POOLS[0]:
+            _assert_same_table(
+                concat_payload([chunk], ["n"], ndim=2),
+                concat_payload_per_chunk([chunk], ["n"], ndim=2),
+            )
+
+    def test_key_sorted_batches_are_one_slice_each(self, monkeypatch):
+        # Three batches in catalog (key) order: every output column is
+        # built from three slabs, not from one piece per chunk.
+        batches = [_gather_batch(seed, 8 * seed) for seed in range(3)]
+        chunks = [c for batch in batches for c in batch]
+        assert len(chunks) > 30
+        pieces = []
+        real = np.concatenate
+
+        def spy(arrays, *args, **kwargs):
+            pieces.append(len(arrays))
+            return real(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", spy)
+        concat_payload(chunks, ["v", "tag"], ndim=2)
+        assert pieces == [3, 3, 3]
+        # ...and no per-chunk view was built on the way.
+        assert all(c._payload is None for c in chunks)
+
+    def test_result_never_aliases_an_arena(self):
+        batch = _gather_batch(11, 0)
+        arena = batch[0].extent[0]
+        loner = _own_arrays(batch[0])
+        for chunks in (batch, batch[:1], batch[2:5], [loner]):
+            coords, values = concat_payload(chunks, GATHER_ATTRS, ndim=2)
+            sources = [arena.coords, loner.coords]
+            sources += list(arena.columns.values())
+            sources += list(loner.attributes.values())
+            for out in (coords, *values.values()):
+                assert out.flags.owndata
+                assert not any(np.shares_memory(out, s) for s in sources)
+
+    @pytest.mark.parametrize("own", [False, True])
+    def test_unknown_attribute_keeps_the_chunk_error(self, own):
+        chunks = _gather_batch(12, 0)
+        if own:
+            chunks = [_own_arrays(c) for c in chunks]
+        for gather in (concat_payload, concat_payload_per_chunk):
+            with pytest.raises(ChunkError) as err:
+                gather(chunks, ["v", "nope"], ndim=2)
+            assert str(err.value) == "array G has no attribute 'nope'"
+
+    def test_empty_list_keeps_its_shapes(self):
+        _assert_same_table(
+            concat_payload([], ["v", "n"], ndim=2),
+            concat_payload_per_chunk([], ["v", "n"], ndim=2),
+        )
+        coords, values = concat_payload([], ["v"], ndim=2)
+        assert coords.shape == (0, 2) and coords.dtype == np.int64
+        assert values["v"].shape == (0,)
+
+
+class TestCatalogLifetime:
+    """The catalog is not kept alive by the snapshots it memoizes."""
+
+    def test_dropped_cluster_is_freed_without_the_cyclic_gc(
+        self, small_modis
+    ):
+        from repro.harness import ExperimentRunner, RunConfig
+
+        gc.collect()
+        gc.disable()
+        try:
+            runner = ExperimentRunner(
+                small_modis, RunConfig(partitioner="hilbert_curve")
+            )
+            runner.run()  # ingest + the six-query suite, every cycle
+            cluster = runner.cluster
+            session = cluster.session()
+            session.array_payload("band1", ["radiance"], 3)
+            catalog = weakref.ref(cluster.catalog)
+            assert catalog()._snapshot_cache
+            assert catalog()._payload_cache
+            del runner, cluster, session
+            assert catalog() is None
+        finally:
+            gc.enable()
+
+    def test_snapshot_outliving_its_catalog_still_reads(self):
+        catalog = ChunkCatalog()
+        chunks = [_chunk("A", t, 0, 0, 10.0, value=t) for t in range(5)]
+        catalog.put_batch(chunks, [0] * 5)
+        snap = catalog.snapshot("A")
+        want = snap.payload(["v"], 3)
+        del catalog
+        coords, values = snap.payload(["v"], 3)
+        assert coords is not want[0]  # no cache left to share
+        assert np.array_equal(coords, want[0])
+        assert np.array_equal(values["v"], want[1]["v"])
+        region = Box((1, 0, 0), (3, 1, 1))
+        assert snap.payload_in_region(region, ["v"], 3)[1]["v"].tolist() == [
+            1.0, 2.0
+        ]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.arrays import Box, ChunkData, ChunkRef, LocalArray, empty_chunk
 from repro.arrays.array import chunk_cells
+from repro.arrays.chunk import CellArena
 from repro.errors import ChunkError
 
 
@@ -169,6 +170,87 @@ class TestChunkCells:
             {"i": np.empty(0, dtype=np.int32), "j": np.empty(0)},
         )
         assert out == []
+
+
+class TestExtents:
+    """Chunks cut from a batch are row ranges of one arena."""
+
+    def _batch(self, schema):
+        rng = np.random.default_rng(5)
+        coords = rng.integers(1, 5, size=(40, 2))
+        attrs = {
+            "i": np.arange(40, dtype=np.int32),
+            "j": rng.random(40),
+        }
+        return chunk_cells(schema, coords, attrs, inflate=3.0)
+
+    def test_one_arena_adjacent_extents(self, tiny_schema):
+        chunks = self._batch(tiny_schema)
+        arena = chunks[0].extent[0]
+        assert isinstance(arena, CellArena)
+        assert set(arena.columns) == {"i", "j"}
+        at = 0
+        for chunk in chunks:
+            got_arena, lo, hi = chunk.extent
+            assert got_arena is arena
+            assert lo == at and hi > lo
+            at = hi
+        assert at == arena.coords.shape[0] == 40
+
+    def test_metadata_reads_never_materialize(self, tiny_schema):
+        for chunk in self._batch(tiny_schema):
+            _, lo, hi = chunk.extent
+            assert chunk.cell_count == hi - lo
+            assert chunk.size_bytes == pytest.approx(
+                3.0 * (hi - lo) * (16 + 4 + 8)
+            )
+            assert chunk.ref() == ChunkRef("A", chunk.key)
+            assert chunk.bytes_for(["i", "j"]) == pytest.approx(
+                chunk.size_bytes
+            )
+            assert f"cells={hi - lo}" in repr(chunk)
+            assert chunk.is_resident
+            assert chunk._payload is None  # still no per-chunk view
+
+    def test_payload_parts_are_the_arena_slices(self, tiny_schema):
+        for chunk in self._batch(tiny_schema):
+            arena, lo, hi = chunk.extent
+            parts = chunk.payload_parts()
+            coords, columns = parts
+            assert np.array_equal(coords, arena.coords[lo:hi])
+            assert np.shares_memory(coords, arena.coords)
+            assert list(columns) == list(arena.columns)
+            for name, column in columns.items():
+                assert np.array_equal(column, arena.columns[name][lo:hi])
+                assert column.dtype == arena.columns[name].dtype
+                assert np.shares_memory(column, arena.columns[name])
+            # idempotent: the same tuple from then on, through every
+            # per-chunk accessor
+            assert chunk.payload_parts() is parts
+            assert chunk.coords is coords
+            assert chunk.attributes is columns
+            assert chunk.values("j") is columns["j"]
+            assert chunk.extent == (arena, lo, hi)
+
+    def test_extent_is_read_only(self, tiny_schema):
+        chunk = self._batch(tiny_schema)[0]
+        with pytest.raises(AttributeError):
+            chunk.extent = None
+
+    def test_every_other_constructor_owns_its_arrays(self, tiny_schema):
+        first, second = self._batch(tiny_schema)[:2]
+        twin = ChunkData(
+            tiny_schema, first.key, first.coords, first.attributes
+        )
+        merged = first.merged_with(twin)
+        spilled = ChunkData.spilled(tiny_schema, second.key, 10.0)
+        for chunk in (
+            make_chunk(tiny_schema), twin, merged, spilled,
+            empty_chunk(tiny_schema, (0, 0)),
+        ):
+            assert chunk.extent is None
+        assert merged.cell_count == 2 * first.cell_count
+        assert not spilled.is_resident
 
 
 class TestLocalArray:

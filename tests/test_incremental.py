@@ -44,7 +44,7 @@ from repro.query.incremental import (
     join_aggregate_full,
     position_side,
 )
-from tests.oracles import join_aggregate_scalar
+from tests.oracles import delta_cells_per_chunk, join_aggregate_scalar
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 DOMAIN = Box((0, 0, 0), (10_000, 16, 16))
@@ -802,3 +802,32 @@ class TestDeltaCells:
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
         assert weights.shape == (0,)
+
+    def test_equals_per_chunk_lowering_over_a_churned_log(
+        self, small_modis
+    ):
+        # Ingested batches (arena extents, one slab a day), merges
+        # (own arrays) and expiries (the retired handles at -1), every
+        # cursor: the run gather and the per-chunk walk agree exactly.
+        from repro.harness import ExperimentRunner, RunConfig
+
+        runner = ExperimentRunner(
+            small_modis, RunConfig(partitioner="kd_tree", run_queries=False)
+        )
+        runner.run()
+        cluster = runner.cluster
+        pairs = cluster.chunks_of_array("band1")
+        cluster.ingest([c for c, _ in pairs[:7]])  # merge into stored
+        cluster.remove_chunks([c.ref() for c, _ in pairs[3:40:2]])
+        last = cluster.catalog.payload_epoch_of("band1")
+        for cursor in (0, 1, last // 2, last - 1, last):
+            delta = cluster.deltas_since("band1", cursor)
+            got = delta_cells(delta, ["radiance", "radiance"], 3)
+            want = delta_cells_per_chunk(delta, ["radiance", "radiance"], 3)
+            assert got[0].dtype == want[0].dtype
+            assert np.array_equal(got[0], want[0])
+            assert got[1]["radiance"].dtype == want[1]["radiance"].dtype
+            assert np.array_equal(got[1]["radiance"], want[1]["radiance"])
+            assert got[2].dtype == want[2].dtype
+            assert np.array_equal(got[2], want[2])
+        assert len(cluster.deltas_since("band1", 0)) > len(pairs)

@@ -23,13 +23,14 @@ import pytest
 from repro import lockdep
 from repro.config import parity
 from repro.core import ALL_PARTITIONERS
-from repro.core.catalog import ChunkCatalog
+from repro.core.catalog import ChunkCatalog, concat_payload
 from repro.errors import WorkerFailedError
 from repro.harness import ExperimentRunner, RunConfig
 from repro.parallel import ProcessEngine
 from repro.query import ais_suite, modis_suite, operators as ops
 from repro.query.executor import run_suite
 from repro.workloads import AisWorkload, ModisWorkload
+from tests.oracles.catalog import concat_payload_per_chunk
 from tests.oracles.parallel import (
     serial_equi_join,
     serial_kmeans,
@@ -207,6 +208,45 @@ class TestSyncLockOrder:
         finally:
             lockdep.disable()
         assert got == want
+
+
+class TestGatherOverExtents:
+    """``gather_pairs`` ≡ the local run gather on arena-extent chunks."""
+
+    def test_worker_gather_equals_local_gather(self, ais):
+        runner = ExperimentRunner(
+            ais, RunConfig(partitioner="hilbert_curve", run_queries=False)
+        )
+        runner.run()
+        cluster = runner.cluster
+        attrs = ["speed", "ship_id", "receiver_id"]
+        try:
+            with parity(exec="process"):
+                engine = cluster.exec_backend()
+                session = cluster.session()
+                pairs = session.chunks_of_array("broadcast")
+                # every ingested chunk still is an extent of its
+                # quarter's arena: sync shipped views, not copies
+                assert len(pairs) > 100
+                assert all(c.extent is not None for c, _ in pairs)
+                assert len({id(c.extent[0]) for c, _ in pairs}) == 4
+                for subset in (pairs, pairs[5:60:3], pairs[::-1][:40]):
+                    chunks = [c for c, _ in subset]
+                    got = engine.gather_pairs(subset, attrs, 3)
+                    local = concat_payload(chunks, attrs, 3)
+                    oracle = concat_payload_per_chunk(chunks, attrs, 3)
+                    for want in (local, oracle):
+                        assert got[0].dtype == want[0].dtype
+                        assert got[0].tobytes() == want[0].tobytes()
+                        for attr in attrs:
+                            assert got[1][attr].dtype == want[1][attr].dtype
+                            assert (
+                                got[1][attr].tolist()
+                                == want[1][attr].tolist()
+                            )
+                assert engine.stale_fallbacks == 0
+        finally:
+            cluster.close_exec()
 
 
 class TestExchangeParity:

@@ -40,9 +40,12 @@ from repro.cluster import (
     GB,
     TieredStorage,
 )
+from repro.arrays.array import chunk_cells
 from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
+from repro.core.catalog import concat_payload
 from repro.errors import SegmentCorruptError, StorageError
+from tests.oracles import concat_payload_per_chunk
 
 SCHEMA = parse_schema("S<v:double, n:int32, tag:string>[t=0:*,2, x=0:7,4]")
 GRID = Box((0, 0), (64, 2))
@@ -255,6 +258,57 @@ class TestSpillLRU:
     def test_memory_budget_requires_segments(self):
         with pytest.raises(StorageError, match="segment store"):
             ChunkStore(memory_budget=10.0)
+
+
+class TestExtentsGiveWayToTheTier:
+    """A tiered handle is own-arrays or spilled, never an arena extent."""
+
+    def _batch(self, cells=40):
+        rng = np.random.default_rng(3)
+        coords = np.stack(
+            [rng.integers(0, 16, cells), rng.integers(0, 8, cells)], axis=1
+        )
+        tags = np.empty(cells, dtype=object)
+        tags[:] = [f"ship-{i}" for i in range(cells)]
+        attrs = {
+            "v": rng.normal(size=cells),
+            "n": np.arange(cells, dtype=np.int32),
+            "tag": tags,
+        }
+        return chunk_cells(SCHEMA, coords, attrs)
+
+    def test_register_drops_the_extent(self, tmp_path):
+        chunks = self._batch()
+        want = concat_payload_per_chunk(self._batch(), ["v", "tag"], 2)
+        assert all(c.extent is not None for c in chunks)
+        budget = 3 * chunks[0].size_bytes
+        store = _tiered_store(str(tmp_path), budget=budget)
+        assert store.put_many(chunks) == chunks
+        tier = store.tier
+        tier.check()
+        for chunk in chunks:
+            assert chunk.extent is None and chunk._tier is tier
+            # residency is the tier's call now, not the arena's
+            assert chunk.is_resident == (chunk.ref() in tier._resident)
+        assert 0 < tier.resident_count < len(chunks)
+        assert tier.resident_bytes <= budget
+        got = concat_payload(chunks, ["v", "tag"], 2)
+        assert np.array_equal(got[0], want[0])
+        assert got[1]["v"].tobytes() == want[1]["v"].tobytes()
+        assert got[1]["tag"].tolist() == want[1]["tag"].tolist()
+        tier.check()
+
+    def test_gather_over_evicted_chunks_faults_once_each(self, tmp_path):
+        chunks = self._batch()
+        store = _tiered_store(str(tmp_path), budget=0.0)
+        store.put_many(chunks)
+        tier = store.tier
+        assert tier.resident_count == 0
+        assert not any(c.is_resident for c in chunks)
+        concat_payload(chunks, ["v", "n", "tag"], 2)
+        # one payload_parts() per cold handle, whatever the column count
+        assert tier.fault_count == len(chunks)
+        tier.check()
 
 
 class TestFaultInjection:

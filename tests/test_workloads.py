@@ -193,6 +193,28 @@ class TestAisWorkload:
         assert recent.lo[0] > 0
         assert full.hi == recent.hi
 
+    def test_time_chunk_box_routes_exactly_the_time_slab(self, small_ais):
+        from repro.core.catalog import ChunkCatalog
+
+        catalog = ChunkCatalog()
+        for cycle in range(1, small_ais.n_cycles + 1):
+            chunks = small_ais.batch(cycle).chunks
+            catalog.put_batch(chunks, [0] * len(chunks))
+        pairs = catalog.pairs_of_array("broadcast")
+        last = max(c.key[0] for c, _ in pairs)
+        assert last >= 7
+        for lo, hi in (
+            (last, last + 1), (last - 3, last + 1), (0, 4), (2, 3),
+            (0, last + 1), (-4, 0), (-1, 1), (last + 1, last + 9), (3, 3),
+        ):
+            slab = small_ais.time_chunk_box(lo, hi)
+            want = [(c, n) for c, n in pairs if lo <= c.key[0] < hi]
+            assert catalog.pairs_in_region("broadcast", slab) == want
+        # the slab spans the declared longitude / latitude domain
+        slab = small_ais.time_chunk_box(1, 2)
+        assert slab.lo == (43200, -180, 0)
+        assert slab.hi == (86400, -65, 91)
+
     def test_cells_within_cycle_time_range(self, small_ais):
         batch = small_ais.batch(2)
         t0, t1 = small_ais.cycle_time_range(2)

@@ -11,6 +11,12 @@ an already-normalized record — a regenerated ``BENCH_micro.json`` — and
 then a top-level section of the baseline that the new record lost
 (``"calibration"``, ``"concurrent"``) fails the gate as well.
 
+``--mode speedups`` compares single-run batch-vs-scalar ratios.  A ratio
+whose batch arm runs under 200 µs (in this run or in the baseline) is
+skipped with a printed reason instead of gated: timer granularity and
+scheduler noise move a loop that short by more than the tolerance
+between two runs of identical code, so its verdict would be a coin flip.
+
 Usage::
 
     python benchmarks/bench_gate.py [--baseline BENCH_micro.json]
@@ -31,7 +37,34 @@ import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_report import REPO_ROOT, normalize, run_benchmarks  # noqa: E402
+from bench_report import (  # noqa: E402
+    REPO_ROOT,
+    SPEEDUP_PAIRS,
+    normalize,
+    run_benchmarks,
+)
+
+#: Batch arms shorter than this make a single-run speedup ungateable.
+MIN_BATCH_ARM_SECONDS = 200e-6
+
+
+def short_batch_arms(*records: dict) -> dict:
+    """Speedup key -> shortest batch-arm mean under the 200 µs floor.
+
+    Looks at every given record (baseline and current run): a ratio is
+    only as steady as the shorter of the two measurements behind it.
+    """
+    short: dict = {}
+    for key, _scalar_name, batch_name in SPEEDUP_PAIRS:
+        means = [
+            entry["mean_seconds"]
+            for record in records
+            for entry in [record.get("hot_paths", {}).get(batch_name)]
+            if entry and entry.get("mean_seconds")
+        ]
+        if means and min(means) < MIN_BATCH_ARM_SECONDS:
+            short[key] = min(means)
+    return short
 
 
 def _best_case_ips(entry: dict):
@@ -133,11 +166,24 @@ def main(argv=None) -> int:
         section for section, value in baseline_report.items()
         if isinstance(value, dict) and section not in report
     )
+    skipped: dict = {}
     if args.mode == "speedups":
-        base_speedups = baseline_report.get(
-            "batch_vs_scalar_speedup", {}
-        )
         cur_speedups = report.get("batch_vs_scalar_speedup", {})
+        # (a ratio the current run lost still fails as missing)
+        skipped = {
+            key: seconds
+            for key, seconds in short_batch_arms(
+                baseline_report, report
+            ).items()
+            if key in cur_speedups
+        }
+        base_speedups = {
+            key: value
+            for key, value in baseline_report.get(
+                "batch_vs_scalar_speedup", {}
+            ).items()
+            if key not in skipped
+        }
         rows = compare(
             {k: {"items": v, "min_seconds": 1.0}
              for k, v in base_speedups.items()},
@@ -156,6 +202,12 @@ def main(argv=None) -> int:
     failures = len(vanished)
     for section in vanished:
         print(f"FAIL section {section!r} of the baseline is gone")
+    for name, seconds in sorted(skipped.items()):
+        print(
+            f"skip {name:45s} batch arm runs {seconds * 1e6:.0f} µs "
+            f"(< {MIN_BATCH_ARM_SECONDS * 1e6:.0f} µs): too short for a "
+            f"single-run ratio to be gated"
+        )
     for name, base_ips, cur_ips, ratio, ok in rows:
         if cur_ips is None:
             print(f"FAIL {name:45s} missing from current run")
@@ -170,7 +222,7 @@ def main(argv=None) -> int:
         if not ok:
             failures += 1
 
-    extra = sorted(set(current) - {r[0] for r in rows})
+    extra = sorted(set(current) - {r[0] for r in rows} - set(skipped))
     for name in extra:
         print(f"new  {name:45s} (not in baseline)")
 

@@ -13,7 +13,14 @@ Usage::
 
     python benchmarks/bench_report.py [--output BENCH_micro.json]
                                       [--input existing-benchmark.json]
+                                      [--only PYTEST_K_EXPRESSION]
                                       [--calibration-repeats N]
+
+``--only`` re-runs just the benchmarks a pytest ``-k`` expression
+selects and refreshes their rows (and the speedups derived from them)
+inside ``hot_paths`` / ``batch_vs_scalar_speedup``; every other row of
+the record stays as it was.  A full run replaces both sections whole,
+so a retired benchmark leaves the record.
 
 With ``--input`` an existing pytest-benchmark JSON is normalized without
 re-running the suite (useful on CI where the run and the report are
@@ -133,8 +140,11 @@ def _percentiles(values, qs):
     return np.percentile(np.asarray(values, dtype=float), qs)
 
 
-def run_benchmarks(json_path: str) -> None:
-    """Execute bench_micro.py, writing raw pytest-benchmark JSON."""
+def run_benchmarks(json_path: str, only: str = "") -> None:
+    """Execute bench_micro.py, writing raw pytest-benchmark JSON.
+
+    ``only`` is a pytest ``-k`` expression narrowing the run.
+    """
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = (
@@ -145,6 +155,8 @@ def run_benchmarks(json_path: str) -> None:
         sys.executable, "-m", "pytest", BENCH_FILE, "-q",
         "--benchmark-json", json_path,
     ]
+    if only:
+        cmd += ["-k", only]
     result = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
     if result.returncode != 0:
         raise SystemExit(
@@ -193,11 +205,16 @@ def normalize(raw: dict) -> dict:
     }
 
 
-def write_merged(path: str, report: dict) -> None:
+#: Sections keyed by benchmark row; a partial run merges into them.
+ROW_SECTIONS = ("hot_paths", "batch_vs_scalar_speedup")
+
+
+def write_merged(path: str, report: dict, partial: bool = False) -> None:
     """Update the record at ``path`` with ``report``'s sections.
 
     Top-level sections this run did not produce are kept, so one tool
-    never erases what another wrote into the shared file.
+    never erases what another wrote into the shared file.  A ``partial``
+    run (``--only``) also keeps the rows it did not re-run.
     """
     record: dict = {}
     if os.path.exists(path):
@@ -206,6 +223,11 @@ def write_merged(path: str, report: dict) -> None:
                 record = json.load(fh)
         except (OSError, ValueError):
             record = {}
+    if partial:
+        report = dict(report)
+        for section in ROW_SECTIONS:
+            rows = {**record.get(section, {}), **report.get(section, {})}
+            report[section] = dict(sorted(rows.items()))
     record.update(report)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -228,6 +250,12 @@ def main(argv=None) -> int:
              "(skips running the suite)",
     )
     parser.add_argument(
+        "--only",
+        default="",
+        help="pytest -k expression: re-run only the matching benchmarks "
+             "and refresh only their rows of the record",
+    )
+    parser.add_argument(
         "--calibration-repeats",
         type=int,
         default=3,
@@ -245,16 +273,16 @@ def main(argv=None) -> int:
     else:
         with tempfile.TemporaryDirectory() as tmp:
             raw_path = os.path.join(tmp, "benchmark_raw.json")
-            run_benchmarks(raw_path)
+            run_benchmarks(raw_path, only=args.only)
             with open(raw_path) as fh:
                 raw = json.load(fh)
 
     report = normalize(raw)
-    if args.calibration_repeats > 0:
+    if args.calibration_repeats > 0 and not args.only:
         report["calibration"] = run_calibration(
             args.calibration_repeats
         )
-    write_merged(args.output, report)
+    write_merged(args.output, report, partial=bool(args.only))
 
     print(f"wrote {args.output}")
     for key, ratio in report["batch_vs_scalar_speedup"].items():

@@ -15,19 +15,39 @@ are vectorized batch kernels; each one's pre-vectorization twin in
 exactly on integer-valued inputs (where every float operation is exact)
 and to float tolerance on continuous inputs, since the batch kernels may
 reassociate reductions.
+
+Reducing over keys
+------------------
+The grid group-bys and the window stencil group rows by packed bucket
+keys, and a packing bounds its keys by a table of ``prod(span)`` slots.
+They reduce *by offset* into that table — ``bincount``, no sort —
+whenever it is at most ``4 * rows + 1024`` slots, and by ``np.unique``
+otherwise; the rule lives in :func:`repro.arrays.coords.group_keys`
+and reads nothing but its input, because both ways return the same
+arrays in the same order and only their cost differs (a declared grid
+is always dense; one far outlier makes the table sparse).  Where keys
+carry no such bound the kernels sort once: :func:`position_join`
+argsorts each key column once (one column when its sides are aligned),
+:func:`count_close_pairs` its points.  The
+sort-based kernels these replaced are oracles too
+(``tests/test_kernel_sortfree.py`` requires bit-identical arrays).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.coords import (
-    joint_position_keys,
-    pack_rows,
+    group_keys,
+    joint_packing,
+    packing_strides,
+    position_keys,
     row_packing,
+    unpack_rows,
 )
 from repro.errors import QueryError
 
@@ -60,6 +80,23 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return np.unique(values)
 
 
+def _first_occurrences(
+    keys: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order and where each first occurs.
+
+    One argsort.  It need not be stable: the smallest row index of each
+    run of equal keys *is* the first occurrence, whatever order the sort
+    left the run in.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
 def position_join(
     coords_a: np.ndarray,
     values_a: np.ndarray,
@@ -70,20 +107,43 @@ def position_join(
 
     Returns ``(coords, a_values, b_values)`` for the matching positions —
     the engine of the §3.3 vegetation-index query — in lexicographic
-    position order: both sides pack under one joint extent into int64
-    keys (void rows on overflow; see ``joint_position_keys``).
+    position order; a position repeated on a side joins through its
+    first occurrence there.  Both sides pack under one joint extent into
+    int64 keys (void rows on overflow; see ``position_keys``) and each
+    key column is argsorted at most once:
+
+    * *aligned sides* — the two coordinate tables are equal row for row
+      (the MODIS bands read the same pixels and both gathers walk the
+      same key-sorted chunk list): every row is its own partner, so the
+      one argsort of the shared key column orders both sides;
+    * otherwise each side reduces to its distinct keys in ascending
+      order, and one side's binary-search into the other — sorted
+      needles, a single forward sweep — finds the common ones, already
+      in output order.
     """
     if coords_a.shape[0] == 0 or coords_b.shape[0] == 0:
         ndim = coords_a.shape[1] if coords_a.size else coords_b.shape[1]
         return (
             np.empty((0, ndim), dtype=np.int64),
-            np.empty(0),
-            np.empty(0),
+            values_a[:0],
+            values_b[:0],
         )
-    keys_a, keys_b = joint_position_keys(coords_a, coords_b)
-    _common, idx_a, idx_b = np.intersect1d(
-        keys_a, keys_b, return_indices=True
-    )
+    if np.array_equal(coords_a, coords_b):
+        keys = position_keys(coords_a, row_packing(coords_a))
+        _, idx_a = _first_occurrences(keys)
+        idx_b = idx_a
+    else:
+        packing = joint_packing(coords_a, coords_b)
+        uniq_a, first_a = _first_occurrences(
+            position_keys(coords_a, packing)
+        )
+        uniq_b, first_b = _first_occurrences(
+            position_keys(coords_b, packing)
+        )
+        slot = np.searchsorted(uniq_a, uniq_b)
+        slot[slot == uniq_a.shape[0]] = 0
+        common = uniq_a[slot] == uniq_b
+        idx_a, idx_b = first_a[slot[common]], first_b[common]
     return coords_a[idx_a], values_a[idx_a], values_b[idx_b]
 
 
@@ -115,8 +175,11 @@ def equi_join_lookup(
 
     Used for the AIS Broadcast ⋈ Vessel join: ``lookup_keys`` must be
     sorted and unique (vessel ids are; see :func:`make_sorted_lookup`).
-    Keys absent from the table map to -1 when values are numeric.
+    Keys absent from the table — every key, when the table is empty —
+    map to -1 when values are numeric.
     """
+    if len(lookup_keys) == 0:
+        return np.full(np.shape(keys), -1, dtype=lookup_values.dtype)
     idx = np.searchsorted(lookup_keys, keys)
     idx = np.clip(idx, 0, len(lookup_keys) - 1)
     matched = lookup_keys[idx] == keys
@@ -127,39 +190,27 @@ def equi_join_lookup(
 # ----------------------------------------------------------------------
 # grid group-bys
 # ----------------------------------------------------------------------
-# The mixed-radix row packing lives in repro.arrays.coords (it is shared
-# with cell chunking and the cost model's neighbour lookups); these
-# aliases keep the operator kernels reading naturally.
-_pack_rows = pack_rows
-_row_packing = row_packing
-
-
+# Bucket rows are grouped through the packing codec of
+# repro.arrays.coords (shared with cell chunking and the cost model's
+# neighbour lookups): rows -> position keys -> ``group_keys`` -> rows.
+# Bucket ids are bounded by the grid that produced them, so the key
+# table is usually far smaller than the row count and ``group_keys``
+# reduces by offset into it instead of sorting (it decides from the
+# table size and row count alone; see its docstring for the threshold).
 def _unique_rows(
     rows: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0)`` with inverse and counts, fast path.
+    """``np.unique(rows, axis=0)`` with inverse and counts, sort-free
+    when the rows' extent is small against their number.
 
-    Packs the rows into scalar keys when their extent allows, falling
-    back to the multi-column ``axis=0`` unique otherwise.  The unique rows
-    come out in lexicographic order either way.
+    The unique rows come out in lexicographic order whichever way
+    :func:`repro.arrays.coords.group_keys` reduces them.
     """
-    packing = _row_packing(rows)
-    if packing is None:
-        uniq, inverse, counts = np.unique(
-            rows, axis=0, return_inverse=True, return_counts=True
-        )
-        return uniq, inverse, counts
-    lo, span = packing
-    keys = _pack_rows(rows, lo, span)
-    uniq_keys, inverse, counts = np.unique(
-        keys, return_inverse=True, return_counts=True
+    packing = row_packing(rows)
+    uniq_keys, inverse, counts = group_keys(
+        position_keys(rows, packing), packing_strides(packing)[1]
     )
-    uniq = np.empty((uniq_keys.shape[0], rows.shape[1]), dtype=np.int64)
-    rem = uniq_keys
-    for d in range(rows.shape[1] - 1, -1, -1):
-        rem, digit = np.divmod(rem, span[d])
-        uniq[:, d] = digit + lo[d]
-    return uniq, inverse, counts
+    return unpack_rows(uniq_keys, packing), inverse, counts
 
 
 def grid_buckets(
@@ -180,8 +231,10 @@ def group_count_by_grid_arrays(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cells per coarse grid bucket, as ``(buckets, counts)`` arrays.
 
-    The batch kernel behind :func:`group_count_by_grid`: one
-    ``np.unique`` over the bucket table, no per-bucket Python objects.
+    The batch kernel behind :func:`group_count_by_grid`: one grouping
+    pass over the packed bucket keys (a ``bincount`` over the bucket
+    table when it is small against the cells, a sort otherwise), no
+    per-bucket Python objects.
     Queries that only need aggregate shapes (bucket count, max) should
     use this and skip the dict entirely.
 
@@ -219,8 +272,9 @@ def group_mean_by_grid_arrays(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Mean of ``values`` per coarse bucket, as ``(buckets, means)``.
 
-    ``np.unique`` + ``bincount`` — sums accumulate in row order, so the
-    means match the scalar oracle bit-for-bit on exact inputs.
+    One grouping pass + ``bincount`` — sums accumulate in row order
+    however the buckets were grouped, so the means match the scalar
+    oracle bit-for-bit on exact inputs.
 
     Parameters
     ----------
@@ -342,9 +396,22 @@ def window_average_arrays(
     center.  A qualifying cell is always within one bucket of its own,
     so instead of masking every cell against every bucket (the scalar
     oracle's quadratic sweep) the batch kernel visits the 3^d stencil
-    offsets: for each offset one vectorized validity test scatters the
-    cells onto candidate buckets, and a single ``unique``/``bincount``
-    pass reduces them.
+    offsets and reduces all their candidates in one grouping pass.
+
+    Whether a cell reaches the bucket ``o`` steps from its own along one
+    dimension depends only on its remainder ``r = x mod window``: the
+    oracle's ``|x - (b + o + 1/2)·w| <= w`` is ``|2r - (2o + 1)·w| <=
+    2w`` in exact integers, i.e. always for ``o = 0``, ``2r <= w`` for
+    ``o = -1`` and ``2r >= w`` for ``o = +1``.  So validity is two
+    one-column masks per dimension, AND-ed per offset, and a candidate's
+    key is its home bucket's key plus the offset's fixed key stride — no
+    per-offset float sweep, no per-offset packing.  The candidates
+    concatenate offset-major and reduce through
+    :func:`repro.arrays.coords.group_keys`: by offset into the padded
+    bucket grid when that table is small against the candidates (the
+    declared-grid case: no sort anywhere in the kernel), by sort when
+    the buckets are sparse; sums accumulate in candidate order either
+    way.  A bucket is occupied iff some cell's zero offset lands on it.
 
     Parameters
     ----------
@@ -361,55 +428,63 @@ def window_average_arrays(
     Returns
     -------
     buckets : numpy.ndarray of int64, shape (k, len(spatial_dims))
-        Occupied buckets.
+        Occupied buckets, in lexicographic order.
     means : numpy.ndarray of float64, shape (k,)
         Windowed mean per bucket.
     """
     ndim = len(list(spatial_dims))
     if coords.shape[0] == 0:
         return np.empty((0, ndim), dtype=np.int64), np.empty(0)
-    spatial = coords[:, list(spatial_dims)].astype(np.int64)
+    # Dimension-major, (ndim, cells): every per-dimension step below
+    # reads one contiguous row.
+    spatial = np.ascontiguousarray(
+        coords.T[list(spatial_dims)], dtype=np.int64
+    )
     vals = values.astype(np.float64)
     base = spatial // window
-    packing = _row_packing(base, pad=1)  # stencil reaches ±1 bucket
+    twice_rem = 2 * (spatial - base * window)
+    # reaches[o][d]: the cell is within ``window`` of the bucket center
+    # ``o`` steps from its own along dimension ``d``.
+    reaches = {-1: twice_rem <= window, 1: twice_rem >= window}
+    packing = row_packing(base.T, pad=1)  # stencil reaches ±1 bucket
+    strides, size = packing_strides(packing)
+    home = position_keys(base.T, packing)
     cand_parts: List[np.ndarray] = []
     val_parts: List[np.ndarray] = []
+    home_at = slice(0, 0)  # where the zero offset's candidates sit
+    filled = 0
     for offset in itertools.product((-1, 0, 1), repeat=ndim):
-        cand = base + np.asarray(offset, dtype=np.int64)
-        center = (cand + 0.5) * window
-        ok = np.all(np.abs(spatial - center) <= window, axis=1)
-        if ok.any():
-            cand = cand[ok]
-            if packing is not None:
-                cand = _pack_rows(cand, *packing)
-            cand_parts.append(cand)
-            val_parts.append(vals[ok])
-    cands = np.concatenate(cand_parts, axis=0)
-    cvals = np.concatenate(val_parts)
-    if packing is not None:
-        uniq_keys, inverse, counts = np.unique(
-            cands, return_inverse=True, return_counts=True
-        )
-        sums = np.bincount(inverse, weights=cvals)
-        # Only occupied buckets are reported (cells can scatter onto
-        # empty neighbour buckets the oracle never visits).
-        keep = np.isin(
-            uniq_keys, np.unique(_pack_rows(base, *packing))
-        )
-        lo, span = packing
-        uniq = np.empty((uniq_keys.shape[0], ndim), dtype=np.int64)
-        rem = uniq_keys
-        for d in range(ndim - 1, -1, -1):
-            rem, digit = np.divmod(rem, span[d])
-            uniq[:, d] = digit + lo[d]
-    else:
-        uniq, inverse, counts = np.unique(
-            cands, axis=0, return_inverse=True, return_counts=True
-        )
-        sums = np.bincount(inverse, weights=cvals)
-        occupied = np.unique(base, axis=0)
-        keep = np.isin(*joint_position_keys(uniq, occupied))
-    return uniq[keep], sums[keep] / counts[keep]
+        masks = [reaches[o][d] for d, o in enumerate(offset) if o]
+        if masks:
+            # (index reads are ~5x cheaper than boolean-mask reads)
+            rows = np.flatnonzero(functools.reduce(np.logical_and, masks))
+            if rows.shape[0] == 0:
+                continue
+        else:  # the zero offset: every cell lands on its own bucket
+            rows = slice(None)
+            home_at = slice(filled, filled + home.shape[0])
+        if packing is None:
+            cand = position_keys(base.T[rows] + offset, None)
+        else:
+            cand = home[rows] + sum(
+                o * stride for o, stride in zip(offset, strides)
+            )
+        cand_parts.append(cand)
+        val_parts.append(vals[rows])
+        filled += cand.shape[0]
+    uniq_keys, inverse, counts = group_keys(
+        np.concatenate(cand_parts), size
+    )
+    sums = np.bincount(inverse, weights=np.concatenate(val_parts))
+    # Only occupied buckets are reported (cells can scatter onto empty
+    # neighbour buckets the oracle never visits).
+    keep = np.bincount(
+        inverse[home_at], minlength=uniq_keys.shape[0]
+    ) > 0
+    return (
+        unpack_rows(uniq_keys[keep], packing),
+        sums[keep] / counts[keep],
+    )
 
 
 def window_average(
@@ -625,10 +700,11 @@ def count_close_pairs(
         seg = np.asarray(segments, dtype=np.int64)
     key = np.stack([seg, gx, gy], axis=1)
     # pad=1: stencil offsets reach one bucket outside the extremes.
-    packing = _row_packing(key, pad=1)
-    if packing is None:  # unpackable extent: exact bucket-walk fallback
-        return _count_close_pairs_buckets(lon, lat, radius, key)
-    packed = _pack_rows(key, *packing)
+    # An extent beyond int64 gets void keys, where a step off either
+    # end of int64 wraps onto some far bucket: harmless, every
+    # candidate pair still has to pass the distance test below.
+    packing = row_packing(key, pad=1)
+    packed = position_keys(key, packing)
     order = np.argsort(packed, kind="stable")
     sorted_keys = packed[order]
     lon_s = lon[order]
@@ -642,7 +718,7 @@ def count_close_pairs(
         for dy in (-1, 0, 1):
             offset[1] = dx
             offset[2] = dy
-            target = _pack_rows(key_s + offset, *packing)
+            target = position_keys(key_s + offset, packing)
             starts = np.searchsorted(sorted_keys, target, side="left")
             ends = np.searchsorted(sorted_keys, target, side="right")
             lens = ends - starts
@@ -671,36 +747,4 @@ def count_close_pairs(
             d2 = (lon_s[src] - lon_s[dst]) ** 2
             d2 += (lat_s[src] - lat_s[dst]) ** 2
             count += int((d2 <= r2).sum())
-    return count
-
-
-def _count_close_pairs_buckets(
-    lon: np.ndarray,
-    lat: np.ndarray,
-    radius: float,
-    key: np.ndarray,
-) -> int:
-    """Per-bucket fallback for key extents that defeat int64 packing."""
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    ends = np.cumsum(np.bincount(inverse))
-    groups: Dict[Tuple[int, int, int], np.ndarray] = {}
-    start = 0
-    for row, end in zip(uniq.tolist(), ends.tolist()):
-        groups[tuple(row)] = order[start:end]
-        start = end
-    count = 0
-    r2 = radius * radius
-    for (s, bx, by), members in groups.items():
-        neighbor_parts = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                g = groups.get((s, bx + dx, by + dy))
-                if g is not None:
-                    neighbor_parts.append(g)
-        neighbors = np.concatenate(neighbor_parts)
-        d2 = (lon[members][:, None] - lon[neighbors][None, :]) ** 2
-        d2 += (lat[members][:, None] - lat[neighbors][None, :]) ** 2
-        later = neighbors[None, :] > members[:, None]
-        count += int(((d2 <= r2) & later).sum())
     return count

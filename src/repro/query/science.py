@@ -260,10 +260,9 @@ class ModisWindowAggregate(Query):
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         day = cycle - 1
-        touched = [
-            (c, n) for c, n in cluster.chunks_of_array("band1")
-            if c.key[0] == day
-        ]
+        touched = cluster.chunks_in_region(
+            "band1", self.workload.time_chunk_box(day, day + 1)
+        )
         acc = accumulator_for(cluster)
         scanned = charge_scan(
             acc, touched, ["radiance"], cluster.costs,

@@ -152,15 +152,14 @@ class ModisJoinNdvi(Query):
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         day = cycle - 1  # latest day's time-chunk coordinate
+        latest = self.workload.time_chunk_box(day, day + 1)
         band1 = {
             c.key: (c, n)
-            for c, n in cluster.chunks_of_array("band1")
-            if c.key[0] == day
+            for c, n in cluster.chunks_in_region("band1", latest)
         }
         band2 = {
             c.key: (c, n)
-            for c, n in cluster.chunks_of_array("band2")
-            if c.key[0] == day
+            for c, n in cluster.chunks_in_region("band2", latest)
         }
         common = sorted(set(band1) & set(band2))
         acc = accumulator_for(cluster)

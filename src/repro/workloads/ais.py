@@ -191,26 +191,6 @@ class AisWorkload(CyclicWorkload):
             t0 = 0
         return Box((t0, lon0 - 2, lat0 - 2), (t1, lon0 + 6, lat0 + 6))
 
-    def time_chunk_box(self, lo_chunk: int, hi_chunk: int) -> Box:
-        """The slab of time chunks ``[lo_chunk, hi_chunk)``.
-
-        Spans the whole declared longitude/latitude domain, so routing
-        it selects exactly the broadcast chunks whose time key falls in
-        the range — how the "latest data" queries (§3.3, "cooking")
-        name their working set without walking the array.
-        """
-        time, lon, lat = self.broadcast.dimensions
-        return Box(
-            (
-                time.start + lo_chunk * time.chunk_interval,
-                lon.start, lat.start,
-            ),
-            (
-                time.start + hi_chunk * time.chunk_interval,
-                lon.end + 1, lat.end + 1,
-            ),
-        )
-
     def seasonal_weight(self, cycle: int) -> float:
         """Relative insert volume of a cycle.
 

@@ -104,6 +104,26 @@ class CyclicWorkload(ABC):
             i for i, d in enumerate(primary.dimensions) if d.bounded
         )
 
+    def time_chunk_box(self, lo_chunk: int, hi_chunk: int) -> Box:
+        """The slab of time chunks ``[lo_chunk, hi_chunk)``.
+
+        Spans the whole declared domain of every other dimension, so
+        routing it selects exactly the chunks whose time key falls in
+        the range — how the "latest data" queries (§3.3, "cooking")
+        name their working set without walking the array.
+        """
+        time, *space = self.schemas[0].dimensions
+        return Box(
+            (
+                time.start + lo_chunk * time.chunk_interval,
+                *(d.start for d in space),
+            ),
+            (
+                time.start + hi_chunk * time.chunk_interval,
+                *(d.end + 1 for d in space),
+            ),
+        )
+
     def schema(self, array: str) -> ArraySchema:
         """Look up one of the workload's schemas by array name."""
         for s in self.schemas:

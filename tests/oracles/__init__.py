@@ -43,13 +43,16 @@ from repro.query.cost import (
 )
 from repro.query.incremental import delta_cells, join_aggregate_full
 from repro.query.operators import (
+    _unique_rows,
     count_close_pairs,
     group_count_by_grid,
     group_mean_by_grid,
     group_stats_by_grid_arrays,
     kmeans,
     knn_mean_distance,
+    position_join,
     window_average,
+    window_average_arrays,
 )
 from repro.query.science import AisKnn
 
@@ -92,6 +95,9 @@ from tests.oracles.operators import (
     group_stats_by_grid_scalar,
     kmeans_scalar,
     knn_mean_distance_scalar,
+    position_join_intersect1d,
+    unique_rows_sorted,
+    window_average_arrays_sorted,
     window_average_scalar,
 )
 from tests.oracles.parallel import (
@@ -138,6 +144,10 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (kmeans, kmeans_scalar, "same"),
     (knn_mean_distance, knn_mean_distance_scalar, "same"),
     (count_close_pairs, count_close_pairs_scalar, "same"),
+    # the sort-based batch kernels the offset-reduce ones replaced
+    (position_join, position_join_intersect1d, "same"),
+    (_unique_rows, unique_rows_sorted, "same"),
+    (window_average_arrays, window_average_arrays_sorted, "same"),
     (join_aggregate_full, join_aggregate_scalar, "same"),
     (delta_cells, delta_cells_per_chunk, "same"),
     # region selection, per chunk

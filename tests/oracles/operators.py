@@ -7,16 +7,30 @@ exact) and to float tolerance on continuous inputs, since the batch
 kernels may reassociate reductions.  :func:`filter_region` is the
 per-chunk selection the region payload reads replaced; its one caller
 is the selection oracle in ``tests/test_queries.py``.
+
+The last three — :func:`position_join_intersect1d`,
+:func:`unique_rows_sorted`, :func:`window_average_arrays_sorted` — are
+the *sort-based* batch kernels the offset-reduce ones replaced, kept
+verbatim (the private packing aliases spelled out aside):
+``tests/test_kernel_sortfree.py`` requires the production kernels to
+return their arrays bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.chunk import ChunkData
-from repro.arrays.coords import Box, region_mask
+from repro.arrays.coords import (
+    Box,
+    joint_position_keys,
+    pack_rows,
+    region_mask,
+    row_packing,
+)
 from repro.errors import QueryError
 
 
@@ -216,3 +230,108 @@ def count_close_pairs_scalar(
                 if d2 <= r2:
                     count += 1
     return count
+
+
+def position_join_intersect1d(
+    coords_a: np.ndarray,
+    values_a: np.ndarray,
+    coords_b: np.ndarray,
+    values_b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parity oracle: ``np.intersect1d`` over the joint position keys.
+
+    Two ``unique`` argsorts and a mergesort of both sides; a repeated
+    position joins through its first occurrence on each side.
+    """
+    if coords_a.shape[0] == 0 or coords_b.shape[0] == 0:
+        ndim = coords_a.shape[1] if coords_a.size else coords_b.shape[1]
+        return (
+            np.empty((0, ndim), dtype=np.int64),
+            np.empty(0),
+            np.empty(0),
+        )
+    keys_a, keys_b = joint_position_keys(coords_a, coords_b)
+    _common, idx_a, idx_b = np.intersect1d(
+        keys_a, keys_b, return_indices=True
+    )
+    return coords_a[idx_a], values_a[idx_a], values_b[idx_b]
+
+
+def unique_rows_sorted(
+    rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parity oracle: ``np.unique`` over the packed rows (``axis=0``
+    over the rows themselves when their extent defeats packing)."""
+    packing = row_packing(rows)
+    if packing is None:
+        uniq, inverse, counts = np.unique(
+            rows, axis=0, return_inverse=True, return_counts=True
+        )
+        return uniq, inverse, counts
+    lo, span = packing
+    keys = pack_rows(rows, lo, span)
+    uniq_keys, inverse, counts = np.unique(
+        keys, return_inverse=True, return_counts=True
+    )
+    uniq = np.empty((uniq_keys.shape[0], rows.shape[1]), dtype=np.int64)
+    rem = uniq_keys
+    for d in range(rows.shape[1] - 1, -1, -1):
+        rem, digit = np.divmod(rem, span[d])
+        uniq[:, d] = digit + lo[d]
+    return uniq, inverse, counts
+
+
+def window_average_arrays_sorted(
+    coords: np.ndarray,
+    values: np.ndarray,
+    spatial_dims: Sequence[int],
+    window: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Parity oracle: 3^d float validity sweeps, a ``pack_rows`` per
+    offset, one ``np.unique`` over every candidate, ``isin`` for the
+    occupied buckets."""
+    ndim = len(list(spatial_dims))
+    if coords.shape[0] == 0:
+        return np.empty((0, ndim), dtype=np.int64), np.empty(0)
+    spatial = coords[:, list(spatial_dims)].astype(np.int64)
+    vals = values.astype(np.float64)
+    base = spatial // window
+    packing = row_packing(base, pad=1)  # stencil reaches ±1 bucket
+    cand_parts: List[np.ndarray] = []
+    val_parts: List[np.ndarray] = []
+    for offset in itertools.product((-1, 0, 1), repeat=ndim):
+        cand = base + np.asarray(offset, dtype=np.int64)
+        center = (cand + 0.5) * window
+        ok = np.all(np.abs(spatial - center) <= window, axis=1)
+        if ok.any():
+            cand = cand[ok]
+            if packing is not None:
+                cand = pack_rows(cand, *packing)
+            cand_parts.append(cand)
+            val_parts.append(vals[ok])
+    cands = np.concatenate(cand_parts, axis=0)
+    cvals = np.concatenate(val_parts)
+    if packing is not None:
+        uniq_keys, inverse, counts = np.unique(
+            cands, return_inverse=True, return_counts=True
+        )
+        sums = np.bincount(inverse, weights=cvals)
+        # Only occupied buckets are reported (cells can scatter onto
+        # empty neighbour buckets the oracle never visits).
+        keep = np.isin(
+            uniq_keys, np.unique(pack_rows(base, *packing))
+        )
+        lo, span = packing
+        uniq = np.empty((uniq_keys.shape[0], ndim), dtype=np.int64)
+        rem = uniq_keys
+        for d in range(ndim - 1, -1, -1):
+            rem, digit = np.divmod(rem, span[d])
+            uniq[:, d] = digit + lo[d]
+    else:
+        uniq, inverse, counts = np.unique(
+            cands, axis=0, return_inverse=True, return_counts=True
+        )
+        sums = np.bincount(inverse, weights=cvals)
+        occupied = np.unique(base, axis=0)
+        keep = np.isin(*joint_position_keys(uniq, occupied))
+    return uniq[keep], sums[keep] / counts[keep]

@@ -67,6 +67,23 @@ class TestJoins:
         )
         assert coords.shape[0] == 0
 
+    def test_position_join_keeps_value_dtypes_on_every_path(self):
+        # Regression: the empty-side return handed back float64 columns
+        # whatever came in, while a non-empty join preserved the dtypes.
+        full = np.array([[1, 1], [2, 2]])
+        none = np.empty((0, 2), dtype=np.int64)
+        for ca, cb in ((full, full), (full, full[::-1]), (none, full),
+                       (full, none), (none, none)):
+            coords, va, vb = ops.position_join(
+                ca, np.arange(len(ca), dtype=np.float32),
+                cb, np.arange(len(cb), dtype=np.int16),
+            )
+            assert coords.dtype == np.int64 and coords.shape[1] == 2
+            assert va.dtype == np.float32 and vb.dtype == np.int16
+            assert len(coords) == len(va) == len(vb) == min(
+                len(ca), len(cb)
+            )
+
     def test_ndvi(self):
         nd = ops.ndvi(np.array([1.0, 2.0]), np.array([3.0, 2.0]))
         assert nd[0] == pytest.approx(0.5)
@@ -82,6 +99,16 @@ class TestJoins:
         table_vals = np.array([10, 12, 15])
         out = ops.equi_join_lookup(keys, table_keys, table_vals)
         assert out.tolist() == [12, 10, 15, -1]
+
+    def test_equi_join_lookup_empty_table_maps_every_key_to_minus_one(self):
+        # Regression: ``np.clip(idx, 0, -1)`` indexed an empty table
+        # (IndexError: index -1 is out of bounds).
+        empty = np.empty(0, dtype=np.int64)
+        out = ops.equi_join_lookup(
+            np.array([2, 0, 5]), empty, np.empty(0, dtype=np.int32)
+        )
+        assert out.tolist() == [-1, -1, -1] and out.dtype == np.int32
+        assert ops.equi_join_lookup(empty, empty, empty).shape == (0,)
 
 
 class TestGrouping:
@@ -191,3 +218,29 @@ class TestTrajectory:
             if (lon[i] - lon[j]) ** 2 + (lat[i] - lat[j]) ** 2 <= r * r
         )
         assert ops.count_close_pairs(lon, lat, r) == brute
+
+    def test_count_close_pairs_beyond_int64_extent(self):
+        # Three clusters 2**40 buckets apart on both axes, in segments
+        # 2**40 apart: the (segment, gx, gy) keys cannot pack into
+        # int64, so the one body runs on void keys.
+        from repro.arrays.coords import row_packing
+        from tests import oracles
+
+        rng = np.random.default_rng(8)
+        far = 2.0**40
+        at = rng.integers(0, 3, 60)
+        lon = rng.uniform(0, 3, 60) + (at - 1) * far
+        lat = rng.uniform(0, 3, 60) - (at - 1) * far
+        segs = (at - 1) * 2**40
+        r = 0.75
+        key = np.stack(
+            [segs, np.floor(lon / r).astype(np.int64),
+             np.floor(lat / r).astype(np.int64)], axis=1,
+        )
+        assert row_packing(key, pad=1) is None
+        want = oracles.count_close_pairs_scalar(lon, lat, r, segs)
+        assert want > 0
+        assert ops.count_close_pairs(lon, lat, r, segs) == want
+        assert ops.count_close_pairs(lon, lat, r) == (
+            oracles.count_close_pairs_scalar(lon, lat, r)
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CostParameters, GB
+from repro.core.traits import PAPER_ORDER
 from repro.query import (
     ais_suite,
     modis_suite,
@@ -125,6 +126,33 @@ class TestModisSuite:
         r_last = ModisJoinNdvi(small_modis).run(modis_cluster.session(), 2)
         # scanned bytes for one day are an order below the whole array
         assert r_last.scanned_bytes < 0.5 * modis_cluster.total_bytes
+
+    @pytest.mark.parametrize("scheme", PAPER_ORDER)
+    def test_latest_day_routes_to_the_walked_pairs(self, scheme,
+                                                   small_modis):
+        # The latest-day queries name their working set with
+        # ``time_chunk_box`` and route it; that must select the pairs —
+        # same chunks, same nodes, same order — the comprehension over
+        # every (chunk, node) of the band used to, scale-outs included.
+        runner = ExperimentRunner(
+            small_modis, RunConfig(partitioner=scheme, run_queries=False)
+        )
+        runner.run()
+        cluster = runner.cluster
+        assert cluster.node_count > 2  # at least one scale-out happened
+        session = cluster.session()
+        for band in ("band1", "band2"):
+            walked = session.chunks_of_array(band)
+            for day in (small_modis.n_cycles - 1, 2, 0):
+                routed = session.chunks_in_region(
+                    band, small_modis.time_chunk_box(day, day + 1)
+                )
+                want = [(c, n) for c, n in walked if c.key[0] == day]
+                assert want
+                assert [(c.ref(), n) for c, n in routed] == [
+                    (c.ref(), n) for c, n in want
+                ]
+                assert all(a is b for (a, _), (b, _) in zip(routed, want))
 
     def test_selection_reads_all_attributes(self, modis_cluster,
                                             small_modis):

@@ -129,6 +129,14 @@ class TestModisWorkload:
         amazon = small_modis.amazon_box(3)
         assert amazon.lo[1] < amazon.hi[1]
 
+    def test_time_chunk_box_spans_the_declared_domain(self, small_modis):
+        slab = small_modis.time_chunk_box(2, 3)
+        assert slab.lo == (2880, -180, -90)
+        assert slab.hi == (4320, 181, 91)
+        t0, t1 = small_modis.day_time_range(3)  # day 3 is time chunk 2
+        assert (slab.lo[0], slab.hi[0]) == (t0, t1)
+        assert small_modis.time_chunk_box(4, 4).is_empty()
+
     def test_bad_cycle_rejected(self, small_modis):
         with pytest.raises(WorkloadError):
             small_modis.batch(0)

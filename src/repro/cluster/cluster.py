@@ -108,11 +108,12 @@ class ElasticCluster:
             :meth:`ingest` runs the control loop before inserting; when
             absent, use :meth:`scale_out` to add nodes manually (the fixed
             +2-node schedule of §6.2 does this).
-        ledger_compact_ratio: dead-slot ratio above which the
-            partitioner's chunk ledger *and* the chunk catalog are
-            compacted during the reorganization cycle (after rebalances
-            and removals), so churn-heavy retention workloads keep
-            bounded index memory.  ``None`` disables compaction entirely.
+        ledger_compact_ratio: dead-slot ratio above which the chunk
+            table is compacted during the reorganization cycle (after
+            rebalances and removals) — one compaction, which remaps the
+            catalog's published columns in the same write window — so
+            churn-heavy retention workloads keep bounded index memory.
+            ``None`` disables compaction entirely.
 
     The partitioner's initial nodes define the cluster's initial nodes.
     """
@@ -156,9 +157,9 @@ class ElasticCluster:
         # Lazily-spawned process-parallel backend (``REPRO_EXEC=process``).
         self._exec_engine = None
         self._exec_finalizer = None
-        #: The cluster-wide columnar chunk index; maintained by every
-        #: mutation.
-        self.catalog = ChunkCatalog()
+        #: The cluster-wide columnar chunk index, publishing from the
+        #: partitioner's chunk table; maintained by every mutation.
+        self.catalog = ChunkCatalog(partitioner.table)
 
     def _make_node(self, node_id: int) -> Node:
         """Build one node — tiered (segment-backed) when configured.
@@ -262,8 +263,7 @@ class ElasticCluster:
             [(ref, size, node) for ref, size, node, _h in adopted]
         )
         cluster.catalog.put_batch(
-            [handle for _r, _s, _n, handle in adopted],
-            [node for _r, _s, node, _h in adopted],
+            [handle for _r, _s, _n, handle in adopted]
         )
         return cluster
 
@@ -350,11 +350,15 @@ class ElasticCluster:
         return self.catalog.region_read(array, region)
 
     def chunk_data(self, ref: ChunkRef) -> ChunkData:
-        """Fetch one chunk's payload from whichever node holds it."""
-        try:
-            return self.catalog.payload_of(ref)
-        except KeyError:
-            return self.nodes[self.locate(ref)].store.get(ref)
+        """One chunk's published payload handle.
+
+        Raises:
+            ClusterError: when the catalog does not publish ``ref``.
+        """
+        chunk = self.catalog.payload_of(ref)
+        if chunk is None:
+            raise ClusterError(f"chunk {ref} is not in the catalog")
+        return chunk
 
     def placement_of_array(self, array: str) -> Dict[Tuple[int, ...], int]:
         """Chunk key → node map for one array."""
@@ -499,10 +503,10 @@ class ElasticCluster:
     def scale_out(self, count: int) -> RebalanceReport:
         """Add ``count`` nodes and execute the partitioner's rebalance.
 
-        The reorganization cycle is also when the chunk ledger and the
-        catalog reclaim slots freed by earlier removals (see
-        :meth:`remove_chunks`): a compaction pass runs when the
-        dead-slot ratio exceeds ``ledger_compact_ratio``.
+        The reorganization cycle is also when the chunk table reclaims
+        slots freed by earlier removals (see :meth:`remove_chunks`): one
+        compaction runs when the dead-slot ratio exceeds
+        ``ledger_compact_ratio``.
         """
         if count < 1:
             raise ClusterError(f"scale_out needs count >= 1, got {count}")
@@ -523,8 +527,8 @@ class ElasticCluster:
         """Retire chunks (expiry / deletion) from stores and the ledger.
 
         A retention-windowed workload calls this each cycle to drop data
-        that aged out; the freed ledger and catalog slots are compacted
-        away once their ratio crosses ``ledger_compact_ratio``, keeping
+        that aged out; the freed chunk-table slots are compacted away
+        once their ratio crosses ``ledger_compact_ratio``, keeping
         index memory bounded under insert/expire churn
         (``benchmarks/bench_fig8_retention.py`` drives the figure-scale
         staircase; ``tests/test_ledger_compaction.py`` pins the bound).
@@ -536,13 +540,10 @@ class ElasticCluster:
         return report
 
     def _maybe_compact_indexes(self) -> bool:
-        """Compact ledger + catalog past the dead-slot threshold."""
+        """Compact the chunk table past the dead-slot threshold."""
         if self.ledger_compact_ratio is None:
             return False
-        compacted = self.partitioner.compact_ledger(
-            self.ledger_compact_ratio
-        )
-        return self.catalog.compact(self.ledger_compact_ratio) or compacted
+        return self.partitioner.compact_ledger(self.ledger_compact_ratio)
 
     def ingest(self, chunks: Sequence[ChunkData]) -> IngestReport:
         """Run one §3.4 ingest phase.
@@ -584,13 +585,15 @@ class ElasticCluster:
 
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Verify stores, the partitioner ledger, and the catalog agree.
+        """Verify stores, the chunk table, and the catalog agree.
 
-        Also replays every array's content delta log from epoch 0
-        (:meth:`ChunkCatalog.verify_delta_log`): summing each chunk's
-        signed log rows must land exactly on the catalog's current live
-        set — the invariant the incremental maintenance layer depends
-        on.
+        Every stored chunk must sit on its planned owner and be
+        published with the stored handle, and the planned and published
+        owner columns must be equal (one vector compare,
+        :meth:`ChunkCatalog.verify_published`).  Every array's delta log
+        must replay from epoch 0 onto the catalog's live set
+        (:meth:`ChunkCatalog.verify_delta_log`) — the invariant the
+        incremental maintenance layer depends on.
 
         Raises:
             ClusterError: on any disagreement between physical chunk
@@ -615,20 +618,13 @@ class ElasticCluster:
                         f"chunk {ref} stored on node {node_id} but table "
                         f"says {table_node}"
                     )
-                if not self.catalog.contains(ref):
-                    raise ClusterError(
-                        f"chunk {ref} stored but missing from catalog"
-                    )
-                if self.catalog.node_of(ref) != node_id:
-                    raise ClusterError(
-                        f"chunk {ref} stored on node {node_id} but "
-                        f"catalog says {self.catalog.node_of(ref)}"
-                    )
                 if self.catalog.payload_of(ref) is not node.store.get(ref):
                     raise ClusterError(
-                        f"catalog holds a stale payload handle for {ref}"
+                        f"catalog does not publish the stored payload "
+                        f"handle of {ref}"
                     )
                 catalogued += 1
+        self.catalog.verify_published()
         if self.catalog.chunk_count != catalogued:
             raise ClusterError(
                 f"catalog tracks {self.catalog.chunk_count} chunks but "

@@ -57,7 +57,7 @@ def execute_insert(
     chunks: Iterable[ChunkData],
     costs: CostParameters,
     coordinator_id: int,
-    catalog: Optional[ChunkCatalog] = None,
+    catalog: ChunkCatalog,
 ) -> InsertReport:
     """Place and store a batch of chunks; price it per Eq. 6 semantics.
 
@@ -101,9 +101,8 @@ def execute_insert(
     }
     # Physical install, grouped per destination store (batch order is
     # preserved within a group, so same-ref merges replay identically).
-    target_list = targets.tolist()
     by_target: Dict[int, List[int]] = {}
-    for i, t in enumerate(target_list):
+    for i, t in enumerate(targets.tolist()):
         by_target.setdefault(t, []).append(i)
     stored: List[Optional[ChunkData]] = [None] * count
     for t, idxs in by_target.items():
@@ -111,8 +110,7 @@ def execute_insert(
             idxs, nodes[t].store.put_many([chunks[i] for i in idxs])
         ):
             stored[i] = chunk
-    if catalog is not None:
-        catalog.put_batch(stored, target_list)
+    catalog.put_batch(stored)
     elapsed = insert_time(bytes_by_node, coordinator_id, costs)
     return InsertReport(
         chunk_count=count,
@@ -126,7 +124,7 @@ def execute_rebalance(
     nodes: Mapping[int, Node],
     plan: RebalancePlan,
     costs: CostParameters,
-    catalog: Optional[ChunkCatalog] = None,
+    catalog: ChunkCatalog,
 ) -> RebalanceReport:
     """Physically move chunks between stores per a rebalance plan.
 
@@ -134,7 +132,8 @@ def execute_rebalance(
     every first source actually holding its chunk), collapses per-ref
     move chains to ``first source → final destination``, then runs one
     bulk eviction per donor and one bulk install per receiver, followed
-    by a single catalog relocation pass.
+    by a single catalog relocation pass that publishes the moved
+    chunks' planned owners.
     """
     moves = plan.moves
     if not moves:
@@ -193,8 +192,7 @@ def execute_rebalance(
         by_dest.setdefault(final_dest[ref], []).append(ref)
     for dest, refs in by_dest.items():
         nodes[dest].store.put_many([payload[r] for r in refs])
-    if catalog is not None:
-        catalog.relocate_batch(net, [final_dest[r] for r in net])
+    catalog.relocate_batch(net)
     return RebalanceReport(
         chunks_moved=plan.chunk_count,
         bytes_moved=plan.total_bytes,
@@ -218,7 +216,7 @@ def execute_remove(
     partitioner: ElasticPartitioner,
     refs: Sequence[ChunkRef],
     costs: CostParameters,
-    catalog: Optional[ChunkCatalog] = None,
+    catalog: ChunkCatalog,
 ) -> RemoveReport:
     """Retire chunks: evict from their stores and drop from the ledger.
 
@@ -252,10 +250,10 @@ def execute_remove(
         freed_by_node[node] = freed_by_node.get(node, 0.0) + size
     for node, node_refs in by_node.items():
         nodes[node].store.evict_many(node_refs)
+    # Unpublish before the table frees the ids.
+    catalog.remove_batch([ref for ref, _, _ in resolved])
     for ref, _node, _size in resolved:
         partitioner.remove(ref)
-    if catalog is not None:
-        catalog.remove_batch([ref for ref, _, _ in resolved])
     elapsed = max(
         (costs.io_time(b) for b in freed_by_node.values()), default=0.0
     )

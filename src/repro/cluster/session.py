@@ -61,7 +61,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy.typing as npt
 
-from repro.arrays.chunk import ChunkData, ChunkRef
+from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import Box, region_mask
 from repro.core.catalog import ArraySnapshot, CatalogDelta, concat_payload
 from repro.errors import ClusterError
@@ -277,14 +277,6 @@ class ClusterSession:
     ]:
         """Pinned pairs plus scan columns from one routing pass."""
         return self.snapshot_of(array).region_read(region)
-
-    def chunk_data(self, ref: ChunkRef) -> ChunkData:
-        """Pinned payload of one chunk (KeyError when not pinned/live)."""
-        snap = self.snapshot_of(ref.array)
-        for chunk, _node in snap.pairs():
-            if chunk.ref() == ref:
-                return chunk
-        raise KeyError(ref)
 
     def placement_of_array(
         self, array: str

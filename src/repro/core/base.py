@@ -40,11 +40,14 @@ every registered scheme).
 
 Ledger invariants
 -----------------
-The bookkeeping lives in the chunk ledger
+The bookkeeping lives in the chunk table
 (:class:`repro.core.ledger.ArrayChunkLedger`), which interns refs to
-dense integer ids and keeps bytes/owner/coordinates in parallel numpy
-columns.  It is redundant by design and must stay consistent at every
-public-method boundary:
+dense integer ids and keeps bytes/planned owner/coordinates in parallel
+numpy columns.  The partitioner creates it (partitioners also run
+without a cluster); in a cluster the chunk catalog publishes from the
+same table object (:attr:`ElasticPartitioner.table`), so every chunk is
+interned exactly once.  The table is redundant by design and must stay
+consistent at every public-method boundary:
 
 * ``sum(sizes) == total_bytes`` — the running counter updated by
   :meth:`place` / :meth:`update_size` / :meth:`remove` (relocations move
@@ -162,6 +165,11 @@ class ElasticPartitioner(ABC):
     # ledger views (read-only; subclasses must mutate through the
     # ledger primitives below, never through these mappings)
     # ------------------------------------------------------------------
+    @property
+    def table(self) -> ArrayChunkLedger:
+        """The chunk table this partitioner writes (the catalog's too)."""
+        return self._ledger
+
     @property
     def _assignment(self) -> Mapping:
         return self._ledger.assignment_view()
@@ -453,9 +461,9 @@ class ElasticPartitioner(ABC):
         Forwards to the ledger's ``compact``, which re-interns live
         refs and shrinks its columns when at least
         ``min_dead_fraction`` of the allocated slots are dead.
-        Observable partitioner state is unchanged either way.  The
-        cluster calls this from its reorganization cycle (see
-        :meth:`repro.cluster.cluster.ElasticCluster.scale_out`).
+        Observable partitioner state is unchanged either way.  A
+        published table compacts inside its catalog's write window
+        (:meth:`repro.core.catalog.ChunkCatalog.compact`).
 
         Returns:
             Whether a compaction actually ran.

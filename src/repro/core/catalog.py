@@ -2,12 +2,24 @@
 
 :class:`ChunkCatalog` is the single authoritative, incrementally
 maintained index of every chunk physically stored in the cluster:
-``(array, chunk key, owner node, bytes, payload handle)``, held as
-interned dense ids over parallel numpy columns in the style of the
-placement ledger (:mod:`repro.core.ledger`).  The coordinator updates it
-in place on every mutation — inserts, rebalances, removals, scale-outs —
-so a read is an O(live-chunks-of-array) column gather with **no
-per-node store walk and no per-query re-sort**.
+``(array, chunk key, owner node, bytes, payload handle)``.  It interns
+nothing: it publishes from the partitioner's chunk table
+(:class:`repro.core.ledger.ArrayChunkLedger`, the one ``ChunkRef -> id``
+map), in columns indexed by the table's ids — payload handles, bytes,
+and the published owner.  The coordinator updates it in place on every
+mutation, so a read is an O(live-chunks-of-array) column gather with
+**no per-node store walk and no per-query re-sort**.
+
+Planned and published owners
+----------------------------
+The table's owner is the *planned* one (``partitioner.scale_out``
+rewrites it before a byte moves); the catalog copies it into the
+*published* owner inside its seqlock window once the stores hold the
+bytes (:meth:`ChunkCatalog.put_batch`,
+:meth:`ChunkCatalog.relocate_batch`).  Snapshots gather published
+columns only, and the two are equal at quiescence
+(:meth:`ChunkCatalog.verify_published`; the id lifecycle is in
+``docs/invariants.md``).
 
 One reader
 ----------
@@ -20,9 +32,8 @@ catalog's own per-array methods (:meth:`~ChunkCatalog.pairs_of_array`,
 :meth:`~ChunkCatalog.payload_in_region`, ...) read through the current
 one, so a live read and a pinned read are the same code over the same
 frozen columns and nothing outside a capture ever gathers a mutable
-column.  (The by-ref probes :meth:`~ChunkCatalog.contains` /
-:meth:`~ChunkCatalog.node_of` / :meth:`~ChunkCatalog.payload_of` are
-``check_consistency``'s view of the physical table, not a query read.)
+column.  (The by-ref probe :meth:`~ChunkCatalog.payload_of` is
+``check_consistency``'s view of the published table, not a query read.)
 
 Per-array sorted views
 ----------------------
@@ -54,11 +65,12 @@ A content mutation drops the touched array's entries eagerly (for an
 expired array the same query never recurs), and a small bound
 (:attr:`ChunkCatalog.PAYLOAD_CACHE_MAX`) ages out attr subsets and
 regions that stop being queried.  Compaction (:meth:`compact`)
-re-interns ids but preserves every observable, including live cache
-entries and epochs.  Snapshots reach the LRU through a weak reference
-to their catalog: the catalog memoizes its snapshots, so a strong one
-would be a cycle, and a dropped cluster's chunk column and cached
-payloads would wait for the cyclic collector instead of dying with it.
+re-interns the table's ids but preserves every observable, including
+live cache entries and epochs.  Snapshots reach the LRU through a weak
+reference to their catalog: the catalog memoizes its snapshots, so a
+strong one would be a cycle, and a dropped cluster's chunk column and
+cached payloads would wait for the cyclic collector instead of dying
+with it.
 
 Content delta log
 -----------------
@@ -72,7 +84,7 @@ prefix after an epoch cursor in one ``searchsorted``, returning the
 added/removed chunk columns the incremental query-maintenance layer
 (:mod:`repro.query.incremental`) folds into its operator state, so
 steady-state maintenance touches only what changed.  The log stores
-refs and payload handles, not interned ids, so :meth:`compact` leaves
+refs and payload handles, not table ids, so :meth:`compact` leaves
 it untouched, and replaying it from epoch 0 must land exactly on the
 live set — :meth:`verify_delta_log` checks that, and
 ``ElasticCluster.check_consistency`` calls it.
@@ -99,6 +111,7 @@ import numpy as np
 from repro import lockdep
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
 from repro.arrays.coords import Box, pack_rows_void, region_mask
+from repro.core.ledger import ArrayChunkLedger, resize_column
 from repro.errors import ChunkError, ClusterError
 
 NodeId = int
@@ -229,11 +242,11 @@ class CatalogDelta:
 class _DeltaLog:
     """Append-only columnar log of one array's content mutations.
 
-    Amortized-doubling numpy columns in the style of the catalog's own
-    chunk columns; ``epochs`` is non-decreasing by construction, so
+    Amortized-doubling numpy columns in the style of the chunk table's;
+    ``epochs`` is non-decreasing by construction, so
     :meth:`since` finds a cursor with one ``searchsorted`` and the tail
     gather is O(delta).  Rows are keyed by ref and payload handle — not
-    interned ids — so catalog compaction never rewrites the log.
+    table ids — so compaction never rewrites the log.
     """
 
     __slots__ = ("epochs", "signs", "refs", "chunks", "sizes", "nodes",
@@ -265,25 +278,12 @@ class _DeltaLog:
         cap = len(self.signs)
         if need > cap:
             new_cap = max(need, cap * 2)
-            extra = new_cap - cap
-            self.epochs = np.concatenate(
-                [self.epochs, np.zeros(extra, dtype=np.int64)]
-            )
-            self.signs = np.concatenate(
-                [self.signs, np.zeros(extra, dtype=np.int8)]
-            )
-            self.refs = np.concatenate(
-                [self.refs, np.empty(extra, dtype=object)]
-            )
-            self.chunks = np.concatenate(
-                [self.chunks, np.empty(extra, dtype=object)]
-            )
-            self.sizes = np.concatenate(
-                [self.sizes, np.zeros(extra, dtype=np.float64)]
-            )
-            self.nodes = np.concatenate(
-                [self.nodes, np.full(extra, -1, dtype=np.int64)]
-            )
+            self.epochs = resize_column(self.epochs, new_cap, 0)
+            self.signs = resize_column(self.signs, new_cap, 0)
+            self.refs = resize_column(self.refs, new_cap, None)
+            self.chunks = resize_column(self.chunks, new_cap, None)
+            self.sizes = resize_column(self.sizes, new_cap, 0.0)
+            self.nodes = resize_column(self.nodes, new_cap, -1)
         sl = slice(self.count, need)
         self.epochs[sl] = epoch
         self.signs[sl] = np.asarray(signs, dtype=np.int8)
@@ -369,8 +369,8 @@ class ArraySnapshot:
     """An immutable, epoch-pinned view of one array's catalog state.
 
     MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers the array's
-    id/key/owner/bytes column slices (cheap — the per-array views are
-    already copy-on-write-shaped) plus the length of its delta log at
+    id/key/published-owner/bytes column slices (cheap — the per-array
+    views are already copy-on-write-shaped) plus the length of its delta log at
     capture time.  Every read below answers from those frozen columns,
     so a query holding a snapshot never sees a half-applied rebalance,
     an expiry, or an ingest that lands after the pin — payload handles
@@ -409,11 +409,13 @@ class ArraySnapshot:
             self._rows = view.rows.copy()
         self.array = array
         self.schema = catalog._schema_of.get(array)
-        # Fancy-indexed gathers are already fresh copies.
-        self._refs = catalog._refs[ids]
+        # Fancy-indexed gathers are already fresh copies.  A published
+        # id's ref is fixed until the id is unpublished, so the table's
+        # ref column is read like a published one.
+        self._refs = catalog._table._refs[ids]
         self._chunks = catalog._chunks[ids]
         self._sizes = catalog._size[ids]
-        self._nodes = nodes = catalog._node[ids]
+        self._nodes = nodes = catalog._owner[ids]
         self._node_bounds = (
             (int(nodes.min()), int(nodes.max())) if len(ids) else None
         )
@@ -636,15 +638,12 @@ class ArraySnapshot:
 class ChunkCatalog:
     """Columnar cluster-wide chunk index (see module docstring).
 
-    The per-chunk state lives in parallel columns indexed by a dense
-    interned id: the owning :class:`~repro.arrays.chunk.ChunkRef`, the
-    payload handle (the exact :class:`~repro.arrays.chunk.ChunkData`
-    object the owning node's store holds), modeled bytes, and the owner
-    node id.  Removed ids go on a free list for reuse; :meth:`compact`
-    re-interns past a dead-slot threshold, like the placement ledger.
+    Its columns are indexed by ``table``'s ids and sized to its
+    capacity: the payload handle (the exact
+    :class:`~repro.arrays.chunk.ChunkData` object the owning node's
+    store holds, ``None`` for an unpublished id), modeled bytes, and the
+    published owner.  A table has at most one live publisher.
     """
-
-    _INITIAL_CAPACITY = 64
 
     #: Upper bound on live payload-cache entries (LRU eviction beyond
     #: it).  Every distinct ``(array, attr subset)`` a workload queries
@@ -658,15 +657,17 @@ class ChunkCatalog:
     #: lock (the retry-on-epoch-race guard).
     SNAPSHOT_RETRIES = 5
 
-    def __init__(self) -> None:
-        cap = self._INITIAL_CAPACITY
-        self._id_of: Dict[ChunkRef, int] = {}
-        self._refs = np.empty(cap, dtype=object)
-        self._chunks = np.empty(cap, dtype=object)
+    def __init__(self, table: ArrayChunkLedger) -> None:
+        if table.publisher is not None:
+            raise ClusterError(
+                "the chunk table is already published by another catalog"
+            )
+        table.publisher = self
+        self._table = table
+        cap = table.column_capacity
+        self._chunks = np.full(cap, None, dtype=object)
         self._size = np.zeros(cap, dtype=np.float64)
-        self._node = np.full(cap, -1, dtype=np.int64)
-        self._free: List[int] = []
-        self._hwm = 0
+        self._owner = np.full(cap, -1, dtype=np.int64)
         self._views: Dict[str, _ArrayView] = {}
         self._schema_of: Dict[str, object] = {}
         self._deltas: Dict[str, _DeltaLog] = {}
@@ -691,50 +692,28 @@ class ChunkCatalog:
         # sessions is safe).
         self._snapshot_cache: Dict[str, ArraySnapshot] = {}
 
-    # -- capacity ------------------------------------------------------
-    def _grow(self, need: int) -> None:
-        cap = len(self._size)
-        if need <= cap:
-            return
-        # Double until the need fits: capacity stays a power-of-two
-        # multiple of the initial one however large one batch is.
-        new_cap = cap
-        while new_cap < need:
-            new_cap *= 2
-        extra = new_cap - cap
-        self._refs = np.concatenate(
-            [self._refs, np.empty(extra, dtype=object)]
-        )
-        self._chunks = np.concatenate(
-            [self._chunks, np.empty(extra, dtype=object)]
-        )
-        self._size = np.concatenate(
-            [self._size, np.zeros(extra, dtype=np.float64)]
-        )
-        self._node = np.concatenate(
-            [self._node, np.full(extra, -1, dtype=np.int64)]
-        )
+    @property
+    def table(self) -> ArrayChunkLedger:
+        """The chunk table this catalog publishes from."""
+        return self._table
 
-    def _alloc(self, count: int) -> np.ndarray:
-        reuse = min(count, len(self._free))
-        ids = np.empty(count, dtype=np.int64)
-        if reuse:
-            ids[:reuse] = self._free[len(self._free) - reuse:]
-            del self._free[len(self._free) - reuse:]
-        fresh = count - reuse
-        if fresh:
-            self._grow(self._hwm + fresh)
-            ids[reuse:] = np.arange(
-                self._hwm, self._hwm + fresh, dtype=np.int64
-            )
-            self._hwm += fresh
-        return ids
+    def _fit_columns(self) -> None:
+        """Grow the published columns to the table's capacity.
+
+        Ids are born in the partitioner's commit, which may grow the
+        table; the catalog catches up when it next publishes.
+        """
+        cap = self._table.column_capacity
+        if len(self._chunks) < cap:
+            self._chunks = resize_column(self._chunks, cap, None)
+            self._size = resize_column(self._size, cap, 0.0)
+            self._owner = resize_column(self._owner, cap, -1)
 
     # -- reads ---------------------------------------------------------
     @property
     def chunk_count(self) -> int:
-        """Number of live chunks across all arrays."""
-        return len(self._id_of)
+        """Number of published chunks across all arrays."""
+        return sum(len(v.ids) for v in list(self._views.values()))
 
     @property
     def epoch(self) -> int:
@@ -765,17 +744,10 @@ class ChunkCatalog:
             a for a, v in list(self._views.items()) if len(v.ids)
         )
 
-    def contains(self, ref: ChunkRef) -> bool:
-        """Whether ``ref`` is currently catalogued."""
-        return ref in self._id_of
-
-    def node_of(self, ref: ChunkRef) -> NodeId:
-        """Node holding ``ref`` (KeyError when not catalogued)."""
-        return int(self._node[self._id_of[ref]])
-
-    def payload_of(self, ref: ChunkRef) -> ChunkData:
-        """The stored payload handle of ``ref`` (KeyError when absent)."""
-        return self._chunks[self._id_of[ref]]
+    def payload_of(self, ref: ChunkRef) -> Optional[ChunkData]:
+        """The published payload handle of ``ref``, or ``None``."""
+        i = self._table._id_of.get(ref)
+        return None if i is None or i >= len(self._chunks) else self._chunks[i]
 
     # -- per-array reads: each is a read of the current snapshot -------
     # (entry points of the cluster facade and the benchmark's span
@@ -914,11 +886,15 @@ class ChunkCatalog:
                         f"{weight} for {ref} during replay"
                     )
                 net[ref] = (weight, chunk if sign > 0 else handle)
+        refs = self._table._refs
         for array, net in replayed.items():
+            view = self._views.get(array)
+            ids = view.ids if view is not None else np.empty(0, np.int64)
             live = {
-                ref: (1, self._chunks[i])
-                for ref, i in self._id_of.items()
-                if ref.array == array
+                ref: (1, chunk)
+                for ref, chunk in zip(
+                    refs[ids].tolist(), self._chunks[ids].tolist()
+                )
             }
             survivors = {
                 ref: entry for ref, entry in net.items()
@@ -939,12 +915,38 @@ class ChunkCatalog:
                         f"stale payload handle for {ref}"
                     )
         # Arrays with live chunks but no log cannot replay at all.
-        for ref in self._id_of:
-            if ref.array not in self._deltas:
+        for array in self.arrays():
+            if array not in self._deltas:
                 raise ClusterError(
-                    f"array {ref.array!r} has live chunks but no "
-                    "delta log"
+                    f"array {array!r} has live chunks but no delta log"
                 )
+
+    def verify_published(self) -> None:
+        """Planned == published, as one vector compare at quiescence.
+
+        Every id the table holds, and nothing else, must be published on
+        its planned owner.  Between ``partitioner.scale_out`` and the
+        rebalance's :meth:`relocate_batch` the two legitimately differ,
+        so only ``ElasticCluster.check_consistency`` calls this (it
+        raises :class:`ClusterError` on a difference).
+        """
+        live = self._table.live_ids()
+        published = np.sort(np.concatenate(
+            [np.empty(0, np.int64)]
+            + [v.ids for v in list(self._views.values())]
+        ))
+        if not np.array_equal(live, published):
+            raise ClusterError(
+                f"catalog publishes {len(published)} chunks but the "
+                f"table holds {len(live)}"
+            )
+        stale = np.count_nonzero(
+            self._owner[live] != self._table.owners(live)
+        )
+        if stale:
+            raise ClusterError(
+                f"{stale} published owners differ from the planned ones"
+            )
 
     # -- snapshots -----------------------------------------------------
     def snapshot(self, array: str) -> ArraySnapshot:
@@ -1058,45 +1060,43 @@ class ChunkCatalog:
             log.append(epoch, signs, list(refs), list(chunks), sizes,
                        nodes)
 
-    def put_batch(
-        self,
-        chunks: Sequence[ChunkData],
-        nodes: Sequence[NodeId],
-    ) -> None:
-        """Record stored chunks (insert or merge), in batch order.
+    def put_batch(self, chunks: Sequence[ChunkData]) -> None:
+        """Publish stored chunks (insert or merge), in batch order.
 
         ``chunks`` must be the objects the node stores actually hold
         after the physical put — for a merge the store replaces its
         payload with a new merged :class:`ChunkData`, and the catalog
-        handle follows it.  New refs are interned and merged into their
-        array's sorted view; known refs refresh their payload handle and
-        bytes in place (their node must not change — merges never
-        relocate).
+        handle follows it.  Every ref must already hold a table id (born
+        in the partitioner's commit; :class:`ClusterError` and nothing
+        published otherwise).  An unpublished id is published on its
+        planned owner and merged into its array's sorted view; a
+        published one refreshes its payload handle and bytes in place
+        (its owner does not change — merges never relocate).
         """
         if not chunks:
             return
+        refs = [chunk.ref() for chunk in chunks]
+        try:
+            ids = self._table.ids_of(refs)
+        except KeyError as exc:
+            raise ClusterError(
+                f"chunk {exc.args[0]} is not in the chunk table"
+            ) from None
+        planned = self._table.owners(ids).tolist()
         with self._write():
-            id_of = self._id_of
-            refs = [chunk.ref() for chunk in chunks]
-            # One id allocation for the whole batch: a ref repeated
-            # inside the batch is new once, and the ids are handed out
-            # in batch order.
-            fresh_ids = iter(
-                self._alloc(len(set(refs) - id_of.keys())).tolist()
-            )
+            self._fit_columns()
             new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
             log_by_array: Dict[str, List[Tuple]] = {}
             touched = set()
-            for ref, chunk, node in zip(refs, chunks, nodes):
+            for ref, chunk, i, node in zip(
+                refs, chunks, ids.tolist(), planned
+            ):
                 array = ref.array
                 touched.add(array)
                 entries = log_by_array.setdefault(array, [])
-                i = id_of.get(ref)
-                if i is None:
-                    i = next(fresh_ids)
-                    id_of[ref] = i
-                    self._refs[i] = ref
-                    self._node[i] = node
+                old = self._chunks[i]
+                if old is None:
+                    self._owner[i] = node
                     if array not in self._schema_of:
                         self._schema_of[array] = chunk.schema
                     new_ids, new_keys = new_by_array.setdefault(
@@ -1107,20 +1107,16 @@ class ChunkCatalog:
                     entries.append(
                         (1, ref, chunk, chunk.size_bytes, node)
                     )
-                else:
-                    old = self._chunks[i]
-                    if old is not chunk:
-                        # A merge replaced the stored payload: the
-                        # retiring handle leaves the ZSet, the merged
-                        # one enters it.
-                        old_node = int(self._node[i])
-                        entries.append(
-                            (-1, ref, old, float(self._size[i]),
-                             old_node)
-                        )
-                        entries.append(
-                            (1, ref, chunk, chunk.size_bytes, old_node)
-                        )
+                elif old is not chunk:
+                    # A merge replaced the stored payload: the retiring
+                    # handle leaves the ZSet, the merged one enters it.
+                    old_node = int(self._owner[i])
+                    entries.append(
+                        (-1, ref, old, float(self._size[i]), old_node)
+                    )
+                    entries.append(
+                        (1, ref, chunk, chunk.size_bytes, old_node)
+                    )
                 self._chunks[i] = chunk
                 self._size[i] = chunk.size_bytes
             for array, (new_ids, new_keys) in new_by_array.items():
@@ -1135,46 +1131,44 @@ class ChunkCatalog:
             self._touch(touched)
             self._log_deltas(log_by_array)
 
-    def relocate_batch(
-        self,
-        refs: Sequence[ChunkRef],
-        dests: Sequence[NodeId],
-    ) -> None:
-        """Reassign many chunks' owner nodes (sorted views unchanged)."""
-        if not refs:
-            return
-        with self._write():
-            id_of = self._id_of
-            ids = np.fromiter(
-                (id_of[r] for r in refs), dtype=np.int64,
-                count=len(refs)
-            )
-            self._node[ids] = np.asarray(dests, dtype=np.int64)
-            self._touch({r.array for r in refs}, contents=False)
+    def relocate_batch(self, refs: Sequence[ChunkRef]) -> None:
+        """Publish the planned owners of moved chunks.
 
-    def remove_batch(self, refs: Sequence[ChunkRef]) -> None:
-        """Drop chunks from the catalog; their ids join the free list.
-
-        Each dropped chunk enters the array's delta log at ``-1`` with
-        the payload handle, bytes, and owner it retired with — expiry is
-        a negative delta to the incremental maintenance layer.
+        Called once the stores hold the moved bytes: the published owner
+        of each id is copied from the table's planned one (sorted views
+        unchanged).
         """
         if not refs:
             return
+        ids = self._table.ids_of(refs)
+        planned = self._table.owners(ids)
+        with self._write():
+            self._owner[ids] = planned
+            self._touch({r.array for r in refs}, contents=False)
+
+    def remove_batch(self, refs: Sequence[ChunkRef]) -> None:
+        """Unpublish chunks; the table frees their ids afterwards.
+
+        Runs before ``partitioner.remove`` (the ids must still be
+        interned).  Each dropped chunk enters the array's delta log at
+        ``-1`` with the payload handle, bytes, and owner it retired
+        with — expiry is a negative delta to the incremental
+        maintenance layer.
+        """
+        if not refs:
+            return
+        ids = self._table.ids_of(refs)
         with self._write():
             by_array: Dict[str, List[int]] = {}
             log_by_array: Dict[str, List[Tuple]] = {}
-            for ref in refs:
-                i = self._id_of.pop(ref)
+            for ref, i in zip(refs, ids.tolist()):
                 log_by_array.setdefault(ref.array, []).append(
                     (-1, ref, self._chunks[i], float(self._size[i]),
-                     int(self._node[i]))
+                     int(self._owner[i]))
                 )
-                self._refs[i] = None
                 self._chunks[i] = None
                 self._size[i] = 0.0
-                self._node[i] = -1
-                self._free.append(i)
+                self._owner[i] = -1
                 by_array.setdefault(ref.array, []).append(i)
             for array, dead in by_array.items():
                 self._views[array].drop(
@@ -1186,23 +1180,19 @@ class ChunkCatalog:
     # -- compaction ----------------------------------------------------
     @property
     def column_capacity(self) -> int:
-        """Allocated per-chunk column slots (live + dead + headroom)."""
-        return len(self._size)
-
-    @property
-    def dead_slot_fraction(self) -> float:
-        """Fraction of :attr:`column_capacity` not holding a live chunk."""
-        cap = len(self._size)
-        return 1.0 - len(self._id_of) / cap if cap else 0.0
+        """Allocated per-chunk column slots (the table's, at quiescence)."""
+        return len(self._chunks)
 
     def compact(self, min_dead_fraction: float = 0.0) -> bool:
-        """Re-intern live ids into dense slots and shrink the columns.
+        """Compact the chunk table and remap the published columns.
 
-        Observable state — pairs, placements, scan columns, epochs, and
-        live payload-cache entries — is unchanged; only the internal id
-        space is rewritten (the per-array views are remapped in place,
-        preserving their sort order).  Mirrors
-        :meth:`repro.core.ledger.ArrayChunkLedger.compact`.
+        The one compaction of a published table: inside the write window
+        the table re-interns its live ids
+        (:meth:`repro.core.ledger.ArrayChunkLedger.compact_ids`) and the
+        published columns and per-array views are remapped with the
+        same old → new ids (views keep their sort order).  Observable
+        state — pairs, placements, scan columns, epochs, and live
+        payload-cache entries — is unchanged.
 
         Returns
         -------
@@ -1210,35 +1200,16 @@ class ChunkCatalog:
             ``True`` when the columns were rebuilt.
         """
         with self._write():
-            cap = len(self._size)
-            live = len(self._id_of)
-            if cap == 0 or self.dead_slot_fraction < min_dead_fraction:
+            self._fit_columns()
+            old_ids = self._table.compact_ids(min_dead_fraction)
+            if old_ids is None:
                 return False
-            new_cap = max(self._INITIAL_CAPACITY, live)
-            if not self._free and cap <= new_cap:
-                return False
-            old_ids = np.fromiter(
-                self._id_of.values(), dtype=np.int64, count=live
-            )
-            old_ids.sort()
-            mapping = np.full(cap, -1, dtype=np.int64)
-            mapping[old_ids] = np.arange(live, dtype=np.int64)
-            refs = self._refs[old_ids]
-            new_refs = np.empty(new_cap, dtype=object)
-            new_refs[:live] = refs
-            new_chunks = np.empty(new_cap, dtype=object)
-            new_chunks[:live] = self._chunks[old_ids]
-            new_size = np.zeros(new_cap, dtype=np.float64)
-            new_size[:live] = self._size[old_ids]
-            new_node = np.full(new_cap, -1, dtype=np.int64)
-            new_node[:live] = self._node[old_ids]
-            self._refs = new_refs
-            self._chunks = new_chunks
-            self._size = new_size
-            self._node = new_node
-            self._id_of = dict(zip(refs.tolist(), range(live)))
-            self._free = []
-            self._hwm = live
+            cap = self._table.column_capacity
+            mapping = np.full(len(self._chunks), -1, dtype=np.int64)
+            mapping[old_ids] = np.arange(len(old_ids), dtype=np.int64)
+            self._chunks = resize_column(self._chunks[old_ids], cap, None)
+            self._size = resize_column(self._size[old_ids], cap, 0.0)
+            self._owner = resize_column(self._owner[old_ids], cap, -1)
             for view in self._views.values():
                 if len(view.ids):
                     view.ids = mapping[view.ids]

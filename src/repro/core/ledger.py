@@ -1,13 +1,19 @@
-"""The chunk ledger: the bookkeeping store behind every partitioner.
+"""The chunk table: the one ``ChunkRef -> id`` intern table of a cluster.
 
-The ledger answers "which node holds this chunk and how big is it" and
-maintains the per-node byte loads plus the running total.
+The table answers "which node should hold this chunk and how big is it"
+and maintains the per-node byte loads plus the running total.
 :class:`ArrayChunkLedger` interns every :class:`ChunkRef` to a dense
 integer id and keeps the per-chunk state in parallel numpy columns —
-bytes, owning node, and (when all refs share one arity) the chunk-key
-coordinates.  Batch commits, merges, and rebalance reads then become
-vector operations over those columns instead of per-ref dict traffic
-through Python-level ``__hash__``.
+the ref, bytes, the **planned** owning node, and (when all refs share
+one arity) the chunk-key coordinates.  Batch commits, merges, and
+rebalance reads then become vector operations over those columns
+instead of per-ref dict traffic through Python-level ``__hash__``.
+
+The partitioner creates and writes the table (partitioners also run
+without a cluster); in a cluster the chunk catalog
+(:class:`repro.core.catalog.ChunkCatalog`) publishes from the same
+object, adding a **published** owner column that equals the planned one
+at quiescence (``docs/invariants.md``, "The chunk id lifecycle").
 
 Its specification is the dict-of-refs ledger in
 ``tests/oracles/ledger.py``: ``tests/test_ledger.py`` drives both
@@ -19,12 +25,10 @@ Removed chunks leave their dense ids on a free list; under insert/expire
 churn the columns therefore hold more slots than live chunks.
 :meth:`ArrayChunkLedger.compact` re-interns the live refs into fresh,
 exactly-sized columns once the dead-slot ratio crosses a configurable
-threshold, bounding ledger memory over long churn-heavy runs — the
-cluster triggers it from its reorganization cycle
-(:meth:`repro.cluster.cluster.ElasticCluster.scale_out` /
-:meth:`~repro.cluster.cluster.ElasticCluster.remove_chunks`; the
-bounded-vs-unbounded behaviour is pinned by
-``tests/test_ledger_compaction.py``).
+threshold, bounding index memory over long churn-heavy runs.  A
+published table compacts once, inside the catalog's write window
+(:meth:`repro.core.catalog.ChunkCatalog.compact`); the cluster triggers
+it from its reorganization cycle (``tests/test_ledger_compaction.py``).
 
 Float semantics
 ---------------
@@ -37,6 +41,7 @@ contract `place_batch` already documents.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +50,17 @@ import numpy as np
 from repro.arrays.chunk import ChunkRef
 
 NodeId = int
+
+
+def resize_column(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
+    """A fresh ``capacity``-row column: ``rows`` first, then ``fill``.
+
+    Growth passes a whole column; compaction passes the live ids'
+    gathered rows (``column[ids]``), which lands them at the front.
+    """
+    out = np.full((capacity,) + rows.shape[1:], fill, dtype=rows.dtype)
+    out[: len(rows)] = rows
+    return out
 
 
 class _RefsMappingView(Mapping):
@@ -123,13 +139,14 @@ class _LoadsView(Mapping):
 
 
 class ArrayChunkLedger:
-    """Interned-ref ledger over parallel numpy columns.
+    """Interned-ref chunk table over parallel numpy columns.
 
     Every first-time ref is interned to a dense integer id; the id
-    indexes the ``_size`` (float64 bytes), ``_node`` (int64 owner id)
-    and — when every ref shares one key arity — ``_key`` (int64 chunk
-    coordinates) columns.  Removed ids go on a free list and are reused
-    by later placements, so the columns stay dense under churn.
+    indexes the ``_refs``, ``_size`` (float64 bytes), ``_node`` (int64
+    planned owner) and — when every ref shares one key arity — ``_key``
+    (int64 chunk coordinates) columns.  Removed ids go on a free list
+    and are reused by later placements, so the columns stay dense under
+    churn.
 
     Node ids are likewise interned to dense slots (the ``_load``
     column); the ``_node`` column stores the *slot*, not the raw node
@@ -161,6 +178,9 @@ class ArrayChunkLedger:
         self._load = np.zeros(0, dtype=np.float64)
         for n in nodes:
             self.add_node(int(n))
+        # The catalog publishing this table, held weakly: the catalog
+        # holds the table, and a cycle would outlive its cluster.
+        self._publisher: Optional[weakref.ref] = None
         # cached views (stateless over self)
         self._assignment_view = _AssignmentView(self)
         self._sizes_view = _SizesView(self)
@@ -172,25 +192,11 @@ class ArrayChunkLedger:
         if need <= cap:
             return
         new_cap = max(need, cap * 2)
-        self._refs = np.concatenate(
-            [self._refs, np.empty(new_cap - cap, dtype=object)]
-        )
-        self._size = np.concatenate(
-            [self._size, np.zeros(new_cap - cap, dtype=np.float64)]
-        )
-        self._node = np.concatenate(
-            [self._node, np.full(new_cap - cap, -1, dtype=np.int64)]
-        )
+        self._refs = resize_column(self._refs, new_cap, None)
+        self._size = resize_column(self._size, new_cap, 0.0)
+        self._node = resize_column(self._node, new_cap, -1)
         if self._key is not None:
-            self._key = np.concatenate(
-                [
-                    self._key,
-                    np.zeros(
-                        (new_cap - cap, self._key.shape[1]),
-                        dtype=np.int64,
-                    ),
-                ]
-            )
+            self._key = resize_column(self._key, new_cap, 0)
 
     def _alloc(self, count: int) -> np.ndarray:
         """Allocate ``count`` ids: free-list first, then fresh slots."""
@@ -299,35 +305,36 @@ class ArrayChunkLedger:
         node_list = self._node_list
         return {r: node_list[node[i]] for r, i in self._id_of.items()}
 
-    def ids_on(self, node: NodeId) -> np.ndarray:
-        """Dense ids of the chunks assigned to one node (vector scan)."""
-        slot = self._slot_of[node]
-        return np.nonzero(self._node[: self._hwm] == slot)[0]
-
     def refs_on(self, node: NodeId) -> List[ChunkRef]:
         """Refs assigned to one node (column-scan order)."""
-        return self._refs[self.ids_on(node)].tolist()
+        on = self._node[: self._hwm] == self._slot_of[node]
+        return self._refs[: self._hwm][on].tolist()
+
+    def ids_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+        """Dense ids of many interned refs (KeyError on an unknown one)."""
+        id_of = self._id_of
+        return np.fromiter(
+            (id_of[r] for r in refs), dtype=np.int64, count=len(refs)
+        )
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """Planned owner node ids of many dense ids (one gather)."""
+        return np.asarray(self._node_list, dtype=np.int64)[self._node[ids]]
+
+    def live_ids(self) -> np.ndarray:
+        """Every interned id, ascending (a vector scan of the owners)."""
+        return np.nonzero(self._node[: self._hwm] >= 0)[0]
 
     def sizes_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Bulk byte sizes of many refs (one column gather)."""
-        id_of = self._id_of
-        ids = np.fromiter(
-            (id_of[r] for r in refs), dtype=np.int64, count=len(refs)
-        )
-        return self._size[ids]
+        return self._size[self.ids_of(refs)]
 
     def key_column(
         self, refs: Sequence[ChunkRef], dim: int
     ) -> np.ndarray:
         """Bulk chunk-key coordinates of many refs along one dimension."""
         if self._keys_ok and self._key is not None:
-            id_of = self._id_of
-            ids = np.fromiter(
-                (id_of[r] for r in refs),
-                dtype=np.int64,
-                count=len(refs),
-            )
-            return self._key[ids, dim]
+            return self._key[self.ids_of(refs), dim]
         return np.fromiter(
             (r.key[dim] for r in refs), dtype=np.int64, count=len(refs)
         )
@@ -435,12 +442,7 @@ class ArrayChunkLedger:
             total_delta += float(sizes.sum())
             placements = dict(zip(refs, nodes.tolist()))
         if merges:
-            id_of = self._id_of
-            mids = np.fromiter(
-                (id_of[r] for r, _ in merges),
-                dtype=np.int64,
-                count=len(merges),
-            )
+            mids = self.ids_of([r for r, _ in merges])
             msizes = np.fromiter(
                 (s for _, s in merges),
                 dtype=np.float64,
@@ -479,6 +481,15 @@ class ArrayChunkLedger:
         cap = len(self._size)
         return 1.0 - len(self._id_of) / cap if cap else 0.0
 
+    @property
+    def publisher(self):
+        """The live catalog that publishes this table, or ``None``."""
+        return None if self._publisher is None else self._publisher()
+
+    @publisher.setter
+    def publisher(self, catalog) -> None:
+        self._publisher = weakref.ref(catalog)
+
     def compact(self, min_dead_fraction: float = 0.0) -> bool:
         """Re-intern live refs into dense ids and shrink the columns.
 
@@ -489,6 +500,10 @@ class ArrayChunkLedger:
         Observable state — assignment, sizes, key coordinates, per-node
         loads, the running total — is unchanged (property-checked by
         ``tests/test_ledger_compaction.py``).
+
+        A published table compacts through its catalog's write window
+        (:meth:`repro.core.catalog.ChunkCatalog.compact`), so the two
+        id spaces never part.
 
         Parameters
         ----------
@@ -503,34 +518,36 @@ class ArrayChunkLedger:
             ``True`` when the columns were rebuilt, ``False`` when the
             threshold was not met or nothing could shrink.
         """
+        catalog = self.publisher
+        if catalog is not None:
+            return catalog.compact(min_dead_fraction)
+        return self.compact_ids(min_dead_fraction) is not None
+
+    def compact_ids(
+        self, min_dead_fraction: float = 0.0
+    ) -> Optional[np.ndarray]:
+        """:meth:`compact` without the catalog hand-off (its window).
+
+        Returns the old id of every new id ``0 .. live-1`` (ascending),
+        or ``None`` when nothing ran.
+        """
         cap = len(self._size)
         live = len(self._id_of)
         if cap == 0 or self.dead_slot_fraction < min_dead_fraction:
-            return False
+            return None
         new_cap = max(self._INITIAL_CAPACITY, live)
         if not self._free and cap <= new_cap:
-            return False  # already dense: nothing to reclaim
+            return None  # already dense: nothing to reclaim
         ids = np.fromiter(
             self._id_of.values(), dtype=np.int64, count=live
         )
         ids.sort()
-        refs = self._refs[ids]
-        new_refs = np.empty(new_cap, dtype=object)
-        new_refs[:live] = refs
-        new_size = np.zeros(new_cap, dtype=np.float64)
-        new_size[:live] = self._size[ids]
-        new_node = np.full(new_cap, -1, dtype=np.int64)
-        new_node[:live] = self._node[ids]
+        self._refs = resize_column(self._refs[ids], new_cap, None)
+        self._size = resize_column(self._size[ids], new_cap, 0.0)
+        self._node = resize_column(self._node[ids], new_cap, -1)
         if self._key is not None:
-            new_key = np.zeros(
-                (new_cap, self._key.shape[1]), dtype=np.int64
-            )
-            new_key[:live] = self._key[ids]
-            self._key = new_key
-        self._refs = new_refs
-        self._size = new_size
-        self._node = new_node
-        self._id_of = dict(zip(refs.tolist(), range(live)))
+            self._key = resize_column(self._key[ids], new_cap, 0)
+        self._id_of = dict(zip(self._refs[:live].tolist(), range(live)))
         self._free = []
         self._hwm = live
-        return True
+        return ids

@@ -127,6 +127,19 @@ def oracles(monkeypatch):
     return substituted
 
 
+@pytest.fixture
+def table_partitioner():
+    """Factory for a fresh Round Robin partitioner over ``nodes``.
+
+    Its chunk table is what a unit-test catalog publishes from:
+    ``ChunkCatalog(p.table)``, with every chunk placed (or adopted) by
+    ``p`` before the catalog publishes it.
+    """
+    return lambda nodes=(0, 1, 2): make_partitioner(
+        "round_robin", list(nodes)
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_schema():
     """The paper's running example: A<i:int32,j:float>[x=1:4,2, y=1:4,2]."""

@@ -11,7 +11,7 @@ the grouped rebalance executor are compared against
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def execute_rebalance_scalar(
     nodes: Mapping[int, Node],
     plan: RebalancePlan,
     costs: CostParameters,
-    catalog: Optional[ChunkCatalog] = None,
+    catalog: ChunkCatalog,
 ) -> RebalanceReport:
     """Parity oracle: the pre-catalog per-move evict/put loop."""
     for move in plan.moves:
@@ -121,8 +121,7 @@ def execute_rebalance_scalar(
             )
         chunk = nodes[move.source].store.evict(move.ref)
         nodes[move.dest].store.put(chunk)
-        if catalog is not None:
-            catalog.relocate_batch([move.ref], [move.dest])
+        catalog.relocate_batch([move.ref])
     return RebalanceReport(
         chunks_moved=plan.chunk_count,
         bytes_moved=plan.total_bytes,

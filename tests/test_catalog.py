@@ -12,7 +12,8 @@ Covers the ISSUE-4 catalog contract:
 * the grouped rebalance executor is physically equivalent to the
   per-move oracle, including chained moves;
 * :class:`ChunkStore`'s batch APIs and the dirty-bit sorted-ref cache;
-* catalog compaction preserves every observable;
+* the one compaction (table and published columns in one write
+  window) preserves every observable;
 * the gather (``concat_payload``) walks runs of adjacent arena extents
   and equals the per-chunk oracle (``tests/oracles/catalog.py``) element
   for element and dtype for dtype, never aliasing an arena;
@@ -72,6 +73,19 @@ def _chunk(array, t, x, y, size, value=1.0):
         {"v": np.array([float(value)])},
         size_bytes=float(size),
     )
+
+
+def _publish(partitioner, catalog, chunks):
+    """Place ``chunks`` (the table gives them ids), then publish them."""
+    partitioner.place_batch([(c.ref(), c.size_bytes) for c in chunks])
+    catalog.put_batch(chunks)
+
+
+def _unpublish(partitioner, catalog, refs):
+    """Unpublish ``refs``, then free their table ids."""
+    catalog.remove_batch(refs)
+    for ref in refs:
+        partitioner.remove(ref)
 
 
 def _make_cluster(name, nodes=2):
@@ -316,7 +330,7 @@ class TestPayloadCache:
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
 
-    def test_permuted_attrs_share_one_entry(self):
+    def test_permuted_attrs_share_one_entry(self, table_partitioner):
         # The cache key normalizes the attr list (sorted, deduplicated):
         # querying the same subset in any order — or with repeats — hits
         # the one cached concatenation instead of caching it per
@@ -324,7 +338,8 @@ class TestPayloadCache:
         schema = parse_schema(
             "C<u:double, v:double>[t=0:*,1, x=0:15,1, y=0:15,1]"
         )
-        catalog = ChunkCatalog()
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
         chunks = [
             ChunkData(
                 schema, (0, x, 0),
@@ -334,7 +349,7 @@ class TestPayloadCache:
             )
             for x in range(4)
         ]
-        catalog.put_batch(chunks, [0] * 4)
+        _publish(partitioner, catalog, chunks)
         first = catalog.payload_of_array("C", ["u", "v"], ndim=3)
         misses = catalog.payload_misses
         for attrs in (["v", "u"], ["u", "v"], ["v", "u", "v"]):
@@ -566,38 +581,53 @@ class TestGroupedRebalance:
         batched.check_consistency()
         oracle.check_consistency()
 
-    def _nodes_with_chunks(self):
-        nodes = {i: Node(i, 1e12) for i in range(3)}
-        catalog = ChunkCatalog()
-        chunks = [_chunk("A", t, 0, 0, 10.0 + t) for t in range(4)]
-        for c in chunks:
-            nodes[0].store.put(c)
-        catalog.put_batch(chunks, [0, 0, 0, 0])
-        return nodes, catalog, chunks
+    @pytest.fixture
+    def nodes_with_chunks(self, table_partitioner):
+        """Factory: four chunks stored on node 0 of three, published.
 
-    def test_chained_moves_collapse(self):
+        Returns ``(nodes, catalog, chunks, partitioner)``; plans the
+        partitioner emits (``_relocate``) move the planned owners the
+        catalog publishes when the plan executes.
+        """
+
+        def build():
+            partitioner = table_partitioner()
+            nodes = {i: Node(i, 1e12) for i in range(3)}
+            chunks = [_chunk("A", t, 0, 0, 10.0 + t) for t in range(4)]
+            for c in chunks:
+                nodes[0].store.put(c)
+            partitioner.adopt_batch(
+                [(c.ref(), c.size_bytes, 0) for c in chunks]
+            )
+            catalog = ChunkCatalog(partitioner.table)
+            catalog.put_batch(chunks)
+            return nodes, catalog, chunks, partitioner
+
+        return build
+
+    def test_chained_moves_collapse(self, nodes_with_chunks):
         # A chunk moved 0 -> 1 -> 2 within one plan must end on 2, with
         # node 1 never actually holding it (grouped path) — and the
         # oracle replaying each hop lands in the same end state.
         for executor in (execute_rebalance, execute_rebalance_scalar):
-            nodes, catalog, chunks = self._nodes_with_chunks()
+            nodes, catalog, chunks, partitioner = nodes_with_chunks()
             ref = chunks[0].ref()
             plan = RebalancePlan(moves=[
-                Move(ref, 0, 1, chunks[0].size_bytes),
-                Move(ref, 1, 2, chunks[0].size_bytes),
+                partitioner._relocate(ref, 1),
+                partitioner._relocate(ref, 2),
             ])
             report = executor(nodes, plan, CostParameters(), catalog)
             assert report.chunks_moved == 2
             assert ref not in nodes[0].store
             assert ref not in nodes[1].store
             assert nodes[2].store.get(ref) is chunks[0]
-            assert catalog.node_of(ref) == 2
+            assert catalog.placement_of_array("A")[ref.key] == 2
 
-    def test_phantom_cycle_chain_rejected(self):
+    def test_phantom_cycle_chain_rejected(self, nodes_with_chunks):
         # A cyclic chain over a chunk no store holds nets out to zero
         # movement, but the oracle would fail its first eviction — the
         # grouped pass must reject it too, not report success.
-        nodes, catalog, chunks = self._nodes_with_chunks()
+        nodes, catalog, chunks, _ = nodes_with_chunks()
         ghost = ChunkRef("A", (123, 0, 0))
         plan = RebalancePlan(moves=[
             Move(ghost, 0, 1, 1.0),
@@ -606,22 +636,22 @@ class TestGroupedRebalance:
         with pytest.raises(ClusterError):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
 
-    def test_cycle_chain_is_noop(self):
-        nodes, catalog, chunks = self._nodes_with_chunks()
+    def test_cycle_chain_is_noop(self, nodes_with_chunks):
+        nodes, catalog, chunks, partitioner = nodes_with_chunks()
         ref = chunks[1].ref()
         plan = RebalancePlan(moves=[
-            Move(ref, 0, 1, chunks[1].size_bytes),
-            Move(ref, 1, 0, chunks[1].size_bytes),
+            partitioner._relocate(ref, 1),
+            partitioner._relocate(ref, 0),
         ])
         execute_rebalance(nodes, plan, CostParameters(), catalog)
         assert nodes[0].store.get(ref) is chunks[1]
-        assert catalog.node_of(ref) == 0
+        assert catalog.placement_of_array("A")[ref.key] == 0
 
-    def test_discontinuous_chain_rejected(self):
+    def test_discontinuous_chain_rejected(self, nodes_with_chunks):
         # A hop that does not start where the previous one ended is a
         # malformed plan; the oracle would fail to evict mid-replay, so
         # the grouped executor must refuse it up front.
-        nodes, catalog, chunks = self._nodes_with_chunks()
+        nodes, catalog, chunks, _ = nodes_with_chunks()
         ref = chunks[0].ref()
         plan = RebalancePlan(moves=[
             Move(ref, 0, 1, chunks[0].size_bytes),
@@ -630,10 +660,10 @@ class TestGroupedRebalance:
         with pytest.raises(ClusterError):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
         assert nodes[0].store.get(ref) is chunks[0]  # nothing moved
-        assert catalog.node_of(ref) == 0
+        assert catalog.placement_of_array("A")[ref.key] == 0
 
-    def test_whole_plan_validated_before_moving(self):
-        nodes, catalog, chunks = self._nodes_with_chunks()
+    def test_whole_plan_validated_before_moving(self, nodes_with_chunks):
+        nodes, catalog, chunks, _ = nodes_with_chunks()
         good = chunks[0].ref()
         missing = ChunkRef("A", (99, 0, 0))
         plan = RebalancePlan(moves=[
@@ -644,10 +674,10 @@ class TestGroupedRebalance:
             execute_rebalance(nodes, plan, CostParameters(), catalog)
         # nothing moved: the bad move was caught during validation
         assert nodes[0].store.get(good) is chunks[0]
-        assert catalog.node_of(good) == 0
+        assert catalog.placement_of_array("A")[good.key] == 0
 
-    def test_unknown_node_rejected(self):
-        nodes, catalog, chunks = self._nodes_with_chunks()
+    def test_unknown_node_rejected(self, nodes_with_chunks):
+        nodes, catalog, chunks, _ = nodes_with_chunks()
         plan = RebalancePlan(moves=[
             Move(chunks[0].ref(), 0, 77, chunks[0].size_bytes),
         ])
@@ -717,41 +747,51 @@ class TestChunkStoreBatchApis:
 
 
 class TestCatalogInternals:
-    def _populated(self, n=200):
-        catalog = ChunkCatalog()
+    @pytest.fixture
+    def populated(self, table_partitioner):
+        """200 chunks placed over three nodes and published."""
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
         chunks = [
             _chunk("AB"[t % 2], t, t % 16, 0, 10.0 + t)
-            for t in range(n)
+            for t in range(200)
         ]
-        catalog.put_batch(chunks, [t % 3 for t in range(n)])
-        return catalog, chunks
+        _publish(partitioner, catalog, chunks)
+        return partitioner, catalog, chunks
 
-    def test_compact_preserves_observables(self):
-        catalog, chunks = self._populated()
-        catalog.remove_batch([c.ref() for c in chunks[::2]])
+    def test_compact_preserves_observables(self, populated):
+        # One compaction rewrites the table's ids and the published
+        # columns together; every read is unchanged.
+        partitioner, catalog, chunks = populated
+        _unpublish(partitioner, catalog, [c.ref() for c in chunks[::2]])
         payload_before = catalog.payload_of_array("A", ["v"], ndim=3)
         pairs_before = catalog.pairs_of_array("A")
         place_before = catalog.placement_of_array("B")
+        assignment_before = partitioner.assignment()
         epoch_before = catalog.epoch_of("A")
         cap_before = catalog.column_capacity
-        assert catalog.dead_slot_fraction > 0.3
+        assert partitioner.ledger_dead_fraction > 0.3
         assert catalog.compact(0.3) is True
         assert catalog.column_capacity < cap_before
+        assert catalog.column_capacity == partitioner.ledger_column_capacity
         assert catalog.epoch_of("A") == epoch_before
         assert catalog.pairs_of_array("A") == pairs_before
         assert catalog.placement_of_array("B") == place_before
+        assert partitioner.assignment() == assignment_before
+        catalog.verify_published()
         # live cache entries survive compaction (no epoch bump)
         after = catalog.payload_of_array("A", ["v"], ndim=3)
         assert after[0] is payload_before[0]
 
-    def test_compact_threshold(self):
-        catalog, chunks = self._populated()
-        catalog.remove_batch([chunks[0].ref()])
+    def test_compact_threshold(self, populated):
+        partitioner, catalog, chunks = populated
+        _unpublish(partitioner, catalog, [chunks[0].ref()])
         assert catalog.compact(0.9) is False
         assert catalog.compact(0.0) is True
+        assert catalog.compact(0.0) is False  # already dense
 
-    def test_scan_columns_match_pairs(self):
-        catalog, _ = self._populated()
+    def test_scan_columns_match_pairs(self, populated):
+        _, catalog, _ = populated
         sizes, nodes, schema = catalog.scan_columns_of("A")
         pairs = catalog.pairs_of_array("A")
         assert sizes.tolist() == [c.size_bytes for c, _ in pairs]
@@ -768,33 +808,53 @@ class TestCatalogInternals:
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
 
-    def test_repeated_ref_in_one_batch_takes_one_id(self):
-        # Ids are allocated once per batch from the count of *distinct*
-        # unseen refs: 64 refs listed twice fill the initial 64 slots
-        # exactly.
-        catalog = ChunkCatalog()
+    def test_repeated_ref_in_one_batch_takes_one_id(self, table_partitioner):
+        # A ref listed twice is interned once, by the table: 64 refs
+        # listed twice fill its initial 64 slots exactly, and the
+        # catalog publishes each id once.
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
         chunks = [_chunk("A", t, 0, 0, 10.0) for t in range(64)]
-        catalog.put_batch(chunks + chunks, [0] * 128)
+        _publish(partitioner, catalog, chunks + chunks)
         assert catalog.chunk_count == 64
         assert catalog.column_capacity == 64
-        assert catalog.dead_slot_fraction == 0.0
+        assert partitioner.ledger_dead_fraction == 0.0
         assert [c for c, _ in catalog.pairs_of_array("A")] == chunks
 
-    def test_capacity_doubles_until_the_batch_fits(self):
-        catalog = ChunkCatalog()
-        catalog.put_batch(
-            [_chunk("A", t, 0, 0, 10.0) for t in range(200)], [0] * 200
+    def test_capacity_follows_the_table(self, table_partitioner):
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
+        _publish(
+            partitioner, catalog,
+            [_chunk("A", t, 0, 0, 10.0) for t in range(200)],
         )
-        assert catalog.column_capacity == 256
-        # freed ids are reused before the columns grow again
-        catalog.remove_batch(
-            [ChunkRef("A", (t, 0, 0)) for t in range(100)]
+        assert catalog.column_capacity == 200
+        assert partitioner.ledger_column_capacity == 200
+        # freed table ids are reused before either grows again
+        _unpublish(
+            partitioner, catalog,
+            [ChunkRef("A", (t, 0, 0)) for t in range(100)],
         )
-        catalog.put_batch(
-            [_chunk("B", t, 0, 0, 10.0) for t in range(150)], [1] * 150
+        _publish(
+            partitioner, catalog,
+            [_chunk("B", t, 0, 0, 10.0) for t in range(150)],
         )
         assert catalog.chunk_count == 250
-        assert catalog.column_capacity == 256
+        assert catalog.column_capacity == 400
+        assert partitioner.ledger_column_capacity == 400
+        catalog.verify_published()
+
+    def test_unplaced_chunk_is_not_published(self, table_partitioner):
+        # Ids are born in the partitioner's commit: a chunk the table
+        # never placed cannot be published, and nothing of the batch is.
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
+        placed = _chunk("A", 0, 0, 0, 10.0)
+        partitioner.place(placed.ref(), placed.size_bytes)
+        with pytest.raises(ClusterError):
+            catalog.put_batch([placed, _chunk("A", 1, 0, 0, 10.0)])
+        assert catalog.chunk_count == 0
+        assert catalog.payload_of(placed.ref()) is None
 
 
 GATHER_SCHEMA = parse_schema(
@@ -1005,10 +1065,13 @@ class TestCatalogLifetime:
         finally:
             gc.enable()
 
-    def test_snapshot_outliving_its_catalog_still_reads(self):
-        catalog = ChunkCatalog()
+    def test_snapshot_outliving_its_catalog_still_reads(
+        self, table_partitioner
+    ):
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
         chunks = [_chunk("A", t, 0, 0, 10.0, value=t) for t in range(5)]
-        catalog.put_batch(chunks, [0] * 5)
+        _publish(partitioner, catalog, chunks)
         snap = catalog.snapshot("A")
         want = snap.payload(["v"], 3)
         del catalog

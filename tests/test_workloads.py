@@ -201,13 +201,19 @@ class TestAisWorkload:
         assert recent.lo[0] > 0
         assert full.hi == recent.hi
 
-    def test_time_chunk_box_routes_exactly_the_time_slab(self, small_ais):
+    def test_time_chunk_box_routes_exactly_the_time_slab(
+        self, small_ais, table_partitioner
+    ):
         from repro.core.catalog import ChunkCatalog
 
-        catalog = ChunkCatalog()
+        partitioner = table_partitioner()
+        catalog = ChunkCatalog(partitioner.table)
         for cycle in range(1, small_ais.n_cycles + 1):
             chunks = small_ais.batch(cycle).chunks
-            catalog.put_batch(chunks, [0] * len(chunks))
+            partitioner.place_batch(
+                [(c.ref(), c.size_bytes) for c in chunks]
+            )
+            catalog.put_batch(chunks)
         pairs = catalog.pairs_of_array("broadcast")
         last = max(c.key[0] for c, _ in pairs)
         assert last >= 7

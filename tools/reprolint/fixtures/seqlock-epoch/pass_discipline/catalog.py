@@ -3,7 +3,7 @@ class MiniCatalog:
     def __init__(self):
         self._write_seq = 0
         self._chunks = {}
-        self._node = {}
+        self._owner = {}
         self._epoch = 0
 
     def _write(self):
@@ -12,8 +12,8 @@ class MiniCatalog:
     def _touch(self, arrays):
         self._epoch += 1
 
-    def put(self, i, chunk, node):
+    def put(self, i, chunk, owner):
         with self._write():
             self._chunks[i] = chunk
-            self._node[i] = node
+            self._owner[i] = owner
             self._touch({chunk.ref().array})

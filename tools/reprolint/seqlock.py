@@ -1,11 +1,15 @@
 """Checker 3 — catalog seqlock/epoch discipline (``RL30x``).
 
 ``ChunkCatalog`` publishes mutations through a seqlock: the write
-counter goes odd while chunk columns (``_refs`` / ``_chunks`` /
-``_size`` / ``_node``) or the per-array sorted views are being
-rewritten, and optimistic snapshot captures discard any gather that
-overlapped an odd window.  The epochs are the second half of the
-contract: a mutation must bump the touched arrays' epochs (via
+counter goes odd while its published columns (``_chunks`` payload
+handles / ``_size`` bytes / ``_owner`` published owner) or the
+per-array sorted views are being rewritten, and optimistic snapshot
+captures discard any gather that overlapped an odd window.  The ref
+column (``_refs``) and the *planned* owner live in the partitioner's
+chunk table, which is not a seqlock class: the partitioner writes them
+for ids the catalog does not publish yet, and the only rewrite of a
+published id there — compaction — runs inside the catalog's window.
+The epochs are the second half of the contract: a mutation must bump the touched arrays' epochs (via
 ``self._touch``) **after** its last column write and before the window
 closes, or a concurrent reader can validate a stale payload handle
 against a fresh epoch — the exact race PR 8 fixed (payload handles were
@@ -24,9 +28,9 @@ Rules, applied to any class that maintains a ``self._write_seq``:
   write (the PR 8 shape, statically rejected).
 
 Attribute *rebinds* (``self._chunks = new``) are deliberately exempt:
-``compact()`` rebuilds columns content-preservingly and must not
-advance epochs — that exemption is part of the protocol, not a checker
-gap.
+``compact()`` and the growth to the table's capacity rebuild columns
+content-preservingly and must not advance epochs — that exemption is
+part of the protocol, not a checker gap.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from tools.reprolint.base import Finding, Project, is_self_attr
 CHECKER = "seqlock-epoch"
 
 #: Columns whose subscript stores publish catalog state.
-PROTECTED = {"_refs", "_chunks", "_size", "_node"}
+PROTECTED = {"_chunks", "_size", "_owner"}
 
 Pos = Tuple[int, int]
 

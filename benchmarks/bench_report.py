@@ -7,14 +7,13 @@ item counts), derives batch-vs-scalar speedups for the hot paths that
 have both variants, and merges the result into ``BENCH_micro.json`` at
 the repo root so the performance trajectory is tracked PR over PR.
 Sections another tool wrote (``bench_concurrent.py``'s ``"concurrent"``)
-or that this run skipped (``--calibration-repeats 0``) are kept.
+are kept.
 
 Usage::
 
     python benchmarks/bench_report.py [--output BENCH_micro.json]
                                       [--input existing-benchmark.json]
                                       [--only PYTEST_K_EXPRESSION]
-                                      [--calibration-repeats N]
 
 ``--only`` re-runs just the benchmarks a pytest ``-k`` expression
 selects and refreshes their rows (and the speedups derived from them)
@@ -24,11 +23,7 @@ so a retired benchmark leaves the record.
 
 With ``--input`` an existing pytest-benchmark JSON is normalized without
 re-running the suite (useful on CI where the run and the report are
-separate steps).  Unless ``--calibration-repeats 0``, the report also
-carries a ``calibration`` block: median/IQR over repeated smoke runs of
-the Table-3 cost-model calibration (measured-vs-modeled correlation and
-fitted seconds-per-byte rates from live worker processes — see
-``bench_table3_calibration.py`` for the full harness and the hard gate).
+separate steps).
 """
 
 from __future__ import annotations
@@ -91,53 +86,6 @@ SPEEDUP_PAIRS = [
                      "hilbert_curve", "round_robin", "uniform_range")
     ),
 ]
-
-
-def run_calibration(repeats: int, trials: int = 3) -> dict:
-    """Repeat the smoke calibration; median/IQR per reported number.
-
-    Correlations and fitted rates wobble with machine load, so the
-    report carries the median and interquartile range over ``repeats``
-    independent calibration runs instead of a single draw.  The perf
-    gate reads only ``hot_paths`` / ``batch_vs_scalar_speedup``, so
-    this key is informational — the hard correlation gate lives in
-    ``bench_table3_calibration.py`` and the CI ``parallel-exec`` job.
-    """
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.harness import table3_calibration
-
-    runs = [
-        table3_calibration(smoke=True, trials=trials)
-        for _ in range(repeats)
-    ]
-
-    def med_iqr(values):
-        lo, mid, hi = (
-            float(x)
-            for x in _percentiles(values, (25.0, 50.0, 75.0))
-        )
-        return {"median": mid, "iqr": hi - lo}
-
-    kinds = sorted(runs[0].correlations)
-    rate_names = sorted(runs[0].rates)
-    return {
-        "repeats": repeats,
-        "trials_per_probe": trials,
-        "correlations": {
-            kind: med_iqr([r.correlations[kind] for r in runs])
-            for kind in kinds
-        },
-        "fitted_seconds_per_byte": {
-            name: med_iqr([r.rates[name] for r in runs])
-            for name in rate_names
-        },
-    }
-
-
-def _percentiles(values, qs):
-    import numpy as np
-
-    return np.percentile(np.asarray(values, dtype=float), qs)
 
 
 def run_benchmarks(json_path: str, only: str = "") -> None:
@@ -255,13 +203,6 @@ def main(argv=None) -> int:
         help="pytest -k expression: re-run only the matching benchmarks "
              "and refresh only their rows of the record",
     )
-    parser.add_argument(
-        "--calibration-repeats",
-        type=int,
-        default=3,
-        help="smoke-calibration runs for the median/IQR block "
-             "(0 skips calibration entirely)",
-    )
     args = parser.parse_args(argv)
 
     if args.input:
@@ -278,22 +219,11 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
 
     report = normalize(raw)
-    if args.calibration_repeats > 0 and not args.only:
-        report["calibration"] = run_calibration(
-            args.calibration_repeats
-        )
     write_merged(args.output, report, partial=bool(args.only))
 
     print(f"wrote {args.output}")
     for key, ratio in report["batch_vs_scalar_speedup"].items():
         print(f"  {key:28s} batch is {ratio:6.2f}x scalar")
-    for kind, stats in report.get("calibration", {}).get(
-        "correlations", {}
-    ).items():
-        print(
-            f"  calibration corr {kind:10s} median "
-            f"{stats['median']:.4f} (IQR {stats['iqr']:.4f})"
-        )
     return 0
 
 

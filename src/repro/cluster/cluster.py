@@ -102,8 +102,8 @@ class ElasticCluster:
             initial node ids.
         node_capacity_bytes: capacity ``c`` of every (homogeneous) node.
         costs: simulation cost constants; when omitted they come from
-            :meth:`CostParameters.from_env`, so calibration-fitted
-            ``REPRO_COST_*`` exports flow into every run.
+            :meth:`CostParameters.from_env`, so ``REPRO_COST_*``
+            exports flow into every run.
         provisioner: optional leading staircase.  When present,
             :meth:`ingest` runs the control loop before inserting; when
             absent, use :meth:`scale_out` to add nodes manually (the fixed

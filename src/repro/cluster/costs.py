@@ -13,7 +13,8 @@ same minutes-range as the paper's testbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional
 
 from repro.config import env_mapping
@@ -22,11 +23,10 @@ from repro.errors import ClusterError
 #: One gigabyte, in bytes (decimal, as storage vendors and the paper use).
 GB = 1e9
 
-#: Environment override → dataclass field, in **seconds per byte** (the
-#: unit the calibration harness fits); values are converted to the
-#: per-GB fields internally.  ``SCAN`` is the per-byte operator compute
-#: of a scan charge (the ``cpu`` term), ``IO`` the paper's ``δ``,
-#: ``NETWORK`` its ``t``.
+#: Environment override → dataclass field, in **seconds per byte**;
+#: values are converted to the per-GB fields internally.  ``SCAN`` is
+#: the per-byte operator compute of a scan charge (the ``cpu`` term),
+#: ``IO`` the paper's ``δ``, ``NETWORK`` its ``t``.
 ENV_COST_OVERRIDES = {
     "REPRO_COST_SCAN_S_PER_B": "cpu_seconds_per_gb",
     "REPRO_COST_IO_S_PER_B": "io_seconds_per_gb",
@@ -70,14 +70,12 @@ class CostParameters:
     fabric_concurrency: float = 1.5
 
     def __post_init__(self) -> None:
-        for name in (
-            "io_seconds_per_gb",
-            "network_seconds_per_gb",
-            "cpu_seconds_per_gb",
-            "query_overhead_seconds",
-        ):
-            if getattr(self, name) < 0:
-                raise ClusterError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ClusterError(
+                    f"{f.name} must be finite and >= 0, got {value!r}"
+                )
         if self.fabric_concurrency <= 0:
             raise ClusterError("fabric_concurrency must be positive")
 
@@ -103,20 +101,18 @@ class CostParameters:
     ) -> "CostParameters":
         """Build parameters with per-byte overrides from the environment.
 
-        The calibration harness (:mod:`repro.parallel.calibrate`) fits
-        seconds-per-**byte** rates from live worker runs and emits them
-        as ``REPRO_COST_SCAN_S_PER_B`` / ``REPRO_COST_IO_S_PER_B`` /
-        ``REPRO_COST_NETWORK_S_PER_B`` exports.  This constructor closes
-        the loop: any of those that are set replace the corresponding
-        field of ``base`` (default :class:`CostParameters`) after
-        conversion to the per-GB unit the model uses.  Unset variables
-        leave the base value untouched.
+        ``REPRO_COST_SCAN_S_PER_B`` / ``REPRO_COST_IO_S_PER_B`` /
+        ``REPRO_COST_NETWORK_S_PER_B`` change a rate without editing
+        code: any of those that are set replace the corresponding field
+        of ``base`` (default :class:`CostParameters`) after conversion
+        from seconds-per-**byte** to the per-GB unit the model uses.
+        Unset or blank variables leave the base value untouched.
 
         Raises
         ------
         ClusterError
-            If a set variable does not parse as a float (negative values
-            are rejected by ``__post_init__`` as usual).
+            If a set variable does not parse as a float (negative and
+            non-finite values are rejected by ``__post_init__`` as usual).
         """
         env = env_mapping() if environ is None else environ
         changes: Dict[str, float] = {}

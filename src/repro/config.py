@@ -182,7 +182,7 @@ def parity(**overrides: str) -> Iterator[ParityConfig]:
 # sanctioned environment access
 # ----------------------------------------------------------------------
 # Tuning knobs that are not two-valued parity switches (timeouts, start
-# methods, calibrated cost rates) still read ``REPRO_*`` variables —
+# methods, cost-rate overrides) still read ``REPRO_*`` variables —
 # but only through these helpers, so every environment dependency in
 # the tree routes through this module.  The ``env-discipline`` checker
 # in ``tools/reprolint`` enforces that no other ``repro`` module

@@ -956,7 +956,9 @@ class ChunkCatalog:
         memoized and handed back as long as the array's epoch has not
         moved — pinning a quiescent array costs a dict probe, not a
         column gather (sessions opened per query or per refresh stay
-        cheap between mutations).
+        cheap between mutations).  An empty capture is not memoized and
+        drops the array's entry, so an array that empties out does not
+        keep its last rows alive in the memo.
 
         A fresh capture is optimistic: the column gather runs without
         the write lock and is validated against the mutation seqlock —
@@ -994,6 +996,8 @@ class ChunkCatalog:
                 snap = ArraySnapshot(self, array)
         if len(snap):
             self._snapshot_cache[array] = snap
+        else:
+            self._snapshot_cache.pop(array, None)
         return snap
 
     # -- mutation ------------------------------------------------------

@@ -517,36 +517,6 @@ def table3_cost_model(
 
 
 # ----------------------------------------------------------------------
-# Table 3 companion — measured calibration of the cost constants
-# ----------------------------------------------------------------------
-def table3_calibration(
-    smoke: bool = False,
-    trials: int = 3,
-    sizes: Optional[Sequence[int]] = None,
-    node_ids: Sequence[int] = (0, 1),
-):
-    """Fit the cost constants from live process-backend runs.
-
-    Where :func:`table3_cost_model` *applies* the paper's Table 3
-    constants, this experiment *derives* them the way the paper did —
-    by measuring the testbed.  It spawns real worker processes
-    (:mod:`repro.parallel`), drives the scan / I/O / shuffle
-    microbenches at several payload sizes, and returns a
-    :class:`~repro.parallel.calibrate.CalibrationResult` whose
-    ``render()`` reports the measured-vs-modeled correlation per kind
-    and the fitted seconds-per-byte rates (exportable as
-    ``REPRO_COST_*`` so simulated runs use the fitted constants).
-
-    ``smoke=True`` selects the small payload ladder used by the CI leg.
-    """
-    from repro.parallel.calibrate import calibrate
-
-    return calibrate(
-        sizes=sizes, trials=trials, node_ids=node_ids, smoke=smoke
-    )
-
-
-# ----------------------------------------------------------------------
 # Figure 8 companion — a sliding retention window under churn
 # ----------------------------------------------------------------------
 #: Chunk-grid space of the retention workload (time is unbounded).

@@ -7,16 +7,11 @@ frames and a pickle-framed control pipe carries requests.  The engine
 resident chunk sets in sync with the cluster's chunk catalog and serves
 real scatter/gather plus the k-means / kNN / join shuffle exchanges.
 The classic in-process engine stays on as the parity oracle — results
-are byte-identical across backends — and the calibration harness
-(:mod:`~repro.parallel.calibrate`) fits :class:`CostParameters` rates
-from measured worker wall-clock.
+are byte-identical across backends.
 """
 
-from repro.parallel.calibrate import CalibrationResult, calibrate
 from repro.parallel.engine import ProcessEngine
 
 __all__ = [
-    "CalibrationResult",
     "ProcessEngine",
-    "calibrate",
 ]

@@ -121,7 +121,7 @@ class ProcessEngine:
         #: gathers answered locally because the pinned snapshot predates
         #: the synced catalog epoch (MVCC fallback), for observability.
         self.stale_fallbacks = 0
-        #: per-request timing/byte records for the calibration harness.
+        #: per-request timing/byte records (see :meth:`drain_request_log`).
         self.request_log: List[dict] = []
 
     # -- lifecycle -----------------------------------------------------
@@ -452,7 +452,7 @@ class ProcessEngine:
             }
             return coords, values
 
-    # -- blob scratch space (exchanges + calibration) ------------------
+    # -- blob scratch space (shuffle exchanges) -----------------------
     def store_blob(self, node_id: int, name: str, array) -> int:
         """Ship one array into a worker's blob namespace; bytes sent."""
         arr = np.ascontiguousarray(array)
@@ -474,23 +474,6 @@ class ProcessEngine:
                 node_id, {"op": "fetch_blob", "name": name}
             )
             return unpack_frame(reply["frame"])["x"]
-
-    def relay_blob(
-        self,
-        src_node: int,
-        name: str,
-        dst_node: int,
-        dst_name: str,
-    ) -> int:
-        """Move a blob between workers through the coordinator.
-
-        One fetch + one store — the wire pattern of a shuffle leg; the
-        calibration harness times it against two network charges.
-        """
-        with self._lock, lockdep.held("transport"):
-            arr = self.fetch_blob(src_node, name)
-            self.store_blob(dst_node, dst_name, arr)
-            return int(arr.nbytes)
 
     def drop_blobs(self, node_id: int, names: Sequence[str]) -> None:
         with self._lock, lockdep.held("transport"):

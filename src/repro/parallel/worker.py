@@ -3,14 +3,13 @@
 One worker backs one simulated node.  It holds that node's resident
 chunk payloads (coordinate table + attribute columns per chunk, loaded
 by the engine's catalog sync) and a scratch **blob** namespace used by
-the shuffle exchanges and the calibration harness.  The control pipe
+the shuffle exchanges.  The control pipe
 carries pickled request dicts in, ``{"status": "ok" | "error", ...}``
 reply dicts out; bulk array payloads ride shared-memory frames
 (:mod:`repro.parallel.transport`).
 
 Every reply carries ``worker_seconds`` — the wall-clock the worker
-spent handling the request — which the calibration harness correlates
-against :class:`~repro.cluster.costs.CostParameters` charges.
+spent handling the request — which the engine's request log records.
 
 Application errors (unknown chunk, bad blob name) are reported in-band
 as ``status: "error"`` replies; only a broken pipe ends the loop.  The
@@ -141,12 +140,6 @@ def _handle(op, msg, node_id, chunks, blobs) -> dict:
         )
         keys = kernels.join_local(side_a, side_b)
         return {"frame": pack_frame({"keys": keys})}
-    if op == "stats":
-        return {
-            "node": node_id,
-            "resident": len(chunks),
-            "blobs": len(blobs),
-        }
     if op == "shutdown":
         return {}
     raise ValueError(f"unknown op {op!r}")

@@ -40,7 +40,7 @@ def test_report_merges_into_the_record_it_finds(tools, tmp_path):
         "hot_paths": {"test_retired": {"items": 1}},
     }))
     raw = _raw(tmp_path / "raw.json", 0.5)
-    args = ["--input", raw, "--output", str(out), "--calibration-repeats", "0"]
+    args = ["--input", raw, "--output", str(out)]
     assert bench_report.main(args) == 0
     record = json.loads(out.read_text())
     assert record["concurrent"] == {"p50_ms": 1.0}      # kept
@@ -55,7 +55,7 @@ def test_report_only_refreshes_the_rows_it_reran(tools, tmp_path):
     out = tmp_path / "BENCH_micro.json"
     kept = {"items": 7, "mean_seconds": 2.0}
     out.write_text(json.dumps({
-        "calibration": {"repeats": 3},
+        "concurrent": {"p50_ms": 1.0},
         "hot_paths": {
             "test_kmeans_batch": kept,
             "test_cost_scan_batch": {"items": 1, "mean_seconds": 9.0},
@@ -66,7 +66,7 @@ def test_report_only_refreshes_the_rows_it_reran(tools, tmp_path):
     args = ["--input", raw, "--output", str(out), "--only", "cost_scan"]
     assert bench_report.main(args) == 0
     record = json.loads(out.read_text())
-    assert record["calibration"] == {"repeats": 3}      # not re-run
+    assert record["concurrent"] == {"p50_ms": 1.0}      # not re-run
     assert record["hot_paths"]["test_kmeans_batch"] == kept
     assert record["hot_paths"]["test_cost_scan_batch"]["mean_seconds"] == 0.5
     assert list(record["hot_paths"]) == sorted(record["hot_paths"])
@@ -81,11 +81,9 @@ def test_speedup_gate_skips_a_batch_arm_under_200_microseconds(
     # ROADMAP 6(e): the single-run ratio of a 50 µs loop fails on
     # identical code; such a row is reported and not gated.
     bench_report, bench_gate = tools
-    quiet = ["--calibration-repeats", "0"]
     base, new = tmp_path / "base.json", tmp_path / "new.json"
     bench_report.main(
         ["--input", _raw(tmp_path / "a.json", 50e-6), "--output", str(base)]
-        + quiet
     )
     record = json.loads(base.read_text())
     record["batch_vs_scalar_speedup"]["cost_scan"] = 4.0   # a 60 % "drop"
@@ -98,7 +96,6 @@ def test_speedup_gate_skips_a_batch_arm_under_200_microseconds(
     # the same drop on a 0.5 s arm is gated...
     bench_report.main(
         ["--input", _raw(tmp_path / "b.json", 0.5), "--output", str(base)]
-        + quiet
     )
     record = json.loads(base.read_text())
     record["batch_vs_scalar_speedup"]["cost_scan"] = 4.0
@@ -107,7 +104,6 @@ def test_speedup_gate_skips_a_batch_arm_under_200_microseconds(
     # ...and a short row the run lost altogether still fails as missing
     bench_report.main(
         ["--input", _raw(tmp_path / "a.json", 50e-6), "--output", str(base)]
-        + quiet
     )
     record = json.loads(base.read_text())
     record["batch_vs_scalar_speedup"] = {}
@@ -120,9 +116,7 @@ def test_gate_fails_on_a_vanished_section(tools, tmp_path, capsys):
     bench_report, bench_gate = tools
     base = tmp_path / "base.json"
     raw = _raw(tmp_path / "raw.json", 0.5)
-    bench_report.main(
-        ["--input", raw, "--output", str(base), "--calibration-repeats", "0"]
-    )
+    bench_report.main(["--input", raw, "--output", str(base)])
     record = json.loads(base.read_text())
     base.write_text(json.dumps(dict(record, concurrent={"p50_ms": 1.0})))
     new = tmp_path / "new.json"

@@ -64,10 +64,86 @@ class TestCostParameters:
         )
 
     def test_validation(self):
+        nan, inf = float("nan"), float("inf")
+        bad = [
+            {"io_seconds_per_gb": -1.0},
+            {"fabric_concurrency": 0.0},
+            {"task_dispatch_seconds": -5.0},
+            {"fabric_concurrency": nan},
+            {"fabric_concurrency": inf},
+        ]
+        for field in (
+            "io_seconds_per_gb",
+            "network_seconds_per_gb",
+            "cpu_seconds_per_gb",
+            "query_overhead_seconds",
+            "task_dispatch_seconds",
+        ):
+            bad += [{field: nan}, {field: inf}, {field: -inf}]
+        for kwargs in bad:
+            with pytest.raises(ClusterError):
+                CostParameters(**kwargs)
+        for raw in ("nan", "inf", "-inf", "-1e-9"):
+            with pytest.raises(ClusterError):
+                CostParameters.from_env(
+                    environ={"REPRO_COST_IO_S_PER_B": raw}
+                )
+
+
+class TestCostFromEnv:
+    def test_from_env_reads_environ_mapping(self):
+        costs = CostParameters.from_env(
+            environ={"REPRO_COST_IO_S_PER_B": "2.5e-9"}
+        )
+        assert costs.io_seconds_per_gb == pytest.approx(2.5)
+        # untouched fields keep their defaults
+        assert costs.network_seconds_per_gb == (
+            CostParameters().network_seconds_per_gb
+        )
+
+    def test_from_env_respects_base(self):
+        base = CostParameters(cpu_seconds_per_gb=99.0)
+        costs = CostParameters.from_env(
+            base=base,
+            environ={"REPRO_COST_NETWORK_S_PER_B": "1e-9"},
+        )
+        assert costs.cpu_seconds_per_gb == 99.0
+        assert costs.network_seconds_per_gb == pytest.approx(1.0)
+
+    def test_from_env_ignores_blank_values(self):
+        costs = CostParameters.from_env(
+            environ={"REPRO_COST_SCAN_S_PER_B": "   "}
+        )
+        assert costs == CostParameters()
+
+    def test_from_env_rejects_garbage(self):
         with pytest.raises(ClusterError):
-            CostParameters(io_seconds_per_gb=-1.0)
-        with pytest.raises(ClusterError):
-            CostParameters(fabric_concurrency=0.0)
+            CostParameters.from_env(
+                environ={"REPRO_COST_SCAN_S_PER_B": "fast"}
+            )
+
+    def test_from_env_uses_process_environ_by_default(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_COST_IO_S_PER_B", "3e-9")
+        assert CostParameters.from_env().io_seconds_per_gb == (
+            pytest.approx(3.0)
+        )
+
+    def test_cluster_picks_up_env_costs(self, monkeypatch):
+        from repro.cluster import ElasticCluster
+        from repro.core import make_partitioner
+        from repro.arrays import Box
+
+        monkeypatch.setenv("REPRO_COST_NETWORK_S_PER_B", "4e-9")
+        partitioner = make_partitioner(
+            "round_robin", [0, 1], grid=Box((0, 0), (4, 4)),
+            node_capacity_bytes=GB,
+        )
+        cluster = ElasticCluster(partitioner, GB)
+        assert cluster.costs.network_seconds_per_gb == (
+            pytest.approx(4.0)
+        )
 
 
 class TestNetworkModel:

@@ -75,9 +75,9 @@ def _assert_same_observables(array_p, dict_p):
 class TestCompactionProperty:
     """Random op/compact interleavings preserve observable state."""
 
-    @settings(max_examples=8, deadline=None)
+    @pytest.mark.parametrize("name", ALL_PARTITIONERS)
+    @settings(max_examples=4, deadline=None)
     @given(
-        name=st.sampled_from(ALL_PARTITIONERS),
         seed=st.integers(0, 2**31),
         script=st.lists(
             st.sampled_from(

@@ -176,9 +176,9 @@ class TestChunkIntervalMath:
 class TestRegionRoutingParityProperty:
     """Random mutation interleavings keep routing ≡ the box-walk oracle."""
 
-    @settings(max_examples=10, deadline=None)
+    @pytest.mark.parametrize("name", ALL_PARTITIONERS)
+    @settings(max_examples=4, deadline=None)
     @given(
-        name=st.sampled_from(ALL_PARTITIONERS),
         seed=st.integers(0, 2**31),
         script=st.lists(
             st.sampled_from(["ingest", "grow", "expire"]),

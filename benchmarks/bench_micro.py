@@ -639,8 +639,8 @@ def _routing_cluster():
 
 def _route_query(cluster):
     """One query's storage reads: routed pairs + the payload gather."""
-    pairs = cluster.chunks_of_array("Q")
-    coords, _vals = cluster.array_payload("Q", ["v"], ndim=3)
+    pairs = cluster.catalog.pairs_of_array("Q")
+    coords, _vals = cluster.catalog.payload_of_array("Q", ["v"], ndim=3)
     return len(pairs), coords.shape[0]
 
 
@@ -670,7 +670,7 @@ def test_region_route_catalog(benchmark):
     cluster = _routing_cluster()
     benchmark.extra_info["items"] = CATALOG_CHUNKS
 
-    touched = benchmark(cluster.chunks_in_region, "Q", REGION)
+    touched = benchmark(cluster.catalog.pairs_in_region, "Q", REGION)
     ref = chunks_in_region_scan(cluster, "Q", REGION)
     assert [(id(c), n) for c, n in touched] == [
         (id(c), n) for c, n in ref
@@ -701,8 +701,9 @@ def test_region_cost_batch(benchmark):
 
     def charge():
         acc = accumulator_for(cluster)
+        # The catalog answers region_scan_columns like a session, unpinned.
         charge_scan_region(
-            acc, cluster, "Q", REGION, ["v"], costs, 1.0
+            acc, cluster.catalog, "Q", REGION, ["v"], costs, 1.0
         )
         return acc
 
@@ -745,7 +746,7 @@ def _rebalance_fixture():
     starting state, so every round does identical work.
     """
     cluster = _routing_cluster()
-    donors = cluster.chunks_of_array("Q")[: CATALOG_CHUNKS // 2]
+    donors = cluster.catalog.pairs_of_array("Q")[: CATALOG_CHUNKS // 2]
     fwd, rev = [], []
     for chunk, node in donors:
         dest = (node + 1) % CATALOG_NODES
@@ -849,7 +850,7 @@ def test_spill_scan_full(benchmark, tmp_path):
         root=str(tmp_path / "tiers"), memory_budget_bytes=1.0,
     )
     cluster = _spill_cluster(storage)
-    pairs = cluster.chunks_of_array("S")
+    pairs = cluster.catalog.pairs_of_array("S")
     benchmark.extra_info["items"] = SPILL_CHUNKS
 
     cells = benchmark(_scan_payloads, pairs)
@@ -861,7 +862,7 @@ def test_spill_scan_full(benchmark, tmp_path):
 def test_spill_scan_memory(benchmark):
     """The resident arm: identical chunks, payloads held in memory."""
     cluster = _spill_cluster()
-    pairs = cluster.chunks_of_array("S")
+    pairs = cluster.catalog.pairs_of_array("S")
     benchmark.extra_info["items"] = SPILL_CHUNKS
 
     cells = benchmark(_scan_payloads, pairs)

@@ -7,17 +7,13 @@ inserts and rebalances.  One call — :meth:`ingest` — runs the full §3.4
 ingest phase: provision if needed, redistribute preexisting chunks, insert
 the new ones.
 
-Queries read through :meth:`ElasticCluster.session`; the cluster's own
-read methods are passthroughs onto the cluster-wide columnar chunk
-catalog (:class:`repro.core.catalog.ChunkCatalog`), which every mutation
-keeps current and which answers each of them from the array's current
-snapshot — the same code a session's pin runs.  So
-:meth:`chunks_of_array` / :meth:`placement_of_array` are
-O(live-chunks-of-array) column gathers instead of per-node store walks,
-and :meth:`array_payload` serves concatenated cell tables cached per
-payload epoch (repeated queries between content mutations skip the
-re-concatenation).  The pre-catalog store walks are the specification
-of these reads and live in ``tests/oracles/cluster.py``.
+Every catalog read goes through :meth:`ElasticCluster.session`, which
+pins the array's snapshot in the cluster-wide columnar chunk catalog
+(:class:`repro.core.catalog.ChunkCatalog`) that every mutation keeps
+current.  The cluster itself answers only two by-ref probes,
+:meth:`locate` and :meth:`chunk_data`.  The pre-catalog store walks are
+the specification of the session's reads and live in
+``tests/oracles/cluster.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +23,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arrays.chunk import ChunkData, ChunkRef
-from repro.arrays.coords import Box
 from repro.arrays.segment import SegmentStore
 from repro.arrays.storage import ChunkStore
 from repro.cluster.coordinator import (
@@ -297,58 +290,6 @@ class ElasticCluster:
         """Node currently holding a chunk."""
         return self.partitioner.locate(ref)
 
-    def chunks_of_array(self, array: str) -> List[Tuple[ChunkData, int]]:
-        """All (chunk, node) pairs of one array, key-sorted.
-
-        Served from the chunk catalog's per-array sorted view (one
-        object-column gather).
-        """
-        return self.catalog.pairs_of_array(array)
-
-    def chunks_in_region(
-        self, array: str, region: Box
-    ) -> List[Tuple[ChunkData, int]]:
-        """Region-touched (chunk, node) pairs of one array, key-sorted.
-
-        The region-scoped query entry point: the catalog converts the
-        query box into per-dimension chunk-coordinate intervals (the
-        inverse of ``schema.chunk_box``) and selects live chunks with
-        one vectorized comparison over its key matrix — no per-chunk
-        ``Box`` construction.
-
-        Unknown arrays yield an empty list.  A region whose arity
-        differs from the array's raises
-        :class:`~repro.errors.SchemaError`.
-        """
-        return self.catalog.pairs_in_region(array, region)
-
-    def region_scan_columns(
-        self, array: str, region: Box
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of a region's chunks.
-
-        The region-scoped sibling of :meth:`array_scan_columns`: the
-        cost model lowers region-touched scan charges straight from
-        these catalog gathers
-        (:func:`repro.query.cost.region_scan_columns`).
-        """
-        return self.catalog.region_scan_columns(array, region)
-
-    def region_read(
-        self, array: str, region: Box
-    ) -> Tuple[
-        List[Tuple[ChunkData, int]],
-        Tuple[np.ndarray, np.ndarray, Optional[object]],
-    ]:
-        """Region-touched pairs plus scan columns, from one routing pass.
-
-        The combined read for queries that materialize the touched
-        chunks *and* charge the scan: one :meth:`chunks_in_region`-style
-        selection feeds both (the catalog gathers pairs and byte/owner
-        columns from the same id set).
-        """
-        return self.catalog.region_read(array, region)
-
     def chunk_data(self, ref: ChunkRef) -> ChunkData:
         """One chunk's published payload handle.
 
@@ -359,56 +300,6 @@ class ElasticCluster:
         if chunk is None:
             raise ClusterError(f"chunk {ref} is not in the catalog")
         return chunk
-
-    def placement_of_array(self, array: str) -> Dict[Tuple[int, ...], int]:
-        """Chunk key → node map for one array."""
-        return self.catalog.placement_of_array(array)
-
-    def array_scan_columns(
-        self, array: str
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of one array's chunks.
-
-        The cost model lowers whole-array scan charges from these
-        directly (:func:`repro.query.cost.array_scan_columns`), with no
-        (chunk, node) pair list in between.
-        """
-        return self.catalog.scan_columns_of(array)
-
-    def array_payload(
-        self,
-        array: str,
-        attrs: Sequence[str],
-        ndim: int = 0,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Concatenated cell table of one whole array, key-sorted.
-
-        The result is cached per ``(array, attrs, payload epoch)`` —
-        repeated queries between reorganizations skip the
-        re-concatenation, and any content mutation invalidates the
-        entry via the epoch bump.  Callers must treat the returned
-        arrays as read-only.
-        """
-        return self.catalog.payload_of_array(array, attrs, ndim)
-
-    def payload_in_region(
-        self,
-        array: str,
-        region: Box,
-        attrs: Sequence[str],
-        ndim: int = 0,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Cell table of one array clipped to ``region``, key-sorted.
-
-        The region-scoped sibling of :meth:`array_payload`: the
-        clipped cells are cached per ``(array, region, attrs, payload
-        epoch)`` in the same LRU as whole-array payloads, so a hot
-        selection skips the per-chunk concatenation *and* the per-chunk
-        region mask entirely between content mutations (pure
-        relocations keep the entry warm).  Callers must treat the
-        returned arrays as read-only.
-        """
-        return self.catalog.payload_in_region(array, region, attrs, ndim)
 
     def session(self):
         """Open an epoch-pinned read session (the query surface).
@@ -479,23 +370,6 @@ class ElasticCluster:
             for node_id, node in sorted(self.nodes.items())
             if node.store.tier is not None
         }
-
-    def deltas_since(self, array: str, epoch: int):
-        """One array's content mutations after an epoch cursor.
-
-        Passthrough to :meth:`ChunkCatalog.deltas_since`, which the
-        incremental maintenance layer reads.
-        """
-        return self.catalog.deltas_since(array, epoch)
-
-    def delta_scan_columns(self, array: str, epoch: int):
-        """``(sizes, nodes, schema)`` columns of a delta's rows.
-
-        Passthrough to :meth:`ChunkCatalog.delta_scan_columns`; the cost
-        model's Tempura-style maintenance planner lowers the incremental
-        plan's charge from these.
-        """
-        return self.catalog.delta_scan_columns(array, epoch)
 
     # ------------------------------------------------------------------
     # growth

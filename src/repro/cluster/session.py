@@ -11,11 +11,11 @@ ingest that lands mid-query — the paper's elasticity story (queries keep
 running *while* the cluster reorganizes) without readers blocking
 writers or writers blocking readers.
 
-The session duck-types the cluster's read surface (same method names,
-same signatures, same return shapes), so the cost model's ``charge_*``
-helpers and every query kernel run unchanged against either.  Cost
-parameters pass through to the live cluster (they are tuning knobs, not
-array state), but the **node universe is frozen at session creation**:
+The session is the cluster's only catalog read surface: the cost
+model's ``charge_*`` helpers and every query kernel read through it.
+Cost parameters pass through to the live cluster (they are tuning
+knobs, not array state), but the **node universe is frozen at session
+creation**:
 ``node_ids`` returns the node set captured when the session opened, so
 a cost accumulator interned from it stays valid for the session's whole
 lifetime.  A pin whose snapshot places chunks on a node added *after*
@@ -93,8 +93,6 @@ class ClusterSession:
     #: :class:`SnapshotRaceError`.
     PIN_RETRIES = 8
 
-    # ``Any`` rather than ``ElasticCluster``: tests drive sessions over
-    # duck-typed cluster doubles, and the read surface is structural.
     def __init__(self, cluster: Any) -> None:
         self._cluster = cluster
         self._snapshots: Dict[str, ArraySnapshot] = {}
@@ -135,16 +133,8 @@ class ClusterSession:
         return self
 
     def _engine(self) -> Any:
-        """The cluster's synced process backend, or ``None`` in-process.
-
-        ``None`` both under ``REPRO_EXEC=inprocess`` and when the
-        target predates :meth:`ElasticCluster.exec_backend` (duck-typed
-        cluster doubles in tests).
-        """
-        backend = getattr(self._cluster, "exec_backend", None)
-        if backend is None:
-            return None
-        return backend()
+        """The cluster's synced process backend, or ``None`` in-process."""
+        return self._cluster.exec_backend()
 
     # -- pinning -------------------------------------------------------
     def _admit(self, snap: ArraySnapshot) -> ArraySnapshot:
@@ -250,7 +240,7 @@ class ClusterSession:
             else:
                 self._snapshots.pop(array, None)
 
-    # -- read surface (mirrors ElasticCluster) -------------------------
+    # -- read surface --------------------------------------------------
     def chunks_of_array(
         self, array: str
     ) -> List[Tuple[ChunkData, int]]:

@@ -57,7 +57,7 @@ class AppendPartitioner(ElasticPartitioner):
         # Advance past full nodes; stop at the last node regardless.
         while (
             self._cursor < len(self._nodes) - 1
-            and self._loads[self._nodes[self._cursor]] + size_bytes
+            and self._ledger.load_of(self._nodes[self._cursor]) + size_bytes
             > self.node_capacity_bytes
         ):
             self._cursor += 1

@@ -56,18 +56,19 @@ consistent at every public-method boundary:
   assigned to n``.
 * every assigned chunk's node is in ``nodes``.
 
-Subclasses read the ledger through the mapping attributes
-``_assignment`` / ``_sizes`` / ``_loads`` (read-only views) or, on bulk
-paths, through :meth:`sizes_of` / :meth:`key_column` which gather whole
-numpy columns at once — the storage-median rebalance heuristics use
-those instead of one dict probe per chunk.
+Subclasses read the ledger through its own methods (``node_of`` /
+``size_of`` / ``load_of`` per ref or node, ``assignment`` for a whole
+snapshot) or, on bulk paths, through :meth:`sizes_of` /
+:meth:`key_column` which gather whole numpy columns at once — the
+storage-median rebalance heuristics use those instead of one dict probe
+per chunk.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,29 +163,13 @@ class ElasticPartitioner(ABC):
         self._ledger = ArrayChunkLedger(self._nodes)
 
     # ------------------------------------------------------------------
-    # ledger views (read-only; subclasses must mutate through the
-    # ledger primitives below, never through these mappings)
+    # read-only state
     # ------------------------------------------------------------------
     @property
     def table(self) -> ArrayChunkLedger:
         """The chunk table this partitioner writes (the catalog's too)."""
         return self._ledger
 
-    @property
-    def _assignment(self) -> Mapping:
-        return self._ledger.assignment_view()
-
-    @property
-    def _sizes(self) -> Mapping:
-        return self._ledger.sizes_view()
-
-    @property
-    def _loads(self) -> Mapping:
-        return self._ledger.loads_view()
-
-    # ------------------------------------------------------------------
-    # read-only state
-    # ------------------------------------------------------------------
     @property
     def nodes(self) -> Tuple[NodeId, ...]:
         """Current node ids, in addition order."""
@@ -270,7 +255,15 @@ class ElasticPartitioner(ABC):
         candidates = list(among) if among is not None else self._nodes
         if not candidates:
             raise PartitioningError("no candidate nodes")
-        return min(candidates, key=lambda n: (-self._loads.get(n, 0.0), n))
+        return min(candidates, key=self._load_rank)
+
+    def _load_rank(self, node: NodeId) -> Tuple[float, NodeId]:
+        """Sort key ranking nodes heaviest first, ties by node id.
+
+        An unregistered node ranks as empty.
+        """
+        led = self._ledger
+        return (-led.load_of(node) if led.has_node(node) else 0.0, node)
 
     # ------------------------------------------------------------------
     # mutation
@@ -497,10 +490,10 @@ class ElasticPartitioner(ABC):
         """Update the partitioning table for ``new_nodes``; return moves.
 
         Called after the base class has registered the new nodes (so
-        ``self._nodes``/``self._loads`` already include them).  Emit each
-        move through :meth:`_relocate` so the ledger stays current while
-        the extension runs — sequential splits within one scale-out must
-        observe the loads left by earlier splits.
+        ``self._nodes`` and the ledger's loads already include them).
+        Emit each move through :meth:`_relocate` so the ledger stays
+        current while the extension runs — sequential splits within one
+        scale-out must observe the loads left by earlier splits.
         """
 
     # ------------------------------------------------------------------

@@ -27,18 +27,21 @@ Every per-array read — pairs, placement, scan columns, the region
 family, payloads, deltas — is answered by an :class:`ArraySnapshot`: an
 immutable capture of the array's column slices, validated against the
 mutation seqlock and memoized per array epoch
-(:meth:`ChunkCatalog.snapshot`).  Sessions pin one and keep it; the
-catalog's own per-array methods (:meth:`~ChunkCatalog.pairs_of_array`,
+(:meth:`ChunkCatalog.snapshot`).  Queries read through a
+:class:`~repro.cluster.session.ClusterSession`, which pins one and keeps
+it.  The catalog's own per-array methods
+(:meth:`~ChunkCatalog.pairs_of_array`,
 :meth:`~ChunkCatalog.payload_in_region`, ...) read through the current
-one, so a live read and a pinned read are the same code over the same
-frozen columns and nothing outside a capture ever gathers a mutable
-column.  (The by-ref probe :meth:`~ChunkCatalog.payload_of` is
+one; only tests and the benchmark's span table call them.  A live read
+and a pinned read are therefore the same code over the same frozen
+columns, and nothing outside a capture ever gathers a mutable column.
+(The by-ref probe :meth:`~ChunkCatalog.payload_of` is
 ``check_consistency``'s view of the published table, not a query read.)
 
 Per-array sorted views
 ----------------------
 For each array the catalog keeps its live chunk ids sorted by chunk key
-(the order ``ElasticCluster.chunks_of_array`` has always returned).
+(the order ``ClusterSession.chunks_of_array`` returns).
 The views are maintained incrementally: a batch of inserts merges its
 (pre-sorted) new ids into the existing view with one ``searchsorted`` +
 ``insert``; removals mask ids out; relocations touch only the owner
@@ -750,8 +753,8 @@ class ChunkCatalog:
         return None if i is None or i >= len(self._chunks) else self._chunks[i]
 
     # -- per-array reads: each is a read of the current snapshot -------
-    # (entry points of the cluster facade and the benchmark's span
-    # table; the bodies live on ArraySnapshot)
+    # (entry points for tests and the benchmark's span table; queries
+    # read through ClusterSession, and the bodies live on ArraySnapshot)
     def pairs_of_array(
         self, array: str
     ) -> List[Tuple[ChunkData, NodeId]]:

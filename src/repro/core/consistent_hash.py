@@ -140,9 +140,10 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         # exactly the chunks that move, and their destination is always a
         # new node (old arcs only shrink).  One batch lookup covers the
         # whole table.
-        refs = sorted(self._assignment, key=lambda r: (r.array, r.key))
+        assignment = self._ledger.assignment()
+        refs = sorted(assignment, key=lambda r: (r.array, r.key))
         moves: List[Move] = []
         for ref, owner in zip(refs, self._owners_of(refs)):
-            if owner != self._assignment[ref]:
+            if owner != assignment[ref]:
                 moves.append(self._relocate(ref, owner))
         return moves

@@ -221,7 +221,7 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
             key=lambda r: (r.array, r.key),
         )
         for ref in migrating:
-            size = self._sizes[ref]
+            size = self._ledger.size_of(ref)
             bucket.members.discard(ref)
             bucket.bytes -= size
             sibling.members.add(ref)

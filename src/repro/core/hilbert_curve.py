@@ -183,7 +183,7 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         initial boundaries at the batch's byte medians along the curve —
         no chunks exist yet, so no data moves.
         """
-        if self._bounds_fitted or self._assignment:
+        if self._bounds_fitted or self._ledger.chunk_count:
             self._bounds_fitted = True
             return
         self._bounds_fitted = True

@@ -201,9 +201,7 @@ class KdTreePartitioner(ElasticPartitioner):
         candidates = [n for n in self._leaves if n != new_node]
         # Prefer the heaviest splittable host; fall back through the load
         # ranking when a host's box is a single grid cell.
-        for donor in sorted(
-            candidates, key=lambda n: (-self._loads.get(n, 0.0), n)
-        ):
+        for donor in sorted(candidates, key=self._load_rank):
             result = self._try_split(donor, new_node)
             if result is not None:
                 return result
@@ -266,7 +264,7 @@ class KdTreePartitioner(ElasticPartitioner):
             by_coord: Dict[int, float] = {}
             for ref in chunks:
                 c = min(max(ref.key[dim], lo), hi - 1)
-                by_coord[c] = by_coord.get(c, 0.0) + self._sizes[ref]
+                by_coord[c] = by_coord.get(c, 0.0) + self._ledger.size_of(ref)
             uniq = np.array(sorted(by_coord), dtype=object)
             weights = np.array(
                 [by_coord[c] for c in uniq.tolist()], dtype=np.float64

@@ -42,7 +42,6 @@ contract `place_batch` already documents.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,81 +60,6 @@ def resize_column(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
     out = np.full((capacity,) + rows.shape[1:], fill, dtype=rows.dtype)
     out[: len(rows)] = rows
     return out
-
-
-class _RefsMappingView(Mapping):
-    """Read-only mapping over the array ledger's alive refs."""
-
-    __slots__ = ("_ledger",)
-
-    def __init__(self, ledger: "ArrayChunkLedger") -> None:
-        self._ledger = ledger
-
-    def __iter__(self):
-        return iter(self._ledger._id_of)
-
-    def __len__(self) -> int:
-        return len(self._ledger._id_of)
-
-    def __contains__(self, ref) -> bool:
-        return ref in self._ledger._id_of
-
-
-class _AssignmentView(_RefsMappingView):
-    """``ChunkRef -> NodeId`` view backed by the node column."""
-
-    def __getitem__(self, ref: ChunkRef) -> NodeId:
-        led = self._ledger
-        return led._node_list[led._node[led._id_of[ref]]]
-
-    def get(self, ref, default=None):
-        led = self._ledger
-        i = led._id_of.get(ref)
-        if i is None:
-            return default
-        return led._node_list[led._node[i]]
-
-
-class _SizesView(_RefsMappingView):
-    """``ChunkRef -> bytes`` view backed by the size column."""
-
-    def __getitem__(self, ref: ChunkRef) -> float:
-        led = self._ledger
-        return float(led._size[led._id_of[ref]])
-
-    def get(self, ref, default=None):
-        i = self._ledger._id_of.get(ref)
-        if i is None:
-            return default
-        return float(self._ledger._size[i])
-
-
-class _LoadsView(Mapping):
-    """``NodeId -> bytes`` view backed by the load column."""
-
-    __slots__ = ("_ledger",)
-
-    def __init__(self, ledger: "ArrayChunkLedger") -> None:
-        self._ledger = ledger
-
-    def __getitem__(self, node: NodeId) -> float:
-        led = self._ledger
-        return float(led._load[led._slot_of[node]])
-
-    def get(self, node, default=None):
-        slot = self._ledger._slot_of.get(node)
-        if slot is None:
-            return default
-        return float(self._ledger._load[slot])
-
-    def __iter__(self):
-        return iter(self._ledger._slot_of)
-
-    def __len__(self) -> int:
-        return len(self._ledger._slot_of)
-
-    def __contains__(self, node) -> bool:
-        return node in self._ledger._slot_of
 
 
 class ArrayChunkLedger:
@@ -181,10 +105,6 @@ class ArrayChunkLedger:
         # The catalog publishing this table, held weakly: the catalog
         # holds the table, and a cycle would outlive its cluster.
         self._publisher: Optional[weakref.ref] = None
-        # cached views (stateless over self)
-        self._assignment_view = _AssignmentView(self)
-        self._sizes_view = _SizesView(self)
-        self._loads_view = _LoadsView(self)
 
     # -- capacity ------------------------------------------------------
     def _grow(self, need: int) -> None:
@@ -338,16 +258,6 @@ class ArrayChunkLedger:
         return np.fromiter(
             (r.key[dim] for r in refs), dtype=np.int64, count=len(refs)
         )
-
-    # -- views ---------------------------------------------------------
-    def assignment_view(self) -> Mapping:
-        return self._assignment_view
-
-    def sizes_view(self) -> Mapping:
-        return self._sizes_view
-
-    def loads_view(self) -> Mapping:
-        return self._loads_view
 
     # -- mutation ------------------------------------------------------
     def commit_new(

@@ -128,9 +128,7 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
     # ------------------------------------------------------------------
     def _split_heaviest_onto(self, new_node: NodeId) -> List[Move]:
         candidates = [n for n in self._cells if n != new_node]
-        for donor in sorted(
-            candidates, key=lambda n: (-self._loads.get(n, 0.0), n)
-        ):
+        for donor in sorted(candidates, key=self._load_rank):
             result = self._try_split(donor, new_node)
             if result is not None:
                 return result
@@ -192,7 +190,7 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
             clamped = self._clamp(ref.key)
             for i, box in enumerate(cells):
                 if box.contains(clamped):
-                    sizes[i] += self._sizes[ref]
+                    sizes[i] += self._ledger.size_of(ref)
                     break
         return sizes
 

@@ -74,6 +74,6 @@ class RoundRobinPartitioner(ElasticPartitioner):
             self._ordinal.items(), key=lambda item: item[1]
         ):
             dest = self._nodes[ordinal % k]
-            if dest != self._assignment[ref]:
+            if dest != self._ledger.node_of(ref):
                 moves.append(self._relocate(ref, dest))
         return moves

@@ -199,9 +199,10 @@ class UniformRangePartitioner(ElasticPartitioner):
         # Global re-slice: re-deal the leaves under the new l/n blocks and
         # move, in (array, key) order, every chunk whose block changed.
         self._leaf_owner = self._deal(len(self._nodes))
-        refs = sorted(self._assignment, key=lambda r: (r.array, r.key))
+        assignment = self._ledger.assignment()
+        refs = sorted(assignment, key=lambda r: (r.array, r.key))
         return [
             self._relocate(ref, dest)
             for ref, dest in zip(refs, self._owners_of(refs))
-            if dest != self._assignment[ref]
+            if dest != assignment[ref]
         ]

@@ -320,14 +320,14 @@ def array_scan_columns(
     """Lower one whole array to ``(sizes, nodes)`` columns.
 
     The catalog-era entry point for queries that touch every chunk of an
-    array: the byte and owner columns come straight from the cluster's
-    chunk catalog (:meth:`ElasticCluster.array_scan_columns`) with no
-    (chunk, node) pair list materialized in between.
+    array: the byte and owner columns come straight from the session's
+    pinned catalog snapshot (:meth:`ClusterSession.array_scan_columns`),
+    with no (chunk, node) pair list materialized in between.
 
     Parameters
     ----------
-    cluster : ElasticCluster
-        The cluster being queried.
+    cluster : ClusterSession
+        The session the query reads through.
     array : str
         Array name.
     attrs : sequence of str or None
@@ -403,13 +403,13 @@ def region_scan_columns(
     The region-scoped counterpart of :func:`array_scan_columns`: the
     catalog routes the region (one vectorized key-interval test) and the
     byte/owner columns come back as direct gathers
-    (:meth:`ElasticCluster.region_scan_columns`) — no (chunk, node) pair
+    (:meth:`ClusterSession.region_scan_columns`) — no (chunk, node) pair
     list, no per-chunk Python.
 
     Parameters
     ----------
-    cluster : ElasticCluster
-        The cluster being queried.
+    cluster : ClusterSession
+        The session the query reads through.
     array : str
         Array name.
     region : repro.arrays.coords.Box
@@ -464,7 +464,7 @@ def charge_scan_routed(
 ) -> float:
     """Charge scan work for an already-routed region.
 
-    The companion of :meth:`ElasticCluster.region_read`: queries that
+    The companion of :meth:`ClusterSession.region_read`: queries that
     need the touched pair list anyway (to read cells) pass both halves
     of that single routing pass here, so the region is never routed
     twice.  The charge comes from the ``cols`` gathers; ``pairs`` is
@@ -492,7 +492,7 @@ def delta_scan_columns(
 
     The maintenance-plan counterpart of :func:`array_scan_columns`: the
     byte/owner columns come from the catalog's delta log
-    (:meth:`ElasticCluster.delta_scan_columns`) — added *and* removed
+    (:meth:`ClusterSession.delta_scan_columns`) — added *and* removed
     rows, since the incremental operators fold both in — with the same
     vertical-partitioning attribute multiply as every other catalog
     lowering.  Removed rows charge the node the chunk retired from.
@@ -575,8 +575,8 @@ def maintenance_plan(
 
     Parameters
     ----------
-    cluster : ElasticCluster
-        The cluster being maintained.
+    cluster : ClusterSession
+        The session the refresh reads through.
     array : str
         Array whose view state is being refreshed.
     since_epoch : int

@@ -24,7 +24,7 @@ repo's numpy-column discipline:
 * **Non-invertible aggregates** — min/max cannot subtract a removal, so
   deletions only *mark groups dirty*; the maintained query re-aggregates
   just the dirty buckets from a region-scoped payload gather
-  (:meth:`ElasticCluster.payload_in_region`), keeping the touched-group
+  (:meth:`ClusterSession.payload_in_region`), keeping the touched-group
   contract from the issue.
 * **Tempura-style planning** — every :meth:`refresh` asks
   :func:`repro.query.cost.maintenance_plan` to price the delta fold

@@ -25,6 +25,7 @@ from typing import Any, Callable, List, Tuple
 from repro.arrays.array import chunk_cells
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.coordinator import execute_rebalance
+from repro.cluster.session import ClusterSession
 from repro.core.catalog import concat_payload
 from repro.core.ledger import ArrayChunkLedger
 from repro.parallel.engine import ProcessEngine
@@ -111,13 +112,13 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (ArrayChunkLedger, DictChunkLedger, "same"),
     # ingest
     (chunk_cells, chunk_cells_scalar, "same"),
-    # cluster reads and the rebalance executor
-    (ElasticCluster.chunks_of_array, chunks_of_array_scan, "same"),
-    (ElasticCluster.chunks_in_region, chunks_in_region_scan, "same"),
+    # session reads, the by-ref payload probe and the rebalance executor
+    (ClusterSession.chunks_of_array, chunks_of_array_scan, "same"),
+    (ClusterSession.chunks_in_region, chunks_in_region_scan, "same"),
     (ElasticCluster.chunk_data, chunk_data_scan, "same"),
-    (ElasticCluster.placement_of_array, placement_of_array_scan, "same"),
-    (ElasticCluster.array_payload, array_payload_scan, "same"),
-    (ElasticCluster.payload_in_region, payload_in_region_scan, "same"),
+    (ClusterSession.placement_of_array, placement_of_array_scan, "same"),
+    (ClusterSession.array_payload, array_payload_scan, "same"),
+    (ClusterSession.payload_in_region, payload_in_region_scan, "same"),
     (execute_rebalance, execute_rebalance_scalar, "same"),
     # the gather: one read per chunk per column
     (concat_payload, concat_payload_per_chunk, "same"),
@@ -151,7 +152,7 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (join_aggregate_full, join_aggregate_scalar, "same"),
     (delta_cells, delta_cells_per_chunk, "same"),
     # region selection, per chunk
-    (ElasticCluster.payload_in_region, filter_region, "lowered"),
+    (ClusterSession.payload_in_region, filter_region, "lowered"),
     # the process backend's shuffle exchanges, run serially
     (ProcessEngine.partitioned_kmeans, serial_kmeans, "lowered"),
     (ProcessEngine.partitioned_knn_mean, serial_knn_mean, "lowered"),

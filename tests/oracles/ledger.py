@@ -9,7 +9,6 @@ no-op with the array ledger's signature.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,16 +93,6 @@ class DictChunkLedger:
         return np.fromiter(
             (r.key[dim] for r in refs), dtype=np.int64, count=len(refs)
         )
-
-    # -- views (zero-cost: the dicts themselves) -----------------------
-    def assignment_view(self) -> Mapping:
-        return self._assignment
-
-    def sizes_view(self) -> Mapping:
-        return self._sizes
-
-    def loads_view(self) -> Mapping:
-        return self._loads
 
     # -- mutation ------------------------------------------------------
     def commit_new(

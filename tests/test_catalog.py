@@ -101,11 +101,12 @@ def _make_cluster(name, nodes=2):
 
 def _assert_catalog_matches_scan(cluster):
     """Catalog reads ≡ store-scan oracle reads, on one cluster."""
+    session = cluster.session()
     for array in SCHEMAS:
         oracle_pairs = chunks_of_array_scan(cluster, array)
         oracle_place = placement_of_array_scan(cluster, array)
         oracle_payload = array_payload_scan(cluster, array, ["v"], ndim=3)
-        pairs = cluster.chunks_of_array(array)
+        pairs = session.chunks_of_array(array)
         # Same payload *objects* (the handles track the stores), same
         # owners, same key-sorted order.
         assert [(id(c), n) for c, n in pairs] == [
@@ -115,13 +116,13 @@ def _assert_catalog_matches_scan(cluster):
             assert cluster.chunk_data(chunk.ref()) is chunk_data_scan(
                 cluster, chunk.ref()
             )
-        assert cluster.placement_of_array(array) == oracle_place
-        coords, values = cluster.array_payload(array, ["v"], ndim=3)
+        assert session.placement_of_array(array) == oracle_place
+        coords, values = session.array_payload(array, ["v"], ndim=3)
         assert np.array_equal(coords, oracle_payload[0])
         assert np.array_equal(values["v"], oracle_payload[1]["v"])
         # the cost model's column lowering ≡ the pair-list lowering
         for got, want in zip(
-            array_scan_columns(cluster, array, ["v"]),
+            array_scan_columns(session, array, ["v"]),
             array_scan_columns_scan(cluster, array, ["v"]),
         ):
             assert np.array_equal(got, want)
@@ -192,8 +193,12 @@ class TestCatalogParityProperty:
                 cluster.catalog.compact(0.0)
             else:  # query: repeats between mutations hit the cache
                 for array in SCHEMAS:
-                    first = cluster.array_payload(array, ["v"], ndim=3)
-                    again = cluster.array_payload(array, ["v"], ndim=3)
+                    first = cluster.session().array_payload(
+                        array, ["v"], ndim=3
+                    )
+                    again = cluster.session().array_payload(
+                        array, ["v"], ndim=3
+                    )
                     assert first[0] is again[0]
                     assert first[1]["v"] is again[1]["v"]
             _assert_catalog_matches_scan(cluster)
@@ -235,8 +240,8 @@ class TestPayloadCache:
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(8)])
         hits = cluster.catalog.payload_hits
-        first = cluster.array_payload("A", ["v"], ndim=3)
-        again = cluster.array_payload("A", ["v"], ndim=3)
+        first = cluster.session().array_payload("A", ["v"], ndim=3)
+        again = cluster.session().array_payload("A", ["v"], ndim=3)
         assert again[0] is first[0]
         assert cluster.catalog.payload_hits == hits + 1
 
@@ -265,7 +270,7 @@ class TestPayloadCache:
         cluster = _make_cluster("round_robin")
         chunks = [_chunk("A", 0, x, 0, 10.0) for x in range(8)]
         cluster.ingest(chunks)
-        stale = cluster.array_payload("A", ["v"], ndim=3)
+        stale = cluster.session().array_payload("A", ["v"], ndim=3)
         epoch = cluster.catalog.epoch_of("A")
         if mutate == "ingest":
             cluster.ingest([_chunk("A", 1, 0, 0, 5.0)])
@@ -276,7 +281,7 @@ class TestPayloadCache:
         else:  # merge into an existing chunk
             cluster.ingest([_chunk("A", 0, 0, 0, 5.0, value=9.0)])
         assert cluster.catalog.epoch_of("A") > epoch
-        fresh = cluster.array_payload("A", ["v"], ndim=3)
+        fresh = cluster.session().array_payload("A", ["v"], ndim=3)
         oracle = array_payload_scan(cluster, "A", ["v"], ndim=3)
         assert np.array_equal(fresh[0], oracle[0])
         assert np.array_equal(fresh[1]["v"], oracle[1]["v"])
@@ -294,14 +299,14 @@ class TestPayloadCache:
         # the cached concatenation survive untouched.
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", 0, x, 0, 10.0) for x in range(12)])
-        before = cluster.array_payload("A", ["v"], ndim=3)
+        before = cluster.session().array_payload("A", ["v"], ndim=3)
         epoch = cluster.catalog.epoch_of("A")
         payload_epoch = cluster.catalog.payload_epoch_of("A")
         report = cluster.scale_out(1)
         assert report.chunks_moved > 0
         assert cluster.catalog.epoch_of("A") > epoch
         assert cluster.catalog.payload_epoch_of("A") == payload_epoch
-        after = cluster.array_payload("A", ["v"], ndim=3)
+        after = cluster.session().array_payload("A", ["v"], ndim=3)
         assert after[0] is before[0]
 
     def test_stale_entries_freed_on_epoch_bump(self):
@@ -311,7 +316,7 @@ class TestPayloadCache:
         cluster = _make_cluster("round_robin")
         chunks = [_chunk("A", 0, x, 0, 10.0) for x in range(8)]
         cluster.ingest(chunks)
-        cluster.array_payload("A", ["v"], ndim=3)
+        cluster.session().array_payload("A", ["v"], ndim=3)
         assert cluster.catalog._payload_cache
         cluster.remove_chunks([c.ref() for c in chunks])
         assert not cluster.catalog._payload_cache
@@ -326,7 +331,7 @@ class TestPayloadCache:
 
     def test_empty_array_payload_shape(self):
         cluster = _make_cluster("round_robin")
-        coords, values = cluster.array_payload("A", ["v"], ndim=3)
+        coords, values = cluster.session().array_payload("A", ["v"], ndim=3)
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
 

@@ -124,7 +124,7 @@ class TestPlannedVersusPublished:
         cluster = _cluster("round_robin", nodes=2)
         rng = np.random.default_rng(5)
         cluster.ingest(_batch(0, 40, rng))
-        before = cluster.placement_of_array("A")
+        before = cluster.session().placement_of_array("A")
         # The first half of ElasticCluster.scale_out: the partitioner
         # plans (rewriting the table's owners) before a byte moves.
         new_id = max(cluster.nodes) + 1
@@ -139,7 +139,7 @@ class TestPlannedVersusPublished:
         execute_rebalance(cluster.nodes, plan, cluster.costs, cluster.catalog)
         assert pinned.placement() == before  # the pin never moves
         moved = {m.ref.key: m.dest for m in plan.moves}
-        after = cluster.placement_of_array("A")
+        after = cluster.session().placement_of_array("A")
         assert after == {**before, **moved}
         _assert_one_table(cluster)
 
@@ -151,13 +151,13 @@ class TestPlannedVersusPublished:
         for batch in batches:
             cluster.ingest(batch)
         cluster.remove_chunks([c.ref() for c in batches[0] + batches[1]])
-        pairs = cluster.chunks_of_array("A")
+        pairs = cluster.session().chunks_of_array("A")
         epoch = cluster.catalog.epoch
         cap = cluster.catalog.column_capacity
         assert cluster.partitioner.compact_ledger(0.0) is True
         assert cluster.catalog.column_capacity < cap
         assert cluster.catalog.epoch == epoch
-        assert cluster.chunks_of_array("A") == pairs
+        assert cluster.session().chunks_of_array("A") == pairs
         _assert_one_table(cluster)
 
     def test_second_catalog_over_one_table_is_refused(self):

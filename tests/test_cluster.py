@@ -255,12 +255,12 @@ class TestElasticCluster:
     def test_query_view_accessors(self, tiny_schema, grid3d):
         cluster = make_cluster("consistent_hash", grid3d)
         cluster.ingest(make_chunks(tiny_schema, 6))
-        pairs = cluster.chunks_of_array("A")
+        pairs = cluster.session().chunks_of_array("A")
         assert pairs
         for chunk, node in pairs:
             assert cluster.locate(chunk.ref()) == node
             assert cluster.chunk_data(chunk.ref()).key == chunk.key
-        placement = cluster.placement_of_array("A")
+        placement = cluster.session().placement_of_array("A")
         assert set(placement.values()) <= set(cluster.node_ids)
 
     def test_storage_rsd(self, tiny_schema, grid3d):

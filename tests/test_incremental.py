@@ -185,7 +185,7 @@ class TestAllSchemesDeltaReplay:
                 cluster.remove_chunks(window.pop(0))
             # the explicit replay, independent of check_consistency
             for array in SCHEMAS:
-                delta = cluster.deltas_since(array, 0)
+                delta = cluster.session().deltas_since(array, 0)
                 weight = {}
                 for ref, sign in zip(
                     delta.refs.tolist(), delta.signs.tolist()
@@ -195,9 +195,8 @@ class TestAllSchemesDeltaReplay:
                 assert not any(
                     w not in (0, 1) for w in weight.values()
                 )
-                live = {
-                    c.ref() for c, _ in cluster.chunks_of_array(array)
-                }
+                pairs = cluster.session().chunks_of_array(array)
+                live = {c.ref() for c, _ in pairs}
                 assert survivors == live
             cluster.check_consistency()
 
@@ -234,7 +233,7 @@ class TestPureRelocation:
         assert rebalance.chunks_moved >= 1
         assert cluster.catalog.epoch_of("A") > epoch_before
         assert cluster.catalog.payload_epoch_of("A") == cursor
-        delta = cluster.deltas_since("A", cursor)
+        delta = cluster.session().deltas_since("A", cursor)
         assert len(delta) == 0
         assert delta.bytes_touched == 0.0
         report = view.refresh()
@@ -269,12 +268,12 @@ class TestPlannerDecision:
         cluster, rng = self._loaded()
         view = _grid_view(cluster)
         view.refresh()
-        live = [c.ref() for c, _ in cluster.chunks_of_array("A")]
+        live = [c.ref() for c, _ in cluster.session().chunks_of_array("A")]
         cluster.remove_chunks(live[:2])
         cluster.ingest([
             _chunk("A", 9, 1, 1, 1.0), _chunk("A", 9, 2, 2, 2.0),
         ])
-        plan = maintenance_plan(cluster, "A", view.cursor, ["v"])
+        plan = maintenance_plan(cluster.session(), "A", view.cursor, ["v"])
         assert plan.incremental
         assert plan.delta_bytes < plan.full_bytes
         report = view.refresh()
@@ -285,7 +284,7 @@ class TestPlannerDecision:
         cluster, rng = self._loaded()
         view = _grid_view(cluster)
         view.refresh()
-        live = [c.ref() for c, _ in cluster.chunks_of_array("A")]
+        live = [c.ref() for c, _ in cluster.session().chunks_of_array("A")]
         cluster.remove_chunks(live)  # 100 % churn: everything expires
         batch = {}
         while len(batch) < 50:
@@ -299,7 +298,7 @@ class TestPlannerDecision:
                 float(rng.lognormal(2, 1)),
             )
         cluster.ingest(list(batch.values()))
-        plan = maintenance_plan(cluster, "A", view.cursor, ["v"])
+        plan = maintenance_plan(cluster.session(), "A", view.cursor, ["v"])
         # the delta carries every expiry at -1 plus every ingest at +1,
         # ≈2× the live bytes: full recompute must win
         assert not plan.incremental
@@ -312,7 +311,7 @@ class TestPlannerDecision:
         cluster, _ = self._loaded()
         view = _grid_view(cluster)
         view.refresh()
-        plan = maintenance_plan(cluster, "A", view.cursor, ["v"])
+        plan = maintenance_plan(cluster.session(), "A", view.cursor, ["v"])
         assert plan.incremental
         assert plan.delta_bytes == 0.0
         assert plan.delta_seconds == 0.0
@@ -780,9 +779,9 @@ class TestDeltaCells:
             _chunk("A", 0, 1, 1, 1.0), _chunk("A", 0, 2, 2, 2.0),
         ])
         cluster.remove_chunks(
-            [c.ref() for c, _ in cluster.chunks_of_array("A")][:1]
+            [c.ref() for c, _ in cluster.session().chunks_of_array("A")][:1]
         )
-        delta = cluster.deltas_since("A", 0)
+        delta = cluster.session().deltas_since("A", 0)
         coords, values, weights = delta_cells(delta, ["v"], 3)
         assert coords.shape == (3, 3)
         assert sorted(weights.tolist()) == [-1, 1, 1]
@@ -790,7 +789,7 @@ class TestDeltaCells:
 
     def test_empty_delta_shapes(self):
         cluster = _make_cluster("round_robin")
-        delta = cluster.deltas_since("nope", 0)
+        delta = cluster.session().deltas_since("nope", 0)
         coords, values, weights = delta_cells(delta, ["v"], 3)
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
@@ -809,12 +808,12 @@ class TestDeltaCells:
         )
         runner.run()
         cluster = runner.cluster
-        pairs = cluster.chunks_of_array("band1")
+        pairs = cluster.session().chunks_of_array("band1")
         cluster.ingest([c for c, _ in pairs[:7]])  # merge into stored
         cluster.remove_chunks([c.ref() for c, _ in pairs[3:40:2]])
         last = cluster.catalog.payload_epoch_of("band1")
         for cursor in (0, 1, last // 2, last - 1, last):
-            delta = cluster.deltas_since("band1", cursor)
+            delta = cluster.session().deltas_since("band1", cursor)
             got = delta_cells(delta, ["radiance", "radiance"], 3)
             want = delta_cells_per_chunk(delta, ["radiance", "radiance"], 3)
             assert got[0].dtype == want[0].dtype
@@ -823,4 +822,4 @@ class TestDeltaCells:
             assert np.array_equal(got[1]["radiance"], want[1]["radiance"])
             assert got[2].dtype == want[2].dtype
             assert np.array_equal(got[2], want[2])
-        assert len(cluster.deltas_since("band1", 0)) > len(pairs)
+        assert len(cluster.session().deltas_since("band1", 0)) > len(pairs)

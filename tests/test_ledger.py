@@ -186,21 +186,6 @@ class TestArrayLedgerInternals:
         assert not led._keys_ok
         assert led.key_column(refs, 0).tolist() == [3, 6]
 
-    def test_views_are_mappings(self):
-        led = self._ledger()
-        ref = ChunkRef("a", (1, 2, 3))
-        led.commit_new(ref, 7.0, 1)
-        assignment = led.assignment_view()
-        sizes = led.sizes_view()
-        loads = led.loads_view()
-        assert ref in assignment and assignment[ref] == 1
-        assert assignment.get(ChunkRef("a", (9, 9, 9))) is None
-        assert sizes[ref] == 7.0
-        assert list(assignment) == [ref] and len(sizes) == 1
-        assert loads[1] == 7.0 and loads.get(42, 0.0) == 0.0
-        assert set(loads) == {0, 1}
-        assert dict(assignment) == {ref: 1}
-
     def test_refs_on_matches_assignment(self):
         led = self._ledger()
         for i in range(20):

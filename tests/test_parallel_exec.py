@@ -154,7 +154,7 @@ class TestSuiteParity:
                 # A content mutation bumps the epoch; the engine's next
                 # sync reloads the workers with post-mutation payloads,
                 # so the old pin no longer matches worker residency.
-                pairs = cluster.chunks_of_array("band1")
+                pairs = cluster.session().chunks_of_array("band1")
                 cluster.remove_chunks([pairs[0][0].ref()])
                 engine = cluster.exec_backend()  # re-syncs to new epoch
                 stale_before = engine.stale_fallbacks

@@ -291,7 +291,7 @@ class TestPolarMergeRegression:
         lo = max(1, cycle - 3 + 1)
         sums, counts = {}, {}
         for region in small_modis.polar_caps(lo, cycle):
-            touched = modis_cluster.chunks_in_region("band1", region)
+            touched = modis_cluster.session().chunks_in_region("band1", region)
             coords, values = filter_region(
                 (c for c, _ in touched), region, ["radiance"]
             )

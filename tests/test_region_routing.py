@@ -8,7 +8,7 @@ Covers the ISSUE-5 region-routing contract:
   end-clamped last chunk of a bounded dimension;
 * property test — hypothesis interleavings of insert / rebalance /
   remove / scale-out across all registered partitioning schemes assert
-  that ``ElasticCluster.chunks_in_region`` returns exactly what the
+  that ``ClusterSession.chunks_in_region`` returns exactly what the
   per-chunk ``intersects`` oracle returns (same chunk objects, same
   owners, same key-sorted order) — walked over the catalog's pairs and
   over the node stores (``tests/oracles/cluster.py``) — for regions
@@ -98,7 +98,7 @@ def _oracle(cluster, array, region):
     """The pre-routing walk: one chunk_box().intersects() per chunk."""
     return [
         (chunk, node)
-        for chunk, node in cluster.chunks_of_array(array)
+        for chunk, node in cluster.session().chunks_of_array(array)
         if chunk.schema.chunk_box(chunk.key).intersects(region)
     ]
 
@@ -106,7 +106,8 @@ def _oracle(cluster, array, region):
 def _assert_region_parity(cluster, array, region):
     expected = [(id(c), n) for c, n in _oracle(cluster, array, region)]
     got = [
-        (id(c), n) for c, n in cluster.chunks_in_region(array, region)
+        (id(c), n)
+        for c, n in cluster.session().chunks_in_region(array, region)
     ]
     assert got == expected
     walked = [
@@ -224,7 +225,7 @@ class TestRegionRoutingParityProperty:
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", (0, 0, 0))])
         region = Box((0, 0, 0), (10, 10, 10))
-        assert cluster.chunks_in_region("nope", region) == []
+        assert cluster.session().chunks_in_region("nope", region) == []
         assert chunks_in_region_scan(cluster, "nope", region) == []
 
     def test_empty_and_outside_regions(self):
@@ -240,13 +241,13 @@ class TestRegionRoutingParityProperty:
             Box((50, 0, 0), (60, 16, 16)),     # beyond observed time
         ):
             _assert_region_parity(cluster, "A", region)
-            assert cluster.chunks_in_region("A", region) == []
+            assert cluster.session().chunks_in_region("A", region) == []
 
     def test_arity_mismatch_raises_in_both_modes(self):
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", (0, 0, 0))])
         with pytest.raises(SchemaError):
-            cluster.chunks_in_region("A", Box((0, 0), (1, 1)))
+            cluster.session().chunks_in_region("A", Box((0, 0), (1, 1)))
         with pytest.raises(ChunkError):
             chunks_in_region_scan(cluster, "A", Box((0, 0), (1, 1)))
 
@@ -295,9 +296,10 @@ class TestRegionCostLowering:
     def test_columns_match_pair_list_both_modes(self):
         cluster = self._loaded_cluster()
         region = Box((0, 2, 3), (9, 13, 12))
-        pairs = cluster.chunks_in_region("A", region)
+        session = cluster.session()
+        pairs = session.chunks_in_region("A", region)
         ref_sizes, ref_nodes = scan_columns(pairs, ["v"])
-        sizes, nodes = region_scan_columns(cluster, "A", region, ["v"])
+        sizes, nodes = region_scan_columns(session, "A", region, ["v"])
         assert np.allclose(sizes, ref_sizes)
         assert np.array_equal(nodes, ref_nodes)
         sizes_o, nodes_o = region_scan_columns_scan(
@@ -310,17 +312,18 @@ class TestRegionCostLowering:
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 9, 9))
         costs = cluster.costs
+        session = cluster.session()
         for region_charge, pair_charge in (
             (charge_scan_region, charge_scan),
             (charge_scan_region_scalar, charge_scan_scalar),
         ):
             acc_region = CostAccumulator(cluster.node_ids)
             scanned_region = region_charge(
-                acc_region, cluster, "A", region, ["v"], costs, 1.5
+                acc_region, session, "A", region, ["v"], costs, 1.5
             )
             acc_pairs = CostAccumulator(cluster.node_ids)
             scanned_pairs = pair_charge(
-                acc_pairs, cluster.chunks_in_region("A", region),
+                acc_pairs, session.chunks_in_region("A", region),
                 ["v"], costs, 1.5,
             )
             assert scanned_region == pytest.approx(scanned_pairs)
@@ -336,10 +339,10 @@ class TestRegionCostLowering:
         # region_scan_columns would, from one routing pass.
         cluster = self._loaded_cluster()
         region = Box((0, 1, 1), (9, 14, 14))
-        pairs, cols = cluster.region_read("A", region)
+        pairs, cols = cluster.session().region_read("A", region)
         assert [(id(c), n) for c, n in pairs] == [
             (id(c), n)
-            for c, n in cluster.chunks_in_region("A", region)
+            for c, n in cluster.session().chunks_in_region("A", region)
         ]
         sizes, nodes, schema = cols
         ref_sizes, ref_nodes = scan_columns(pairs)
@@ -355,7 +358,7 @@ class TestRegionCostLowering:
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 12, 12))
         costs = cluster.costs
-        pairs, cols = cluster.region_read("A", region)
+        pairs, cols = cluster.session().region_read("A", region)
         for routed_charge, pair_charge in (
             (charge_scan_routed, charge_scan),
             (charge_scan_routed, charge_scan_scalar),
@@ -383,7 +386,7 @@ class TestRegionCostLowering:
         rng = np.random.default_rng(23)
         for _ in range(12):
             region = _random_region(rng)
-            coords, values = cluster.payload_in_region(
+            coords, values = cluster.session().payload_in_region(
                 "A", region, ["v"], ndim=3
             )
             oracle_coords, oracle_values = payload_in_region_scan(
@@ -402,10 +405,10 @@ class TestRegionCostLowering:
         cluster = self._loaded_cluster()
         region = Box((0, 2, 2), (9, 12, 12))
         misses_before = cluster.catalog.payload_misses
-        first = cluster.payload_in_region("A", region, ["v"], ndim=3)
+        first = cluster.session().payload_in_region("A", region, ["v"], ndim=3)
         assert cluster.catalog.payload_misses == misses_before + 1
         hits_before = cluster.catalog.payload_hits
-        again = cluster.payload_in_region("A", region, ["v"], ndim=3)
+        again = cluster.session().payload_in_region("A", region, ["v"], ndim=3)
         assert cluster.catalog.payload_hits == hits_before + 1
         assert first[0] is again[0]          # cached objects, not copies
         assert first[1]["v"] is again[1]["v"]
@@ -413,24 +416,24 @@ class TestRegionCostLowering:
     def test_payload_in_region_invalidated_by_content_mutation(self):
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 16, 16))
-        first = cluster.payload_in_region("A", region, ["v"], ndim=3)
-        taken = {c.key for c, _ in cluster.chunks_of_array("A")}
+        first = cluster.session().payload_in_region("A", region, ["v"], ndim=3)
+        taken = {c.key for c, _ in cluster.session().chunks_of_array("A")}
         key = next(
             (t, x, y)
             for t in range(3) for x in range(4) for y in range(5)
             if (t, x, y) not in taken
         )  # a fresh chunk whose chunk-low cell lands inside the region
         cluster.ingest([_chunk("A", key, 5.0, value=9.0)])
-        after = cluster.payload_in_region("A", region, ["v"], ndim=3)
+        after = cluster.session().payload_in_region("A", region, ["v"], ndim=3)
         assert after[0] is not first[0]      # epoch bump → fresh gather
         assert after[0].shape[0] == first[0].shape[0] + 1
 
     def test_payload_in_region_survives_pure_relocation(self):
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 16, 16))
-        first = cluster.payload_in_region("A", region, ["v"], ndim=3)
+        first = cluster.session().payload_in_region("A", region, ["v"], ndim=3)
         cluster.scale_out(1)                 # relocation only: payloads
-        after = cluster.payload_in_region("A", region, ["v"], ndim=3)
+        after = cluster.session().payload_in_region("A", region, ["v"], ndim=3)
         assert after[0] is first[0]          # cache keyed on payload epoch
         assert after[1]["v"] is first[1]["v"]
 

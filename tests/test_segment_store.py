@@ -409,7 +409,7 @@ def _build_cluster(name, storage=None):
 def _cluster_fingerprint(cluster):
     fp = []
     for chunk, node in sorted(
-        cluster.chunks_of_array("S"),
+        cluster.session().chunks_of_array("S"),
         key=lambda cn: cn[0].ref().key,
     ):
         fp.append((chunk.ref(), node, chunk.size_bytes,

@@ -43,6 +43,14 @@ from repro.config import ParityConfig, parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import ConfigError
 
+from tests.oracles.cluster import (
+    array_payload_scan,
+    chunks_of_array_scan,
+    payload_in_region_scan,
+    placement_of_array_scan,
+)
+from tests.oracles.cost import array_scan_columns_scan
+
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMAS = {
     "A": parse_schema("A<v:double>[t=0:*,3, x=0:15,4, y=0:15,2]"),
@@ -84,11 +92,38 @@ def _random_key(rng, array):
     return tuple(int(rng.integers(0, hi)) for hi in KEY_HI[array])
 
 
+class _StoreWalk:
+    """The quiescent oracle: the session's reads, from store walks.
+
+    Every read re-walks the node stores (``tests/oracles``), so it
+    shares no code, snapshot or cache with the catalog a session pins.
+    """
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+
+    def array_payload(self, array, attrs, ndim):
+        return array_payload_scan(self.cluster, array, attrs, ndim)
+
+    def array_scan_columns(self, array):
+        return (*array_scan_columns_scan(self.cluster, array), None)
+
+    def placement_of_array(self, array):
+        return placement_of_array_scan(self.cluster, array)
+
+    def chunks_of_array(self, array):
+        return chunks_of_array_scan(self.cluster, array)
+
+    def payload_in_region(self, array, region, attrs, ndim):
+        return payload_in_region_scan(
+            self.cluster, array, region, attrs, ndim
+        )
+
+
 def _fingerprint(surface, arrays=("A", "B")):
     """Byte-level digest of every read the session API exposes.
 
-    Works against a session *or* the raw cluster (the quiescent
-    oracle) because the surfaces are duck-compatible.
+    Works against a session or a :class:`_StoreWalk` oracle.
     """
     fp = []
     for array in arrays:
@@ -144,7 +179,9 @@ class TestSessionSemantics:
 
     def test_session_matches_quiescent_cluster_reads(self):
         cluster, _ = self._loaded()
-        assert _fingerprint(cluster.session()) == _fingerprint(cluster)
+        assert _fingerprint(cluster.session()) == _fingerprint(
+            _StoreWalk(cluster)
+        )
 
     def test_pin_is_consistent_and_release_repins(self):
         cluster, batch = self._loaded()
@@ -222,7 +259,7 @@ class TestSessionSemantics:
             array for array in ("A", "B")
             if any(
                 node not in (0, 1)
-                for _c, node in cluster.chunks_of_array(array)
+                for _c, node in cluster.session().chunks_of_array(array)
             )
         ]
         assert moved, "rebalance should land chunks on the new node"
@@ -286,7 +323,7 @@ class TestPinnedReadsAcrossSchemes:
         session = cluster.session().pin(["A", "B"])
         baseline = _fingerprint(session)
         # pinned reads == quiescent truth at capture time
-        assert baseline == _fingerprint(cluster)
+        assert baseline == _fingerprint(_StoreWalk(cluster))
 
         for op in script[pin_after:]:
             apply(op)
@@ -497,7 +534,7 @@ class TestThreadedSnapshotReads:
                 rng = np.random.default_rng(worker)
                 for _ in range(200):
                     i = int(rng.integers(0, n_arrays))
-                    coords, values = cluster.array_payload(
+                    coords, values = cluster.session().array_payload(
                         f"Z{i}", ["v"], 3
                     )
                     assert values["v"][0] == float(i)
@@ -714,7 +751,7 @@ class TestConcurrentExecutor:
         ).run_batch([NodeRace()], 1)
         assert any(
             node not in (0, 1)
-            for _c, node in cluster.chunks_of_array("A")
+            for _c, node in cluster.session().chunks_of_array("A")
         ), "rebalance should land chunks on the new node"
         assert outcome.ok, outcome.error
         assert outcome.attempts == 2

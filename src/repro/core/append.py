@@ -13,7 +13,9 @@ recent data is queried most (Figure 6).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.core.base import ElasticPartitioner, Move, NodeId
@@ -62,6 +64,132 @@ class AppendPartitioner(ElasticPartitioner):
         ):
             self._cursor += 1
         return self._nodes[self._cursor]
+
+    def place_batch(self, refs_and_sizes):
+        """Batch placement by a fill walk over the nodes, not the chunks.
+
+        For each node the cursor crosses, one ``np.cumsum`` replays the
+        batch-ordered bytes that land on it, starting from its load:
+        ``cumsum`` adds left to right like the ledger's ``+=``, so the
+        first prefix over capacity marks the same crossing chunk, bit
+        for bit, as sequential :meth:`place`.  Merges count where they
+        land: a known ref onto its node, a duplicate onto the node its
+        first occurrence took.
+        """
+        items = list(refs_and_sizes)
+        first_sizes, merges = self._partition_batch(items)
+        sizes = np.fromiter(
+            first_sizes.values(), dtype=np.float64, count=len(first_sizes)
+        )
+        fill = self._fill_positions(
+            sizes, self._merge_events(items, first_sizes, merges)
+        )
+        commit_nodes = np.asarray(self._nodes, dtype=np.int64)[fill]
+        return self._commit_batch(
+            first_sizes, commit_nodes.tolist(), merges
+        )
+
+    def _merge_events(
+        self,
+        items: Sequence[Tuple[ChunkRef, float]],
+        first_sizes: Dict[ChunkRef, float],
+        merges: Sequence[Tuple[ChunkRef, float]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Where each merge sits in the batch and whose bytes it grows.
+
+        Returns ``(offset, first, target, size)`` arrays over the merges
+        in batch order: ``offset`` counts the first-time refs before the
+        merge; a duplicate of the batch's ``j``-th first-time ref has
+        ``first = j`` and ``target = -1``; a known ref has ``first = -1``
+        and ``target`` = its node's position in the fill order.
+        """
+        offset: List[int] = []
+        first: List[int] = []
+        target: List[int] = []
+        if merges:
+            position = {n: i for i, n in enumerate(self._nodes)}
+            node_of = self._ledger.node_of
+            seen: Dict[ChunkRef, int] = {}
+            for ref, _ in items:
+                if ref not in first_sizes:
+                    offset.append(len(seen))
+                    first.append(-1)
+                    target.append(position[node_of(ref)])
+                elif ref in seen:
+                    offset.append(len(seen))
+                    first.append(seen[ref])
+                    target.append(-1)
+                else:
+                    seen[ref] = len(seen)
+        size = np.fromiter(
+            (s for _, s in merges), dtype=np.float64, count=len(merges)
+        )
+        return (
+            np.asarray(offset, dtype=np.int64),
+            np.asarray(first, dtype=np.int64),
+            np.asarray(target, dtype=np.int64),
+            size,
+        )
+
+    def _fill_positions(
+        self,
+        sizes: np.ndarray,
+        merge_events: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> np.ndarray:
+        """Fill-order position of each first-time ref; advances the cursor.
+
+        The batch becomes one event stream in batch order: first-time
+        refs, with each merge slotted in before the first-time ref that
+        follows it.  Entering node ``c`` at first-time ref ``i``, the
+        node's load takes the known-ref merges onto it that precede
+        ``i``.  From there, the bytes that grow ``c`` are every
+        first-time ref, the known-ref merges onto ``c``, and the
+        duplicates of first-time refs from ``i`` on: a duplicate before
+        the crossing repeats a ref placed on ``c``, and one after it
+        cannot move the crossing.  Every other event adds ``0.0``, which
+        leaves a float sum unchanged.
+        """
+        offset, first, target, msize = merge_events
+        m, k = len(sizes), len(offset)
+        # Event stream: merge t sits at offset[t] + t, first-time ref j
+        # after the merges whose offset is <= j.
+        is_new = np.ones(m + k, dtype=bool)
+        is_new[offset + np.arange(k)] = False
+        ev_size = np.empty(m + k, dtype=np.float64)
+        ev_size[is_new] = sizes
+        ev_size[~is_new] = msize
+        ev_ref = np.full(m + k, -1, dtype=np.int64)  # first-time ref index
+        ev_ref[is_new] = np.arange(m)
+        ev_first = np.full(m + k, -1, dtype=np.int64)
+        ev_first[~is_new] = first
+        ev_target = np.full(m + k, -1, dtype=np.int64)
+        ev_target[~is_new] = target
+        new_at = np.flatnonzero(is_new)
+
+        cap = self.node_capacity_bytes
+        last = len(self._nodes) - 1
+        fill = np.empty(m, dtype=np.int64)
+        c, i = self._cursor, 0
+        while i < m and c < last:
+            load = self._ledger.load_of(self._nodes[c])
+            for t in np.flatnonzero((target == c) & (offset <= i)):
+                load += float(msize[t])
+            p = new_at[i]
+            grows = (
+                is_new[p:] | (ev_target[p:] == c) | (ev_first[p:] >= i)
+            )
+            running = np.cumsum(np.concatenate(
+                ([load], np.where(grows, ev_size[p:], 0.0))
+            ))
+            over = np.flatnonzero(is_new[p:] & (running[1:] > cap))
+            stop = m if not over.size else int(ev_ref[p + over[0]])
+            fill[i:stop] = c
+            i = stop
+            if i < m:
+                c += 1
+        fill[i:] = c
+        self._cursor = c
+        return fill
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
         # New nodes joined the back of the fill order (the base class

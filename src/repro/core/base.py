@@ -33,10 +33,12 @@ refs within one batch, which merge into their first placement:
   different prefix than the scalar loop — the ledger stays internally
   consistent, but the exact partial state is unspecified.
 
-The base implementation *is* the sequential loop (and therefore exactly
-identical); subclasses override it with vectorized or amortized
-equivalents (``tests/test_batch_parity.py`` checks the equivalence for
-every registered scheme).
+The specification is sequential :meth:`place`; every scheme implements
+``place_batch`` as a vectorized or amortized equivalent on top of
+:meth:`ElasticPartitioner._partition_batch` /
+:meth:`ElasticPartitioner._commit_batch`, and
+``tests/test_batch_parity.py`` checks the equivalence for every
+registered scheme.
 
 Ledger invariants
 -----------------
@@ -75,9 +77,40 @@ import numpy as np
 from repro.arrays.chunk import ChunkRef
 from repro.core.ledger import ArrayChunkLedger
 from repro.core.traits import PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import ChunkError, PartitioningError
 
 NodeId = int
+
+
+def check_key_arity(ref: ChunkRef, ndim: int) -> None:
+    """Raise :class:`ChunkError` unless ``ref``'s key is ``ndim``-d."""
+    if len(ref.key) != ndim:
+        raise ChunkError(
+            f"chunk {ref} has a {len(ref.key)}-d key; "
+            f"the grid is {ndim}-d"
+        )
+
+
+def grid_keys(
+    refs: Sequence[ChunkRef], ndim: int
+) -> Optional[np.ndarray]:
+    """The ``(n, ndim)`` int64 key matrix of ``refs``.
+
+    Raises :class:`ChunkError` naming the first ref whose key is not
+    ``ndim``-d (a ragged batch included).  Returns ``None`` when the
+    keys have the right arity but a coordinate does not fit int64;
+    callers then fall back to exact Python ints.
+    """
+    if not refs:
+        return np.empty((0, ndim), dtype=np.int64)
+    try:
+        keys = np.array([r.key for r in refs], dtype=np.int64)
+    except (ValueError, OverflowError):
+        keys = None
+    if keys is None or keys.shape != (len(refs), ndim):
+        for ref in refs:
+            check_key_arity(ref, ndim)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -303,6 +336,7 @@ class ElasticPartitioner(ABC):
         self._commit_new(ref, float(size_bytes), node)
         return node
 
+    @abstractmethod
     def place_batch(
         self, refs_and_sizes: Sequence[Tuple[ChunkRef, float]]
     ) -> Dict[ChunkRef, NodeId]:
@@ -313,15 +347,7 @@ class ElasticPartitioner(ABC):
         refs merge bytes onto their current node, duplicate refs within
         the batch merge into their first placement, and the returned
         mapping holds the final node of every distinct ref.
-
-        This default is the correct sequential loop; subclasses override
-        it with vectorized (numpy) or amortized equivalents — the
-        override must preserve the equivalence bit for bit.
         """
-        placements: Dict[ChunkRef, NodeId] = {}
-        for ref, size_bytes in refs_and_sizes:
-            placements[ref] = self.place(ref, size_bytes)
-        return placements
 
     def adopt_batch(
         self,

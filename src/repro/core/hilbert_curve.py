@@ -21,7 +21,13 @@ import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.arrays.sfc import RectangleHilbert
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import (
+    ElasticPartitioner,
+    Move,
+    NodeId,
+    check_key_arity,
+    grid_keys,
+)
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
 
@@ -79,6 +85,7 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         arrays co-locate)."""
         cached = self._index_cache.get(ref)
         if cached is None:
+            check_key_arity(ref, self._curve.ndim)
             cached = self._curve.index(ref.key)
             self._index_cache[ref] = cached
         return cached
@@ -88,15 +95,13 @@ class HilbertCurvePartitioner(ElasticPartitioner):
 
         Stacks the keys into one ``(n, ndim)`` array and runs a single
         :meth:`RectangleHilbert.index_batch` call instead of n scalar
-        Skilling transforms.  Falls back to the scalar oracle per ref
-        when the keys cannot form a rectangular int64 array (mixed
-        arities — the scalar path then raises the precise per-ref
-        error); the result is then an object-dtype array of exact ints,
-        as with ``index_batch`` overflow.
+        Skilling transforms.  Falls back to the scalar transform per ref
+        when a coordinate does not fit int64; the result is then an
+        object-dtype array of exact ints, as with ``index_batch``
+        overflow.
         """
-        try:
-            keys = np.array([r.key for r in refs], dtype=np.int64)
-        except (ValueError, OverflowError):
+        keys = grid_keys(refs, self._curve.ndim)
+        if keys is None:
             return np.array(
                 [self._curve.index(r.key) for r in refs], dtype=object
             )

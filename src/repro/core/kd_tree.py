@@ -22,7 +22,13 @@ import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import (
+    ElasticPartitioner,
+    Move,
+    NodeId,
+    check_key_arity,
+    grid_keys,
+)
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
 
@@ -164,6 +170,7 @@ class KdTreePartitioner(ElasticPartitioner):
 
     # ------------------------------------------------------------------
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
+        check_key_arity(ref, self.grid.ndim)
         return self.locate_key(ref.key)
 
     def place_batch(self, refs_and_sizes):
@@ -171,18 +178,14 @@ class KdTreePartitioner(ElasticPartitioner):
 
         Equivalent to sequential :meth:`place` calls per the base
         class's batch contract.  Falls back to per-ref scalar descent
-        when the batch keys cannot form one rectangular int64 array
-        (mixed arities).
+        when a key coordinate does not fit int64.
         """
         first_sizes, merges = self._partition_batch(list(refs_and_sizes))
         commit_nodes: List[NodeId] = []
         if first_sizes:
             unknown = list(first_sizes)
-            try:
-                keys = np.array(
-                    [r.key for r in unknown], dtype=np.int64
-                )
-            except (ValueError, OverflowError):
+            keys = grid_keys(unknown, self.grid.ndim)
+            if keys is None:
                 commit_nodes = [
                     self.locate_key(r.key) for r in unknown
                 ]

@@ -21,12 +21,20 @@ clustered (cells are boxes of chunk-grid space).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.arrays.chunk import ChunkRef
-from repro.arrays.coords import Box
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.arrays.coords import Box, region_mask
+from repro.core.base import (
+    ElasticPartitioner,
+    Move,
+    NodeId,
+    check_key_arity,
+    grid_keys,
+)
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
 
@@ -104,6 +112,20 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
             for k, lo, hi in zip(key, self.grid.lo, self.grid.hi)
         )
 
+    def _clamped_keys(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+        """``(n, ndim)`` keys of ``refs`` clamped onto the grid."""
+        keys = grid_keys(refs, self.grid.ndim)
+        if keys is None:  # beyond int64: clamp the exact ints first
+            keys = np.array(
+                [self._clamp(r.key) for r in refs], dtype=np.int64
+            )
+        return self._clip(keys)
+
+    def _clip(self, keys: np.ndarray) -> np.ndarray:
+        return np.clip(
+            keys, self.grid.lo, np.asarray(self.grid.hi) - 1
+        )
+
     def locate_key(self, key: Sequence[int]) -> NodeId:
         """Owner of the cell containing (the clamped) ``key``."""
         clamped = self._clamp(key)
@@ -115,9 +137,34 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
             f"quadtree cells do not tile the grid (key {key})"
         )
 
+    def locate_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Owners of many keys at once: :meth:`locate_key` over rows.
+
+        Clamps the ``(n, ndim)`` int64 key array onto the grid, then
+        paints owners with one box mask per cell of :meth:`all_cells`.
+        The cells tile the grid, so each key matches exactly one cell.
+        """
+        table = self.all_cells()
+        cell = cell_index(
+            [box for box, _ in table], self._clip(np.asarray(keys))
+        )
+        if (cell < 0).any():
+            raise PartitioningError("quadtree cells do not tile the grid")
+        return np.asarray([node for _, node in table], dtype=np.int64)[
+            cell
+        ]
+
     # ------------------------------------------------------------------
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
+        check_key_arity(ref, self.grid.ndim)
         return self.locate_key(ref.key)
+
+    def place_batch(self, refs_and_sizes):
+        """Batch placement via :meth:`locate_keys` (≡ sequential
+        :meth:`place`, per the base class's batch contract)."""
+        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
+        owners = self.locate_keys(self._clamped_keys(list(first_sizes)))
+        return self._commit_batch(first_sizes, owners.tolist(), merges)
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
         moves: List[Move] = []
@@ -149,7 +196,15 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
         else:
             children = list(cells)
 
-        cell_bytes = self._bytes_per_cell(children, donor_chunks)
+        # One cell index per donor chunk: bincount adds the bytes in
+        # chunk order, as a per-chunk += would.
+        cell = cell_index(children, self._clamped_keys(donor_chunks))
+        held = cell >= 0
+        cell_bytes = np.bincount(
+            cell[held],
+            weights=self.sizes_of(donor_chunks)[held],
+            minlength=len(children),
+        ).tolist()
         total = sum(cell_bytes)
         subset = self._best_subset(children, cell_bytes, total)
         if subset is None:
@@ -162,12 +217,11 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
         self._cells[donor] = keep
         self._cells[new_node] = give
 
-        moves = []
-        for ref in donor_chunks:
-            clamped = self._clamp(ref.key)
-            if any(box.contains(clamped) for box in give):
-                moves.append(self._relocate(ref, new_node))
-        return moves
+        given = np.isin(cell, subset)
+        return [
+            self._relocate(ref, new_node)
+            for ref in compress(donor_chunks, given.tolist())
+        ]
 
     def _orthants(self, box: Box) -> List[Box]:
         """Quarter a cell along the configured split dimensions only."""
@@ -181,18 +235,6 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
                     nxt.append(b)
             children = nxt
         return children
-
-    def _bytes_per_cell(
-        self, cells: Sequence[Box], chunks: Sequence[ChunkRef]
-    ) -> List[float]:
-        sizes = [0.0] * len(cells)
-        for ref in chunks:
-            clamped = self._clamp(ref.key)
-            for i, box in enumerate(cells):
-                if box.contains(clamped):
-                    sizes[i] += self._ledger.size_of(ref)
-                    break
-        return sizes
 
     def _best_subset(
         self,
@@ -229,3 +271,15 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
             )
 
         return min(candidates, key=lambda s: (score(s), s))
+
+
+def cell_index(cells: Sequence[Box], keys: np.ndarray) -> np.ndarray:
+    """Index of the cell holding each key row, ``-1`` where none does.
+
+    One box mask per cell; the cells are disjoint, so a key matches at
+    most one.
+    """
+    cell = np.full(len(keys), -1, dtype=np.intp)
+    for i, box in enumerate(cells):
+        cell[region_mask(keys, box)] = i
+    return cell

@@ -26,7 +26,13 @@ import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import (
+    ElasticPartitioner,
+    Move,
+    NodeId,
+    check_key_arity,
+    grid_keys,
+)
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
 
@@ -176,15 +182,15 @@ class UniformRangePartitioner(ElasticPartitioner):
         """Leaf owner of every ref under the current deal, in one pass."""
         if not refs:
             return []
-        try:
-            keys = np.array([r.key for r in refs], dtype=np.int64)
-        except (ValueError, OverflowError):  # ragged or beyond-int64 keys
+        keys = grid_keys(refs, self.grid.ndim)
+        if keys is None:  # beyond-int64 keys
             return [self._place_new(r, 0.0) for r in refs]
         owners = np.asarray(self._leaf_owner)
         return owners[self.leaf_indices_of(keys)].tolist()
 
     # ------------------------------------------------------------------
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
+        check_key_arity(ref, self.grid.ndim)
         return self._leaf_owner[self.leaf_index_of(ref.key)]
 
     def place_batch(self, refs_and_sizes):

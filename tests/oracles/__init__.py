@@ -28,6 +28,7 @@ from repro.cluster.coordinator import execute_rebalance
 from repro.cluster.session import ClusterSession
 from repro.core.catalog import concat_payload
 from repro.core.ledger import ArrayChunkLedger
+from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.parallel.engine import ProcessEngine
 from repro.query.cost import (
     add_scan_work,
@@ -106,12 +107,15 @@ from tests.oracles.parallel import (
     serial_kmeans,
     serial_knn_mean,
 )
+from tests.oracles.partitioners import try_split_scalar
 
 ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     # ledger
     (ArrayChunkLedger, DictChunkLedger, "same"),
     # ingest
     (chunk_cells, chunk_cells_scalar, "same"),
+    # the Incremental Quadtree's split: per-chunk tally and give
+    (IncrementalQuadtreePartitioner._try_split, try_split_scalar, "same"),
     # session reads, the by-ref payload probe and the rebalance executor
     (ClusterSession.chunks_of_array, chunks_of_array_scan, "same"),
     (ClusterSession.chunks_in_region, chunks_in_region_scan, "same"),

@@ -9,7 +9,11 @@ Covers the tentpole contract of the vectorized hot paths:
   including overflow-epoch coordinates beyond the declared extents.
 * :meth:`ElasticPartitioner.place_batch` ≡ sequential
   :meth:`ElasticPartitioner.place` for every registered scheme,
-  including duplicate refs within one batch.
+  including duplicate refs within one batch, and at a node capacity
+  small enough that Append's fill cursor crosses nodes mid-batch —
+  with merges onto the cursor node and onto nodes ahead of it.
+* The grid schemes reject a key of the wrong arity with a
+  :class:`ChunkError`, on the scalar and the batch path alike.
 * The running ``total_bytes`` counter stays equal to the size ledger
   through place / update_size / remove.
 """
@@ -29,6 +33,18 @@ from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import ChunkError, PartitioningError
 
 GRID = Box((0, 0, 0), (40, 29, 23))
+#: Small enough that Append's cursor crosses three of four nodes inside
+#: one ``_random_batch(1500)`` (≈20 kB), so the fill walk is exercised.
+SMALL_CAPACITY = 2000.0
+
+
+def _with_capacities(names):
+    """Every scheme at the never-full capacity (ids unchanged) and at
+    :data:`SMALL_CAPACITY`."""
+    return [pytest.param(n, 1e12, id=n) for n in names] + [
+        pytest.param(n, SMALL_CAPACITY, id=f"{n}-small_capacity")
+        for n in names
+    ]
 
 
 def _random_batch(n, seed, dup_every=7, arrays=("a", "b")):
@@ -167,14 +183,16 @@ class TestRectangleIndexBatchParity:
 
 
 class TestPlaceBatchParity:
-    @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    def test_matches_sequential(self, name):
+    @pytest.mark.parametrize("name, capacity", _with_capacities(
+        ALL_PARTITIONERS
+    ))
+    def test_matches_sequential(self, name, capacity):
         items = _random_batch(1500, seed=hash(name) % 2**31)
         seq = make_partitioner(
-            name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=1e12
+            name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=capacity
         )
         bat = make_partitioner(
-            name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=1e12
+            name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=capacity
         )
         expected = {ref: seq.place(ref, size) for ref, size in items}
         placements = bat.place_batch(items)
@@ -191,12 +209,14 @@ class TestPlaceBatchParity:
             seq.total_bytes, rel=1e-12
         )
 
-    @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    def test_batch_then_scalar_interleave(self, name):
+    @pytest.mark.parametrize("name, capacity", _with_capacities(
+        ALL_PARTITIONERS
+    ))
+    def test_batch_then_scalar_interleave(self, name, capacity):
         """A batch may follow scalar placements and vice versa."""
         items = _random_batch(300, seed=3)
         p = make_partitioner(
-            name, [0, 1], grid=GRID, node_capacity_bytes=1e12
+            name, [0, 1], grid=GRID, node_capacity_bytes=capacity
         )
         ref0, size0 = items[0]
         first = p.place(ref0, size0)
@@ -221,6 +241,86 @@ class TestPlaceBatchParity:
             )
             with pytest.raises(PartitioningError):
                 p.place_batch([(ChunkRef("a", (0, 0, 0)), -1.0)])
+
+
+class TestAppendFillWalk:
+    """Append's batch walk replays the cursor exactly, merges included."""
+
+    def test_small_capacity_crosses_three_nodes_in_one_batch(self):
+        p = make_partitioner(
+            "append", [0, 1, 2, 3], node_capacity_bytes=SMALL_CAPACITY
+        )
+        p.place_batch(_random_batch(1500, seed=1))
+        assert p.cursor_node == 3
+        assert all(p.chunks_on(node) for node in (0, 1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_merges_on_and_ahead_of_the_cursor(self, data):
+        """Known refs (adopted onto any node, so some sit ahead of the
+        cursor) and in-batch duplicates grow the loads the cursor
+        compares against, at their place in the batch."""
+        n_nodes = data.draw(st.integers(2, 5), label="nodes")
+        capacity = data.draw(st.sampled_from([4.0, 10.0, 25.0]))
+        size = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 6.0]),
+            st.floats(0.0, 9.0, allow_nan=False, allow_infinity=False),
+        )
+        pool = [ChunkRef("a", (i, 0, 0)) for i in range(16)]
+        adopted = data.draw(st.dictionaries(
+            st.integers(8, 15),
+            st.tuples(size, st.integers(0, n_nodes - 1)),
+            max_size=6,
+        ), label="adopted")
+        batch = [
+            (pool[i], s)
+            for i, s in data.draw(st.lists(
+                st.tuples(st.integers(0, 15), size),
+                min_size=1,
+                max_size=40,
+            ), label="batch")
+        ]
+        seq, bat = (
+            make_partitioner(
+                "append", list(range(n_nodes)),
+                node_capacity_bytes=capacity,
+            )
+            for _ in range(2)
+        )
+        entries = [(pool[i], s, n) for i, (s, n) in adopted.items()]
+        seq.adopt_batch(entries)
+        bat.adopt_batch(entries)
+        expected = {ref: seq.place(ref, s) for ref, s in batch}
+        assert bat.place_batch(batch) == expected
+        assert bat.assignment() == seq.assignment()
+        assert bat.cursor_node == seq.cursor_node
+        for ref in seq.assignment():
+            assert bat.size_of(ref) == seq.size_of(ref)
+        for node, load in seq.node_loads().items():
+            assert bat.load_of(node) == pytest.approx(load, rel=1e-12)
+
+
+GRID_SCHEMES = (
+    "hilbert_curve", "kd_tree", "uniform_range", "incremental_quadtree"
+)
+
+
+class TestKeyArity:
+    @pytest.mark.parametrize("path", ["place", "batch"])
+    @pytest.mark.parametrize("key", [(1, 2), (1, 2, 3, 4)],
+                             ids=["short", "long"])
+    @pytest.mark.parametrize("name", GRID_SCHEMES)
+    def test_wrong_arity_is_a_chunk_error(self, name, key, path):
+        p = make_partitioner(name, [0, 1], grid=GRID)
+        bad = ChunkRef("a", key)
+        with pytest.raises(ChunkError) as info:
+            if path == "place":
+                p.place(bad, 1.0)
+            else:  # ragged beside a good key
+                p.place_batch([(ChunkRef("a", (1, 2, 3)), 1.0), (bad, 1.0)])
+        assert str(bad) in str(info.value)
+        assert "3-d" in str(info.value)
+        assert p.chunk_count == 0
 
 
 class TestRunningTotalAndRemove:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arrays import ChunkData, ChunkRef
+from repro.arrays import Box, ChunkData, ChunkRef
 from repro.cluster import (
     CostParameters,
     ElasticCluster,
@@ -273,8 +273,9 @@ class TestElasticCluster:
         with pytest.raises(ClusterError):
             cluster.scale_out(0)
 
-    def test_ingest_report_timing_positive(self, tiny_schema, grid3d):
-        cluster = make_cluster("kd_tree", grid3d)
+    def test_ingest_report_timing_positive(self, tiny_schema):
+        # The K-d tree's grid is the 2-d chunk grid of tiny_schema's keys.
+        cluster = make_cluster("kd_tree", Box((0, 0), (2, 2)))
         report = cluster.ingest(make_chunks(tiny_schema, 8))
         assert report.insert_seconds > 0
         assert report.reorg_seconds == 0.0

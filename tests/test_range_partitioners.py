@@ -204,6 +204,45 @@ class TestQuadtree:
         node = p.locate_key((999, 3, 3))
         assert node in p.nodes
 
+    @pytest.mark.parametrize("split_dims", [None, (1, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_matches_per_chunk_oracle(self, oracles, seed, split_dims):
+        """The masked split ≡ the per-chunk ``Box.contains`` split.
+
+        A randomized ingest / scale-out sequence, with keys past the
+        grid on every side, runs once on the production split and once
+        on the oracle; every plan must list the same moves in order.
+        """
+
+        def run():
+            rng = np.random.default_rng(seed)
+            p = IncrementalQuadtreePartitioner(
+                [0, 1], GRID3, split_dims=split_dims
+            )
+            plans = []
+            for cycle in range(5):
+                batch = []
+                for _ in range(int(rng.integers(20, 80))):
+                    key = tuple(
+                        int(rng.integers(lo - 3, hi + 3))
+                        for lo, hi in zip(GRID3.lo, GRID3.hi)
+                    )
+                    batch.append(
+                        (ChunkRef("a", key), float(rng.lognormal(2, 1)))
+                    )
+                p.place_batch(batch)
+                new = [p.node_count + i for i in range(cycle % 2 + 1)]
+                plans.append([
+                    (m.ref, m.source, m.dest, m.size_bytes)
+                    for m in p.scale_out(new).moves
+                ])
+            return plans, p.assignment()
+
+        plans, assignment = run()
+        assert sum(len(moves) for moves in plans) > 0
+        with oracles(IncrementalQuadtreePartitioner._try_split):
+            assert run() == (plans, assignment)
+
     def test_moves_land_in_new_cells(self):
         p = IncrementalQuadtreePartitioner([0], GRID)
         fill(p, 100, skew=True)

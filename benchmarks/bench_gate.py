@@ -9,7 +9,7 @@ baseline fails the gate, as does a baseline benchmark missing from the
 current run (renames must refresh the baseline).  ``--input`` also takes
 an already-normalized record — a regenerated ``BENCH_micro.json`` — and
 then a top-level section of the baseline that the new record lost
-(``"concurrent"``) fails the gate as well.
+fails the gate as well.
 
 ``--mode speedups`` compares single-run batch-vs-scalar ratios.  A ratio
 whose batch arm runs under 200 µs (in this run or in the baseline) is

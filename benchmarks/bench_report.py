@@ -6,8 +6,7 @@ every result to items/second (using the per-benchmark ``extra_info``
 item counts), derives batch-vs-scalar speedups for the hot paths that
 have both variants, and merges the result into ``BENCH_micro.json`` at
 the repo root so the performance trajectory is tracked PR over PR.
-Sections another tool wrote (``bench_concurrent.py``'s ``"concurrent"``)
-are kept.
+Top-level sections this script does not produce are kept.
 
 Usage::
 

@@ -152,9 +152,8 @@ class ChunkData:
     :attr:`attributes` read through :meth:`payload_parts` in every
     state; identity, schema, key, cell count and byte accounting are
     always available without I/O and without building a view.
-    ``_payload`` is read and written as one tuple, so a concurrent
-    evict/fault race — or two threads materializing one extent — hands
-    a reader a stale but internally consistent pair, never half of each.
+    ``_payload`` is read and written as one tuple, so a reader always
+    holds an internally consistent pair, never half of each.
     """
 
     __slots__ = ("schema", "key", "size_bytes", "attr_bytes", "_ref",
@@ -320,9 +319,8 @@ class ChunkData:
         two reads.
 
         The first call on an extent builds the chunk's views of its
-        arena and keeps them.  That write takes no lock: it stores one
-        tuple that is a pure function of the (immutable) extent, so two
-        racing threads store equal pairs and either is correct.
+        arena and keeps them: one tuple that is a pure function of the
+        (immutable) extent.
         """
         parts = self._payload
         if parts is None:

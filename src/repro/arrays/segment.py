@@ -20,10 +20,9 @@ truncated segment behind a stale manifest — fails loudly with
 :class:`~repro.errors.SegmentCorruptError` instead of returning wrong
 cells.
 
-Concurrency: a :class:`SegmentStore` performs no locking of its own.
-The owning :class:`~repro.arrays.storage.SpillTier` serializes every
-call under its tier lock; the recovery path (:meth:`SegmentStore.open`)
-is single-threaded by construction.
+A :class:`SegmentStore` is driven by one owner: the
+:class:`~repro.arrays.storage.SpillTier` of its node, or the recovery
+path (:meth:`SegmentStore.open`).
 
 All actual I/O funnels through a :class:`DiskIO` adapter so tests can
 inject faults (short reads, ``OSError`` on the Nth write) without

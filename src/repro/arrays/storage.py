@@ -40,14 +40,13 @@ the in-memory payloads, managed by a :class:`SpillTier`:
 Invariant (tiered): a chunk handle with ``_payload is None`` is owned by
 exactly one live store, its ref is in that store's segment manifest, and
 ``_tier`` points at that store's tier.  Everything the tier does
-preserves it, which is what makes concurrent snapshot reads race-safe —
-the worst a racing evict can do is hand a reader a freshly loaded copy
+preserves it, which is what keeps pinned snapshot reads byte-stable —
+the worst an eviction can do is make a later read fault in a fresh copy
 of identical bytes.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import (
@@ -59,7 +58,6 @@ from typing import (
     Tuple,
 )
 
-from repro import lockdep
 from repro.arrays.chunk import ChunkData, ChunkRef
 from repro.arrays.segment import SegmentStore
 from repro.errors import StorageError
@@ -68,12 +66,9 @@ from repro.errors import StorageError
 class SpillTier:
     """The byte-budgeted LRU of hot payloads over one segment store.
 
-    All state — the LRU table, residency accounting, pins, and the
-    telemetry counters — mutates under one re-entrant lock, which also
-    serializes every call into the underlying
-    :class:`~repro.arrays.segment.SegmentStore`.  Query threads faulting
-    through :meth:`fault` and the coordinator batch-writing through the
-    owning store therefore never interleave mid-update.
+    It owns the LRU table, residency accounting, pins, and the
+    telemetry counters; every segment read and write of the owning
+    :class:`ChunkStore` goes through :attr:`segments`.
     """
 
     def __init__(
@@ -87,7 +82,6 @@ class SpillTier:
         self.memory_budget = (
             float(memory_budget) if memory_budget is not None else None
         )
-        self.lock = threading.RLock()
         #: ref → resident chunk, oldest first (LRU order).
         self._resident: "OrderedDict[ChunkRef, ChunkData]" = OrderedDict()
         self._resident_bytes = 0.0
@@ -118,28 +112,21 @@ class SpillTier:
         """Load a spilled payload back into memory (the read path).
 
         Called by :meth:`ChunkData.payload_parts` when the handle is
-        cold.  Re-checks residency under the lock (another thread may
-        have faulted the same chunk first), loads from the segment
-        file, accounts the bytes, and sheds cold payloads down to the
-        budget.  A failed segment read mutates nothing.
+        cold: loads from the segment file, accounts the bytes, and sheds
+        cold payloads down to the budget.  A failed segment read mutates
+        nothing.
         """
-        with self.lock, lockdep.held("spill-tier"):
-            parts = chunk._payload
-            ref = chunk.ref()
-            if parts is not None:
-                if ref in self._resident:
-                    self._resident.move_to_end(ref)
-                return parts
-            coords, columns = self.segments.read(ref)
-            parts = (coords, columns)
-            chunk._payload = parts
-            self._resident[ref] = chunk
-            self._resident_bytes += chunk.size_bytes
-            self._churn_bytes += chunk.size_bytes
-            self.fault_count += 1
-            self._io_read_bytes += chunk.size_bytes
-            self.evict_over_budget()
-            return parts
+        ref = chunk.ref()
+        coords, columns = self.segments.read(ref)
+        parts = (coords, columns)
+        chunk._payload = parts
+        self._resident[ref] = chunk
+        self._resident_bytes += chunk.size_bytes
+        self._churn_bytes += chunk.size_bytes
+        self.fault_count += 1
+        self._io_read_bytes += chunk.size_bytes
+        self.evict_over_budget()
+        return parts
 
     def evict_over_budget(self) -> None:
         """Spill cold unpinned payloads until within the byte budget.
@@ -152,46 +139,43 @@ class SpillTier:
         budget = self.memory_budget
         if budget is None:
             return
-        with self.lock, lockdep.held("spill-tier"):
-            if self._resident_bytes <= budget:
-                return
-            pinned: List[Tuple[ChunkRef, ChunkData]] = []
-            while self._resident_bytes > budget and self._resident:
-                ref, chunk = self._resident.popitem(last=False)
-                if self._pins.get(ref):
-                    pinned.append((ref, chunk))
-                    continue
-                chunk._payload = None
-                self._resident_bytes -= chunk.size_bytes
-                self._churn_bytes += chunk.size_bytes
-                self.eviction_count += 1
-            # Re-enter pinned survivors at the cold end (original order
-            # preserved) so they are the first candidates once unpinned.
-            for ref, chunk in reversed(pinned):
-                self._resident[ref] = chunk
-                self._resident.move_to_end(ref, last=False)
-            if not self._resident:
-                # Fully drained: discard the running sum's accumulated
-                # float residue instead of carrying it forever.
-                self._resident_bytes = 0.0
+        if self._resident_bytes <= budget:
+            return
+        pinned: List[Tuple[ChunkRef, ChunkData]] = []
+        while self._resident_bytes > budget and self._resident:
+            ref, chunk = self._resident.popitem(last=False)
+            if self._pins.get(ref):
+                pinned.append((ref, chunk))
+                continue
+            chunk._payload = None
+            self._resident_bytes -= chunk.size_bytes
+            self._churn_bytes += chunk.size_bytes
+            self.eviction_count += 1
+        # Re-enter pinned survivors at the cold end (original order
+        # preserved) so they are the first candidates once unpinned.
+        for ref, chunk in reversed(pinned):
+            self._resident[ref] = chunk
+            self._resident.move_to_end(ref, last=False)
+        if not self._resident:
+            # Fully drained: discard the running sum's accumulated
+            # float residue instead of carrying it forever.
+            self._resident_bytes = 0.0
 
     # -- pinning -------------------------------------------------------
     def pin_many(self, refs: Sequence[ChunkRef]) -> None:
         """Exempt chunks from eviction (counted — pins nest)."""
-        with self.lock, lockdep.held("spill-tier"):
-            for ref in refs:
-                self._pins[ref] = self._pins.get(ref, 0) + 1
+        for ref in refs:
+            self._pins[ref] = self._pins.get(ref, 0) + 1
 
     def unpin_many(self, refs: Sequence[ChunkRef]) -> None:
         """Release pins and shed any overshoot they were holding back."""
-        with self.lock, lockdep.held("spill-tier"):
-            for ref in refs:
-                count = self._pins.get(ref, 0) - 1
-                if count > 0:
-                    self._pins[ref] = count
-                else:
-                    self._pins.pop(ref, None)
-            self.evict_over_budget()
+        for ref in refs:
+            count = self._pins.get(ref, 0) - 1
+            if count > 0:
+                self._pins[ref] = count
+            else:
+                self._pins.pop(ref, None)
+        self.evict_over_budget()
 
     @contextmanager
     def pinned(self, refs: Sequence[ChunkRef]) -> Iterator[None]:
@@ -202,7 +186,7 @@ class SpillTier:
         finally:
             self.unpin_many(refs)
 
-    # -- membership (called by the owning ChunkStore, under lock) ------
+    # -- membership (called by the owning ChunkStore) ------------------
     def register(self, chunk: ChunkData) -> None:
         """Adopt a chunk into the tier (resident or already spilled).
 
@@ -248,67 +232,63 @@ class SpillTier:
 
     # -- telemetry -----------------------------------------------------
     def note_written(self, nbytes: float) -> None:
-        with self.lock, lockdep.held("spill-tier"):
-            self._io_written_bytes += nbytes
+        self._io_written_bytes += nbytes
 
     def drain_io(self) -> Tuple[float, float]:
         """``(read, written)`` segment bytes since the last drain."""
-        with self.lock, lockdep.held("spill-tier"):
-            out = (self._io_read_bytes, self._io_written_bytes)
-            self._io_read_bytes = 0.0
-            self._io_written_bytes = 0.0
-            return out
+        out = (self._io_read_bytes, self._io_written_bytes)
+        self._io_read_bytes = 0.0
+        self._io_written_bytes = 0.0
+        return out
 
     def stats(self) -> Dict[str, float]:
-        with self.lock, lockdep.held("spill-tier"):
-            return {
-                "memory_budget": (
-                    self.memory_budget
-                    if self.memory_budget is not None else float("inf")
-                ),
-                "resident_bytes": self._resident_bytes,
-                "resident_chunks": float(len(self._resident)),
-                "spilled_chunks": float(len(self.segments)),
-                "fault_count": float(self.fault_count),
-                "eviction_count": float(self.eviction_count),
-            }
+        return {
+            "memory_budget": (
+                self.memory_budget
+                if self.memory_budget is not None else float("inf")
+            ),
+            "resident_bytes": self._resident_bytes,
+            "resident_chunks": float(len(self._resident)),
+            "spilled_chunks": float(len(self.segments)),
+            "fault_count": float(self.fault_count),
+            "eviction_count": float(self.eviction_count),
+        }
 
     def check(self) -> None:
         """Audit LRU accounting invariants (test hook; raises on drift)."""
-        with self.lock, lockdep.held("spill-tier"):
-            total = 0.0
-            for ref, chunk in self._resident.items():
-                if chunk._payload is None:
-                    raise StorageError(
-                        f"LRU lists {ref} as resident but its payload "
-                        "is gone"
-                    )
-                if chunk._tier is not self:
-                    raise StorageError(
-                        f"resident chunk {ref} is attached to a "
-                        "different tier"
-                    )
-                if ref not in self.segments:
-                    raise StorageError(
-                        f"resident chunk {ref} has no segment backing "
-                        "(write-through violated)"
-                    )
-                total += chunk.size_bytes
-            # The running sum reassociates additions the fresh sum
-            # doesn't, so allow rounding proportional to everything
-            # ever accounted — far below any real leak (one chunk).
-            slack = 1e-9 * max(1.0, self._churn_bytes)
-            if abs(total - self._resident_bytes) > slack:
+        total = 0.0
+        for ref, chunk in self._resident.items():
+            if chunk._payload is None:
                 raise StorageError(
-                    f"LRU byte accounting drifted: tracked "
-                    f"{self._resident_bytes}, actual {total}"
+                    f"LRU lists {ref} as resident but its payload "
+                    "is gone"
                 )
-            if self.memory_budget is not None and not self._pins:
-                if self._resident_bytes > self.memory_budget + slack:
-                    raise StorageError(
-                        f"unpinned resident bytes {self._resident_bytes} "
-                        f"exceed budget {self.memory_budget}"
-                    )
+            if chunk._tier is not self:
+                raise StorageError(
+                    f"resident chunk {ref} is attached to a "
+                    "different tier"
+                )
+            if ref not in self.segments:
+                raise StorageError(
+                    f"resident chunk {ref} has no segment backing "
+                    "(write-through violated)"
+                )
+            total += chunk.size_bytes
+        # The running sum reassociates additions the fresh sum
+        # doesn't, so allow rounding proportional to everything
+        # ever accounted — far below any real leak (one chunk).
+        slack = 1e-9 * max(1.0, self._churn_bytes)
+        if abs(total - self._resident_bytes) > slack:
+            raise StorageError(
+                f"LRU byte accounting drifted: tracked "
+                f"{self._resident_bytes}, actual {total}"
+            )
+        if self.memory_budget is not None and not self._pins:
+            if self._resident_bytes > self.memory_budget + slack:
+                raise StorageError(
+                    f"unpinned resident bytes {self._resident_bytes} "
+                    f"exceed budget {self.memory_budget}"
+                )
 
 
 class ChunkStore:
@@ -439,76 +419,75 @@ class ChunkStore:
     ) -> List[ChunkData]:
         tier = self._tier
         assert tier is not None
-        with tier.lock, lockdep.held("spill-tier"):
-            # 1. Compute the final per-ref chunk objects, merging in
-            #    input order.  Merge sources are pinned so the faults
-            #    the merges themselves trigger cannot evict a source
-            #    mid-batch.
-            finals: Dict[ChunkRef, ChunkData] = {}
-            originals: Dict[ChunkRef, Optional[ChunkData]] = {}
-            order: List[ChunkRef] = []
-            stored: List[ChunkData] = []
-            merge_refs = [
-                c.ref() for c in chunks if c.ref() in self._chunks
-            ]
-            # The pin covers the whole batch: the pre-merge handles
-            # must stay materialized from the merge reads through their
-            # detach in step 3 (a mid-batch eviction would strip a
-            # handle the delta log keeps forever).
-            with tier.pinned(merge_refs):
-                for chunk in chunks:
-                    ref = chunk.ref()
-                    if ref in finals:
-                        current: Optional[ChunkData] = finals[ref]
-                    else:
-                        current = self._chunks.get(ref)
-                        originals[ref] = current
-                        order.append(ref)
-                    new = (
-                        chunk if current is None
-                        else current.merged_with(chunk)
-                    )
-                    finals[ref] = new
-                    stored.append(new)
-                # 2. Make the batch durable: stage every segment
-                #    write, then flip the manifest.  Failure unwinds to
-                #    the pre-call state (staged files become invisible
-                #    orphans and are reclaimed best-effort).
-                staged: Dict[ChunkRef, Tuple[ChunkData, str]] = {}
-                try:
-                    for ref in order:
-                        staged[ref] = (
-                            finals[ref],
-                            tier.segments.write_staged(finals[ref]),
-                        )
-                    tier.segments.commit(staged)
-                except Exception:
-                    tier.segments.discard_staged(
-                        [fname for _chunk, fname in staged.values()]
-                    )
-                    raise
-                # 3. Commit in memory: pure bookkeeping, cannot fail.
-                delta = 0.0
-                dirty = False
-                written = 0.0
+        # 1. Compute the final per-ref chunk objects, merging in
+        #    input order.  Merge sources are pinned so the faults
+        #    the merges themselves trigger cannot evict a source
+        #    mid-batch.
+        finals: Dict[ChunkRef, ChunkData] = {}
+        originals: Dict[ChunkRef, Optional[ChunkData]] = {}
+        order: List[ChunkRef] = []
+        stored: List[ChunkData] = []
+        merge_refs = [
+            c.ref() for c in chunks if c.ref() in self._chunks
+        ]
+        # The pin covers the whole batch: the pre-merge handles
+        # must stay materialized from the merge reads through their
+        # detach in step 3 (a mid-batch eviction would strip a
+        # handle the delta log keeps forever).
+        with tier.pinned(merge_refs):
+            for chunk in chunks:
+                ref = chunk.ref()
+                if ref in finals:
+                    current: Optional[ChunkData] = finals[ref]
+                else:
+                    current = self._chunks.get(ref)
+                    originals[ref] = current
+                    order.append(ref)
+                new = (
+                    chunk if current is None
+                    else current.merged_with(chunk)
+                )
+                finals[ref] = new
+                stored.append(new)
+            # 2. Make the batch durable: stage every segment
+            #    write, then flip the manifest.  Failure unwinds to
+            #    the pre-call state (staged files become invisible
+            #    orphans and are reclaimed best-effort).
+            staged: Dict[ChunkRef, Tuple[ChunkData, str]] = {}
+            try:
                 for ref in order:
-                    old = originals[ref]
-                    new = finals[ref]
-                    written += new.size_bytes
-                    if old is None:
-                        delta += new.size_bytes
-                        dirty = True
-                    else:
-                        delta += new.size_bytes - old.size_bytes
-                        tier.detach(old)
-                    self._chunks[ref] = new
-                    tier.register(new)
-                self._bytes += delta
-                if dirty:
-                    self._sorted = None
-                tier.note_written(written)
-            tier.evict_over_budget()
-            return stored
+                    staged[ref] = (
+                        finals[ref],
+                        tier.segments.write_staged(finals[ref]),
+                    )
+                tier.segments.commit(staged)
+            except Exception:
+                tier.segments.discard_staged(
+                    [fname for _chunk, fname in staged.values()]
+                )
+                raise
+            # 3. Commit in memory: pure bookkeeping, cannot fail.
+            delta = 0.0
+            dirty = False
+            written = 0.0
+            for ref in order:
+                old = originals[ref]
+                new = finals[ref]
+                written += new.size_bytes
+                if old is None:
+                    delta += new.size_bytes
+                    dirty = True
+                else:
+                    delta += new.size_bytes - old.size_bytes
+                    tier.detach(old)
+                self._chunks[ref] = new
+                tier.register(new)
+            self._bytes += delta
+            if dirty:
+                self._sorted = None
+            tier.note_written(written)
+        tier.evict_over_budget()
+        return stored
 
     def get(self, ref: ChunkRef) -> ChunkData:
         """Fetch a chunk by ref; raises :class:`StorageError` when absent."""
@@ -561,35 +540,34 @@ class ChunkStore:
     ) -> List[ChunkData]:
         tier = self._tier
         assert tier is not None
-        with tier.lock, lockdep.held("spill-tier"):
-            self._validate_evict(refs)
-            # Materialize every departing payload under a pin — the
-            # faults must not evict each other — so a segment-read
-            # failure aborts before anything leaves the store.
-            tier.pin_many(refs)
-            try:
-                for ref in refs:
-                    self._chunks[ref].payload_parts()
-            except BaseException:
-                tier.unpin_many(refs)
-                raise
-            # Drop the manifest entries first: a failed manifest flush
-            # aborts with the store intact (chunks stay resident; their
-            # pins release).
-            try:
-                tier.segments.delete_many(list(refs))
-            except BaseException:
-                tier.unpin_many(refs)
-                raise
-            evicted = []
+        self._validate_evict(refs)
+        # Materialize every departing payload under a pin — the
+        # faults must not evict each other — so a segment-read
+        # failure aborts before anything leaves the store.
+        tier.pin_many(refs)
+        try:
             for ref in refs:
-                chunk = self._chunks.pop(ref)
-                tier.detach(chunk)  # also releases the pin
-                evicted.append(chunk)
-            self._bytes -= sum(c.size_bytes for c in evicted)
-            if evicted:
-                self._sorted = None
-            return evicted
+                self._chunks[ref].payload_parts()
+        except BaseException:
+            tier.unpin_many(refs)
+            raise
+        # Drop the manifest entries first: a failed manifest flush
+        # aborts with the store intact (chunks stay resident; their
+        # pins release).
+        try:
+            tier.segments.delete_many(list(refs))
+        except BaseException:
+            tier.unpin_many(refs)
+            raise
+        evicted = []
+        for ref in refs:
+            chunk = self._chunks.pop(ref)
+            tier.detach(chunk)  # also releases the pin
+            evicted.append(chunk)
+        self._bytes -= sum(c.size_bytes for c in evicted)
+        if evicted:
+            self._sorted = None
+        return evicted
 
     # -- tiered-only surface -------------------------------------------
     def adopt_spilled(self, chunk: ChunkData) -> None:
@@ -606,18 +584,17 @@ class ChunkStore:
                 "adopt_spilled requires a tiered store"
             )
         ref = chunk.ref()
-        with tier.lock, lockdep.held("spill-tier"):
-            if ref in self._chunks:
-                raise StorageError(f"store already holds chunk {ref}")
-            if not chunk.is_resident and ref not in tier.segments:
-                raise StorageError(
-                    f"cannot adopt spilled chunk {ref}: no segment "
-                    "backs it"
-                )
-            self._chunks[ref] = chunk
-            self._bytes += chunk.size_bytes
-            self._sorted = None
-            tier.register(chunk)
+        if ref in self._chunks:
+            raise StorageError(f"store already holds chunk {ref}")
+        if not chunk.is_resident and ref not in tier.segments:
+            raise StorageError(
+                f"cannot adopt spilled chunk {ref}: no segment "
+                "backs it"
+            )
+        self._chunks[ref] = chunk
+        self._bytes += chunk.size_bytes
+        self._sorted = None
+        tier.register(chunk)
 
     @contextmanager
     def pinned(self, refs: Sequence[ChunkRef]) -> Iterator[None]:
@@ -642,25 +619,24 @@ class ChunkStore:
     def clear(self) -> None:
         tier = self._tier
         if tier is not None:
-            with tier.lock, lockdep.held("spill-tier"):
-                # Retired handles must stay readable (delta logs hold
-                # them): materialize and detach everything first.  Pins
-                # hold until detach so the faults cannot evict each
-                # other's work; detach releases them.
-                refs = list(self._chunks)
-                tier.pin_many(refs)
-                try:
-                    for chunk in self._chunks.values():
-                        chunk.payload_parts()
-                    tier.segments.delete_many(refs)
-                except BaseException:
-                    tier.unpin_many(refs)
-                    raise
+            # Retired handles must stay readable (delta logs hold
+            # them): materialize and detach everything first.  Pins
+            # hold until detach so the faults cannot evict each
+            # other's work; detach releases them.
+            refs = list(self._chunks)
+            tier.pin_many(refs)
+            try:
                 for chunk in self._chunks.values():
-                    tier.detach(chunk)
-                self._chunks.clear()
-                self._bytes = 0.0
-                self._sorted = None
+                    chunk.payload_parts()
+                tier.segments.delete_many(refs)
+            except BaseException:
+                tier.unpin_many(refs)
+                raise
+            for chunk in self._chunks.values():
+                tier.detach(chunk)
+            self._chunks.clear()
+            self._bytes = 0.0
+            self._sorted = None
             return
         self._chunks.clear()
         self._bytes = 0.0

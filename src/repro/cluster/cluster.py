@@ -308,8 +308,7 @@ class ElasticCluster:
         pins an immutable per-array snapshot on first touch, so a query
         holding it never sees a half-applied rebalance, ingest, or
         expiry — see :mod:`repro.cluster.session`.  Sessions are cheap;
-        open one per query (the concurrent executor does) or one per
-        suite pass.
+        open one per query or one per suite pass.
         """
         from repro.cluster.session import ClusterSession
 

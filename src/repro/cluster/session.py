@@ -19,9 +19,8 @@ creation**:
 ``node_ids`` returns the node set captured when the session opened, so
 a cost accumulator interned from it stays valid for the session's whole
 lifetime.  A pin whose snapshot places chunks on a node added *after*
-the session opened is rejected with :class:`SnapshotRaceError` — the
-same contract as a lost consistent-pin race, and the concurrent
-executor's retry (fresh session, fresh node universe) absorbs both.
+the session opened is rejected with :class:`SnapshotRaceError`; the
+caller re-runs on a fresh session, whose node universe is current.
 
 Sessions are cheap (one column gather per touched array) and intended
 to be short-lived: one per query, or one per suite pass.  Open them
@@ -36,27 +35,22 @@ Pins are **per array** (MVCC-lite, not full MVCC): two arrays touched
 by one query are each internally consistent, but by default may pin at
 different epochs if a mutation lands between the two first-touches.
 :meth:`ClusterSession.pin` closes that gap for multi-array queries — it
-captures all requested arrays and validates that the catalog's global
-epoch did not move across the captures, retrying on a race and raising
-:class:`SnapshotRaceError` only after repeated losses (the concurrent
-executor's retry guard catches exactly that and re-runs the query on a
-fresh session).
+captures all requested arrays in one call, with no mutation between
+them.
 
 Pinned reads stay byte-stable on **tiered** clusters too: snapshot
 handles whose payloads spilled to disk fault back through the spill
-tier's lock (re-checking residency, so racing readers load once), the
-LRU never sheds a payload out from under ``payload_parts`` — the pair
-is taken atomically — and handles retired by a merge or removal are
-materialized before their segment file is reclaimed, so even a chunk
-expired mid-session answers from its pinned bytes.  Payload reads
-concatenate the pin's frozen handles and share the result through the
-catalog's one LRU under the pinned *payload epoch*, so sessions at one
-content version share a concatenation and none can be served another's.
+tier, ``payload_parts`` hands out the coords/values pair as one tuple,
+and handles retired by a merge or removal are materialized before their
+segment file is reclaimed, so even a chunk expired mid-session answers
+from its pinned bytes.  Payload reads concatenate the pin's frozen
+handles and share the result through the catalog's one LRU under the
+pinned *payload epoch*, so sessions at one content version share a
+concatenation and none can be served another's.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy.typing as npt
@@ -68,14 +62,12 @@ from repro.errors import ClusterError
 
 
 class SnapshotRaceError(ClusterError):
-    """A pin lost an epoch race the session cannot recover from.
+    """A pin the session cannot admit.
 
-    Raised when a consistent multi-array pin repeatedly loses the
-    global-epoch race, or when a captured snapshot places chunks on a
-    node added after the session opened (so the session's frozen node
-    universe — and any cost accumulator interned from it — is stale).
-    Callers recover by re-running on a fresh session; the concurrent
-    executor does so automatically.
+    Raised when a captured snapshot places chunks on a node added after
+    the session opened (so the session's frozen node universe — and any
+    cost accumulator interned from it — is stale).  Callers recover by
+    re-running on a fresh session.
     """
 
 
@@ -89,14 +81,9 @@ class ClusterSession:
         mutations keep landing on it while the session reads.
     """
 
-    #: Consistent multi-array pin attempts before raising
-    #: :class:`SnapshotRaceError`.
-    PIN_RETRIES = 8
-
     def __init__(self, cluster: Any) -> None:
         self._cluster = cluster
         self._snapshots: Dict[str, ArraySnapshot] = {}
-        self._lock = threading.Lock()
         # Frozen at creation: accumulators intern this node set once,
         # so it must not move under a running query (see _admit).
         self._node_ids: Tuple[int, ...] = tuple(cluster.node_ids)
@@ -145,10 +132,10 @@ class ClusterSession:
         never interned; charging it would fail deep inside a kernel
         with an unknown-node :class:`~repro.errors.QueryError`.
         Surfacing the conflict here as :class:`SnapshotRaceError`
-        instead lets the concurrent executor's existing retry re-run
-        the query on a fresh session whose node universe is current.
-        Retrying within *this* session cannot help — its node set is
-        permanently stale — so the raise is immediate.
+        instead tells the caller to re-run the query on a fresh session
+        whose node universe is current.  Retrying within *this* session
+        cannot help — its node set is permanently stale — so the raise
+        is immediate.
 
         The common check is a ``(min, max)`` bounds test, the bounds
         taken once at capture — node ids are contiguous in practice
@@ -178,67 +165,40 @@ class ClusterSession:
         snap = self._snapshots.get(array)
         if snap is not None:
             return snap
-        fresh = self._admit(self._cluster.catalog.snapshot(array))
-        with self._lock:
-            # First pin wins: a concurrent first-touch of the same
-            # array must not give two epochs to one session.
-            return self._snapshots.setdefault(array, fresh)
+        snap = self._admit(self._cluster.catalog.snapshot(array))
+        self._snapshots[array] = snap
+        return snap
 
     def pin(self, arrays: Iterable[str]) -> "ClusterSession":
         """Pin several arrays at one consistent global epoch.
 
         Already-pinned arrays keep their pins; the remaining ones are
-        captured together and the catalog's global epoch is compared
-        before and after the captures — a mutation landing in between
-        discards the batch and retries (:attr:`PIN_RETRIES` times).
+        captured together, and nothing mutates the catalog between the
+        captures.  Either every capture is admitted or none is pinned.
 
         Raises
         ------
         SnapshotRaceError
-            When every attempt lost the race (sustained mutation
-            pressure), or when a capture places chunks on a node
-            added after this session opened; callers re-run on a
-            fresh session — the concurrent executor does so
-            automatically.
+            When a capture places chunks on a node added after this
+            session opened; callers re-run on a fresh session.
         """
         catalog = self._cluster.catalog
-        with self._lock:
-            missing = sorted(
-                {a for a in arrays if a not in self._snapshots}
-            )
-        if not missing:
-            return self
-        for _ in range(self.PIN_RETRIES):
-            before = catalog.epoch
-            batch = {
-                a: self._admit(catalog.snapshot(a)) for a in missing
-            }
-            if catalog.epoch != before:
-                continue
-            with self._lock:
-                for array, snap in batch.items():
-                    self._snapshots.setdefault(array, snap)
-            return self
-        raise SnapshotRaceError(
-            f"could not pin {missing} at one epoch after "
-            f"{self.PIN_RETRIES} attempts"
-        )
+        missing = sorted({a for a in arrays if a not in self._snapshots})
+        batch = {a: self._admit(catalog.snapshot(a)) for a in missing}
+        self._snapshots.update(batch)
+        return self
 
     @property
     def pinned(self) -> Dict[str, int]:
         """``array -> pinned epoch`` for every array touched so far."""
-        with self._lock:
-            return {
-                a: s.epoch for a, s in sorted(self._snapshots.items())
-            }
+        return {a: s.epoch for a, s in sorted(self._snapshots.items())}
 
     def release(self, array: Optional[str] = None) -> None:
         """Drop one pin (or all of them) so the next read re-pins."""
-        with self._lock:
-            if array is None:
-                self._snapshots.clear()
-            else:
-                self._snapshots.pop(array, None)
+        if array is None:
+            self._snapshots.clear()
+        else:
+            self._snapshots.pop(array, None)
 
     # -- read surface --------------------------------------------------
     def chunks_of_array(
@@ -373,6 +333,5 @@ class ClusterSession:
         return self.snapshot_of(array).payload_epoch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        with self._lock:
-            pins = {a: s.epoch for a, s in self._snapshots.items()}
+        pins = {a: s.epoch for a, s in self._snapshots.items()}
         return f"ClusterSession(pinned={pins!r})"

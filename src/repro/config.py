@@ -27,15 +27,12 @@ reference implementation under ``tests/oracles/`` that tests call
 directly; production code has one path per layer.
 
 Overrides are **process-wide**: a ``parity(...)`` block changes what
-every thread resolves.  The concurrent query executor therefore treats
-the configuration as fixed for the duration of a batch; suites that flip
-backends do so around, not inside, concurrent sections.
+every caller resolves until the block exits.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
@@ -107,10 +104,7 @@ class ParityConfig:
 
 
 # Per-field override slot; ``None`` falls through to the environment.
-# The lock serializes writers (nested ``parity`` blocks across threads);
-# readers are single dict lookups and need no lock.
 _OVERRIDES: Dict[str, Optional[str]] = {f: None for f in PARITY_FIELDS}
-_OVERRIDE_LOCK = threading.Lock()
 
 
 def mode(field: str) -> str:
@@ -168,14 +162,12 @@ def parity(**overrides: str) -> Iterator[ParityConfig]:
                 f"unknown {field} mode {value!r}; expected one of "
                 f"{spec[1]}"
             )
-    with _OVERRIDE_LOCK:
-        previous = {f: _OVERRIDES[f] for f in overrides}
-        _OVERRIDES.update(overrides)
+    previous = {f: _OVERRIDES[f] for f in overrides}
+    _OVERRIDES.update(overrides)
     try:
         yield current()
     finally:
-        with _OVERRIDE_LOCK:
-            _OVERRIDES.update(previous)
+        _OVERRIDES.update(previous)
 
 
 # ----------------------------------------------------------------------

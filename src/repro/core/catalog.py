@@ -14,7 +14,7 @@ Planned and published owners
 ----------------------------
 The table's owner is the *planned* one (``partitioner.scale_out``
 rewrites it before a byte moves); the catalog copies it into the
-*published* owner inside its seqlock window once the stores hold the
+*published* owner in the same mutation once the stores hold the
 bytes (:meth:`ChunkCatalog.put_batch`,
 :meth:`ChunkCatalog.relocate_batch`).  Snapshots gather published
 columns only, and the two are equal at quiescence
@@ -25,9 +25,8 @@ One reader
 ----------
 Every per-array read — pairs, placement, scan columns, the region
 family, payloads, deltas — is answered by an :class:`ArraySnapshot`: an
-immutable capture of the array's column slices, validated against the
-mutation seqlock and memoized per array epoch
-(:meth:`ChunkCatalog.snapshot`).  Queries read through a
+immutable capture of the array's column slices, memoized per array
+epoch (:meth:`ChunkCatalog.snapshot`).  Queries read through a
 :class:`~repro.cluster.session.ClusterSession`, which pins one and keeps
 it.  The catalog's own per-array methods
 (:meth:`~ChunkCatalog.pairs_of_array`,
@@ -102,16 +101,13 @@ functions of a cluster in ``tests/oracles/cluster.py``;
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import lockdep
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
 from repro.arrays.coords import Box, pack_rows_void, region_mask
 from repro.core.ledger import ArrayChunkLedger, resize_column
@@ -378,8 +374,8 @@ class ArraySnapshot:
     so a query holding a snapshot never sees a half-applied rebalance,
     an expiry, or an ingest that lands after the pin — payload handles
     are immutable :class:`~repro.arrays.chunk.ChunkData` objects (merges
-    create *new* objects), so even cell reads are safe while the
-    coordinator mutates the live catalog.
+    create *new* objects), so even cell reads answer the pinned bytes
+    after the coordinator mutates the live catalog.
 
     This is the catalog's one reader: sessions hold a snapshot per
     array, and the catalog's own per-array methods read through the
@@ -395,10 +391,9 @@ class ArraySnapshot:
     def __init__(self, catalog: "ChunkCatalog", array: str) -> None:
         """Gather ``array``'s column slices from ``catalog``.
 
-        No validation here: :meth:`ChunkCatalog.snapshot` is the only
-        caller and checks the gather against the mutation seqlock.
-        Unknown arrays capture empty columns at epoch 0 and pin the
-        shared empty log.
+        :meth:`ChunkCatalog.snapshot` is the only caller.  Unknown
+        arrays capture empty columns at epoch 0 and pin the shared
+        empty log.
         """
         view = catalog._views.get(array)
         if view is None:
@@ -656,10 +651,6 @@ class ChunkCatalog:
     #: of attr subsets per array) while bounding one-off queries.
     PAYLOAD_CACHE_MAX = 32
 
-    #: Optimistic snapshot captures before falling back to the write
-    #: lock (the retry-on-epoch-race guard).
-    SNAPSHOT_RETRIES = 5
-
     def __init__(self, table: ArrayChunkLedger) -> None:
         if table.publisher is not None:
             raise ClusterError(
@@ -682,14 +673,6 @@ class ChunkCatalog:
         #: Cache telemetry (the retention benchmark reports these).
         self.payload_hits = 0
         self.payload_misses = 0
-        # Concurrency: mutations serialize on the write lock and bracket
-        # themselves with the seqlock counter (odd while a mutation is
-        # in flight); snapshot captures validate against it.  The
-        # payload LRU gets its own lock — reads hit it from executor
-        # threads while the coordinator mutates.
-        self._write_lock = threading.RLock()
-        self._write_seq = 0
-        self._payload_lock = threading.RLock()
         # Last snapshot per array, valid while the array's epoch
         # stands (snapshots are immutable, so sharing one across
         # sessions is safe).
@@ -716,7 +699,7 @@ class ChunkCatalog:
     @property
     def chunk_count(self) -> int:
         """Number of published chunks across all arrays."""
-        return sum(len(v.ids) for v in list(self._views.values()))
+        return sum(len(v.ids) for v in self._views.values())
 
     @property
     def epoch(self) -> int:
@@ -741,11 +724,7 @@ class ChunkCatalog:
 
     def arrays(self) -> List[str]:
         """Names of arrays with at least one live chunk, sorted."""
-        # list() first: executor threads call this while the
-        # coordinator may be registering a new array's view.
-        return sorted(
-            a for a, v in list(self._views.items()) if len(v.ids)
-        )
+        return sorted(a for a, v in self._views.items() if len(v.ids))
 
     def payload_of(self, ref: ChunkRef) -> Optional[ChunkData]:
         """The published payload handle of ``ref``, or ``None``."""
@@ -832,28 +811,23 @@ class ChunkCatalog:
         ``compute`` concatenates a snapshot's frozen handles of exactly
         that version, so an entry is a pure function of its key: it can
         be shared by every snapshot pinned at that payload epoch and can
-        never answer a pin of another.  ``compute`` runs outside the
-        lock, so a slow concatenation never blocks cache hits on other
-        threads; an install that lands after a content mutation's eager
-        drop (:meth:`_touch`) is harmless — only a pin of that older
-        version can ever ask for it, and it ages out under
-        :attr:`PAYLOAD_CACHE_MAX` like any entry that stops being
+        never answer a pin of another.  A session pinned before a
+        content mutation may install its older version after the
+        mutation's eager drop (:meth:`_touch`); that is harmless — only
+        a pin of that older version can ever ask for it, and it ages out
+        under :attr:`PAYLOAD_CACHE_MAX` like any entry that stops being
         queried.
         """
         cache = self._payload_cache
-        with self._payload_lock, lockdep.held("payload-lru"):
-            cached = cache.get(key)
-            if cached is not None:
-                self.payload_hits += 1
-                cache.move_to_end(key)
-                return cached
-            self.payload_misses += 1
-        result = compute()
-        with self._payload_lock, lockdep.held("payload-lru"):
-            cache[key] = result
+        cached = cache.get(key)
+        if cached is not None:
+            self.payload_hits += 1
             cache.move_to_end(key)
-            while len(cache) > self.PAYLOAD_CACHE_MAX:
-                cache.popitem(last=False)
+            return cached
+        self.payload_misses += 1
+        result = cache[key] = compute()
+        while len(cache) > self.PAYLOAD_CACHE_MAX:
+            cache.popitem(last=False)
         return result
 
     # -- content delta log ---------------------------------------------
@@ -936,7 +910,7 @@ class ChunkCatalog:
         live = self._table.live_ids()
         published = np.sort(np.concatenate(
             [np.empty(0, np.int64)]
-            + [v.ids for v in list(self._views.values())]
+            + [v.ids for v in self._views.values()]
         ))
         if not np.array_equal(live, published):
             raise ClusterError(
@@ -961,42 +935,15 @@ class ChunkCatalog:
         column gather (sessions opened per query or per refresh stay
         cheap between mutations).  An empty capture is not memoized and
         drops the array's entry, so an array that empties out does not
-        keep its last rows alive in the memo.
-
-        A fresh capture is optimistic: the column gather runs without
-        the write lock and is validated against the mutation seqlock —
-        if a mutation lands (or is in flight) during the gather, the
-        capture is discarded and retried (:attr:`SNAPSHOT_RETRIES`
-        times), then the final attempt takes the write lock and
-        captures from a provably quiescent catalog.  Unknown arrays
-        yield an empty snapshot at epoch 0.
+        keep its last rows alive in the memo.  Unknown arrays yield an
+        empty snapshot at epoch 0.
         """
         cached = self._snapshot_cache.get(array)
         if cached is not None:
-            seq = self._write_seq
-            if not (seq & 1):
-                view = self._views.get(array)
-                if (
-                    view is not None
-                    and view.epoch == cached.epoch
-                    and self._write_seq == seq
-                ):
-                    return cached
-        for _ in range(self.SNAPSHOT_RETRIES):
-            seq = self._write_seq
-            if seq & 1:
-                # A mutation is mid-flight; yield and re-read.
-                continue
-            try:
-                snap = ArraySnapshot(self, array)
-            except Exception:
-                # Torn gather (columns rewritten under us): retry.
-                continue
-            if self._write_seq == seq:
-                break
-        else:
-            with self._write_lock, lockdep.held("catalog-seqlock"):
-                snap = ArraySnapshot(self, array)
+            view = self._views.get(array)
+            if view is not None and view.epoch == cached.epoch:
+                return cached
+        snap = ArraySnapshot(self, array)
         if len(snap):
             self._snapshot_cache[array] = snap
         else:
@@ -1004,21 +951,6 @@ class ChunkCatalog:
         return snap
 
     # -- mutation ------------------------------------------------------
-    @contextmanager
-    def _write(self) -> Iterator[None]:
-        """Serialize a mutation and bracket it with the seqlock.
-
-        The counter is odd exactly while a mutation is in flight, so an
-        optimistic snapshot capture that observes the same even value
-        before and after its gather is guaranteed consistent.
-        """
-        with self._write_lock, lockdep.held("catalog-seqlock"):
-            self._write_seq += 1
-            try:
-                yield
-            finally:
-                self._write_seq += 1
-
     def _touch(self, arrays, contents: bool = True) -> None:
         """Bump the global epoch and every touched array's epoch.
 
@@ -1040,11 +972,10 @@ class ChunkCatalog:
                 if contents:
                     view.payload_epoch = self._epoch
         if contents:
-            with self._payload_lock, lockdep.held("payload-lru"):
-                for key in [
-                    k for k in self._payload_cache if k[0] in touched
-                ]:
-                    del self._payload_cache[key]
+            for key in [
+                k for k in self._payload_cache if k[0] in touched
+            ]:
+                del self._payload_cache[key]
 
     def _log_deltas(
         self, log_by_array: Dict[str, List[Tuple]]
@@ -1090,53 +1021,52 @@ class ChunkCatalog:
                 f"chunk {exc.args[0]} is not in the chunk table"
             ) from None
         planned = self._table.owners(ids).tolist()
-        with self._write():
-            self._fit_columns()
-            new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
-            log_by_array: Dict[str, List[Tuple]] = {}
-            touched = set()
-            for ref, chunk, i, node in zip(
-                refs, chunks, ids.tolist(), planned
-            ):
-                array = ref.array
-                touched.add(array)
-                entries = log_by_array.setdefault(array, [])
-                old = self._chunks[i]
-                if old is None:
-                    self._owner[i] = node
-                    if array not in self._schema_of:
-                        self._schema_of[array] = chunk.schema
-                    new_ids, new_keys = new_by_array.setdefault(
-                        array, ([], [])
-                    )
-                    new_ids.append(i)
-                    new_keys.append(ref.key)
-                    entries.append(
-                        (1, ref, chunk, chunk.size_bytes, node)
-                    )
-                elif old is not chunk:
-                    # A merge replaced the stored payload: the retiring
-                    # handle leaves the ZSet, the merged one enters it.
-                    old_node = int(self._owner[i])
-                    entries.append(
-                        (-1, ref, old, float(self._size[i]), old_node)
-                    )
-                    entries.append(
-                        (1, ref, chunk, chunk.size_bytes, old_node)
-                    )
-                self._chunks[i] = chunk
-                self._size[i] = chunk.size_bytes
-            for array, (new_ids, new_keys) in new_by_array.items():
-                view = self._views.get(array)
-                if view is None:
-                    view = _ArrayView(len(new_keys[0]))
-                    self._views[array] = view
-                view.insert(
-                    np.asarray(new_ids, dtype=np.int64),
-                    np.asarray(new_keys, dtype=np.int64),
+        self._fit_columns()
+        new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
+        log_by_array: Dict[str, List[Tuple]] = {}
+        touched = set()
+        for ref, chunk, i, node in zip(
+            refs, chunks, ids.tolist(), planned
+        ):
+            array = ref.array
+            touched.add(array)
+            entries = log_by_array.setdefault(array, [])
+            old = self._chunks[i]
+            if old is None:
+                self._owner[i] = node
+                if array not in self._schema_of:
+                    self._schema_of[array] = chunk.schema
+                new_ids, new_keys = new_by_array.setdefault(
+                    array, ([], [])
                 )
-            self._touch(touched)
-            self._log_deltas(log_by_array)
+                new_ids.append(i)
+                new_keys.append(ref.key)
+                entries.append(
+                    (1, ref, chunk, chunk.size_bytes, node)
+                )
+            elif old is not chunk:
+                # A merge replaced the stored payload: the retiring
+                # handle leaves the ZSet, the merged one enters it.
+                old_node = int(self._owner[i])
+                entries.append(
+                    (-1, ref, old, float(self._size[i]), old_node)
+                )
+                entries.append(
+                    (1, ref, chunk, chunk.size_bytes, old_node)
+                )
+            self._chunks[i] = chunk
+            self._size[i] = chunk.size_bytes
+        for array, (new_ids, new_keys) in new_by_array.items():
+            view = self._views.get(array)
+            if view is None:
+                view = _ArrayView(len(new_keys[0]))
+                self._views[array] = view
+            view.insert(
+                np.asarray(new_ids, dtype=np.int64),
+                np.asarray(new_keys, dtype=np.int64),
+            )
+        self._touch(touched)
+        self._log_deltas(log_by_array)
 
     def relocate_batch(self, refs: Sequence[ChunkRef]) -> None:
         """Publish the planned owners of moved chunks.
@@ -1149,9 +1079,8 @@ class ChunkCatalog:
             return
         ids = self._table.ids_of(refs)
         planned = self._table.owners(ids)
-        with self._write():
-            self._owner[ids] = planned
-            self._touch({r.array for r in refs}, contents=False)
+        self._owner[ids] = planned
+        self._touch({r.array for r in refs}, contents=False)
 
     def remove_batch(self, refs: Sequence[ChunkRef]) -> None:
         """Unpublish chunks; the table frees their ids afterwards.
@@ -1165,24 +1094,23 @@ class ChunkCatalog:
         if not refs:
             return
         ids = self._table.ids_of(refs)
-        with self._write():
-            by_array: Dict[str, List[int]] = {}
-            log_by_array: Dict[str, List[Tuple]] = {}
-            for ref, i in zip(refs, ids.tolist()):
-                log_by_array.setdefault(ref.array, []).append(
-                    (-1, ref, self._chunks[i], float(self._size[i]),
-                     int(self._owner[i]))
-                )
-                self._chunks[i] = None
-                self._size[i] = 0.0
-                self._owner[i] = -1
-                by_array.setdefault(ref.array, []).append(i)
-            for array, dead in by_array.items():
-                self._views[array].drop(
-                    np.asarray(dead, dtype=np.int64)
-                )
-            self._touch(by_array)
-            self._log_deltas(log_by_array)
+        by_array: Dict[str, List[int]] = {}
+        log_by_array: Dict[str, List[Tuple]] = {}
+        for ref, i in zip(refs, ids.tolist()):
+            log_by_array.setdefault(ref.array, []).append(
+                (-1, ref, self._chunks[i], float(self._size[i]),
+                 int(self._owner[i]))
+            )
+            self._chunks[i] = None
+            self._size[i] = 0.0
+            self._owner[i] = -1
+            by_array.setdefault(ref.array, []).append(i)
+        for array, dead in by_array.items():
+            self._views[array].drop(
+                np.asarray(dead, dtype=np.int64)
+            )
+        self._touch(by_array)
+        self._log_deltas(log_by_array)
 
     # -- compaction ----------------------------------------------------
     @property
@@ -1193,8 +1121,8 @@ class ChunkCatalog:
     def compact(self, min_dead_fraction: float = 0.0) -> bool:
         """Compact the chunk table and remap the published columns.
 
-        The one compaction of a published table: inside the write window
-        the table re-interns its live ids
+        The one compaction of a published table: in one step the table
+        re-interns its live ids
         (:meth:`repro.core.ledger.ArrayChunkLedger.compact_ids`) and the
         published columns and per-array views are remapped with the
         same old → new ids (views keep their sort order).  Observable
@@ -1206,18 +1134,17 @@ class ChunkCatalog:
         bool
             ``True`` when the columns were rebuilt.
         """
-        with self._write():
-            self._fit_columns()
-            old_ids = self._table.compact_ids(min_dead_fraction)
-            if old_ids is None:
-                return False
-            cap = self._table.column_capacity
-            mapping = np.full(len(self._chunks), -1, dtype=np.int64)
-            mapping[old_ids] = np.arange(len(old_ids), dtype=np.int64)
-            self._chunks = resize_column(self._chunks[old_ids], cap, None)
-            self._size = resize_column(self._size[old_ids], cap, 0.0)
-            self._owner = resize_column(self._owner[old_ids], cap, -1)
-            for view in self._views.values():
-                if len(view.ids):
-                    view.ids = mapping[view.ids]
-            return True
+        self._fit_columns()
+        old_ids = self._table.compact_ids(min_dead_fraction)
+        if old_ids is None:
+            return False
+        cap = self._table.column_capacity
+        mapping = np.full(len(self._chunks), -1, dtype=np.int64)
+        mapping[old_ids] = np.arange(len(old_ids), dtype=np.int64)
+        self._chunks = resize_column(self._chunks[old_ids], cap, None)
+        self._size = resize_column(self._size[old_ids], cap, 0.0)
+        self._owner = resize_column(self._owner[old_ids], cap, -1)
+        for view in self._views.values():
+            if len(view.ids):
+                view.ids = mapping[view.ids]
+        return True

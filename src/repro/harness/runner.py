@@ -150,9 +150,8 @@ class ExperimentRunner:
         query_seconds = 0.0
         by_name: Dict[str, float] = {}
         if self.config.run_queries and self.queries:
-            # One epoch-pinned session per benchmark pass: the suite
-            # reads a consistent post-ingest view even if a later
-            # harness grows concurrency.
+            # One epoch-pinned session per benchmark pass: every query
+            # of the suite reads the same post-ingest view.
             session = cluster.session()
             for result in run_suite(self.queries, session, cycle):
                 query_seconds += result.elapsed_seconds

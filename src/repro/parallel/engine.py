@@ -6,9 +6,8 @@ chunk sets synchronized with the cluster's chunk catalog.  On top of
 that substrate it provides:
 
 * **Real scatter/gather** — :meth:`sync` reads the desired placement
-  from one catalog snapshot per array (before it takes the request
-  lock — see its docstring) and scatters chunk payloads to their owner
-  workers over shared-memory frames; :meth:`gather_pairs`
+  from one catalog snapshot per array and scatters chunk payloads to
+  their owner workers over shared-memory frames; :meth:`gather_pairs`
   collects a (chunk, node) pair list back and concatenates it in pair
   order, byte-identically to the in-process
   :func:`repro.core.catalog.concat_payload`.
@@ -46,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import lockdep
 from repro.config import env_float, env_text
 from repro.errors import ClusterError, WorkerFailedError
 from repro.parallel import kernels
@@ -98,11 +96,9 @@ class _WorkerHandle:
 class ProcessEngine:
     """Worker-process fleet mirroring one cluster's chunk placement.
 
-    Thread-safe (one re-entrant lock serializes all requests — the
-    concurrent query executor's threads share one engine).  Use as a
-    context manager or call :meth:`shutdown`; the owning cluster also
-    attaches a ``weakref.finalize`` so abandoned engines reap their
-    workers.
+    Use as a context manager or call :meth:`shutdown`; the owning
+    cluster also attaches a ``weakref.finalize`` so abandoned engines
+    reap their workers.
     """
 
     def __init__(self, request_timeout: Optional[float] = None) -> None:
@@ -112,7 +108,6 @@ class ProcessEngine:
             )
         self.request_timeout = request_timeout
         self._ctx = multiprocessing.get_context(pick_start_method())
-        self._lock = threading.RLock()
         self._workers: Dict[int, _WorkerHandle] = {}
         #: chunk ref -> (owner node, exact payload handle shipped there).
         self._loaded: Dict[object, Tuple[int, object]] = {}
@@ -133,50 +128,47 @@ class ProcessEngine:
 
     def ensure_workers(self, node_ids: Sequence[int]) -> None:
         """Spawn a worker for every listed node that lacks a live one."""
-        with self._lock, lockdep.held("transport"):
-            for node_id in node_ids:
-                handle = self._workers.get(node_id)
-                if handle is not None and handle.proc.is_alive():
-                    continue
-                if handle is not None:
-                    self._reap(handle)
-                    self._workers.pop(node_id, None)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-                proc = self._ctx.Process(
-                    target=worker_main,
-                    args=(child_conn, node_id),
-                    name=f"repro-worker-{node_id}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._workers[node_id] = _WorkerHandle(
-                    node_id, proc, parent_conn
-                )
+        for node_id in node_ids:
+            handle = self._workers.get(node_id)
+            if handle is not None and handle.proc.is_alive():
+                continue
+            if handle is not None:
+                self._reap(handle)
+                self._workers.pop(node_id, None)
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(child_conn, node_id),
+                name=f"repro-worker-{node_id}",
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._workers[node_id] = _WorkerHandle(
+                node_id, proc, parent_conn
+            )
 
     def worker_pids(self) -> Dict[int, int]:
         """Live worker process ids by node (failure-test hook)."""
-        with self._lock, lockdep.held("transport"):
-            return {
-                node_id: handle.proc.pid
-                for node_id, handle in sorted(self._workers.items())
-            }
+        return {
+            node_id: handle.proc.pid
+            for node_id, handle in sorted(self._workers.items())
+        }
 
     def shutdown(self) -> None:
         """Stop every worker with timeout-bounded joins (idempotent)."""
-        with self._lock, lockdep.held("transport"):
-            for handle in self._workers.values():
-                try:
-                    handle.conn.send({"op": "shutdown"})
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-            for handle in self._workers.values():
-                self._drain_conn(handle)
-                self._reap(handle)
-            self._workers.clear()
-            self._loaded.clear()
-            self._synced_epoch = -1
-            self._synced_nodes = ()
+        for handle in self._workers.values():
+            try:
+                handle.conn.send({"op": "shutdown"})
+            except (OSError, ValueError, BrokenPipeError):
+                pass
+        for handle in self._workers.values():
+            self._drain_conn(handle)
+            self._reap(handle)
+        self._workers.clear()
+        self._loaded.clear()
+        self._synced_epoch = -1
+        self._synced_nodes = ()
 
     def _drain_conn(self, handle: _WorkerHandle) -> None:
         """Dispose frames of any unread replies on a worker's pipe."""
@@ -290,9 +282,8 @@ class ProcessEngine:
 
     def drain_request_log(self) -> List[dict]:
         """Return and clear the per-request timing records."""
-        with self._lock, lockdep.held("transport"):
-            log, self.request_log = self.request_log, []
-            return log
+        log, self.request_log = self.request_log, []
+        return log
 
     # -- catalog sync (scatter) ----------------------------------------
     def sync(self, cluster) -> None:
@@ -304,78 +295,64 @@ class ProcessEngine:
         and loaded onto the new one, retired chunks are evicted, new
         chunks scattered.  Chunk payloads ship as one shared-memory
         frame per destination node.
-
-        The desired state is gathered *before* the request lock is
-        taken: a catalog read can reach the snapshot capture's
-        write-lock arm (``catalog-seqlock``, rank 0), which must never
-        be acquired under ``transport`` (rank 2) — and reading through
-        seqlock-validated snapshots is what keeps the gather from
-        tearing while executor threads sync during a coordinator
-        mutation.  ``epoch`` is read first, so it is a lower bound on
-        what the snapshots saw: a mutation landing mid-gather leaves
-        ``_synced_epoch`` behind the catalog and the next call re-diffs.
         """
         catalog = cluster.catalog
         node_ids = tuple(cluster.node_ids)
         epoch = catalog.epoch
-        with self._lock, lockdep.held("transport"):
-            if (
-                epoch == self._synced_epoch
-                and node_ids == self._synced_nodes
-            ):
-                return
+        if (
+            epoch == self._synced_epoch
+            and node_ids == self._synced_nodes
+        ):
+            return
         desired: Dict[object, Tuple[int, object]] = {}
         for array in catalog.arrays():
             for chunk, node in catalog.snapshot(array).pairs():
                 desired[chunk.ref()] = (node, chunk)
-        with self._lock, lockdep.held("transport"):
-            if epoch < self._synced_epoch:
-                return  # a racing sync already applied a newer state
-            self.ensure_workers(node_ids)
-            evicts: Dict[int, List[object]] = {}
-            loads: Dict[int, List[Tuple[object, object]]] = {}
-            for ref, (node, chunk) in desired.items():
-                current = self._loaded.get(ref)
-                if (
-                    current is not None
-                    and current[0] == node
-                    and current[1] is chunk
-                ):
-                    continue
-                if current is not None and current[0] != node:
-                    evicts.setdefault(current[0], []).append(ref)
-                loads.setdefault(node, []).append((ref, chunk))
-            for ref, (node, _chunk) in self._loaded.items():
-                if ref not in desired:
-                    evicts.setdefault(node, []).append(ref)
-            for node, refs in sorted(evicts.items()):
-                for ref in refs:
-                    self._loaded.pop(ref, None)
-                if node in self._workers:
-                    self._request(
-                        node, {"op": "evict", "refs": refs}
-                    )
-            for node, items in sorted(loads.items()):
-                arrays: Dict[str, np.ndarray] = {}
-                refs = []
-                for i, (ref, chunk) in enumerate(items):
-                    coords, attrs = chunk.payload_parts()
-                    arrays[f"{i}:c"] = coords
-                    for name, column in attrs.items():
-                        arrays[f"{i}:a:{name}"] = column
-                    refs.append(ref)
+        self.ensure_workers(node_ids)
+        evicts: Dict[int, List[object]] = {}
+        loads: Dict[int, List[Tuple[object, object]]] = {}
+        for ref, (node, chunk) in desired.items():
+            current = self._loaded.get(ref)
+            if (
+                current is not None
+                and current[0] == node
+                and current[1] is chunk
+            ):
+                continue
+            if current is not None and current[0] != node:
+                evicts.setdefault(current[0], []).append(ref)
+            loads.setdefault(node, []).append((ref, chunk))
+        for ref, (node, _chunk) in self._loaded.items():
+            if ref not in desired:
+                evicts.setdefault(node, []).append(ref)
+        for node, refs in sorted(evicts.items()):
+            for ref in refs:
+                self._loaded.pop(ref, None)
+            if node in self._workers:
                 self._request(
-                    node,
-                    {
-                        "op": "load",
-                        "refs": refs,
-                        "frame": pack_frame(arrays),
-                    },
+                    node, {"op": "evict", "refs": refs}
                 )
-                for ref, chunk in items:
-                    self._loaded[ref] = (node, chunk)
-            self._synced_epoch = epoch
-            self._synced_nodes = node_ids
+        for node, items in sorted(loads.items()):
+            arrays: Dict[str, np.ndarray] = {}
+            refs = []
+            for i, (ref, chunk) in enumerate(items):
+                coords, attrs = chunk.payload_parts()
+                arrays[f"{i}:c"] = coords
+                for name, column in attrs.items():
+                    arrays[f"{i}:a:{name}"] = column
+                refs.append(ref)
+            self._request(
+                node,
+                {
+                    "op": "load",
+                    "refs": refs,
+                    "frame": pack_frame(arrays),
+                },
+            )
+            for ref, chunk in items:
+                self._loaded[ref] = (node, chunk)
+        self._synced_epoch = epoch
+        self._synced_nodes = node_ids
 
     # -- gather --------------------------------------------------------
     def gather_pairs(
@@ -399,88 +376,84 @@ class ProcessEngine:
             When an owning worker is dead, hung, or unreachable.
         """
         attrs = list(attrs)
-        with self._lock, lockdep.held("transport"):
-            if not pairs:
-                return (
-                    np.empty((0, ndim), dtype=np.int64),
-                    {a: np.empty(0) for a in attrs},
-                )
-            plan: Dict[int, List[Tuple[int, object]]] = {}
-            for pos, (chunk, node) in enumerate(pairs):
-                ref = chunk.ref()
-                current = self._loaded.get(ref)
-                if (
-                    current is None
-                    or current[0] != node
-                    or current[1] is not chunk
-                ):
-                    self.stale_fallbacks += 1
-                    return None
-                plan.setdefault(node, []).append((pos, ref))
-            posted: List[Tuple[int, int]] = []
-            for node in sorted(plan):
-                refs = [ref for _pos, ref in plan[node]]
-                started = time.perf_counter()
-                seq = self._post(
-                    node,
-                    {"op": "gather", "refs": refs, "attrs": attrs},
-                )
-                posted.append((node, seq, started))
-            coords_parts: List[Optional[np.ndarray]] = [None] * len(pairs)
-            value_parts: Dict[str, List[Optional[np.ndarray]]] = {
-                a: [None] * len(pairs) for a in attrs
-            }
-            for node, seq, started in posted:
-                reply = self._collect(node, seq)
-                arrays = unpack_frame(reply["frame"])
-                self.request_log.append({
-                    "node": node,
-                    "op": "gather",
-                    "bytes": int(reply.get("bytes", 0)),
-                    "seconds": time.perf_counter() - started,
-                    "worker_seconds": float(
-                        reply.get("worker_seconds", 0.0)
-                    ),
-                })
-                for i, (pos, _ref) in enumerate(plan[node]):
-                    coords_parts[pos] = arrays[f"{i}:c"]
-                    for a in attrs:
-                        value_parts[a][pos] = arrays[f"{i}:a:{a}"]
-            coords = np.concatenate(coords_parts, axis=0)
-            values = {
-                a: np.concatenate(value_parts[a]) for a in attrs
-            }
-            return coords, values
+        if not pairs:
+            return (
+                np.empty((0, ndim), dtype=np.int64),
+                {a: np.empty(0) for a in attrs},
+            )
+        plan: Dict[int, List[Tuple[int, object]]] = {}
+        for pos, (chunk, node) in enumerate(pairs):
+            ref = chunk.ref()
+            current = self._loaded.get(ref)
+            if (
+                current is None
+                or current[0] != node
+                or current[1] is not chunk
+            ):
+                self.stale_fallbacks += 1
+                return None
+            plan.setdefault(node, []).append((pos, ref))
+        posted: List[Tuple[int, int]] = []
+        for node in sorted(plan):
+            refs = [ref for _pos, ref in plan[node]]
+            started = time.perf_counter()
+            seq = self._post(
+                node,
+                {"op": "gather", "refs": refs, "attrs": attrs},
+            )
+            posted.append((node, seq, started))
+        coords_parts: List[Optional[np.ndarray]] = [None] * len(pairs)
+        value_parts: Dict[str, List[Optional[np.ndarray]]] = {
+            a: [None] * len(pairs) for a in attrs
+        }
+        for node, seq, started in posted:
+            reply = self._collect(node, seq)
+            arrays = unpack_frame(reply["frame"])
+            self.request_log.append({
+                "node": node,
+                "op": "gather",
+                "bytes": int(reply.get("bytes", 0)),
+                "seconds": time.perf_counter() - started,
+                "worker_seconds": float(
+                    reply.get("worker_seconds", 0.0)
+                ),
+            })
+            for i, (pos, _ref) in enumerate(plan[node]):
+                coords_parts[pos] = arrays[f"{i}:c"]
+                for a in attrs:
+                    value_parts[a][pos] = arrays[f"{i}:a:{a}"]
+        coords = np.concatenate(coords_parts, axis=0)
+        values = {
+            a: np.concatenate(value_parts[a]) for a in attrs
+        }
+        return coords, values
 
     # -- blob scratch space (shuffle exchanges) -----------------------
     def store_blob(self, node_id: int, name: str, array) -> int:
         """Ship one array into a worker's blob namespace; bytes sent."""
         arr = np.ascontiguousarray(array)
-        with self._lock, lockdep.held("transport"):
-            self._request(
-                node_id,
-                {
-                    "op": "store_blob",
-                    "name": name,
-                    "frame": pack_frame({"x": arr}),
-                },
-            )
+        self._request(
+            node_id,
+            {
+                "op": "store_blob",
+                "name": name,
+                "frame": pack_frame({"x": arr}),
+            },
+        )
         return int(arr.nbytes)
 
     def fetch_blob(self, node_id: int, name: str) -> np.ndarray:
         """Pull one blob back from a worker."""
-        with self._lock, lockdep.held("transport"):
-            reply = self._request(
-                node_id, {"op": "fetch_blob", "name": name}
-            )
-            return unpack_frame(reply["frame"])["x"]
+        reply = self._request(
+            node_id, {"op": "fetch_blob", "name": name}
+        )
+        return unpack_frame(reply["frame"])["x"]
 
     def drop_blobs(self, node_id: int, names: Sequence[str]) -> None:
-        with self._lock, lockdep.held("transport"):
-            if node_id in self._workers:
-                self._request(
-                    node_id, {"op": "drop_blob", "names": list(names)}
-                )
+        if node_id in self._workers:
+            self._request(
+                node_id, {"op": "drop_blob", "names": list(names)}
+            )
 
     # -- shuffle exchanges ---------------------------------------------
     def partitioned_kmeans(
@@ -497,45 +470,44 @@ class ProcessEngine:
         — bit-identical to ``serial_kmeans``
         (``tests/oracles/parallel.py``) over the same parts.
         """
-        with self._lock, lockdep.held("transport"):
-            self.ensure_workers(sorted({n for n, _ in parts}))
-            names = []
-            for i, (node, pts) in enumerate(parts):
-                name = f"_km:{i}"
-                self.store_blob(node, name, np.asarray(pts))
-                names.append((node, name))
-            centroids = kernels.kmeans_init(
-                np.concatenate([np.asarray(p) for _, p in parts], axis=0),
-                k,
-                seed,
-            )
-            try:
-                for _ in range(iterations):
-                    posted = []
-                    for node, name in names:
-                        seq = self._post(node, {
-                            "op": "kmeans_partials",
-                            "name": name,
-                            "frame": pack_frame(
-                                {"centroids": centroids}
-                            ),
-                        })
-                        posted.append((node, seq))
-                    partials = []
-                    for node, seq in posted:
-                        reply = self._collect(node, seq)
-                        arrays = unpack_frame(reply["frame"])
-                        partials.append(
-                            (arrays["sums"], arrays["counts"])
-                        )
-                    centroids = kernels.kmeans_combine(
-                        centroids, partials
-                    )
-            finally:
+        self.ensure_workers(sorted({n for n, _ in parts}))
+        names = []
+        for i, (node, pts) in enumerate(parts):
+            name = f"_km:{i}"
+            self.store_blob(node, name, np.asarray(pts))
+            names.append((node, name))
+        centroids = kernels.kmeans_init(
+            np.concatenate([np.asarray(p) for _, p in parts], axis=0),
+            k,
+            seed,
+        )
+        try:
+            for _ in range(iterations):
+                posted = []
                 for node, name in names:
-                    if node in self._workers:
-                        self.drop_blobs(node, [name])
-            return centroids
+                    seq = self._post(node, {
+                        "op": "kmeans_partials",
+                        "name": name,
+                        "frame": pack_frame(
+                            {"centroids": centroids}
+                        ),
+                    })
+                    posted.append((node, seq))
+                partials = []
+                for node, seq in posted:
+                    reply = self._collect(node, seq)
+                    arrays = unpack_frame(reply["frame"])
+                    partials.append(
+                        (arrays["sums"], arrays["counts"])
+                    )
+                centroids = kernels.kmeans_combine(
+                    centroids, partials
+                )
+        finally:
+            for node, name in names:
+                if node in self._workers:
+                    self.drop_blobs(node, [name])
+        return centroids
 
     def partitioned_knn_mean(
         self,
@@ -545,33 +517,32 @@ class ProcessEngine:
     ) -> np.ndarray:
         """kNN mean distance via a k-smallest-candidates exchange."""
         queries = np.asarray(queries)
-        with self._lock, lockdep.held("transport"):
-            self.ensure_workers(sorted({n for n, _ in parts}))
-            names = []
-            for i, (node, pts) in enumerate(parts):
-                name = f"_knn:{i}"
-                self.store_blob(node, name, np.asarray(pts))
-                names.append((node, name))
-            try:
-                posted = []
-                for node, name in names:
-                    seq = self._post(node, {
-                        "op": "knn_partials",
-                        "name": name,
-                        "k": int(k),
-                        "frame": pack_frame({"queries": queries}),
-                    })
-                    posted.append((node, seq))
-                partials = []
-                for node, seq in posted:
-                    reply = self._collect(node, seq)
-                    arrays = unpack_frame(reply["frame"])
-                    partials.append((arrays["cand"], arrays["counts"]))
-            finally:
-                for node, name in names:
-                    if node in self._workers:
-                        self.drop_blobs(node, [name])
-            return kernels.knn_combine(partials, int(k))
+        self.ensure_workers(sorted({n for n, _ in parts}))
+        names = []
+        for i, (node, pts) in enumerate(parts):
+            name = f"_knn:{i}"
+            self.store_blob(node, name, np.asarray(pts))
+            names.append((node, name))
+        try:
+            posted = []
+            for node, name in names:
+                seq = self._post(node, {
+                    "op": "knn_partials",
+                    "name": name,
+                    "k": int(k),
+                    "frame": pack_frame({"queries": queries}),
+                })
+                posted.append((node, seq))
+            partials = []
+            for node, seq in posted:
+                reply = self._collect(node, seq)
+                arrays = unpack_frame(reply["frame"])
+                partials.append((arrays["cand"], arrays["counts"]))
+        finally:
+            for node, name in names:
+                if node in self._workers:
+                    self.drop_blobs(node, [name])
+        return kernels.knn_combine(partials, int(k))
 
     def partitioned_equi_join(
         self,
@@ -592,49 +563,48 @@ class ProcessEngine:
         if not nodes:
             return np.empty(0, dtype=np.int64)
         buckets = len(nodes)
-        with self._lock, lockdep.held("transport"):
-            self.ensure_workers(nodes)
-            scratch: Dict[int, List[str]] = {n: [] for n in nodes}
-            try:
-                shuffled: Dict[str, Dict[int, List[str]]] = {}
-                for side, parts in (("a", parts_a), ("b", parts_b)):
-                    arrived: Dict[int, List[str]] = {
-                        n: [] for n in nodes
-                    }
-                    for i, (node, keys) in enumerate(parts):
-                        src_name = f"_j{side}:{i}"
-                        self.store_blob(
-                            node,
-                            src_name,
-                            np.asarray(keys, dtype=np.int64),
-                        )
-                        scratch[node].append(src_name)
-                        reply = self._request(node, {
-                            "op": "join_split",
-                            "name": src_name,
-                            "buckets": buckets,
-                        })
-                        parts_out = unpack_frame(reply["frame"])
-                        for b, target in enumerate(nodes):
-                            dst_name = f"_j{side}:{i}:@{target}"
-                            self.store_blob(
-                                target, dst_name, parts_out[f"b{b}"]
-                            )
-                            scratch[target].append(dst_name)
-                            arrived[target].append(dst_name)
-                    shuffled[side] = arrived
-                per_node = []
-                for target in nodes:
-                    reply = self._request(target, {
-                        "op": "join_local",
-                        "a_names": shuffled["a"][target],
-                        "b_names": shuffled["b"][target],
-                    })
-                    per_node.append(
-                        unpack_frame(reply["frame"])["keys"]
+        self.ensure_workers(nodes)
+        scratch: Dict[int, List[str]] = {n: [] for n in nodes}
+        try:
+            shuffled: Dict[str, Dict[int, List[str]]] = {}
+            for side, parts in (("a", parts_a), ("b", parts_b)):
+                arrived: Dict[int, List[str]] = {
+                    n: [] for n in nodes
+                }
+                for i, (node, keys) in enumerate(parts):
+                    src_name = f"_j{side}:{i}"
+                    self.store_blob(
+                        node,
+                        src_name,
+                        np.asarray(keys, dtype=np.int64),
                     )
-            finally:
-                for node, names in scratch.items():
-                    if names and node in self._workers:
-                        self.drop_blobs(node, names)
-            return np.sort(kernels.concat_keys(per_node))
+                    scratch[node].append(src_name)
+                    reply = self._request(node, {
+                        "op": "join_split",
+                        "name": src_name,
+                        "buckets": buckets,
+                    })
+                    parts_out = unpack_frame(reply["frame"])
+                    for b, target in enumerate(nodes):
+                        dst_name = f"_j{side}:{i}:@{target}"
+                        self.store_blob(
+                            target, dst_name, parts_out[f"b{b}"]
+                        )
+                        scratch[target].append(dst_name)
+                        arrived[target].append(dst_name)
+                shuffled[side] = arrived
+            per_node = []
+            for target in nodes:
+                reply = self._request(target, {
+                    "op": "join_local",
+                    "a_names": shuffled["a"][target],
+                    "b_names": shuffled["b"][target],
+                })
+                per_node.append(
+                    unpack_frame(reply["frame"])["keys"]
+                )
+        finally:
+            for node, names in scratch.items():
+                if names and node in self._workers:
+                    self.drop_blobs(node, names)
+        return np.sort(kernels.concat_keys(per_node))

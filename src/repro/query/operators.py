@@ -2,8 +2,7 @@
 
 These compute the *real answers* of the benchmark queries over the
 synthetic cells; the simulated timing lives in :mod:`repro.query.cost`.
-All operators take plain arrays and return numpy values, so they are
-trivially parallelizable by the executor.
+All operators take plain arrays and return numpy values.
 
 Specification
 -------------

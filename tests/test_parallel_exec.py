@@ -20,10 +20,9 @@ import time
 import numpy as np
 import pytest
 
-from repro import lockdep
 from repro.config import parity
 from repro.core import ALL_PARTITIONERS
-from repro.core.catalog import ChunkCatalog, concat_payload
+from repro.core.catalog import concat_payload
 from repro.errors import WorkerFailedError
 from repro.harness import ExperimentRunner, RunConfig
 from repro.parallel import ProcessEngine
@@ -167,47 +166,6 @@ class TestSuiteParity:
             )
         finally:
             cluster.close_exec()
-
-
-class TestSyncLockOrder:
-    """``sync`` reads the catalog before it takes the transport lock."""
-
-    def _cycle(self, modis, backend):
-        """ingest → exec_backend() → query → scale_out → query."""
-        runner = ExperimentRunner(
-            modis, RunConfig(partitioner="kd_tree", run_queries=False)
-        )
-        runner.run()
-        cluster = runner.cluster
-        suite = modis_suite(modis)
-        try:
-            with parity(exec=backend):
-                cluster.exec_backend()
-            first = _suite_answers(suite, cluster, modis.n_cycles, backend)
-            cluster.scale_out(1)
-            second = _suite_answers(
-                suite, cluster, modis.n_cycles, backend
-            )
-        finally:
-            cluster.close_exec()
-        return first, second
-
-    @pytest.mark.parametrize("backend", ["inprocess", "process"])
-    def test_forced_write_lock_captures_never_invert(
-        self, backend, modis, monkeypatch
-    ):
-        # With no optimistic attempts every fresh snapshot capture takes
-        # the catalog write lock (rank 0), so a catalog read made under
-        # the transport lock (rank 2) raises LockOrderError — which is
-        # what sync did when it walked the catalog inside its lock.
-        want = self._cycle(modis, "inprocess")
-        monkeypatch.setattr(ChunkCatalog, "SNAPSHOT_RETRIES", 0)
-        lockdep.enable()
-        try:
-            got = self._cycle(modis, backend)
-        finally:
-            lockdep.disable()
-        assert got == want
 
 
 class TestGatherOverExtents:

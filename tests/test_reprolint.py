@@ -1,15 +1,13 @@
 """The reprolint gate's own regression suite.
 
-Three layers:
+Two layers:
 
 * the **fixture corpus** — every checker must flag exactly the codes
   its negative fixtures expect and stay silent on its positive ones
   (so a checker refinement can never silently lobotomize a rule);
 * the **repo-wide smoke test** — ``python -m tools.reprolint src/``
   must exit 0 with zero findings and zero suppressions (there is no
-  suppression syntax to count);
-* the **runtime lockdep verifier** — ``repro.lockdep.held`` must catch
-  at runtime the same rank inversions the static checker flags.
+  suppression syntax to count).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from tools.reprolint.base import (  # noqa: E402  (path bootstrap above)
     run_case,
     Project,
 )
-from repro import lockdep  # noqa: E402
 
 
 def _codes(findings):
@@ -58,19 +55,6 @@ class TestFixtureCorpus:
     )
     def test_case_produces_expected_codes(self, case):
         assert _codes(run_case(case)) == sorted(set(case.expected))
-
-    def test_epoch_before_swap_fixture_is_rl303(self):
-        """The PR 8 race class: epoch bumped before the column swap.
-
-        A reader validating against the seqlock could pin a fresh
-        epoch over stale chunk bytes.  This fixture is the regression
-        pin for that exact shape and must always map to RL303.
-        """
-        (case,) = [
-            c for c in iter_cases("seqlock-epoch")
-            if c.name == "fail_epoch_before_swap"
-        ]
-        assert _codes(run_case(case)) == ["RL303"]
 
 
 class TestRepoIsClean:
@@ -107,45 +91,3 @@ class TestRepoIsClean:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert [f["code"] for f in payload] == ["RL201"]
-
-
-class TestRuntimeLockdep:
-    @pytest.fixture(autouse=True)
-    def _enabled(self):
-        lockdep.enable()
-        try:
-            yield
-        finally:
-            lockdep.disable()
-
-    def test_in_order_nesting_passes(self):
-        with lockdep.held("catalog-seqlock"):
-            with lockdep.held("payload-lru"):
-                with lockdep.held("spill-tier"):
-                    assert lockdep.held_stack()[-1] == "spill-tier"
-        assert lockdep.held_stack() == ()
-
-    def test_rank_inversion_raises(self):
-        with lockdep.held("spill-tier"):
-            with pytest.raises(lockdep.LockOrderError):
-                with lockdep.held("transport"):
-                    pass
-
-    def test_equal_rank_reentry_allowed(self):
-        # The seqlock writer is an RLock: re-entry at the same rank
-        # must never trip the verifier.
-        with lockdep.held("catalog-seqlock"):
-            with lockdep.held("catalog-seqlock"):
-                pass
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(lockdep.LockOrderError):
-            with lockdep.held("request-pipe"):
-                pass
-
-    def test_disabled_is_noop(self):
-        lockdep.disable()
-        with lockdep.held("spill-tier"):
-            with lockdep.held("catalog-seqlock"):  # inverted, ignored
-                pass
-        assert lockdep.held_stack() == ()

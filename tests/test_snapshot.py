@@ -1,4 +1,4 @@
-"""Snapshot-read API: epoch-pinned sessions under concurrent mutation.
+"""Snapshot-read API: epoch-pinned sessions across live mutation.
 
 Covers the ISSUE-7 MVCC-lite contract:
 
@@ -11,19 +11,15 @@ Covers the ISSUE-7 MVCC-lite contract:
   partitioning schemes assert that every pinned read (whole-array
   payloads, scan columns, placement, region payloads) stays
   byte-identical to the quiescent reads captured at pin time;
-* threaded byte-identity — reader sessions racing a live mutator thread
-  never observe a changed byte, and the payload LRU stays consistent
-  (hits + misses add up, the bound holds) under concurrent hammering;
+* spill churn — on a thrashing disk tier, a session pinned before each
+  ingest or expiry reads its baseline bytes after it, and the tier's
+  accounting stays green;
 * parity config — the two backend switches of ``repro.config``: env
   defaults, a typo in either variable raising instead of selecting the
   default, ``parity(...)`` overrides, nesting, validation, and the four
-  retired switches staying gone;
-* concurrent executor — a mixed batch under churn completes with zero
-  failures and matches the sequential ``run_suite`` answers on a
-  quiescent cluster.
+  retired switches staying gone.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -147,8 +143,7 @@ def _fingerprint(surface, arrays=("A", "B")):
 def _drop_cached_payloads(session):
     """Force re-derivation so comparisons exercise real snapshot reads."""
     catalog = session.cluster.catalog
-    with catalog._payload_lock:
-        catalog._payload_cache.clear()
+    catalog._payload_cache.clear()
 
 
 class TestSessionSemantics:
@@ -332,95 +327,18 @@ class TestPinnedReadsAcrossSchemes:
         cluster.check_consistency()
 
 
-class TestThreadedSnapshotReads:
-    def test_readers_never_observe_mutation(self):
-        cluster = _make_cluster(nodes=3)
-        rng = np.random.default_rng(17)
-        live = {}
-
-        def ingest_batch():
-            batch = {}
-            for _ in range(10):
-                array = "AB"[int(rng.integers(0, 2))]
-                key = _random_key(rng, array)
-                batch[(array, key)] = _chunk(
-                    array, key, float(rng.lognormal(2, 1)),
-                    float(rng.normal()),
-                )
-            cluster.ingest(list(batch.values()))
-            for k, chunk in batch.items():
-                live[k] = chunk.ref()
-
-        ingest_batch()
-        stop = threading.Event()
-        mutator_error = []
-
-        def mutate():
-            try:
-                for step in range(60):
-                    if stop.is_set():
-                        break
-                    ingest_batch()
-                    if step % 3 == 2 and len(live) > 12:
-                        picks = [list(live)[i] for i in range(6)]
-                        cluster.remove_chunks(
-                            [live.pop(p) for p in picks]
-                        )
-                    if step % 10 == 9:
-                        cluster.scale_out(1)
-            except Exception as exc:  # pragma: no cover - failure path
-                mutator_error.append(exc)
-
-        violations = []
-
-        def pinned_session():
-            # A scale-out landing between a session's creation and its
-            # pin is a SnapshotRaceError by contract, not a violation:
-            # re-run on a fresh session, as the concurrent executor
-            # does (unretried, this test went red about 1 run in 60).
-            for _ in range(16):
-                try:
-                    return cluster.session().pin(["A", "B"])
-                except SnapshotRaceError:
-                    continue
-            raise AssertionError("could not pin in 16 fresh sessions")
-
-        def read(worker):
-            try:
-                for _ in range(12):
-                    session = pinned_session()
-                    first = _fingerprint(session)
-                    _drop_cached_payloads(session)
-                    if _fingerprint(session) != first:
-                        violations.append(worker)
-            except Exception as exc:  # pragma: no cover - failure path
-                violations.append(exc)
-
-        mutator = threading.Thread(target=mutate)
-        readers = [
-            threading.Thread(target=read, args=(i,)) for i in range(4)
-        ]
-        mutator.start()
-        for r in readers:
-            r.start()
-        for r in readers:
-            r.join()
-        stop.set()
-        mutator.join()
-        assert not mutator_error
-        assert not violations
-        cluster.check_consistency()
-
+class TestSpillChurnSnapshotReads:
     def test_spill_churn_readers_stay_byte_stable(self, tmp_path):
-        """Reader sessions racing the LRU's evict/load churn (ISSUE-8).
+        """Pinned reads across the LRU's evict/load churn.
 
         A tiny per-node memory budget keeps the spill tier thrashing —
-        every snapshot read faults cold chunks back in while a mutator
-        thread's puts and removals evict and retire handles under the
-        same tier locks.  Pinned reads must stay byte-stable throughout
-        (retired handles are materialized on exit, so even a chunk
-        removed mid-session answers from its pinned snapshot), and the
-        LRU must come out of the storm with its accounting green.
+        every snapshot read faults cold chunks back in, and every put
+        and removal evicts and retires handles.  Before each mutation a
+        fresh session pins both arrays; after it, the pinned reads must
+        still match that baseline byte for byte (retired handles are
+        materialized on exit, so even a chunk removed mid-session
+        answers from its pinned snapshot), and the LRU must come out of
+        the storm with its accounting green.
         """
         from repro import config
         from repro.cluster import TieredStorage
@@ -459,101 +377,28 @@ class TestThreadedSnapshotReads:
             for k, chunk in batch.items():
                 live[k] = chunk.ref()
 
+        def expire():
+            if len(live) > 12:
+                picks = [list(live)[i] for i in range(6)]
+                cluster.remove_chunks([live.pop(p) for p in picks])
+
         ingest_batch()
-        stop = threading.Event()
-        mutator_error = []
-
-        def mutate():
-            try:
-                for step in range(40):
-                    if stop.is_set():
-                        break
-                    ingest_batch()
-                    if step % 2 == 1 and len(live) > 12:
-                        picks = [list(live)[i] for i in range(6)]
-                        cluster.remove_chunks(
-                            [live.pop(p) for p in picks]
-                        )
-            except Exception as exc:  # pragma: no cover - failure path
-                mutator_error.append(exc)
-
-        violations = []
-
-        def read(worker):
-            try:
-                for _ in range(10):
-                    session = cluster.session().pin(["A", "B"])
-                    first = _fingerprint(session)
-                    _drop_cached_payloads(session)
-                    if _fingerprint(session) != first:
-                        violations.append(worker)
-            except Exception as exc:  # pragma: no cover - failure path
-                violations.append(exc)
-
-        mutator = threading.Thread(target=mutate)
-        readers = [
-            threading.Thread(target=read, args=(i,)) for i in range(4)
-        ]
-        mutator.start()
-        for r in readers:
-            r.start()
-        for r in readers:
-            r.join()
-        stop.set()
-        mutator.join()
-        assert not mutator_error
-        assert not violations
+        for step in range(40):
+            ops = (ingest_batch, expire) if step % 2 else (ingest_batch,)
+            for mutate in ops:
+                session = cluster.session().pin(["A", "B"])
+                baseline = _fingerprint(session)
+                mutate()
+                _drop_cached_payloads(session)
+                assert _fingerprint(session) == baseline, (
+                    f"step {step}: {mutate.__name__}"
+                )
         cluster.check_consistency()  # tier audits included
         stats = cluster.storage_stats()
         assert sum(s["fault_count"] for s in stats.values()) > 0
         assert sum(s["eviction_count"] for s in stats.values()) > 0
         for s in stats.values():
             assert s["resident_bytes"] <= 25.0 + 1e-6
-
-    def test_payload_cache_concurrent_hits_and_evictions(self):
-        cluster = _make_cluster()
-        catalog = cluster.catalog
-        n_arrays = catalog.PAYLOAD_CACHE_MAX + 8
-        schema_t = "Z{i}<v:double>[t=0:*,1, x=0:15,1, y=0:15,1]"
-        chunks = []
-        for i in range(n_arrays):
-            schema = parse_schema(schema_t.format(i=i))
-            chunks.append(
-                ChunkData(
-                    schema, (i % 4, 0, 0),
-                    np.array([(i % 4, 0, 0)], dtype=np.int64),
-                    {"v": np.array([float(i)])},
-                    size_bytes=10.0,
-                )
-            )
-        cluster.ingest(chunks)
-        errors = []
-
-        def hammer(worker):
-            try:
-                rng = np.random.default_rng(worker)
-                for _ in range(200):
-                    i = int(rng.integers(0, n_arrays))
-                    coords, values = cluster.session().array_payload(
-                        f"Z{i}", ["v"], 3
-                    )
-                    assert values["v"][0] == float(i)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(w,)) for w in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        total = catalog.payload_hits + catalog.payload_misses
-        assert total >= 8 * 200  # every read counted exactly once
-        assert catalog.payload_hits > 0  # repeats hit
-        assert catalog.payload_misses >= n_arrays  # cold + re-fetches
-        assert len(catalog._payload_cache) <= catalog.PAYLOAD_CACHE_MAX
 
 
 class TestParityConfig:
@@ -646,112 +491,3 @@ class TestParityConfig:
                     pass  # pragma: no cover
             with pytest.raises(ConfigError):
                 config.mode(next(iter(retired)))
-
-
-class TestConcurrentExecutor:
-    def test_batch_matches_sequential_answers(self):
-        from repro.query import ConcurrentExecutor, modis_suite
-        from repro.query.executor import run_suite
-        from repro.workloads import ModisWorkload
-
-        wl = ModisWorkload(n_cycles=3, cells_per_band_per_cycle=200)
-        part = make_partitioner(
-            "kd_tree", nodes=[0, 1], grid=wl.grid_box(),
-            spatial_dims=wl.spatial_dims(),
-        )
-        cluster = ElasticCluster(part, node_capacity_bytes=500 * GB)
-        for c in range(1, 4):
-            cluster.ingest(wl.batch(c).chunks)
-
-        queries = list(modis_suite(wl))
-        sequential = run_suite(queries, cluster.session(), 3)
-        outcomes = ConcurrentExecutor(cluster, max_workers=4).run_batch(
-            queries, 3
-        )
-        assert [o.name for o in outcomes] == [r.name for r in sequential]
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
-        for outcome, ref in zip(outcomes, sequential):
-            assert outcome.result.value == ref.value
-
-    def test_batch_under_churn_has_zero_failures(self):
-        from repro.query import ConcurrentExecutor, modis_suite
-        from repro.workloads import ModisWorkload
-
-        wl = ModisWorkload(n_cycles=8, cells_per_band_per_cycle=150)
-        part = make_partitioner(
-            "kd_tree", nodes=[0, 1], grid=wl.grid_box(),
-            spatial_dims=wl.spatial_dims(),
-        )
-        cluster = ElasticCluster(part, node_capacity_bytes=500 * GB)
-        for c in range(1, 4):
-            cluster.ingest(wl.batch(c).chunks)
-
-        def churn():
-            for c in range(4, 9):
-                cluster.ingest(wl.batch(c).chunks)
-
-        mutator = threading.Thread(target=churn)
-        mutator.start()
-        outcomes = ConcurrentExecutor(cluster, max_workers=6).run_batch(
-            list(modis_suite(wl)) * 4, 3
-        )
-        mutator.join()
-        assert len(outcomes) == 24
-        assert all(o.ok for o in outcomes)
-        assert all(o.latency_s >= 0.0 for o in outcomes)
-        cluster.check_consistency()
-
-    def test_mid_query_scale_out_is_retried_on_fresh_session(self):
-        """Deterministic replay of the node-universe race.
-
-        The query forces a scale-out between its session's creation
-        (where the cost accumulator interns the node set) and its
-        first pin, so attempt 1 pins placements on a node the session
-        never saw.  The executor must absorb the resulting
-        ``SnapshotRaceError`` and succeed on a fresh session whose
-        universe includes the new node.
-        """
-        from repro.query import ConcurrentExecutor
-        from repro.query.cost import accumulator_for
-        from repro.query.executor import Query
-        from repro.query.result import QueryResult
-
-        cluster = _make_cluster()
-        rng = np.random.default_rng(11)
-        batch = {}
-        while len(batch) < 18:
-            key = _random_key(rng, "A")
-            batch[key] = _chunk("A", key)
-        cluster.ingest(list(batch.values()))
-
-        outer = cluster
-
-        class NodeRace(Query):
-            name = "node-race"
-            category = "spj"
-            fired = False
-
-            def _run(self, session, cycle):
-                acc = accumulator_for(session)
-                if not NodeRace.fired:
-                    NodeRace.fired = True
-                    outer.scale_out(1)
-                sizes, nodes, _schema = session.array_scan_columns(
-                    "A"
-                )
-                acc.add(nodes, np.asarray(sizes, dtype=np.float64))
-                return QueryResult(
-                    name=self.name, category=self.category,
-                    value=float(acc.max_seconds()),
-                    elapsed_seconds=1.0,
-                )
-
-        (outcome,) = ConcurrentExecutor(
-            cluster, max_workers=1
-        ).run_batch([NodeRace()], 1)
-        assert any(
-            node not in (0, 1)
-            for _c, node in cluster.session().chunks_of_array("A")
-        ), "rebalance should land chunks on the new node"
-        assert outcome.ok, outcome.error
-        assert outcome.attempts == 2

@@ -1,8 +1,8 @@
 """Shared machinery for the reprolint checkers.
 
 reprolint is a project-invariant linter: each checker encodes a
-protocol this repo has actually depended on (and in two cases, shipped
-a bug against — see ``docs/invariants.md``).  Checkers work on parsed
+protocol this repo has actually depended on (see
+``docs/invariants.md``).  Checkers work on parsed
 ASTs only; nothing under ``src/`` is imported, so the suite runs in any
 interpreter that can parse the code.
 
@@ -10,8 +10,7 @@ A :class:`SourceFile` pairs a file's AST with its *virtual* repo path
 (``rel``), e.g. ``repro/core/catalog.py`` — path-scoped checkers key
 off ``rel``, which lets the fixture corpus present a snippet *as if*
 it lived at a real module path.  A :class:`Project` is the set of
-files one run analyzes plus an accessor for the source-of-truth lock
-tables in ``repro/lockdep.py``.
+files one run analyzes.
 
 There is deliberately **no inline-suppression syntax**: a finding is
 either a real violation (fix the code) or a checker bug (fix the
@@ -25,10 +24,6 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
-
-#: Repo root (``tools/reprolint/base.py`` -> three parents up).
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -77,51 +72,6 @@ class Project:
 
     def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files = list(files)
-        self._by_rel: Dict[str, SourceFile] = {
-            f.rel: f for f in self.files
-        }
-
-    def by_rel(self, rel: str) -> Optional[SourceFile]:
-        return self._by_rel.get(rel)
-
-    def table_source(self, rel: str) -> Optional[SourceFile]:
-        """The file holding a source-of-truth table.
-
-        Prefers a project file at ``rel`` (fixture corpora ship their
-        own registry snippets); falls back to the real file under
-        ``src/`` so a partial run — or a fixture without its own table
-        — still checks against the repo's declarations.
-        """
-        found = self.by_rel(rel)
-        if found is not None:
-            return found
-        real = REPO_ROOT / "src" / rel
-        if real.is_file():
-            return SourceFile(str(real), real.read_text(), rel=rel)
-        return None
-
-
-def module_literal(
-    source: SourceFile, name: str
-) -> Optional[object]:
-    """Evaluate a module-level literal assignment named ``name``."""
-    for node in source.tree.body:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        if (
-            isinstance(target, ast.Name)
-            and target.id == name
-            and value is not None
-        ):
-            try:
-                return ast.literal_eval(value)
-            except ValueError:
-                return None
-    return None
 
 
 def collect_files(paths: Sequence[str]) -> List[SourceFile]:
@@ -139,57 +89,6 @@ def collect_files(paths: Sequence[str]) -> List[SourceFile]:
 
 
 # ----------------------------------------------------------------------
-# small AST helpers shared by several checkers
-# ----------------------------------------------------------------------
-def call_name(node: ast.expr) -> Optional[str]:
-    """The trailing name of a call target (``a.b.c()`` -> ``c``)."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def is_self_attr(node: ast.expr, attr: str) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == attr
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
-
-
-def functions_of(
-    tree: ast.AST,
-) -> Dict[str, ast.FunctionDef]:
-    """Qualified name -> def, one class level deep (``Cls.meth``)."""
-    out: Dict[str, ast.FunctionDef] = {}
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out[node.name] = node  # type: ignore[assignment]
-        elif isinstance(node, ast.ClassDef):
-            for sub in ast.iter_child_nodes(node):
-                if isinstance(
-                    sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    out[f"{node.name}.{sub.name}"] = sub  # type: ignore[assignment]
-    return out
-
-
-def arg_names(fn: ast.FunctionDef) -> List[str]:
-    a = fn.args
-    names = [x.arg for x in a.posonlyargs + a.args]
-    if a.vararg:
-        names.append("*" + a.vararg.arg)
-    names.extend(x.arg for x in a.kwonlyargs)
-    if a.kwarg:
-        names.append("**" + a.kwarg.arg)
-    return names
-
-
-# ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
 CheckerFn = Callable[[Project], List[Finding]]
@@ -200,19 +99,12 @@ _REGISTRY: Dict[str, CheckerFn] = {}
 
 def all_checkers() -> Dict[str, CheckerFn]:
     if not _REGISTRY:
-        from tools.reprolint import (
-            envaccess,
-            lockorder,
-            seqlock,
-            shmem,
-        )
+        from tools.reprolint import envaccess, shmem
 
         _REGISTRY.update(
             {
                 "env-discipline": envaccess.check,
-                "seqlock-epoch": seqlock.check,
                 "shm-lifecycle": shmem.check,
-                "lock-order": lockorder.check,
             }
         )
     return _REGISTRY

@@ -18,7 +18,8 @@ per-move evict/put loop is its specification
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -61,34 +62,33 @@ def execute_insert(
 ) -> InsertReport:
     """Place and store a batch of chunks; price it per Eq. 6 semantics.
 
-    Every chunk is routed through the partitioner (which also updates its
-    byte ledger) and physically stored on the chosen node — grouped per
-    destination so each store pays one bulk install.  The stored payload
-    objects (merges produce new ones) are recorded in the catalog in
-    batch order.  The elapsed time charges the coordinator's local I/O
-    for its own share and its NIC for everything shipped elsewhere.
+    One ``place_batch`` call routes the batch (and updates the byte
+    ledger); one ``ids_of`` pass then reads its table ids, whose planned
+    owners are the targets.  Chunks are stored grouped per destination
+    (a stable argsort, so each store pays one bulk install and same-ref
+    merges replay in batch order) and the stored objects (merges
+    produce new ones) are published with those ids.  The elapsed time
+    charges the coordinator's local I/O for its own share and its NIC
+    for everything shipped elsewhere.
     """
     if coordinator_id not in nodes:
         raise ClusterError(f"unknown coordinator node {coordinator_id}")
     chunks = list(chunks)
-    refs_and_sizes = [(c.ref(), c.size_bytes) for c in chunks]
-    partitioner.prepare_batch(refs_and_sizes)
-    # Route the whole batch through the partitioner's batch API (one
-    # vectorized placement pass instead of a place() call per chunk).
-    placements = partitioner.place_batch(refs_and_sizes)
     count = len(chunks)
-    targets = np.fromiter(
-        (placements[ref] for ref, _ in refs_and_sizes),
-        dtype=np.int64,
-        count=count,
+    refs = list(map(ChunkData.ref, chunks))
+    size_list = list(map(attrgetter("size_bytes"), chunks))
+    sizes = np.array(size_list, dtype=np.float64)
+    refs_and_sizes = list(zip(refs, size_list))
+    partitioner.prepare_batch(refs_and_sizes)
+    partitioner.place_batch(refs_and_sizes)
+    table = catalog.table
+    ids = table.ids_of(refs)
+    targets = table.owners(ids)
+    # Per-node byte totals and store groups from one unique pass.
+    uniq_targets, first, inverse, counts = np.unique(
+        targets, return_index=True, return_inverse=True,
+        return_counts=True,
     )
-    sizes = np.fromiter(
-        (size for _, size in refs_and_sizes),
-        dtype=np.float64,
-        count=count,
-    )
-    # Per-node byte totals as one unique/bincount pass.
-    uniq_targets, inverse = np.unique(targets, return_inverse=True)
     unknown = [int(t) for t in uniq_targets.tolist() if t not in nodes]
     if unknown:
         raise ClusterError(
@@ -99,18 +99,19 @@ def execute_insert(
         int(t): float(b)
         for t, b in zip(uniq_targets.tolist(), node_bytes.tolist())
     }
-    # Physical install, grouped per destination store (batch order is
-    # preserved within a group, so same-ref merges replay identically).
-    by_target: Dict[int, List[int]] = {}
-    for i, t in enumerate(targets.tolist()):
-        by_target.setdefault(t, []).append(i)
-    stored: List[Optional[ChunkData]] = [None] * count
-    for t, idxs in by_target.items():
-        for i, chunk in zip(
-            idxs, nodes[t].store.put_many([chunks[i] for i in idxs])
-        ):
-            stored[i] = chunk
-    catalog.put_batch(stored)
+    # Stores are visited in order of first appearance in the batch, so
+    # a mid-batch I/O fault leaves the same stores written as per-chunk
+    # routing would.
+    groups = np.split(
+        np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1]
+    )
+    stored = np.empty(count, dtype=object)
+    for g in np.argsort(first).tolist():
+        idxs = groups[g]
+        stored[idxs] = nodes[int(uniq_targets[g])].store.put_many(
+            [chunks[i] for i in idxs.tolist()]
+        )
+    catalog.put_batch(stored, ids)
     elapsed = insert_time(bytes_by_node, coordinator_id, costs)
     return InsertReport(
         chunk_count=count,

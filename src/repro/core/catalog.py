@@ -96,7 +96,8 @@ Specification
 The pre-catalog read path — re-walk every node's store per query, and
 execute rebalances one evict/put at a time — lives on as plain
 functions of a cluster in ``tests/oracles/cluster.py``;
-``tests/test_catalog.py`` compares both read paths on one cluster.
+``tests/test_catalog.py`` compares both read paths on one cluster.  The
+per-chunk publish loops are specs in ``tests/oracles/catalog.py``.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,6 +186,18 @@ def concat_payload(
 #: Chunk keys sort by their lexicographic void view: chunk-count-sized
 #: columns, keys of any magnitude (cell positions use int64 keys).
 _pack_keys = pack_rows_void
+
+
+def _array_codes(refs: np.ndarray) -> Tuple[List[str], np.ndarray]:
+    """The distinct arrays of ``refs`` in first-seen order, and each
+    ref's index into them (C-level ``map`` passes, no Python frame per
+    ref)."""
+    names = list(map(attrgetter("array"), refs.tolist()))
+    index = {a: i for i, a in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(
+        map(index.__getitem__, names), dtype=np.int64, count=len(names)
+    )
+    return list(index), codes
 
 
 @dataclass(frozen=True)
@@ -347,14 +361,19 @@ class _ArrayView:
         self.payload_epoch = 0
 
     def insert(self, new_ids: np.ndarray, new_keys: np.ndarray) -> None:
-        """Merge pre-validated new ids into the sorted view."""
-        packed = _pack_keys(new_keys)
-        order = np.argsort(packed)
-        packed = packed[order]
+        """Merge pre-validated new ids into the sorted view.
+
+        The new ``(n, ndim)`` key rows are ordered by one ``lexsort``
+        over their int64 columns (first dimension most significant —
+        the packed void order), then merged with one ``searchsorted``.
+        """
+        order = np.lexsort(new_keys.T[::-1])
+        rows = new_keys[order]
+        packed = _pack_keys(rows)
         positions = np.searchsorted(self.keys, packed)
         self.ids = np.insert(self.ids, positions, new_ids[order])
         self.keys = np.insert(self.keys, positions, packed)
-        self.rows = np.insert(self.rows, positions, new_keys[order], axis=0)
+        self.rows = np.insert(self.rows, positions, rows, axis=0)
 
     def drop(self, dead_ids: np.ndarray) -> None:
         """Remove ids from the view (order of survivors unchanged)."""
@@ -977,96 +996,114 @@ class ChunkCatalog:
             ]:
                 del self._payload_cache[key]
 
-    def _log_deltas(
-        self, log_by_array: Dict[str, List[Tuple]]
+    def _log_rows(
+        self, arrays: List[str], codes: np.ndarray, *columns: np.ndarray
     ) -> None:
-        """Append collected (sign, ref, chunk, size, node) rows.
+        """Append signed delta rows as columns, one slice per array.
 
-        Called after :meth:`_touch`, so every appended row carries the
-        epoch the mutation landed at — ``deltas_since(array, cursor)``
-        with a cursor snapshotted from :meth:`payload_epoch_of` returns
-        exactly the mutations the cursor holder has not yet folded in.
+        ``columns`` are the ``_DeltaLog.append`` columns (signs, refs,
+        chunks, sizes, nodes); row ``r`` belongs to
+        ``arrays[codes[r]]``.  Called after :meth:`_touch`, so every row
+        carries the epoch the mutation landed at —
+        ``deltas_since(array, cursor)`` with a cursor snapshotted from
+        :meth:`payload_epoch_of` returns exactly the mutations the
+        cursor holder has not yet folded in.
         """
-        epoch = self._epoch
-        for array, entries in log_by_array.items():
-            if not entries:
-                continue
-            log = self._deltas.get(array)
-            if log is None:
-                log = self._deltas[array] = _DeltaLog()
-            signs, refs, chunks, sizes, nodes = zip(*entries)
-            log.append(epoch, signs, list(refs), list(chunks), sizes,
-                       nodes)
+        for code, array in enumerate(arrays):
+            rows = codes == code
+            if rows.any():
+                log = self._deltas.get(array) or self._deltas.setdefault(
+                    array, _DeltaLog()
+                )
+                log.append(self._epoch, *(c[rows] for c in columns))
 
-    def put_batch(self, chunks: Sequence[ChunkData]) -> None:
+    def put_batch(
+        self,
+        chunks: Sequence[ChunkData],
+        ids: Optional[np.ndarray] = None,
+    ) -> None:
         """Publish stored chunks (insert or merge), in batch order.
 
-        ``chunks`` must be the objects the node stores actually hold
-        after the physical put — for a merge the store replaces its
-        payload with a new merged :class:`ChunkData`, and the catalog
-        handle follows it.  Every ref must already hold a table id (born
-        in the partitioner's commit; :class:`ClusterError` and nothing
-        published otherwise).  An unpublished id is published on its
-        planned owner and merged into its array's sorted view; a
-        published one refreshes its payload handle and bytes in place
-        (its owner does not change — merges never relocate).
+        ``chunks`` must be the objects the node stores hold after the
+        physical put (a merge stores a new merged :class:`ChunkData`,
+        and the catalog handle follows it).  ``ids`` are their table
+        ids, born in the partitioner's commit — the coordinator passes
+        the ones its single ``ids_of`` pass read; without them they are
+        read here (:class:`ClusterError`, nothing published, when a
+        chunk holds none).
+
+        Column code: each put's predecessor is the previous put of its
+        id in the batch (one stable sort of ``ids``) or else the
+        published handle.  None — publish on the planned owner and
+        merge the key row (the table's key column) into the array's
+        view; another handle — a merge, logged as the retiring handle
+        at ``-1`` then the new one at ``+1``; the same handle — nothing
+        logged.  Columns are written by fancy indexing (an id's last
+        put wins), delta rows appended as columns.  The per-chunk loop
+        this replaced is the spec (``tests/oracles/catalog.py``).
         """
-        if not chunks:
+        n = len(chunks)
+        if not n:
             return
-        refs = [chunk.ref() for chunk in chunks]
-        try:
-            ids = self._table.ids_of(refs)
-        except KeyError as exc:
-            raise ClusterError(
-                f"chunk {exc.args[0]} is not in the chunk table"
-            ) from None
-        planned = self._table.owners(ids).tolist()
+        if ids is None:
+            try:
+                ids = self._table.ids_of([c.ref() for c in chunks])
+            except KeyError as exc:
+                raise ClusterError(
+                    f"chunk {exc.args[0]} is not in the chunk table"
+                ) from None
         self._fit_columns()
-        new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
-        log_by_array: Dict[str, List[Tuple]] = {}
-        touched = set()
-        for ref, chunk, i, node in zip(
-            refs, chunks, ids.tolist(), planned
-        ):
-            array = ref.array
-            touched.add(array)
-            entries = log_by_array.setdefault(array, [])
-            old = self._chunks[i]
-            if old is None:
-                self._owner[i] = node
-                if array not in self._schema_of:
-                    self._schema_of[array] = chunk.schema
-                new_ids, new_keys = new_by_array.setdefault(
-                    array, ([], [])
+        handles = np.empty(n, dtype=object)
+        handles[:] = chunks
+        sizes = np.fromiter(
+            map(attrgetter("size_bytes"), chunks), dtype=np.float64, count=n
+        )
+        refs = self._table._refs[ids]
+        olds = self._chunks[ids]
+        unpublished = np.equal(olds, None)
+        owner = self._owner[ids]
+        owner[unpublished] = self._table.owners(ids[unpublished])
+        # Chain in-batch duplicates: ``prev`` is the position of the
+        # previous put of the same id, -1 for its first put.
+        order = np.argsort(ids, kind="stable")
+        repeat = ids[order[1:]] == ids[order[:-1]]
+        prev = np.full(n, -1, dtype=np.int64)
+        prev[order[1:][repeat]] = order[:-1][repeat]
+        before = olds
+        before_size = self._size[ids]
+        chained = prev >= 0
+        before[chained] = handles[prev[chained]]
+        before_size[chained] = sizes[prev[chained]]
+        new = np.equal(before, None)
+        merged = ~new & np.not_equal(before, handles)  # by identity
+        last = np.ones(n, dtype=bool)
+        last[order[:-1][repeat]] = False
+        self._chunks[ids[last]] = handles[last]
+        self._size[ids[last]] = sizes[last]
+        self._owner[ids[new]] = owner[new]
+        arrays, codes = _array_codes(refs)
+        for code, array in enumerate(arrays):
+            mine = new & (codes == code)
+            if mine.any():
+                keys = self._table.keys_of(ids[mine])
+                self._schema_of.setdefault(
+                    array, chunks[int(np.argmax(mine))].schema
                 )
-                new_ids.append(i)
-                new_keys.append(ref.key)
-                entries.append(
-                    (1, ref, chunk, chunk.size_bytes, node)
+                view = self._views.get(array) or self._views.setdefault(
+                    array, _ArrayView(keys.shape[1])
                 )
-            elif old is not chunk:
-                # A merge replaced the stored payload: the retiring
-                # handle leaves the ZSet, the merged one enters it.
-                old_node = int(self._owner[i])
-                entries.append(
-                    (-1, ref, old, float(self._size[i]), old_node)
-                )
-                entries.append(
-                    (1, ref, chunk, chunk.size_bytes, old_node)
-                )
-            self._chunks[i] = chunk
-            self._size[i] = chunk.size_bytes
-        for array, (new_ids, new_keys) in new_by_array.items():
-            view = self._views.get(array)
-            if view is None:
-                view = _ArrayView(len(new_keys[0]))
-                self._views[array] = view
-            view.insert(
-                np.asarray(new_ids, dtype=np.int64),
-                np.asarray(new_keys, dtype=np.int64),
-            )
-        self._touch(touched)
-        self._log_deltas(log_by_array)
+                view.insert(ids[mine], keys)
+        self._touch(arrays)
+        # One row per new put, two per merge (retiring handle first).
+        emits = new + 2 * merged
+        pos = np.repeat(np.arange(n), emits)
+        retire = np.zeros(len(pos), dtype=bool)
+        retire[(np.cumsum(emits) - emits)[merged]] = True
+        self._log_rows(
+            arrays, codes[pos], np.where(retire, -1, 1), refs[pos],
+            np.where(retire, before[pos], handles[pos]),
+            np.where(retire, before_size[pos], sizes[pos]), owner[pos],
+        )
 
     def relocate_batch(self, refs: Sequence[ChunkRef]) -> None:
         """Publish the planned owners of moved chunks.
@@ -1086,31 +1123,30 @@ class ChunkCatalog:
         """Unpublish chunks; the table frees their ids afterwards.
 
         Runs before ``partitioner.remove`` (the ids must still be
-        interned).  Each dropped chunk enters the array's delta log at
-        ``-1`` with the payload handle, bytes, and owner it retired
-        with — expiry is a negative delta to the incremental
-        maintenance layer.
+        interned).  One ``ids_of`` pass, then column code: each dropped
+        chunk enters the array's delta log at ``-1`` with the payload
+        handle, bytes, and owner it retired with (gathered as columns
+        before the slots are cleared) — expiry is a negative delta to
+        the incremental maintenance layer.
         """
         if not refs:
             return
         ids = self._table.ids_of(refs)
-        by_array: Dict[str, List[int]] = {}
-        log_by_array: Dict[str, List[Tuple]] = {}
-        for ref, i in zip(refs, ids.tolist()):
-            log_by_array.setdefault(ref.array, []).append(
-                (-1, ref, self._chunks[i], float(self._size[i]),
-                 int(self._owner[i]))
-            )
-            self._chunks[i] = None
-            self._size[i] = 0.0
-            self._owner[i] = -1
-            by_array.setdefault(ref.array, []).append(i)
-        for array, dead in by_array.items():
-            self._views[array].drop(
-                np.asarray(dead, dtype=np.int64)
-            )
-        self._touch(by_array)
-        self._log_deltas(log_by_array)
+        ref_col = self._table._refs[ids]
+        arrays, codes = _array_codes(ref_col)
+        handles = self._chunks[ids]
+        sizes = self._size[ids]
+        owners = self._owner[ids]
+        self._chunks[ids] = None
+        self._size[ids] = 0.0
+        self._owner[ids] = -1
+        for code, array in enumerate(arrays):
+            self._views[array].drop(ids[codes == code])
+        self._touch(arrays)
+        self._log_rows(
+            arrays, codes, np.full(len(ids), -1), ref_col, handles,
+            sizes, owners,
+        )
 
     # -- compaction ----------------------------------------------------
     @property

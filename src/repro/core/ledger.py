@@ -232,14 +232,26 @@ class ArrayChunkLedger:
 
     def ids_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Dense ids of many interned refs (KeyError on an unknown one)."""
-        id_of = self._id_of
         return np.fromiter(
-            (id_of[r] for r in refs), dtype=np.int64, count=len(refs)
+            map(self._id_of.__getitem__, refs), dtype=np.int64,
+            count=len(refs),
         )
 
     def owners(self, ids: np.ndarray) -> np.ndarray:
-        """Planned owner node ids of many dense ids (one gather)."""
-        return np.asarray(self._node_list, dtype=np.int64)[self._node[ids]]
+        """Planned owner node ids of many live ids (one gather)."""
+        slots = self._node[ids]
+        dead = slots < 0  # a -1 slot must not index the list from its end
+        if dead.any():
+            raise KeyError(int(np.asarray(ids)[dead][0]))
+        return np.asarray(self._node_list, dtype=np.int64)[slots]
+
+    def keys_of(self, ids: np.ndarray) -> np.ndarray:
+        """Chunk keys of many live ids as ``(n, ndim)`` int64 rows."""
+        if self._keys_ok and self._key is not None:
+            return self._key[ids]
+        return np.array(
+            [r.key for r in self._refs[ids].tolist()], dtype=np.int64
+        )
 
     def live_ids(self) -> np.ndarray:
         """Every interned id, ascending (a vector scan of the owners)."""

@@ -26,7 +26,7 @@ from repro.arrays.array import chunk_cells
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.coordinator import execute_rebalance
 from repro.cluster.session import ClusterSession
-from repro.core.catalog import concat_payload
+from repro.core.catalog import ChunkCatalog, concat_payload
 from repro.core.ledger import ArrayChunkLedger
 from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.parallel.engine import ProcessEngine
@@ -59,7 +59,11 @@ from repro.query.operators import (
 from repro.query.science import AisKnn
 
 from tests.oracles.arrays import chunk_cells_scalar
-from tests.oracles.catalog import concat_payload_per_chunk
+from tests.oracles.catalog import (
+    concat_payload_per_chunk,
+    put_batch_per_chunk,
+    remove_batch_per_chunk,
+)
 from tests.oracles.cluster import (
     array_payload_scan,
     chunk_data_scan,
@@ -126,6 +130,9 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (execute_rebalance, execute_rebalance_scalar, "same"),
     # the gather: one read per chunk per column
     (concat_payload, concat_payload_per_chunk, "same"),
+    # the publish and unpublish paths: one branch and one tuple per chunk
+    (ChunkCatalog.put_batch, put_batch_per_chunk, "same"),
+    (ChunkCatalog.remove_batch, remove_batch_per_chunk, "same"),
     # cost kernels
     (add_scan_work, add_scan_work_scalar, "lowered"),
     (charge_network, add_network_work_scalar, "lowered"),

@@ -1,21 +1,35 @@
-"""Per-chunk reference for :func:`repro.core.catalog.concat_payload`.
+"""Per-chunk references for the catalog's gather and publish paths.
 
-The gather's body from before chunks became extents of batch arenas,
-moved verbatim: one ``coords`` read and one ``values(attr)`` read per
-chunk per column, one array per chunk handed to ``np.concatenate``.  It
-knows nothing about arenas, extents or runs, so it is the specification
-the run-coalescing gather must equal element for element and dtype for
-dtype (``tests/test_catalog.py::TestRunGather``); the store-walk
-payload oracles in ``tests/oracles/cluster.py`` concatenate through it.
+:func:`concat_payload_per_chunk` — the gather's body from before chunks
+became extents of batch arenas, moved verbatim: one ``coords`` read and
+one ``values(attr)`` read per chunk per column, one array per chunk
+handed to ``np.concatenate``.  It knows nothing about arenas, extents or
+runs, so it is the specification the run-coalescing gather must equal
+element for element and dtype for dtype
+(``tests/test_catalog.py::TestRunGather``); the store-walk payload
+oracles in ``tests/oracles/cluster.py`` concatenate through it.
+
+:func:`put_batch_per_chunk` and :func:`remove_batch_per_chunk` — the
+publish and unpublish bodies from before they became column code, moved
+verbatim (``put_batch_per_chunk`` also takes the coordinator's ``ids``
+and an object-array batch, and ``_log_deltas`` became a function of the
+catalog): one branch per chunk (new / merged / same handle), one tuple
+per delta-log row, one ``ChunkRef`` hash per dict probe.  They are the
+specification :meth:`ChunkCatalog.put_batch` and
+:meth:`ChunkCatalog.remove_batch` must equal column for column, in view
+order and delta-log row for row (``TestColumnarPublish`` in
+``tests/test_catalog.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData
+from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
+from repro.core.catalog import ChunkCatalog, _ArrayView, _DeltaLog
+from repro.errors import ClusterError
 
 
 def concat_payload_per_chunk(
@@ -34,3 +48,116 @@ def concat_payload_per_chunk(
         a: np.concatenate([c.values(a) for c in chunks]) for a in attrs
     }
     return coords, values
+
+
+def _log_deltas(
+    self: ChunkCatalog, log_by_array: Dict[str, List[Tuple]]
+) -> None:
+    """Append collected (sign, ref, chunk, size, node) rows.
+
+    Called after :meth:`_touch`, so every appended row carries the
+    epoch the mutation landed at — ``deltas_since(array, cursor)``
+    with a cursor snapshotted from :meth:`payload_epoch_of` returns
+    exactly the mutations the cursor holder has not yet folded in.
+    """
+    epoch = self._epoch
+    for array, entries in log_by_array.items():
+        if not entries:
+            continue
+        log = self._deltas.get(array)
+        if log is None:
+            log = self._deltas[array] = _DeltaLog()
+        signs, refs, chunks, sizes, nodes = zip(*entries)
+        log.append(epoch, signs, list(refs), list(chunks), sizes,
+                   nodes)
+
+
+def put_batch_per_chunk(
+    self: ChunkCatalog,
+    chunks: Sequence[ChunkData],
+    ids: Optional[np.ndarray] = None,
+) -> None:
+    """Publish stored chunks (insert or merge), in batch order."""
+    if not len(chunks):
+        return
+    refs = [chunk.ref() for chunk in chunks]
+    if ids is None:
+        try:
+            ids = self._table.ids_of(refs)
+        except KeyError as exc:
+            raise ClusterError(
+                f"chunk {exc.args[0]} is not in the chunk table"
+            ) from None
+    planned = self._table.owners(ids).tolist()
+    self._fit_columns()
+    new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
+    log_by_array: Dict[str, List[Tuple]] = {}
+    touched = set()
+    for ref, chunk, i, node in zip(
+        refs, chunks, ids.tolist(), planned
+    ):
+        array = ref.array
+        touched.add(array)
+        entries = log_by_array.setdefault(array, [])
+        old = self._chunks[i]
+        if old is None:
+            self._owner[i] = node
+            if array not in self._schema_of:
+                self._schema_of[array] = chunk.schema
+            new_ids, new_keys = new_by_array.setdefault(
+                array, ([], [])
+            )
+            new_ids.append(i)
+            new_keys.append(ref.key)
+            entries.append(
+                (1, ref, chunk, chunk.size_bytes, node)
+            )
+        elif old is not chunk:
+            # A merge replaced the stored payload: the retiring
+            # handle leaves the ZSet, the merged one enters it.
+            old_node = int(self._owner[i])
+            entries.append(
+                (-1, ref, old, float(self._size[i]), old_node)
+            )
+            entries.append(
+                (1, ref, chunk, chunk.size_bytes, old_node)
+            )
+        self._chunks[i] = chunk
+        self._size[i] = chunk.size_bytes
+    for array, (new_ids, new_keys) in new_by_array.items():
+        view = self._views.get(array)
+        if view is None:
+            view = _ArrayView(len(new_keys[0]))
+            self._views[array] = view
+        view.insert(
+            np.asarray(new_ids, dtype=np.int64),
+            np.asarray(new_keys, dtype=np.int64),
+        )
+    self._touch(touched)
+    _log_deltas(self, log_by_array)
+
+
+def remove_batch_per_chunk(
+    self: ChunkCatalog, refs: Sequence[ChunkRef]
+) -> None:
+    """Unpublish chunks; the table frees their ids afterwards."""
+    if not refs:
+        return
+    ids = self._table.ids_of(refs)
+    by_array: Dict[str, List[int]] = {}
+    log_by_array: Dict[str, List[Tuple]] = {}
+    for ref, i in zip(refs, ids.tolist()):
+        log_by_array.setdefault(ref.array, []).append(
+            (-1, ref, self._chunks[i], float(self._size[i]),
+             int(self._owner[i]))
+        )
+        self._chunks[i] = None
+        self._size[i] = 0.0
+        self._owner[i] = -1
+        by_array.setdefault(ref.array, []).append(i)
+    for array, dead in by_array.items():
+        self._views[array].drop(
+            np.asarray(dead, dtype=np.int64)
+        )
+    self._touch(by_array)
+    _log_deltas(self, log_by_array)

@@ -11,8 +11,8 @@ publishes from it.  Covers:
 * a snapshot pinned between ``partitioner.scale_out`` and the
   rebalance reports the published (pre-move) owners;
 * ``compact_ledger`` on a published table runs the one compaction
-  through the catalog's write window, and a second catalog over one
-  table is refused;
+  through the catalog's write window, a second catalog over one table
+  is refused, and a freed id has no planned owner;
 * ``ElasticCluster.chunk_data`` reads the catalog only;
 * ``check_consistency`` raises on each fault it checks.
 """
@@ -164,6 +164,28 @@ class TestPlannedVersusPublished:
         cluster = _cluster()
         with pytest.raises(ClusterError):
             ChunkCatalog(cluster.partitioner.table)
+
+    def test_owners_of_a_dead_id_raise(self):
+        # A freed slot holds the -1 sentinel; reading it as a node-list
+        # index returned the *last* node instead of failing.
+        cluster = _cluster("round_robin", nodes=3)
+        cluster.ledger_compact_ratio = None  # keep the freed slot freed
+        chunks = [_chunk(t, 0, 0, 10.0) for t in range(4)]
+        cluster.ingest(chunks)
+        table = cluster.partitioner.table
+        ids = table.ids_of([c.ref() for c in chunks])
+        assert table.owners(ids).tolist() == [
+            cluster.locate(c.ref()) for c in chunks
+        ]
+        cluster.remove_chunks([chunks[1].ref()])
+        with pytest.raises(KeyError):
+            table.owners(ids)
+        with pytest.raises(KeyError):
+            table.owners(np.array([table.column_capacity - 1]))
+        live = np.delete(ids, 1)
+        assert table.owners(live).tolist() == [
+            cluster.locate(chunks[i].ref()) for i in (0, 2, 3)
+        ]
 
 
 class TestChunkData:

@@ -76,7 +76,7 @@ class SpillTier:
         segments: SegmentStore,
         memory_budget: Optional[float] = None,
     ) -> None:
-        if memory_budget is not None and memory_budget < 0:
+        if memory_budget is not None and not memory_budget >= 0:
             raise StorageError("memory_budget must be non-negative")
         self.segments = segments
         self.memory_budget = (
@@ -304,9 +304,8 @@ class ChunkStore:
         unbounded residency — payloads still write through to segments.
     segments : SegmentStore, optional
         The disk tier.  Omitted (the default), the store is the classic
-        all-in-memory structure, byte-for-byte identical to its
-        pre-tier behavior — that path is the ``REPRO_STORAGE=memory``
-        parity oracle.
+        all-in-memory structure — an untiered cluster's store, the
+        reference a tiered one must answer byte-identically to.
     """
 
     def __init__(

@@ -56,10 +56,8 @@ class TieredStorage:
             keeps everything resident while still writing through (so
             restart recovery works without eviction pressure).
 
-    Honored only when the ``storage`` parity mode is ``tier`` (the
-    default) — under ``REPRO_STORAGE=memory`` the cluster ignores the
-    configuration and runs the classic all-in-memory stores, which is
-    the byte-identical parity oracle for the tier.
+    A cluster built without one (``storage=None``) keeps the classic
+    all-in-memory stores, which answer byte-identically.
     """
 
     root: str
@@ -135,11 +133,6 @@ class ElasticCluster:
         self.costs = costs
         self.provisioner = provisioner
         self.ledger_compact_ratio = ledger_compact_ratio
-        # The parity switch is consulted once, at construction: a
-        # cluster is either tiered or all-in-memory for its lifetime
-        # (flipping REPRO_STORAGE mid-run would corrupt accounting).
-        if storage is not None and parity_mode("storage") == "memory":
-            storage = None
         self.storage = storage
         self.nodes: Dict[int, Node] = {
             node_id: self._make_node(node_id)
@@ -200,11 +193,6 @@ class ElasticCluster:
         adoption but may place future chunks differently than the
         original process would have.
         """
-        if parity_mode("storage") == "memory":
-            raise ClusterError(
-                "cannot recover under REPRO_STORAGE=memory — restart "
-                "recovery reads the disk tier the oracle disables"
-            )
         try:
             names = sorted(os.listdir(storage.root))
         except FileNotFoundError:

@@ -1,20 +1,18 @@
 """Process-wide backend configuration.
 
-Two switches select a real backend, each with an environment variable
-for CI's matrix legs:
+One switch selects a real backend, with an environment variable for
+CI's matrix legs:
 
-``storage`` / ``REPRO_STORAGE``
-    ``tier`` (default) honours a cluster's
-    :class:`~repro.cluster.cluster.TieredStorage`; ``memory`` ignores it
-    and keeps every chunk resident — the byte-identical reference the
-    tier is compared against.
 ``exec`` / ``REPRO_EXEC``
     ``inprocess`` (default) runs queries in the driver; ``process``
     gathers payloads from one worker process per node.
 
-:func:`mode` resolves one field (override first, then the environment,
-then the default) and :func:`parity` overrides any subset for one
-``with`` block::
+Storage is not a switch: a cluster is tiered exactly when it is built
+with a :class:`~repro.cluster.cluster.TieredStorage`.
+
+:func:`mode` resolves the field (override first, then the environment,
+then the default) and :func:`parity` overrides it for one ``with``
+block::
 
     from repro.config import parity
 
@@ -43,7 +41,6 @@ from repro.errors import ConfigError
 #: allowed value is the default.  This table *is* the registry — the
 #: dataclass fields, :func:`mode`, and :func:`parity` all key off it.
 PARITY_FIELDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "storage": ("REPRO_STORAGE", ("tier", "memory")),
     "exec": ("REPRO_EXEC", ("inprocess", "process")),
 }
 
@@ -72,14 +69,13 @@ def _from_env(field: str) -> str:
 
 @dataclass(frozen=True)
 class ParityConfig:
-    """A snapshot of both backend switches.
+    """A snapshot of the backend switch.
 
     Instances are immutable values — :func:`current` materializes one
     from the live override stack + environment, and :func:`parity`
     yields the config in force inside its block.
     """
 
-    storage: str = "tier"
     exec: str = "inprocess"
 
     def __post_init__(self) -> None:
@@ -98,7 +94,7 @@ class ParityConfig:
         Raises
         ------
         ConfigError
-            On an unrecognised value in either variable.
+            On an unrecognised value in the variable.
         """
         return cls(**{f: _from_env(f) for f in PARITY_FIELDS})
 
@@ -113,7 +109,7 @@ def mode(field: str) -> str:
     Parameters
     ----------
     field : str
-        ``"storage"`` or ``"exec"``.
+        ``"exec"``.
 
     Raises
     ------
@@ -139,11 +135,10 @@ def current() -> ParityConfig:
 
 @contextmanager
 def parity(**overrides: str) -> Iterator[ParityConfig]:
-    """Override either backend switch for one block.
+    """Override the backend switch for one block.
 
-    ``with parity(storage="memory"):`` pins the all-in-memory stores
-    while leaving ``exec`` on its environment default.  Blocks nest;
-    each restores exactly what it changed.
+    ``with parity(exec="process"):`` runs queries on the worker
+    processes.  Blocks nest; each restores exactly what it changed.
 
     Raises
     ------

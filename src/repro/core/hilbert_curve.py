@@ -330,10 +330,14 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         position — a range covering existing chunks would desynchronize
         ownership from the recorded assignment.  When the donor's slot
         has no free tail, the slot is handed over only if it is entirely
-        empty; otherwise the table is left unchanged (the newcomer stays
-        rangeless until a later, data-bearing split).
+        empty; otherwise — or when the donor is itself rangeless, as
+        after repeated scale-outs of an empty cluster — the table is left
+        unchanged (the newcomer stays rangeless until a later,
+        data-bearing split).
         """
         slots = self._donor_slots(donor)
+        if not slots:
+            return
         slot = slots[-1]
         end = (
             self._bounds[slot + 1]

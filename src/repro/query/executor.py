@@ -77,7 +77,7 @@ def _run_charged(
     before the query runs (scoping out ingest-side spill traffic), read
     after, priced with :func:`~repro.query.cost.charge_io`, and merged
     into the result's per-node busy time and elapsed latency.  Untiered
-    clusters (and ``REPRO_STORAGE=memory``) drain an empty map, so this
+    clusters drain an empty map, so this
     wrapper is a no-op for them and the modeled timings are unchanged.
 
     Only the session's frozen node set is charged: a pinned handle

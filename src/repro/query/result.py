@@ -20,7 +20,7 @@ class QueryResult:
         scanned_bytes: total modeled bytes read from disk.
         io_bytes: real tier bytes (spill faults + write-through) moved
             by the storage LRU while this query ran; 0.0 on untiered
-            clusters and in ``REPRO_STORAGE=memory`` mode.
+            clusters.
     """
 
     name: str

@@ -1,14 +1,11 @@
 """The cluster-wide chunk catalog: parity, epochs, cache invalidation.
 
-Covers the ISSUE-4 catalog contract:
+Covers the catalog contract:
 
-* property test — hypothesis interleavings of insert / rebalance /
-  remove / scale-out across all registered partitioning schemes assert
-  that the catalog read path (``chunks_of_array``,
-  ``placement_of_array``, ``array_payload``) returns exactly what the
-  pre-catalog store walks (``tests/oracles/cluster.py``) return —
-  same payload objects, same order — and that a stale payload cache is
-  never served after an epoch bump;
+* catalog reads ≡ the store walks of ``tests/oracles/cluster.py``, on
+  every scheme: the ``tests/test_cluster_machine.py`` machine run on
+  the catalog's rules, and one fixed ingest/grow/expire lifecycle
+  driven through it;
 * the grouped rebalance executor is physically equivalent to the
   per-move oracle, including chained moves;
 * :class:`ChunkStore`'s batch APIs and the dirty-bit sorted-ref cache;
@@ -57,18 +54,15 @@ from repro.errors import (
     ConfigError,
     StorageError,
 )
-from repro.query.cost import array_scan_columns
 from tests.oracles import (
     array_payload_scan,
-    array_scan_columns_scan,
-    chunk_data_scan,
-    chunks_of_array_scan,
     concat_payload_per_chunk,
     execute_rebalance_scalar,
-    placement_of_array_scan,
     put_batch_per_chunk,
     remove_batch_per_chunk,
 )
+
+from test_cluster_machine import lifecycle, replay, run_focused
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMAS = {
@@ -110,110 +104,16 @@ def _make_cluster(name, nodes=2):
     )
 
 
-def _assert_catalog_matches_scan(cluster):
-    """Catalog reads ≡ store-scan oracle reads, on one cluster."""
-    session = cluster.session()
-    for array in SCHEMAS:
-        oracle_pairs = chunks_of_array_scan(cluster, array)
-        oracle_place = placement_of_array_scan(cluster, array)
-        oracle_payload = array_payload_scan(cluster, array, ["v"], ndim=3)
-        pairs = session.chunks_of_array(array)
-        # Same payload *objects* (the handles track the stores), same
-        # owners, same key-sorted order.
-        assert [(id(c), n) for c, n in pairs] == [
-            (id(c), n) for c, n in oracle_pairs
-        ]
-        for chunk, _node in pairs:
-            assert cluster.chunk_data(chunk.ref()) is chunk_data_scan(
-                cluster, chunk.ref()
-            )
-        assert session.placement_of_array(array) == oracle_place
-        coords, values = session.array_payload(array, ["v"], ndim=3)
-        assert np.array_equal(coords, oracle_payload[0])
-        assert np.array_equal(values["v"], oracle_payload[1]["v"])
-        # the cost model's column lowering ≡ the pair-list lowering
-        for got, want in zip(
-            array_scan_columns(session, array, ["v"]),
-            array_scan_columns_scan(cluster, array, ["v"]),
-        ):
-            assert np.array_equal(got, want)
-
-
 class TestCatalogParityProperty:
-    """Random mutation interleavings keep catalog ≡ scan oracle."""
+    """The cluster machine on the catalog's rules: reads ≡ store walks."""
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        script=st.lists(
-            st.sampled_from(
-                ["ingest", "ingest_dup", "grow", "expire", "query",
-                 "compact"]
-            ),
-            min_size=4,
-            max_size=12,
-        ),
-    )
-    def test_interleaved_ops(self, name, seed, script):
-        rng = np.random.default_rng(seed)
-        cluster = _make_cluster(name)
-        window = []
-        t = 0
-        for op in script:
-            epochs_before = {
-                a: cluster.catalog.epoch_of(a) for a in SCHEMAS
-            }
-            if op in ("ingest", "ingest_dup"):
-                t += 1
-                batch = []
-                arrays = set()
-                for _ in range(int(rng.integers(3, 20))):
-                    array = "AB"[int(rng.integers(0, 2))]
-                    arrays.add(array)
-                    batch.append(_chunk(
-                        array, t,
-                        int(rng.integers(0, 16)),
-                        int(rng.integers(0, 16)),
-                        float(rng.lognormal(2, 1)),
-                    ))
-                if op == "ingest_dup" and batch:
-                    # Same-ref duplicates within one batch merge; the
-                    # catalog handle must follow the merged payload.
-                    batch.append(batch[0])
-                    batch.append(batch[-2])
-                cluster.ingest(batch)
-                window.append(
-                    sorted({c.ref() for c in batch},
-                           key=lambda r: (r.array, r.key))
-                )
-                # the touched arrays' epochs must have bumped
-                for a in arrays:
-                    assert (
-                        cluster.catalog.epoch_of(a) > epochs_before[a]
-                    )
-            elif op == "grow":
-                # (schemes like hilbert_curve cannot split an empty
-                # table — real flows always ingest before scaling out)
-                if cluster.partitioner.chunk_count:
-                    cluster.scale_out(1)
-            elif op == "expire":
-                if len(window) > 2:
-                    cluster.remove_chunks(window.pop(0))
-            elif op == "compact":
-                cluster.catalog.compact(0.0)
-            else:  # query: repeats between mutations hit the cache
-                for array in SCHEMAS:
-                    first = cluster.session().array_payload(
-                        array, ["v"], ndim=3
-                    )
-                    again = cluster.session().array_payload(
-                        array, ["v"], ndim=3
-                    )
-                    assert first[0] is again[0]
-                    assert first[1]["v"] is again[1]["v"]
-            _assert_catalog_matches_scan(cluster)
-            cluster.check_consistency()
+    def test_interleaved_ops(self, name):
+        run_focused(
+            name,
+            ("ingest", "expire", "scale_out", "compact", "read_twice"),
+            ("consistent", "reads_equal_store_walks"),
+        )
 
 
 class TestAllSchemesParity:
@@ -221,29 +121,8 @@ class TestAllSchemesParity:
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
     def test_fixed_lifecycle(self, name):
-        rng = np.random.default_rng(3)
-        cluster = _make_cluster(name)
-        window = []
-        for cycle in range(5):
-            batch = {}
-            for _ in range(12):
-                array = "AB"[int(rng.integers(0, 2))]
-                key = (
-                    cycle,
-                    int(rng.integers(0, 16)),
-                    int(rng.integers(0, 16)),
-                )
-                batch[(array, key)] = _chunk(
-                    array, *key, float(rng.lognormal(2, 1))
-                )
-            cluster.ingest(list(batch.values()))
-            window.append([c.ref() for c in batch.values()])
-            if cycle == 1:
-                cluster.scale_out(1)
-            if len(window) > 2:
-                cluster.remove_chunks(window.pop(0))
-            _assert_catalog_matches_scan(cluster)
-            cluster.check_consistency()
+        replay(name, lifecycle(3, cycles=5, size=12),
+               ("consistent", "reads_equal_store_walks"))
 
 
 class TestPayloadCache:
@@ -1313,14 +1192,13 @@ class TestColumnarPublish:
                     "round_robin", [0, 1], grid=GRID,
                     node_capacity_bytes=1000 * GB,
                 )
-                with parity(storage=storage):
-                    built.append(ElasticCluster(
-                        partitioner, 1000 * GB, costs=CostParameters(),
-                        storage=TieredStorage(
-                            root=os.path.join(root, side),
-                            memory_budget_bytes=60.0,
-                        ),
-                    ))
+                built.append(ElasticCluster(
+                    partitioner, 1000 * GB, costs=CostParameters(),
+                    storage=None if storage == "memory" else TieredStorage(
+                        root=os.path.join(root, side),
+                        memory_budget_bytes=60.0,
+                    ),
+                ))
             want = drive(built[0])
             with oracles(ChunkCatalog.put_batch, ChunkCatalog.remove_batch):
                 got = drive(built[1])

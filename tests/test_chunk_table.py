@@ -4,10 +4,11 @@ The partitioner's chunk table (:class:`repro.core.ledger.ArrayChunkLedger`)
 is a cluster's only ``ChunkRef -> id`` intern table; the catalog
 publishes from it.  Covers:
 
-* property test — hypothesis mixes of ingest, expiry, scale-out and
-  compaction on every registered scheme keep the catalog on the
-  partitioner's table object, planned == published owners at every
-  quiescent point, and the two column capacities equal and bounded;
+* :func:`_assert_one_table`, the quiescent-point contract — the catalog
+  on the partitioner's table object, planned == published owners, the
+  two column capacities equal — asserted after every step of the
+  ``tests/test_cluster_machine.py`` machine on every scheme, here run
+  on ingest, expiry, scale-out and compaction alone;
 * a snapshot pinned between ``partitioner.scale_out`` and the
   rebalance reports the published (pre-move) owners;
 * ``compact_ledger`` on a published table runs the one compaction
@@ -19,8 +20,6 @@ publishes from it.  Covers:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkData, parse_schema
 from repro.cluster import (
@@ -84,39 +83,18 @@ def _assert_one_table(cluster):
 
 
 class TestOneTableProperty:
+    """The cluster machine on the table's rules: one table throughout."""
+
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        script=st.lists(
-            st.sampled_from(["ingest", "expire", "grow", "compact"]),
-            min_size=4,
-            max_size=12,
-        ),
-    )
-    def test_churn_keeps_one_table(self, name, seed, script):
-        rng = np.random.default_rng(seed)
-        cluster = _cluster(name)
-        window = []
-        for t, op in enumerate(["ingest"] + script):
-            if op == "ingest":
-                batch = _batch(t, int(rng.integers(5, 60)), rng)
-                cluster.ingest(batch)
-                window.append([c.ref() for c in batch])
-            elif op == "expire" and len(window) > 1:
-                cluster.remove_chunks(window.pop(0))
-            elif op == "grow":
-                cluster.scale_out(1)
-            elif op == "compact":
-                cluster.partitioner.compact_ledger(0.0)
-                assert cluster.catalog.column_capacity == max(
-                    64, cluster.partitioner.chunk_count
-                )
-            _assert_one_table(cluster)
-            if op != "ingest":
-                # Every reorganization ends below the compaction ratio.
-                live = cluster.partitioner.chunk_count
-                assert cluster.catalog.column_capacity <= max(64, 2 * live)
+    def test_churn_keeps_one_table(self, name):
+        # imported here: the machine module imports _assert_one_table
+        from test_cluster_machine import run_focused
+
+        run_focused(
+            name,
+            ("ingest", "expire", "scale_out", "compact"),
+            ("consistent",),
+        )
 
 
 class TestPlannedVersusPublished:

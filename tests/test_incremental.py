@@ -1,13 +1,12 @@
 """Incremental view maintenance: delta folds ≡ full recompute.
 
-Covers the ISSUE-6 maintenance contract:
+Covers the maintenance contract:
 
-* property test — hypothesis interleavings of ingest / expiry /
-  rebalance across all registered partitioning schemes keep a maintained
-  grid-statistics view and a maintained position join equal to their
-  full-recompute oracles (exact on integer aggregates, 1e-9 on floats),
-  with the catalog's delta-log replay cross-check
-  (``verify_delta_log`` inside ``check_consistency``) green throughout;
+* a maintained grid-statistics view and position join ≡ their full
+  recomputes (exact on integer aggregates, 1e-9 on floats) and the
+  ``deltas_since`` replay ≡ the live set, on every scheme: invariants of
+  the ``tests/test_cluster_machine.py`` machine, here run on the views'
+  rules and on one fixed lifecycle;
 * a pure relocation (scale-out rebalance) produces an *empty* content
   delta and invalidates no maintained state;
 * the Tempura-style planner picks full recompute at ~100 % churn and
@@ -102,58 +101,18 @@ def _assert_join_parity(join):
 
 
 class TestMaintainedViewsProperty:
-    """Random mutation interleavings keep maintained ≡ recomputed."""
+    """The cluster machine on the views' rules: maintained ≡ recomputed."""
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        script=st.lists(
-            st.sampled_from(["ingest", "grow", "expire", "refresh"]),
-            min_size=4,
-            max_size=12,
-        ),
-    )
-    def test_interleaved_ops(self, name, seed, script):
-        rng = np.random.default_rng(seed)
-        cluster = _make_cluster(name)
-        view = _grid_view(cluster)
-        join = MaintainedJoin(
-            cluster, position_side("A", "v"), position_side("B", "v"),
-            ndim=3,
+    def test_interleaved_ops(self, name):
+        # imported here: the machine module imports this one's helpers
+        from test_cluster_machine import run_focused
+
+        run_focused(
+            name,
+            ("ingest", "expire", "scale_out", "compact", "refresh_views"),
+            ("consistent", "views_equal_recompute"),
         )
-        window = []
-        t = 0
-        for op in script:
-            if op == "ingest":
-                t += 1
-                batch = {}
-                for _ in range(int(rng.integers(3, 14))):
-                    array = "AB"[int(rng.integers(0, 2))]
-                    key = (
-                        t,
-                        int(rng.integers(0, 16)),
-                        int(rng.integers(0, 16)),
-                    )
-                    batch[(array, key)] = _chunk(
-                        array, *key, float(rng.normal(0, 10)),
-                        float(rng.lognormal(2, 1)),
-                    )
-                cluster.ingest(list(batch.values()))
-                window.append([c.ref() for c in batch.values()])
-            elif op == "grow":
-                if cluster.partitioner.chunk_count:
-                    cluster.scale_out(1)
-            elif op == "expire":
-                if len(window) > 2:
-                    cluster.remove_chunks(window.pop(0))
-            else:  # refresh without an intervening mutation: no-op delta
-                pass
-            view.refresh()
-            join.refresh()
-            _assert_grid_parity(view)
-            _assert_join_parity(join)
-            cluster.check_consistency()  # includes delta-log replay
 
 
 class TestAllSchemesDeltaReplay:
@@ -161,44 +120,10 @@ class TestAllSchemesDeltaReplay:
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
     def test_replay_reproduces_live_set(self, name):
-        rng = np.random.default_rng(5)
-        cluster = _make_cluster(name)
-        window = []
-        for cycle in range(5):
-            batch = {}
-            for _ in range(10):
-                array = "AB"[int(rng.integers(0, 2))]
-                key = (
-                    cycle,
-                    int(rng.integers(0, 16)),
-                    int(rng.integers(0, 16)),
-                )
-                batch[(array, key)] = _chunk(
-                    array, *key, float(rng.normal(0, 5)),
-                    float(rng.lognormal(2, 1)),
-                )
-            cluster.ingest(list(batch.values()))
-            window.append([c.ref() for c in batch.values()])
-            if cycle == 1:
-                cluster.scale_out(1)
-            if len(window) > 2:
-                cluster.remove_chunks(window.pop(0))
-            # the explicit replay, independent of check_consistency
-            for array in SCHEMAS:
-                delta = cluster.session().deltas_since(array, 0)
-                weight = {}
-                for ref, sign in zip(
-                    delta.refs.tolist(), delta.signs.tolist()
-                ):
-                    weight[ref] = weight.get(ref, 0) + int(sign)
-                survivors = {r for r, w in weight.items() if w == 1}
-                assert not any(
-                    w not in (0, 1) for w in weight.values()
-                )
-                pairs = cluster.session().chunks_of_array(array)
-                live = {c.ref() for c, _ in pairs}
-                assert survivors == live
-            cluster.check_consistency()
+        from test_cluster_machine import lifecycle, replay
+
+        replay(name, lifecycle(5, cycles=5, size=10),
+               ("delta_replay_equals_live_set", "consistent"))
 
 
 class TestPureRelocation:

@@ -10,9 +10,13 @@ AST-parsed literal, restated over :data:`tests.oracles.ORACLES`:
   ``ImportError`` collecting this file;
 * RL103 — the two callables of a ``"same"`` row have equal parameter
   names (a method's leading ``self`` aside);
-* RL104 / RL105 — dispatch through a mode switch: there is no switch.
+* RL104 / RL105 — dispatch through a mode switch: there is no switch;
+* no row loses its only caller — every row's oracle is named in the
+  code of a test module, or its production is handed to the
+  ``oracles`` fixture there.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -23,6 +27,7 @@ from tests import oracles
 from tests.oracles import ORACLES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
 
 
 def _public_callables():
@@ -104,3 +109,65 @@ def test_src_keeps_no_twin_and_never_imports_tests():
         text = path.read_text()
         assert not twin.search(text), path
         assert not imports_tests.search(text), path
+
+
+def _test_modules():
+    """``file name -> parsed module`` of every other test module."""
+    return {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(TESTS.glob("test_*.py"))
+        if path.name != Path(__file__).name
+    }
+
+
+def _callerless(table, modules):
+    """Rows whose oracle no module's code names and whose production no
+    module hands to the ``oracles`` fixture (directly or as a
+    module-level tuple it splats)."""
+    named, substituted = set(), set()
+    for tree in modules:
+        tuples = {
+            target.id: node.value.elts
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.Tuple, ast.List))
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "oracles"
+            ):
+                for arg in node.args:
+                    if isinstance(arg, ast.Starred):
+                        elts = tuples.get(ast.unparse(arg.value), [])
+                        substituted.update(map(ast.unparse, elts))
+                    else:
+                        substituted.add(ast.unparse(arg))
+    return sorted(
+        f"{oracle.__module__}.{oracle.__name__}"
+        for production, oracle, _signature in table
+        if oracle.__name__ not in named
+        and production.__qualname__ not in substituted
+    )
+
+
+def test_no_row_loses_its_only_caller():
+    modules = _test_modules()
+    assert _callerless(ORACLES, modules.values()) == []
+    # ...and the check can fail: the ledger row with no caller, then
+    # with one, a direct substitution, and a splatted one.
+    ledger = ORACLES[:1]
+    for code, orphans in (
+        ("x = ArrayChunkLedger", ["tests.oracles.ledger.DictChunkLedger"]),
+        ("DictChunkLedger()", []),
+        ("with oracles(ArrayChunkLedger): pass", []),
+        ("ROWS = (ArrayChunkLedger,)\nwith oracles(*ROWS): pass", []),
+    ):
+        assert _callerless(ledger, [ast.parse(code)]) == orphans

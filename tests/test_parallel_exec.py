@@ -2,7 +2,7 @@
 
 The ``REPRO_EXEC=process`` backend runs each node as a real worker
 process with shared-memory payload transport.  The contract mirrors the
-other backend switch (``REPRO_STORAGE``): identical
+tiered store's against an untiered twin: identical
 *bytes*, not just close answers — gathers concatenate the same chunk
 payloads in the same order, and the shuffle exchanges share their
 per-partition kernels with the serial twins so float reductions

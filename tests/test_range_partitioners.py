@@ -94,6 +94,15 @@ class TestHilbertPartitioner:
         node = p.place(ChunkRef("a", (40, 3)), 10.0)  # deep overflow
         assert node in p.nodes
 
+    def test_repeated_scale_out_of_an_empty_table(self):
+        # An empty donor may hand its whole range over and go rangeless;
+        # a later empty split picking it must not index its no slots.
+        p = HilbertCurvePartitioner([0, 1], (16, 16))
+        for node in range(2, 6):
+            assert p.scale_out([node]).moves == []
+        fill(p, n=40)
+        assert p.scale_out([6]).moves
+
 
 class TestKdTree:
     def test_initial_volume_split(self):

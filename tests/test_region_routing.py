@@ -6,14 +6,13 @@ Covers the ISSUE-5 region-routing contract:
   (:meth:`ArraySchema.chunk_intervals_of`) agrees with
   ``chunk_box().intersects`` on every chunk key, including the
   end-clamped last chunk of a bounded dimension;
-* property test — hypothesis interleavings of insert / rebalance /
-  remove / scale-out across all registered partitioning schemes assert
-  that ``ClusterSession.chunks_in_region`` returns exactly what the
+* ``ClusterSession.chunks_in_region`` returns exactly what the
   per-chunk ``intersects`` oracle returns (same chunk objects, same
   owners, same key-sorted order) — walked over the catalog's pairs and
-  over the node stores (``tests/oracles/cluster.py``) — for regions
-  inside, straddling, and outside the domain, empty regions, and
-  unknown array names;
+  over the node stores (``tests/oracles/cluster.py``) — for drawn
+  regions under the ``tests/test_cluster_machine.py`` machine's
+  mutation rules and one fixed lifecycle on every scheme, for empty and
+  outside regions, and for unknown array names;
 * the region-scoped cost lowering (``region_scan_columns`` /
   ``charge_scan_region``) matches the pair-list path, as shipped and
   with the per-chunk cost oracles substituted, and the pooled
@@ -46,6 +45,8 @@ from tests.oracles import (
     payload_in_region_scan,
     region_scan_columns_scan,
 )
+
+from test_cluster_machine import lifecycle, replay, run_focused
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 #: "A" has chunk intervals > 1 (the inverse mapping must divide), "B"
@@ -175,51 +176,17 @@ class TestChunkIntervalMath:
 
 
 class TestRegionRoutingParityProperty:
-    """Random mutation interleavings keep routing ≡ the box-walk oracle."""
+    """Routing ≡ the box-walk oracle: under the cluster machine's
+    mutation rules on drawn boxes, and at the edges — unknown arrays,
+    empty and outside regions, arity mismatches."""
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        script=st.lists(
-            st.sampled_from(["ingest", "grow", "expire"]),
-            min_size=3,
-            max_size=8,
-        ),
-    )
-    def test_interleaved_ops(self, name, seed, script):
-        rng = np.random.default_rng(seed)
-        cluster = _make_cluster(name)
-        window = []
-        for op in script:
-            if op == "ingest":
-                batch = {}
-                for _ in range(int(rng.integers(4, 16))):
-                    array = "AB"[int(rng.integers(0, 2))]
-                    key = _random_key(rng, array)
-                    batch[(array, key)] = _chunk(
-                        array, key, float(rng.lognormal(2, 1))
-                    )
-                cluster.ingest(list(batch.values()))
-                refs = [c.ref() for c in batch.values()]
-                # A re-ingested key refreshes its retention clock: the
-                # newest window entry owns the ref, older entries must
-                # drop it or a later expiry would double-remove.
-                fresh = set(refs)
-                for entry in window:
-                    entry[:] = [r for r in entry if r not in fresh]
-                window.append(refs)
-            elif op == "grow":
-                if cluster.partitioner.chunk_count:
-                    cluster.scale_out(1)
-            else:  # expire
-                if len(window) > 1:
-                    cluster.remove_chunks(window.pop(0))
-            for array in SCHEMAS:
-                for _ in range(3):
-                    _assert_region_parity(
-                        cluster, array, _random_region(rng)
-                    )
+    def test_interleaved_ops(self, name):
+        run_focused(
+            name,
+            ("ingest", "expire", "scale_out", "route"),
+            ("reads_equal_store_walks",),
+        )
 
     def test_unknown_array_is_empty_in_both_modes(self):
         cluster = _make_cluster("round_robin")
@@ -257,29 +224,8 @@ class TestAllSchemesRegionRouting:
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
     def test_fixed_lifecycle(self, name):
-        rng = np.random.default_rng(7)
-        cluster = _make_cluster(name)
-        window = []
-        for cycle in range(4):
-            batch = {}
-            for _ in range(10):
-                array = "AB"[int(rng.integers(0, 2))]
-                key = _random_key(rng, array)
-                batch[(array, key)] = _chunk(
-                    array, key, float(rng.lognormal(2, 1))
-                )
-            cluster.ingest(list(batch.values()))
-            window.append([c.ref() for c in batch.values()])
-            if cycle == 1:
-                cluster.scale_out(1)  # rebalance between routed queries
-            if len(window) > 2:
-                cluster.remove_chunks(window.pop(0))
-            for array in SCHEMAS:
-                for _ in range(4):
-                    _assert_region_parity(
-                        cluster, array, _random_region(rng)
-                    )
-            cluster.check_consistency()
+        replay(name, lifecycle(7, cycles=4, size=10, boxes=4),
+               ("consistent", "reads_equal_store_walks"))
 
 
 class TestRegionCostLowering:

@@ -6,12 +6,12 @@ Covers the ISSUE-8 durability contract:
   spill root, and every placement, payload byte, and consistency
   invariant survives; handles rehydrate lazily (no payload I/O until a
   read faults them);
-* failure typing — wrong node sets, missing roots, memory-mode recovery,
-  and torn writes (truncated segment behind a stale manifest) all fail
-  loudly with typed errors instead of returning wrong cells;
+* failure typing — wrong node sets, missing roots, and torn writes
+  (truncated segment behind a stale manifest) all fail loudly with
+  typed errors instead of returning wrong cells;
 * acceptance — a workload whose total bytes exceed 4x the per-node
   memory budget completes the full SPJ/science benchmark suite
-  byte-identical to the ``REPRO_STORAGE=memory`` oracle, and after a
+  byte-identical to an untiered (``storage=None``) twin, and after a
   simulated restart the suite still passes with ``check_consistency``
   green.
 """
@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ElasticCluster, GB, TieredStorage
-from repro.config import mode, parity
 from repro.core import make_partitioner
 from repro.errors import ClusterError, SegmentCorruptError
 from repro.harness.runner import ExperimentRunner, RunConfig
@@ -57,27 +56,6 @@ def _loaded(tmp_path, budget=20.0, name="hilbert_curve"):
     return cluster, storage
 
 
-#: The recovery suites rebuild clusters from on-disk segment
-#: directories, which the ``REPRO_STORAGE=memory`` oracle never writes
-#: (its refusal to recover is itself covered below, in both modes).
-requires_tier = pytest.mark.skipif(
-    mode("storage") == "memory",
-    reason="reads the disk tier REPRO_STORAGE=memory disables",
-)
-
-
-def test_recover_refused_under_memory_mode(tmp_path):
-    partitioner = make_partitioner(
-        "hilbert_curve", [0, 1, 2], grid=GRID,
-        node_capacity_bytes=1000 * GB,
-    )
-    storage = TieredStorage(root=str(tmp_path / "tiers"))
-    with parity(storage="memory"):
-        with pytest.raises(ClusterError, match="REPRO_STORAGE"):
-            ElasticCluster.recover(partitioner, 1000 * GB, storage)
-
-
-@requires_tier
 class TestRecoveryUnit:
     def test_recover_round_trip_byte_identical(self, tmp_path):
         cluster, storage = _loaded(tmp_path)
@@ -185,7 +163,6 @@ WORKLOADS = {
 }
 
 
-@requires_tier
 class TestOutOfCoreAcceptance:
     """§ISSUE acceptance: out-of-core runs are oracle-identical and
     restartable."""
@@ -210,21 +187,17 @@ class TestOutOfCoreAcceptance:
             run_suite(suite, tiered.cluster.session(), cycle)
         )
 
-        # the REPRO_STORAGE=memory oracle answers byte-identically
+        # an untiered twin answers byte-identically
         oracle_workload = WORKLOADS[workload_name]()
-        with parity(storage="memory"):
-            oracle = ExperimentRunner(
-                oracle_workload,
-                RunConfig(partitioner="hilbert_curve", storage=storage),
+        oracle = ExperimentRunner(
+            oracle_workload, RunConfig(partitioner="hilbert_curve")
+        )
+        oracle.run()
+        oracle_values = _suite_values(
+            run_suite(
+                suite_for(oracle_workload), oracle.cluster.session(), cycle
             )
-            oracle.run()
-            oracle_values = _suite_values(
-                run_suite(
-                    suite_for(oracle_workload),
-                    oracle.cluster.session(),
-                    cycle,
-                )
-            )
+        )
         assert tiered_values == oracle_values
 
         # simulated restart: only the directories survive

@@ -11,21 +11,18 @@ Covers the ISSUE-8 storage-tier contract:
   evicted chunks) stay readable forever;
 * fault injection — ``FaultyIO`` (``tests/conftest.py``) fails the Nth
   segment read/write; batch puts and evictions roll back to the exact
-  pre-call state and the tier's accounting audit stays green;
-* property test — hypothesis interleavings of ingest / expiry /
-  scale-out across **all** registered partitioning schemes under a tiny
-  memory budget assert that a tiered cluster answers every payload read
-  byte-identically to its ``REPRO_STORAGE=memory`` twin.
+  pre-call state and the tier's accounting audit stays green.
+
+Tiered ≡ untiered twins under interleaved ingest, expiry and scale-out
+on every scheme is a ``tests/test_cluster_machine.py`` invariant, here
+run on those three rules alone.
 """
 
 import glob
 import os
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.arrays import (
     Box,
@@ -41,11 +38,12 @@ from repro.cluster import (
     TieredStorage,
 )
 from repro.arrays.array import chunk_cells
-from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.catalog import concat_payload
 from repro.errors import SegmentCorruptError, StorageError
 from tests.oracles import concat_payload_per_chunk
+
+from test_cluster_machine import run_focused
 
 SCHEMA = parse_schema("S<v:double, n:int32, tag:string>[t=0:*,2, x=0:7,4]")
 GRID = Box((0, 0), (64, 2))
@@ -87,11 +85,6 @@ def _tiered_store(root, budget=None, io=None):
         memory_budget=budget,
         segments=SegmentStore.create(root, io=io),
     )
-
-
-def _seg_path(store, ref):
-    segments = store.tier.segments
-    return os.path.join(segments.root, segments._entries[ref].file)
 
 
 class TestSegmentRoundTrip:
@@ -259,6 +252,15 @@ class TestSpillLRU:
         with pytest.raises(StorageError, match="segment store"):
             ChunkStore(memory_budget=10.0)
 
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_memory_budget_must_be_a_non_negative_number(
+        self, tmp_path, budget
+    ):
+        # NaN compares false both ways: a NaN budget never evicted.
+        storage = TieredStorage(str(tmp_path), memory_budget_bytes=budget)
+        with pytest.raises(StorageError, match="non-negative"):
+            _build_cluster("round_robin", storage=storage)
+
 
 class TestExtentsGiveWayToTheTier:
     """A tiered handle is own-arrays or spilled, never an arena extent."""
@@ -418,74 +420,12 @@ def _cluster_fingerprint(cluster):
 
 
 class TestInterleavingParity:
-    """Hypothesis: tiered reads == the REPRO_STORAGE=memory twin."""
+    """The cluster machine's mutation rules: tiered reads ≡ memory twin."""
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        script=st.lists(
-            st.sampled_from(["ingest", "expire", "grow"]),
-            min_size=2, max_size=5,
-        ),
-        budget=st.sampled_from([0.0, 15.0, 60.0]),
-    )
-    def test_tiered_matches_memory_oracle(
-        self, name, seed, script, budget
-    ):
-        def apply(cluster, rng, op, live):
-            if op == "ingest" or not live:
-                batch = []
-                for _ in range(6):
-                    key = (int(rng.integers(0, 8)),
-                           int(rng.integers(0, 2)))
-                    chunk = _chunk(
-                        key,
-                        seed=int(rng.integers(0, 2**31)),
-                        cells=int(rng.integers(1, 5)),
-                        size=float(rng.lognormal(2.0, 1.0)),
-                    )
-                    batch.append(chunk)
-                    live[key] = chunk.ref()
-                cluster.ingest(batch)
-            elif op == "expire":
-                n = min(len(live), int(rng.integers(1, 4)))
-                picks = [
-                    sorted(live)[i]
-                    for i in rng.choice(len(live), n, replace=False)
-                ]
-                cluster.remove_chunks([live.pop(p) for p in picks])
-            elif op == "grow":
-                cluster.scale_out(1)
-
-        with tempfile.TemporaryDirectory() as root:
-            tiered = _build_cluster(
-                name,
-                storage=TieredStorage(
-                    root=os.path.join(root, "tiers"),
-                    memory_budget_bytes=budget,
-                ),
-            )
-            # the parity switch: same construction, memory mode ignores
-            # the tier entirely — no directories, no segment files
-            oracle_root = os.path.join(root, "oracle")
-            with parity(storage="memory"):
-                oracle = _build_cluster(
-                    name,
-                    storage=TieredStorage(root=oracle_root),
-                )
-            assert not os.path.exists(oracle_root)
-
-            rng_t = np.random.default_rng(seed)
-            rng_o = np.random.default_rng(seed)
-            live_t, live_o = {}, {}
-            for op in ["ingest", *script]:
-                apply(tiered, rng_t, op, live_t)
-                apply(oracle, rng_o, op, live_o)
-                assert _cluster_fingerprint(tiered) == \
-                    _cluster_fingerprint(oracle)
-
-            tiered.check_consistency()
-            oracle.check_consistency()
-            for stats in tiered.storage_stats().values():
-                assert stats["resident_bytes"] <= budget + 1e-6
+    def test_tiered_matches_memory_oracle(self, name):
+        run_focused(
+            name,
+            ("ingest", "expire", "scale_out"),
+            ("consistent", "memory_equals_tier"),
+        )

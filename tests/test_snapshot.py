@@ -6,26 +6,25 @@ Covers the ISSUE-7 MVCC-lite contract:
   the live cluster moves on, consistent multi-array ``pin``, ``release``
   re-pins, and the raw-cluster deprecation shim warns while ``run_suite``
   stays a sanctioned (warning-free) entry point;
-* property test — hypothesis interleavings of ingest / expiry /
-  scale-out rebalance / catalog compaction across **all** registered
-  partitioning schemes assert that every pinned read (whole-array
-  payloads, scan columns, placement, region payloads) stays
-  byte-identical to the quiescent reads captured at pin time;
+* pinned reads (whole-array payloads, scan columns, placement, region
+  payloads) stay byte-identical to the reads captured at pin time —
+  under interleaved mutation on every scheme, a
+  ``tests/test_cluster_machine.py`` invariant, here run on the pin and
+  mutation rules alone;
 * spill churn — on a thrashing disk tier, a session pinned before each
   ingest or expiry reads its baseline bytes after it, and the tier's
   accounting stays green;
-* parity config — the two backend switches of ``repro.config``: env
-  defaults, a typo in either variable raising instead of selecting the
-  default, ``parity(...)`` overrides, nesting, validation, and the four
-  retired switches staying gone.
+* parity config — the one backend switch of ``repro.config``: env
+  default, a typo in its variable raising instead of selecting the
+  default, ``parity(...)`` overrides, nesting, validation, and the five
+  retired switches staying gone, their old variables inert.
 """
 
+import os
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkData, parse_schema
 from repro.cluster import (
@@ -116,7 +115,7 @@ class _StoreWalk:
         )
 
 
-def _fingerprint(surface, arrays=("A", "B")):
+def _fingerprint(surface, arrays=("A", "B"), regions=REGIONS):
     """Byte-level digest of every read the session API exposes.
 
     Works against a session or a :class:`_StoreWalk` oracle.
@@ -134,7 +133,7 @@ def _fingerprint(surface, arrays=("A", "B")):
                 for c, n in surface.chunks_of_array(array)
             )
         )
-        for region in REGIONS:
+        for region in regions:
             rc, rv = surface.payload_in_region(array, region, ["v"], 3)
             fp.append((rc.tobytes(), rv["v"].tobytes()))
     return fp
@@ -267,64 +266,18 @@ class TestSessionSemantics:
 
 
 class TestPinnedReadsAcrossSchemes:
-    """Hypothesis: pinned reads == quiescent reads, every scheme."""
+    """The cluster machine on the pin rules: pinned reads == captured."""
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        script=st.lists(
-            st.sampled_from(["ingest", "expire", "grow", "compact"]),
-            min_size=3, max_size=7,
-        ),
-        pin_after=st.integers(0, 2),
-    )
-    def test_pinned_reads_byte_identical(
-        self, name, seed, script, pin_after
-    ):
-        rng = np.random.default_rng(seed)
-        cluster = _make_cluster(name)
-        live = {}
+    def test_pinned_reads_byte_identical(self, name):
+        # imported here: the machine module imports this one's helpers
+        from test_cluster_machine import run_focused
 
-        def apply(op):
-            if op == "ingest" or not live:
-                batch = {}
-                for _ in range(8):
-                    array = "AB"[int(rng.integers(0, 2))]
-                    key = _random_key(rng, array)
-                    batch[(array, key)] = _chunk(
-                        array, key, float(rng.lognormal(2, 1)),
-                        float(rng.normal()),
-                    )
-                cluster.ingest(list(batch.values()))
-                for (array, key), chunk in batch.items():
-                    live[(array, key)] = chunk.ref()
-            elif op == "expire":
-                n = min(len(live), int(rng.integers(1, 6)))
-                picks = [
-                    list(live)[i]
-                    for i in rng.choice(len(live), n, replace=False)
-                ]
-                cluster.remove_chunks([live.pop(p) for p in picks])
-            elif op == "grow":
-                cluster.scale_out(1)
-            elif op == "compact":
-                cluster.catalog.compact()
-
-        apply("ingest")  # never pin an empty cluster
-        for op in script[:pin_after]:
-            apply(op)
-
-        session = cluster.session().pin(["A", "B"])
-        baseline = _fingerprint(session)
-        # pinned reads == quiescent truth at capture time
-        assert baseline == _fingerprint(_StoreWalk(cluster))
-
-        for op in script[pin_after:]:
-            apply(op)
-            _drop_cached_payloads(session)
-            assert _fingerprint(session) == baseline
-        cluster.check_consistency()
+        run_focused(
+            name,
+            ("ingest", "expire", "scale_out", "compact", "pin", "release"),
+            ("consistent", "pins_read_their_capture"),
+        )
 
 
 class TestSpillChurnSnapshotReads:
@@ -340,14 +293,7 @@ class TestSpillChurnSnapshotReads:
         answers from its pinned snapshot), and the LRU must come out of
         the storm with its accounting green.
         """
-        from repro import config
         from repro.cluster import TieredStorage
-
-        if config.mode("storage") == "memory":
-            pytest.skip(
-                "spill churn needs the disk tier "
-                "REPRO_STORAGE=memory disables"
-            )
 
         partitioner = make_partitioner(
             "round_robin", [0, 1], grid=GRID,
@@ -405,28 +351,19 @@ class TestParityConfig:
     def test_defaults_and_current(self, monkeypatch):
         from repro import config
 
-        monkeypatch.delenv("REPRO_STORAGE", raising=False)
         monkeypatch.delenv("REPRO_EXEC", raising=False)
-        assert ParityConfig.from_env() == ParityConfig(
-            storage="tier", exec="inprocess"
-        )
+        assert ParityConfig.from_env() == ParityConfig(exec="inprocess")
         assert config.current() == ParityConfig.from_env()
 
     def test_env_honored(self, monkeypatch):
         from repro import config
 
-        monkeypatch.setenv("REPRO_STORAGE", " Memory ")
-        monkeypatch.setenv("REPRO_EXEC", "process")
-        assert config.mode("storage") == "memory"
+        monkeypatch.setenv("REPRO_EXEC", " Process ")
         assert config.mode("exec") == "process"
-        assert ParityConfig.from_env().storage == "memory"
+        assert ParityConfig.from_env().exec == "process"
 
     @pytest.mark.parametrize(
-        "variable, field, typo",
-        [
-            ("REPRO_EXEC", "exec", "proces"),
-            ("REPRO_STORAGE", "storage", "teir"),
-        ],
+        "variable, field, typo", [("REPRO_EXEC", "exec", "proces")]
     )
     def test_env_typo_is_an_error_not_the_default(
         self, monkeypatch, variable, field, typo
@@ -454,40 +391,59 @@ class TestParityConfig:
     def test_override_nesting_and_restore(self, monkeypatch):
         from repro import config
 
-        monkeypatch.delenv("REPRO_STORAGE", raising=False)
         monkeypatch.delenv("REPRO_EXEC", raising=False)
-        with parity(storage="memory", exec="process"):
-            assert config.mode("storage") == "memory"
+        with parity(exec="process"):
             assert config.mode("exec") == "process"
-            with parity(storage="tier"):
-                assert config.mode("storage") == "tier"
-                assert config.mode("exec") == "process"  # outer survives
-            assert config.mode("storage") == "memory"
-        assert config.mode("storage") == "tier"
+            with parity(exec="inprocess"):
+                assert config.mode("exec") == "inprocess"
+            assert config.mode("exec") == "process"
         assert config.mode("exec") == "inprocess"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            with parity(storage="nonsense"):
+            with parity(exec="nonsense"):
                 pass  # pragma: no cover
         with pytest.raises(ConfigError):
             with parity(wat="scan"):
                 pass  # pragma: no cover
         with pytest.raises(ConfigError):
-            ParityConfig(storage="tier", exec="sideways")
+            ParityConfig(exec="sideways")
 
-    def test_retired_switches_are_gone(self):
+    def test_retired_switches_are_gone(self, tmp_path, monkeypatch):
         from repro import config
+        from repro.cluster import TieredStorage
 
-        assert set(config.PARITY_FIELDS) == {"storage", "exec"}
-        for retired in (
-            {"cost": "scalar"},
-            {"ledger": "dict"},
-            {"catalog": "scan"},
-            {"incr": "full"},
+        assert set(config.PARITY_FIELDS) == {"exec"}
+        for field, value in (
+            ("cost", "scalar"),
+            ("ledger", "dict"),
+            ("catalog", "scan"),
+            ("incr", "full"),
+            ("storage", "memory"),
         ):
             with pytest.raises(ConfigError):
-                with parity(**retired):
+                with parity(**{field: value}):
                     pass  # pragma: no cover
             with pytest.raises(ConfigError):
-                config.mode(next(iter(retired)))
+                config.mode(field)
+            monkeypatch.setenv(f"REPRO_{field.upper()}", value)
+        # The old variables are inert: a tiered cluster still writes its
+        # segment directories and recovers from them.
+        storage = TieredStorage(str(tmp_path / "tiers"))
+
+        def partitioner():
+            return make_partitioner(
+                "round_robin", [0, 1], grid=GRID,
+                node_capacity_bytes=1000 * GB,
+            )
+
+        cluster = ElasticCluster(
+            partitioner(), 1000 * GB, costs=CostParameters(),
+            storage=storage,
+        )
+        cluster.ingest([_chunk("A", (1, 2, 3), value=4.0)])
+        before = _fingerprint(cluster.session())
+        assert sorted(os.listdir(storage.root)) == ["node-0000", "node-0001"]
+        revived = ElasticCluster.recover(partitioner(), 1000 * GB, storage)
+        revived.check_consistency()
+        assert _fingerprint(revived.session()) == before

@@ -225,6 +225,20 @@ def _validated_keys(
     ChunkError
         On a missing/short attribute column or out-of-bounds cells.
     """
+    _check_cells(schema, coords, attributes)
+    starts = np.asarray([d.start for d in schema.dimensions], dtype=np.int64)
+    intervals = np.asarray(
+        [d.chunk_interval for d in schema.dimensions], dtype=np.int64
+    )
+    return (coords - starts) // intervals
+
+
+def _check_cells(
+    schema: ArraySchema,
+    coords: np.ndarray,
+    attributes: Mapping[str, np.ndarray],
+) -> None:
+    """The checks of :func:`_validated_keys`, without the keys."""
     n_cells = coords.shape[0]
     for name in schema.attribute_names:
         if name not in attributes:
@@ -235,9 +249,6 @@ def _validated_keys(
             )
 
     starts = np.asarray([d.start for d in schema.dimensions], dtype=np.int64)
-    intervals = np.asarray(
-        [d.chunk_interval for d in schema.dimensions], dtype=np.int64
-    )
     highs = np.asarray(
         [d.end if d.end is not None else np.iinfo(np.int64).max
          for d in schema.dimensions],
@@ -248,7 +259,6 @@ def _validated_keys(
             f"batch contains cells outside the declared bounds of "
             f"{schema.name}"
         )
-    return (coords - starts) // intervals
 
 
 def cell_byte_width(
@@ -271,36 +281,6 @@ def cell_byte_width(
     return width
 
 
-def _build_chunks(
-    schema: ArraySchema,
-    group_keys: np.ndarray,
-    coords_sorted: np.ndarray,
-    attrs_sorted: Dict[str, np.ndarray],
-    boundaries: np.ndarray,
-    inflate: float,
-) -> List[ChunkData]:
-    """One :class:`ChunkData` per key-sorted cell group, as arena extents.
-
-    ``group_keys[i]`` is the chunk key of rows ``boundaries[i]`` to
-    ``boundaries[i + 1]``.  The sorted batch becomes one
-    :class:`~repro.arrays.chunk.CellArena` and each group its row range
-    — nothing is sliced here.  Uses the trusted
-    :meth:`ChunkData.from_extent` path: the batch was bounds-checked up
-    front and keys derive from coordinates, so per-chunk re-validation
-    and footprint recounts are skipped.
-    """
-    per_cell = cell_byte_width(schema, attrs_sorted)
-    arena = CellArena(coords_sorted, attrs_sorted)
-    bounds = boundaries.tolist()
-    return [
-        ChunkData.from_extent(
-            schema, tuple(key), arena, lo, hi,
-            size_bytes=float((hi - lo) * per_cell) * inflate,
-        )
-        for key, lo, hi in zip(group_keys.tolist(), bounds, bounds[1:])
-    ]
-
-
 def chunk_cells(
     schema: ArraySchema,
     coords: np.ndarray,
@@ -312,18 +292,9 @@ def chunk_cells(
     This is the coordinator-side chunking step of the ingest path
     (feeding both the MODIS and AIS generators): incoming cells are
     grouped by their chunk key; each group becomes one chunk whose
-    modeled size is its numpy footprint times ``inflate``.
-
-    The grouping is a single sort over *packed* chunk keys: each cell's
-    key tuple is mixed-radix encoded into one int64 (offset by the
-    batch's per-dimension key minima, so the packing is order-preserving
-    and overflow-checked), one stable ``argsort`` orders the cells, and
-    the group boundaries fall out of one ``diff`` over the sorted key
-    column.  When a batch's key extent cannot be packed into int64 the
-    grouping falls back to the per-dimension ``lexsort`` (the previous
-    implementation's grouping strategy).  A deliberately naive per-cell
-    reference implementation (``tests/oracles/arrays.py``) is the
-    specification.
+    modeled size is its numpy footprint times ``inflate``.  A
+    deliberately naive per-cell reference implementation
+    (``tests/oracles/arrays.py``) is the specification.
 
     Parameters
     ----------
@@ -344,15 +315,45 @@ def chunk_cells(
         One chunk per distinct key, sorted by key; cells within a chunk
         keep their batch order.
     """
+    return chunk_cell_sets(coords, [(schema, attributes)], inflate)
+
+
+def chunk_cell_sets(
+    coords: np.ndarray,
+    sets: Sequence[Tuple[ArraySchema, Mapping[str, np.ndarray]]],
+    inflate: float = 1.0,
+) -> List[ChunkData]:
+    """:func:`chunk_cells` for several arrays over one coordinate table.
+
+    Each ``(schema, attributes)`` set is checked against its own schema;
+    the schemas must declare the same dimensions, so the chunk keys, the
+    grouping sort and the sorted coordinate table are computed once and
+    serve every set's arena (MODIS's two bands read the same pixels).
+    Returns each set's :func:`chunk_cells` result in turn.
+
+    The grouping is a single sort over *packed* chunk keys: each cell's
+    key tuple is mixed-radix encoded into one int64 (offset by the
+    batch's per-dimension key minima, so the packing is order-preserving
+    and overflow-checked), one stable ``argsort`` orders the cells, and
+    the group boundaries fall out of one ``diff`` over the sorted key
+    column; a key extent that cannot be packed into int64 falls back to
+    the per-dimension ``lexsort``.  Each set's sorted columns become one
+    :class:`~repro.arrays.chunk.CellArena` and each group its row range
+    through the trusted :meth:`ChunkData.from_extent`: the batch was
+    checked up front and keys derive from coordinates.
+    """
     coords = np.asarray(coords, dtype=np.int64)
+    schema, attributes = sets[0]
+    for other, columns in sets[1:]:
+        if other.dimensions != schema.dimensions:
+            raise ChunkError(f"{other.name} and {schema.name} differ in "
+                             "dimensions; they cannot share coordinates")
+        _check_cells(other, coords, columns)
     keys = _validated_keys(schema, coords, attributes)
     n_cells = coords.shape[0]
     if n_cells == 0:
         return []
 
-    # Pack each key tuple into one int64 (order-preserving mixed radix
-    # over the batch's own key extent) so grouping needs a single-column
-    # sort instead of an ndim-pass lexsort.
     packing = row_packing(keys)
     if packing is not None:
         packed = pack_rows(keys, *packing)
@@ -365,16 +366,23 @@ def chunk_cells(
         change = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
 
     coords_sorted = coords[order]
-    attrs_sorted = {
-        name: np.asarray(attributes[name])[order]
-        for name in schema.attribute_names
-    }
-    boundaries = np.concatenate(
-        [[0], np.nonzero(change)[0] + 1, [n_cells]]
-    )
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), n_cells]
     # Groups come out of the order-preserving sort already key-sorted;
     # each takes its key from its first cell.
-    return _build_chunks(
-        schema, keys[order[boundaries[:-1]]], coords_sorted, attrs_sorted,
-        boundaries, inflate,
-    )
+    group_keys = list(map(tuple, keys[order[bounds[:-1]]].tolist()))
+    chunks: List[ChunkData] = []
+    for schema, attributes in sets:
+        columns = {
+            name: np.asarray(attributes[name])[order]
+            for name in schema.attribute_names
+        }
+        per_cell = cell_byte_width(schema, columns)
+        arena = CellArena(coords_sorted, columns)
+        chunks += [
+            ChunkData.from_extent(
+                schema, key, arena, lo, hi,
+                size_bytes=float((hi - lo) * per_cell) * inflate,
+            )
+            for key, lo, hi in zip(group_keys, bounds, bounds[1:])
+        ]
+    return chunks

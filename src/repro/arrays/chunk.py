@@ -124,7 +124,9 @@ class ChunkData:
 
     The per-attribute byte shares (:attr:`attr_bytes`) model SciDB's
     vertical partitioning: ``attr_bytes[a]`` is the modeled footprint of the
-    physical chunk holding attribute ``a``, proportional to its dtype width.
+    physical chunk holding attribute ``a``, proportional to its dtype width
+    and derived from ``size_bytes`` on each read — only a :meth:`spilled`
+    handle given explicit shares stores a dict.
 
     Payload handle
     --------------
@@ -156,7 +158,7 @@ class ChunkData:
     holds an internally consistent pair, never half of each.
     """
 
-    __slots__ = ("schema", "key", "size_bytes", "attr_bytes", "_ref",
+    __slots__ = ("schema", "key", "size_bytes", "_attr_bytes", "_ref",
                  "_payload", "_tier", "_extent")
 
     def __init__(
@@ -218,7 +220,7 @@ class ChunkData:
         if size_bytes < 0:
             raise ChunkError("size_bytes must be non-negative")
         self.size_bytes = float(size_bytes)
-        self.attr_bytes = self._vertical_shares(self.size_bytes)
+        self._attr_bytes: Optional[Dict[str, float]] = None
         self._ref: Optional[ChunkRef] = None
 
     @classmethod
@@ -271,7 +273,7 @@ class ChunkData:
         self._tier = None
         self._extent = (arena, lo, hi)
         self.size_bytes = float(size_bytes)
-        self.attr_bytes = self._vertical_shares(self.size_bytes)
+        self._attr_bytes = None
         self._ref = None
         return self
 
@@ -299,10 +301,9 @@ class ChunkData:
         self._tier = None
         self._extent = None
         self.size_bytes = float(size_bytes)
-        if attr_bytes is None:
-            self.attr_bytes = self._vertical_shares(self.size_bytes)
-        else:
-            self.attr_bytes = {k: float(v) for k, v in attr_bytes.items()}
+        self._attr_bytes = None if attr_bytes is None else {
+            k: float(v) for k, v in attr_bytes.items()
+        }
         self._ref = None
         return self
 
@@ -391,15 +392,22 @@ class ChunkData:
                 total += values.nbytes
         return total
 
-    def _vertical_shares(self, total: float) -> Dict[str, float]:
-        """Apportion ``total`` bytes across attributes by dtype width.
+    @property
+    def attr_bytes(self) -> Dict[str, float]:
+        """``size_bytes`` apportioned across attributes by dtype width.
 
         Each attribute's physical chunk also carries a copy of the cell
         coordinates (SciDB stores per-attribute chunks addressable by
-        position); we fold the coordinate overhead proportionally.
+        position); we fold the coordinate overhead proportionally.  A
+        fresh dict per read, in schema order, unless :meth:`spilled`
+        was given explicit shares.
         """
-        widths, denom = self.schema.vertical_widths
-        return {name: total * w / denom for name, w in widths}
+        shares = self._attr_bytes
+        if shares is None:
+            widths, denom = self.schema.vertical_widths
+            total = self.size_bytes
+            shares = {name: total * w / denom for name, w in widths}
+        return shares
 
     # ------------------------------------------------------------------
     @property
@@ -429,13 +437,14 @@ class ChunkData:
 
     def bytes_for(self, attrs: Sequence[str]) -> float:
         """Modeled bytes of the physical chunks for the given attributes."""
+        shares = self.attr_bytes
         total = 0.0
         for name in attrs:
-            if name not in self.attr_bytes:
+            if name not in shares:
                 raise ChunkError(
                     f"array {self.schema.name} has no attribute {name!r}"
                 )
-            total += self.attr_bytes[name]
+            total += shares[name]
         return total
 
     def values(self, attr: str) -> np.ndarray:

@@ -7,7 +7,8 @@ plus the mixed-radix row packing (:func:`row_packing` / :func:`pack_rows`)
 that the batch kernels use to turn n-dimensional integer rows into one
 sortable int64 key column, the position-key codec built on it
 (:func:`position_keys` / :func:`unpack_rows`, with the void view as its
-overflow fallback), and the grouping primitive over such keys
+overflow fallback), row deduplication through it
+(:func:`unique_row_index`), and the grouping primitive over such keys
 (:func:`group_keys`: by offset into the packing's table when the table is
 small against the rows, by sort otherwise).
 
@@ -124,6 +125,18 @@ def position_keys(rows: np.ndarray, packing: Packing) -> np.ndarray:
     if packing is None:
         return pack_rows_void(rows)
     return pack_rows(rows, *packing)
+
+
+def unique_row_index(rows: np.ndarray) -> np.ndarray:
+    """First-occurrence indices of the distinct rows, lexicographically.
+
+    ``np.unique(rows, axis=0, return_index=True)[1]`` through the
+    position-key codec: one 1-d stable ``np.unique`` over the packed
+    keys instead of a sort of structured void rows, so ``rows[index]``
+    is ``np.unique(rows, axis=0)`` element for element.
+    """
+    keys = position_keys(rows, row_packing(rows))
+    return np.unique(keys, return_index=True)[1]
 
 
 def unpack_rows(keys: np.ndarray, packing: Packing) -> np.ndarray:

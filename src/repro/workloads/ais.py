@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.arrays.array import LocalArray, cell_byte_width, chunk_cells
-from repro.arrays.coords import Box
+from repro.arrays.coords import Box, unique_row_index
 from repro.arrays.schema import ArraySchema, parse_schema
 from repro.cluster.costs import GB
 from repro.errors import WorkloadError
@@ -50,6 +50,8 @@ DAYS_PER_CYCLE = 120  # quarterly modeling (paper §6.1)
 TIME_CHUNKS_PER_CYCLE = DAYS_PER_CYCLE // DAYS_PER_TIME_CHUNK
 LON_CHUNKS = 29  # ceil((−66 − −180 + 1) / 4)
 LAT_CHUNKS = 23  # ceil((90 − 0 + 1) / 4)
+#: The receiving stations a broadcast's ``receiver_id`` is drawn from.
+RECEIVER_IDS = np.array([f"R{i:03d}" for i in range(200)], dtype=object)
 
 #: Major U.S. ports as chunk-grid hotspots (lon_chunk, lat_chunk relative
 #: to the (-180, 0) grid origin).  Houston is first — the §3.3 selection
@@ -105,6 +107,8 @@ class AisWorkload(CyclicWorkload):
             raise WorkloadError("need >= 2 broadcasts per ship")
         if not 0 <= seasonal_amplitude < 1:
             raise WorkloadError("seasonal_amplitude must be in [0, 1)")
+        if not 0 < target_total_gb < float("inf"):
+            raise WorkloadError("target_total_gb must be positive and finite")
         self.ships = int(ships)
         self.broadcasts_per_ship = int(broadcasts_per_ship)
         self.target_total_gb = float(target_total_gb)
@@ -245,7 +249,8 @@ class AisWorkload(CyclicWorkload):
         time = rng.integers(t0, t1, size=n_broadcasts)
 
         coords = np.stack([time, lon, lat], axis=1).astype(np.int64)
-        coords, unique_idx = np.unique(coords, axis=0, return_index=True)
+        unique_idx = unique_row_index(coords)
+        coords = coords[unique_idx]
         ship_ids = ship_ids[unique_idx]
         n = coords.shape[0]
 
@@ -269,13 +274,10 @@ class AisWorkload(CyclicWorkload):
             "receiver_type": rng.integers(
                 65, 68, size=n
             ).astype(np.uint8),
-            "receiver_id": np.array(
-                [f"R{int(v):03d}" for v in rng.integers(0, 200, size=n)],
-                dtype=object,
-            ),
-            "provenance": np.array(
-                [f"uscg/{cycle}" for _ in range(n)], dtype=object
-            ),
+            "receiver_id": RECEIVER_IDS[
+                rng.integers(0, RECEIVER_IDS.size, size=n)
+            ],
+            "provenance": np.full(n, f"uscg/{cycle}", dtype=object),
         }
 
         # The batch's physical footprint, exact in float64.

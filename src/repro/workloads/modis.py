@@ -15,12 +15,12 @@ byte inflation maps laptop-scale cell counts onto paper-scale chunk sizes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.arrays.array import cell_byte_width, chunk_cells
-from repro.arrays.coords import Box
+from repro.arrays.array import cell_byte_width, chunk_cell_sets
+from repro.arrays.coords import Box, unique_row_index
 from repro.arrays.schema import ArraySchema, parse_schema
 from repro.cluster.costs import GB
 from repro.errors import WorkloadError
@@ -64,8 +64,8 @@ class ModisWorkload(CyclicWorkload):
         super().__init__(n_cycles=n_cycles, seed=seed)
         if cells_per_band_per_cycle < 10:
             raise WorkloadError("need >= 10 cells per band per cycle")
-        if target_total_gb <= 0:
-            raise WorkloadError("target_total_gb must be positive")
+        if not 0 < target_total_gb < float("inf"):
+            raise WorkloadError("target_total_gb must be positive and finite")
         self.cells_per_band_per_cycle = int(cells_per_band_per_cycle)
         self.target_total_gb = float(target_total_gb)
         self.band1: ArraySchema = parse_schema(
@@ -147,7 +147,7 @@ class ModisWorkload(CyclicWorkload):
         ).astype(np.int64)
         # The two bands read the same pixels; dedupe positions so the
         # vegetation-index join is a clean 1:1 position match.
-        coords = np.unique(coords, axis=0)
+        coords = coords[unique_row_index(coords)]
         n = coords.shape[0]
 
         bands = [
@@ -165,12 +165,9 @@ class ModisWorkload(CyclicWorkload):
         noise = float(vol_rng.lognormal(mean=0.0, sigma=0.05))
         target = self.target_total_bytes / self.n_cycles * noise
         inflate = target / actual if actual else 1.0
-        chunks: List = []
-        for schema, attrs in bands:
-            chunks.extend(chunk_cells(schema, coords, attrs, inflate))
         return InsertBatch(
             cycle=cycle,
-            chunks=chunks,
+            chunks=chunk_cell_sets(coords, bands, inflate),
             description=f"MODIS day {cycle}",
         )
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arrays import Box, ChunkData, ChunkRef, LocalArray, empty_chunk
-from repro.arrays.array import chunk_cells
+from repro.arrays import parse_schema
+from repro.arrays.array import chunk_cell_sets, chunk_cells
 from repro.arrays.chunk import CellArena
 from repro.errors import ChunkError
 
@@ -170,6 +171,54 @@ class TestChunkCells:
             {"i": np.empty(0, dtype=np.int32), "j": np.empty(0)},
         )
         assert out == []
+
+
+class TestChunkCellSets:
+    """Several arrays over one coordinate table ≡ one ``chunk_cells``
+    per array, with the sorted coordinates shared by every arena."""
+
+    def _sets(self, tiny_schema, n=40, seed=3):
+        rng = np.random.default_rng(seed)
+        other = parse_schema("B<k:int64, s:string>[x=1:4,2, y=1:4,2]")
+        coords = rng.integers(1, 5, size=(n, 2))
+        return coords, [
+            (tiny_schema, {
+                "i": rng.integers(0, 9, n).astype(np.int32),
+                "j": rng.random(n),
+            }),
+            (other, {
+                "k": rng.integers(0, 9, n),
+                "s": np.array([f"s{v}" for v in range(n)], dtype=object),
+            }),
+        ]
+
+    def test_matches_one_chunk_cells_per_set(self, tiny_schema):
+        coords, sets = self._sets(tiny_schema)
+        got = chunk_cell_sets(coords, sets, inflate=2.5)
+        want = [
+            c for schema, attrs in sets
+            for c in chunk_cells(schema, coords, attrs, inflate=2.5)
+        ]
+        assert [c.ref() for c in got] == [c.ref() for c in want]
+        for g, w in zip(got, want):
+            assert g.size_bytes == w.size_bytes
+            assert g.attr_bytes == w.attr_bytes
+            assert np.array_equal(g.coords, w.coords)
+            for name in w.schema.attribute_names:
+                assert g.values(name).tolist() == w.values(name).tolist()
+        arenas = {id(c.extent[0].coords) for c in got}
+        assert len(arenas) == 1
+
+    def test_every_set_is_checked(self, tiny_schema):
+        coords, sets = self._sets(tiny_schema)
+        schema, attrs = sets[1]
+        with pytest.raises(ChunkError):
+            chunk_cell_sets(
+                coords, [sets[0], (schema, {"k": attrs["k"]})]
+            )
+        shifted = parse_schema("C<i:int32, j:double>[x=0:4,2, y=1:4,2]")
+        with pytest.raises(ChunkError):
+            chunk_cell_sets(coords, [sets[0], (shifted, sets[0][1])])
 
 
 class TestExtents:

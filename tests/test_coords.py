@@ -12,6 +12,7 @@ from repro.arrays.coords import (
     packing_admits,
     position_keys,
     row_packing,
+    unique_row_index,
 )
 from repro.errors import ChunkError
 
@@ -255,3 +256,40 @@ class TestPositionKeyCodec:
         # ... until the scaled offset would leave int64
         assert not packing_admits(np.array([[2**62 // 70 + 1, 0, 15]]), packing)
         assert packing_admits(np.array([[2**62 // 70 - 1, 0, 15]]), packing)
+
+
+class TestUniqueRowIndex:
+    """The packed-key dedupe ≡ ``np.unique(rows, axis=0, return_index=True)``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_unique_rows_with_index(self, data):
+        d = data.draw(st.integers(1, 4))
+        row = st.tuples(*[st.integers(-6, 6)] * d)
+        shape = data.draw(st.sampled_from(
+            ["empty", "one", "duplicates", "any", "unpackable"]
+        ))
+        if shape == "empty":
+            rows = []
+        elif shape == "one":
+            rows = [data.draw(row)]
+        elif shape == "duplicates":
+            rows = [data.draw(row)] * data.draw(st.integers(2, 12))
+        else:
+            rows = data.draw(st.lists(row, max_size=40))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, d)
+        if shape == "unpackable":
+            # An extent beyond int64 sends the codec to its void keys.
+            wide = data.draw(st.lists(
+                st.tuples(*[st.sampled_from([-(2**62), 0, 2**62])] * d),
+                min_size=1, max_size=8,
+            ))
+            rows = np.concatenate([
+                rows, [[-(2**62)] * d, [2**62] * d], wide, rows[:3],
+            ]).astype(np.int64)
+            rows = rows[data.draw(st.permutations(range(len(rows))))]
+            assert row_packing(rows) is None
+        want_rows, want_index = np.unique(rows, axis=0, return_index=True)
+        index = unique_row_index(rows)
+        assert np.array_equal(index, want_index)
+        assert np.array_equal(rows[index], want_rows)

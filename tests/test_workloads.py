@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arrays import ChunkData
-from repro.arrays.array import chunk_cells
+from repro.arrays.array import cell_byte_width, chunk_cells
+from repro.arrays.chunk import CellArena
 from repro.cluster import GB
 from repro.errors import WorkloadError
 from repro.workloads import (
@@ -151,6 +152,13 @@ class TestModisWorkload:
         with pytest.raises(WorkloadError):
             ModisWorkload(target_total_gb=-5)
 
+    @pytest.mark.parametrize(
+        "total", [0.0, -5.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_target_total_must_be_positive_and_finite(self, total):
+        with pytest.raises(WorkloadError):
+            ModisWorkload(target_total_gb=total)
+
 
 class TestAisWorkload:
     def test_heavy_chunk_skew(self):
@@ -245,6 +253,13 @@ class TestAisWorkload:
         with pytest.raises(WorkloadError):
             AisWorkload(seasonal_amplitude=1.5)
 
+    @pytest.mark.parametrize(
+        "total", [0.0, -5.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_target_total_must_be_positive_and_finite(self, total):
+        with pytest.raises(WorkloadError):
+            AisWorkload(target_total_gb=total)
+
     def test_schema_lookup(self, small_ais):
         assert small_ais.schema("broadcast").name == "broadcast"
         with pytest.raises(WorkloadError):
@@ -328,3 +343,169 @@ class TestSinglePassGeneration:
                 w.target_total_bytes * w.seasonal_weight(cycle)
                 / season_total,
             )
+
+
+# ----------------------------------------------------------------------
+# The generators before columnar batch construction, kept as the spec:
+# rows deduplicated by ``np.unique(axis=0)``, AIS's object columns built
+# by per-cell f-strings, one ``chunk_cells`` per MODIS band, and every
+# chunk's ``attr_bytes`` a dict of ``size * width / denom`` shares.
+# ----------------------------------------------------------------------
+def _reference_shares(chunk):
+    widths = [(a.name, a.itemsize) for a in chunk.schema.attributes]
+    denom = sum(w for _, w in widths) or 1
+    return {name: chunk.size_bytes * w / denom for name, w in widths}
+
+
+def _reference_modis(w, cycle):
+    rng = np.random.default_rng((w.seed, cycle))
+    n = w.cells_per_band_per_cycle
+    lon_chunk, lat_chunk = w.spatial.chunk_lon_lat(
+        w.spatial.sample_chunks(n, rng)
+    )
+    lon = -180 + lon_chunk * 12 + rng.integers(0, 12, size=n)
+    lat = -90 + lat_chunk * 12 + rng.integers(0, 12, size=n)
+    time = rng.integers(*w.day_time_range(cycle), size=n)
+    coords = np.unique(
+        np.stack([time, lon, lat], axis=1).astype(np.int64), axis=0
+    )
+    bands = [
+        (schema, w._band_values(rng, schema, coords, band_idx, cycle))
+        for band_idx, schema in enumerate((w.band1, w.band2))
+    ]
+    actual = float(
+        coords.shape[0] * sum(cell_byte_width(*band) for band in bands)
+    )
+    noise = float(np.random.default_rng((w.seed, cycle, 7)).lognormal(
+        mean=0.0, sigma=0.05
+    ))
+    inflate = w.target_total_bytes / w.n_cycles * noise / actual
+    return [
+        chunk
+        for schema, attrs in bands
+        for chunk in chunk_cells(schema, coords, attrs, inflate)
+    ]
+
+
+def _reference_ais(w, cycle):
+    rng = np.random.default_rng((w.seed, cycle))
+    weight = w.seasonal_weight(cycle)
+    m = max(w.ships * 2, int(w.ships * w.broadcasts_per_ship * weight))
+    ship_ids = rng.integers(0, w.ships, size=m)
+    a_lon, a_lat = w.spatial.chunk_lon_lat(
+        w.spatial.sample_chunks(w.ships, rng)
+    )
+    lon = (-180 + a_lon * 4 + 2)[ship_ids] + np.round(
+        rng.normal(0.0, 0.45, size=m)
+    ).astype(np.int64)
+    lat = (a_lat * 4 + 2)[ship_ids] + np.round(
+        rng.normal(0.0, 0.45, size=m)
+    ).astype(np.int64)
+    transit = rng.random(m) < 0.10
+    lon[transit] = rng.integers(-180, -66, size=int(transit.sum()))
+    lat[transit] = rng.integers(0, 91, size=int(transit.sum()))
+    time = rng.integers(*w.cycle_time_range(cycle), size=m)
+    coords = np.stack(
+        [time, np.clip(lon, -180, -67), np.clip(lat, 0, 90)], axis=1
+    ).astype(np.int64)
+    coords, unique_idx = np.unique(coords, axis=0, return_index=True)
+    ship_ids = ship_ids[unique_idx]
+    n = coords.shape[0]
+    in_port = rng.random(n) < 0.55
+    speed = np.where(in_port, 0, rng.integers(1, 25, size=n))
+    course = rng.integers(0, 360, size=n).astype(np.int32)
+    attrs = {
+        "speed": speed.astype(np.int32),
+        "course": course,
+        "heading": (
+            (course + rng.integers(-5, 6, size=n)) % 360
+        ).astype(np.int32),
+        "rot": rng.integers(-30, 31, size=n).astype(np.int32),
+        "status": np.where(in_port, 1, 0).astype(np.int32),
+        "voyage_id": (cycle * 100000 + ship_ids).astype(np.int64),
+        "ship_id": ship_ids.astype(np.int64),
+        "receiver_type": rng.integers(65, 68, size=n).astype(np.uint8),
+        "receiver_id": np.array(
+            [f"R{int(v):03d}" for v in rng.integers(0, 200, size=n)],
+            dtype=object,
+        ),
+        "provenance": np.array(
+            [f"uscg/{cycle}" for _ in range(n)], dtype=object
+        ),
+    }
+    actual = float(n * cell_byte_width(w.broadcast, attrs))
+    season_total = sum(
+        w.seasonal_weight(i) for i in range(1, w.n_cycles + 1)
+    )
+    inflate = w.target_total_bytes * weight / season_total / actual
+    return chunk_cells(w.broadcast, coords, attrs, inflate)
+
+
+def _assert_chunks_identical(got, want):
+    assert [c.ref() for c in got] == [c.ref() for c in want]
+    for g, r in zip(got, want):
+        assert g.size_bytes == r.size_bytes
+        # exact values in the same key order, against the per-chunk dict
+        assert list(g.attr_bytes.items()) == list(
+            _reference_shares(r).items()
+        )
+        assert g.coords.dtype == r.coords.dtype
+        assert np.array_equal(g.coords, r.coords)
+        assert list(g.attributes) == list(r.attributes)
+        for name in r.schema.attribute_names:
+            assert g.values(name).dtype == r.values(name).dtype
+            assert g.values(name).tolist() == r.values(name).tolist()
+
+
+class TestColumnarGeneration:
+    """Packed-key dedupe, table-built object columns, one grouping for
+    both MODIS bands and derived ``attr_bytes`` build the same batches,
+    chunk for chunk, as the per-cell code they replaced."""
+
+    @pytest.mark.parametrize("seed", [20140622, 7, 123456])
+    def test_modis_batches_match_reference(self, seed):
+        w = ModisWorkload(
+            n_cycles=3, cells_per_band_per_cycle=2000,
+            target_total_gb=100.0, seed=seed,
+        )
+        for cycle in (1, 2, 3):
+            _assert_chunks_identical(
+                w.batch(cycle).chunks, _reference_modis(w, cycle)
+            )
+
+    @pytest.mark.parametrize("seed", [20090101, 7, 123456])
+    def test_ais_batches_match_reference(self, seed):
+        w = AisWorkload(
+            n_cycles=3, ships=120, broadcasts_per_ship=10,
+            target_total_gb=50.0, seed=seed,
+        )
+        for cycle in (1, 2, 3):
+            _assert_chunks_identical(
+                w.batch(cycle).chunks, _reference_ais(w, cycle)
+            )
+
+    def test_attr_bytes_exact_on_every_constructor(self, small_ais):
+        schema = small_ais.broadcast
+        source = small_ais.batch(1).chunks[0]
+        coords, columns = source.payload_parts()
+        size = 12345.678
+        validated = ChunkData(
+            schema, source.key, coords, columns, size_bytes=size
+        )
+        arena = CellArena(coords, dict(columns))
+        extent = ChunkData.from_extent(
+            schema, source.key, arena, 0, len(coords), size
+        )
+        spilled = ChunkData.spilled(schema, source.key, size)
+        for chunk in (validated, extent, spilled):
+            assert list(chunk.attr_bytes.items()) == list(
+                _reference_shares(chunk).items()
+            )
+        override = {name: float(i) for i, name in enumerate(
+            reversed(schema.attribute_names)
+        )}
+        explicit = ChunkData.spilled(
+            schema, source.key, size, attr_bytes=override
+        )
+        assert list(explicit.attr_bytes.items()) == list(override.items())
+        assert explicit.bytes_for(["speed"]) == override["speed"]

@@ -29,15 +29,13 @@ from repro.cluster import ElasticCluster, TieredStorage, execute_rebalance
 from repro.cluster.costs import CostParameters
 from repro.core import make_partitioner
 from repro.core.base import Move, RebalancePlan
-from repro.core.catalog import concat_payload
+from repro.core.catalog import Read, concat_payload
 from repro.query import operators as ops
 from repro.query.cost import (
     CostAccumulator,
     accumulator_for,
-    add_scan_work,
-    charge_scan_region,
+    charge_scan,
     halo_shuffle_bytes,
-    scan_columns,
 )
 from repro.query.incremental import (
     DeltaJoinState,
@@ -525,15 +523,22 @@ def test_cost_scan_scalar(benchmark):
 
 
 def test_cost_scan_batch(benchmark):
-    """Column lowering + one fused multiply + one np.add.at pass."""
+    """One read's columns: one fused multiply + one np.add.at pass."""
     layout = _cost_layout()
     costs = CostParameters()
     benchmark.extra_info["items"] = len(layout)
+    chunks = np.empty(len(layout), dtype=object)
+    chunks[:] = [c for c, _ in layout]
+    read = Read(
+        chunks,
+        np.array([c.size_bytes for c, _ in layout]),
+        np.array([n for _, n in layout], dtype=np.int64),
+        _COST_SCHEMA,
+    )
 
     def scan():
         acc = CostAccumulator(range(COST_NODES))
-        sizes, nodes = scan_columns(layout, ["a"])
-        add_scan_work(acc, sizes, nodes, costs, 1.5)
+        charge_scan(acc, read, ["a"], costs, 1.5)
         return acc
 
     acc = benchmark(scan)
@@ -701,10 +706,9 @@ def test_region_cost_batch(benchmark):
 
     def charge():
         acc = accumulator_for(cluster)
-        # The catalog answers region_scan_columns like a session, unpinned.
-        charge_scan_region(
-            acc, cluster.catalog, "Q", REGION, ["v"], costs, 1.0
-        )
+        # The catalog routes a region like a session, unpinned.
+        read = cluster.catalog.pairs_in_region("Q", REGION)
+        charge_scan(acc, read, ["v"], costs, 1.0)
         return acc
 
     acc = benchmark(charge)
@@ -746,7 +750,7 @@ def _rebalance_fixture():
     starting state, so every round does identical work.
     """
     cluster = _routing_cluster()
-    donors = cluster.catalog.pairs_of_array("Q")[: CATALOG_CHUNKS // 2]
+    donors = list(cluster.catalog.pairs_of_array("Q"))[: CATALOG_CHUNKS // 2]
     fwd, rev = [], []
     for chunk, node in donors:
         dest = (node + 1) % CATALOG_NODES

@@ -11,11 +11,16 @@ ingest that lands mid-query — the paper's elasticity story (queries keep
 running *while* the cluster reorganizes) without readers blocking
 writers or writers blocking readers.
 
-The session is the cluster's only catalog read surface: the cost
-model's ``charge_*`` helpers and every query kernel read through it.
-Cost parameters pass through to the live cluster (they are tuning
-knobs, not array state), but the **node universe is frozen at session
-creation**:
+The session is the cluster's only catalog read surface.  A chunk read
+— :meth:`~ClusterSession.chunks_of_array`,
+:meth:`~ClusterSession.chunks_in_region`,
+:meth:`~ClusterSession.deltas_since` — returns one
+:class:`~repro.core.catalog.Read` from one routing pass: the query body
+walks it as ``(chunk, node)`` pairs and
+:func:`repro.query.cost.charge_scan` prices it from its columns, so a
+query never routes the same region twice.  Cost parameters pass
+through to the live cluster (they are tuning knobs, not array state),
+but the **node universe is frozen at session creation**:
 ``node_ids`` returns the node set captured when the session opened, so
 a cost accumulator interned from it stays valid for the session's whole
 lifetime.  A pin whose snapshot places chunks on a node added *after*
@@ -51,13 +56,18 @@ concatenation and none can be served another's.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy.typing as npt
 
 from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import Box, region_mask
-from repro.core.catalog import ArraySnapshot, CatalogDelta, concat_payload
+from repro.core.catalog import (
+    ArraySnapshot,
+    CatalogDelta,
+    Read,
+    concat_payload,
+)
 from repro.errors import ClusterError
 
 
@@ -201,44 +211,19 @@ class ClusterSession:
             self._snapshots.pop(array, None)
 
     # -- read surface --------------------------------------------------
-    def chunks_of_array(
-        self, array: str
-    ) -> List[Tuple[ChunkData, int]]:
-        """Pinned (chunk, node) pairs of one array, key-sorted."""
+    def chunks_of_array(self, array: str) -> Read:
+        """The pinned :class:`Read` of one whole array, key-sorted."""
         return self.snapshot_of(array).pairs()
 
-    def chunks_in_region(
-        self, array: str, region: Box
-    ) -> List[Tuple[ChunkData, int]]:
-        """Pinned region-touched (chunk, node) pairs, key-sorted."""
+    def chunks_in_region(self, array: str, region: Box) -> Read:
+        """The pinned :class:`Read` of a region's chunks, key-sorted."""
         return self.snapshot_of(array).pairs_in_region(region)
-
-    def region_scan_columns(
-        self, array: str, region: Box
-    ) -> Tuple[npt.NDArray[Any], npt.NDArray[Any], Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns of a region."""
-        return self.snapshot_of(array).region_scan_columns(region)
-
-    def region_read(
-        self, array: str, region: Box
-    ) -> Tuple[
-        List[Tuple[ChunkData, int]],
-        Tuple[npt.NDArray[Any], npt.NDArray[Any], Optional[object]],
-    ]:
-        """Pinned pairs plus scan columns from one routing pass."""
-        return self.snapshot_of(array).region_read(region)
 
     def placement_of_array(
         self, array: str
     ) -> Dict[Tuple[int, ...], int]:
         """Pinned chunk key → node map for one array."""
         return self.snapshot_of(array).placement()
-
-    def array_scan_columns(
-        self, array: str
-    ) -> Tuple[npt.NDArray[Any], npt.NDArray[Any], Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns of one array."""
-        return self.snapshot_of(array).scan_columns()
 
     def array_payload(
         self,
@@ -315,12 +300,6 @@ class ClusterSession:
     def deltas_since(self, array: str, epoch: int) -> CatalogDelta:
         """Pinned content mutations after ``epoch`` (log end frozen)."""
         return self.snapshot_of(array).deltas_since(epoch)
-
-    def delta_scan_columns(
-        self, array: str, epoch: int
-    ) -> Tuple[npt.NDArray[Any], npt.NDArray[Any], Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` of a delta's rows."""
-        return self.snapshot_of(array).delta_scan_columns(epoch)
 
     def payload_epoch_of(self, array: str) -> int:
         """The pinned content-epoch cursor of one array.

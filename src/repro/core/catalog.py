@@ -23,10 +23,13 @@ columns only, and the two are equal at quiescence
 
 One reader
 ----------
-Every per-array read — pairs, placement, scan columns, the region
-family, payloads, deltas — is answered by an :class:`ArraySnapshot`: an
-immutable capture of the array's column slices, memoized per array
-epoch (:meth:`ChunkCatalog.snapshot`).  Queries read through a
+Every per-array read — pairs, placement, the region family, payloads,
+deltas — is answered by an :class:`ArraySnapshot`: an immutable capture
+of the array's column slices, memoized per array epoch
+(:meth:`ChunkCatalog.snapshot`).  A chunk read — whole array, region or
+delta — is one :class:`Read`: the touched chunks' handle, byte and owner
+columns from one routing pass, which the cost model prices and the
+query bodies walk as ``(chunk, node)`` pairs.  Queries read through a
 :class:`~repro.cluster.session.ClusterSession`, which pins one and keeps
 it.  The catalog's own per-array methods
 (:meth:`~ChunkCatalog.pairs_of_array`,
@@ -104,9 +107,10 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -200,36 +204,94 @@ def _array_codes(refs: np.ndarray) -> Tuple[List[str], np.ndarray]:
     return list(index), codes
 
 
-@dataclass(frozen=True)
-class CatalogDelta:
-    """One array's content mutations after an epoch cursor, as columns.
+class Read:
+    """One array's chunks as one snapshot read returned them.
 
-    A numpy-native ZSet over chunks: parallel columns in log (mutation)
-    order, where ``signs`` carries the weight of each row — ``+1`` for a
-    chunk that entered the live set, ``-1`` for one that left it.  A
-    merge that replaced a stored payload contributes its retiring handle
-    at ``-1`` immediately followed by the merged handle at ``+1``.
-    Summing signs per ref therefore replays to the live set, and the
-    incremental maintenance layer folds the same rows into its operator
-    state (added cells at ``+1``, expired cells at ``-1``).
+    The value every per-array read answers with — whole array, region
+    or delta: read-only parallel columns (payload handles, modeled
+    bytes, hosting nodes) plus the array's schema, from one routing
+    pass.  It iterates and indexes as ``(chunk, node)`` pairs, so every
+    pair-walker takes it unchanged, while the cost model prices it from
+    its columns (:func:`repro.query.cost.charge_scan`) with no pair list
+    in between.  ``rows`` are the chunks' ``(n, ndim)`` int64 keys.
     """
 
-    #: Catalog epoch at which each mutation landed (non-decreasing).
-    epochs: np.ndarray
-    #: ZSet weight of each row: ``+1`` added, ``-1`` removed.
-    signs: np.ndarray
-    #: The mutated chunks' refs (object column).
-    refs: np.ndarray
-    #: The payload handles as of the mutation (object column).
-    chunks: np.ndarray
-    #: Modeled bytes of each mutated chunk.
-    sizes: np.ndarray
-    #: Node holding the chunk at mutation time (added rows: the owner
-    #: after the put; removed rows: the owner the chunk left).
-    nodes: np.ndarray
+    __slots__ = ("chunks", "sizes", "nodes", "schema", "_rows")
+
+    def __init__(
+        self,
+        chunks: np.ndarray,
+        sizes: np.ndarray,
+        nodes: np.ndarray,
+        schema: Optional[object],
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        for column in (chunks, sizes, nodes, rows):
+            if column is not None:
+                column.flags.writeable = False
+        self.chunks = chunks
+        self.sizes = sizes
+        self.nodes = nodes
+        self.schema = schema
+        self._rows = rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The chunks' keys as ``(n, ndim)`` int64 rows, in read order."""
+        if self._rows is None:
+            keys = [c.key for c in self.chunks.tolist()]
+            return np.array(keys, dtype=np.int64).reshape(len(keys), -1)
+        return self._rows
 
     def __len__(self) -> int:
-        return int(self.signs.shape[0])
+        return int(self.sizes.shape[0])
+
+    def __iter__(self) -> Iterator[Tuple[ChunkData, NodeId]]:
+        return zip(self.chunks.tolist(), self.nodes.tolist())
+
+    def __getitem__(self, i: int) -> Tuple[ChunkData, NodeId]:
+        if not isinstance(i, (int, np.integer)):
+            raise TypeError(
+                f"Read indices must be integers, not {type(i).__name__};"
+                " take list(read) to slice"
+            )
+        return self.chunks[i], int(self.nodes[i])
+
+
+class CatalogDelta(Read):
+    """One array's content mutations after an epoch cursor, as a read.
+
+    A numpy-native ZSet over chunks: the :class:`Read` columns in log
+    (mutation) order, plus ``signs`` carrying the weight of each row —
+    ``+1`` for a chunk that entered the live set, ``-1`` for one that
+    left it.  A merge that replaced a stored payload contributes its
+    retiring handle at ``-1`` immediately followed by the merged handle
+    at ``+1``.  Summing signs per ref therefore replays to the live set,
+    and the incremental maintenance layer folds the same rows into its
+    operator state (added cells at ``+1``, expired cells at ``-1``).
+    ``nodes`` holds the chunk at mutation time: added rows the owner
+    after the put, removed rows the owner the chunk left.
+    """
+
+    __slots__ = ("epochs", "signs", "refs")
+
+    def __init__(
+        self,
+        epochs: np.ndarray,
+        signs: np.ndarray,
+        refs: np.ndarray,
+        chunks: np.ndarray,
+        sizes: np.ndarray,
+        nodes: np.ndarray,
+        schema: Optional[object],
+    ) -> None:
+        super().__init__(chunks, sizes, nodes, schema)
+        #: Catalog epoch at which each mutation landed (non-decreasing).
+        self.epochs = epochs
+        #: ZSet weight of each row: ``+1`` added, ``-1`` removed.
+        self.signs = signs
+        #: The mutated chunks' refs (object column).
+        self.refs = refs
 
     @property
     def added(self) -> np.ndarray:
@@ -306,7 +368,9 @@ class _DeltaLog:
         self.nodes[sl] = np.asarray(nodes, dtype=np.int64)
         self.count = need
 
-    def since(self, epoch: int, count: int) -> CatalogDelta:
+    def since(
+        self, epoch: int, count: int, schema: Optional[object]
+    ) -> CatalogDelta:
         """Rows strictly after ``epoch`` among the first ``count``.
 
         ``count`` is a log length some snapshot pinned: the log is
@@ -326,6 +390,7 @@ class _DeltaLog:
             chunks=self.chunks[sl].copy(),
             sizes=self.sizes[sl].copy(),
             nodes=self.nodes[sl].copy(),
+            schema=schema,
         )
 
 
@@ -398,13 +463,14 @@ class ArraySnapshot:
 
     This is the catalog's one reader: sessions hold a snapshot per
     array, and the catalog's own per-array methods read through the
-    current one (module docstring, "One reader").
+    current one (module docstring, "One reader").  Every chunk read
+    returns a :class:`Read`; the whole-array one is built at capture.
     """
 
     __slots__ = (
         "array", "schema", "epoch", "payload_epoch",
-        "_refs", "_chunks", "_sizes", "_nodes", "_rows",
-        "_node_bounds", "_log", "_log_count", "_catalog",
+        "_refs", "_chunks", "_sizes", "_nodes", "_rows", "_read",
+        "_region_read", "_node_bounds", "_log", "_log_count", "_catalog",
     )
 
     def __init__(self, catalog: "ChunkCatalog", array: str) -> None:
@@ -436,6 +502,10 @@ class ArraySnapshot:
         self._node_bounds = (
             (int(nodes.min()), int(nodes.max())) if len(ids) else None
         )
+        self._read = Read(
+            self._chunks, self._sizes, nodes, self.schema, self._rows
+        )
+        self._region_read: Optional[Tuple[Tuple[Any, Any], Read]] = None
         self._log = log = catalog._deltas.get(array, _EMPTY_LOG)
         self._log_count = log.count
         # Weak: the catalog memoizes its snapshots, and a strong
@@ -469,9 +539,9 @@ class ArraySnapshot:
         return self._node_bounds
 
     # -- whole-array reads ---------------------------------------------
-    def pairs(self) -> List[Tuple[ChunkData, NodeId]]:
-        """Pinned (payload, node) pairs, key-sorted."""
-        return list(zip(self._chunks.tolist(), self._nodes.tolist()))
+    def pairs(self) -> Read:
+        """The pinned whole-array :class:`Read`, key-sorted."""
+        return self._read
 
     def placement(self) -> Dict[ChunkKey, NodeId]:
         """Pinned chunk key → node map."""
@@ -481,17 +551,6 @@ class ArraySnapshot:
                 self._refs.tolist(), self._nodes.tolist()
             )
         }
-
-    def scan_columns(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns (fresh copies).
-
-        The cost model lowers whole-array scans from these directly
-        (:func:`repro.query.cost.array_scan_columns`) instead of
-        materializing a (chunk, node) pair list first.
-        """
-        return self._sizes.copy(), self._nodes.copy(), self.schema
 
     # -- region reads --------------------------------------------------
     def _positions_in_region(self, region: Box) -> np.ndarray:
@@ -519,44 +578,25 @@ class ArraySnapshot:
         mask = ((self._rows >= lows) & (self._rows <= highs)).all(axis=1)
         return np.nonzero(mask)[0]
 
-    def pairs_in_region(
-        self, region: Box
-    ) -> List[Tuple[ChunkData, NodeId]]:
-        """Pinned region-touched (payload, node) pairs, key-sorted."""
+    def pairs_in_region(self, region: Box) -> Read:
+        """The pinned :class:`Read` of a region's touched chunks.
+
+        The last region's read is kept, so a query that prices a region
+        and then misses the clipped-payload cache on it
+        (:meth:`payload_in_region`) routes the region once.  The
+        snapshot is immutable, so the kept read never goes stale.
+        """
+        bounds = (region.lo, region.hi)
+        kept = self._region_read
+        if kept is not None and kept[0] == bounds:
+            return kept[1]
         pos = self._positions_in_region(region)
-        return list(
-            zip(self._chunks[pos].tolist(), self._nodes[pos].tolist())
+        read = Read(
+            self._chunks[pos], self._sizes[pos], self._nodes[pos],
+            self.schema, self._rows[pos],
         )
-
-    def region_scan_columns(
-        self, region: Box
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """Pinned ``(sizes, nodes, schema)`` columns of a region.
-
-        The cost model charges region-touched scans straight from
-        these gathers (:func:`repro.query.cost.region_scan_columns`)
-        without materializing the (chunk, node) pair list.
-        """
-        pos = self._positions_in_region(region)
-        return self._sizes[pos], self._nodes[pos], self.schema
-
-    def region_read(
-        self, region: Box
-    ) -> Tuple[
-        List[Tuple[ChunkData, NodeId]],
-        Tuple[np.ndarray, np.ndarray, Optional[object]],
-    ]:
-        """Pinned pairs *and* scan columns from one routing pass.
-
-        Queries that both read the touched chunks and charge the scan
-        (selections, the k-means working set) need the pair list and
-        the byte/owner columns together; this routes the region once
-        and gathers both from the same positions.
-        """
-        pos = self._positions_in_region(region)
-        nodes = self._nodes[pos]
-        pairs = list(zip(self._chunks[pos].tolist(), nodes.tolist()))
-        return pairs, (self._sizes[pos], nodes, self.schema)
+        self._region_read = (bounds, read)
+        return read
 
     # -- payload reads -------------------------------------------------
     def payload(self, attrs: Sequence[str], ndim: int = 0) -> Payload:
@@ -578,7 +618,10 @@ class ArraySnapshot:
         )
 
     def payload_in_region(
-        self, region: Box, attrs: Sequence[str], ndim: int = 0
+        self,
+        region: Box,
+        attrs: Sequence[str],
+        ndim: int = 0,
     ) -> Payload:
         """Pinned cells strictly inside ``region``, cached.
 
@@ -587,7 +630,9 @@ class ArraySnapshot:
         from the cache skips both the per-chunk concatenation and the
         region mask.  Entries share the LRU and the eager drop of
         whole-array payloads — the region bounds simply extend the
-        cache key.  Callers must treat the arrays as read-only.
+        cache key.  A miss gathers :meth:`pairs_in_region`, so a region
+        the caller just priced is not routed again.  Callers must treat
+        the arrays as read-only.
         """
         key = (
             self.array, self.payload_epoch,
@@ -595,10 +640,8 @@ class ArraySnapshot:
         )
 
         def clipped() -> Payload:
-            pos = self._positions_in_region(region)
-            coords, values = concat_payload(
-                self._chunks[pos].tolist(), attrs, ndim
-            )
+            chunks = self.pairs_in_region(region).chunks.tolist()
+            coords, values = concat_payload(chunks, attrs, ndim)
             mask = region_mask(coords, region)
             return coords[mask], {a: v[mask] for a, v in values.items()}
 
@@ -634,22 +677,12 @@ class ArraySnapshot:
         sees an *empty* delta; so do unknown arrays and a cursor at the
         pinned payload epoch.
         """
-        return self._log.since(epoch, self._log_count)
+        return self._log.since(epoch, self._log_count, self.schema)
 
-    def delta_scan_columns(
-        self, epoch: int
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` of the pinned delta's rows.
-
-        The maintenance-plan sibling of :meth:`scan_columns`: the cost
-        model charges the incremental plan straight from the delta
-        log's byte/owner columns — added *and* removed rows, since the
-        operators read both — shaped exactly like the other catalog
-        lowerings so :func:`repro.query.cost._lower_catalog_columns`
-        applies unchanged.
-        """
-        delta = self.deltas_since(epoch)
-        return delta.sizes, delta.nodes, self.schema
+    # Names the benchmark's span table wraps; each is the read above.
+    scan_columns = pairs
+    region_scan_columns = region_read = pairs_in_region
+    delta_scan_columns = deltas_since
 
 
 class ChunkCatalog:
@@ -753,42 +786,17 @@ class ChunkCatalog:
     # -- per-array reads: each is a read of the current snapshot -------
     # (entry points for tests and the benchmark's span table; queries
     # read through ClusterSession, and the bodies live on ArraySnapshot)
-    def pairs_of_array(
-        self, array: str
-    ) -> List[Tuple[ChunkData, NodeId]]:
-        """All (payload, node) pairs of one array, key-sorted."""
+    def pairs_of_array(self, array: str) -> Read:
+        """The :class:`Read` of one whole array, key-sorted."""
         return self.snapshot(array).pairs()
 
     def placement_of_array(self, array: str) -> Dict[ChunkKey, NodeId]:
         """Chunk key → node map of one array."""
         return self.snapshot(array).placement()
 
-    def scan_columns_of(
-        self, array: str
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of one array's live chunks."""
-        return self.snapshot(array).scan_columns()
-
-    def pairs_in_region(
-        self, array: str, region: Box
-    ) -> List[Tuple[ChunkData, NodeId]]:
-        """Region-touched (payload, node) pairs, key-sorted."""
+    def pairs_in_region(self, array: str, region: Box) -> Read:
+        """The :class:`Read` of a region's touched chunks, key-sorted."""
         return self.snapshot(array).pairs_in_region(region)
-
-    def region_scan_columns(
-        self, array: str, region: Box
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of a region's live chunks."""
-        return self.snapshot(array).region_scan_columns(region)
-
-    def region_read(
-        self, array: str, region: Box
-    ) -> Tuple[
-        List[Tuple[ChunkData, NodeId]],
-        Tuple[np.ndarray, np.ndarray, Optional[object]],
-    ]:
-        """Pairs *and* scan columns of a region, from one routing pass."""
-        return self.snapshot(array).region_read(region)
 
     def payload_of_array(
         self,
@@ -813,11 +821,10 @@ class ChunkCatalog:
         """One array's content mutations strictly after ``epoch``."""
         return self.snapshot(array).deltas_since(epoch)
 
-    def delta_scan_columns(
-        self, array: str, epoch: int
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[object]]:
-        """``(sizes, nodes, schema)`` columns of a delta's touched rows."""
-        return self.snapshot(array).delta_scan_columns(epoch)
+    # Names the benchmark's span table wraps; each is a read above.
+    scan_columns_of = pairs_of_array
+    region_scan_columns = region_read = pairs_in_region
+    delta_scan_columns = deltas_since
 
     # -- the payload cache ---------------------------------------------
     def _cached_payload(

@@ -9,22 +9,15 @@ from repro.query.cost import (
     CostAccumulator,
     accumulator_for,
     add_scan_work,
-    array_scan_columns,
     charge_network,
     charge_scan,
-    charge_scan_array,
-    charge_scan_region,
-    charge_scan_routed,
     colocation_shuffle_bytes,
-    delta_scan_columns,
     elapsed_time,
     halo_shuffle_bytes,
     maintenance_plan,
     MaintenancePlan,
     neighbor_pairs,
     node_byte_sums,
-    node_byte_sums_array,
-    region_scan_columns,
     scan_columns,
     spatial_neighbors,
 )
@@ -93,15 +86,10 @@ __all__ = [
     "accumulator_for",
     "add_scan_work",
     "ais_suite",
-    "array_scan_columns",
     "charge_network",
     "charge_scan",
-    "charge_scan_array",
-    "charge_scan_region",
-    "charge_scan_routed",
     "colocation_shuffle_bytes",
     "delta_cells",
-    "delta_scan_columns",
     "elapsed_time",
     "equi_side",
     "halo_shuffle_bytes",
@@ -111,8 +99,6 @@ __all__ = [
     "neighbor_pairs",
     "position_side",
     "node_byte_sums",
-    "node_byte_sums_array",
-    "region_scan_columns",
     "run_suite",
     "scan_columns",
     "spatial_neighbors",

@@ -17,14 +17,19 @@ placement-dependent terms (paper §1, §6.2.2):
 All byte figures are the chunks' modeled sizes, so simulated latencies sit
 at paper scale regardless of how many real cells the test run generates.
 
-Batch cost accounting
----------------------
+One read, one charge
+--------------------
 Mirroring the placement ledger (:mod:`repro.core.ledger`), the cost model
 is column-shaped: node ids are interned to dense slots in a
-:class:`CostAccumulator`, the touched chunks are lowered to parallel
-``(sizes, nodes)`` numpy columns by :func:`scan_columns`, and every charge
-is a ``np.bincount`` / ``np.add.at`` over slot indices instead of a
-per-chunk ``dict.get`` update.  Halo and co-location shuffles find
+:class:`CostAccumulator`, and every charge is a ``np.bincount`` /
+``np.add.at`` over slot indices instead of a per-chunk ``dict.get``
+update.  A scan is priced from the read that touched it: every session
+read — whole array, region, delta — is one
+:class:`~repro.core.catalog.Read` carrying the touched chunks'
+``(sizes, nodes)`` columns, and :func:`charge_scan` (or
+:func:`node_byte_sums`, for a merge phase) prices it directly.  A plain
+``(chunk, node)`` pair list is lowered to the same columns by
+:func:`scan_columns` first.  Halo and co-location shuffles find
 cross-node chunk pairs with one packed-key ``searchsorted`` per stencil
 offset (:func:`neighbor_pairs`) rather than a Python dict probe per
 neighbour.
@@ -42,16 +47,9 @@ same contract ``place_batch`` and the array ledger already document.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
-from typing import (
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +57,7 @@ from repro.arrays.chunk import ChunkData, ChunkKey
 from repro.arrays.coords import position_keys, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.cluster.costs import GB, CostParameters
+from repro.core.catalog import Read
 from repro.errors import QueryError
 
 
@@ -162,10 +161,6 @@ def accumulator_for(cluster) -> CostAccumulator:
     return CostAccumulator(cluster.node_ids)
 
 
-#: Cost inputs accepted by :func:`elapsed_time`.
-PerNodeSeconds = Union[Mapping[int, float], CostAccumulator]
-
-
 # ----------------------------------------------------------------------
 # column extraction
 # ----------------------------------------------------------------------
@@ -214,17 +209,19 @@ def scan_columns(
     chunks_nodes: Sequence[Tuple[ChunkData, int]],
     attrs: Optional[Sequence[str]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower (chunk, node) pairs to parallel ``(sizes, nodes)`` columns.
+    """Lower a read to parallel ``(sizes, nodes)`` columns.
 
-    The entry point of the batch cost path: every downstream charge is a
-    vector operation over these columns.  All chunks must belong to one
-    array (every query touches one array per scan), so the
-    vertical-partitioning attribute fraction is applied as a single
-    multiply.
+    The one lowering of the batch cost path: every downstream charge is
+    a vector operation over these columns.  A
+    :class:`~repro.core.catalog.Read` (whole array, region or delta)
+    already holds them; a plain (chunk, node) pair list is walked once.
+    All chunks belong to one array (every query touches one array per
+    scan), so the vertical-partitioning attribute fraction is applied as
+    a single multiply.
 
     Parameters
     ----------
-    chunks_nodes : sequence of (ChunkData, int)
+    chunks_nodes : Read or sequence of (ChunkData, int)
         The touched chunks and their hosting nodes.
     attrs : sequence of str or None
         Attributes read (``None`` = all); fewer attributes = less I/O,
@@ -233,35 +230,28 @@ def scan_columns(
     Returns
     -------
     sizes : numpy.ndarray of float64
-        Modeled bytes the query reads from each chunk.
+        Modeled bytes the query reads from each chunk (read-only when
+        ``attrs`` is ``None`` and the input is a read).
     nodes : numpy.ndarray of int64
         Hosting node of each chunk.
     """
-    n = len(chunks_nodes)
-    nodes = np.fromiter(
-        (node for _, node in chunks_nodes), dtype=np.int64, count=n
-    )
-    sizes = np.fromiter(
-        (chunk.size_bytes for chunk, _ in chunks_nodes),
-        dtype=np.float64,
-        count=n,
-    )
-    if attrs is not None and n:
-        sizes = sizes * attr_fraction(chunks_nodes[0][0].schema, attrs)
+    if isinstance(chunks_nodes, Read):
+        sizes, nodes = chunks_nodes.sizes, chunks_nodes.nodes
+        schema = chunks_nodes.schema
+    else:
+        n = len(chunks_nodes)
+        nodes = np.fromiter(
+            (node for _, node in chunks_nodes), dtype=np.int64, count=n
+        )
+        sizes = np.fromiter(
+            (chunk.size_bytes for chunk, _ in chunks_nodes),
+            dtype=np.float64,
+            count=n,
+        )
+        schema = chunks_nodes[0][0].schema if n else None
+    if attrs is not None and sizes.size:
+        sizes = sizes * attr_fraction(schema, attrs)
     return sizes, nodes
-
-
-def _byte_sums_from_columns(
-    sizes: np.ndarray, nodes: np.ndarray, fraction: float
-) -> Dict[int, float]:
-    """One unique/bincount pass from byte/owner columns to a node map."""
-    if sizes.size == 0:
-        return {}
-    uniq, inverse = np.unique(nodes, return_inverse=True)
-    sums = np.bincount(inverse, weights=sizes) * fraction
-    return {
-        int(n): float(s) for n, s in zip(uniq, sums) if s > 0
-    }
 
 
 def node_byte_sums(
@@ -276,7 +266,7 @@ def node_byte_sums(
 
     Parameters
     ----------
-    chunks_nodes : sequence of (ChunkData, int)
+    chunks_nodes : Read or sequence of (ChunkData, int)
         The touched chunks and their hosting nodes.
     attrs : sequence of str or None
         Attributes whose bytes count (``None`` = all).
@@ -290,272 +280,37 @@ def node_byte_sums(
         ``node -> bytes`` for nodes with a positive total.
     """
     sizes, nodes = scan_columns(chunks_nodes, attrs)
-    return _byte_sums_from_columns(sizes, nodes, fraction)
-
-
-# ----------------------------------------------------------------------
-# whole-array lowering from the chunk catalog
-# ----------------------------------------------------------------------
-def _lower_catalog_columns(
-    cols: Tuple[np.ndarray, np.ndarray, Optional[object]],
-    attrs: Optional[Sequence[str]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(sizes, nodes, schema) catalog gather -> charged (sizes, nodes).
-
-    The single place the vertical-partitioning attribute fraction is
-    folded into catalog byte columns — every catalog-columns lowering
-    (whole-array, region, pre-routed) goes through it.
-    """
-    sizes, nodes, schema = cols
-    if attrs is not None and schema is not None and sizes.size:
-        sizes = sizes * attr_fraction(schema, attrs)
-    return sizes, nodes
-
-
-def array_scan_columns(
-    cluster,
-    array: str,
-    attrs: Optional[Sequence[str]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower one whole array to ``(sizes, nodes)`` columns.
-
-    The catalog-era entry point for queries that touch every chunk of an
-    array: the byte and owner columns come straight from the session's
-    pinned catalog snapshot (:meth:`ClusterSession.array_scan_columns`),
-    with no (chunk, node) pair list materialized in between.
-
-    Parameters
-    ----------
-    cluster : ClusterSession
-        The session the query reads through.
-    array : str
-        Array name.
-    attrs : sequence of str or None
-        Attributes read (``None`` = all); applied as one
-        vertical-partitioning multiply.
-
-    Returns
-    -------
-    sizes : numpy.ndarray of float64
-        Modeled bytes the query reads from each chunk.
-    nodes : numpy.ndarray of int64
-        Hosting node of each chunk.
-    """
-    return _lower_catalog_columns(
-        cluster.array_scan_columns(array), attrs
-    )
-
-
-def charge_scan_array(
-    acc: CostAccumulator,
-    cluster,
-    array: str,
-    attrs: Optional[Sequence[str]],
-    costs: CostParameters,
-    cpu_intensity: float,
-) -> float:
-    """Charge scan work for every chunk of one array.
-
-    Lowers the catalog columns directly (:func:`array_scan_columns` →
-    :func:`add_scan_work`, zero per-chunk Python).
-
-    Returns
-    -------
-    float
-        Total bytes scanned.
-    """
-    sizes, nodes = array_scan_columns(cluster, array, attrs)
-    return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
-
-
-def node_byte_sums_array(
-    cluster,
-    array: str,
-    attrs: Optional[Sequence[str]] = None,
-    fraction: float = 1.0,
-) -> Dict[int, float]:
-    """Per-node byte totals of one whole array, from catalog columns.
-
-    The whole-array counterpart of :func:`node_byte_sums`: merge phases
-    of full-array queries price themselves without materializing the
-    (chunk, node) pair list.
-
-    Returns
-    -------
-    dict of int to float
-        ``node -> bytes`` for nodes with a positive total.
-    """
-    sizes, nodes = array_scan_columns(cluster, array, attrs)
-    return _byte_sums_from_columns(sizes, nodes, fraction)
-
-
-# ----------------------------------------------------------------------
-# region-scoped lowering from the chunk catalog
-# ----------------------------------------------------------------------
-def region_scan_columns(
-    cluster,
-    array: str,
-    region,
-    attrs: Optional[Sequence[str]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower a region's touched chunks to ``(sizes, nodes)`` columns.
-
-    The region-scoped counterpart of :func:`array_scan_columns`: the
-    catalog routes the region (one vectorized key-interval test) and the
-    byte/owner columns come back as direct gathers
-    (:meth:`ClusterSession.region_scan_columns`) — no (chunk, node) pair
-    list, no per-chunk Python.
-
-    Parameters
-    ----------
-    cluster : ClusterSession
-        The session the query reads through.
-    array : str
-        Array name.
-    region : repro.arrays.coords.Box
-        Cell-space query box.
-    attrs : sequence of str or None
-        Attributes read (``None`` = all); applied as one
-        vertical-partitioning multiply.
-
-    Returns
-    -------
-    sizes : numpy.ndarray of float64
-        Modeled bytes the query reads from each touched chunk.
-    nodes : numpy.ndarray of int64
-        Hosting node of each touched chunk.
-    """
-    return _lower_catalog_columns(
-        cluster.region_scan_columns(array, region), attrs
-    )
-
-
-def charge_scan_region(
-    acc: CostAccumulator,
-    cluster,
-    array: str,
-    region,
-    attrs: Optional[Sequence[str]],
-    costs: CostParameters,
-    cpu_intensity: float,
-) -> float:
-    """Charge scan work for a region's touched chunks.
-
-    Lowers the catalog's region gathers directly
-    (:func:`region_scan_columns` → :func:`add_scan_work`, zero per-chunk
-    Python).
-
-    Returns
-    -------
-    float
-        Total bytes scanned.
-    """
-    sizes, nodes = region_scan_columns(cluster, array, region, attrs)
-    return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
-
-
-def charge_scan_routed(
-    acc: CostAccumulator,
-    pairs: Sequence[Tuple[ChunkData, int]],
-    cols: Tuple[np.ndarray, np.ndarray, Optional[object]],
-    attrs: Optional[Sequence[str]],
-    costs: CostParameters,
-    cpu_intensity: float,
-) -> float:
-    """Charge scan work for an already-routed region.
-
-    The companion of :meth:`ClusterSession.region_read`: queries that
-    need the touched pair list anyway (to read cells) pass both halves
-    of that single routing pass here, so the region is never routed
-    twice.  The charge comes from the ``cols`` gathers; ``pairs`` is
-    what the per-chunk reference walks instead.
-
-    Returns
-    -------
-    float
-        Total bytes scanned.
-    """
-    sizes, nodes = _lower_catalog_columns(cols, attrs)
-    return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
+    if sizes.size == 0:
+        return {}
+    uniq, inverse = np.unique(nodes, return_inverse=True)
+    sums = np.bincount(inverse, weights=sizes) * fraction
+    return {
+        int(n): float(s) for n, s in zip(uniq, sums) if s > 0
+    }
 
 
 # ----------------------------------------------------------------------
 # incremental-maintenance planning (delta vs full recompute)
 # ----------------------------------------------------------------------
-def delta_scan_columns(
-    cluster,
-    array: str,
-    since_epoch: int,
-    attrs: Optional[Sequence[str]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower a content delta to ``(sizes, nodes)`` columns.
-
-    The maintenance-plan counterpart of :func:`array_scan_columns`: the
-    byte/owner columns come from the catalog's delta log
-    (:meth:`ClusterSession.delta_scan_columns`) — added *and* removed
-    rows, since the incremental operators fold both in — with the same
-    vertical-partitioning attribute multiply as every other catalog
-    lowering.  Removed rows charge the node the chunk retired from.
-    """
-    return _lower_catalog_columns(
-        cluster.delta_scan_columns(array, since_epoch), attrs
-    )
-
-
-def charge_scan_delta(
-    acc: CostAccumulator,
-    cluster,
-    array: str,
-    since_epoch: int,
-    attrs: Optional[Sequence[str]],
-    costs: CostParameters,
-    cpu_intensity: float,
-) -> float:
-    """Charge scan work for a content delta's rows.
-
-    The incremental plan's charge, lowered from the delta log's
-    byte/owner columns.
-
-    Returns
-    -------
-    float
-        Total bytes scanned.
-    """
-    sizes, nodes = delta_scan_columns(cluster, array, since_epoch, attrs)
-    return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
-
-
+@dataclass
 class MaintenancePlan:
     """One maintenance cycle's costed choice: apply the delta or recompute.
 
     The Tempura-style planner verdict (PAPERS.md): both arms are priced
-    from catalog byte columns — the delta log's rows for the incremental
-    plan, the live array's rows for the full recompute — as modeled
-    elapsed scan seconds (slowest node), and the cheaper arm wins.  At
-    ~100 % churn the delta carries every expired chunk at ``-1`` *plus*
-    every ingested chunk at ``+1`` (≈2× the live bytes), so full
-    recompute wins exactly where it should; in steady state the delta is
-    a sliver and the incremental arm wins.
+    as reads — the delta log's rows for the incremental plan, the live
+    array for the full recompute — in modeled elapsed scan seconds
+    (slowest node), and the cheaper arm wins.  At ~100 % churn the delta
+    carries every expired chunk at ``-1`` *plus* every ingested chunk at
+    ``+1`` (≈2× the live bytes), so full recompute wins exactly where it
+    should; in steady state the delta is a sliver and the incremental
+    arm wins.
     """
 
-    __slots__ = (
-        "choice", "delta_bytes", "full_bytes",
-        "delta_seconds", "full_seconds",
-    )
-
-    def __init__(
-        self,
-        choice: str,
-        delta_bytes: float,
-        full_bytes: float,
-        delta_seconds: float,
-        full_seconds: float,
-    ) -> None:
-        self.choice = choice
-        self.delta_bytes = delta_bytes
-        self.full_bytes = full_bytes
-        self.delta_seconds = delta_seconds
-        self.full_seconds = full_seconds
+    choice: str
+    delta_bytes: float
+    full_bytes: float
+    delta_seconds: float
+    full_seconds: float
 
     @property
     def incremental(self) -> bool:
@@ -596,21 +351,21 @@ def maintenance_plan(
     """
     if costs is None:
         costs = cluster.costs
-    ids = tuple(cluster.node_ids)
-    d_sizes, d_nodes = delta_scan_columns(
-        cluster, array, since_epoch, attrs
+    d_acc = accumulator_for(cluster)
+    delta_bytes = charge_scan(
+        d_acc, cluster.deltas_since(array, since_epoch), attrs, costs,
+        cpu_intensity,
     )
-    f_sizes, f_nodes = array_scan_columns(cluster, array, attrs)
-    d_acc = CostAccumulator(ids)
-    add_scan_work(d_acc, d_sizes, d_nodes, costs, cpu_intensity)
-    f_acc = CostAccumulator(ids)
-    add_scan_work(f_acc, f_sizes, f_nodes, costs, cpu_intensity)
+    f_acc = accumulator_for(cluster)
+    full_bytes = charge_scan(
+        f_acc, cluster.chunks_of_array(array), attrs, costs, cpu_intensity
+    )
     delta_seconds = d_acc.max_seconds()
     full_seconds = f_acc.max_seconds()
     return MaintenancePlan(
         choice="delta" if delta_seconds <= full_seconds else "full",
-        delta_bytes=float(d_sizes.sum()),
-        full_bytes=float(f_sizes.sum()),
+        delta_bytes=delta_bytes,
+        full_bytes=full_bytes,
         delta_seconds=delta_seconds,
         full_seconds=full_seconds,
     )
@@ -663,7 +418,11 @@ def charge_scan(
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for an explicit (chunk, node) pair list.
+    """Charge scan work for one read: the one scan charge.
+
+    A :class:`~repro.core.catalog.Read` — whole array, region or delta —
+    is priced from its own columns; a plain (chunk, node) pair list is
+    lowered by :func:`scan_columns` first.
 
     Returns
     -------
@@ -672,6 +431,37 @@ def charge_scan(
     """
     sizes, nodes = scan_columns(chunks_nodes, attrs)
     return add_scan_work(acc, sizes, nodes, costs, cpu_intensity)
+
+
+# ``benchmarks/e2e/e2e_spans.py`` wraps these names and the oracle
+# registry pins their parameter lists; no query calls them.  Each is
+# :func:`charge_scan` or :func:`node_byte_sums` over the session's read.
+def charge_scan_array(acc, cluster, array, attrs, costs, cpu_intensity):
+    read = cluster.chunks_of_array(array)
+    return charge_scan(acc, read, attrs, costs, cpu_intensity)
+
+
+def charge_scan_region(
+    acc, cluster, array, region, attrs, costs, cpu_intensity
+):
+    read = cluster.chunks_in_region(array, region)
+    return charge_scan(acc, read, attrs, costs, cpu_intensity)
+
+
+def charge_scan_routed(acc, pairs, cols, attrs, costs, cpu_intensity):
+    # ``cols`` is unused: a Read carries its own columns.
+    return charge_scan(acc, pairs, attrs, costs, cpu_intensity)
+
+
+def charge_scan_delta(
+    acc, cluster, array, since_epoch, attrs, costs, cpu_intensity
+):
+    read = cluster.deltas_since(array, since_epoch)
+    return charge_scan(acc, read, attrs, costs, cpu_intensity)
+
+
+def node_byte_sums_array(cluster, array, attrs=None, fraction=1.0):
+    return node_byte_sums(cluster.chunks_of_array(array), attrs, fraction)
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +521,7 @@ def charge_io(
 # the elapsed-time reduction
 # ----------------------------------------------------------------------
 def elapsed_time(
-    per_node: PerNodeSeconds,
+    per_node: CostAccumulator,
     costs: CostParameters,
     wire_bytes: float = 0.0,
 ) -> float:
@@ -745,18 +535,14 @@ def elapsed_time(
 
     Parameters
     ----------
-    per_node : mapping or CostAccumulator
-        Per-node busy-seconds — a ``node -> seconds`` dict or a
-        :class:`CostAccumulator`.
+    per_node : CostAccumulator
+        Per-node busy-seconds.
     costs : CostParameters
         Cost constants.
     wire_bytes : float
         Total bytes crossing the fabric (one direction).
     """
-    if isinstance(per_node, CostAccumulator):
-        slowest = per_node.max_seconds()
-    else:
-        slowest = max(per_node.values()) if per_node else 0.0
+    slowest = per_node.max_seconds()
     fabric = (
         costs.network_time(wire_bytes / costs.fabric_concurrency)
         if wire_bytes > 0 else 0.0
@@ -913,7 +699,7 @@ def halo_shuffle_bytes(
 
     Parameters
     ----------
-    chunks_nodes : sequence of (ChunkData, int)
+    chunks_nodes : Read or sequence of (ChunkData, int)
         The touched chunks (unique keys) and their hosting nodes.
     attrs : sequence of str or None
         Attributes exchanged (``None`` = all).
@@ -930,8 +716,9 @@ def halo_shuffle_bytes(
     n = len(chunks_nodes)
     if n == 0:
         return {}
-    keys = np.array(
-        [chunk.key for chunk, _ in chunks_nodes], dtype=np.int64
+    keys = (
+        chunks_nodes.rows if isinstance(chunks_nodes, Read)
+        else np.array([c.key for c, _ in chunks_nodes], dtype=np.int64)
     )
     src, dst = neighbor_pairs(keys, spatial_dims)
     sizes, nodes = scan_columns(chunks_nodes, attrs)

@@ -65,9 +65,7 @@ from repro.query import operators as ops
 from repro.query.cost import (
     MaintenancePlan,
     accumulator_for,
-    charge_scan_array,
-    charge_scan_delta,
-    charge_scan_region,
+    charge_scan,
     maintenance_plan,
 )
 
@@ -587,8 +585,8 @@ class MaintainedGridStats:
         return Box(tuple(lo), tuple(hi))
 
     def _refresh_full(self, session, acc, costs) -> Tuple[int, float]:
-        scanned = charge_scan_array(
-            acc, session, self.array, [self.attr], costs,
+        scanned = charge_scan(
+            acc, session.chunks_of_array(self.array), [self.attr], costs,
             self.cpu_intensity,
         )
         coords, values = session.array_payload(
@@ -605,9 +603,8 @@ class MaintainedGridStats:
 
     def _refresh_delta(self, session, acc, costs) -> Tuple[int, float]:
         delta = session.deltas_since(self.array, self.cursor)
-        scanned = charge_scan_delta(
-            acc, session, self.array, self.cursor, [self.attr],
-            costs, self.cpu_intensity,
+        scanned = charge_scan(
+            acc, delta, [self.attr], costs, self.cpu_intensity
         )
         coords, values, weights = delta_cells(
             delta, [self.attr], self.ndim
@@ -616,9 +613,9 @@ class MaintainedGridStats:
             self.state.apply(coords, values[self.attr], weights)
         if self.state.needs_rescan:
             region = self._dirty_region()
-            scanned += charge_scan_region(
-                acc, session, self.array, region, [self.attr],
-                costs, self.cpu_intensity,
+            scanned += charge_scan(
+                acc, session.chunks_in_region(self.array, region),
+                [self.attr], costs, self.cpu_intensity,
             )
             live_coords, live_values = session.payload_in_region(
                 self.array, region, [self.attr], self.ndim
@@ -773,18 +770,16 @@ class MaintainedJoin:
         for label, side in self._sides():
             attrs = list(side.attrs)
             if delta:
-                cursor = self.cursors[label]
-                scanned += charge_scan_delta(
-                    acc, session, side.array, cursor, attrs, costs,
-                    self.cpu_intensity,
+                read = session.deltas_since(side.array, self.cursors[label])
+                scanned += charge_scan(
+                    acc, read, attrs, costs, self.cpu_intensity
                 )
                 coords, values, weights = delta_cells(
-                    session.deltas_since(side.array, cursor),
-                    attrs, self.ndim,
+                    read, attrs, self.ndim
                 )
             else:
-                scanned += charge_scan_array(
-                    acc, session, side.array, attrs, costs,
+                scanned += charge_scan(
+                    acc, session.chunks_of_array(side.array), attrs, costs,
                     self.cpu_intensity,
                 )
                 coords, values = session.array_payload(

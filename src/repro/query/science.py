@@ -33,17 +33,19 @@ from repro.query.cost import (
     accumulator_for,
     charge_network,
     charge_scan,
-    charge_scan_array,
-    charge_scan_routed,
     elapsed_time,
     halo_shuffle_bytes,
     neighbor_pairs,
     node_byte_sums,
-    node_byte_sums_array,
     spatial_neighbors,
     sum_endpoint_bytes,
 )
-from repro.query.executor import CATEGORY_SCIENCE, Query
+from repro.query.executor import (
+    CATEGORY_SCIENCE,
+    Query,
+    require_count,
+    require_positive,
+)
 from repro.query.result import QueryResult
 from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE, AisWorkload
 from repro.workloads.modis import ModisWorkload
@@ -77,7 +79,7 @@ class ModisRollingAverage(Query):
 
     def __init__(self, workload: ModisWorkload, days: int = 3) -> None:
         self.workload = workload
-        self.days = days
+        self.days = require_count("days", days)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         lo = max(1, cycle - self.days + 1)
@@ -145,26 +147,25 @@ class ModisKMeans(Query):
         self, workload: ModisWorkload, k: int = 4, iterations: int = 8
     ) -> None:
         self.workload = workload
-        self.k = k
-        self.iterations = iterations
+        self.k = require_count("k", k)
+        self.iterations = require_count("iterations", iterations)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         # Both bands route through the catalog's key-interval test; one
-        # routing pass per band feeds its pair list and its scan
-        # charge's byte/owner columns.
+        # read per band feeds its body and its scan charge.
         region = self.workload.amazon_box(cycle)
-        band1, cols1 = cluster.region_read("band1", region)
-        band2_pairs, cols2 = cluster.region_read("band2", region)
-        band2 = {c.key: (c, n) for c, n in band2_pairs}
+        band1 = cluster.chunks_in_region("band1", region)
+        band2_read = cluster.chunks_in_region("band2", region)
+        band2 = {c.key: (c, n) for c, n in band2_read}
         acc = accumulator_for(cluster)
         # Iterative clustering re-reads the working set each sweep; charge
         # one I/O pass plus per-iteration compute.
-        scanned = charge_scan_routed(
-            acc, band1, cols1, ["radiance"], cluster.costs,
+        scanned = charge_scan(
+            acc, band1, ["radiance"], cluster.costs,
             cpu_intensity=0.5 * self.iterations,
         )
-        scanned += charge_scan_routed(
-            acc, band2_pairs, cols2, ["radiance"], cluster.costs,
+        scanned += charge_scan(
+            acc, band2_read, ["radiance"], cluster.costs,
             cpu_intensity=0.5,
         )
         # Centroid broadcast per iteration: negligible bytes, but one
@@ -256,7 +257,7 @@ class ModisWindowAggregate(Query):
 
     def __init__(self, workload: ModisWorkload, window: int = 6) -> None:
         self.workload = workload
-        self.window = window
+        self.window = require_count("window", window)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         day = cycle - 1
@@ -321,18 +322,16 @@ class AisDensityMap(Query):
         return (self.coarse_degrees, self.coarse_degrees)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
-        # Whole-array query: catalog-column cost lowering, and the
+        # Whole-array query: the pinned read's column charge, and the
         # (coords, speed) concatenation comes from the per-epoch payload
         # cache — repeated density maps between reorganizations skip the
         # re-concatenation entirely.
+        read = cluster.chunks_of_array("broadcast")
         acc = accumulator_for(cluster)
-        scanned = charge_scan_array(
-            acc, cluster, "broadcast", ["speed"], cluster.costs,
-            cpu_intensity=1.2,
+        scanned = charge_scan(
+            acc, read, ["speed"], cluster.costs, cpu_intensity=1.2,
         )
-        merge = node_byte_sums_array(
-            cluster, "broadcast", ["speed"], fraction=0.01
-        )
+        merge = node_byte_sums(read, ["speed"], fraction=0.01)
         network = charge_network(acc, merge, cluster.costs)
 
         # Batch group-by: one mask + one unique/count pass over every
@@ -376,8 +375,8 @@ class AisKnn(Query):
         self, workload: AisWorkload, samples: int = 56, k: int = 5
     ) -> None:
         self.workload = workload
-        self.samples = samples
-        self.k = k
+        self.samples = require_count("samples", samples)
+        self.k = require_count("k", k)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         # The benchmarks refer to the newest data more frequently (§3.3,
@@ -567,8 +566,8 @@ class AisCollisionPrediction(Query):
         radius_deg: float = 0.5,
     ) -> None:
         self.workload = workload
-        self.minutes_ahead = minutes_ahead
-        self.radius_deg = radius_deg
+        self.minutes_ahead = require_positive("minutes_ahead", minutes_ahead)
+        self.radius_deg = require_positive("radius_deg", radius_deg)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         latest = cycle * TIME_CHUNKS_PER_CYCLE - 1

@@ -26,11 +26,9 @@ from repro.query.cost import (
     accumulator_for,
     charge_network,
     charge_scan,
-    charge_scan_array,
-    charge_scan_region,
     colocation_shuffle_bytes,
     elapsed_time,
-    node_byte_sums_array,
+    node_byte_sums,
 )
 from repro.query.executor import CATEGORY_SPJ, Query
 from repro.query.result import QueryResult
@@ -52,12 +50,12 @@ class ModisSelection(Query):
         # catalog prices the scan, and the clipped cell table comes
         # from the region-scoped payload cache — a repeated hot
         # selection between mutations skips the per-chunk mask
-        # entirely.
+        # entirely, and a miss reuses the read's routing pass.
         region = self.workload.lower_left_sixteenth(cycle)
         acc = accumulator_for(cluster)
-        scanned = charge_scan_region(
-            acc, cluster, "band1", region, None, cluster.costs,
-            cpu_intensity=0.2,
+        scanned = charge_scan(
+            acc, cluster.chunks_in_region("band1", region), None,
+            cluster.costs, cpu_intensity=0.2,
         )
         coords, values = cluster.payload_in_region(
             "band1", region, ["radiance"], ndim=len(region.lo)
@@ -95,20 +93,19 @@ class ModisQuantileSort(Query):
         self.qs = tuple(qs)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
-        # Whole-array query: cost lowers straight from the catalog's
-        # byte/owner columns, and the radiance concatenation is served
-        # from the per-epoch payload cache (no pair list, no re-concat
-        # between reorganizations).
+        # Whole-array query: cost prices the pinned read's byte/owner
+        # columns, and the radiance concatenation is served from the
+        # per-epoch payload cache (no pair list, no re-concat between
+        # reorganizations).
+        read = cluster.chunks_of_array("band1")
         acc = accumulator_for(cluster)
         # Vertical partitioning: the sort only reads the radiance column.
-        scanned = charge_scan_array(
-            acc, cluster, "band1", ["radiance"], cluster.costs,
-            cpu_intensity=1.0,
+        scanned = charge_scan(
+            acc, read, ["radiance"], cluster.costs, cpu_intensity=1.0,
         )
         # Merge phase: every node ships its sample to the coordinator.
-        sample_bytes = node_byte_sums_array(
-            cluster, "band1", ["radiance"],
-            fraction=self.sample_fraction,
+        sample_bytes = node_byte_sums(
+            read, ["radiance"], fraction=self.sample_fraction
         )
         charge_network(acc, sample_bytes, cluster.costs)
 
@@ -162,23 +159,19 @@ class ModisJoinNdvi(Query):
             for c, n in cluster.chunks_in_region("band2", latest)
         }
         common = sorted(set(band1) & set(band2))
+        side1 = [band1[key] for key in common]
+        side2 = [band2[key] for key in common]
         acc = accumulator_for(cluster)
         attrs = ["radiance"]
-        scanned = 0.0
-        pairs = []
-        for key in common:
-            c1, n1 = band1[key]
-            c2, n2 = band2[key]
-            pairs.append((c1, n1, c2, n2))
-        scanned += charge_scan(
-            acc, [(c, n) for c, n, _, _ in pairs], attrs,
-            cluster.costs, cpu_intensity=0.8,
+        scanned = charge_scan(
+            acc, side1, attrs, cluster.costs, cpu_intensity=0.8
         )
         scanned += charge_scan(
-            acc, [(c2, n2) for _, _, c2, n2 in pairs], attrs,
-            cluster.costs, cpu_intensity=0.8,
+            acc, side2, attrs, cluster.costs, cpu_intensity=0.8
         )
-        shuffle = colocation_shuffle_bytes(pairs, attrs_small=attrs)
+        shuffle = colocation_shuffle_bytes(
+            [(*a, *b) for a, b in zip(side1, side2)], attrs_small=attrs
+        )
         network = charge_network(acc, shuffle, cluster.costs)
         wire = network / 2.0  # endpoint sums count each transfer twice
 
@@ -187,10 +180,10 @@ class ModisJoinNdvi(Query):
         # within a band, so one join over the concatenation equals the
         # union of the per-chunk-pair joins.
         coords1, vals1 = cluster.gather_payload(
-            [band1[key] for key in common], ["radiance"], ndim=3
+            side1, ["radiance"], ndim=3
         )
         coords2, vals2 = cluster.gather_payload(
-            [band2[key] for key in common], ["radiance"], ndim=3
+            side2, ["radiance"], ndim=3
         )
         _, v1, v2 = ops.position_join(
             coords1, vals1["radiance"], coords2, vals2["radiance"]
@@ -225,13 +218,13 @@ class AisSelectionHouston(Query):
         self.workload = workload
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
-        # Cached region-scoped gather + catalog-column scan charge, as
-        # in ModisSelection.
+        # Cached region-scoped gather + one routed read's scan charge,
+        # as in ModisSelection.
         region = self.workload.houston_box(cycle)
         acc = accumulator_for(cluster)
-        scanned = charge_scan_region(
-            acc, cluster, "broadcast", region, None, cluster.costs,
-            cpu_intensity=0.2,
+        scanned = charge_scan(
+            acc, cluster.chunks_in_region("broadcast", region), None,
+            cluster.costs, cpu_intensity=0.2,
         )
         coords, values = cluster.payload_in_region(
             "broadcast", region, ["ship_id"], ndim=len(region.lo)
@@ -257,18 +250,16 @@ class AisDistinctShips(Query):
         self.workload = workload
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
-        # Whole-array query: catalog-column cost lowering + cached
+        # Whole-array query: the pinned read's column charge + cached
         # ship-id concatenation (see ModisQuantileSort).
+        read = cluster.chunks_of_array("broadcast")
         acc = accumulator_for(cluster)
-        scanned = charge_scan_array(
-            acc, cluster, "broadcast", ["ship_id"], cluster.costs,
-            cpu_intensity=1.0,
+        scanned = charge_scan(
+            acc, read, ["ship_id"], cluster.costs, cpu_intensity=1.0,
         )
         # Each node ships its local distinct set (tiny) — model as 1 % of
         # the scanned column per node.
-        merge_bytes = node_byte_sums_array(
-            cluster, "broadcast", ["ship_id"], fraction=0.01
-        )
+        merge_bytes = node_byte_sums(read, ["ship_id"], fraction=0.01)
         network = charge_network(acc, merge_bytes, cluster.costs)
 
         _coords, vals = cluster.array_payload(

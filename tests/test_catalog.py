@@ -378,18 +378,18 @@ class TestLiveReadsAreSnapshotReads:
             else:
                 assert got == want
 
-        same(catalog.pairs_of_array(array), snap.pairs())
+        def same_read(got, want):
+            same(list(got), list(want))
+            for column in ("sizes", "nodes", "rows"):
+                same(getattr(got, column), getattr(want, column))
+            assert got.schema is want.schema
+
+        same_read(catalog.pairs_of_array(array), snap.pairs())
         same(catalog.placement_of_array(array), snap.placement())
-        same(catalog.scan_columns_of(array), snap.scan_columns())
-        same(
+        same_read(
             catalog.pairs_in_region(array, region),
             snap.pairs_in_region(region),
         )
-        same(
-            catalog.region_scan_columns(array, region),
-            snap.region_scan_columns(region),
-        )
-        same(catalog.region_read(array, region), snap.region_read(region))
         same(
             catalog.payload_of_array(array, ["v"], 3),
             snap.payload(["v"], 3),
@@ -408,10 +408,7 @@ class TestLiveReadsAreSnapshotReads:
                     getattr(live, column).tolist(),
                     getattr(pinned, column).tolist(),
                 )
-            same(
-                catalog.delta_scan_columns(array, cursor),
-                snap.delta_scan_columns(cursor),
-            )
+            assert live.schema is pinned.schema is snap.schema
         return snap
 
     def test_known_emptied_and_unknown_arrays(self):
@@ -660,7 +657,7 @@ class TestCatalogInternals:
         partitioner, catalog, chunks = populated
         _unpublish(partitioner, catalog, [c.ref() for c in chunks[::2]])
         payload_before = catalog.payload_of_array("A", ["v"], ndim=3)
-        pairs_before = catalog.pairs_of_array("A")
+        pairs_before = list(catalog.pairs_of_array("A"))
         place_before = catalog.placement_of_array("B")
         assignment_before = partitioner.assignment()
         epoch_before = catalog.epoch_of("A")
@@ -670,7 +667,7 @@ class TestCatalogInternals:
         assert catalog.column_capacity < cap_before
         assert catalog.column_capacity == partitioner.ledger_column_capacity
         assert catalog.epoch_of("A") == epoch_before
-        assert catalog.pairs_of_array("A") == pairs_before
+        assert list(catalog.pairs_of_array("A")) == pairs_before
         assert catalog.placement_of_array("B") == place_before
         assert partitioner.assignment() == assignment_before
         catalog.verify_published()
@@ -687,11 +684,11 @@ class TestCatalogInternals:
 
     def test_scan_columns_match_pairs(self, populated):
         _, catalog, _ = populated
-        sizes, nodes, schema = catalog.scan_columns_of("A")
-        pairs = catalog.pairs_of_array("A")
-        assert sizes.tolist() == [c.size_bytes for c, _ in pairs]
-        assert nodes.tolist() == [n for _, n in pairs]
-        assert schema is SCHEMAS["A"]
+        read = catalog.pairs_of_array("A")
+        pairs = list(read)
+        assert read.sizes.tolist() == [c.size_bytes for c, _ in pairs]
+        assert read.nodes.tolist() == [n for _, n in pairs]
+        assert read.schema is SCHEMAS["A"]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

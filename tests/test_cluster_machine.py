@@ -57,7 +57,7 @@ from hypothesis.stateful import (
 from repro.arrays import Box, ChunkData, parse_schema
 from repro.cluster import CostParameters, ElasticCluster, GB, TieredStorage
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.query.cost import array_scan_columns
+from repro.query.cost import scan_columns
 from repro.query.incremental import MaintainedJoin, position_side
 from tests.oracles import (
     array_scan_columns_scan,
@@ -375,7 +375,7 @@ class ClusterMachine(RuleBasedStateMachine):
             _fingerprint(_StoreWalk(memory), regions=self.regions)
         for array in ARRAYS:
             for got, want in zip(
-                array_scan_columns(session, array, ["v"]),
+                scan_columns(session.chunks_of_array(array), ["v"]),
                 array_scan_columns_scan(memory, array, ["v"]),
             ):
                 assert np.array_equal(got, want)

@@ -733,7 +733,7 @@ class TestDeltaCells:
         )
         runner.run()
         cluster = runner.cluster
-        pairs = cluster.session().chunks_of_array("band1")
+        pairs = list(cluster.session().chunks_of_array("band1"))
         cluster.ingest([c for c, _ in pairs[:7]])  # merge into stored
         cluster.remove_chunks([c.ref() for c, _ in pairs[3:40:2]])
         last = cluster.catalog.payload_epoch_of("band1")

@@ -182,7 +182,7 @@ class TestGatherOverExtents:
             with parity(exec="process"):
                 engine = cluster.exec_backend()
                 session = cluster.session()
-                pairs = session.chunks_of_array("broadcast")
+                pairs = list(session.chunks_of_array("broadcast"))
                 # every ingested chunk still is an extent of its
                 # quarter's arena: sync shipped views, not copies
                 assert len(pairs) > 100

@@ -1,17 +1,29 @@
 """Benchmark queries: real answers + placement-sensitive timing."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.cluster import CostParameters, GB
+from repro.core.catalog import ArraySnapshot
 from repro.core.traits import PAPER_ORDER
+from repro.errors import QueryError
 from repro.query import (
+    AisCollisionPrediction,
+    AisKnn,
+    MaintainedJoin,
+    ModisKMeans,
+    ModisRollingAverage,
+    ModisWindowAggregate,
     ais_suite,
     modis_suite,
+    position_side,
     run_suite,
     suite_for,
 )
 from repro.query.cost import (
+    CostAccumulator,
     colocation_shuffle_bytes,
     elapsed_time,
     halo_shuffle_bytes,
@@ -48,8 +60,10 @@ class TestCostHelpers:
 
     def test_elapsed_time_is_slowest_node(self):
         costs = CostParameters(query_overhead_seconds=2.0)
-        assert elapsed_time({0: 10.0, 1: 30.0}, costs) == 32.0
-        assert elapsed_time({}, costs) == 2.0
+        acc = CostAccumulator([0, 1])
+        acc.add_mapping({0: 10.0, 1: 30.0})
+        assert elapsed_time(acc, costs) == 32.0
+        assert elapsed_time(CostAccumulator([]), costs) == 2.0
 
     def test_elapsed_time_fabric_floor(self):
         costs = CostParameters(
@@ -58,7 +72,9 @@ class TestCostHelpers:
             fabric_concurrency=2.0,
         )
         # 8 GB on the wire / 2 concurrent = 4 GB -> 100 s > node max
-        assert elapsed_time({0: 10.0}, costs,
+        acc = CostAccumulator([0])
+        acc.add_mapping({0: 10.0})
+        assert elapsed_time(acc, costs,
                             wire_bytes=8 * GB) == pytest.approx(100.0)
 
     def test_halo_bytes_zero_when_co_located(self, tiny_schema):
@@ -341,3 +357,112 @@ class TestExecutorHelpers:
     def test_suite_for_dispatch(self, small_modis, small_ais):
         assert len(suite_for(small_modis)) == 6
         assert len(suite_for(small_ais)) == 6
+
+
+#: ``(query class, the one bad keyword argument)`` per constructor case.
+HOSTILE_ARGUMENTS = [
+    (AisKnn, {"samples": -1}),
+    (AisKnn, {"samples": 2.5}),
+    (AisKnn, {"k": 0}),
+    (AisKnn, {"k": -2}),
+    (ModisKMeans, {"k": 0}),
+    (ModisKMeans, {"iterations": -1}),
+    (ModisKMeans, {"iterations": True}),
+    (ModisWindowAggregate, {"window": 0}),
+    (AisCollisionPrediction, {"radius_deg": float("nan")}),
+    (AisCollisionPrediction, {"radius_deg": -1}),
+    (AisCollisionPrediction, {"minutes_ahead": float("inf")}),
+    (ModisRollingAverage, {"days": 0}),
+]
+
+
+class TestHostileArguments:
+    """A query constructor names the argument it cannot run with."""
+
+    @pytest.mark.parametrize(
+        "query, kwargs",
+        HOSTILE_ARGUMENTS,
+        ids=[
+            f"{q.__name__}-{k}={v}"
+            for q, kw in HOSTILE_ARGUMENTS for k, v in kw.items()
+        ],
+    )
+    def test_rejected_in_the_constructor(
+        self, small_modis, small_ais, query, kwargs
+    ):
+        ais = query.__name__.startswith("Ais")
+        workload = small_ais if ais else small_modis
+        (argument,) = kwargs
+        with pytest.raises(QueryError, match=rf"^{argument} must be"):
+            query(workload, **kwargs)
+
+    def test_defaults_and_numpy_integers_accepted(
+        self, small_modis, small_ais
+    ):
+        assert AisKnn(small_ais, samples=np.int64(8)).samples == 8
+        assert ModisKMeans(small_modis, k=3, iterations=4).iterations == 4
+        collision = AisCollisionPrediction(small_ais, radius_deg=1)
+        assert collision.radius_deg == 1.0
+
+
+class TestOneRoutePerRegion:
+    """No query or maintained view routes one region twice."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        calls = []
+        route = ArraySnapshot._positions_in_region
+
+        def spy(snapshot, region):
+            calls.append((snapshot.array, region.lo, region.hi))
+            return route(snapshot, region)
+
+        monkeypatch.setattr(ArraySnapshot, "_positions_in_region", spy)
+        return calls
+
+    def _assert_once_each(self, calls, label):
+        twice = [k for k, n in Counter(calls).items() if n > 1]
+        assert twice == [], label
+
+    def test_cold_suite_pass(self, small_modis, small_ais, routes):
+        for workload, suite in (
+            (small_modis, modis_suite), (small_ais, ais_suite)
+        ):
+            runner = ExperimentRunner(
+                workload,
+                RunConfig(partitioner="hilbert_curve", run_queries=False),
+            )
+            runner.run()
+            routed = 0
+            for query in suite(workload):
+                routes.clear()
+                query.run(runner.cluster, workload.n_cycles)
+                self._assert_once_each(routes, query.name)
+                routed += len(routes)
+            assert routed  # the spy sits on the router the queries use
+
+    def test_maintained_view_refresh(self, routes):
+        from test_incremental import _chunk, _grid_view, _make_cluster
+
+        cluster = _make_cluster("hilbert_curve")
+        batch = [
+            _chunk(array, t, x, (3 * x + t) % 16, x - t)
+            for array in "AB" for t in range(3) for x in range(16)
+        ]
+        cluster.ingest(batch)
+        view = _grid_view(cluster)
+        join = MaintainedJoin(
+            cluster, position_side("A", "v"), position_side("B", "v"),
+            ndim=3,
+        )
+        view.refresh()
+        join.refresh()
+        cluster.remove_chunks([c.ref() for c in batch[:3]])
+        cluster.ingest([_chunk("A", 5, 1, 1, 7.0)])
+        routes.clear()
+        assert view.refresh().mode == "delta"
+        assert routes  # the dirty-bucket rescan routed its region
+        self._assert_once_each(routes, "grid view")
+        routes.clear()
+        assert join.refresh().mode == "delta"
+        self._assert_once_each(routes, "join")

@@ -13,10 +13,10 @@ Covers the ISSUE-5 region-routing contract:
   regions under the ``tests/test_cluster_machine.py`` machine's
   mutation rules and one fixed lifecycle on every scheme, for empty and
   outside regions, and for unknown array names;
-* the region-scoped cost lowering (``region_scan_columns`` /
-  ``charge_scan_region``) matches the pair-list path, as shipped and
-  with the per-chunk cost oracles substituted, and the pooled
-  per-cluster accumulator behaves like a fresh one.
+* a region's ``Read`` is priced from its columns exactly as its pair
+  list is (``charge_scan``), as shipped and with the per-chunk cost
+  oracles substituted, and the pooled per-cluster accumulator behaves
+  like a fresh one.
 """
 
 import numpy as np
@@ -34,7 +34,6 @@ from repro.query.cost import (
     charge_scan,
     charge_scan_region,
     charge_scan_routed,
-    region_scan_columns,
     scan_columns,
 )
 from tests.oracles import (
@@ -192,7 +191,7 @@ class TestRegionRoutingParityProperty:
         cluster = _make_cluster("round_robin")
         cluster.ingest([_chunk("A", (0, 0, 0))])
         region = Box((0, 0, 0), (10, 10, 10))
-        assert cluster.session().chunks_in_region("nope", region) == []
+        assert list(cluster.session().chunks_in_region("nope", region)) == []
         assert chunks_in_region_scan(cluster, "nope", region) == []
 
     def test_empty_and_outside_regions(self):
@@ -208,7 +207,7 @@ class TestRegionRoutingParityProperty:
             Box((50, 0, 0), (60, 16, 16)),     # beyond observed time
         ):
             _assert_region_parity(cluster, "A", region)
-            assert cluster.session().chunks_in_region("A", region) == []
+            assert list(cluster.session().chunks_in_region("A", region)) == []
 
     def test_arity_mismatch_raises_in_both_modes(self):
         cluster = _make_cluster("round_robin")
@@ -243,9 +242,9 @@ class TestRegionCostLowering:
         cluster = self._loaded_cluster()
         region = Box((0, 2, 3), (9, 13, 12))
         session = cluster.session()
-        pairs = session.chunks_in_region("A", region)
-        ref_sizes, ref_nodes = scan_columns(pairs, ["v"])
-        sizes, nodes = region_scan_columns(session, "A", region, ["v"])
+        read = session.chunks_in_region("A", region)
+        ref_sizes, ref_nodes = scan_columns(list(read), ["v"])
+        sizes, nodes = scan_columns(read, ["v"])
         assert np.allclose(sizes, ref_sizes)
         assert np.array_equal(nodes, ref_nodes)
         sizes_o, nodes_o = region_scan_columns_scan(
@@ -269,7 +268,7 @@ class TestRegionCostLowering:
             )
             acc_pairs = CostAccumulator(cluster.node_ids)
             scanned_pairs = pair_charge(
-                acc_pairs, session.chunks_in_region("A", region),
+                acc_pairs, list(session.chunks_in_region("A", region)),
                 ["v"], costs, 1.5,
             )
             assert scanned_region == pytest.approx(scanned_pairs)
@@ -281,20 +280,19 @@ class TestRegionCostLowering:
             )
 
     def test_region_read_single_pass_matches_two_calls(self):
-        # region_read must hand back exactly what chunks_in_region +
-        # region_scan_columns would, from one routing pass.
+        # One region Read carries exactly the pairs and the byte, owner
+        # and key columns of the routed chunks, from one routing pass.
         cluster = self._loaded_cluster()
         region = Box((0, 1, 1), (9, 14, 14))
-        pairs, cols = cluster.session().region_read("A", region)
-        assert [(id(c), n) for c, n in pairs] == [
-            (id(c), n)
-            for c, n in cluster.session().chunks_in_region("A", region)
-        ]
-        sizes, nodes, schema = cols
+        read = cluster.session().chunks_in_region("A", region)
+        pairs = list(read)
+        assert [read[i] for i in range(len(read))] == pairs
         ref_sizes, ref_nodes = scan_columns(pairs)
-        assert np.allclose(sizes, ref_sizes)
-        assert np.array_equal(nodes, ref_nodes)
-        assert schema is SCHEMAS["A"]
+        assert np.array_equal(read.sizes, ref_sizes)
+        assert np.array_equal(read.nodes, ref_nodes)
+        assert read.rows.tolist() == [list(c.key) for c, _ in pairs]
+        assert read.schema is SCHEMAS["A"]
+        assert not read.sizes.flags.writeable
         assert [
             (id(c), n)
             for c, n in chunks_in_region_scan(cluster, "A", region)
@@ -304,7 +302,9 @@ class TestRegionCostLowering:
         cluster = self._loaded_cluster()
         region = Box((0, 0, 0), (9, 12, 12))
         costs = cluster.costs
-        pairs, cols = cluster.session().region_read("A", region)
+        read = cluster.session().chunks_in_region("A", region)
+        pairs = list(read)
+        cols = (read.sizes, read.nodes, read.schema)
         for routed_charge, pair_charge in (
             (charge_scan_routed, charge_scan),
             (charge_scan_routed, charge_scan_scalar),
@@ -312,7 +312,7 @@ class TestRegionCostLowering:
         ):
             acc_routed = CostAccumulator(cluster.node_ids)
             scanned_routed = routed_charge(
-                acc_routed, pairs, cols, ["v"], costs, 1.5
+                acc_routed, read, cols, ["v"], costs, 1.5
             )
             acc_pairs = CostAccumulator(cluster.node_ids)
             scanned_pairs = pair_charge(

@@ -37,6 +37,7 @@ from repro.cluster import (
 from repro.config import ParityConfig, parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import ConfigError
+from repro.query.cost import scan_columns
 
 from tests.oracles.cluster import (
     array_payload_scan,
@@ -44,7 +45,6 @@ from tests.oracles.cluster import (
     payload_in_region_scan,
     placement_of_array_scan,
 )
-from tests.oracles.cost import array_scan_columns_scan
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMAS = {
@@ -100,9 +100,6 @@ class _StoreWalk:
     def array_payload(self, array, attrs, ndim):
         return array_payload_scan(self.cluster, array, attrs, ndim)
 
-    def array_scan_columns(self, array):
-        return (*array_scan_columns_scan(self.cluster, array), None)
-
     def placement_of_array(self, array):
         return placement_of_array_scan(self.cluster, array)
 
@@ -124,7 +121,7 @@ def _fingerprint(surface, arrays=("A", "B"), regions=REGIONS):
     for array in arrays:
         coords, values = surface.array_payload(array, ["v"], 3)
         fp.append((coords.tobytes(), values["v"].tobytes()))
-        sizes, nodes, _schema = surface.array_scan_columns(array)
+        sizes, nodes = scan_columns(surface.chunks_of_array(array))
         fp.append((sizes.tobytes(), nodes.tobytes()))
         fp.append(tuple(sorted(surface.placement_of_array(array).items())))
         fp.append(

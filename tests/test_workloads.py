@@ -231,7 +231,7 @@ class TestAisWorkload:
         ):
             slab = small_ais.time_chunk_box(lo, hi)
             want = [(c, n) for c, n in pairs if lo <= c.key[0] < hi]
-            assert catalog.pairs_in_region("broadcast", slab) == want
+            assert list(catalog.pairs_in_region("broadcast", slab)) == want
         # the slab spans the declared longitude / latitude domain
         slab = small_ais.time_chunk_box(1, 2)
         assert slab.lo == (43200, -180, 0)

@@ -18,9 +18,11 @@ the specification of the session's reads and live in
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arrays.chunk import ChunkData, ChunkRef
@@ -118,8 +120,15 @@ class ElasticCluster:
         ledger_compact_ratio: Optional[float] = 0.5,
         storage: Optional[TieredStorage] = None,
     ) -> None:
-        if node_capacity_bytes <= 0:
-            raise ClusterError("node capacity must be positive")
+        if (
+            isinstance(node_capacity_bytes, bool)
+            or not isinstance(node_capacity_bytes, Real)
+            or not 0 < node_capacity_bytes < math.inf
+        ):
+            raise ClusterError(
+                "node_capacity_bytes must be finite and > 0, got "
+                f"{node_capacity_bytes!r}"
+            )
         if costs is None:
             costs = CostParameters.from_env()
         if ledger_compact_ratio is not None and not (
@@ -369,8 +378,12 @@ class ElasticCluster:
         compaction runs when the dead-slot ratio exceeds
         ``ledger_compact_ratio``.
         """
-        if count < 1:
-            raise ClusterError(f"scale_out needs count >= 1, got {count}")
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, Integral)
+            or count < 1
+        ):
+            raise ClusterError(f"count must be an integer >= 1, got {count!r}")
         new_ids = []
         for _ in range(count):
             node_id = self._next_node_id

@@ -171,9 +171,9 @@ def parity(**overrides: str) -> Iterator[ParityConfig]:
 # Tuning knobs that are not two-valued parity switches (timeouts, start
 # methods, cost-rate overrides) still read ``REPRO_*`` variables —
 # but only through these helpers, so every environment dependency in
-# the tree routes through this module.  The ``env-discipline`` checker
-# in ``tools/reprolint`` enforces that no other ``repro`` module
-# touches ``os.environ`` directly.
+# the tree routes through this module.  The env rule in
+# ``tests/test_project_rules.py`` enforces that no other ``repro``
+# module touches ``os.environ`` directly.
 
 
 def env_text(name: str, default: str = "") -> str:

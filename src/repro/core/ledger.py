@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
+from repro.errors import PartitioningError
 
 NodeId = int
 
@@ -452,7 +453,17 @@ class ArrayChunkLedger:
 
         Returns the old id of every new id ``0 .. live-1`` (ascending),
         or ``None`` when nothing ran.
+
+        Raises
+        ------
+        PartitioningError
+            If ``min_dead_fraction`` is NaN or outside ``[0, 1]``.
         """
+        if not 0.0 <= min_dead_fraction <= 1.0:
+            raise PartitioningError(
+                "min_dead_fraction must be in [0, 1], got "
+                f"{min_dead_fraction!r}"
+            )
         cap = len(self._size)
         live = len(self._id_of)
         if cap == 0 or self.dead_slot_fraction < min_dead_fraction:

@@ -92,6 +92,21 @@ def require_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def require_fraction(name: str, value: float, *, zero_ok: bool) -> float:
+    """``value`` as a float, or :class:`QueryError` unless it is a real
+    in ``[0, 1]`` (``(0, 1]`` without ``zero_ok``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not (0 <= value <= 1 and (zero_ok or value > 0))
+    ):
+        interval = "[0, 1]" if zero_ok else "(0, 1]"
+        raise QueryError(
+            f"{name} must be finite and in {interval}, got {value!r}"
+        )
+    return float(value)
+
+
 def _run_charged(
     query: Query,
     session: ClusterSession,

@@ -314,7 +314,7 @@ class AisDensityMap(Query):
         self, workload: AisWorkload, coarse_degrees: int = 8
     ) -> None:
         self.workload = workload
-        self.coarse_degrees = coarse_degrees
+        self.coarse_degrees = require_count("coarse_degrees", coarse_degrees)
 
     @property
     def grid_cell_sizes(self) -> Tuple[int, int]:

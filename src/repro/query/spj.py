@@ -30,7 +30,7 @@ from repro.query.cost import (
     elapsed_time,
     node_byte_sums,
 )
-from repro.query.executor import CATEGORY_SPJ, Query
+from repro.query.executor import CATEGORY_SPJ, Query, require_fraction
 from repro.query.result import QueryResult
 from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE, AisWorkload
 from repro.workloads.modis import ModisWorkload
@@ -89,8 +89,10 @@ class ModisQuantileSort(Query):
         qs: Sequence[float] = (0.25, 0.5, 0.75, 0.95),
     ) -> None:
         self.workload = workload
-        self.sample_fraction = sample_fraction
-        self.qs = tuple(qs)
+        self.sample_fraction = require_fraction(
+            "sample_fraction", sample_fraction, zero_ok=False
+        )
+        self.qs = tuple(require_fraction("qs", q, zero_ok=True) for q in qs)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         # Whole-array query: cost prices the pinned read's byte/owner

@@ -15,7 +15,7 @@ from repro.cluster import (
     relative_std,
 )
 from repro.cluster.metrics import CycleMetrics, RunMetrics
-from repro.core import LeadingStaircase
+from repro.core import LeadingStaircase, make_partitioner
 from repro.core.base import Move, RebalancePlan
 from repro.errors import ClusterError
 from tests.conftest import make_cluster
@@ -272,6 +272,26 @@ class TestElasticCluster:
         cluster = make_cluster("round_robin", grid3d)
         with pytest.raises(ClusterError):
             cluster.scale_out(0)
+
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(2.0)])
+    def test_scale_out_rejects_a_non_integer_count(self, grid3d, count):
+        cluster = make_cluster("round_robin", grid3d)
+        with pytest.raises(ClusterError, match="^count must be"):
+            cluster.scale_out(count)
+        assert cluster.node_count == 2
+
+    def test_scale_out_accepts_a_numpy_integer(self, grid3d):
+        cluster = make_cluster("round_robin", grid3d)
+        cluster.scale_out(np.int64(1))
+        assert cluster.node_count == 3
+
+    @pytest.mark.parametrize(
+        "capacity", [float("nan"), float("inf"), 0, -GB, True]
+    )
+    def test_node_capacity_must_be_finite_and_positive(self, capacity):
+        partitioner = make_partitioner("round_robin", [0, 1])
+        with pytest.raises(ClusterError, match="^node_capacity_bytes must"):
+            ElasticCluster(partitioner, node_capacity_bytes=capacity)
 
     def test_ingest_report_timing_positive(self, tiny_schema):
         # The K-d tree's grid is the 2-d chunk grid of tiny_schema's keys.

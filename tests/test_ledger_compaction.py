@@ -186,6 +186,14 @@ class TestArrayLedgerCompact:
         assert led.compact(min_dead_fraction=0.5) is False
         assert led.compact(min_dead_fraction=0.05) is True
 
+    @pytest.mark.parametrize("fraction", [float("nan"), -1, 2])
+    def test_bad_threshold_rejected(self, fraction):
+        led, _ = self._churned()
+        cap_before = led.column_capacity
+        with pytest.raises(PartitioningError, match="^min_dead_fraction"):
+            led.compact(fraction)
+        assert led.column_capacity == cap_before
+
     def test_dense_ledger_is_noop(self):
         led = ArrayChunkLedger([0])
         for i in range(10):
@@ -320,6 +328,21 @@ class TestClusterChurn:
         )
         with pytest.raises(ClusterError):
             ElasticCluster(partitioner, 1e12, ledger_compact_ratio=1.5)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), -1, 2])
+    def test_bad_threshold_rejected_on_both_paths(self, fraction):
+        cluster = _churn_cluster(None)
+        chunks = [_chunk(0, x % 64, x // 64, 1e9) for x in range(100)]
+        cluster.ingest(chunks)
+        cluster.remove_chunks([c.ref() for c in chunks[::2]])
+        cap_before = cluster.partitioner.ledger_column_capacity
+        for compact in (cluster.partitioner.compact_ledger,
+                        cluster.catalog.compact):
+            with pytest.raises(PartitioningError,
+                               match="^min_dead_fraction"):
+                compact(fraction)
+        assert cluster.partitioner.ledger_column_capacity == cap_before
+        cluster.check_consistency()
 
     def test_churn_staircase_bounded_capacity(self):
         """The acceptance bound: after the ingest spike ages out, the

@@ -1,6 +1,6 @@
 """The oracle registry is code; these are the rules it has to keep.
 
-What ``tools/reprolint``'s ``parity-registry`` checker policed over an
+What the retired ``parity-registry`` lint checker policed over an
 AST-parsed literal, restated over :data:`tests.oracles.ORACLES`:
 
 * RL101 — every public callable defined in ``tests/oracles`` is the

@@ -11,9 +11,11 @@ from repro.core.traits import PAPER_ORDER
 from repro.errors import QueryError
 from repro.query import (
     AisCollisionPrediction,
+    AisDensityMap,
     AisKnn,
     MaintainedJoin,
     ModisKMeans,
+    ModisQuantileSort,
     ModisRollingAverage,
     ModisWindowAggregate,
     ais_suite,
@@ -373,6 +375,15 @@ HOSTILE_ARGUMENTS = [
     (AisCollisionPrediction, {"radius_deg": -1}),
     (AisCollisionPrediction, {"minutes_ahead": float("inf")}),
     (ModisRollingAverage, {"days": 0}),
+    (AisDensityMap, {"coarse_degrees": 0}),
+    (AisDensityMap, {"coarse_degrees": -1}),
+    (AisDensityMap, {"coarse_degrees": float("nan")}),
+    (AisDensityMap, {"coarse_degrees": float("inf")}),
+    (ModisQuantileSort, {"sample_fraction": 0}),
+    (ModisQuantileSort, {"sample_fraction": 1.5}),
+    (ModisQuantileSort, {"sample_fraction": float("nan")}),
+    (ModisQuantileSort, {"qs": (1.5,)}),
+    (ModisQuantileSort, {"qs": (float("nan"),)}),
 ]
 
 
@@ -403,6 +414,8 @@ class TestHostileArguments:
         assert ModisKMeans(small_modis, k=3, iterations=4).iterations == 4
         collision = AisCollisionPrediction(small_ais, radius_deg=1)
         assert collision.radius_deg == 1.0
+        sort = ModisQuantileSort(small_modis, sample_fraction=1, qs=(0, 1))
+        assert (sort.sample_fraction, sort.qs) == (1.0, (0.0, 1.0))
 
 
 class TestOneRoutePerRegion:

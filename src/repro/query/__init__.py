@@ -19,7 +19,6 @@ from repro.query.cost import (
     neighbor_pairs,
     node_byte_sums,
     scan_columns,
-    spatial_neighbors,
 )
 from repro.query.incremental import (
     DeltaJoinState,
@@ -101,6 +100,5 @@ __all__ = [
     "node_byte_sums",
     "run_suite",
     "scan_columns",
-    "spatial_neighbors",
     "suite_for",
 ]

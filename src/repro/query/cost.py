@@ -53,7 +53,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData, ChunkKey
+from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import position_keys, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.cluster.costs import GB, CostParameters
@@ -553,30 +553,6 @@ def elapsed_time(
 # ----------------------------------------------------------------------
 # spatial neighbourhoods
 # ----------------------------------------------------------------------
-def spatial_neighbors(
-    key: ChunkKey,
-    spatial_dims: Sequence[int],
-) -> List[ChunkKey]:
-    """Face-and-diagonal neighbours of a chunk along the spatial dims.
-
-    The time dimension is excluded: window aggregates and kNN
-    neighbourhoods live within one time slice (the paper's queries window
-    over lat/long of the most recent data).
-    """
-    offsets = []
-    for d in range(len(key)):
-        if d in spatial_dims:
-            offsets.append((-1, 0, 1))
-        else:
-            offsets.append((0,))
-    out = []
-    for combo in product(*offsets):
-        if all(o == 0 for o in combo):
-            continue
-        out.append(tuple(k + o for k, o in zip(key, combo)))
-    return out
-
-
 def neighbor_pairs(
     keys: np.ndarray,
     spatial_dims: Sequence[int],
@@ -600,7 +576,9 @@ def neighbor_pairs(
     Returns
     -------
     (src, dst) : pair of numpy.ndarray
-        Receiver and neighbour indices into ``keys``.
+        Receiver and neighbour indices into ``keys``, offset by offset
+        in ``itertools.product`` order of the stencil, each offset's
+        receivers ascending.
     """
     n = keys.shape[0]
     if n == 0:

@@ -160,9 +160,22 @@ def make_sorted_lookup(
 
     Returns ``(sorted_keys, values_in_key_order)``; hoist this out of
     per-cycle query loops so the table is not re-sorted on every call.
+    Raises :class:`~repro.errors.QueryError` on a repeated key: which
+    of its values a lookup would return is not defined.
     """
     order = np.argsort(keys)
-    return keys[order], values[order]
+    sorted_keys = keys[order]
+    repeated = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if repeated.size:
+        raise QueryError(
+            f"lookup table repeats key {sorted_keys[repeated[0]].item()!r}"
+        )
+    return sorted_keys, values[order]
+
+
+#: Integer lookup keys spanning at most this many slots per table entry
+#: map through a dense index table instead of a binary search.
+_DENSE_LOOKUP_SPAN = 4
 
 
 def equi_join_lookup(
@@ -176,14 +189,36 @@ def equi_join_lookup(
     sorted and unique (vessel ids are; see :func:`make_sorted_lookup`).
     Keys absent from the table — every key, when the table is empty —
     map to -1 when values are numeric.
+
+    Signed-integer keys whose table spans at most
+    ``_DENSE_LOOKUP_SPAN`` slots per entry (500 vessel ids in
+    ``0..499``) go through a dense ``key - lo -> entry`` table, one
+    gather per key; any other table is binary-searched.  Both return
+    the same array.
     """
-    if len(lookup_keys) == 0:
+    m = len(lookup_keys)
+    if m == 0:
         return np.full(np.shape(keys), -1, dtype=lookup_values.dtype)
-    idx = np.searchsorted(lookup_keys, keys)
-    idx = np.clip(idx, 0, len(lookup_keys) - 1)
-    matched = lookup_keys[idx] == keys
-    out = np.where(matched, lookup_values[idx], -1)
-    return out
+    keys = np.asarray(keys)
+    dense = keys.dtype.kind == lookup_keys.dtype.kind == "i"
+    if dense:
+        lo = int(lookup_keys[0])
+        span = int(lookup_keys[-1]) - lo + 1
+        dense = span <= _DENSE_LOOKUP_SPAN * m
+    if dense:
+        # entry[key - lo] is the key's table row; slot ``span`` (where
+        # every key outside the table's range lands) and gaps hold -1.
+        # A key far below lo wraps to a huge offset, never into range.
+        entry = np.full(span + 1, -1, dtype=np.int64)
+        entry[lookup_keys.astype(np.int64) - lo] = np.arange(m)
+        offset = keys.astype(np.int64) - lo
+        idx = entry[np.where((offset >= 0) & (offset < span), offset, span)]
+        matched = idx >= 0
+    else:
+        idx = np.searchsorted(lookup_keys, keys)
+        idx = np.clip(idx, 0, m - 1)
+        matched = lookup_keys[idx] == keys
+    return np.where(matched, lookup_values[idx], -1)
 
 
 # ----------------------------------------------------------------------
@@ -654,6 +689,36 @@ def dead_reckon(
     )
 
 
+#: The half stencil of :func:`count_close_pairs`: of each offset and its
+#: negation only one is visited, so every pair of distinct adjacent
+#: buckets is met exactly once; ``(0, 0)`` pairs a bucket with itself.
+_HALF_STENCIL = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _count_within(
+    lon: np.ndarray,
+    lat: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    r2: float,
+) -> int:
+    """Pairs ``(i, j)``, ``j`` in ``[starts[i], starts[i] + lens[i])``,
+    at squared distance at most ``r2``.
+
+    Each point's candidate run expands to ``(src, dst)`` index pairs
+    with ``repeat`` arithmetic — no per-bucket Python walk.
+    """
+    total = int(lens.sum())
+    if total == 0:
+        return 0
+    src = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
+    dst = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    dst += np.arange(total, dtype=np.int64)
+    d2 = (lon[src] - lon[dst]) ** 2
+    d2 += (lat[src] - lat[dst]) ** 2
+    return int((d2 <= r2).sum())
+
+
 def count_close_pairs(
     lon: np.ndarray,
     lat: np.ndarray,
@@ -663,12 +728,14 @@ def count_close_pairs(
     """Number of point pairs within ``radius`` (collision candidates).
 
     Grid-hashing keeps this near-linear: points are bucketed at the
-    radius scale and only neighbouring buckets are compared.  The bucket
-    pairing itself is vectorized — points sort once by their packed
-    ``(segment, gx, gy)`` key, and for each of the nine stencil offsets
-    a single ``searchsorted`` finds every point's neighbour-bucket run,
-    which expands to candidate pairs with ``repeat`` arithmetic (no
-    per-bucket Python walk).  With
+    radius scale and only neighbouring buckets are compared.  Points
+    sort once by their packed ``(segment, gx, gy)`` key and group into
+    distinct buckets (head index and length).  A half stencil then
+    visits each unordered pair once: ``(0, 0)`` pairs each point with
+    the later points of its own bucket, and for each of the four
+    offsets in ``_HALF_STENCIL`` one ``searchsorted`` over the distinct
+    bucket keys finds every bucket's neighbour, whose whole run is
+    each of the bucket's points' candidates.  With
     ``segments``, only pairs within the same segment count: the
     collision query concatenates every chunk's ships and passes the
     chunk index, so one call covers the whole fleet without inventing
@@ -701,49 +768,35 @@ def count_close_pairs(
     # pad=1: stencil offsets reach one bucket outside the extremes.
     # An extent beyond int64 gets void keys, where a step off either
     # end of int64 wraps onto some far bucket: harmless, every
-    # candidate pair still has to pass the distance test below.
+    # candidate pair still has to pass the distance test, and a wrap
+    # cannot meet a pair twice (no offset of the half stencil is
+    # another's negation).
     packing = row_packing(key, pad=1)
     packed = position_keys(key, packing)
-    order = np.argsort(packed, kind="stable")
+    order = np.argsort(packed)
     sorted_keys = packed[order]
     lon_s = lon[order]
     lat_s = lat[order]
-    key_s = key[order]
-    count = 0
+    head = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
+    size = np.diff(np.append(head, n))
+    bucket_keys = sorted_keys[head]
+    bucket_rows = key[order[head]]
+    bucket_of = np.repeat(np.arange(head.shape[0], dtype=np.int64), size)
     r2 = radius * radius
-    offset = np.empty(3, dtype=np.int64)
-    offset[0] = 0
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            offset[1] = dx
-            offset[2] = dy
-            target = position_keys(key_s + offset, packing)
-            starts = np.searchsorted(sorted_keys, target, side="left")
-            ends = np.searchsorted(sorted_keys, target, side="right")
-            lens = ends - starts
-            total = int(lens.sum())
-            if total == 0:
-                continue
-            # Expand each point's neighbour-bucket run [start, end) to
-            # (src, dst) sorted-position pairs.
-            src = np.repeat(np.arange(n, dtype=np.int64), lens)
-            run_base = np.repeat(
-                np.cumsum(lens) - lens, lens
-            )
-            dst = (
-                np.arange(total, dtype=np.int64)
-                - run_base
-                + np.repeat(starts, lens)
-            )
-            # Each unordered pair is generated in both directions (via
-            # opposite offsets, or twice within the (0, 0) bucket);
-            # keeping the strictly later sorted position counts it once.
-            keep = dst > src
-            if not keep.any():
-                continue
-            src = src[keep]
-            dst = dst[keep]
-            d2 = (lon_s[src] - lon_s[dst]) ** 2
-            d2 += (lat_s[src] - lat_s[dst]) ** 2
-            count += int((d2 <= r2).sum())
+    # (0, 0): each point's partners are the later points of its bucket.
+    after = np.arange(1, n + 1, dtype=np.int64)
+    count = _count_within(
+        lon_s, lat_s, after, (head + size)[bucket_of] - after, r2
+    )
+    last = head.shape[0] - 1
+    for dx, dy in _HALF_STENCIL:
+        offset = np.array([0, dx, dy], dtype=np.int64)
+        target = position_keys(bucket_rows + offset, packing)
+        pos = np.minimum(np.searchsorted(bucket_keys, target), last)
+        run = np.where(bucket_keys[pos] == target, size[pos], 0)
+        count += _count_within(
+            lon_s, lat_s, head[pos][bucket_of], run[bucket_of], r2
+        )
     return count

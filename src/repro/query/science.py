@@ -21,6 +21,7 @@ node cost no network (§6.2.2).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import Box, region_mask
 from repro.cluster.session import ClusterSession
+from repro.core.catalog import Read
 from repro.query import operators as ops
 from repro.query.cost import (
     accumulator_for,
@@ -37,7 +39,6 @@ from repro.query.cost import (
     halo_shuffle_bytes,
     neighbor_pairs,
     node_byte_sums,
-    spatial_neighbors,
     sum_endpoint_bytes,
 )
 from repro.query.executor import (
@@ -69,6 +70,14 @@ def merge_regional_daily_means(
             sums[day] = sums.get(day, 0.0) + mean
             counts[day] = counts.get(day, 0) + 1
     return {day: sums[day] / counts[day] for day in sums}
+
+
+def _cell_counts(read: Read) -> np.ndarray:
+    """Each chunk's stored cell count, in read order (int64)."""
+    return np.fromiter(
+        map(attrgetter("cell_count"), read.chunks.tolist()),
+        dtype=np.int64, count=len(read),
+    )
 
 
 class ModisRollingAverage(Query):
@@ -385,30 +394,25 @@ class AisKnn(Query):
         # host (each owns its region's newest chunks) while keeping each
         # sample's neighbourhood local — the §6.2.2 double win.
         latest = cycle * TIME_CHUNKS_PER_CYCLE - 1
-        current = {
-            c.key: (c, n)
-            for c, n in cluster.chunks_in_region(
-                "broadcast",
-                self.workload.time_chunk_box(latest, latest + 1),
-            )
-        }
-        if not current:
+        read = cluster.chunks_in_region(
+            "broadcast", self.workload.time_chunk_box(latest, latest + 1),
+        )
+        n = len(read)
+        if not n:
             return QueryResult(
                 name=self.name, category=self.category,
                 value={"samples": 0, "mean_knn_distance": None},
                 elapsed_seconds=cluster.costs.query_overhead_seconds,
             )
 
-        # Uniform ship sample: draw positions from the latest slice.
+        # Uniform ship sample: draw positions from the latest slice.  The
+        # read is key-sorted, so chunk ``i`` is the ``i``-th key.
         rng = np.random.default_rng((self.workload.seed, cycle, 99))
-        all_keys = sorted(current)
-        weights = np.array(
-            [current[k][0].cell_count for k in all_keys], dtype=np.float64
-        )
+        cells = _cell_counts(read)
+        weights = cells.astype(np.float64)
         weights /= weights.sum()
         sampled_keys = rng.choice(
-            len(all_keys), size=min(self.samples, len(all_keys)),
-            p=weights, replace=True,
+            n, size=min(self.samples, n), p=weights, replace=True,
         )
 
         # Cost accounting: every sample pays its fragment dispatch,
@@ -419,17 +423,34 @@ class AisKnn(Query):
         # then runs once per distinct neighbourhood with all its query
         # points batched.
         acc = accumulator_for(cluster)
-        wire_map, queries_by_key, key_order = self._account_samples(
-            acc, cluster, current, all_keys, sampled_keys, rng
+        wire_map, queries_by_key, key_order, (src, dst) = (
+            self._account_samples(
+                acc, cluster, read, cells, sampled_keys, rng
+            )
         )
 
+        # One gather of the whole slice.  Chunk ``j``'s cells start at
+        # row ``first[j]`` of it, so a neighbourhood's point set is its
+        # chunks' row ranges laid end to end: the center first, then its
+        # neighbours in stencil order (``qidx`` indexes that order).
+        coords, _ = cluster.gather_payload(read, [], ndim=3)
+        pts_all = coords[:, 1:3].astype(np.float64)
+        first = np.cumsum(cells) - cells
+        lens = cells[dst]
+        bounds = np.zeros(lens.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lens, out=bounds[1:])
+        point_rows = np.repeat(first[dst] - bounds[:-1], lens)
+        point_rows += np.arange(bounds[-1], dtype=np.int64)
+        # ``key_order`` lists the distinct centers in first-sampled order.
+        centers = np.fromiter(
+            dict.fromkeys(sampled_keys.tolist()), dtype=np.int64,
+        )
+        lo = bounds[np.searchsorted(src, centers, side="left")]
+        hi = bounds[np.searchsorted(src, centers, side="right")]
+
         distances: List[float] = []
-        for center_key in key_order:
-            neighborhood = self._neighborhood(current, center_key)
-            coords_all, _ = cluster.gather_payload(
-                neighborhood, [], ndim=3
-            )
-            pts = coords_all[:, 1:3].astype(np.float64)
+        for center_key, a, b in zip(key_order, lo.tolist(), hi.tolist()):
+            pts = pts_all[point_rows[a:b]]
             qidx = np.asarray(queries_by_key[center_key])
             d = ops.knn_mean_distance(pts, pts[qidx], self.k)
             distances.extend(d[np.isfinite(d)].tolist())
@@ -451,22 +472,8 @@ class AisKnn(Query):
             network_bytes=network,
         )
 
-    @staticmethod
-    def _neighborhood(
-        current: Dict[Tuple[int, ...], Tuple[ChunkData, int]],
-        center_key: Tuple[int, ...],
-    ) -> List[Tuple[ChunkData, int]]:
-        """The center chunk plus its present 3x3 spatial neighbours."""
-        center_chunk, owner = current[center_key]
-        neighborhood = [(center_chunk, owner)]
-        for nkey in spatial_neighbors(center_key, spatial_dims=(1, 2)):
-            pair = current.get(nkey)
-            if pair is not None:
-                neighborhood.append(pair)
-        return neighborhood
-
     def _account_samples(
-        self, acc, cluster, current, all_keys, sampled_keys, rng
+        self, acc, cluster, read, cells, sampled_keys, rng
     ):
         """Vectorized per-sample bookkeeping.
 
@@ -478,24 +485,19 @@ class AisKnn(Query):
         (center, neighbour) chunk pair; each cost term then lands as a
         single weighted ``np.add.at`` with the per-center sample counts
         as weights, instead of dict updates inside a per-sample loop.
+
+        ``read`` is the key-sorted latest slice and ``cells`` its chunks'
+        cell counts.  Returns the wire map, each distinct center's query
+        draws by key, the centers in first-sampled order, and the
+        sampled neighbourhoods as ``(src, dst)`` chunk-index pairs
+        grouped by ascending center: the center first, then its present
+        neighbours in stencil order.
         """
         costs = cluster.costs
-        n = len(all_keys)
-        keys_arr = np.array(all_keys, dtype=np.int64)
-        pairs = neighbor_pairs(keys_arr, (1, 2))
-        nodes = np.fromiter(
-            (current[k][1] for k in all_keys), dtype=np.int64, count=n
-        )
-        sizes = np.fromiter(
-            (current[k][0].size_bytes for k in all_keys),
-            dtype=np.float64,
-            count=n,
-        ) * 0.15  # position columns are ~15 % of a broadcast chunk
-        cells = np.fromiter(
-            (current[k][0].cell_count for k in all_keys),
-            dtype=np.int64,
-            count=n,
-        )
+        n = len(read)
+        pairs = neighbor_pairs(read.rows, (1, 2))
+        nodes = read.nodes
+        sizes = read.sizes * 0.15  # position columns are ~15 % of a chunk
         # Each center's neighbourhood is itself plus its present
         # spatial neighbours.
         self_idx = np.arange(n, dtype=np.int64)
@@ -542,15 +544,19 @@ class AisKnn(Query):
 
         queries_by_key: Dict[Tuple[int, ...], List[int]] = {}
         key_order: List[Tuple[int, ...]] = []
-        for key_idx in sample_idx:
-            center_key = all_keys[int(key_idx)]
+        chunks = read.chunks
+        for key_idx in sample_idx.tolist():
+            center_key = chunks[key_idx].key
             if center_key not in queries_by_key:
                 queries_by_key[center_key] = []
                 key_order.append(center_key)
             queries_by_key[center_key].append(
                 int(rng.integers(0, int(nb_cells[key_idx])))
             )
-        return wire_map, queries_by_key, key_order
+        # The pairs came offset by offset, each offset's centers
+        # ascending: a stable sort by center keeps the stencil order.
+        order = np.argsort(src, kind="stable")
+        return wire_map, queries_by_key, key_order, (src[order], dst[order])
 
 
 class AisCollisionPrediction(Query):
@@ -593,13 +599,7 @@ class AisCollisionPrediction(Query):
         coords, values = cluster.gather_payload(
             touched, ["speed", "course"], ndim=3
         )
-        segments = (
-            np.repeat(
-                np.arange(len(touched)),
-                [c.cell_count for c, _ in touched],
-            )
-            if touched else np.empty(0, dtype=np.int64)
-        )
+        segments = np.repeat(np.arange(len(touched)), _cell_counts(touched))
         moving = values["speed"] > 0
         lon, lat = ops.dead_reckon(
             coords[moving, 1],

@@ -40,12 +40,14 @@ from repro.query.cost import (
     charge_scan_routed,
     colocation_shuffle_bytes,
     halo_shuffle_bytes,
+    neighbor_pairs,
     scan_columns,
 )
 from repro.query.incremental import delta_cells, join_aggregate_full
 from repro.query.operators import (
     _unique_rows,
     count_close_pairs,
+    equi_join_lookup,
     group_count_by_grid,
     group_mean_by_grid,
     group_stats_by_grid_arrays,
@@ -86,6 +88,7 @@ from tests.oracles.cost import (
     colocation_shuffle_bytes_scalar,
     halo_shuffle_bytes_scalar,
     region_scan_columns_scan,
+    spatial_neighbors,
 )
 from tests.oracles.incremental import (
     delta_cells_per_chunk,
@@ -94,6 +97,7 @@ from tests.oracles.incremental import (
 from tests.oracles.ledger import DictChunkLedger
 from tests.oracles.operators import (
     count_close_pairs_scalar,
+    equi_join_lookup_searchsorted,
     filter_region,
     group_count_by_grid_scalar,
     group_mean_by_grid_scalar,
@@ -137,6 +141,8 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (charge_network, add_network_work_scalar, "lowered"),
     (halo_shuffle_bytes, halo_shuffle_bytes_scalar, "same"),
     (colocation_shuffle_bytes, colocation_shuffle_bytes_scalar, "same"),
+    # the stencil lookup, one key at a time
+    (neighbor_pairs, spatial_neighbors, "lowered"),
     # a session read lowered by scan_columns, against the store walk's
     (scan_columns, array_scan_columns_scan, "lowered"),
     (scan_columns, region_scan_columns_scan, "lowered"),
@@ -160,6 +166,7 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (position_join, position_join_intersect1d, "same"),
     (_unique_rows, unique_rows_sorted, "same"),
     (window_average_arrays, window_average_arrays_sorted, "same"),
+    (equi_join_lookup, equi_join_lookup_searchsorted, "same"),
     (join_aggregate_full, join_aggregate_scalar, "same"),
     (delta_cells, delta_cells_per_chunk, "same"),
     # region selection, per chunk

@@ -2,7 +2,8 @@
 
 The ``*_scalar`` kernels and the scalar arms of the ``charge_*``
 dispatchers, moved verbatim from ``repro.query.cost`` (and
-``AisKnn._account_samples_scalar`` from ``repro.query.science``).
+``AisKnn._account_samples_scalar`` from ``repro.query.science``), plus
+the per-key neighbour walk they share, :func:`spatial_neighbors`.
 Every function below has the parameter list of the production callable
 it specifies, except the two kernels that accumulate into a plain
 ``node -> seconds`` dict (``"lowered"`` in ``ORACLES``); the
@@ -14,13 +15,14 @@ per-chunk walk.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.chunk import ChunkData, ChunkKey
 from repro.cluster.costs import CostParameters
-from repro.query.cost import CostAccumulator, scan_columns, spatial_neighbors
+from repro.query.cost import CostAccumulator, scan_columns
 
 from tests.oracles.cluster import chunks_in_region_scan, chunks_of_array_scan
 
@@ -84,6 +86,30 @@ def add_network_work_scalar(
         per_node[node] = per_node.get(node, 0.0) + costs.network_time(size)
         total += size
     return total
+
+
+def spatial_neighbors(
+    key: ChunkKey,
+    spatial_dims: Sequence[int],
+) -> List[ChunkKey]:
+    """Face-and-diagonal neighbours of a chunk along the spatial dims.
+
+    The time dimension is excluded: window aggregates and kNN
+    neighbourhoods live within one time slice (the paper's queries window
+    over lat/long of the most recent data).
+    """
+    offsets = []
+    for d in range(len(key)):
+        if d in spatial_dims:
+            offsets.append((-1, 0, 1))
+        else:
+            offsets.append((0,))
+    out = []
+    for combo in product(*offsets):
+        if all(o == 0 for o in combo):
+            continue
+        out.append(tuple(k + o for k, o in zip(key, combo)))
+    return out
 
 
 def halo_shuffle_bytes_scalar(
@@ -264,16 +290,34 @@ def region_scan_columns_scan(
 # ----------------------------------------------------------------------
 # AisKnn sample accounting
 # ----------------------------------------------------------------------
+def _neighborhood(
+    current: Dict[Tuple[int, ...], Tuple[ChunkData, int]],
+    center_key: Tuple[int, ...],
+) -> List[Tuple[ChunkData, int]]:
+    """The center chunk plus its present 3x3 spatial neighbours."""
+    center_chunk, owner = current[center_key]
+    neighborhood = [(center_chunk, owner)]
+    for nkey in spatial_neighbors(center_key, spatial_dims=(1, 2)):
+        pair = current.get(nkey)
+        if pair is not None:
+            neighborhood.append(pair)
+    return neighborhood
+
+
 def account_samples_scalar(
-    self, acc, cluster, current, all_keys, sampled_keys, rng
+    self, acc, cluster, read, cells, sampled_keys, rng
 ):
     """Parity oracle: the pre-batch per-sample cost loop.
 
     The owner reads its local chunks, pulls remote position columns,
     and dispatches a partial-kNN fragment to every remote node
     involved — the coordination cost clustered placement avoids (all
-    nine chunks on one host: zero fragments).
+    nine chunks on one host: zero fragments).  ``cells`` is not read:
+    the loop counts each neighbourhood's cells chunk by chunk.  The
+    sampled neighbourhoods it returns last are walked key by key.
     """
+    current = {chunk.key: (chunk, node) for chunk, node in read}
+    all_keys = sorted(current)
     per_node: Dict[int, float] = {}
     wire: Dict[int, float] = {}
     pts_cells: Dict[Tuple[int, ...], int] = {}
@@ -281,7 +325,7 @@ def account_samples_scalar(
     key_order: List[Tuple[int, ...]] = []
     for key_idx in sampled_keys:
         center_key = all_keys[int(key_idx)]
-        neighborhood = self._neighborhood(current, center_key)
+        neighborhood = _neighborhood(current, center_key)
         owner = neighborhood[0][1]
         remote_nodes = set()
         for chunk, node in neighborhood:
@@ -312,4 +356,12 @@ def account_samples_scalar(
             int(rng.integers(0, pts_cells[center_key]))
         )
     acc.add_mapping(per_node)
-    return wire, queries_by_key, key_order
+    index = {key: i for i, key in enumerate(all_keys)}
+    src: List[int] = []
+    dst: List[int] = []
+    for center_key in sorted(queries_by_key):
+        for chunk, _node in _neighborhood(current, center_key):
+            src.append(index[center_key])
+            dst.append(index[chunk.key])
+    members = (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+    return wire, queries_by_key, key_order, members

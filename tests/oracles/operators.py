@@ -8,9 +8,10 @@ kernels may reassociate reductions.  :func:`filter_region` is the
 per-chunk selection the region payload reads replaced; its one caller
 is the selection oracle in ``tests/test_queries.py``.
 
-The last three — :func:`position_join_intersect1d`,
-:func:`unique_rows_sorted`, :func:`window_average_arrays_sorted` — are
-the *sort-based* batch kernels the offset-reduce ones replaced, kept
+The last four — :func:`position_join_intersect1d`,
+:func:`unique_rows_sorted`, :func:`window_average_arrays_sorted` and
+:func:`equi_join_lookup_searchsorted` — are the *sort- and
+search-based* batch kernels the offset-indexed ones replaced, kept
 verbatim (the private packing aliases spelled out aside):
 ``tests/test_kernel_sortfree.py`` requires the production kernels to
 return their arrays bit for bit.
@@ -335,3 +336,22 @@ def window_average_arrays_sorted(
         occupied = np.unique(base, axis=0)
         keep = np.isin(*joint_position_keys(uniq, occupied))
     return uniq[keep], sums[keep] / counts[keep]
+
+
+def equi_join_lookup_searchsorted(
+    keys: np.ndarray,
+    lookup_keys: np.ndarray,
+    lookup_values: np.ndarray,
+) -> np.ndarray:
+    """Oracle: one binary search per key into the sorted table.
+
+    ``lookup_keys`` must be sorted and unique.  Keys absent from the
+    table — every key, when the table is empty — map to -1.
+    """
+    if len(lookup_keys) == 0:
+        return np.full(np.shape(keys), -1, dtype=lookup_values.dtype)
+    idx = np.searchsorted(lookup_keys, keys)
+    idx = np.clip(idx, 0, len(lookup_keys) - 1)
+    matched = lookup_keys[idx] == keys
+    out = np.where(matched, lookup_values[idx], -1)
+    return out

@@ -35,15 +35,16 @@ from repro.query.cost import (
     neighbor_pairs,
     node_byte_sums,
     scan_columns,
-    spatial_neighbors,
 )
 from repro.cluster.costs import CostParameters
+from repro.core.catalog import Read
 from tests.oracles import (
     account_samples_scalar,
     add_network_work_scalar,
     add_scan_work_scalar,
     colocation_shuffle_bytes_scalar,
     halo_shuffle_bytes_scalar,
+    spatial_neighbors,
 )
 
 SCHEMA = parse_schema(
@@ -297,32 +298,47 @@ class TestColocationParity:
 class TestKnnAccountingParity:
     def test_matches_scalar_on_unpackable_extent(self, small_ais):
         # The kNN sample bookkeeping on chunk keys 2**40 apart: same
-        # charges, same wire bytes, same rng draws as the per-sample
-        # loop.
-        current = {
-            chunk.key: (chunk, node)
-            for chunk, node in (
+        # charges, same wire bytes, same rng draws and the same sampled
+        # neighbourhoods as the per-sample loop.
+        layout = sorted(
+            (
                 (_far_chunk(c.key, c.size_bytes), n)
                 for c, n in _layout(60, 16)
-            )
-        }
-        all_keys = sorted(current)
-        sampled = np.random.default_rng(3).choice(len(all_keys), size=40)
+            ),
+            key=lambda pair: pair[0].key,
+        )
+        chunks = np.empty(len(layout), dtype=object)
+        chunks[:] = [c for c, _ in layout]
+        read = Read(
+            chunks,
+            np.array([c.size_bytes for c, _ in layout]),
+            np.array([n for _, n in layout], dtype=np.int64),
+            FAR_SCHEMA,
+            np.array([c.key for c, _ in layout], dtype=np.int64),
+        )
+        cells = np.array([c.cell_count for c, _ in layout], dtype=np.int64)
+        sampled = np.random.default_rng(3).choice(len(read), size=40)
         query = AisKnn(small_ais)
         session = SimpleNamespace(costs=COSTS)
         outcomes = []
         for account in (AisKnn._account_samples, account_samples_scalar):
             acc = CostAccumulator(range(4))
-            wire, queries_by_key, key_order = account(
-                query, acc, session, current, all_keys, sampled,
+            wire, queries_by_key, key_order, members = account(
+                query, acc, session, read, cells, sampled,
                 np.random.default_rng(4),
             )
-            outcomes.append((acc.as_dict(), wire, queries_by_key, key_order))
-        (busy, wire, queries, order), (ref_busy, ref_wire, *ref) = outcomes
-        assert [queries, order] == ref
+            outcomes.append(
+                (acc.as_dict(), wire, queries_by_key, key_order, members)
+            )
+        (busy, wire, queries, order, members), ref = outcomes
+        ref_busy, ref_wire, ref_queries, ref_order, ref_members = ref
+        assert [queries, order] == [ref_queries, ref_order]
         assert ref_wire  # remote neighbours exist, so dispatch is charged
         assert wire == pytest.approx(ref_wire, rel=1e-9)
         assert busy == pytest.approx(ref_busy, rel=1e-9)
+        assert len(set(ref_members[0].tolist())) > 1
+        for got, want in zip(members, ref_members):
+            assert np.array_equal(got, want)
 
 
 class TestCostModeSwitch:

@@ -312,3 +312,55 @@ class TestPositionJoin:
         assert got[0].tolist() == [[1], [5], [9]]
         assert got[1].tolist() == [1.0, 0.0, 3.0]
         assert got[2].tolist() == [50.0, 10.0, 0.0]
+
+
+class TestEquiJoinLookup:
+    """The dense-table lookup returns the binary search's array."""
+
+    @given(data=st.data())
+    def test_bit_identical_to_searchsorted(self, data):
+        m = data.draw(st.integers(0, 30))
+        dense = ops._DENSE_LOOKUP_SPAN * m
+        # up to the dense threshold, one slot past it, or far past it
+        span = max(
+            m, data.draw(st.sampled_from([m, dense, dense + 1, 10**6]))
+        )
+        lo = data.draw(st.sampled_from([0, -7, -(2**40), 2**40]))
+        key_dtype = data.draw(st.sampled_from([np.int64, np.int32, float]))
+        if key_dtype is np.int32:
+            lo = max(min(lo, 2**20), -(2**20))
+        value_dtype = data.draw(st.sampled_from([np.int64, np.int32, float]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        inner = rng.choice(max(span - 2, 0), max(m - 2, 0), replace=False)
+        offsets = np.unique(np.concatenate([[0, span - 1], inner + 1]))[:m]
+        table = (lo + offsets).astype(key_dtype)
+        values = rng.integers(-50, 50, m).astype(value_dtype)
+        # present keys, absent ones inside the span, keys on both sides
+        # of it, and the ends of int64
+        probes = [
+            table,
+            lo + rng.integers(-3, span + 3, 20),
+            np.array([lo - 1, lo + span, -1, 0]),
+        ]
+        if key_dtype is np.int64:
+            probes.append(np.array([-(2**63), 2**63 - 1]))
+        keys = np.concatenate(probes).astype(key_dtype)
+        if key_dtype is float:
+            keys = np.concatenate([keys, keys[:5] + 0.5])
+        rng.shuffle(keys)
+        _same(
+            [ops.equi_join_lookup(keys, table, values)],
+            [oracles.equi_join_lookup_searchsorted(keys, table, values)],
+        )
+
+    def test_vessel_shape_takes_the_dense_arm(self):
+        # 500 vessel ids in 0..499; ship ids run past both ends.
+        ids = np.arange(500, dtype=np.int64)
+        types = (ids % 7).astype(np.int32)
+        ships = np.random.default_rng(5).integers(-3, 505, 2000)
+        want = oracles.equi_join_lookup_searchsorted(ships, ids, types)
+        with mock.patch.object(np, "searchsorted", side_effect=AssertionError):
+            got = ops.equi_join_lookup(ships, ids, types)
+            with pytest.raises(AssertionError):  # span 2496 > 4 x 500
+                ops.equi_join_lookup(ships, ids * 5, types)
+        _same([got], [want])

@@ -110,6 +110,17 @@ class TestJoins:
         assert out.tolist() == [-1, -1, -1] and out.dtype == np.int32
         assert ops.equi_join_lookup(empty, empty, empty).shape == (0,)
 
+    def test_make_sorted_lookup_rejects_a_repeated_key(self):
+        # Which duplicate's value a lookup returned was up to the sort.
+        with pytest.raises(QueryError, match="repeats key 7"):
+            ops.make_sorted_lookup(
+                np.array([7, 3, 9, 7]), np.array([1, 2, 3, 4])
+            )
+        keys, values = ops.make_sorted_lookup(
+            np.array([7, 3, 9]), np.array([1, 2, 3])
+        )
+        assert keys.tolist() == [3, 7, 9] and values.tolist() == [2, 1, 3]
+
 
 class TestGrouping:
     def test_group_count_by_grid(self):

@@ -29,10 +29,12 @@ from repro.query.cost import (
     colocation_shuffle_bytes,
     elapsed_time,
     halo_shuffle_bytes,
-    spatial_neighbors,
 )
 from repro.query.executor import CATEGORY_SCIENCE, CATEGORY_SPJ
 from repro.harness.runner import ExperimentRunner, RunConfig
+from repro.cluster.session import ClusterSession
+from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE
+from tests.oracles.cost import spatial_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -479,3 +481,27 @@ class TestOneRoutePerRegion:
         routes.clear()
         assert join.refresh().mode == "delta"
         self._assert_once_each(routes, "join")
+
+
+class TestOneGatherPerKnn:
+    """The kNN query gathers its latest slice once, not per neighbourhood."""
+
+    def test_one_gather_payload_call(
+        self, ais_cluster, small_ais, monkeypatch
+    ):
+        calls = []
+        gather = ClusterSession.gather_payload
+
+        def spy(session, pairs, attrs, ndim=0):
+            calls.append(len(pairs))
+            return gather(session, pairs, attrs, ndim)
+
+        monkeypatch.setattr(ClusterSession, "gather_payload", spy)
+        result = AisKnn(small_ais).run(ais_cluster, small_ais.n_cycles)
+        assert result.value["samples"] > 1
+        assert calls == [len(ais_cluster.session().chunks_in_region(
+            "broadcast", small_ais.time_chunk_box(
+                small_ais.n_cycles * TIME_CHUNKS_PER_CYCLE - 1,
+                small_ais.n_cycles * TIME_CHUNKS_PER_CYCLE,
+            ),
+        ))]

@@ -277,6 +277,57 @@ class TestClosePairsParity:
         )
         assert combined == split
 
+    @staticmethod
+    def _brute(lon, lat, radius, segs):
+        return sum(
+            1
+            for i in range(lon.shape[0])
+            for j in range(i + 1, lon.shape[0])
+            if segs[i] == segs[j]
+            and (lon[i] - lon[j]) ** 2 + (lat[i] - lat[j]) ** 2
+            <= radius * radius
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_points_on_bucket_edges(self, data):
+        # Every coordinate a multiple of the radius: each point sits on
+        # a bucket corner, and pairs exactly ``radius`` apart count.
+        radius = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        steps = st.lists(
+            st.integers(-4, 6), min_size=2, max_size=40
+        )
+        lon = np.array(data.draw(steps), dtype=np.float64) * radius
+        lat = np.resize(
+            np.array(data.draw(steps), dtype=np.float64), lon.shape
+        ) * radius
+        segs = np.zeros(lon.shape[0], dtype=np.int64)
+        vec = ops.count_close_pairs(lon, lat, radius)
+        sca = oracles.count_close_pairs_scalar(lon, lat, radius)
+        assert vec == sca == self._brute(lon, lat, radius, segs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_segments_beyond_int64_take_void_keys(self, data):
+        n = data.draw(st.integers(2, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        segs = rng.choice(
+            np.array([-(2**62), 0, 2**62], dtype=np.int64), n
+        )
+        lon = rng.uniform(0, 3, n)
+        lat = rng.uniform(0, 3, n)
+        radius = 0.6
+        key = np.stack(
+            [segs, np.floor(lon / radius), np.floor(lat / radius)], axis=1
+        ).astype(np.int64)
+        if len(set(segs.tolist())) > 1:
+            assert row_packing(key, pad=1) is None
+        vec = ops.count_close_pairs(lon, lat, radius, segments=segs)
+        sca = oracles.count_close_pairs_scalar(
+            lon, lat, radius, segments=segs
+        )
+        assert vec == sca == self._brute(lon, lat, radius, segs)
+
 
 def _void_position_join(coords_a, values_a, coords_b, values_b):
     """The pre-int64 join: intersect structured-void views of the rows."""

@@ -28,7 +28,7 @@ from repro.arrays.sfc import RectangleHilbert, hilbert_index_batch
 from repro.cluster import ElasticCluster, TieredStorage, execute_rebalance
 from repro.cluster.costs import CostParameters
 from repro.core import make_partitioner
-from repro.core.base import Move, RebalancePlan
+from repro.core.base import RebalancePlan
 from repro.core.catalog import Read, concat_payload
 from repro.query import operators as ops
 from repro.query.cost import (
@@ -750,14 +750,17 @@ def _rebalance_fixture():
     starting state, so every round does identical work.
     """
     cluster = _routing_cluster()
-    donors = list(cluster.catalog.pairs_of_array("Q"))[: CATALOG_CHUNKS // 2]
-    fwd, rev = [], []
-    for chunk, node in donors:
-        dest = (node + 1) % CATALOG_NODES
-        ref = chunk.ref()
-        fwd.append(Move(ref, node, dest, chunk.size_bytes))
-        rev.append(Move(ref, dest, node, chunk.size_bytes))
-    return cluster, RebalancePlan(moves=fwd), RebalancePlan(moves=rev)
+    read = cluster.catalog.pairs_of_array("Q")
+    half = slice(CATALOG_CHUNKS // 2)
+    refs = [chunk.ref() for chunk in read.chunks[half].tolist()]
+    ids = cluster.catalog.table.ids_of(refs)
+    nodes, sizes = read.nodes[half], read.sizes[half]
+    dests = (nodes + 1) % CATALOG_NODES
+    return (
+        cluster,
+        RebalancePlan(refs, nodes, dests, sizes, ids),
+        RebalancePlan(refs, dests, nodes, sizes, ids),
+    )
 
 
 def test_rebalance_scalar(benchmark):

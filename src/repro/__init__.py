@@ -46,7 +46,6 @@ from repro.core import (
     ALL_PARTITIONERS,
     ElasticPartitioner,
     LeadingStaircase,
-    Move,
     RebalancePlan,
     ScaleOutCostModel,
     fit_sample_count,
@@ -79,7 +78,6 @@ __all__ = [
     "LeadingStaircase",
     "LocalArray",
     "ModisWorkload",
-    "Move",
     "ParityConfig",
     "QueryResult",
     "RebalancePlan",

@@ -518,7 +518,11 @@ class ChunkStore:
         self._validate_evict(refs)
         pop = self._chunks.pop
         evicted = [pop(ref) for ref in refs]
-        self._bytes -= sum(c.size_bytes for c in evicted)
+        # An emptied store holds exactly 0.0, not the float residue.
+        self._bytes = (
+            self._bytes - sum(c.size_bytes for c in evicted)
+            if self._chunks else 0.0
+        )
         if evicted:
             self._sorted = None
         return evicted
@@ -563,7 +567,10 @@ class ChunkStore:
             chunk = self._chunks.pop(ref)
             tier.detach(chunk)  # also releases the pin
             evicted.append(chunk)
-        self._bytes -= sum(c.size_bytes for c in evicted)
+        self._bytes = (
+            self._bytes - sum(c.size_bytes for c in evicted)
+            if self._chunks else 0.0
+        )
         if evicted:
             self._sorted = None
         return evicted

@@ -27,7 +27,7 @@ from repro.arrays.chunk import ChunkData, ChunkRef
 from repro.cluster.costs import CostParameters
 from repro.cluster.network import insert_time, rebalance_time
 from repro.cluster.node import Node
-from repro.core.base import ElasticPartitioner, RebalancePlan
+from repro.core.base import ElasticPartitioner, RebalancePlan, sum_by_node
 from repro.core.catalog import ChunkCatalog
 from repro.errors import ClusterError
 
@@ -84,32 +84,20 @@ def execute_insert(
     table = catalog.table
     ids = table.ids_of(refs)
     targets = table.owners(ids)
-    # Per-node byte totals and store groups from one unique pass.
-    uniq_targets, first, inverse, counts = np.unique(
-        targets, return_index=True, return_inverse=True,
-        return_counts=True,
-    )
-    unknown = [int(t) for t in uniq_targets.tolist() if t not in nodes]
+    groups = _groups(targets)
+    unknown = sorted(node for node, _ in groups if node not in nodes)
     if unknown:
         raise ClusterError(
             f"partitioner placed chunks on unknown nodes {unknown}"
         )
-    node_bytes = np.bincount(inverse, weights=sizes)
-    bytes_by_node: Dict[int, float] = {
-        int(t): float(b)
-        for t, b in zip(uniq_targets.tolist(), node_bytes.tolist())
-    }
+    bytes_by_node = dict(sorted(sum_by_node(targets, sizes).items()))
     # Stores are visited in order of first appearance in the batch, so
     # a mid-batch I/O fault leaves the same stores written as per-chunk
     # routing would.
-    groups = np.split(
-        np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1]
-    )
     stored = np.empty(count, dtype=object)
-    for g in np.argsort(first).tolist():
-        idxs = groups[g]
-        stored[idxs] = nodes[int(uniq_targets[g])].store.put_many(
-            [chunks[i] for i in idxs.tolist()]
+    for node, idx in groups:
+        stored[idx] = nodes[node].store.put_many(
+            [chunks[i] for i in idx.tolist()]
         )
     catalog.put_batch(stored, ids)
     elapsed = insert_time(bytes_by_node, coordinator_id, costs)
@@ -130,76 +118,99 @@ def execute_rebalance(
     """Physically move chunks between stores per a rebalance plan.
 
     The batch executor validates the whole plan up front (known nodes,
-    every first source actually holding its chunk), collapses per-ref
-    move chains to ``first source → final destination``, then runs one
-    bulk eviction per donor and one bulk install per receiver, followed
-    by a single catalog relocation pass that publishes the moved
-    chunks' planned owners.
+    continuous move chains, every first source actually holding its
+    chunk), collapses per-chunk move chains to ``first source → final
+    destination``, then runs one bulk eviction per donor and one bulk
+    install per receiver (stores in order of first appearance), followed
+    by one catalog relocation pass that publishes the plan's ids.  It
+    reads the plan's columns: one stable argsort groups moves by chunk.
     """
-    moves = plan.moves
-    if not moves:
+    n = plan.chunk_count
+    if not n:
         return RebalanceReport(
             chunks_moved=0,
             bytes_moved=0.0,
             elapsed_seconds=rebalance_time(plan, costs),
             touched_nodes=0,
         )
+    refs, sources, dests = plan.refs, plan.sources, plan.dests
     # Whole-plan validation before the first eviction.
-    for move in moves:
-        if move.source not in nodes or move.dest not in nodes:
-            raise ClusterError(
-                f"rebalance references unknown node: {move}"
-            )
+    known = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+    bad = ~(np.isin(sources, known) & np.isin(dests, known))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ClusterError(
+            f"rebalance references unknown node: {refs[i]} "
+            f"{sources[i]} -> {dests[i]}"
+        )
     # Collapse chains: a chunk moved twice within one plan (sequential
     # splits) leaves its first source once and lands on its final
     # destination once — the same end state as replaying the moves.
     # Chains must be continuous (each hop starts where the previous one
     # ended), exactly as the per-move oracle enforces physically.
-    first_source: Dict[ChunkRef, int] = {}
-    final_dest: Dict[ChunkRef, int] = {}
-    order: List[ChunkRef] = []
-    for move in moves:
-        if move.ref not in first_source:
-            first_source[move.ref] = move.source
-            order.append(move.ref)
-        elif move.source != final_dest[move.ref]:
+    keys = plan.ids
+    if keys is None:  # hand-built: a chunk not in the table is not stored
+        try:
+            keys = catalog.table.ids_of(refs)
+        except KeyError as err:
+            i = refs.tolist().index(err.args[0])
             raise ClusterError(
-                f"discontinuous move chain for {move.ref}: hop from "
-                f"{move.source} but the chunk is on "
-                f"{final_dest[move.ref]}"
-            )
-        final_dest[move.ref] = move.dest
+                f"rebalance source {sources[i]} does not hold {refs[i]}"
+            ) from None
+    by_chunk = np.argsort(keys, kind="stable")
+    head = np.ones(n + 1, dtype=bool)  # each chunk's first move, sentinel
+    head[1:-1] = keys[by_chunk][1:] != keys[by_chunk][:-1]
+    broken = ~head[1:-1] & (sources[by_chunk[1:]] != dests[by_chunk[:-1]])
+    if broken.any():
+        j = np.nonzero(broken)[0][np.argmin(by_chunk[1:][broken])]
+        i = by_chunk[j + 1]
+        raise ClusterError(
+            f"discontinuous move chain for {refs[i]}: hop from "
+            f"{sources[i]} but the chunk is on {dests[by_chunk[j]]}"
+        )
+    first, last = by_chunk[head[:-1]], by_chunk[head[1:]]
+    order = np.argsort(first)  # chunks in first-appearance order
+    first, last = first[order], last[order]
+    moved, origin, final = refs[first], sources[first], dests[last]
     # Every chained chunk must exist at its first source — including
     # cyclic chains that net out to no movement, which the per-move
     # oracle would still try (and fail) to evict.
-    for ref in order:
-        if ref not in nodes[first_source[ref]].store:
-            raise ClusterError(
-                f"rebalance source {first_source[ref]} does not "
-                f"hold {ref}"
-            )
-    net = [r for r in order if first_source[r] != final_dest[r]]
-    by_source: Dict[int, List[ChunkRef]] = {}
-    for ref in net:
-        by_source.setdefault(first_source[ref], []).append(ref)
-    # Grouped physical movement: bulk evictions, then bulk installs.
-    payload: Dict[ChunkRef, ChunkData] = {}
-    for source, refs in by_source.items():
-        payload.update(
-            zip(refs, nodes[source].store.evict_many(refs))
+    missing = len(moved)
+    for node, idx in _groups(origin):
+        held = list(map(nodes[node].store.__contains__, moved[idx].tolist()))
+        if not all(held):
+            missing = min(missing, int(idx[held.index(False)]))
+    if missing < len(moved):
+        raise ClusterError(
+            f"rebalance source {origin[missing]} does not hold "
+            f"{moved[missing]}"
         )
-    by_dest: Dict[int, List[ChunkRef]] = {}
-    for ref in net:
-        by_dest.setdefault(final_dest[ref], []).append(ref)
-    for dest, refs in by_dest.items():
-        nodes[dest].store.put_many([payload[r] for r in refs])
-    catalog.relocate_batch(net)
+    net = np.nonzero(origin != final)[0]
+    # Grouped physical movement: bulk evictions, then bulk installs.
+    payload = np.empty(len(moved), dtype=object)
+    for node, idx in _groups(origin[net]):
+        payload[net[idx]] = nodes[node].store.evict_many(
+            moved[net[idx]].tolist()
+        )
+    for node, idx in _groups(final[net]):
+        nodes[node].store.put_many(payload[net[idx]].tolist())
+    catalog.relocate_batch(keys[first[net]])
     return RebalanceReport(
-        chunks_moved=plan.chunk_count,
+        chunks_moved=n,
         bytes_moved=plan.total_bytes,
         elapsed_seconds=rebalance_time(plan, costs),
         touched_nodes=len(plan.touched_nodes()),
     )
+
+
+def _groups(nodes: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """``(node, positions)`` per distinct node, in order of first
+    appearance; positions ascend (one stable argsort)."""
+    uniq, first, inverse, counts = np.unique(
+        nodes, return_index=True, return_inverse=True, return_counts=True
+    )
+    parts = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return [(int(uniq[g]), parts[g]) for g in np.argsort(first).tolist()]
 
 
 @dataclass
@@ -231,35 +242,41 @@ def execute_remove(
     leaving earlier chunks half-removed; the evictions then run as one
     bulk pass per holding node.
     """
-    resolved: List[Tuple[ChunkRef, int, float]] = []
-    seen = set()
-    for ref in refs:
-        if ref in seen:
-            raise ClusterError(f"duplicate chunk {ref} in remove batch")
-        seen.add(ref)
-        node = partitioner.locate(ref)  # raises on unknown chunks
-        if node not in nodes:
-            raise ClusterError(
-                f"chunk {ref} mapped to unknown node {node}"
-            )
-        resolved.append((ref, node, partitioner.size_of(ref)))
-
-    by_node: Dict[int, List[ChunkRef]] = {}
-    freed_by_node: Dict[int, float] = {}
-    for ref, node, size in resolved:
-        by_node.setdefault(node, []).append(ref)
-        freed_by_node[node] = freed_by_node.get(node, 0.0) + size
-    for node, node_refs in by_node.items():
-        nodes[node].store.evict_many(node_refs)
+    refs = list(refs)
+    table = partitioner.table
+    try:
+        ids = table.ids_of(refs)
+    except KeyError as err:  # resolve the prefix before the unknown ref
+        ids = table.ids_of(refs[: refs.index(err.args[0])])
+    owners = table.owners(ids)
+    # The first bad ref in batch order names the error: a repeat, a ref
+    # on a node the cluster does not have, or one never placed.
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[np.unique(ids, return_index=True)[1]] = False
+    stray = ~np.isin(owners, np.fromiter(nodes, np.int64, len(nodes)))
+    bad = np.nonzero(repeat | stray)[0]
+    i = int(bad[0]) if len(bad) else len(ids)
+    if i < len(ids) and repeat[i]:
+        raise ClusterError(f"duplicate chunk {refs[i]} in remove batch")
+    if i < len(ids):
+        raise ClusterError(
+            f"chunk {refs[i]} mapped to unknown node {owners[i]}"
+        )
+    if i < len(refs):
+        partitioner.locate(refs[i])  # raises: never placed
+    ref_col = table.refs_at(ids)
+    for node, idx in _groups(owners):
+        nodes[node].store.evict_many(ref_col[idx].tolist())
+    freed_by_node = sum_by_node(owners, table.sizes_at(ids))
     # Unpublish before the table frees the ids.
-    catalog.remove_batch([ref for ref, _, _ in resolved])
-    for ref, _node, _size in resolved:
+    catalog.remove_batch(refs)
+    for ref in refs:
         partitioner.remove(ref)
     elapsed = max(
         (costs.io_time(b) for b in freed_by_node.values()), default=0.0
     )
     return RemoveReport(
-        chunk_count=len(resolved),
+        chunk_count=len(refs),
         bytes_freed=float(sum(freed_by_node.values())),
         elapsed_seconds=elapsed,
         touched_nodes=len(freed_by_node),

@@ -16,17 +16,18 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
+import numpy as np
+
 from repro.cluster.costs import CostParameters
-from repro.core.base import RebalancePlan
+from repro.core.base import RebalancePlan, sum_by_node
 
 
 def nic_bytes(plan: RebalancePlan) -> Dict[int, float]:
-    """Inbound + outbound bytes per node under a rebalance plan."""
-    per_node: Dict[int, float] = {}
-    for move in plan.moves:
-        per_node[move.source] = per_node.get(move.source, 0.0) + move.size_bytes
-        per_node[move.dest] = per_node.get(move.dest, 0.0) + move.size_bytes
-    return per_node
+    """Inbound + outbound bytes per node (source, then dest, per move)."""
+    return sum_by_node(
+        np.column_stack([plan.sources, plan.dests]).ravel(),
+        np.repeat(plan.sizes, 2),
+    )
 
 
 def rebalance_time(plan: RebalancePlan, costs: CostParameters) -> float:

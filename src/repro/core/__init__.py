@@ -10,7 +10,7 @@
 """
 
 from repro.core.append import AppendPartitioner
-from repro.core.base import ElasticPartitioner, Move, NodeId, RebalancePlan
+from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.catalog import ChunkCatalog
 from repro.core.consistent_hash import ConsistentHashPartitioner
 from repro.core.extendible_hash import ExtendibleHashPartitioner
@@ -52,7 +52,6 @@ __all__ = [
     "IncrementalQuadtreePartitioner",
     "KdTreePartitioner",
     "LeadingStaircase",
-    "Move",
     "NodeId",
     "PAPER_ORDER",
     "PAPER_TAXONOMY",

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
 
@@ -191,8 +191,8 @@ class AppendPartitioner(ElasticPartitioner):
         self._cursor = c
         return fill
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         # New nodes joined the back of the fill order (the base class
         # appended them to self._nodes); no data moves — this is the
         # constant-time scale-out the paper highlights.
-        return []
+        return RebalancePlan.empty()

@@ -11,7 +11,7 @@ implements two decisions:
 
 * ``_locate(ref)``: the node the current partitioning table maps a chunk to.
 * ``_extend(new_nodes)``: update the table for newly added nodes and return
-  the moves it implies.
+  the moves it implies, as one :class:`RebalancePlan`.
 
 The base class *enforces* the incremental-scale-out contract: a partitioner
 whose traits claim incrementality may only produce moves whose destinations
@@ -58,12 +58,18 @@ consistent at every public-method boundary:
   assigned to n``.
 * every assigned chunk's node is in ``nodes``.
 
-Subclasses read the ledger through its own methods (``node_of`` /
-``size_of`` / ``load_of`` per ref or node, ``assignment`` for a whole
-snapshot) or, on bulk paths, through :meth:`sizes_of` /
-:meth:`key_column` which gather whole numpy columns at once — the
-storage-median rebalance heuristics use those instead of one dict probe
-per chunk.
+Subclasses read the ledger per ref or node (``node_of`` / ``size_of`` /
+``load_of``) or, on bulk paths, through its id columns (``live_ids`` /
+``ids_on`` / ``key_order`` / ``owners`` / ``keys_of`` / ``sizes_at``).
+
+Rebalance plans
+---------------
+A plan is columns from the scheme's decision to the catalog publish:
+``_extend`` hands each split's or reshuffle's chunks and destinations to
+one :meth:`ElasticPartitioner._relocate_many` call, which validates it,
+applies it to the ledger at once and returns a :class:`RebalancePlan`.
+The per-move path (``Move``, one ``_relocate`` per chunk, the loops over
+``plan.moves``) is the specification in ``tests/oracles/rebalance.py``.
 """
 
 from __future__ import annotations
@@ -113,61 +119,88 @@ def grid_keys(
     return keys
 
 
-@dataclass(frozen=True)
-class Move:
-    """One chunk relocation in a rebalance plan."""
+@dataclass(eq=False)
+class RebalancePlan:
+    """The chunk moves of one scale-out, as parallel columns in move order.
 
-    ref: ChunkRef
-    source: NodeId
-    dest: NodeId
-    size_bytes: float
+    ``refs`` (object), ``sources`` / ``dests`` (int64 node ids) and
+    ``sizes`` (float64 bytes), plus the moved chunks' table ``ids`` when
+    a partitioner built the plan.  A chunk may move more than once
+    (sequential splits), each hop starting where the last one ended.
+    The aggregates add sizes in move order: bit-equal to a per-move
+    accumulation.
+    """
+
+    refs: np.ndarray
+    sources: np.ndarray
+    dests: np.ndarray
+    sizes: np.ndarray
+    ids: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.source == self.dest:
+        refs = np.empty(len(self.refs), dtype=object)
+        refs[:] = self.refs
+        self.refs = refs
+        self.sources = np.asarray(self.sources, dtype=np.int64)
+        self.dests = np.asarray(self.dests, dtype=np.int64)
+        self.sizes = np.asarray(self.sizes, dtype=np.float64)
+        same = self.sources == self.dests
+        if same.any():
+            i = int(np.argmax(same))
             raise PartitioningError(
-                f"degenerate move of {self.ref}: {self.source} -> {self.dest}"
+                f"degenerate move of {self.refs[i]}: "
+                f"{self.sources[i]} -> {self.dests[i]}"
             )
 
+    @classmethod
+    def empty(cls) -> "RebalancePlan":
+        return cls([], [], [], [], np.empty(0, dtype=np.int64))
 
-@dataclass
-class RebalancePlan:
-    """The set of chunk moves triggered by one scale-out operation."""
-
-    moves: List[Move]
+    @classmethod
+    def concat(cls, plans: Sequence["RebalancePlan"]) -> "RebalancePlan":
+        """One plan of ``plans``' moves (at least one plan), in order."""
+        ids = [p.ids for p in plans]
+        return cls(
+            np.concatenate([p.refs for p in plans]),
+            np.concatenate([p.sources for p in plans]),
+            np.concatenate([p.dests for p in plans]),
+            np.concatenate([p.sizes for p in plans]),
+            None if any(i is None for i in ids) else np.concatenate(ids),
+        )
 
     @property
     def total_bytes(self) -> float:
         """Total bytes shipped over the network by this plan."""
-        return float(sum(m.size_bytes for m in self.moves))
+        return float(sum(self.sizes.tolist()))
 
     @property
     def chunk_count(self) -> int:
-        return len(self.moves)
+        return len(self.refs)
 
     def bytes_by_source(self) -> Dict[NodeId, float]:
         """Outbound bytes per source node."""
-        out: Dict[NodeId, float] = {}
-        for m in self.moves:
-            out[m.source] = out.get(m.source, 0.0) + m.size_bytes
-        return out
+        return sum_by_node(self.sources, self.sizes)
 
     def bytes_by_dest(self) -> Dict[NodeId, float]:
         """Inbound bytes per destination node."""
-        out: Dict[NodeId, float] = {}
-        for m in self.moves:
-            out[m.dest] = out.get(m.dest, 0.0) + m.size_bytes
-        return out
+        return sum_by_node(self.dests, self.sizes)
 
     def touched_nodes(self) -> Tuple[NodeId, ...]:
         """All nodes that send or receive data under this plan."""
-        nodes = set()
-        for m in self.moves:
-            nodes.add(m.source)
-            nodes.add(m.dest)
-        return tuple(sorted(nodes))
+        return tuple(np.union1d(self.sources, self.dests).tolist())
 
     def is_empty(self) -> bool:
-        return not self.moves
+        return not len(self.refs)
+
+
+def sum_by_node(nodes: np.ndarray, sizes: np.ndarray) -> Dict[NodeId, float]:
+    """``sizes`` summed per node, in move order (nodes by first appearance)."""
+    uniq, first, inverse = np.unique(
+        nodes, return_index=True, return_inverse=True
+    )
+    sums = np.bincount(inverse, weights=sizes)
+    order = np.argsort(first)
+    return dict(zip(uniq[order].tolist(), sums[order].tolist()))
 
 
 class ElasticPartitioner(ABC):
@@ -239,40 +272,13 @@ class ElasticPartitioner(ABC):
         """Chunk refs assigned to one node (sorted for determinism)."""
         if not self._ledger.has_node(node):
             raise PartitioningError(f"unknown node {node}")
-        return sorted(
-            self._ledger.refs_on(node), key=lambda r: (r.array, r.key)
-        )
+        return self._ledger.refs_at(self._ids_on(node)).tolist()
 
     def size_of(self, ref: ChunkRef) -> float:
         try:
             return self._ledger.size_of(ref)
         except KeyError:
             raise PartitioningError(f"unknown chunk {ref}") from None
-
-    def sizes_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """Bulk byte sizes of many placed refs (one column gather).
-
-        The vectorized counterpart of :meth:`size_of` — rebalance
-        heuristics (storage medians, split deltas) read whole byte
-        columns through this instead of probing the ledger per chunk.
-        """
-        try:
-            return self._ledger.sizes_of(refs)
-        except KeyError:
-            raise PartitioningError(
-                "sizes_of includes a chunk that was never placed"
-            ) from None
-
-    def key_column(
-        self, refs: Sequence[ChunkRef], dim: int
-    ) -> np.ndarray:
-        """Bulk chunk-key coordinates of placed refs along one dimension."""
-        try:
-            return self._ledger.key_column(refs, dim)
-        except KeyError:
-            raise PartitioningError(
-                "key_column includes a chunk that was never placed"
-            ) from None
 
     def locate(self, ref: ChunkRef) -> NodeId:
         """Node currently holding ``ref`` (must have been placed)."""
@@ -438,7 +444,7 @@ class ElasticPartitioner(ABC):
         """
         new_nodes = [int(n) for n in new_nodes]
         if not new_nodes:
-            return RebalancePlan(moves=[])
+            return RebalancePlan.empty()
         for n in new_nodes:
             if self._ledger.has_node(n):
                 raise PartitioningError(f"node {n} already in cluster")
@@ -449,21 +455,21 @@ class ElasticPartitioner(ABC):
             self._nodes.append(n)
             self._ledger.add_node(n)
 
-        moves = self._extend(new_nodes)
+        plan = self._extend(new_nodes)
 
-        # Moves were applied by _relocate as they were emitted (sequential
-        # splits within one scale-out must see each other's effects); here
-        # we only verify the incremental contract.
-        new_set = set(new_nodes)
+        # Each _relocate_many call applied its moves to the ledger
+        # (sequential splits must see each other's effects); here we
+        # only verify the incremental contract.
         if self.traits.incremental_scale_out:
-            for move in moves:
-                if move.dest not in new_set:
-                    raise PartitioningError(
-                        f"{self.name} claims incremental scale-out but "
-                        f"moved {move.ref} to preexisting node {move.dest}"
-                    )
-
-        return RebalancePlan(moves=list(moves))
+            stray = ~np.isin(plan.dests, new_nodes)
+            if stray.any():
+                i = int(np.argmax(stray))
+                raise PartitioningError(
+                    f"{self.name} claims incremental scale-out but "
+                    f"moved {plan.refs[i]} to preexisting node "
+                    f"{plan.dests[i]}"
+                )
+        return plan
 
     def update_size(self, ref: ChunkRef, delta_bytes: float) -> None:
         """Grow (or shrink) the recorded bytes of an existing chunk."""
@@ -512,14 +518,14 @@ class ElasticPartitioner(ABC):
         """Choose the node for a chunk seen for the first time."""
 
     @abstractmethod
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         """Update the partitioning table for ``new_nodes``; return moves.
 
         Called after the base class has registered the new nodes (so
         ``self._nodes`` and the ledger's loads already include them).
-        Emit each move through :meth:`_relocate` so the ledger stays
-        current while the extension runs — sequential splits within one
-        scale-out must observe the loads left by earlier splits.
+        Emit the moves through :meth:`_relocate_many`, once per split or
+        reshuffle, so sequential splits within one scale-out observe the
+        loads left by earlier splits.
         """
 
     # ------------------------------------------------------------------
@@ -632,15 +638,45 @@ class ElasticPartitioner(ABC):
             first_sizes, commit_nodes, merges
         )
 
-    def _relocate(self, ref: ChunkRef, dest: NodeId) -> Move:
-        """Move a chunk to ``dest`` in the ledger and return the move."""
-        if not self._ledger.has_node(dest):
-            raise PartitioningError(f"relocation to unknown node {dest}")
-        source = self._ledger.node_of(ref)
-        size = self._ledger.size_of(ref)
-        move = Move(ref=ref, source=source, dest=dest, size_bytes=size)
-        self._ledger.relocate(ref, dest)
-        return move
+    def _relocate_many(self, refs_or_ids, dests) -> RebalancePlan:
+        """Move chunks (refs, or an int array of table ids) to ``dests``
+        (one node, or one per chunk) in the ledger; return their plan.
+
+        The whole call is validated before the ledger changes, then
+        applied at once.
+        """
+        led = self._ledger
+        ids = refs_or_ids
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "i"):
+            try:
+                ids = led.ids_of(refs_or_ids)
+            except KeyError as err:
+                raise PartitioningError(
+                    f"chunk {err.args[0]} was never placed"
+                ) from None
+        dests = np.broadcast_to(np.asarray(dests, dtype=np.int64), ids.shape)
+        uniq, first = np.unique(dests, return_index=True)
+        for node in uniq[np.argsort(first)].tolist():
+            if not led.has_node(node):
+                raise PartitioningError(f"relocation to unknown node {node}")
+        plan = RebalancePlan(
+            led.refs_at(ids), led.owners(ids), dests, led.sizes_at(ids), ids
+        )
+        led.relocate_many(ids, dests)
+        return plan
+
+    def _reshuffle(self, ids: np.ndarray, dests: np.ndarray) -> RebalancePlan:
+        """Move every chunk of ``ids`` not on its ``dests`` entry there,
+        in ``(array, key)`` order."""
+        moving = dests != self._ledger.owners(ids)
+        ids, dests = ids[moving], dests[moving]
+        order = self._ledger.key_order(ids)
+        return self._relocate_many(ids[order], dests[order])
+
+    def _ids_on(self, node: NodeId) -> np.ndarray:
+        """Table ids on ``node`` in ``(array, key)`` order."""
+        ids = self._ledger.ids_on(node)
+        return ids[self._ledger.key_order(ids)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

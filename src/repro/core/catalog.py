@@ -116,7 +116,7 @@ import numpy as np
 
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
 from repro.arrays.coords import Box, pack_rows_void, region_mask
-from repro.core.ledger import ArrayChunkLedger, resize_column
+from repro.core.ledger import ArrayChunkLedger, array_codes, resize_column
 from repro.errors import ChunkError, ClusterError
 
 NodeId = int
@@ -190,18 +190,6 @@ def concat_payload(
 #: Chunk keys sort by their lexicographic void view: chunk-count-sized
 #: columns, keys of any magnitude (cell positions use int64 keys).
 _pack_keys = pack_rows_void
-
-
-def _array_codes(refs: np.ndarray) -> Tuple[List[str], np.ndarray]:
-    """The distinct arrays of ``refs`` in first-seen order, and each
-    ref's index into them (C-level ``map`` passes, no Python frame per
-    ref)."""
-    names = list(map(attrgetter("array"), refs.tolist()))
-    index = {a: i for i, a in enumerate(dict.fromkeys(names))}
-    codes = np.fromiter(
-        map(index.__getitem__, names), dtype=np.int64, count=len(names)
-    )
-    return list(index), codes
 
 
 class Read:
@@ -1088,7 +1076,7 @@ class ChunkCatalog:
         self._chunks[ids[last]] = handles[last]
         self._size[ids[last]] = sizes[last]
         self._owner[ids[new]] = owner[new]
-        arrays, codes = _array_codes(refs)
+        arrays, codes = array_codes(refs)
         for code, array in enumerate(arrays):
             mine = new & (codes == code)
             if mine.any():
@@ -1112,19 +1100,17 @@ class ChunkCatalog:
             np.where(retire, before_size[pos], sizes[pos]), owner[pos],
         )
 
-    def relocate_batch(self, refs: Sequence[ChunkRef]) -> None:
-        """Publish the planned owners of moved chunks.
+    def relocate_batch(self, ids: np.ndarray) -> None:
+        """Publish the planned owners of moved chunks (table ids).
 
         Called once the stores hold the moved bytes: the published owner
         of each id is copied from the table's planned one (sorted views
         unchanged).
         """
-        if not refs:
+        if not len(ids):
             return
-        ids = self._table.ids_of(refs)
-        planned = self._table.owners(ids)
-        self._owner[ids] = planned
-        self._touch({r.array for r in refs}, contents=False)
+        self._owner[ids] = self._table.owners(ids)
+        self._touch(array_codes(self._table.refs_at(ids))[0], contents=False)
 
     def remove_batch(self, refs: Sequence[ChunkRef]) -> None:
         """Unpublish chunks; the table frees their ids afterwards.
@@ -1140,7 +1126,7 @@ class ChunkCatalog:
             return
         ids = self._table.ids_of(refs)
         ref_col = self._table._refs[ids]
-        arrays, codes = _array_codes(ref_col)
+        arrays, codes = array_codes(ref_col)
         handles = self._chunks[ids]
         sizes = self._size[ids]
         owners = self._owner[ids]

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.hashing import hash_chunk_ref, hash_node_point
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
@@ -99,7 +99,7 @@ class ConsistentHashPartitioner(ElasticPartitioner):
             idx = 0  # wrap around the circle
         return self._ring[idx][1]
 
-    def _owners_of(self, refs: Sequence[ChunkRef]) -> List[NodeId]:
+    def _owners_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Batch ring lookup: one searchsorted over all chunk hashes."""
         if not self._ring:
             raise PartitioningError("empty hash ring")
@@ -113,7 +113,7 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         # a chunk colliding with a ring point belongs to the next arc.
         pos = np.searchsorted(points, hashes, side="right")
         pos[pos == len(points)] = 0  # wrap around the circle
-        return ring_nodes[pos].tolist()
+        return ring_nodes[pos]
 
     # ------------------------------------------------------------------
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
@@ -126,24 +126,20 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         contract."""
         first_sizes, merges = self._partition_batch(list(refs_and_sizes))
         commit_nodes = (
-            self._owners_of(list(first_sizes)) if first_sizes else []
+            self._owners_of(list(first_sizes)).tolist()
+            if first_sizes else []
         )
         return self._commit_batch(first_sizes, commit_nodes, merges)
 
     def _forget(self, ref, size_bytes, node) -> None:
         self._hash_cache.pop(ref, None)
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         for node in new_nodes:
             self._add_to_ring(node)
         # Re-evaluate ownership: arcs claimed by the new replicas are
-        # exactly the chunks that move, and their destination is always a
-        # new node (old arcs only shrink).  One batch lookup covers the
-        # whole table.
-        assignment = self._ledger.assignment()
-        refs = sorted(assignment, key=lambda r: (r.array, r.key))
-        moves: List[Move] = []
-        for ref, owner in zip(refs, self._owners_of(refs)):
-            if owner != assignment[ref]:
-                moves.append(self._relocate(ref, owner))
-        return moves
+        # exactly the chunks that move, in (array, key) order, and their
+        # destination is always a new node (old arcs only shrink).  One
+        # batch lookup covers the whole table.
+        ids = self._ledger.live_ids()
+        return self._reshuffle(ids, self._owners_of(self._ledger.refs_at(ids)))

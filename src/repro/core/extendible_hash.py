@@ -16,10 +16,12 @@ structure — good balance, no spatial locality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, sub
 from typing import Dict, List, Sequence, Set
 
 from repro.arrays.chunk import ChunkRef
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.hashing import hash_chunk_ref
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
@@ -156,29 +158,28 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
             bucket.members.add(ref)
             bucket.bytes += float(size)
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
-        moves: List[Move] = []
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
+        plans: List[RebalancePlan] = []
         preexisting = [
             n for n in self._nodes if n not in set(new_nodes)
         ]
         for new_node in new_nodes:
-            split_moves = self._split_heaviest_onto(new_node, preexisting)
-            moves.extend(split_moves)
+            plans.append(self._split_heaviest_onto(new_node, preexisting))
             preexisting.append(new_node)
-        return moves
+        return RebalancePlan.concat(plans)
 
     def _split_heaviest_onto(
         self, new_node: NodeId, candidates: Sequence[NodeId]
-    ) -> List[Move]:
+    ) -> RebalancePlan:
         """Split the largest bucket of the most loaded node onto a new node."""
         if not candidates:
-            return []
+            return RebalancePlan.empty()
         donor = self.heaviest_node(candidates)
         donor_buckets = [
             b for b in self._buckets.values() if b.node == donor
         ]
         if not donor_buckets:
-            return []
+            return RebalancePlan.empty()
         bucket = max(
             donor_buckets, key=lambda b: (b.bytes, -b.bucket_id)
         )
@@ -212,19 +213,17 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
             ):
                 self._directory[slot] = sibling.bucket_id
 
-        moves: List[Move] = []
-        migrating = sorted(
-            (
-                ref for ref in bucket.members
-                if hash_chunk_ref(ref) & bit
-            ),
-            key=lambda r: (r.array, r.key),
+        # Members with the new bit set migrate in (array, key) order; the
+        # bucket counters take their sizes one by one, in that order.
+        led = self._ledger
+        ids = led.ids_of(
+            [ref for ref in bucket.members if hash_chunk_ref(ref) & bit]
         )
-        for ref in migrating:
-            size = self._ledger.size_of(ref)
-            bucket.members.discard(ref)
-            bucket.bytes -= size
-            sibling.members.add(ref)
-            sibling.bytes += size
-            moves.append(self._relocate(ref, new_node))
-        return moves
+        ids = ids[led.key_order(ids)]
+        migrating = led.refs_at(ids).tolist()
+        sizes = led.sizes_at(ids).tolist()
+        bucket.members.difference_update(migrating)
+        bucket.bytes = reduce(sub, sizes, bucket.bytes)
+        sibling.members.update(migrating)
+        sibling.bytes = reduce(add, sizes, sibling.bytes)
+        return self._relocate_many(ids, new_node)

@@ -23,8 +23,8 @@ from repro.arrays.chunk import ChunkRef
 from repro.arrays.sfc import RectangleHilbert
 from repro.core.base import (
     ElasticPartitioner,
-    Move,
     NodeId,
+    RebalancePlan,
     check_key_arity,
     grid_keys,
 )
@@ -233,57 +233,55 @@ class HilbertCurvePartitioner(ElasticPartitioner):
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
         return self._owner_of_index(self.curve_index(ref))
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
-        moves: List[Move] = []
-        for new_node in new_nodes:
-            moves.extend(self._split_heaviest_onto(new_node))
-        return moves
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
+        return RebalancePlan.concat(
+            [self._split_heaviest_onto(n) for n in new_nodes]
+        )
 
-    def _split_heaviest_onto(self, new_node: NodeId) -> List[Move]:
+    def _split_heaviest_onto(self, new_node: NodeId) -> RebalancePlan:
         """Split the most loaded node's range at its storage median."""
         candidates = [n for n in self._nodes if n != new_node]
         donor = self.heaviest_node(candidates)
-        donor_chunks = self.chunks_on(donor)
-        if len(donor_chunks) < 2:
+        led = self._ledger
+        ids = self._ids_on(donor)
+        if len(ids) < 2:
             # Nothing meaningful to split; give the new node an empty
             # range at the tail of the donor's range so later inserts can
             # land there.
             self._insert_empty_tail_range(donor, new_node)
-            return []
+            return RebalancePlan.empty()
 
-        self._fill_index_cache(donor_chunks)
-        ordered = sorted(
-            donor_chunks, key=lambda r: (self.curve_index(r), r.array)
-        )
+        # Donor chunks in (curve position, array, key) order: a stable
+        # sort of the (array, key)-ordered ids on position.
+        refs = led.refs_at(ids).tolist()
+        self._fill_index_cache(refs)
+        positions = list(map(self._index_cache.__getitem__, refs))
+        try:
+            pos = np.asarray(positions, dtype=np.int64)
+        except OverflowError:  # positions beyond int64: exact ints
+            pos = np.array(positions, dtype=object)
+        order = np.argsort(pos, kind="stable")
+        ids, pos = ids[order], pos[order]
         # Byte prefix sums come from one ledger column gather instead of
         # a size-dict probe per chunk (storage median, §4.2): choose the
         # prefix/suffix boundary whose byte split is closest to half,
         # with both sides non-empty.
-        sizes = self.sizes_of(ordered)
+        sizes = led.sizes_at(ids)
         total = float(sizes.sum())
         running = np.cumsum(sizes[:-1])
-        positions = [self.curve_index(r) for r in ordered]
         # A cut between i and i+1 is only valid when the curve indices
         # differ, otherwise both chunks would land in the same range.
-        valid = np.fromiter(
-            (a != b for a, b in zip(positions, positions[1:])),
-            dtype=bool,
-            count=len(ordered) - 1,
-        )
+        valid = pos[1:] != pos[:-1]
         if not valid.any():
             # All donor chunks share one curve position: cannot split.
             self._insert_empty_tail_range(donor, new_node)
-            return []
+            return RebalancePlan.empty()
         err = np.abs(running - (total - running))
         err[~valid] = np.inf
         best_cut = int(np.argmin(err)) + 1  # first minimum, cut order
 
-        cut_index = self.curve_index(ordered[best_cut])
-        self._insert_boundary(donor, cut_index, new_node)
-        return [
-            self._relocate(ref, new_node)
-            for ref in ordered[best_cut:]
-        ]
+        self._insert_boundary(donor, int(pos[best_cut]), new_node)
+        return self._relocate_many(ids[best_cut:], new_node)
 
     # ------------------------------------------------------------------
     def _donor_slots(self, donor: NodeId) -> List[int]:

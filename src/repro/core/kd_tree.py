@@ -24,8 +24,8 @@ from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
 from repro.core.base import (
     ElasticPartitioner,
-    Move,
     NodeId,
+    RebalancePlan,
     check_key_arity,
     grid_keys,
 )
@@ -193,14 +193,13 @@ class KdTreePartitioner(ElasticPartitioner):
                 commit_nodes = self.locate_keys(keys).tolist()
         return self._commit_batch(first_sizes, commit_nodes, merges)
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
-        moves: List[Move] = []
-        for new_node in new_nodes:
-            moves.extend(self._split_heaviest_onto(new_node))
-        return moves
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
+        return RebalancePlan.concat(
+            [self._split_heaviest_onto(n) for n in new_nodes]
+        )
 
     # ------------------------------------------------------------------
-    def _split_heaviest_onto(self, new_node: NodeId) -> List[Move]:
+    def _split_heaviest_onto(self, new_node: NodeId) -> RebalancePlan:
         candidates = [n for n in self._leaves if n != new_node]
         # Prefer the heaviest splittable host; fall back through the load
         # ranking when a host's box is a single grid cell.
@@ -215,9 +214,10 @@ class KdTreePartitioner(ElasticPartitioner):
 
     def _try_split(
         self, donor: NodeId, new_node: NodeId
-    ) -> Optional[List[Move]]:
+    ) -> Optional[RebalancePlan]:
         leaf = self._leaves[donor]
-        donor_chunks = self.chunks_on(donor)
+        ids = self._ids_on(donor)
+        coords = self._key_coords(ids)
 
         # Cycle the prioritized dimensions by depth; if none can be split
         # (extent 1 everywhere), fall back to the remaining dimensions
@@ -232,15 +232,24 @@ class KdTreePartitioner(ElasticPartitioner):
             lo, hi = leaf.box.lo[dim], leaf.box.hi[dim]
             if hi - lo < 2:
                 continue
-            at = self._storage_median(donor_chunks, dim, lo, hi)
+            at = self._storage_median(ids, coords, dim, lo, hi)
             if at is None:
                 continue
-            return self._apply_split(leaf, dim, at, new_node, donor_chunks)
+            return self._apply_split(leaf, dim, at, new_node, ids, coords)
         return None
+
+    def _key_coords(self, ids: np.ndarray):
+        """The int64 key rows of ``ids``, or their exact key tuples when
+        a coordinate does not fit int64."""
+        try:
+            return self._ledger.keys_of(ids).reshape(-1, self.grid.ndim)
+        except OverflowError:
+            return [r.key for r in self._ledger.refs_at(ids).tolist()]
 
     def _storage_median(
         self,
-        chunks: Sequence[ChunkRef],
+        ids: np.ndarray,
+        coords,
         dim: int,
         lo: int,
         hi: int,
@@ -254,20 +263,17 @@ class KdTreePartitioner(ElasticPartitioner):
         """
         if hi - lo < 2:
             return None
-        if not chunks:
+        if not len(ids):
             return (lo + hi) // 2
 
-        try:
-            coords = np.clip(self.key_column(chunks, dim), lo, hi - 1)
-        except OverflowError:
+        sizes = self._ledger.sizes_at(ids)
+        if isinstance(coords, list):
             # Coordinates beyond int64 (unbounded growth): exact Python
             # ints, scalar accumulation.
-            coords = None
-        if coords is None:
             by_coord: Dict[int, float] = {}
-            for ref in chunks:
-                c = min(max(ref.key[dim], lo), hi - 1)
-                by_coord[c] = by_coord.get(c, 0.0) + self._ledger.size_of(ref)
+            for key, size in zip(coords, sizes.tolist()):
+                c = min(max(key[dim], lo), hi - 1)
+                by_coord[c] = by_coord.get(c, 0.0) + size
             uniq = np.array(sorted(by_coord), dtype=object)
             weights = np.array(
                 [by_coord[c] for c in uniq.tolist()], dtype=np.float64
@@ -275,10 +281,10 @@ class KdTreePartitioner(ElasticPartitioner):
         else:
             # One column gather + bincount replaces the per-ref dict
             # accumulation: the split's byte histogram is a vector op.
-            uniq, inverse = np.unique(coords, return_inverse=True)
-            weights = np.bincount(
-                inverse, weights=self.sizes_of(chunks)
+            uniq, inverse = np.unique(
+                np.clip(coords[:, dim], lo, hi - 1), return_inverse=True
             )
+            weights = np.bincount(inverse, weights=sizes)
         total = float(weights.sum())
         if uniq.size < 2:
             # All bytes at one coordinate: fall back to a volume split so
@@ -300,8 +306,9 @@ class KdTreePartitioner(ElasticPartitioner):
         dim: int,
         at: int,
         new_node: NodeId,
-        donor_chunks: Sequence[ChunkRef],
-    ) -> List[Move]:
+        ids: np.ndarray,
+        coords,
+    ) -> RebalancePlan:
         lower, upper = leaf.box.split(dim, at)
         donor = leaf.node
         left = KdLeaf(node=donor, box=lower, depth=leaf.depth + 1)
@@ -313,11 +320,11 @@ class KdTreePartitioner(ElasticPartitioner):
         # The upper half's bytes move to the newcomer; out-of-box keys
         # (unbounded growth) side with the plane comparison used by
         # locate_key so the table and the data stay consistent.
-        return [
-            self._relocate(ref, new_node)
-            for ref in donor_chunks
-            if ref.key[dim] >= at
-        ]
+        if isinstance(coords, list):
+            above = np.array([key[dim] >= at for key in coords], dtype=bool)
+        else:
+            above = coords[:, dim] >= at
+        return self._relocate_many(ids[above], new_node)
 
     def _replace_leaf(self, target: KdLeaf, replacement: KdNode) -> None:
         if self._root is target:

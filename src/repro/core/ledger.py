@@ -42,6 +42,7 @@ contract `place_batch` already documents.
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +64,18 @@ def resize_column(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
     return out
 
 
+def array_codes(refs: np.ndarray) -> Tuple[List[str], np.ndarray]:
+    """The distinct arrays of ``refs`` in first-seen order, and each
+    ref's index into them (C-level ``map`` passes, no Python frame per
+    ref)."""
+    names = list(map(attrgetter("array"), refs.tolist()))
+    index = {a: i for i, a in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(
+        map(index.__getitem__, names), dtype=np.int64, count=len(names)
+    )
+    return list(index), codes
+
+
 class ArrayChunkLedger:
     """Interned-ref chunk table over parallel numpy columns.
 
@@ -78,9 +91,10 @@ class ArrayChunkLedger:
     id, so the -1 free-slot sentinel can never collide with a caller's
     node id (node ids may be any ints, including negatives).  Batch
     commits turn the per-node load accumulation into ``np.add.at``
-    over slot indices, and rebalance heuristics read whole byte
-    columns (:meth:`sizes_of`, :meth:`key_column`) instead of one dict
-    probe per chunk.
+    over slot indices, and rebalances read and write whole id columns
+    (:meth:`ids_on`, :meth:`key_order`, :meth:`relocate_many`) instead
+    of one dict probe per chunk.  ``_count`` holds each slot's live
+    chunks, so an emptied node's load is set to exactly ``0.0``.
     """
 
     _INITIAL_CAPACITY = 64
@@ -101,6 +115,7 @@ class ArrayChunkLedger:
         self._slot_of: Dict[NodeId, int] = {}
         self._node_list: List[NodeId] = []  # slot -> node id
         self._load = np.zeros(0, dtype=np.float64)
+        self._count = np.zeros(0, dtype=np.int64)  # live chunks per slot
         for n in nodes:
             self.add_node(int(n))
         # The catalog publishing this table, held weakly: the catalog
@@ -167,6 +182,7 @@ class ArrayChunkLedger:
         self._slot_of[int(node)] = slot
         self._node_list.append(int(node))
         self._load = np.concatenate([self._load, np.zeros(1)])
+        self._count = np.append(self._count, 0)
 
     def has_node(self, node: NodeId) -> bool:
         """Whether ``node`` is registered."""
@@ -185,12 +201,11 @@ class ArrayChunkLedger:
 
     def _slots_of(self, nodes: np.ndarray) -> np.ndarray:
         """Map an array of node ids to load slots (KeyError on unknown)."""
+        uniq, inverse = np.unique(nodes, return_inverse=True)
         slot_of = self._slot_of
-        return np.fromiter(
-            (slot_of[int(n)] for n in nodes),
-            dtype=np.int64,
-            count=len(nodes),
-        )
+        return np.array(
+            [slot_of[n] for n in uniq.tolist()], dtype=np.int64
+        )[inverse]
 
     # -- reads ---------------------------------------------------------
     def contains(self, ref: ChunkRef) -> bool:
@@ -258,6 +273,38 @@ class ArrayChunkLedger:
         """Every interned id, ascending (a vector scan of the owners)."""
         return np.nonzero(self._node[: self._hwm] >= 0)[0]
 
+    def ids_on(self, node: NodeId) -> np.ndarray:
+        """Ids assigned to one node, ascending (KeyError on unknown)."""
+        return np.nonzero(self._node[: self._hwm] == self._slot_of[node])[0]
+
+    def refs_at(self, ids: np.ndarray) -> np.ndarray:
+        """The refs of many live ids, as an object column."""
+        return self._refs[ids]
+
+    def sizes_at(self, ids: np.ndarray) -> np.ndarray:
+        """Recorded bytes of many live ids (one gather)."""
+        return self._size[ids]
+
+    def key_order(self, ids: np.ndarray) -> np.ndarray:
+        """The permutation that sorts ``ids`` by ``(array, key)``.
+
+        ``sorted(refs, key=lambda r: (r.array, r.key))`` as one lexsort
+        over the array ranks and key columns; without a key column
+        (mixed arities, beyond-int64 coordinates) the refs sort as tuples.
+        """
+        refs = self._refs[ids]
+        if not (self._keys_ok and self._key is not None):
+            return np.array(
+                sorted(
+                    range(len(ids)),
+                    key=lambda i: (refs[i].array, refs[i].key),
+                ),
+                dtype=np.int64,
+            )
+        arrays, codes = array_codes(refs)
+        rank = np.argsort(np.argsort(np.array(arrays)))
+        return np.lexsort((*self._key[ids][:, ::-1].T, rank[codes]))
+
     def sizes_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Bulk byte sizes of many refs (one column gather)."""
         return self._size[self.ids_of(refs)]
@@ -285,6 +332,7 @@ class ArrayChunkLedger:
         self._node[i] = slot
         self._store_keys(np.array([i], dtype=np.int64), [ref])
         self._load[slot] += size_bytes
+        self._count[slot] += 1
         self._total += size_bytes
 
     def merge(self, ref: ChunkRef, size_bytes: float) -> NodeId:
@@ -306,21 +354,36 @@ class ArrayChunkLedger:
         self._refs[i] = None
         self._free.append(i)
         self._load[slot] -= size
+        self._count[slot] -= 1
         self._total -= size
+        # What holds no chunk holds exactly 0.0, not the float residue.
+        if not self._count[slot]:
+            self._load[slot] = 0.0
+        if not self._id_of:
+            self._total = 0.0
         return self._node_list[slot], size
 
-    def relocate(
-        self, ref: ChunkRef, dest: NodeId
-    ) -> Tuple[NodeId, float]:
-        """Reassign a chunk to ``dest``; returns ``(source, bytes)``."""
-        i = self._id_of[ref]
-        source_slot = int(self._node[i])
-        dest_slot = self._slot_of[dest]
-        size = float(self._size[i])
-        self._node[i] = dest_slot
-        self._load[source_slot] -= size
-        self._load[dest_slot] += size
-        return self._node_list[source_slot], size
+    def relocate_many(self, ids: np.ndarray, dests: np.ndarray) -> None:
+        """Reassign live ids (each at most once) to ``dests``.
+
+        Loads take one unbuffered add over the interleaved ``(source,
+        -size), (dest, +size)`` pairs in call order: the additions of one
+        reassignment per chunk, so the loads come out bit-identical.
+        """
+        if len(np.unique(ids)) < len(ids):
+            raise PartitioningError("a chunk relocated twice in one call")
+        src_slots, dst_slots = self._node[ids], self._slots_of(dests)
+        sizes = self._size[ids]
+        np.add.at(
+            self._load,
+            np.column_stack([src_slots, dst_slots]).ravel(),
+            np.column_stack([-sizes, sizes]).ravel(),
+        )
+        m = len(self._count)
+        self._count += np.bincount(dst_slots, minlength=m)
+        self._count -= np.bincount(src_slots, minlength=m)
+        self._node[ids] = dst_slots
+        self._load[self._count == 0] = 0.0  # emptied sources, as remove
 
     def update_size(self, ref: ChunkRef, delta_bytes: float) -> NodeId:
         """Grow/shrink a chunk's recorded bytes; returns its node."""
@@ -362,6 +425,7 @@ class ArrayChunkLedger:
             self._store_keys(ids, refs)
             self._id_of.update(zip(refs, ids.tolist()))
             np.add.at(self._load, slots, sizes)
+            self._count += np.bincount(slots, minlength=len(self._count))
             total_delta += float(sizes.sum())
             placements = dict(zip(refs, nodes.tolist()))
         if merges:

@@ -21,7 +21,7 @@ clustered (cells are boxes of chunk-grid space).
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +30,8 @@ from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box, region_mask
 from repro.core.base import (
     ElasticPartitioner,
-    Move,
     NodeId,
+    RebalancePlan,
     check_key_arity,
     grid_keys,
 )
@@ -166,14 +166,13 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
         owners = self.locate_keys(self._clamped_keys(list(first_sizes)))
         return self._commit_batch(first_sizes, owners.tolist(), merges)
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
-        moves: List[Move] = []
-        for new_node in new_nodes:
-            moves.extend(self._split_heaviest_onto(new_node))
-        return moves
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
+        return RebalancePlan.concat(
+            [self._split_heaviest_onto(n) for n in new_nodes]
+        )
 
     # ------------------------------------------------------------------
-    def _split_heaviest_onto(self, new_node: NodeId) -> List[Move]:
+    def _split_heaviest_onto(self, new_node: NodeId) -> RebalancePlan:
         candidates = [n for n in self._cells if n != new_node]
         for donor in sorted(candidates, key=self._load_rank):
             result = self._try_split(donor, new_node)
@@ -185,9 +184,9 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
 
     def _try_split(
         self, donor: NodeId, new_node: NodeId
-    ) -> Optional[List[Move]]:
+    ) -> Optional[RebalancePlan]:
         cells = self._cells[donor]
-        donor_chunks = self.chunks_on(donor)
+        ids = self._ids_on(donor)
 
         if len(cells) == 1:
             children = self._orthants(cells[0])
@@ -198,11 +197,11 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
 
         # One cell index per donor chunk: bincount adds the bytes in
         # chunk order, as a per-chunk += would.
-        cell = cell_index(children, self._clamped_keys(donor_chunks))
+        cell = cell_index(children, self._clamped_keys_at(ids))
         held = cell >= 0
         cell_bytes = np.bincount(
             cell[held],
-            weights=self.sizes_of(donor_chunks)[held],
+            weights=self._ledger.sizes_at(ids)[held],
             minlength=len(children),
         ).tolist()
         total = sum(cell_bytes)
@@ -216,12 +215,16 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
             return None  # never strip a host of its entire partition
         self._cells[donor] = keep
         self._cells[new_node] = give
+        return self._relocate_many(ids[np.isin(cell, subset)], new_node)
 
-        given = np.isin(cell, subset)
-        return [
-            self._relocate(ref, new_node)
-            for ref in compress(donor_chunks, given.tolist())
-        ]
+    def _clamped_keys_at(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`_clamped_keys` of the chunks with table ids ``ids``."""
+        try:
+            return self._clip(
+                self._ledger.keys_of(ids).reshape(-1, self.grid.ndim)
+            )
+        except OverflowError:  # beyond int64
+            return self._clamped_keys(self._ledger.refs_at(ids).tolist())
 
     def _orthants(self, box: Box) -> List[Box]:
         """Quarter a cell along the configured split dimensions only."""

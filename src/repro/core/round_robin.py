@@ -10,10 +10,12 @@ never bytes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
+
+import numpy as np
 
 from repro.arrays.chunk import ChunkRef
-from repro.core.base import ElasticPartitioner, Move, NodeId
+from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 
 
@@ -65,15 +67,18 @@ class RoundRobinPartitioner(ElasticPartitioner):
             self._ordinal[ref] = self._counter
             self._counter += 1
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         # Recompute i mod k for every chunk under the new node count; any
-        # chunk whose slot changes moves — typically (k-1)/k of the data.
-        k = len(self._nodes)
-        moves: List[Move] = []
-        for ref, ordinal in sorted(
-            self._ordinal.items(), key=lambda item: item[1]
-        ):
-            dest = self._nodes[ordinal % k]
-            if dest != self._ledger.node_of(ref):
-                moves.append(self._relocate(ref, dest))
-        return moves
+        # chunk whose slot changes moves — typically (k-1)/k of the data
+        # — in ordinal order.
+        refs = list(self._ordinal)
+        ordinals = np.fromiter(
+            self._ordinal.values(), dtype=np.int64, count=len(refs)
+        )
+        order = np.argsort(ordinals, kind="stable")  # dict order: a no-op
+        ids = self._ledger.ids_of(refs)[order]
+        dests = np.asarray(self._nodes, dtype=np.int64)[
+            ordinals[order] % len(self._nodes)
+        ]
+        moving = dests != self._ledger.owners(ids)
+        return self._relocate_many(ids[moving], dests[moving])

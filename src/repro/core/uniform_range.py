@@ -28,8 +28,8 @@ from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
 from repro.core.base import (
     ElasticPartitioner,
-    Move,
     NodeId,
+    RebalancePlan,
     check_key_arity,
     grid_keys,
 )
@@ -201,14 +201,15 @@ class UniformRangePartitioner(ElasticPartitioner):
             first_sizes, self._owners_of(list(first_sizes)), merges
         )
 
-    def _extend(self, new_nodes: Sequence[NodeId]) -> List[Move]:
+    def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         # Global re-slice: re-deal the leaves under the new l/n blocks and
         # move, in (array, key) order, every chunk whose block changed.
         self._leaf_owner = self._deal(len(self._nodes))
-        assignment = self._ledger.assignment()
-        refs = sorted(assignment, key=lambda r: (r.array, r.key))
-        return [
-            self._relocate(ref, dest)
-            for ref, dest in zip(refs, self._owners_of(refs))
-            if dest != assignment[ref]
-        ]
+        led = self._ledger
+        ids = led.live_ids()
+        try:
+            keys = led.keys_of(ids).reshape(-1, self.grid.ndim)
+            dests = np.asarray(self._leaf_owner)[self.leaf_indices_of(keys)]
+        except OverflowError:  # beyond-int64 keys
+            dests = np.array(self._owners_of(led.refs_at(ids).tolist()))
+        return self._reshuffle(ids, dests)

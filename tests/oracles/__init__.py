@@ -25,7 +25,9 @@ from typing import Any, Callable, List, Tuple
 from repro.arrays.array import chunk_cells
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.coordinator import execute_rebalance
+from repro.cluster.network import nic_bytes, rebalance_time
 from repro.cluster.session import ClusterSession
+from repro.core.base import ElasticPartitioner, RebalancePlan
 from repro.core.catalog import ChunkCatalog, concat_payload
 from repro.core.ledger import ArrayChunkLedger
 from repro.core.quadtree import IncrementalQuadtreePartitioner
@@ -115,6 +117,14 @@ from tests.oracles.parallel import (
     serial_knn_mean,
 )
 from tests.oracles.partitioners import try_split_scalar
+from tests.oracles.rebalance import (
+    Move,
+    bytes_by_dest_scalar,
+    nic_bytes_scalar,
+    rebalance_time_scalar,
+    relocate_scalar,
+    total_bytes_scalar,
+)
 
 ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     # ledger
@@ -123,6 +133,14 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (chunk_cells, chunk_cells_scalar, "same"),
     # the Incremental Quadtree's split: per-chunk tally and give
     (IncrementalQuadtreePartitioner._try_split, try_split_scalar, "same"),
+    # rebalance plans: one Move and one ledger write per chunk, and the
+    # per-move loops that priced a plan
+    (RebalancePlan, Move, "lowered"),
+    (ElasticPartitioner._relocate_many, relocate_scalar, "lowered"),
+    (RebalancePlan.total_bytes.fget, total_bytes_scalar, "lowered"),
+    (RebalancePlan.bytes_by_dest, bytes_by_dest_scalar, "same"),
+    (nic_bytes, nic_bytes_scalar, "same"),
+    (rebalance_time, rebalance_time_scalar, "same"),
     # session reads, the by-ref payload probe and the rebalance executor
     (ClusterSession.chunks_of_array, chunks_of_array_scan, "same"),
     (ClusterSession.chunks_in_region, chunks_in_region_scan, "same"),

@@ -6,7 +6,9 @@ The bodies of the retired scan-mode branches of
 functions of a cluster.  They re-walk every node's store per call and
 cache nothing, so they are the specification the catalog read path and
 the grouped rebalance executor are compared against
-(``tests/test_catalog.py``, ``tests/test_region_routing.py``).
+(``tests/test_catalog.py``, ``tests/test_region_routing.py``).  The
+rebalance loop walks a column plan as :class:`Move` records and prices
+it with the per-move loops of ``tests/oracles/rebalance.py``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ from repro.arrays.chunk import ChunkData, ChunkRef
 from repro.arrays.coords import Box
 from repro.cluster.coordinator import RebalanceReport
 from repro.cluster.costs import CostParameters
-from repro.cluster.network import rebalance_time
 from repro.cluster.node import Node
 from repro.core.base import RebalancePlan
 from repro.core.catalog import ChunkCatalog
 from repro.errors import ClusterError
 
 from tests.oracles.catalog import concat_payload_per_chunk
+from tests.oracles.rebalance import (
+    Move,
+    rebalance_time_scalar,
+    total_bytes_scalar,
+)
 
 
 def chunks_of_array_scan(
@@ -114,17 +120,18 @@ def execute_rebalance_scalar(
     catalog: ChunkCatalog,
 ) -> RebalanceReport:
     """Parity oracle: the pre-catalog per-move evict/put loop."""
-    for move in plan.moves:
+    moves = Move.rows(plan)
+    for move in moves:
         if move.source not in nodes or move.dest not in nodes:
             raise ClusterError(
                 f"rebalance references unknown node: {move}"
             )
         chunk = nodes[move.source].store.evict(move.ref)
         nodes[move.dest].store.put(chunk)
-        catalog.relocate_batch([move.ref])
+        catalog.relocate_batch(catalog.table.ids_of([move.ref]))
     return RebalanceReport(
-        chunks_moved=plan.chunk_count,
-        bytes_moved=plan.total_bytes,
-        elapsed_seconds=rebalance_time(plan, costs),
-        touched_nodes=len(plan.touched_nodes()),
+        chunks_moved=len(moves),
+        bytes_moved=total_bytes_scalar(plan),
+        elapsed_seconds=rebalance_time_scalar(plan, costs),
+        touched_nodes=len({n for m in moves for n in (m.source, m.dest)}),
     )

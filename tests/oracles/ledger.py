@@ -4,7 +4,11 @@ Moved verbatim from ``repro.core.ledger``.  A parity test swaps it into
 a *fresh* partitioner (``p._ledger = DictChunkLedger(p.nodes)`` before
 the first placement) and drives both through identical op sequences.
 Dict storage never fragments, so :meth:`DictChunkLedger.compact` is a
-no-op with the array ledger's signature.
+no-op with the array ledger's signature.  A dict ledger has no table
+ids: its id-column reads (``ids_of`` / ``live_ids`` / ``owners`` / ...)
+take and return object arrays of the refs themselves, so a scheme's
+rebalance runs on it unchanged, and :meth:`DictChunkLedger.relocate_many`
+replays a call one :meth:`DictChunkLedger.relocate` at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +18,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
+from repro.errors import PartitioningError
 
 NodeId = int
+
+
+def _column(refs) -> np.ndarray:
+    """Refs as a 1-d object array (the dict ledger's "ids")."""
+    out = np.empty(len(refs), dtype=object)
+    out[:] = list(refs)
+    return out
 
 
 class DictChunkLedger:
@@ -79,6 +91,48 @@ class DictChunkLedger:
         """Refs assigned to one node (iteration order)."""
         return [r for r, n in self._assignment.items() if n == node]
 
+    def ids_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+        """The "ids" of placed refs: the refs (KeyError on an unknown one)."""
+        for ref in refs:
+            self._assignment[ref]
+        return _column(refs)
+
+    def live_ids(self) -> np.ndarray:
+        """Every placed ref."""
+        return _column(self._assignment)
+
+    def ids_on(self, node: NodeId) -> np.ndarray:
+        """The refs assigned to one node."""
+        return _column(self.refs_on(node))
+
+    def refs_at(self, ids: np.ndarray) -> np.ndarray:
+        """The refs of ids (they are the refs)."""
+        return ids
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """Node of every ref."""
+        return np.array(
+            [self._assignment[r] for r in ids], dtype=np.int64
+        )
+
+    def sizes_at(self, ids: np.ndarray) -> np.ndarray:
+        """Recorded bytes of every ref."""
+        return self.sizes_of(list(ids))
+
+    def keys_of(self, ids: np.ndarray) -> np.ndarray:
+        """Chunk keys of every ref as ``(n, ndim)`` int64 rows."""
+        return np.array([r.key for r in ids], dtype=np.int64)
+
+    def key_order(self, ids: np.ndarray) -> np.ndarray:
+        """The permutation sorting the refs by ``(array, key)``."""
+        return np.array(
+            sorted(
+                range(len(ids)),
+                key=lambda i: (ids[i].array, ids[i].key),
+            ),
+            dtype=np.int64,
+        )
+
     def sizes_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Bulk byte sizes of many placed refs."""
         sizes = self._sizes
@@ -118,7 +172,25 @@ class DictChunkLedger:
         size = self._sizes.pop(ref)
         self._loads[node] -= size
         self._total -= size
+        self._settle_empty()
         return node, size
+
+    def relocate_many(self, ids: np.ndarray, dests: np.ndarray) -> None:
+        """One :meth:`relocate` per chunk (each at most once)."""
+        if len(set(ids)) < len(ids):
+            raise PartitioningError("a chunk relocated twice in one call")
+        for ref, dest in zip(ids, dests.tolist()):
+            self.relocate(ref, dest)
+        self._settle_empty()
+
+    def _settle_empty(self) -> None:
+        """An empty node (or ledger) holds exactly ``0.0`` bytes."""
+        held = set(self._assignment.values())
+        for node in self._loads:
+            if node not in held:
+                self._loads[node] = 0.0
+        if not self._assignment:
+            self._total = 0.0
 
     def relocate(
         self, ref: ChunkRef, dest: NodeId

@@ -6,6 +6,8 @@ chunk to pick the chunks the new host receives.
 ``tests/test_range_partitioners.py`` swaps :func:`try_split_scalar` in
 for :meth:`IncrementalQuadtreePartitioner._try_split` through the
 ``oracles`` fixture and compares the rebalance plans move for move.
+The chosen chunks move one :func:`tests.oracles.rebalance.relocate_scalar`
+at a time, and their moves become the split's column plan.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from typing import List, Optional, Sequence
 
 from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
-from repro.core.base import Move, NodeId
+from repro.core.base import NodeId, RebalancePlan
+
+from tests.oracles.rebalance import Move, relocate_scalar
 
 
 def try_split_scalar(
     self, donor: NodeId, new_node: NodeId
-) -> Optional[List[Move]]:
+) -> Optional[RebalancePlan]:
     """``IncrementalQuadtreePartitioner._try_split``, one chunk at a time."""
     cells = self._cells[donor]
     donor_chunks = self.chunks_on(donor)
@@ -48,8 +52,8 @@ def try_split_scalar(
     for ref in donor_chunks:
         clamped = self._clamp(ref.key)
         if any(box.contains(clamped) for box in give):
-            moves.append(self._relocate(ref, new_node))
-    return moves
+            moves.append(relocate_scalar(self, ref, new_node))
+    return Move.plan(moves)
 
 
 def _bytes_per_cell(

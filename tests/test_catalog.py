@@ -46,7 +46,7 @@ from repro.cluster import (
 )
 from repro.cluster.node import Node
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.core.base import Move, RebalancePlan
+from repro.core.base import RebalancePlan
 from repro.core.catalog import ChunkCatalog, _ArrayView, concat_payload
 from repro.errors import (
     ChunkError,
@@ -478,7 +478,7 @@ class TestGroupedRebalance:
         """Factory: four chunks stored on node 0 of three, published.
 
         Returns ``(nodes, catalog, chunks, partitioner)``; plans the
-        partitioner emits (``_relocate``) move the planned owners the
+        partitioner emits (``_relocate_many``) move the planned owners the
         catalog publishes when the plan executes.
         """
 
@@ -504,9 +504,9 @@ class TestGroupedRebalance:
         for executor in (execute_rebalance, execute_rebalance_scalar):
             nodes, catalog, chunks, partitioner = nodes_with_chunks()
             ref = chunks[0].ref()
-            plan = RebalancePlan(moves=[
-                partitioner._relocate(ref, 1),
-                partitioner._relocate(ref, 2),
+            plan = RebalancePlan.concat([
+                partitioner._relocate_many([ref], 1),
+                partitioner._relocate_many([ref], 2),
             ])
             report = executor(nodes, plan, CostParameters(), catalog)
             assert report.chunks_moved == 2
@@ -521,19 +521,18 @@ class TestGroupedRebalance:
         # grouped pass must reject it too, not report success.
         nodes, catalog, chunks, _ = nodes_with_chunks()
         ghost = ChunkRef("A", (123, 0, 0))
-        plan = RebalancePlan(moves=[
-            Move(ghost, 0, 1, 1.0),
-            Move(ghost, 1, 0, 1.0),
-        ])
+        plan = RebalancePlan(
+            [ghost, ghost], sources=[0, 1], dests=[1, 0], sizes=[1.0, 1.0]
+        )
         with pytest.raises(ClusterError):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
 
     def test_cycle_chain_is_noop(self, nodes_with_chunks):
         nodes, catalog, chunks, partitioner = nodes_with_chunks()
         ref = chunks[1].ref()
-        plan = RebalancePlan(moves=[
-            partitioner._relocate(ref, 1),
-            partitioner._relocate(ref, 0),
+        plan = RebalancePlan.concat([
+            partitioner._relocate_many([ref], 1),
+            partitioner._relocate_many([ref], 0),
         ])
         execute_rebalance(nodes, plan, CostParameters(), catalog)
         assert nodes[0].store.get(ref) is chunks[1]
@@ -545,10 +544,10 @@ class TestGroupedRebalance:
         # the grouped executor must refuse it up front.
         nodes, catalog, chunks, _ = nodes_with_chunks()
         ref = chunks[0].ref()
-        plan = RebalancePlan(moves=[
-            Move(ref, 0, 1, chunks[0].size_bytes),
-            Move(ref, 2, 1, chunks[0].size_bytes),  # chunk is on 1
-        ])
+        plan = RebalancePlan(
+            [ref, ref], sources=[0, 2], dests=[1, 1],  # chunk is on 1
+            sizes=[chunks[0].size_bytes] * 2,
+        )
         with pytest.raises(ClusterError):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
         assert nodes[0].store.get(ref) is chunks[0]  # nothing moved
@@ -558,10 +557,10 @@ class TestGroupedRebalance:
         nodes, catalog, chunks, _ = nodes_with_chunks()
         good = chunks[0].ref()
         missing = ChunkRef("A", (99, 0, 0))
-        plan = RebalancePlan(moves=[
-            Move(good, 0, 1, chunks[0].size_bytes),
-            Move(missing, 0, 2, 1.0),
-        ])
+        plan = RebalancePlan(
+            [good, missing], sources=[0, 0], dests=[1, 2],
+            sizes=[chunks[0].size_bytes, 1.0],
+        )
         with pytest.raises(ClusterError):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
         # nothing moved: the bad move was caught during validation
@@ -570,9 +569,10 @@ class TestGroupedRebalance:
 
     def test_unknown_node_rejected(self, nodes_with_chunks):
         nodes, catalog, chunks, _ = nodes_with_chunks()
-        plan = RebalancePlan(moves=[
-            Move(chunks[0].ref(), 0, 77, chunks[0].size_bytes),
-        ])
+        plan = RebalancePlan(
+            [chunks[0].ref()], sources=[0], dests=[77],
+            sizes=[chunks[0].size_bytes],
+        )
         with pytest.raises(ClusterError):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
 

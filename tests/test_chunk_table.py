@@ -33,6 +33,7 @@ from repro.cluster.session import ClusterSession
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.catalog import ChunkCatalog
 from repro.errors import ClusterError, StorageError
+from tests.oracles import Move
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMA = parse_schema("A<v:double>[t=0:*,1, x=0:15,1, y=0:15,1]")
@@ -116,7 +117,7 @@ class TestPlannedVersusPublished:
             cluster.catalog.verify_published()  # mid-flight: they differ
         execute_rebalance(cluster.nodes, plan, cluster.costs, cluster.catalog)
         assert pinned.placement() == before  # the pin never moves
-        moved = {m.ref.key: m.dest for m in plan.moves}
+        moved = {m.ref.key: m.dest for m in Move.rows(plan)}
         after = cluster.session().placement_of_array("A")
         assert after == {**before, **moved}
         _assert_one_table(cluster)
@@ -203,7 +204,9 @@ class TestConsistencyFaults:
     def test_store_versus_table_owner(self, cluster):
         ref = _chunk(0, 0, 0, 1.0).ref()
         other = 1 - cluster.partitioner.locate(ref)
-        cluster.partitioner.table.relocate(ref, other)
+        cluster.partitioner.table.relocate_many(
+            np.array([self._id(cluster, ref)]), np.array([other])
+        )
         with pytest.raises(ClusterError, match="table says"):
             cluster.check_consistency()
 

@@ -16,7 +16,7 @@ from repro.cluster import (
 )
 from repro.cluster.metrics import CycleMetrics, RunMetrics
 from repro.core import LeadingStaircase, make_partitioner
-from repro.core.base import Move, RebalancePlan
+from repro.core.base import RebalancePlan
 from repro.errors import ClusterError
 from tests.conftest import make_cluster
 
@@ -148,10 +148,10 @@ class TestCostFromEnv:
 
 class TestNetworkModel:
     def plan(self):
-        return RebalancePlan(moves=[
-            Move(ChunkRef("a", (0,)), 0, 2, 4 * GB),
-            Move(ChunkRef("a", (1,)), 1, 2, 2 * GB),
-        ])
+        return RebalancePlan(
+            [ChunkRef("a", (0,)), ChunkRef("a", (1,))],
+            sources=[0, 1], dests=[2, 2], sizes=[4 * GB, 2 * GB],
+        )
 
     def test_nic_bytes_counts_both_endpoints(self):
         per_node = nic_bytes(self.plan())
@@ -172,7 +172,7 @@ class TestNetworkModel:
         assert t == pytest.approx(12 * 25.0 + 6 * 10.0)
 
     def test_empty_plan_is_free(self):
-        assert rebalance_time(RebalancePlan(moves=[]),
+        assert rebalance_time(RebalancePlan.empty(),
                               CostParameters()) == 0.0
 
     def test_insert_time_eq6(self):

@@ -8,6 +8,7 @@ from repro.core.consistent_hash import ConsistentHashPartitioner
 from repro.core.extendible_hash import ExtendibleHashPartitioner
 from repro.core.round_robin import RoundRobinPartitioner
 from repro.errors import PartitioningError
+from tests.oracles import Move
 
 
 def refs(n, array="a"):
@@ -72,7 +73,7 @@ class TestRoundRobin:
         # i mod 2 != i mod 3 for most ordinals
         assert plan.chunk_count > 10
         # moves may target preexisting nodes (not incremental)
-        dests = {m.dest for m in plan.moves}
+        dests = {m.dest for m in Move.rows(plan)}
         assert dests - {2}, "global reshuffle must touch old nodes"
 
     def test_post_scale_out_follows_new_modulus(self):
@@ -104,7 +105,7 @@ class TestConsistentHash:
             p.place(ChunkRef("a", (i,)), 1.0)
         plan = p.scale_out([2, 3])
         assert plan.chunk_count > 0
-        assert all(m.dest in (2, 3) for m in plan.moves)
+        assert all(m.dest in (2, 3) for m in Move.rows(plan))
 
     def test_scale_out_monotone(self):
         # Chunks that do not move keep their owner (ring monotonicity).
@@ -114,7 +115,7 @@ class TestConsistentHash:
         for r in chunks:
             before[r] = p.place(r, 1.0)
         plan = p.scale_out([2])
-        moved = {m.ref for m in plan.moves}
+        moved = {m.ref for m in Move.rows(plan)}
         for r in chunks:
             if r not in moved:
                 assert p.locate(r) == before[r]
@@ -156,8 +157,8 @@ class TestExtendibleHash:
             if owner == 0:
                 p.update_size(r, 99.0)
         plan = p.scale_out([2])
-        assert all(m.dest == 2 for m in plan.moves)
-        assert all(m.source == 0 for m in plan.moves)
+        assert all(m.dest == 2 for m in Move.rows(plan))
+        assert all(m.source == 0 for m in Move.rows(plan))
 
     def test_directory_doubles_when_needed(self):
         p = ExtendibleHashPartitioner([0, 1])

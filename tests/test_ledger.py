@@ -18,7 +18,7 @@ from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.ledger import ArrayChunkLedger
 from repro.errors import ConfigError
-from tests.oracles import DictChunkLedger
+from tests.oracles import DictChunkLedger, Move
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 
@@ -119,8 +119,8 @@ class TestLedgerParity:
         dic.place_batch(items)
         plan_a = arr.scale_out([2, 3])
         plan_d = dic.scale_out([2, 3])
-        moves_a = [(m.ref, m.source, m.dest) for m in plan_a.moves]
-        moves_d = [(m.ref, m.source, m.dest) for m in plan_d.moves]
+        moves_a = [(m.ref, m.source, m.dest) for m in Move.rows(plan_a)]
+        moves_d = [(m.ref, m.source, m.dest) for m in Move.rows(plan_d)]
         assert moves_a == moves_d
         _assert_same_state(arr, dic)
 
@@ -185,6 +185,20 @@ class TestArrayLedgerInternals:
         led.commit_new(ChunkRef("b", (1, 2)), 1.0, 0)
         assert not led._keys_ok
         assert led.key_column(refs, 0).tolist() == [3, 6]
+
+    @pytest.mark.parametrize("ledger", [ArrayChunkLedger, DictChunkLedger])
+    def test_emptied_nodes_and_ledger_hold_exact_zeros(self, ledger):
+        led = ledger((0, 1))
+        refs = [ChunkRef("a", (i, 0, 0)) for i in range(3)]
+        for ref, size in zip(refs, (0.1, 0.2, 0.3)):
+            led.commit_new(ref, size, 0)
+        assert 0.1 + 0.2 + 0.3 - 0.1 - 0.2 - 0.3 != 0.0  # float residue
+        led.relocate_many(led.ids_of(refs), np.array([1, 1, 1]))
+        assert led.load_of(0) == 0.0  # not the subtraction's residue
+        for ref in refs:
+            led.remove(ref)
+        assert led.load_of(1) == 0.0
+        assert led.total_bytes == 0.0
 
     def test_refs_on_matches_assignment(self):
         led = self._ledger()

@@ -13,6 +13,8 @@ Covers the ISSUE-3 compaction contract:
   so a churn-heavy staircase run keeps bounded ledger memory.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkData, ChunkRef, parse_schema
 from repro.cluster import ElasticCluster, GB
+from repro.cluster.coordinator import execute_remove
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.ledger import ArrayChunkLedger
 from repro.errors import ClusterError, PartitioningError
-from tests.oracles import DictChunkLedger
+from repro.harness.runner import ExperimentRunner, RunConfig
+from repro.workloads import ModisWorkload
+from tests.oracles import DictChunkLedger, Move
 
 GRID = Box((0, 0, 0), (64, 16, 16))
 
@@ -57,13 +62,13 @@ def _assert_same_observables(array_p, dict_p):
     assert array_p.chunk_count == dict_p.chunk_count
     refs = sorted(dict_p.assignment(), key=lambda r: (r.array, r.key))
     if refs:
-        assert array_p.sizes_of(refs).tolist() == pytest.approx(
-            dict_p.sizes_of(refs).tolist()
+        assert array_p.table.sizes_of(refs).tolist() == pytest.approx(
+            dict_p.table.sizes_of(refs).tolist()
         )
         for dim in range(3):
             assert np.array_equal(
-                array_p.key_column(refs, dim),
-                dict_p.key_column(refs, dim),
+                array_p.table.key_column(refs, dim),
+                dict_p.table.key_column(refs, dim),
             )
     for node, load in dict_p.node_loads().items():
         assert array_p.load_of(node) == pytest.approx(load, rel=1e-9)
@@ -125,8 +130,8 @@ class TestCompactionProperty:
                 plan_a = arr.scale_out(ids)
                 plan_d = dic.scale_out(ids)
                 assert (
-                    [(m.ref, m.source, m.dest) for m in plan_a.moves]
-                    == [(m.ref, m.source, m.dest) for m in plan_d.moves]
+                    [(m.ref, m.source, m.dest) for m in Move.rows(plan_a)]
+                    == [(m.ref, m.source, m.dest) for m in Move.rows(plan_d)]
                 )
             elif op == "compact":
                 arr.compact_ledger(0.25)
@@ -321,6 +326,76 @@ class TestClusterChurn:
         for ref in good:
             assert cluster.partitioner.locate(ref) in cluster.nodes
         cluster.check_consistency()
+
+    def test_remove_batch_names_its_first_bad_ref(self):
+        cluster = _churn_cluster(0.5)
+        chunks = [_chunk(0, x, y, 1e9) for x in range(8) for y in (0, 40)]
+        cluster.ingest(chunks)
+        good = [c.ref() for c in chunks]
+        ghost = ChunkRef("A", (9, 9, 9))
+        with pytest.raises(ClusterError, match=re.escape(f"{good[1]}")):
+            cluster.remove_chunks([good[0], good[1], good[1], ghost])
+        with pytest.raises(PartitioningError, match=re.escape(f"{ghost}")):
+            cluster.remove_chunks([good[0], ghost, good[0]])
+        # Node 1 missing from the mapping: its chunks are strays.
+        on0 = [r for r in good if cluster.locate(r) == 0]
+        on1 = [r for r in good if cluster.locate(r) == 1]
+        only0 = {0: cluster.nodes[0]}
+        for batch, error, named in [
+            ([on0[0], on1[0], on0[0], ghost], ClusterError, on1[0]),
+            ([on0[0], on0[0], on1[0]], ClusterError, on0[0]),
+            ([on0[0], ghost, on1[0]], PartitioningError, ghost),
+        ]:
+            with pytest.raises(error, match=re.escape(f"{named} ")):
+                execute_remove(
+                    only0, cluster.partitioner, batch, cluster.costs,
+                    cluster.catalog,
+                )
+        cluster.check_consistency()
+
+    def test_remove_report_sums_per_ref_and_per_node(self):
+        cluster = _churn_cluster(None)
+        rng = np.random.default_rng(3)
+        chunks = [
+            _chunk(0, x % 64, x // 64, float(rng.lognormal(20, 2)))
+            for x in range(300)
+        ]
+        cluster.ingest(chunks)
+        cluster.scale_out(2)
+        refs = [c.ref() for c in chunks[::3]][::-1]
+        freed = {}
+        for ref in refs:  # the per-ref accumulation the report keeps
+            node = cluster.partitioner.locate(ref)
+            freed[node] = freed.get(node, 0.0) + cluster.partitioner.size_of(
+                ref
+            )
+        report = cluster.remove_chunks(refs)
+        assert report.chunk_count == len(refs)
+        assert report.bytes_freed == float(sum(freed.values()))
+        assert report.touched_nodes == len(freed)
+        assert report.elapsed_seconds == max(
+            cluster.costs.io_time(b) for b in freed.values()
+        )
+        cluster.check_consistency()
+
+    @pytest.mark.parametrize("scheme", ALL_PARTITIONERS)
+    def test_expiring_every_chunk_leaves_exact_zeros(self, scheme):
+        # Regression: the running byte counters kept float residue once
+        # every chunk was gone, and the consistency check's tolerance is
+        # relative to a total that is then ~0.
+        workload = ModisWorkload(
+            n_cycles=3, cells_per_band_per_cycle=300, target_total_gb=200.0
+        )
+        cluster = ExperimentRunner(
+            workload, RunConfig(partitioner=scheme)
+        ).cluster
+        chunks = workload.batch(1).chunks
+        cluster.ingest(chunks)
+        cluster.remove_chunks([c.ref() for c in chunks])
+        cluster.check_consistency()
+        assert cluster.partitioner.total_bytes == 0.0
+        assert set(cluster.partitioner.node_loads().values()) == {0.0}
+        assert set(cluster.node_loads().values()) == {0.0}
 
     def test_bad_compact_ratio_rejected(self):
         partitioner = make_partitioner(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.arrays import Box, ChunkRef
 from repro.core import make_partitioner
-from repro.core.base import Move, RebalancePlan
+from repro.core.base import RebalancePlan
 from repro.core.round_robin import RoundRobinPartitioner
 from repro.errors import PartitioningError
 
@@ -118,15 +118,15 @@ class TestScaleOut:
 class TestMoveAndPlan:
     def test_degenerate_move_rejected(self):
         with pytest.raises(PartitioningError):
-            Move(ChunkRef("a", (0,)), source=1, dest=1, size_bytes=5.0)
+            RebalancePlan(
+                [ChunkRef("a", (0,))], sources=[1], dests=[1], sizes=[5.0]
+            )
 
     def test_plan_aggregations(self):
-        moves = [
-            Move(ChunkRef("a", (0,)), 0, 2, 100.0),
-            Move(ChunkRef("a", (1,)), 0, 3, 50.0),
-            Move(ChunkRef("a", (2,)), 1, 2, 25.0),
-        ]
-        plan = RebalancePlan(moves=moves)
+        plan = RebalancePlan(
+            [ChunkRef("a", (0,)), ChunkRef("a", (1,)), ChunkRef("a", (2,))],
+            sources=[0, 0, 1], dests=[2, 3, 2], sizes=[100.0, 50.0, 25.0],
+        )
         assert plan.total_bytes == 175.0
         assert plan.chunk_count == 3
         assert plan.bytes_by_source() == {0: 150.0, 1: 25.0}

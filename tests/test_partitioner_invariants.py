@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkRef
 from repro.core import ALL_PARTITIONERS, PAPER_TAXONOMY, make_partitioner
+from tests.oracles import Move
 
 GRID = Box((0, 0, 0), (8, 12, 10))
 
@@ -74,7 +75,7 @@ def test_full_lifecycle_invariants(name, chunks, data):
         plan = p.scale_out(new_nodes)
 
         if PAPER_TAXONOMY[name].incremental_scale_out:
-            assert all(m.dest in new_nodes for m in plan.moves), (
+            assert all(m.dest in new_nodes for m in Move.rows(plan)), (
                 f"{name} claims incremental scale-out but moved data to "
                 f"a preexisting node"
             )
@@ -145,8 +146,8 @@ def test_skew_aware_split_targets_heaviest(name):
     heaviest = max(loads, key=loads.get)
     before_max = loads[heaviest]
     plan = p.scale_out([2])
-    if plan.moves:
-        sources = {m.source for m in plan.moves}
+    if Move.rows(plan):
+        sources = {m.source for m in Move.rows(plan)}
         assert sources == {heaviest}
         assert max(p.node_loads().values()) <= before_max + 1e-9
 
@@ -181,8 +182,8 @@ def test_determinism_across_instances(name):
         )
     plan_a = a.scale_out([2, 3])
     plan_b = b.scale_out([2, 3])
-    assert [(m.ref, m.source, m.dest) for m in plan_a.moves] == [
-        (m.ref, m.source, m.dest) for m in plan_b.moves
+    assert [(m.ref, m.source, m.dest) for m in Move.rows(plan_a)] == [
+        (m.ref, m.source, m.dest) for m in Move.rows(plan_b)
     ]
 
 

@@ -11,6 +11,7 @@ from repro.core.kd_tree import KdInner, KdTreePartitioner
 from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.core.uniform_range import UniformRangePartitioner, build_leaves
 from repro.errors import PartitioningError
+from tests.oracles import Move
 
 GRID = Box((0, 0), (16, 16))
 GRID3 = Box((0, 0, 0), (8, 16, 12))
@@ -67,8 +68,8 @@ class TestHilbertPartitioner:
         heaviest = max(loads, key=loads.get)
         before = loads[heaviest]
         plan = p.scale_out([2])
-        assert all(m.source == heaviest for m in plan.moves)
-        assert all(m.dest == 2 for m in plan.moves)
+        assert all(m.source == heaviest for m in Move.rows(plan))
+        assert all(m.dest == 2 for m in Move.rows(plan))
         # roughly half the bytes moved
         moved = plan.total_bytes
         assert 0.2 * before < moved < 0.8 * before
@@ -99,9 +100,9 @@ class TestHilbertPartitioner:
         # a later empty split picking it must not index its no slots.
         p = HilbertCurvePartitioner([0, 1], (16, 16))
         for node in range(2, 6):
-            assert p.scale_out([node]).moves == []
+            assert Move.rows(p.scale_out([node])) == []
         fill(p, n=40)
-        assert p.scale_out([6]).moves
+        assert Move.rows(p.scale_out([6]))
 
 
 class TestKdTree:
@@ -161,7 +162,7 @@ class TestKdTree:
         p = KdTreePartitioner([0], GRID)
         placed = fill(p, 100)
         plan = p.scale_out([1])
-        for m in plan.moves:
+        for m in Move.rows(plan):
             assert p.locate(m.ref) == 1
         # every chunk is located where the tree says
         for ref in placed:
@@ -243,7 +244,7 @@ class TestQuadtree:
                 new = [p.node_count + i for i in range(cycle % 2 + 1)]
                 plans.append([
                     (m.ref, m.source, m.dest, m.size_bytes)
-                    for m in p.scale_out(new).moves
+                    for m in Move.rows(p.scale_out(new))
                 ])
             return plans, p.assignment()
 
@@ -257,7 +258,7 @@ class TestQuadtree:
         fill(p, 100, skew=True)
         plan = p.scale_out([1])
         assert plan.chunk_count > 0
-        for m in plan.moves:
+        for m in Move.rows(plan):
             clamped = p._clamp(m.ref.key)
             assert any(
                 box.contains(clamped) for box in p.cells_of(1)
@@ -403,7 +404,7 @@ class TestUniformRangeLeafTable:
             plan = p.scale_out(new_nodes)
             got = [
                 (m.ref, m.source, m.dest, m.size_bytes)
-                for m in plan.moves
+                for m in Move.rows(plan)
             ]
             assert got == want
             assert got  # a global re-slice moves something each time
@@ -422,7 +423,7 @@ class TestUniformRangeLeafTable:
         want = _per_ref_moves(bat, [3])
         got = [
             (m.ref, m.source, m.dest, m.size_bytes)
-            for m in bat.scale_out([3]).moves
+            for m in Move.rows(bat.scale_out([3]))
         ]
         assert got == want
 

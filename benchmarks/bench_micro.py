@@ -55,6 +55,7 @@ from tests.oracles import (
     execute_rebalance_scalar,
     halo_shuffle_bytes_scalar,
 )
+from tests.helpers import columns as columns_of, read_of
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 
@@ -111,12 +112,13 @@ def test_place_batch_throughput(benchmark, name):
     """The batch placement API on the same refs as the scalar loop."""
     refs = _refs()
     benchmark.extra_info["items"] = len(refs)
+    columns = columns_of(refs)
 
     def place_batch_all():
         p = make_partitioner(
             name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=1e12
         )
-        p.place_batch(refs)
+        p.place_batch(*columns)
         return p
 
     p = benchmark(place_batch_all)
@@ -126,13 +128,14 @@ def test_place_batch_throughput(benchmark, name):
 def test_scale_out_throughput(benchmark):
     refs = _refs()
     benchmark.extra_info["items"] = len(refs)
+    columns = columns_of(refs)
 
     def grow():
         p = make_partitioner(
             "consistent_hash", [0, 1], grid=GRID,
             node_capacity_bytes=1e12,
         )
-        p.place_batch(refs)
+        p.place_batch(*columns)
         p.scale_out([2, 3])
         p.scale_out([4, 5])
         return p
@@ -263,11 +266,12 @@ def test_payload_gather_per_chunk(benchmark):
 
 
 def test_payload_gather(benchmark):
-    """The run walk: adjacent extents coalesce into one slab a batch."""
+    """Run-sliced: one vectorized break search, one slab a batch."""
     chunks = _gather_chunks()
     benchmark.extra_info["items"] = len(chunks)
+    read = read_of(chunks)
 
-    coords, values = benchmark(concat_payload, chunks, GATHER_ATTRS, 3)
+    coords, values = benchmark(concat_payload, read, GATHER_ATTRS, 3)
     want = concat_payload_per_chunk(chunks, GATHER_ATTRS, 3)
     assert np.array_equal(coords, want[0])
     for attr in GATHER_ATTRS:

@@ -7,7 +7,7 @@ Public surface:
   :class:`~repro.arrays.schema.AttributeSpec`,
   :func:`~repro.arrays.schema.parse_schema` — array declarations.
 * :class:`~repro.arrays.chunk.ChunkData`,
-  :class:`~repro.arrays.chunk.ChunkRef` — chunk payloads and identities.
+  :class:`~repro.arrays.chunk.ChunkRef`, :class:`~repro.arrays.chunk.ChunkBatch`.
 * :class:`~repro.arrays.array.LocalArray`,
   :func:`~repro.arrays.array.chunk_cells` — cell-level ingest and reads.
 * :class:`~repro.arrays.storage.ChunkStore`,
@@ -23,7 +23,7 @@ Public surface:
 """
 
 from repro.arrays.array import LocalArray, chunk_cells
-from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef, empty_chunk
+from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkKey, ChunkRef, empty_chunk
 from repro.arrays.coords import Box, bounding_box
 from repro.arrays.schema import (
     ArraySchema,
@@ -45,6 +45,7 @@ __all__ = [
     "ArraySchema",
     "AttributeSpec",
     "Box",
+    "ChunkBatch",
     "ChunkData",
     "ChunkKey",
     "ChunkRef",

@@ -12,11 +12,12 @@ per-chunk array is created on the ingest path.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import CellArena, ChunkData, ChunkKey
+from repro.arrays.chunk import CellArena, ChunkBatch, ChunkData, ChunkKey
 from repro.arrays.coords import Box, pack_rows, region_mask, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.errors import ChunkError
@@ -102,7 +103,7 @@ class LocalArray:
         coords: np.ndarray,
         attributes: Mapping[str, np.ndarray],
         inflate: float = 1.0,
-    ) -> List[ChunkData]:
+    ) -> Sequence[ChunkData]:
         """Chunk a batch of cells and add them to the array.
 
         Args:
@@ -122,7 +123,7 @@ class LocalArray:
                 f"got {coords.shape}"
             )
         if coords.shape[0] == 0:
-            return []
+            return ChunkBatch.of([])
 
         produced = chunk_cells(self.schema, coords, attributes, inflate)
         for chunk in produced:
@@ -286,7 +287,7 @@ def chunk_cells(
     coords: np.ndarray,
     attributes: Mapping[str, np.ndarray],
     inflate: float = 1.0,
-) -> List[ChunkData]:
+) -> ChunkBatch:
     """Partition a batch of cells into per-chunk :class:`ChunkData` objects.
 
     This is the coordinator-side chunking step of the ingest path
@@ -307,11 +308,11 @@ def chunk_cells(
     inflate : float
         Multiplier applied to each chunk's numpy footprint to obtain its
         modeled ``size_bytes`` (paper-scale chunks from laptop-scale
-        cell counts).
+        cell counts); finite and non-negative.
 
     Returns
     -------
-    list of ChunkData
+    ChunkBatch
         One chunk per distinct key, sorted by key; cells within a chunk
         keep their batch order.
     """
@@ -322,7 +323,7 @@ def chunk_cell_sets(
     coords: np.ndarray,
     sets: Sequence[Tuple[ArraySchema, Mapping[str, np.ndarray]]],
     inflate: float = 1.0,
-) -> List[ChunkData]:
+) -> ChunkBatch:
     """:func:`chunk_cells` for several arrays over one coordinate table.
 
     Each ``(schema, attributes)`` set is checked against its own schema;
@@ -340,8 +341,11 @@ def chunk_cell_sets(
     the per-dimension ``lexsort``.  Each set's sorted columns become one
     :class:`~repro.arrays.chunk.CellArena` and each group its row range
     through the trusted :meth:`ChunkData.from_extent`: the batch was
-    checked up front and keys derive from coordinates.
+    checked up front and keys derive from coordinates.  The batch's
+    columns are cut from the group keys, bounds and byte widths.
     """
+    if not 0.0 <= inflate < math.inf:
+        raise ChunkError(f"inflate must be finite and non-negative, got {inflate}")
     coords = np.asarray(coords, dtype=np.int64)
     schema, attributes = sets[0]
     for other, columns in sets[1:]:
@@ -352,7 +356,7 @@ def chunk_cell_sets(
     keys = _validated_keys(schema, coords, attributes)
     n_cells = coords.shape[0]
     if n_cells == 0:
-        return []
+        return ChunkBatch.of([])
 
     packing = row_packing(keys)
     if packing is not None:
@@ -366,23 +370,36 @@ def chunk_cell_sets(
         change = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
 
     coords_sorted = coords[order]
-    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), n_cells]
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [n_cells]))
+    lo, hi = bounds[:-1], bounds[1:]
     # Groups come out of the order-preserving sort already key-sorted;
     # each takes its key from its first cell.
-    group_keys = list(map(tuple, keys[order[bounds[:-1]]].tolist()))
+    rows = keys[order[lo]]
+    group_keys = list(map(tuple, rows.tolist()))
+    spans = list(zip(lo.tolist(), hi.tolist()))
     chunks: List[ChunkData] = []
+    numbers, sizes = [], []
+    schemas: Dict[str, ArraySchema] = {}  # each array's first schema
+    for schema, _ in sets:
+        schemas.setdefault(schema.name, schema)
+    arrays = list(schemas)
     for schema, attributes in sets:
         columns = {
             name: np.asarray(attributes[name])[order]
             for name in schema.attribute_names
         }
-        per_cell = cell_byte_width(schema, columns)
         arena = CellArena(coords_sorted, columns)
+        numbers.append(arena.number)
+        size = (hi - lo) * cell_byte_width(schema, columns) * inflate
+        sizes.append(size)
         chunks += [
-            ChunkData.from_extent(
-                schema, key, arena, lo, hi,
-                size_bytes=float((hi - lo) * per_cell) * inflate,
-            )
-            for key, lo, hi in zip(group_keys, bounds, bounds[1:])
+            ChunkData.from_extent(schema, key, arena, a, b, s)
+            for key, (a, b), s in zip(group_keys, spans, size.tolist())
         ]
-    return chunks
+    m, g = len(sets), len(group_keys)
+    return ChunkBatch(
+        chunks, arrays, list(schemas.values()),
+        np.repeat([arrays.index(s.name) for s, _ in sets], g),
+        np.tile(rows, (m, 1)), np.concatenate(sizes),
+        np.repeat(numbers, g), np.tile(lo, m), np.tile(hi, m),
+    )

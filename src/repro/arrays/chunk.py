@@ -24,12 +24,19 @@ key-sorted chunks (:func:`repro.core.catalog.concat_payload`) copies
 whole slabs instead of per-chunk pieces.  The per-chunk ``(coords,
 attributes)`` views are built on the first per-chunk read and never
 before.
+
+A :class:`ChunkBatch` carries a batch's chunks with their key rows,
+sizes and extents as columns, through ingest to the catalog.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +71,16 @@ class ChunkRef:
     def __hash__(self) -> int:
         return self._hash
 
+    @classmethod
+    def trusted(cls, array: str, key: ChunkKey) -> "ChunkRef":
+        """A ref from a name and a tuple of plain ints, not re-tupled (set
+        field by field: that keeps the class's shared-key instance dict)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash((array, key)))
+        return self
+
     def __getstate__(self):
         # Exclude the cached hash: str hashing is salted per process
         # (PYTHONHASHSEED), so a pickled hash from another interpreter
@@ -92,16 +109,19 @@ class CellArena:
     sorted by chunk key, so each chunk of the batch is a contiguous row
     range ``[lo, hi)`` — its *extent*.  An arena is immutable once
     built: chunks hand out views of it, gathers copy out of it, nothing
-    writes into it.
+    writes into it.  ``number`` (unique per process) names it in extents.
     """
 
-    __slots__ = ("coords", "columns")
+    __slots__ = ("coords", "columns", "number")
+
+    _numbers = itertools.count()
 
     def __init__(
         self, coords: np.ndarray, columns: Dict[str, np.ndarray]
     ) -> None:
         self.coords = coords
         self.columns = columns
+        self.number = next(self._numbers)
 
 
 #: A chunk's row range in its batch arena: ``(arena, lo, hi)``.
@@ -217,8 +237,10 @@ class ChunkData:
         actual = self._actual_nbytes()
         if size_bytes is None:
             size_bytes = float(actual)
-        if size_bytes < 0:
-            raise ChunkError("size_bytes must be non-negative")
+        if not 0.0 <= size_bytes < math.inf:
+            raise ChunkError(
+                f"size_bytes must be finite and non-negative, got {size_bytes}"
+            )
         self.size_bytes = float(size_bytes)
         self._attr_bytes: Optional[Dict[str, float]] = None
         self._ref: Optional[ChunkRef] = None
@@ -430,9 +452,8 @@ class ChunkData:
         up in grouped rebalances; the identity never changes, cache it.
         """
         ref = self._ref
-        if ref is None:
-            ref = ChunkRef(self.schema.name, self.key)
-            self._ref = ref
+        if ref is None:  # keys are plain-int tuples in every state
+            ref = self._ref = ChunkRef.trusted(self.schema.name, self.key)
         return ref
 
     def bytes_for(self, attrs: Sequence[str]) -> float:
@@ -501,6 +522,70 @@ class ChunkData:
             f"ChunkData({self.schema.name}@{self.key}, "
             f"cells={cells}, bytes={self.size_bytes:.0f})"
         )
+
+
+@dataclass(eq=False, repr=False)
+class ChunkBatch(SequenceABC):
+    """A read-only sequence of :class:`ChunkData` (``chunks``) plus
+    parallel columns: ``codes`` into ``arrays`` / ``schemas`` (first
+    seen), ``(n, ndim)`` int64 ``keys`` (``None`` for mixed arities),
+    float64 ``sizes``, and extents ``arena_no`` / ``lo`` / ``hi``
+    (``(-1, 0, 0)`` for a chunk with its own arrays)."""
+
+    chunks: List[ChunkData]
+    arrays: List[str]
+    schemas: List[ArraySchema]
+    codes: np.ndarray
+    keys: Optional[np.ndarray]
+    sizes: np.ndarray
+    arena_no: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, chunks: Iterable[ChunkData]) -> "ChunkBatch":
+        """``chunks`` as a batch (a batch as is): the one per-chunk walk.
+        Two schemas of one array raise :class:`ChunkError`."""
+        if isinstance(chunks, ChunkBatch):
+            return chunks
+        chunks = list(chunks)
+        n = len(chunks)
+        index: Dict[str, int] = {}
+        schemas: List[ArraySchema] = []
+        columns = np.zeros((4, n), dtype=np.int64)  # codes, arena, lo, hi
+        columns[1] = -1
+        for i, chunk in enumerate(chunks):
+            schema = chunk.schema
+            code = columns[0, i] = index.setdefault(schema.name, len(index))
+            if code == len(schemas):
+                schemas.append(schema)
+            elif schema is not schemas[code] and (
+                    schema.declaration() != schemas[code].declaration()):
+                raise ChunkError(
+                    f"array {schema.name!r} has two schemas in one batch"
+                )
+            if chunk.extent is not None:
+                arena, lo, hi = chunk.extent
+                columns[1:, i] = arena.number, lo, hi
+        try:
+            keys = np.array([c.key for c in chunks], dtype=np.int64)
+            keys = keys.reshape(n, -1) if n else None
+        except (ValueError, OverflowError):
+            keys = None
+        sizes = np.fromiter(
+            map(attrgetter("size_bytes"), chunks), dtype=np.float64, count=n
+        )
+        return cls(chunks, list(index), schemas, columns[0], keys, sizes,
+                   *columns[1:])
+
+    def __len__(self) -> int:
+        return len(self.chunks)
+
+    def __getitem__(self, i):
+        return self.chunks[i]
+
+    def __iter__(self) -> Iterator[ChunkData]:
+        return iter(self.chunks)
 
 
 def empty_chunk(schema: ArraySchema, key: Sequence[int]) -> ChunkData:

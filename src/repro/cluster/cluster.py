@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arrays.chunk import ChunkData, ChunkRef
+from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkRef
 from repro.arrays.segment import SegmentStore
 from repro.arrays.storage import ChunkStore
 from repro.cluster.coordinator import (
@@ -428,7 +428,8 @@ class ElasticCluster:
            redistribute preexisting chunks (the partitioner's plan).
         3. Finally insert the new chunks.
         """
-        incoming = float(sum(c.size_bytes for c in chunks))
+        chunks = ChunkBatch.of(chunks)
+        incoming = float(sum(chunks.sizes.tolist()))
         demand = self.total_bytes + incoming
 
         rebalance_report: Optional[RebalanceReport] = None

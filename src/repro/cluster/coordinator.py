@@ -18,12 +18,11 @@ per-move evict/put loop is its specification
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData, ChunkRef
+from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkRef
 from repro.cluster.costs import CostParameters
 from repro.cluster.network import insert_time, rebalance_time
 from repro.cluster.node import Node
@@ -62,28 +61,35 @@ def execute_insert(
 ) -> InsertReport:
     """Place and store a batch of chunks; price it per Eq. 6 semantics.
 
-    One ``place_batch`` call routes the batch (and updates the byte
-    ledger); one ``ids_of`` pass then reads its table ids, whose planned
-    owners are the targets.  Chunks are stored grouped per destination
-    (a stable argsort, so each store pays one bulk install and same-ref
-    merges replay in batch order) and the stored objects (merges
-    produce new ones) are published with those ids.  The elapsed time
-    charges the coordinator's local I/O for its own share and its NIC
-    for everything shipped elsewhere.
+    Runs on the batch's columns (a :class:`ChunkBatch`; a list is
+    converted once), its schemas checked against the published ones
+    first.  One ``place_batch`` call routes the batch, updates the byte
+    ledger and returns the table ids, whose planned owners are the
+    targets.  Chunks are stored grouped per destination (a stable
+    argsort, so each store pays one bulk install and same-ref merges
+    replay in batch order) and the stored objects are published with
+    those ids (re-read when a merge or a tiered store left a handle
+    with its own arrays).  The elapsed time charges the coordinator's
+    local I/O for its own share and its NIC for everything shipped
+    elsewhere.
     """
     if coordinator_id not in nodes:
         raise ClusterError(f"unknown coordinator node {coordinator_id}")
-    chunks = list(chunks)
-    count = len(chunks)
-    refs = list(map(ChunkData.ref, chunks))
-    size_list = list(map(attrgetter("size_bytes"), chunks))
-    sizes = np.array(size_list, dtype=np.float64)
-    refs_and_sizes = list(zip(refs, size_list))
-    partitioner.prepare_batch(refs_and_sizes)
-    partitioner.place_batch(refs_and_sizes)
-    table = catalog.table
-    ids = table.ids_of(refs)
-    targets = table.owners(ids)
+    batch = ChunkBatch.of(chunks)
+    for array, schema in zip(batch.arrays, batch.schemas):
+        published = catalog.schema_of(array)
+        if published is not None and published is not schema and (
+                published.declaration() != schema.declaration()):
+            raise ClusterError(
+                f"array {array!r} is published as "
+                f"{published.declaration()}, not {schema.declaration()}"
+            )
+    count = len(batch)
+    refs = list(map(ChunkData.ref, batch.chunks))
+    sizes = batch.sizes
+    partitioner.prepare_batch(refs, sizes)
+    ids = partitioner.place_batch(refs, sizes, batch.keys)
+    targets = catalog.table.owners(ids)
     groups = _groups(targets)
     unknown = sorted(node for node, _ in groups if node not in nodes)
     if unknown:
@@ -94,12 +100,20 @@ def execute_insert(
     # Stores are visited in order of first appearance in the batch, so
     # a mid-batch I/O fault leaves the same stores written as per-chunk
     # routing would.
+    # (``np.fromiter``: assigning a list probes each item as a sequence.)
+    handles = np.fromiter(batch.chunks, dtype=object, count=count)
     stored = np.empty(count, dtype=object)
+    tiered = np.zeros(count, dtype=bool)
     for node, idx in groups:
-        stored[idx] = nodes[node].store.put_many(
-            [chunks[i] for i in idx.tolist()]
+        store = nodes[node].store
+        stored[idx] = np.fromiter(
+            store.put_many(handles[idx].tolist()), dtype=object,
+            count=len(idx),
         )
-    catalog.put_batch(stored, ids)
+        tiered[idx] = store.tier is not None
+    if tiered.any() or (stored != handles).any():  # merged or adopted
+        batch = ChunkBatch.of(stored.tolist())
+    catalog.put_batch(batch, ids)
     elapsed = insert_time(bytes_by_node, coordinator_id, costs)
     return InsertReport(
         chunk_count=count,

@@ -60,7 +60,6 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy.typing as npt
 
-from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import Box, region_mask
 from repro.core.catalog import (
     ArraySnapshot,
@@ -275,27 +274,27 @@ class ClusterSession:
 
     def gather_payload(
         self,
-        pairs: Sequence[Tuple[ChunkData, int]],
+        read: Read,
         attrs: Sequence[str],
         ndim: int = 0,
     ) -> Tuple[npt.NDArray[Any], Dict[str, npt.NDArray[Any]]]:
-        """Concatenated cell table of explicit ``(chunk, node)`` pairs.
+        """Concatenated cell table of a pinned :class:`Read`.
 
-        The query kernels' scatter/gather entry point: under
-        ``REPRO_EXEC=process`` the payload bytes of each pair travel
-        from the worker process owning that node (one shared-memory
-        frame per node); in-process — or when a pinned pair is no
-        longer worker-resident — it is a local concatenation over the
-        same handles in the same order, so the backends agree
+        The query kernels' scatter/gather entry point; callers pick
+        chunks by position slices of a read (:meth:`Read.take`).  Under
+        ``REPRO_EXEC=process`` the payload bytes of each chunk travel
+        from the worker process owning its node (one shared-memory
+        frame per node); in-process — or when a pinned chunk is no
+        longer worker-resident — it is the run-sliced local gather
+        over the same handles in the same order, so the backends agree
         byte-for-byte.
         """
-        pairs = list(pairs)
         engine = self._engine()
         if engine is not None:
-            gathered = engine.gather_pairs(pairs, attrs, ndim)
+            gathered = engine.gather_pairs(read, attrs, ndim)
             if gathered is not None:
                 return gathered
-        return concat_payload([c for c, _ in pairs], attrs, ndim)
+        return concat_payload(read, attrs, ndim)
 
     def deltas_since(self, array: str, epoch: int) -> CatalogDelta:
         """Pinned content mutations after ``epoch`` (log end frozen)."""

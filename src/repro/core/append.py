@@ -13,7 +13,7 @@ recent data is queried most (Figure 6).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class AppendPartitioner(ElasticPartitioner):
             self._cursor += 1
         return self._nodes[self._cursor]
 
-    def place_batch(self, refs_and_sizes):
+    def _place_split(self, split):
         """Batch placement by a fill walk over the nodes, not the chunks.
 
         For each node the cursor crosses, one ``np.cumsum`` replays the
@@ -76,24 +76,13 @@ class AppendPartitioner(ElasticPartitioner):
         land: a known ref onto its node, a duplicate onto the node its
         first occurrence took.
         """
-        items = list(refs_and_sizes)
-        first_sizes, merges = self._partition_batch(items)
-        sizes = np.fromiter(
-            first_sizes.values(), dtype=np.float64, count=len(first_sizes)
-        )
         fill = self._fill_positions(
-            sizes, self._merge_events(items, first_sizes, merges)
+            split.sizes[split.first], self._merge_events(split)
         )
-        commit_nodes = np.asarray(self._nodes, dtype=np.int64)[fill]
-        return self._commit_batch(
-            first_sizes, commit_nodes.tolist(), merges
-        )
+        return np.asarray(self._nodes, dtype=np.int64)[fill]
 
     def _merge_events(
-        self,
-        items: Sequence[Tuple[ChunkRef, float]],
-        first_sizes: Dict[ChunkRef, float],
-        merges: Sequence[Tuple[ChunkRef, float]],
+        self, split
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Where each merge sits in the batch and whose bytes it grows.
 
@@ -103,33 +92,19 @@ class AppendPartitioner(ElasticPartitioner):
         ``first = j`` and ``target = -1``; a known ref has ``first = -1``
         and ``target`` = its node's position in the fill order.
         """
-        offset: List[int] = []
-        first: List[int] = []
-        target: List[int] = []
-        if merges:
+        merges = split.merges
+        offset = np.searchsorted(split.first, merges)
+        known = split.known[merges]
+        first = np.searchsorted(split.first, split.origin[merges])
+        first[known] = -1
+        target = np.full(len(merges), -1, dtype=np.int64)
+        if known.any():
             position = {n: i for i, n in enumerate(self._nodes)}
-            node_of = self._ledger.node_of
-            seen: Dict[ChunkRef, int] = {}
-            for ref, _ in items:
-                if ref not in first_sizes:
-                    offset.append(len(seen))
-                    first.append(-1)
-                    target.append(position[node_of(ref)])
-                elif ref in seen:
-                    offset.append(len(seen))
-                    first.append(seen[ref])
-                    target.append(-1)
-                else:
-                    seen[ref] = len(seen)
-        size = np.fromiter(
-            (s for _, s in merges), dtype=np.float64, count=len(merges)
-        )
-        return (
-            np.asarray(offset, dtype=np.int64),
-            np.asarray(first, dtype=np.int64),
-            np.asarray(target, dtype=np.int64),
-            size,
-        )
+            target[known] = [
+                position[self._ledger.node_of(ref)]
+                for ref in split.refs[merges[known]].tolist()
+            ]
+        return offset, first, target, split.sizes[merges]
 
     def _fill_positions(
         self,

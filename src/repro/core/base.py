@@ -24,7 +24,7 @@ the partitioner in one call.  Its semantics are defined by equivalence to
 calling :meth:`place` sequentially in batch order — including duplicate
 refs within one batch, which merge into their first placement:
 
-* the chunk→node assignment, the returned per-ref nodes, and every
+* the chunk→node assignment, the owners of the returned ids, and every
   per-chunk size are **bit-identical** to the sequential outcome;
 * per-node loads and the running byte total contain the same bytes but
   may differ in the last float ulps, because the batch path is free to
@@ -33,12 +33,13 @@ refs within one batch, which merge into their first placement:
   different prefix than the scalar loop — the ledger stays internally
   consistent, but the exact partial state is unspecified.
 
-The specification is sequential :meth:`place`; every scheme implements
-``place_batch`` as a vectorized or amortized equivalent on top of
-:meth:`ElasticPartitioner._partition_batch` /
-:meth:`ElasticPartitioner._commit_batch`, and
-``tests/test_batch_parity.py`` checks the equivalence for every
-registered scheme.
+The specification is sequential :meth:`place`.  ``place_batch`` runs on
+columns: :meth:`ElasticPartitioner._partition_batch` splits the batch
+into index columns (a :class:`BatchSplit`), the scheme chooses the nodes
+of its first-time refs in one vectorized or amortized call
+(``_place_split``), and the table commits the split and returns one
+table id per item.  ``tests/test_batch_parity.py`` checks the
+equivalence for every registered scheme.
 
 Ledger invariants
 -----------------
@@ -74,6 +75,7 @@ The per-move path (``Move``, one ``_relocate`` per chunk, the loops over
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -193,6 +195,27 @@ class RebalancePlan:
         return not len(self.refs)
 
 
+@dataclass(eq=False)
+class BatchSplit:
+    """An insert batch split into first-time placements and merges:
+    the items (``refs``, ``sizes``, ``keys`` rows or ``None``), each
+    item's first position in the batch (``origin``) and whether it was
+    placed before (``known``); ``first`` holds the first positions of
+    unknown refs, ``merges`` every other position, both ascending."""
+
+    refs: np.ndarray
+    sizes: np.ndarray
+    keys: Optional[np.ndarray]
+    origin: np.ndarray
+    known: np.ndarray
+    first: np.ndarray
+    merges: np.ndarray
+
+    def new_refs(self) -> List[ChunkRef]:
+        """The first-time refs, in batch order."""
+        return self.refs[self.first].tolist()
+
+
 def sum_by_node(nodes: np.ndarray, sizes: np.ndarray) -> Dict[NodeId, float]:
     """``sizes`` summed per node, in move order (nodes by first appearance)."""
     uniq, first, inverse = np.unique(
@@ -308,15 +331,15 @@ class ElasticPartitioner(ABC):
     # mutation
     # ------------------------------------------------------------------
     def prepare_batch(
-        self, batch: Sequence[Tuple[ChunkRef, float]]
+        self, refs: Sequence[ChunkRef], sizes: np.ndarray
     ) -> None:
         """Observe a whole insert batch before its chunks are placed.
 
         The coordinator receives inserts in bulk (paper §3.4), so a
-        partitioner may inspect the batch to refine its table *before*
-        any chunk lands — the Hilbert partitioner uses the first batch to
-        set data-aware initial ranges.  Must not move existing chunks.
-        The default is a no-op.
+        partitioner may inspect the batch — its refs and their sizes —
+        to refine its table *before* any chunk lands; the Hilbert
+        partitioner uses the first batch to set data-aware initial
+        ranges.  Must not move existing chunks.  The default is a no-op.
         """
 
     def place(self, ref: ChunkRef, size_bytes: float) -> NodeId:
@@ -330,9 +353,9 @@ class ElasticPartitioner(ABC):
         Returns:
             The node id that received the chunk.
         """
-        if size_bytes < 0:
+        if not 0.0 <= size_bytes < math.inf:
             raise PartitioningError(
-                f"negative chunk size {size_bytes} for {ref}"
+                f"invalid chunk size {size_bytes} for {ref}"
             )
         existing = self._ledger.get_node(ref)
         if existing is not None:
@@ -342,18 +365,23 @@ class ElasticPartitioner(ABC):
         self._commit_new(ref, float(size_bytes), node)
         return node
 
-    @abstractmethod
     def place_batch(
-        self, refs_and_sizes: Sequence[Tuple[ChunkRef, float]]
-    ) -> Dict[ChunkRef, NodeId]:
-        """Place a whole insert batch; return each chunk's node.
+        self,
+        refs: Sequence[ChunkRef],
+        sizes: np.ndarray,
+        keys: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Place a whole insert batch; return each item's table id.
 
         Semantically equivalent to calling :meth:`place` once per item in
         batch order (see the module docstring's batch contract): known
-        refs merge bytes onto their current node, duplicate refs within
-        the batch merge into their first placement, and the returned
-        mapping holds the final node of every distinct ref.
+        refs merge onto their current node, duplicates within the batch
+        into their first placement (and share its id).  ``keys`` are the
+        refs' key rows when the caller has them; the table stores them.
         """
+        split = self._partition_batch(refs, sizes, keys)
+        nodes = np.asarray(self._place_split(split), dtype=np.int64)
+        return self._commit_batch(split, nodes)
 
     def adopt_batch(
         self,
@@ -385,9 +413,9 @@ class ElasticPartitioner(ABC):
         commit_nodes: List[NodeId] = []
         has_node = self._ledger.has_node
         for ref, size_bytes, node in entries:
-            if size_bytes < 0:
+            if not 0.0 <= size_bytes < math.inf:
                 raise PartitioningError(
-                    f"negative chunk size {size_bytes} for {ref}"
+                    f"invalid chunk size {size_bytes} for {ref}"
                 )
             if not has_node(node):
                 raise PartitioningError(
@@ -400,7 +428,10 @@ class ElasticPartitioner(ABC):
                 )
             first_sizes[ref] = float(size_bytes)
             commit_nodes.append(node)
-        self._ledger.commit_batch(first_sizes, commit_nodes, [])
+        self._ledger.commit_batch(
+            self._partition_batch(list(first_sizes), list(first_sizes.values())),
+            np.asarray(commit_nodes, dtype=np.int64),
+        )
         self._adopt_batch(entries)
 
     def _adopt_batch(
@@ -518,6 +549,12 @@ class ElasticPartitioner(ABC):
         """Choose the node for a chunk seen for the first time."""
 
     @abstractmethod
+    def _place_split(self, split: BatchSplit) -> Sequence[NodeId]:
+        """The nodes of ``split``'s first-time refs, in batch order: one
+        :meth:`_place_new` per ``split.first`` item (plus what merges
+        update), for every batch."""
+
+    @abstractmethod
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         """Update the partitioning table for ``new_nodes``; return moves.
 
@@ -560,83 +597,61 @@ class ElasticPartitioner(ABC):
         """
 
     def _partition_batch(
-        self, items: Sequence[Tuple[ChunkRef, float]]
-    ) -> Tuple[Dict[ChunkRef, float], List[Tuple[ChunkRef, float]]]:
+        self,
+        refs: Sequence[ChunkRef],
+        sizes: np.ndarray,
+        keys: Optional[np.ndarray] = None,
+    ) -> BatchSplit:
         """Split a batch into first-time placements and merges.
 
-        The first half of every ``place_batch`` override.  Returns
-        ``(first_sizes, merges)``: the first occurrence of each unknown
-        ref (in batch order) with its size, and, in batch order, every
-        item that merges onto an existing chunk (already assigned, or a
-        duplicate of an earlier batch item).  The subclass resolves the
-        owners of ``first_sizes``'s refs in bulk, then hands both parts
-        to :meth:`_commit_batch`.  Does not touch the ledger.  The loop
-        is deliberately lean — two ref-dict operations per item — since
-        refs hash through Python-level ``__hash__``.
+        Checks the sizes column once (finite and non-negative, else
+        :class:`PartitioningError` naming the first offending item),
+        then one C-level ``dict.setdefault`` pass finds first
+        occurrences and one probes the table.  Does not touch the ledger.
         """
-        contains = self._ledger.contains
-        first_sizes: Dict[ChunkRef, float] = {}
-        merges: List[Tuple[ChunkRef, float]] = []
-        append = merges.append
-        setdefault = first_sizes.setdefault
-        count = 0
-        if self._ledger.chunk_count:
-            for ref, size_bytes in items:
-                if size_bytes < 0:
-                    raise PartitioningError(
-                        f"negative chunk size {size_bytes} for {ref}"
-                    )
-                if contains(ref):
-                    append((ref, size_bytes))
-                    continue
-                setdefault(ref, float(size_bytes))
-                if len(first_sizes) == count:  # batch-internal duplicate
-                    append((ref, size_bytes))
-                else:
-                    count += 1
-        else:
-            # Empty ledger (first ingest): every ref is unknown, skip
-            # the per-item assignment probe.
-            for ref, size_bytes in items:
-                if size_bytes < 0:
-                    raise PartitioningError(
-                        f"negative chunk size {size_bytes} for {ref}"
-                    )
-                setdefault(ref, float(size_bytes))
-                if len(first_sizes) == count:  # batch-internal duplicate
-                    append((ref, size_bytes))
-                else:
-                    count += 1
-        return first_sizes, merges
+        refs = list(refs)
+        n = len(refs)
+        sizes = np.asarray(sizes, dtype=np.float64)
+        if sizes.shape != (n,):
+            raise PartitioningError(f"{n} refs but {sizes.shape} sizes")
+        bad = ~((sizes >= 0.0) & (sizes < np.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise PartitioningError(
+                f"invalid chunk size {sizes[i]} for {refs[i]}"
+            )
+        column = np.fromiter(refs, dtype=object, count=n)
+        seen: Dict[ChunkRef, int] = {}
+        origin = np.fromiter(
+            map(seen.setdefault, refs, range(n)), dtype=np.int64, count=n
+        )
+        known = (
+            self._ledger.contains_many(refs) if self._ledger.chunk_count
+            else np.zeros(n, dtype=bool)
+        )
+        first = (origin == np.arange(n)) & ~known
+        return BatchSplit(
+            column, sizes, keys, origin, known,
+            np.flatnonzero(first), np.flatnonzero(~first),
+        )
 
     def _commit_batch(
-        self,
-        first_sizes: Dict[ChunkRef, float],
-        commit_nodes: Sequence[NodeId],
-        merges: Sequence[Tuple[ChunkRef, float]],
-    ) -> Dict[ChunkRef, NodeId]:
-        """Apply a partitioned batch to the ledger.
+        self, split: BatchSplit, nodes: np.ndarray
+    ) -> np.ndarray:
+        """Apply a split batch to the ledger; return each item's id.
 
-        ``commit_nodes`` holds the chosen node of each ``first_sizes``
-        ref, in iteration order.  The ledger applies first-time
-        placements as bulk column writes; merges replay in batch
-        order.  Assignments,
-        returned placements, and per-chunk sizes come out bit-identical
-        to sequential :meth:`place`; per-node loads and the running
-        total accumulate the same bytes in a different order (see the
-        module docstring's batch contract).
+        ``nodes`` holds the node of each ``split.first`` item.
+        Assignments and per-chunk sizes come out bit-identical to
+        sequential :meth:`place`; loads and the total may reassociate
+        (the module docstring's batch contract).
         """
-        if first_sizes:
-            has_node = self._ledger.has_node
-            for node in set(commit_nodes):
-                if not has_node(node):
-                    raise PartitioningError(
-                        f"{self.name} placed a chunk on unknown "
-                        f"node {node}"
-                    )
-        return self._ledger.commit_batch(
-            first_sizes, commit_nodes, merges
-        )
+        uniq, first = np.unique(nodes, return_index=True)
+        for node in uniq[np.argsort(first)].tolist():
+            if not self._ledger.has_node(node):
+                raise PartitioningError(
+                    f"{self.name} placed a chunk on unknown node {node}"
+                )
+        return self._ledger.commit_batch(split, nodes)
 
     def _relocate_many(self, refs_or_ids, dests) -> RebalancePlan:
         """Move chunks (refs, or an int array of table ids) to ``dests``

@@ -2,13 +2,15 @@
 
 :class:`ChunkCatalog` is the single authoritative, incrementally
 maintained index of every chunk physically stored in the cluster:
-``(array, chunk key, owner node, bytes, payload handle)``.  It interns
-nothing: it publishes from the partitioner's chunk table
+``(array, chunk key, owner node, bytes, payload handle, extent)``.  It
+interns nothing: it publishes from the partitioner's chunk table
 (:class:`repro.core.ledger.ArrayChunkLedger`, the one ``ChunkRef -> id``
 map), in columns indexed by the table's ids — payload handles, bytes,
-and the published owner.  The coordinator updates it in place on every
-mutation, so a read is an O(live-chunks-of-array) column gather with
-**no per-node store walk and no per-query re-sort**.
+the published owner, and each handle's extent ``(arena number, lo,
+hi)`` in its ingest batch's arena, written from the batch's columns.
+The coordinator updates it in place on every mutation, so a read is an
+O(live-chunks-of-array) column gather with **no per-node store walk and
+no per-query re-sort**.
 
 Planned and published owners
 ----------------------------
@@ -43,24 +45,21 @@ columns, and nothing outside a capture ever gathers a mutable column.
 Per-array sorted views
 ----------------------
 For each array the catalog keeps its live chunk ids sorted by chunk key
-(the order ``ClusterSession.chunks_of_array`` returns).
-The views are maintained incrementally: a batch of inserts merges its
-(pre-sorted) new ids into the existing view with one ``searchsorted`` +
-``insert``; removals mask ids out; relocations touch only the owner
-column and leave the order alone.  Nothing is rebuilt per query.
+(the order ``ClusterSession.chunks_of_array`` returns).  A batch of
+inserts merges in by int64 position keys with one ``searchsorted`` +
+``insert``; removals mask ids out; relocations leave the order alone.
 
 Epochs and the payload cache
 ----------------------------
 Every mutation that touches an array bumps that array's **epoch** (and
 the global one); mutations that change cell contents — inserts, merges,
-removals — additionally bump its **payload epoch**.  A snapshot's
-payload reads gather its frozen handles in catalog order
-(:func:`concat_payload`: chunks are extents of their ingest batch's
-arena, catalog order is batch after batch, so the gather copies one
-slab per run of adjacent extents rather than one piece per chunk) and
-cache the result in the catalog's one LRU, keyed by the *content
-version*: ``(array, pinned payload epoch, normalized attrs, ndim[,
-region])``.
+removals — additionally bump its **payload epoch**.  Every payload
+read is one :func:`concat_payload` over a :class:`Read`: the read's
+extent columns give its runs of adjacent rows of one arena (catalog
+order is batch after batch) and each run is one slice, with no walk
+over chunks.  Snapshot payloads are cached in the catalog's one LRU,
+keyed by the *content version*: ``(array, pinned payload epoch,
+normalized attrs, ndim[, region])``.
 An entry is therefore a pure function of its key — every snapshot of
 one content version, in any session and across relocation-only epochs,
 shares one concatenation (ownership is not part of a payload, so
@@ -86,13 +85,12 @@ the retiring handle at ``-1`` followed by the merged handle at ``+1``.
 Pure relocations append nothing — ownership changes are not content.
 A snapshot pins the log's length; ``deltas_since`` slices the pinned
 prefix after an epoch cursor in one ``searchsorted``, returning the
-added/removed chunk columns the incremental query-maintenance layer
-(:mod:`repro.query.incremental`) folds into its operator state, so
-steady-state maintenance touches only what changed.  The log stores
-refs and payload handles, not table ids, so :meth:`compact` leaves
-it untouched, and replaying it from epoch 0 must land exactly on the
-live set — :meth:`verify_delta_log` checks that, and
-``ElasticCluster.check_consistency`` calls it.
+added/removed chunk columns (extents included) the incremental
+query-maintenance layer (:mod:`repro.query.incremental`) folds into its
+operator state.  The log stores refs, payload handles and extents, not
+table ids, so :meth:`compact` leaves it untouched; replaying it from
+epoch 0 must land exactly on the live set (:meth:`verify_delta_log`).
+It never drops a row, so it keeps every handle and arena it logged.
 
 Specification
 -------------
@@ -100,22 +98,22 @@ The pre-catalog read path — re-walk every node's store per query, and
 execute rebalances one evict/put at a time — lives on as plain
 functions of a cluster in ``tests/oracles/cluster.py``;
 ``tests/test_catalog.py`` compares both read paths on one cluster.  The
-per-chunk publish loops are specs in ``tests/oracles/catalog.py``.
+per-chunk gather and publish loops are specs in
+``tests/oracles/catalog.py``.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from operator import attrgetter
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
-from repro.arrays.coords import Box, pack_rows_void, region_mask
+from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkKey, ChunkRef
+from repro.arrays.coords import Box, joint_position_keys, region_mask
 from repro.core.ledger import ArrayChunkLedger, array_codes, resize_column
 from repro.errors import ChunkError, ClusterError
 
@@ -124,72 +122,55 @@ NodeId = int
 Payload = Tuple[np.ndarray, Dict[str, np.ndarray]]
 
 
-def concat_payload(
-    chunks: Sequence[ChunkData],
-    attrs: Sequence[str],
-    ndim: int = 0,
-) -> Payload:
-    """Concatenate chunks' cells into one coordinate/value table.
+def concat_payload(read: "Read", attrs: Sequence[str], ndim: int = 0) -> Payload:
+    """Concatenate a read's cells into one fresh coordinate/value table.
 
-    The one place chunks become a cell table: snapshot payload reads
-    and the session's explicit-pair gather both call it.  ``ndim``
-    shapes the empty coordinate table when ``chunks`` is empty.
-
-    A gather is a walk over *runs*, not chunks.  A chunk cut from a
-    batch arena is a row range of it
-    (:attr:`~repro.arrays.chunk.ChunkData.extent`), and key-sorted
-    neighbours of one batch are adjacent ranges, so the walk widens the
-    open run while ``extent.arena is run.arena and extent.lo == run.hi``
-    and starts a new one otherwise; a chunk without an extent is a run
-    over its own arrays, read through one ``payload_parts()`` call (one
-    fault for a spilled handle).  Each output column is then one
-    ``np.concatenate`` over one slice per run — a handful of slab
-    copies for a whole-array read of batch-ordered data, the per-chunk
-    copy list when no two chunks are adjacent.  The result is always a
-    fresh copy: it never aliases an arena or a chunk's arrays.
+    The one place chunks become a cell table (``ndim`` shapes an empty
+    one).  It slices *runs*, not chunks: a read carries its chunks'
+    extents as columns, adjacent row ranges of one arena form a run, one
+    vectorized comparison finds the run breaks, and each run reads its
+    arena from its first handle.  A chunk with its own arrays
+    (``arena_no = -1``) is a one-row run read through one
+    ``payload_parts()`` call.  The per-chunk walk is the specification
+    (``tests/oracles/catalog.py``).
     """
-    if not chunks:
+    n = len(read)
+    if not n:
         return (
             np.empty((0, ndim), dtype=np.int64),
             {a: np.empty(0) for a in attrs},
         )
-    # One (coords, columns, lo, hi) per run.  The open arena run lives in
-    # three locals and is appended when it closes: widening it is then a
-    # local store per chunk, a quarter faster than updating a list slot.
+    arena, lo, hi = read.arena_no, read.lo, read.hi
+    brk = np.ones(n, dtype=bool)
+    brk[1:] = (arena[1:] != arena[:-1]) | (lo[1:] != hi[:-1]) | (arena[1:] < 0)
+    starts = np.flatnonzero(brk)
+    ends = np.append(starts[1:], n) - 1
     runs: List[Tuple[np.ndarray, Dict[str, np.ndarray], int, int]] = []
-    arena, lo, hi = None, 0, 0
-    for chunk in chunks:
-        extent = chunk.extent
-        if extent is not None and extent[0] is arena and extent[1] == hi:
-            hi = extent[2]
-            continue
-        if arena is not None:
-            runs.append((arena.coords, arena.columns, lo, hi))
-        if extent is not None:
-            arena, lo, hi = extent
-            columns = arena.columns
-        else:
-            arena = None
+    for chunk, own, a, b in zip(
+        read.chunks[starts].tolist(), (arena[starts] < 0).tolist(),
+        lo[starts].tolist(), hi[ends].tolist(),
+    ):
+        if own:
             coords, columns = chunk.payload_parts()
-            runs.append((coords, columns, 0, coords.shape[0]))
-        for a in attrs:
-            if a not in columns:
+            a, b = 0, coords.shape[0]
+        else:
+            coords, columns = chunk.extent[0].coords, chunk.extent[0].columns
+        for name in attrs:
+            if name not in columns:
                 raise ChunkError(
-                    f"array {chunk.schema.name} has no attribute {a!r}"
+                    f"array {chunk.schema.name} has no attribute {name!r}"
                 )
-    if arena is not None:
-        runs.append((arena.coords, arena.columns, lo, hi))
-    coords = np.concatenate([c[lo:hi] for c, _, lo, hi in runs], axis=0)
+        runs.append((coords, columns, a, b))
+    coords = np.concatenate([c[a:b] for c, _, a, b in runs], axis=0)
     values = {
-        a: np.concatenate([cols[a][lo:hi] for _, cols, lo, hi in runs])
-        for a in attrs
+        name: np.concatenate([cols[name][a:b] for _, cols, a, b in runs])
+        for name in attrs
     }
     return coords, values
 
 
-#: Chunk keys sort by their lexicographic void view: chunk-count-sized
-#: columns, keys of any magnitude (cell positions use int64 keys).
-_pack_keys = pack_rows_void
+#: The extent of an unpublished id or of a chunk with its own arrays.
+_NO_EXTENT = (-1, 0, 0)
 
 
 class Read:
@@ -201,10 +182,12 @@ class Read:
     pass.  It iterates and indexes as ``(chunk, node)`` pairs, so every
     pair-walker takes it unchanged, while the cost model prices it from
     its columns (:func:`repro.query.cost.charge_scan`) with no pair list
-    in between.  ``rows`` are the chunks' ``(n, ndim)`` int64 keys.
+    in between.  ``rows`` are the chunks' ``(n, ndim)`` int64 keys and
+    ``arena_no`` / ``lo`` / ``hi`` their extents (default ``(-1, 0, 0)``).
     """
 
-    __slots__ = ("chunks", "sizes", "nodes", "schema", "_rows")
+    __slots__ = ("chunks", "sizes", "nodes", "schema", "_rows",
+                 "_extents", "arena_no", "lo", "hi")
 
     def __init__(
         self,
@@ -213,8 +196,11 @@ class Read:
         nodes: np.ndarray,
         schema: Optional[object],
         rows: Optional[np.ndarray] = None,
+        extents: Optional[np.ndarray] = None,
     ) -> None:
-        for column in (chunks, sizes, nodes, rows):
+        if extents is None:
+            extents = np.full((len(sizes), 3), _NO_EXTENT, dtype=np.int64)
+        for column in (chunks, sizes, nodes, rows, extents):
             if column is not None:
                 column.flags.writeable = False
         self.chunks = chunks
@@ -222,6 +208,36 @@ class Read:
         self.nodes = nodes
         self.schema = schema
         self._rows = rows
+        self._extents = extents
+        self.arena_no, self.lo, self.hi = extents.T
+
+    def take(self, pos: np.ndarray) -> "Read":
+        """The rows at positions ``pos``, as a read."""
+        rows = None if self._rows is None else self._rows[pos]
+        return Read(self.chunks[pos], self.sizes[pos], self.nodes[pos],
+                    self.schema, rows, self._extents[pos])
+
+    def key_matched(self, other: "Read") -> Tuple["Read", "Read"]:
+        """The rows of this read and of ``other`` whose chunk keys both
+        hold, in key order, as position slices of each (both reads
+        key-sorted, as every snapshot read is)."""
+        pos = [np.empty(0, dtype=np.int64)] * 2
+        if len(self) and len(other):
+            pos = np.intersect1d(
+                *joint_position_keys(self.rows, other.rows),
+                assume_unique=True, return_indices=True,
+            )[1:]
+        return self.take(pos[0]), other.take(pos[1])
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Each chunk's stored cell count, ``hi - lo`` (int64); a chunk
+        with its own arrays counts through its handle."""
+        cells = self.hi - self.lo
+        own = np.flatnonzero(self.arena_no < 0)
+        if own.size:
+            cells[own] = [c.cell_count for c in self.chunks[own].tolist()]
+        return cells
 
     @property
     def rows(self) -> np.ndarray:
@@ -241,7 +257,7 @@ class Read:
         if not isinstance(i, (int, np.integer)):
             raise TypeError(
                 f"Read indices must be integers, not {type(i).__name__};"
-                " take list(read) to slice"
+                " take(positions) slices one"
             )
         return self.chunks[i], int(self.nodes[i])
 
@@ -272,8 +288,9 @@ class CatalogDelta(Read):
         sizes: np.ndarray,
         nodes: np.ndarray,
         schema: Optional[object],
+        extents: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(chunks, sizes, nodes, schema)
+        super().__init__(chunks, sizes, nodes, schema, extents=extents)
         #: Catalog epoch at which each mutation landed (non-decreasing).
         self.epochs = epochs
         #: ZSet weight of each row: ``+1`` added, ``-1`` removed.
@@ -313,7 +330,7 @@ class _DeltaLog:
     """
 
     __slots__ = ("epochs", "signs", "refs", "chunks", "sizes", "nodes",
-                 "count")
+                 "extents", "count")
 
     _INITIAL_CAPACITY = 64
 
@@ -325,6 +342,7 @@ class _DeltaLog:
         self.chunks = np.empty(cap, dtype=object)
         self.sizes = np.zeros(cap, dtype=np.float64)
         self.nodes = np.full(cap, -1, dtype=np.int64)
+        self.extents = np.full((cap, 3), _NO_EXTENT, dtype=np.int64)
         self.count = 0
 
     def append(
@@ -335,6 +353,7 @@ class _DeltaLog:
         chunks: Sequence[ChunkData],
         sizes: Sequence[float],
         nodes: Sequence[int],
+        extents: np.ndarray,
     ) -> None:
         n = len(signs)
         need = self.count + n
@@ -347,6 +366,7 @@ class _DeltaLog:
             self.chunks = resize_column(self.chunks, new_cap, None)
             self.sizes = resize_column(self.sizes, new_cap, 0.0)
             self.nodes = resize_column(self.nodes, new_cap, -1)
+            self.extents = resize_column(self.extents, new_cap, _NO_EXTENT)
         sl = slice(self.count, need)
         self.epochs[sl] = epoch
         self.signs[sl] = np.asarray(signs, dtype=np.int8)
@@ -354,6 +374,7 @@ class _DeltaLog:
         self.chunks[sl] = chunks
         self.sizes[sl] = np.asarray(sizes, dtype=np.float64)
         self.nodes[sl] = np.asarray(nodes, dtype=np.int64)
+        self.extents[sl] = extents
         self.count = need
 
     def since(
@@ -379,6 +400,7 @@ class _DeltaLog:
             sizes=self.sizes[sl].copy(),
             nodes=self.nodes[sl].copy(),
             schema=schema,
+            extents=self.extents[sl].copy(),
         )
 
 
@@ -389,12 +411,12 @@ _EMPTY_LOG = _DeltaLog()
 class _ArrayView:
     """One array's live chunk ids, kept sorted by chunk key.
 
-    Alongside the packed void keys (scalar comparisons for the
-    ``searchsorted`` merge), the view keeps the same keys as an
-    ``(n, ndim)`` int64 matrix — region routing selects chunks with one
-    vectorized per-dimension interval comparison over the snapshot's
-    copy of it (:meth:`ArraySnapshot.pairs_in_region` and siblings),
-    never touching ``Box`` objects or per-chunk Python.
+    The keys are kept as an ``(n, ndim)`` int64 matrix: inserts merge
+    by position keys (:func:`~repro.arrays.coords.joint_position_keys`),
+    and region routing selects chunks with one vectorized
+    per-dimension interval comparison over the snapshot's copy of it
+    (:meth:`ArraySnapshot.pairs_in_region` and siblings), never
+    touching ``Box`` objects or per-chunk Python.
 
     ``epoch`` advances on *any* mutation touching the array;
     ``payload_epoch`` only on mutations that change cell contents
@@ -403,12 +425,11 @@ class _ArrayView:
     survives rebalances.
     """
 
-    __slots__ = ("ids", "keys", "rows", "epoch", "payload_epoch", "width")
+    __slots__ = ("ids", "rows", "epoch", "payload_epoch", "width")
 
     def __init__(self, width: int) -> None:
         self.width = width
         self.ids = np.empty(0, dtype=np.int64)
-        self.keys = _pack_keys(np.empty((0, width), dtype=np.int64))
         self.rows = np.empty((0, width), dtype=np.int64)
         self.epoch = 0
         self.payload_epoch = 0
@@ -416,23 +437,22 @@ class _ArrayView:
     def insert(self, new_ids: np.ndarray, new_keys: np.ndarray) -> None:
         """Merge pre-validated new ids into the sorted view.
 
-        The new ``(n, ndim)`` key rows are ordered by one ``lexsort``
-        over their int64 columns (first dimension most significant —
-        the packed void order), then merged with one ``searchsorted``.
+        Old and new key rows become int64 position keys under one
+        packing of their union (void rows when its extent defeats
+        int64; the same lexicographic order either way); the new keys
+        are ordered by one ``argsort`` and merged with one
+        ``searchsorted``.
         """
-        order = np.lexsort(new_keys.T[::-1])
-        rows = new_keys[order]
-        packed = _pack_keys(rows)
-        positions = np.searchsorted(self.keys, packed)
+        old, new = joint_position_keys(self.rows, new_keys)
+        order = np.argsort(new, kind="stable")
+        positions = np.searchsorted(old, new[order])
         self.ids = np.insert(self.ids, positions, new_ids[order])
-        self.keys = np.insert(self.keys, positions, packed)
-        self.rows = np.insert(self.rows, positions, rows, axis=0)
+        self.rows = np.insert(self.rows, positions, new_keys[order], axis=0)
 
     def drop(self, dead_ids: np.ndarray) -> None:
         """Remove ids from the view (order of survivors unchanged)."""
         keep = ~np.isin(self.ids, dead_ids)
         self.ids = self.ids[keep]
-        self.keys = self.keys[keep]
         self.rows = self.rows[keep]
 
 
@@ -491,7 +511,8 @@ class ArraySnapshot:
             (int(nodes.min()), int(nodes.max())) if len(ids) else None
         )
         self._read = Read(
-            self._chunks, self._sizes, nodes, self.schema, self._rows
+            self._chunks, self._sizes, nodes, self.schema, self._rows,
+            catalog._extent[ids],
         )
         self._region_read: Optional[Tuple[Tuple[Any, Any], Read]] = None
         self._log = log = catalog._deltas.get(array, _EMPTY_LOG)
@@ -578,11 +599,7 @@ class ArraySnapshot:
         kept = self._region_read
         if kept is not None and kept[0] == bounds:
             return kept[1]
-        pos = self._positions_in_region(region)
-        read = Read(
-            self._chunks[pos], self._sizes[pos], self._nodes[pos],
-            self.schema, self._rows[pos],
-        )
+        read = self._read.take(self._positions_in_region(region))
         self._region_read = (bounds, read)
         return read
 
@@ -602,7 +619,7 @@ class ArraySnapshot:
         )
         return self._cached(
             key,
-            lambda: concat_payload(self._chunks.tolist(), attrs, ndim),
+            lambda: concat_payload(self._read, attrs, ndim),
         )
 
     def payload_in_region(
@@ -628,8 +645,8 @@ class ArraySnapshot:
         )
 
         def clipped() -> Payload:
-            chunks = self.pairs_in_region(region).chunks.tolist()
-            coords, values = concat_payload(chunks, attrs, ndim)
+            read = self.pairs_in_region(region)
+            coords, values = concat_payload(read, attrs, ndim)
             mask = region_mask(coords, region)
             return coords[mask], {a: v[mask] for a, v in values.items()}
 
@@ -679,8 +696,9 @@ class ChunkCatalog:
     Its columns are indexed by ``table``'s ids and sized to its
     capacity: the payload handle (the exact
     :class:`~repro.arrays.chunk.ChunkData` object the owning node's
-    store holds, ``None`` for an unpublished id), modeled bytes, and the
-    published owner.  A table has at most one live publisher.
+    store holds, ``None`` for an unpublished id), modeled bytes, the
+    published owner and the handle's extent (``(cap, 3)``; ``(-1, 0,
+    0)`` when unpublished).  A table has at most one live publisher.
     """
 
     #: Upper bound on live payload-cache entries (LRU eviction beyond
@@ -702,6 +720,7 @@ class ChunkCatalog:
         self._chunks = np.full(cap, None, dtype=object)
         self._size = np.zeros(cap, dtype=np.float64)
         self._owner = np.full(cap, -1, dtype=np.int64)
+        self._extent = np.full((cap, 3), _NO_EXTENT, dtype=np.int64)
         self._views: Dict[str, _ArrayView] = {}
         self._schema_of: Dict[str, object] = {}
         self._deltas: Dict[str, _DeltaLog] = {}
@@ -734,6 +753,7 @@ class ChunkCatalog:
             self._chunks = resize_column(self._chunks, cap, None)
             self._size = resize_column(self._size, cap, 0.0)
             self._owner = resize_column(self._owner, cap, -1)
+            self._extent = resize_column(self._extent, cap, _NO_EXTENT)
 
     # -- reads ---------------------------------------------------------
     @property
@@ -765,6 +785,10 @@ class ChunkCatalog:
     def arrays(self) -> List[str]:
         """Names of arrays with at least one live chunk, sorted."""
         return sorted(a for a, v in self._views.items() if len(v.ids))
+
+    def schema_of(self, array: str) -> Optional[object]:
+        """The schema ``array`` was first published with, or ``None``."""
+        return self._schema_of.get(array)
 
     def payload_of(self, ref: ChunkRef) -> Optional[ChunkData]:
         """The published payload handle of ``ref``, or ``None``."""
@@ -997,7 +1021,7 @@ class ChunkCatalog:
         """Append signed delta rows as columns, one slice per array.
 
         ``columns`` are the ``_DeltaLog.append`` columns (signs, refs,
-        chunks, sizes, nodes); row ``r`` belongs to
+        chunks, sizes, nodes, extents); row ``r`` belongs to
         ``arrays[codes[r]]``.  Called after :meth:`_touch`, so every row
         carries the epoch the mutation landed at —
         ``deltas_since(array, cursor)`` with a cursor snapshotted from
@@ -1019,13 +1043,14 @@ class ChunkCatalog:
     ) -> None:
         """Publish stored chunks (insert or merge), in batch order.
 
-        ``chunks`` must be the objects the node stores hold after the
-        physical put (a merge stores a new merged :class:`ChunkData`,
-        and the catalog handle follows it).  ``ids`` are their table
-        ids, born in the partitioner's commit — the coordinator passes
-        the ones its single ``ids_of`` pass read; without them they are
-        read here (:class:`ClusterError`, nothing published, when a
-        chunk holds none).
+        ``chunks`` (a :class:`~repro.arrays.chunk.ChunkBatch` or a list)
+        must be the objects the node stores hold after the physical put
+        (a merge stores a new merged :class:`ChunkData`, and the catalog
+        handle follows it); their sizes and extents come from the
+        batch's columns.  ``ids`` are their table ids, as ``place_batch``
+        returned them; without them they are read here
+        (:class:`ClusterError`, nothing published, when a chunk holds
+        none).
 
         Column code: each put's predecessor is the previous put of its
         id in the batch (one stable sort of ``ids``) or else the
@@ -1037,26 +1062,24 @@ class ChunkCatalog:
         put wins), delta rows appended as columns.  The per-chunk loop
         this replaced is the spec (``tests/oracles/catalog.py``).
         """
-        n = len(chunks)
+        batch = ChunkBatch.of(chunks)
+        n = len(batch)
         if not n:
             return
         if ids is None:
             try:
-                ids = self._table.ids_of([c.ref() for c in chunks])
+                ids = self._table.ids_of(list(map(ChunkData.ref, batch)))
             except KeyError as exc:
                 raise ClusterError(
                     f"chunk {exc.args[0]} is not in the chunk table"
                 ) from None
         self._fit_columns()
-        handles = np.empty(n, dtype=object)
-        handles[:] = chunks
-        sizes = np.fromiter(
-            map(attrgetter("size_bytes"), chunks), dtype=np.float64, count=n
-        )
+        handles = np.fromiter(batch.chunks, dtype=object, count=n)
+        sizes = batch.sizes
+        extents = np.stack([batch.arena_no, batch.lo, batch.hi], axis=1)
         refs = self._table._refs[ids]
-        olds = self._chunks[ids]
-        unpublished = np.equal(olds, None)
         owner = self._owner[ids]
+        unpublished = owner < 0  # a published id has an owner
         owner[unpublished] = self._table.owners(ids[unpublished])
         # Chain in-batch duplicates: ``prev`` is the position of the
         # previous put of the same id, -1 for its first put.
@@ -1064,26 +1087,28 @@ class ChunkCatalog:
         repeat = ids[order[1:]] == ids[order[:-1]]
         prev = np.full(n, -1, dtype=np.int64)
         prev[order[1:][repeat]] = order[:-1][repeat]
-        before = olds
+        before = self._chunks[ids]
         before_size = self._size[ids]
+        before_extent = self._extent[ids]
         chained = prev >= 0
         before[chained] = handles[prev[chained]]
         before_size[chained] = sizes[prev[chained]]
-        new = np.equal(before, None)
-        merged = ~new & np.not_equal(before, handles)  # by identity
+        before_extent[chained] = extents[prev[chained]]
+        new = unpublished & ~chained
+        merged = ~new
+        merged[merged] = before[merged] != handles[merged]  # by identity
         last = np.ones(n, dtype=bool)
         last[order[:-1][repeat]] = False
         self._chunks[ids[last]] = handles[last]
         self._size[ids[last]] = sizes[last]
+        self._extent[ids[last]] = extents[last]
         self._owner[ids[new]] = owner[new]
-        arrays, codes = array_codes(refs)
+        arrays, codes = batch.arrays, batch.codes
         for code, array in enumerate(arrays):
             mine = new & (codes == code)
             if mine.any():
                 keys = self._table.keys_of(ids[mine])
-                self._schema_of.setdefault(
-                    array, chunks[int(np.argmax(mine))].schema
-                )
+                self._schema_of.setdefault(array, batch.schemas[code])
                 view = self._views.get(array) or self._views.setdefault(
                     array, _ArrayView(keys.shape[1])
                 )
@@ -1098,6 +1123,7 @@ class ChunkCatalog:
             arrays, codes[pos], np.where(retire, -1, 1), refs[pos],
             np.where(retire, before[pos], handles[pos]),
             np.where(retire, before_size[pos], sizes[pos]), owner[pos],
+            np.where(retire[:, None], before_extent[pos], extents[pos]),
         )
 
     def relocate_batch(self, ids: np.ndarray) -> None:
@@ -1130,15 +1156,17 @@ class ChunkCatalog:
         handles = self._chunks[ids]
         sizes = self._size[ids]
         owners = self._owner[ids]
+        extents = self._extent[ids]
         self._chunks[ids] = None
         self._size[ids] = 0.0
         self._owner[ids] = -1
+        self._extent[ids] = _NO_EXTENT
         for code, array in enumerate(arrays):
             self._views[array].drop(ids[codes == code])
         self._touch(arrays)
         self._log_rows(
             arrays, codes, np.full(len(ids), -1), ref_col, handles,
-            sizes, owners,
+            sizes, owners, extents,
         )
 
     # -- compaction ----------------------------------------------------
@@ -1173,6 +1201,7 @@ class ChunkCatalog:
         self._chunks = resize_column(self._chunks[old_ids], cap, None)
         self._size = resize_column(self._size[old_ids], cap, 0.0)
         self._owner = resize_column(self._owner[old_ids], cap, -1)
+        self._extent = resize_column(self._extent[old_ids], cap, _NO_EXTENT)
         for view in self._views.values():
             if len(view.ids):
                 view.ids = mapping[view.ids]

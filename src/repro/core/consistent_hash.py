@@ -119,17 +119,10 @@ class ConsistentHashPartitioner(ElasticPartitioner):
     def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
         return self.owner_of(ref)
 
-    def place_batch(self, refs_and_sizes):
+    def _place_split(self, split):
         """Amortized batch placement: ring positions of every new ref
-        are resolved with a single vectorized searchsorted.  Equivalent
-        to sequential :meth:`place` calls per the base class's batch
-        contract."""
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
-        commit_nodes = (
-            self._owners_of(list(first_sizes)).tolist()
-            if first_sizes else []
-        )
-        return self._commit_batch(first_sizes, commit_nodes, merges)
+        are resolved with a single vectorized searchsorted."""
+        return self._owners_of(split.new_refs()) if len(split.first) else []
 
     def _forget(self, ref, size_bytes, node) -> None:
         self._hash_cache.pop(ref, None)

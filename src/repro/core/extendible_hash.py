@@ -116,32 +116,26 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
         super().update_size(ref, delta_bytes)
         self.bucket_for(ref).bytes += delta_bytes
 
-    def place_batch(self, refs_and_sizes):
-        """Amortized batch placement.
-
-        Placement never changes the directory, so the depth mask and
-        the directory/bucket tables are hoisted out of the loop and
-        each new chunk pays one hash + two array lookups instead of the
-        full ``place`` → ``bucket_for`` dispatch chain.  Equivalent to
-        sequential :meth:`place` calls per the base class's batch
-        contract.
-        """
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
+    def _place_split(self, split):
+        """Amortized batch placement: placement never changes the
+        directory, so each new chunk pays one hash + two lookups."""
         commit_nodes: List[NodeId] = []
         mask = (1 << self._global_depth) - 1
         directory = self._directory
         buckets = self._buckets
-        for ref, size in first_sizes.items():
+        sizes = split.sizes[split.first].tolist()
+        for ref, size in zip(split.new_refs(), sizes):
             bucket = buckets[directory[hash_chunk_ref(ref) & mask]]
             bucket.members.add(ref)
             bucket.bytes += size
             commit_nodes.append(bucket.node)
         # Merges credit their bucket too (bucket.bytes mirrors the
         # ledger), matching the scalar path's _merge_existing override.
-        for ref, size in merges:
-            buckets[directory[hash_chunk_ref(ref) & mask]].bytes += \
-                float(size)
-        return self._commit_batch(first_sizes, commit_nodes, merges)
+        merges = split.merges
+        sizes = split.sizes[merges].tolist()
+        for ref, size in zip(split.refs[merges].tolist(), sizes):
+            buckets[directory[hash_chunk_ref(ref) & mask]].bytes += size
+        return commit_nodes
 
     def _forget(self, ref, size_bytes, node) -> None:
         bucket = self.bucket_for(ref)

@@ -124,20 +124,18 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         return self._range_nodes[slot]
 
     # ------------------------------------------------------------------
-    def place_batch(self, refs_and_sizes):
+    def _place_split(self, split):
         """Vectorized batch placement: one searchsorted for all refs.
 
         Curve indices for the batch's new refs are computed with the
         numpy Hilbert transform in one call (batch-filling the index
         cache), then every ref's owning range is found with a single
         ``np.searchsorted`` over the boundary table instead of a per-ref
-        ``bisect``.  Equivalent to sequential :meth:`place` calls per
-        the base class's batch contract.
+        ``bisect``.
         """
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
         commit_nodes: List[NodeId] = []
-        if first_sizes:
-            unknown = list(first_sizes)
+        if len(split.first):
+            unknown = split.new_refs()
             cache = self._index_cache
             if cache:
                 # prepare_batch (or earlier batches) warmed the cache:
@@ -171,14 +169,14 @@ class HilbertCurvePartitioner(ElasticPartitioner):
                 np.clip(slots, 0, None, out=slots)
                 commit_nodes = np.asarray(
                     self._range_nodes, dtype=np.int64
-                )[slots].tolist()
-        return self._commit_batch(first_sizes, commit_nodes, merges)
+                )[slots]
+        return commit_nodes
 
     def _forget(self, ref, size_bytes, node) -> None:
         self._index_cache.pop(ref, None)
 
     # ------------------------------------------------------------------
-    def prepare_batch(self, batch) -> None:
+    def prepare_batch(self, refs, sizes) -> None:
         """Fit the initial range bounds to the first observed batch.
 
         An even division of the enclosing cube's index space can leave
@@ -192,24 +190,20 @@ class HilbertCurvePartitioner(ElasticPartitioner):
             self._bounds_fitted = True
             return
         self._bounds_fitted = True
-        items = list(batch)
-        if len(items) < 2:
+        refs = list(refs)
+        if len(refs) < 2:
             return
         # Index the whole batch with the vectorized curve transform (this
         # also pre-warms the cache for the placement that follows), then
         # find the byte medians with a sort + cumulative sum instead of a
         # per-item Python loop.
-        self._fill_index_cache(ref for ref, _ in items)
-        indices = [self._index_cache[ref] for ref, _ in items]
+        self._fill_index_cache(refs)
+        indices = list(map(self._index_cache.__getitem__, refs))
         try:
             idx = np.asarray(indices, dtype=np.int64)
         except OverflowError:
             idx = np.array(indices, dtype=object)
-        sizes = np.fromiter(
-            (float(size) for _, size in items),
-            dtype=np.float64,
-            count=len(items),
-        )
+        sizes = np.asarray(sizes, dtype=np.float64)
         order = np.argsort(idx, kind="stable")
         idx_sorted = idx[order]
         running = np.cumsum(sizes[order])

@@ -16,7 +16,7 @@ slices whole ranges of dimension space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -173,25 +173,14 @@ class KdTreePartitioner(ElasticPartitioner):
         check_key_arity(ref, self.grid.ndim)
         return self.locate_key(ref.key)
 
-    def place_batch(self, refs_and_sizes):
-        """Vectorized batch placement via :meth:`locate_keys`.
-
-        Equivalent to sequential :meth:`place` calls per the base
-        class's batch contract.  Falls back to per-ref scalar descent
-        when a key coordinate does not fit int64.
-        """
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
-        commit_nodes: List[NodeId] = []
-        if first_sizes:
-            unknown = list(first_sizes)
-            keys = grid_keys(unknown, self.grid.ndim)
-            if keys is None:
-                commit_nodes = [
-                    self.locate_key(r.key) for r in unknown
-                ]
-            else:
-                commit_nodes = self.locate_keys(keys).tolist()
-        return self._commit_batch(first_sizes, commit_nodes, merges)
+    def _place_split(self, split):
+        """Vectorized batch placement via :meth:`locate_keys`; per-ref
+        scalar descent when a key coordinate does not fit int64."""
+        unknown = split.new_refs()
+        keys = grid_keys(unknown, self.grid.ndim)
+        if keys is None:
+            return [self.locate_key(r.key) for r in unknown]
+        return self.locate_keys(keys)
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         return RebalancePlan.concat(

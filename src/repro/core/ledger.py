@@ -150,12 +150,15 @@ class ArrayChunkLedger:
             self._hwm += fresh
         return ids
 
-    def _store_keys(self, ids: np.ndarray, refs: Sequence[ChunkRef]) -> None:
-        """Fill the key-coordinate column for freshly interned refs."""
+    def _store_keys(self, ids: np.ndarray, refs: Sequence[ChunkRef],
+                    keys: Optional[np.ndarray] = None) -> None:
+        """Fill the key-coordinate column for freshly interned refs
+        (from their ``(n, ndim)`` key rows when the caller has them)."""
         if not self._keys_ok:
             return
         try:
-            keys = np.array([r.key for r in refs], dtype=np.int64)
+            if keys is None:
+                keys = np.array([r.key for r in refs], dtype=np.int64)
         except (ValueError, OverflowError):
             # Mixed arities or beyond-int64 coordinates: the coordinate
             # column cannot represent this workload; disable it (bulk
@@ -211,6 +214,11 @@ class ArrayChunkLedger:
     def contains(self, ref: ChunkRef) -> bool:
         """Whether ``ref`` is currently interned (placed)."""
         return ref in self._id_of
+
+    def contains_many(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+        """:meth:`contains` of many refs, as a bool column (one C pass)."""
+        found = map(self._id_of.__contains__, refs)
+        return np.fromiter(found, dtype=bool, count=len(refs))
 
     def get_node(self, ref: ChunkRef) -> Optional[NodeId]:
         """Node holding ``ref``, or ``None`` when never placed."""
@@ -394,56 +402,44 @@ class ArrayChunkLedger:
         self._total += delta_bytes
         return self._node_list[slot]
 
-    def commit_batch(
-        self,
-        first_sizes: Dict[ChunkRef, float],
-        commit_nodes: Sequence[NodeId],
-        merges: Sequence[Tuple[ChunkRef, float]],
-    ) -> Dict[ChunkRef, NodeId]:
-        """Apply a partitioned batch with vectorized column writes.
+    def commit_batch(self, split, nodes: np.ndarray) -> np.ndarray:
+        """Apply a :class:`~repro.core.base.BatchSplit` (``nodes``: one
+        per first-time item) with vectorized column writes.
 
-        First-time placements land as whole-column fancy-index writes
-        plus one ``np.add.at`` into the load column; merges gather
-        their ids once and accumulate sizes/loads with unbuffered adds
-        (duplicate refs within ``merges`` accumulate in batch order, so
-        per-chunk sizes stay bit-identical to sequential placement).
+        First-time items land as fancy-index writes plus one
+        ``np.add.at`` into the loads; merges take their ref's id (a
+        known one's, or their first occurrence's) and accumulate
+        sizes/loads with unbuffered adds in batch order, so per-chunk
+        sizes stay bit-identical to sequential placement.  Returns each
+        item's id.
         """
-        placements: Dict[ChunkRef, NodeId] = {}
+        first, merges = split.first, split.merges
+        ids = np.full(len(split.refs), -1, dtype=np.int64)
         total_delta = 0.0
-        if first_sizes:
-            refs = list(first_sizes)
-            n_new = len(refs)
-            sizes = np.fromiter(
-                first_sizes.values(), dtype=np.float64, count=n_new
-            )
-            nodes = np.asarray(commit_nodes, dtype=np.int64)
+        if len(first):
+            refs = split.refs[first]
+            sizes = split.sizes[first]
             slots = self._slots_of(nodes)  # validates node ids
-            ids = self._alloc(n_new)
-            self._refs[ids] = refs
-            self._size[ids] = sizes
-            self._node[ids] = slots
-            self._store_keys(ids, refs)
-            self._id_of.update(zip(refs, ids.tolist()))
+            new = ids[first] = self._alloc(len(first))
+            self._refs[new] = refs
+            self._size[new] = sizes
+            self._node[new] = slots
+            keys = split.keys
+            self._store_keys(new, refs, None if keys is None else keys[first])
+            self._id_of.update(zip(refs.tolist(), new.tolist()))
             np.add.at(self._load, slots, sizes)
             self._count += np.bincount(slots, minlength=len(self._count))
             total_delta += float(sizes.sum())
-            placements = dict(zip(refs, nodes.tolist()))
-        if merges:
-            mids = self.ids_of([r for r, _ in merges])
-            msizes = np.fromiter(
-                (s for _, s in merges),
-                dtype=np.float64,
-                count=len(merges),
-            )
+        if len(merges):
+            known = np.flatnonzero(split.known)
+            ids[known] = self.ids_of(split.refs[known].tolist())
+            ids = ids[split.origin]  # duplicates share their first's id
+            mids, msizes = ids[merges], split.sizes[merges]
             np.add.at(self._size, mids, msizes)
-            mslots = self._node[mids]
-            np.add.at(self._load, mslots, msizes)
+            np.add.at(self._load, self._node[mids], msizes)
             total_delta += float(msizes.sum())
-            node_list = self._node_list
-            for (ref, _), slot in zip(merges, mslots.tolist()):
-                placements[ref] = node_list[slot]
         self._total += total_delta
-        return placements
+        return ids
 
     # -- compaction ----------------------------------------------------
     @property

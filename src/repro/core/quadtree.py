@@ -159,12 +159,9 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
         check_key_arity(ref, self.grid.ndim)
         return self.locate_key(ref.key)
 
-    def place_batch(self, refs_and_sizes):
-        """Batch placement via :meth:`locate_keys` (≡ sequential
-        :meth:`place`, per the base class's batch contract)."""
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
-        owners = self.locate_keys(self._clamped_keys(list(first_sizes)))
-        return self._commit_batch(first_sizes, owners.tolist(), merges)
+    def _place_split(self, split):
+        """Batch placement via :meth:`locate_keys`."""
+        return self.locate_keys(self._clamped_keys(split.new_refs()))
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         return RebalancePlan.concat(

@@ -36,25 +36,17 @@ class RoundRobinPartitioner(ElasticPartitioner):
         self._ordinal[ref] = ordinal
         return self._nodes[ordinal % len(self._nodes)]
 
-    def place_batch(self, refs_and_sizes):
+    def _place_split(self, split):
         """Amortized batch placement: arrival ordinals of the batch's
         new refs are assigned arithmetically in one bulk update
-        (duplicates merge, consuming no ordinal).  Equivalent to
-        sequential :meth:`place` calls per the base class's batch
-        contract."""
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
-        nodes = self._nodes
-        k = len(nodes)
-        counter = self._counter
-        n_new = len(first_sizes)
-        commit_nodes = [
-            nodes[(counter + i) % k] for i in range(n_new)
-        ]
+        (duplicates merge, consuming no ordinal)."""
+        counter, n_new = self._counter, len(split.first)
         self._ordinal.update(
-            zip(first_sizes, range(counter, counter + n_new))
+            zip(split.new_refs(), range(counter, counter + n_new))
         )
         self._counter = counter + n_new
-        return self._commit_batch(first_sizes, commit_nodes, merges)
+        ordinals = np.arange(counter, counter + n_new) % len(self._nodes)
+        return np.asarray(self._nodes, dtype=np.int64)[ordinals]
 
     def _forget(self, ref, size_bytes, node) -> None:
         self._ordinal.pop(ref, None)

@@ -193,13 +193,9 @@ class UniformRangePartitioner(ElasticPartitioner):
         check_key_arity(ref, self.grid.ndim)
         return self._leaf_owner[self.leaf_index_of(ref.key)]
 
-    def place_batch(self, refs_and_sizes):
-        """Batch placement via :meth:`leaf_indices_of` (≡ sequential
-        :meth:`place`, per the base class's batch contract)."""
-        first_sizes, merges = self._partition_batch(list(refs_and_sizes))
-        return self._commit_batch(
-            first_sizes, self._owners_of(list(first_sizes)), merges
-        )
+    def _place_split(self, split):
+        """Batch placement via :meth:`leaf_indices_of`."""
+        return self._owners_of(split.new_refs())
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         # Global re-slice: re-deal the leaves under the new l/n blocks and

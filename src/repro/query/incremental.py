@@ -87,8 +87,9 @@ def delta_cells(
     at ``+1`` — folding both yields exactly the net content change.
     The cells come from the one gather
     (:func:`repro.core.catalog.concat_payload`): a delta's rows are in
-    log order, an ingest's rows are its batch in key order, so a day's
-    delta is one slab per array and no per-chunk view is built.
+    log order and carry their extents, an ingest's rows are its batch
+    in key order, so a day's delta is one slab per array, and the
+    weights repeat each row's sign ``delta.cells`` times.
 
     Returns
     -------
@@ -98,15 +99,8 @@ def delta_cells(
     weights : numpy.ndarray of int64, shape (cells,)
         Per-cell ZSet weight (the owning row's sign).
     """
-    chunks = delta.chunks.tolist()
-    coords, values = concat_payload(chunks, attrs, ndim)
-    weights = np.repeat(
-        delta.signs.astype(np.int64),
-        np.fromiter(
-            (c.cell_count for c in chunks), dtype=np.int64,
-            count=len(chunks),
-        ),
-    )
+    coords, values = concat_payload(delta, attrs, ndim)
+    weights = np.repeat(delta.signs.astype(np.int64), delta.cells)
     return coords, values, weights
 
 

@@ -21,8 +21,7 @@ node cost no network (§6.2.2).
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -70,14 +69,6 @@ def merge_regional_daily_means(
             sums[day] = sums.get(day, 0.0) + mean
             counts[day] = counts.get(day, 0) + 1
     return {day: sums[day] / counts[day] for day in sums}
-
-
-def _cell_counts(read: Read) -> np.ndarray:
-    """Each chunk's stored cell count, in read order (int64)."""
-    return np.fromiter(
-        map(attrgetter("cell_count"), read.chunks.tolist()),
-        dtype=np.int64, count=len(read),
-    )
 
 
 class ModisRollingAverage(Query):
@@ -165,7 +156,6 @@ class ModisKMeans(Query):
         region = self.workload.amazon_box(cycle)
         band1 = cluster.chunks_in_region("band1", region)
         band2_read = cluster.chunks_in_region("band2", region)
-        band2 = {c.key: (c, n) for c, n in band2_read}
         acc = accumulator_for(cluster)
         # Iterative clustering re-reads the working set each sweep; charge
         # one I/O pass plus per-iteration compute.
@@ -183,7 +173,7 @@ class ModisKMeans(Query):
             cluster.costs.query_overhead_seconds * 0.2 * self.iterations
         )
 
-        points = self._ndvi_points(cluster, band1, band2, region)
+        points = self._ndvi_points(cluster, band1, band2_read, region)
         if points.shape[0]:
             centroids, labels = ops.kmeans(
                 points, self.k, self.iterations, seed=cycle
@@ -212,8 +202,8 @@ class ModisKMeans(Query):
     def _ndvi_points(
         self,
         cluster: ClusterSession,
-        band1: Sequence[Tuple[ChunkData, int]],
-        band2: Dict[Tuple[int, ...], Tuple[ChunkData, int]],
+        band1: Read,
+        band2: Read,
         region: Box,
     ) -> np.ndarray:
         # Batch join: concatenate the key-matched chunks of both bands
@@ -223,10 +213,7 @@ class ModisKMeans(Query):
         # rather than chunk order, so kmeans' rng-seeded init may draw
         # different rows than the pre-batch code did (both are valid
         # uniform draws over the same point set).
-        matched1 = [
-            (c1, n1) for c1, n1 in band1 if c1.key in band2
-        ]
-        matched2 = [band2[c1.key] for c1, _ in matched1]
+        matched1, matched2 = band1.key_matched(band2)
         coords1, vals1 = cluster.gather_payload(
             matched1, ["radiance"], ndim=3
         )
@@ -408,7 +395,7 @@ class AisKnn(Query):
         # Uniform ship sample: draw positions from the latest slice.  The
         # read is key-sorted, so chunk ``i`` is the ``i``-th key.
         rng = np.random.default_rng((self.workload.seed, cycle, 99))
-        cells = _cell_counts(read)
+        cells = read.cells
         weights = cells.astype(np.float64)
         weights /= weights.sum()
         sampled_keys = rng.choice(
@@ -599,7 +586,7 @@ class AisCollisionPrediction(Query):
         coords, values = cluster.gather_payload(
             touched, ["speed", "course"], ndim=3
         )
-        segments = np.repeat(np.arange(len(touched)), _cell_counts(touched))
+        segments = np.repeat(np.arange(len(touched)), touched.cells)
         moving = values["speed"] > 0
         lon, lat = ops.dead_reckon(
             coords[moving, 1],

@@ -152,17 +152,9 @@ class ModisJoinNdvi(Query):
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         day = cycle - 1  # latest day's time-chunk coordinate
         latest = self.workload.time_chunk_box(day, day + 1)
-        band1 = {
-            c.key: (c, n)
-            for c, n in cluster.chunks_in_region("band1", latest)
-        }
-        band2 = {
-            c.key: (c, n)
-            for c, n in cluster.chunks_in_region("band2", latest)
-        }
-        common = sorted(set(band1) & set(band2))
-        side1 = [band1[key] for key in common]
-        side2 = [band2[key] for key in common]
+        side1, side2 = cluster.chunks_in_region("band1", latest).key_matched(
+            cluster.chunks_in_region("band2", latest)
+        )
         acc = accumulator_for(cluster)
         attrs = ["radiance"]
         scanned = charge_scan(

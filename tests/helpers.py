@@ -1,0 +1,66 @@
+"""Test helpers for the columnar batch and read APIs.
+
+:meth:`ElasticPartitioner.place_batch` takes a ref column and a size
+column and returns table ids; tests written over ``(ref, size)`` item
+lists go through :func:`columns` and :func:`placements`, and ledger
+tests commit the :func:`split_of` such a list.
+:func:`~repro.core.catalog.concat_payload` gathers a
+:class:`~repro.core.catalog.Read`; tests that gather hand-picked chunk
+lists build one with :func:`read_of`.
+"""
+
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkRef
+from repro.core.base import BatchSplit
+from repro.core.catalog import Read
+
+
+def columns(
+    items: Sequence[Tuple[ChunkRef, float]]
+) -> Tuple[List[ChunkRef], List[float]]:
+    """``(ref, size)`` items as ``place_batch``'s two columns."""
+    return [r for r, _ in items], [s for _, s in items]
+
+
+def placements(p, items: Sequence[Tuple[ChunkRef, float]]) -> Dict[ChunkRef, int]:
+    """``p.place_batch`` over ``items``, read back as ``{ref: node}``."""
+    refs, sizes = columns(items)
+    ids = p.place_batch(refs, sizes)
+    return dict(zip(refs, p.table.owners(ids).tolist()))
+
+
+def split_of(ledger, items: Sequence[Tuple[ChunkRef, float]]) -> BatchSplit:
+    """The :class:`BatchSplit` of ``items`` against ``ledger``, by a
+    per-item walk."""
+    refs, sizes = columns(items)
+    seen: Dict[ChunkRef, int] = {}
+    origin = [seen.setdefault(r, i) for i, r in enumerate(refs)]
+    known = [ledger.contains(r) for r in refs]
+    first = [i for i, o in enumerate(origin) if o == i and not known[i]]
+    merges = sorted(set(range(len(refs))) - set(first))
+    column = np.empty(len(refs), dtype=object)
+    column[:] = refs
+    return BatchSplit(
+        column, np.asarray(sizes, dtype=np.float64), None,
+        np.asarray(origin, dtype=np.int64), np.asarray(known, dtype=bool),
+        np.asarray(first, dtype=np.int64), np.asarray(merges, dtype=np.int64),
+    )
+
+
+def read_of(chunks: Sequence[ChunkData], nodes=None) -> Read:
+    """A :class:`Read` of hand-picked chunks, extents read from the
+    handles now (:meth:`ChunkBatch.of` of a list); every chunk on node
+    0 unless ``nodes``."""
+    batch = ChunkBatch.of(list(chunks))
+    handles = np.empty(len(batch), dtype=object)
+    handles[:] = batch.chunks
+    if nodes is None:
+        nodes = np.zeros(len(batch), dtype=np.int64)
+    return Read(
+        handles, batch.sizes, np.asarray(nodes, dtype=np.int64),
+        batch.schemas[0] if batch.schemas else None, batch.keys,
+        np.stack([batch.arena_no, batch.lo, batch.hi], axis=1),
+    )

@@ -4,7 +4,8 @@
 became extents of batch arenas, moved verbatim: one ``coords`` read and
 one ``values(attr)`` read per chunk per column, one array per chunk
 handed to ``np.concatenate``.  It knows nothing about arenas, extents or
-runs, so it is the specification the run-coalescing gather must equal
+runs (of a :class:`~repro.core.catalog.Read` it reads only the chunks),
+so it is the specification the run-sliced gather must equal
 element for element and dtype for dtype
 (``tests/test_catalog.py::TestRunGather``); the store-walk payload
 oracles in ``tests/oracles/cluster.py`` concatenate through it.
@@ -13,8 +14,9 @@ oracles in ``tests/oracles/cluster.py`` concatenate through it.
 publish and unpublish bodies from before they became column code, moved
 verbatim (``put_batch_per_chunk`` also takes the coordinator's ``ids``
 and an object-array batch, and ``_log_deltas`` became a function of the
-catalog): one branch per chunk (new / merged / same handle), one tuple
-per delta-log row, one ``ChunkRef`` hash per dict probe.  They are the
+catalog; both also keep the extent columns, read per handle): one
+branch per chunk (new / merged / same handle), one tuple per delta-log
+row, one ``ChunkRef`` hash per dict probe.  They are the
 specification :meth:`ChunkCatalog.put_batch` and
 :meth:`ChunkCatalog.remove_batch` must equal column for column, in view
 order and delta-log row for row (``TestColumnarPublish`` in
@@ -28,16 +30,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
-from repro.core.catalog import ChunkCatalog, _ArrayView, _DeltaLog
+from repro.core.catalog import (
+    _NO_EXTENT, ChunkCatalog, Read, _ArrayView, _DeltaLog,
+)
 from repro.errors import ClusterError
 
 
 def concat_payload_per_chunk(
-    chunks: Sequence[ChunkData],
+    read,
     attrs: Sequence[str],
     ndim: int = 0,
 ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Concatenate chunks' cells into one coordinate/value table."""
+    """Concatenate chunks' cells into one coordinate/value table.
+
+    ``read`` is a :class:`~repro.core.catalog.Read` or a plain chunk
+    sequence; only its chunks are read.
+    """
+    chunks = read.chunks.tolist() if isinstance(read, Read) else list(read)
     if not chunks:
         return (
             np.empty((0, ndim), dtype=np.int64),
@@ -50,10 +59,18 @@ def concat_payload_per_chunk(
     return coords, values
 
 
+def _extent(chunk: ChunkData) -> Tuple[int, int, int]:
+    """A handle's ``(arena number, lo, hi)`` (own arrays: none)."""
+    extent = chunk.extent
+    if extent is None:
+        return _NO_EXTENT
+    return (extent[0].number, extent[1], extent[2])
+
+
 def _log_deltas(
     self: ChunkCatalog, log_by_array: Dict[str, List[Tuple]]
 ) -> None:
-    """Append collected (sign, ref, chunk, size, node) rows.
+    """Append collected (sign, ref, chunk, size, node, extent) rows.
 
     Called after :meth:`_touch`, so every appended row carries the
     epoch the mutation landed at — ``deltas_since(array, cursor)``
@@ -67,9 +84,9 @@ def _log_deltas(
         log = self._deltas.get(array)
         if log is None:
             log = self._deltas[array] = _DeltaLog()
-        signs, refs, chunks, sizes, nodes = zip(*entries)
+        signs, refs, chunks, sizes, nodes, extents = zip(*entries)
         log.append(epoch, signs, list(refs), list(chunks), sizes,
-                   nodes)
+                   nodes, np.array(extents, dtype=np.int64))
 
 
 def put_batch_per_chunk(
@@ -110,20 +127,22 @@ def put_batch_per_chunk(
             new_ids.append(i)
             new_keys.append(ref.key)
             entries.append(
-                (1, ref, chunk, chunk.size_bytes, node)
+                (1, ref, chunk, chunk.size_bytes, node, _extent(chunk))
             )
         elif old is not chunk:
             # A merge replaced the stored payload: the retiring
             # handle leaves the ZSet, the merged one enters it.
             old_node = int(self._owner[i])
             entries.append(
-                (-1, ref, old, float(self._size[i]), old_node)
+                (-1, ref, old, float(self._size[i]), old_node,
+                 tuple(self._extent[i].tolist()))
             )
             entries.append(
-                (1, ref, chunk, chunk.size_bytes, old_node)
+                (1, ref, chunk, chunk.size_bytes, old_node, _extent(chunk))
             )
         self._chunks[i] = chunk
         self._size[i] = chunk.size_bytes
+        self._extent[i] = _extent(chunk)
     for array, (new_ids, new_keys) in new_by_array.items():
         view = self._views.get(array)
         if view is None:
@@ -149,11 +168,12 @@ def remove_batch_per_chunk(
     for ref, i in zip(refs, ids.tolist()):
         log_by_array.setdefault(ref.array, []).append(
             (-1, ref, self._chunks[i], float(self._size[i]),
-             int(self._owner[i]))
+             int(self._owner[i]), tuple(self._extent[i].tolist()))
         )
         self._chunks[i] = None
         self._size[i] = 0.0
         self._owner[i] = -1
+        self._extent[i] = _NO_EXTENT
         by_array.setdefault(ref.array, []).append(i)
     for array, dead in by_array.items():
         self._views[array].drop(

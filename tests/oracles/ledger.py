@@ -61,6 +61,10 @@ class DictChunkLedger:
         """Whether ``ref`` is currently placed."""
         return ref in self._assignment
 
+    def contains_many(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+        """:meth:`contains` of many refs, as a bool column."""
+        return np.array([r in self._assignment for r in refs], dtype=bool)
+
     def get_node(self, ref: ChunkRef) -> Optional[NodeId]:
         """Node holding ``ref``, or ``None`` when never placed."""
         return self._assignment.get(ref)
@@ -232,33 +236,29 @@ class DictChunkLedger:
         """
         return False
 
-    def commit_batch(
-        self,
-        first_sizes: Dict[ChunkRef, float],
-        commit_nodes: Sequence[NodeId],
-        merges: Sequence[Tuple[ChunkRef, float]],
-    ) -> Dict[ChunkRef, NodeId]:
-        """Apply a partitioned batch with C-level dict updates."""
+    def commit_batch(self, split, nodes: np.ndarray) -> np.ndarray:
+        """Apply a split batch with C-level dict updates; each item's
+        "id" is its ref."""
         assignment = self._assignment
         sizes = self._sizes
         loads = self._loads
-        placements: Dict[ChunkRef, NodeId] = {}
         total_delta = 0.0
-        if first_sizes:
-            # Build placements first: the dict-to-dict updates below
-            # then reuse its stored hashes (no Python-level re-hashing).
-            placements = dict(zip(first_sizes, commit_nodes))
-            assignment.update(placements)
-            sizes.update(first_sizes)
-            for node, size in zip(commit_nodes, first_sizes.values()):
+        first_refs = split.refs[split.first].tolist()
+        first_sizes = split.sizes[split.first].tolist()
+        commit_nodes = np.asarray(nodes).tolist()
+        if first_refs:
+            assignment.update(zip(first_refs, commit_nodes))
+            sizes.update(zip(first_refs, first_sizes))
+            for node, size in zip(commit_nodes, first_sizes):
                 loads[node] += size
                 total_delta += size
-        for ref, size_bytes in merges:
-            size = float(size_bytes)
+        for ref, size in zip(
+            split.refs[split.merges].tolist(),
+            split.sizes[split.merges].tolist(),
+        ):
             node = assignment[ref]
             sizes[ref] += size
             loads[node] += size
             total_delta += size
-            placements[ref] = node
         self._total += total_delta
-        return placements
+        return split.refs

@@ -31,6 +31,7 @@ from repro.arrays.sfc import (
 )
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import ChunkError, PartitioningError
+from tests.helpers import columns, placements
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 #: Small enough that Append's cursor crosses three of four nodes inside
@@ -195,9 +196,9 @@ class TestPlaceBatchParity:
             name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=capacity
         )
         expected = {ref: seq.place(ref, size) for ref, size in items}
-        placements = bat.place_batch(items)
+        placed = placements(bat, items)
         # Assignments, placements, and per-chunk sizes are bit-exact.
-        assert placements == expected
+        assert placed == expected
         assert bat.assignment() == seq.assignment()
         for ref in seq.assignment():
             assert bat.size_of(ref) == seq.size_of(ref)
@@ -220,10 +221,10 @@ class TestPlaceBatchParity:
         )
         ref0, size0 = items[0]
         first = p.place(ref0, size0)
-        placements = p.place_batch(items[1:])
+        placed = placements(p, items[1:])
         # The scalar-placed chunk keeps its node; batch merges agree.
         assert p.locate(ref0) == first
-        for ref, node in placements.items():
+        for ref, node in placed.items():
             assert p.locate(ref) == node
 
     def test_empty_batch(self):
@@ -231,7 +232,7 @@ class TestPlaceBatchParity:
             p = make_partitioner(
                 name, [0, 1], grid=GRID, node_capacity_bytes=1e12
             )
-            assert p.place_batch([]) == {}
+            assert placements(p, []) == {}
             assert p.total_bytes == 0.0
 
     def test_negative_size_rejected(self):
@@ -240,7 +241,7 @@ class TestPlaceBatchParity:
                 name, [0, 1], grid=GRID, node_capacity_bytes=1e12
             )
             with pytest.raises(PartitioningError):
-                p.place_batch([(ChunkRef("a", (0, 0, 0)), -1.0)])
+                p.place_batch([ChunkRef("a", (0, 0, 0))], [-1.0])
 
 
 class TestAppendFillWalk:
@@ -250,7 +251,7 @@ class TestAppendFillWalk:
         p = make_partitioner(
             "append", [0, 1, 2, 3], node_capacity_bytes=SMALL_CAPACITY
         )
-        p.place_batch(_random_batch(1500, seed=1))
+        p.place_batch(*columns(_random_batch(1500, seed=1)))
         assert p.cursor_node == 3
         assert all(p.chunks_on(node) for node in (0, 1, 2))
 
@@ -291,7 +292,7 @@ class TestAppendFillWalk:
         seq.adopt_batch(entries)
         bat.adopt_batch(entries)
         expected = {ref: seq.place(ref, s) for ref, s in batch}
-        assert bat.place_batch(batch) == expected
+        assert placements(bat, batch) == expected
         assert bat.assignment() == seq.assignment()
         assert bat.cursor_node == seq.cursor_node
         for ref in seq.assignment():
@@ -317,7 +318,7 @@ class TestKeyArity:
             if path == "place":
                 p.place(bad, 1.0)
             else:  # ragged beside a good key
-                p.place_batch([(ChunkRef("a", (1, 2, 3)), 1.0), (bad, 1.0)])
+                p.place_batch([ChunkRef("a", (1, 2, 3)), bad], [1.0, 1.0])
         assert str(bad) in str(info.value)
         assert "3-d" in str(info.value)
         assert p.chunk_count == 0
@@ -333,7 +334,7 @@ class TestRunningTotalAndRemove:
         p = make_partitioner(
             name, [0, 1, 2], grid=GRID, node_capacity_bytes=1e12
         )
-        p.place_batch(items)
+        p.place_batch(*columns(items))
         assert p.total_bytes == pytest.approx(self._ledger_total(p))
         some = list(p.assignment())[:20]
         for ref in some[:10]:
@@ -367,7 +368,7 @@ class TestRunningTotalAndRemove:
         ref = ChunkRef("a", (1, 2, 3))
         p.place(ref, 100.0)
         p.place(ref, 50.0)           # merge via scalar path
-        p.place_batch([(ref, 25.0)])  # merge via batch path
+        p.place_batch([ref], [25.0])  # merge via batch path
         p.update_size(ref, 10.0)
         for b in p.buckets():
             assert b.bytes == pytest.approx(

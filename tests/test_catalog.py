@@ -61,6 +61,7 @@ from tests.oracles import (
     put_batch_per_chunk,
     remove_batch_per_chunk,
 )
+from tests.helpers import columns, read_of
 
 from test_cluster_machine import lifecycle, replay, run_focused
 
@@ -82,7 +83,9 @@ def _chunk(array, t, x, y, size, value=1.0):
 
 def _publish(partitioner, catalog, chunks):
     """Place ``chunks`` (the table gives them ids), then publish them."""
-    partitioner.place_batch([(c.ref(), c.size_bytes) for c in chunks])
+    partitioner.place_batch(
+        [c.ref() for c in chunks], [c.size_bytes for c in chunks]
+    )
     catalog.put_batch(chunks)
 
 
@@ -696,7 +699,7 @@ class TestCatalogInternals:
                 pass  # pragma: no cover
 
     def test_concat_payload_empty(self):
-        coords, values = concat_payload([], ["v"], ndim=3)
+        coords, values = concat_payload(read_of([]), ["v"], ndim=3)
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
 
@@ -863,19 +866,19 @@ class TestRunGather:
                 pool[start:stop:step] if stop >= 0 else pool[start::step]
             )
         _assert_same_table(
-            concat_payload(chunks, attrs, ndim=2),
+            concat_payload(read_of(chunks), attrs, ndim=2),
             concat_payload_per_chunk(chunks, attrs, ndim=2),
         )
 
     def test_whole_pools_and_every_single_chunk(self):
         for pool in GATHER_POOLS:
             _assert_same_table(
-                concat_payload(pool, GATHER_ATTRS, ndim=2),
+                concat_payload(read_of(pool), GATHER_ATTRS, ndim=2),
                 concat_payload_per_chunk(pool, GATHER_ATTRS, ndim=2),
             )
         for chunk in GATHER_POOLS[0]:
             _assert_same_table(
-                concat_payload([chunk], ["n"], ndim=2),
+                concat_payload(read_of([chunk]), ["n"], ndim=2),
                 concat_payload_per_chunk([chunk], ["n"], ndim=2),
             )
 
@@ -885,6 +888,7 @@ class TestRunGather:
         batches = [_gather_batch(seed, 8 * seed) for seed in range(3)]
         chunks = [c for batch in batches for c in batch]
         assert len(chunks) > 30
+        read = read_of(chunks)
         pieces = []
         real = np.concatenate
 
@@ -893,7 +897,7 @@ class TestRunGather:
             return real(arrays, *args, **kwargs)
 
         monkeypatch.setattr(np, "concatenate", spy)
-        concat_payload(chunks, ["v", "tag"], ndim=2)
+        concat_payload(read, ["v", "tag"], ndim=2)
         assert pieces == [3, 3, 3]
         # ...and no per-chunk view was built on the way.
         assert all(c._payload is None for c in chunks)
@@ -903,7 +907,9 @@ class TestRunGather:
         arena = batch[0].extent[0]
         loner = _own_arrays(batch[0])
         for chunks in (batch, batch[:1], batch[2:5], [loner]):
-            coords, values = concat_payload(chunks, GATHER_ATTRS, ndim=2)
+            coords, values = concat_payload(
+                read_of(chunks), GATHER_ATTRS, ndim=2
+            )
             sources = [arena.coords, loner.coords]
             sources += list(arena.columns.values())
             sources += list(loner.attributes.values())
@@ -918,15 +924,15 @@ class TestRunGather:
             chunks = [_own_arrays(c) for c in chunks]
         for gather in (concat_payload, concat_payload_per_chunk):
             with pytest.raises(ChunkError) as err:
-                gather(chunks, ["v", "nope"], ndim=2)
+                gather(read_of(chunks), ["v", "nope"], ndim=2)
             assert str(err.value) == "array G has no attribute 'nope'"
 
     def test_empty_list_keeps_its_shapes(self):
         _assert_same_table(
-            concat_payload([], ["v", "n"], ndim=2),
+            concat_payload(read_of([]), ["v", "n"], ndim=2),
             concat_payload_per_chunk([], ["v", "n"], ndim=2),
         )
-        coords, values = concat_payload([], ["v"], ndim=2)
+        coords, values = concat_payload(read_of([]), ["v"], ndim=2)
         assert coords.shape == (0, 2) and coords.dtype == np.int64
         assert values["v"].shape == (0,)
 
@@ -1023,15 +1029,17 @@ def _publish_fingerprint(catalog):
             [label(h) for h in log.chunks[:n]],
             log.sizes[:n].tolist(),
             log.nodes[:n].tolist(),
+            log.extents[:n].tolist(),
         )
     columns = (
         [label(h) for h in catalog._chunks],
         catalog._size.tolist(),
         catalog._owner.tolist(),
+        catalog._extent.tolist(),
     )
     views = {
         array: (
-            view.ids.tolist(), view.rows.tolist(), view.keys.tobytes(),
+            view.ids.tolist(), view.rows.tolist(),
             view.epoch, view.payload_epoch,
         )
         for array, view in sorted(catalog._views.items())
@@ -1102,8 +1110,8 @@ class TestColumnarPublish:
             if op == "put":
                 batch = self._batch(rng, vec, arrays)
                 pairs = [(c.ref(), c.size_bytes) for c in batch]
-                p_vec.place_batch(pairs)
-                p_ref.place_batch(pairs)
+                p_vec.place_batch(*columns(pairs))
+                p_ref.place_batch(*columns(pairs))
                 ids = p_vec.table.ids_of([r for r, _ in pairs])
                 assert np.array_equal(
                     ids, p_ref.table.ids_of([r for r, _ in pairs])
@@ -1221,4 +1229,3 @@ class TestViewInsertOrder:
         order = np.argsort(pack_rows_void(rows), kind="stable")
         assert view.ids.tolist() == ids[order].tolist()
         assert view.rows.tolist() == rows[order].tolist()
-        assert view.keys.tobytes() == pack_rows_void(rows[order]).tobytes()

@@ -170,7 +170,7 @@ class TestChunkCells:
             np.empty((0, 2), dtype=np.int64),
             {"i": np.empty(0, dtype=np.int32), "j": np.empty(0)},
         )
-        assert out == []
+        assert list(out) == []
 
 
 class TestChunkCellSets:

@@ -19,6 +19,7 @@ from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.ledger import ArrayChunkLedger
 from repro.errors import ConfigError
 from tests.oracles import DictChunkLedger, Move
+from tests.helpers import columns, placements, split_of
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 
@@ -85,7 +86,7 @@ class TestLedgerParity:
         items = _batch(800, seed=hash(name) % 2**31)
         arr = _make(name, "array")
         dic = _make(name, "dict")
-        assert arr.place_batch(items) == dic.place_batch(items)
+        assert placements(arr, items) == placements(dic, items)
         _assert_same_state(arr, dic)
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
@@ -93,8 +94,8 @@ class TestLedgerParity:
         items = _batch(400, seed=7)
         arr = _make(name, "array")
         dic = _make(name, "dict")
-        arr.place_batch(items[:250])
-        dic.place_batch(items[:250])
+        arr.place_batch(*columns(items[:250]))
+        dic.place_batch(*columns(items[:250]))
         for ref, size in items[250:300]:
             assert arr.place(ref, size) == dic.place(ref, size)
         survivors = sorted(
@@ -106,8 +107,8 @@ class TestLedgerParity:
             if ref in dic.assignment():
                 arr.update_size(ref, 5.5)
                 dic.update_size(ref, 5.5)
-        arr.place_batch(items[300:])
-        dic.place_batch(items[300:])
+        arr.place_batch(*columns(items[300:]))
+        dic.place_batch(*columns(items[300:]))
         _assert_same_state(arr, dic)
 
     @pytest.mark.parametrize("name", ALL_PARTITIONERS)
@@ -115,8 +116,8 @@ class TestLedgerParity:
         items = _batch(500, seed=11)
         arr = _make(name, "array", nodes=(0, 1))
         dic = _make(name, "dict", nodes=(0, 1))
-        arr.place_batch(items)
-        dic.place_batch(items)
+        arr.place_batch(*columns(items))
+        dic.place_batch(*columns(items))
         plan_a = arr.scale_out([2, 3])
         plan_d = dic.scale_out([2, 3])
         moves_a = [(m.ref, m.source, m.dest) for m in Move.rows(plan_a)]
@@ -129,8 +130,8 @@ class TestLedgerParity:
         items = _batch(200, seed=3)
         arr = _make(name, "array")
         dic = _make(name, "dict")
-        arr.place_batch(items)
-        dic.place_batch(items)
+        arr.place_batch(*columns(items))
+        dic.place_batch(*columns(items))
         for node in arr.nodes:
             assert arr.chunks_on(node) == dic.chunks_on(node)
 
@@ -148,11 +149,8 @@ class TestArrayLedgerInternals:
         for ref in refs[:4]:
             led.remove(ref)
         assert len(led._free) == 4
-        led.commit_batch(
-            {ChunkRef("b", (i, 0, 0)): 1.0 for i in range(4)},
-            [0, 1, 0, 1],
-            [],
-        )
+        items = [(ChunkRef("b", (i, 0, 0)), 1.0) for i in range(4)]
+        led.commit_batch(split_of(led, items), np.array([0, 1, 0, 1]))
         assert led._hwm == hwm_before  # dead slots were reused
         assert not led._free
         assert led.chunk_count == 10
@@ -230,7 +228,8 @@ class TestArrayLedgerInternals:
         led = self._ledger()
         with pytest.raises(KeyError):
             led.commit_batch(
-                {ChunkRef("a", (0, 0, 0)): 1.0}, [99], []
+                split_of(led, [(ChunkRef("a", (0, 0, 0)), 1.0)]),
+                np.array([99]),
             )
         assert led.chunk_count == 0
         assert led.total_bytes == 0.0

@@ -29,6 +29,7 @@ from repro.errors import ClusterError, PartitioningError
 from repro.harness.runner import ExperimentRunner, RunConfig
 from repro.workloads import ModisWorkload
 from tests.oracles import DictChunkLedger, Move
+from tests.helpers import placements, split_of
 
 GRID = Box((0, 0, 0), (64, 16, 16))
 
@@ -105,7 +106,7 @@ class TestCompactionProperty:
                 take = int(rng.integers(1, 60))
                 part = items[cursor:cursor + take]
                 cursor += take
-                assert arr.place_batch(part) == dic.place_batch(part)
+                assert placements(arr, part) == placements(dic, part)
             elif op == "place":
                 take = int(rng.integers(1, 10))
                 for ref, size in items[cursor:cursor + take]:
@@ -141,7 +142,7 @@ class TestCompactionProperty:
             _assert_same_observables(arr, dic)
         # Ops after the final compaction must still work.
         tail = items[cursor:cursor + 40]
-        assert arr.place_batch(tail) == dic.place_batch(tail)
+        assert placements(arr, tail) == placements(dic, tail)
         _assert_same_observables(arr, dic)
 
 
@@ -215,10 +216,10 @@ class TestArrayLedgerCompact:
         led.compact()
         led.commit_new(ChunkRef("z", (999, 0, 0)), 5.0, 1)
         assert led.size_of(ChunkRef("z", (999, 0, 0))) == 5.0
+        items = [(ChunkRef("z", (1000 + i, 0, 0)), 1.0) for i in range(80)]
         led.commit_batch(
-            {ChunkRef("z", (1000 + i, 0, 0)): 1.0 for i in range(80)},
-            [i % 2 for i in range(80)],
-            [(survivors[0], 2.0)],
+            split_of(led, items + [(survivors[0], 2.0)]),
+            np.array([i % 2 for i in range(80)]),
         )
         assert led.chunk_count == len(survivors) + 81
 

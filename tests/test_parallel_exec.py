@@ -35,6 +35,7 @@ from tests.oracles.parallel import (
     serial_kmeans,
     serial_knn_mean,
 )
+from tests.helpers import read_of
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,7 @@ class TestGatherOverExtents:
                 for subset in (pairs, pairs[5:60:3], pairs[::-1][:40]):
                     chunks = [c for c, _ in subset]
                     got = engine.gather_pairs(subset, attrs, 3)
-                    local = concat_payload(chunks, attrs, 3)
+                    local = concat_payload(read_of(chunks), attrs, 3)
                     oracle = concat_payload_per_chunk(chunks, attrs, 3)
                     for want in (local, oracle):
                         assert got[0].dtype == want[0].dtype

@@ -56,7 +56,8 @@ def test_extendible_hash_directory_invariants(chunks, growth):
 def test_hilbert_ranges_sorted_and_exhaustive(chunks, growth):
     """Range boundaries stay strictly sorted; every index has an owner."""
     p = HilbertCurvePartitioner([0, 1], (16, 16))
-    p.prepare_batch([(ChunkRef("a", k), s) for k, s in chunks])
+    p.prepare_batch([ChunkRef("a", k) for k, _ in chunks],
+                    [s for _, s in chunks])
     for key, size in chunks:
         p.place(ChunkRef("a", key), size)
     p.scale_out(list(range(2, 2 + growth)))

@@ -12,6 +12,7 @@ from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.core.uniform_range import UniformRangePartitioner, build_leaves
 from repro.errors import PartitioningError
 from tests.oracles import Move
+from tests.helpers import columns, placements
 
 GRID = Box((0, 0), (16, 16))
 GRID3 = Box((0, 0, 0), (8, 16, 12))
@@ -49,7 +50,7 @@ class TestHilbertPartitioner:
             (ChunkRef("a", (x, y)), 10.0)
             for x in range(4) for y in range(4)
         ]
-        p.prepare_batch(batch)
+        p.prepare_batch(*columns(batch))
         # Both nodes now own curve positions that occur in the batch.
         owners = {p.place(ref, size) for ref, size in batch}
         assert owners == {0, 1}
@@ -58,7 +59,7 @@ class TestHilbertPartitioner:
         p = HilbertCurvePartitioner([0, 1], (16, 16))
         p.place(ChunkRef("a", (0, 0)), 10.0)
         before = p.ranges()
-        p.prepare_batch([(ChunkRef("a", (5, 5)), 10.0)])
+        p.prepare_batch([ChunkRef("a", (5, 5))], [10.0])
         assert p.ranges() == before
 
     def test_scale_out_splits_heaviest_at_median(self):
@@ -240,7 +241,7 @@ class TestQuadtree:
                     batch.append(
                         (ChunkRef("a", key), float(rng.lognormal(2, 1)))
                     )
-                p.place_batch(batch)
+                p.place_batch(*columns(batch))
                 new = [p.node_count + i for i in range(cycle % 2 + 1)]
                 plans.append([
                     (m.ref, m.source, m.dest, m.size_bytes)
@@ -398,7 +399,7 @@ class TestUniformRangeLeafTable:
             items.append(
                 (ChunkRef("ab"[i % 2], key), float(rng.lognormal(2, 1)))
             )
-        p.place_batch(items)
+        p.place_batch(*columns(items))
         for new_nodes in ([2, 3], [7], [4, 5, 6]):
             want = _per_ref_moves(p, new_nodes)
             plan = p.scale_out(new_nodes)
@@ -416,7 +417,7 @@ class TestUniformRangeLeafTable:
         seq = UniformRangePartitioner([0, 1, 2], GRID, height=4)
         bat = UniformRangePartitioner([0, 1, 2], GRID, height=4)
         expected = {ref: seq.place(ref, size) for ref, size in items}
-        assert bat.place_batch(items) == expected
+        assert placements(bat, items) == expected
         assert expected[huge] == seq.leaf_owners()[
             seq.leaf_index_of((15, 3))  # clamps onto the border cell
         ]

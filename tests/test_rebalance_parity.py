@@ -38,6 +38,7 @@ from tests.oracles import (
     relocate_scalar,
     total_bytes_scalar,
 )
+from tests.helpers import columns
 
 GRID = Box((0, 0, 0), (24, 16, 12))
 COSTS = (CostParameters(), CostParameters(fabric_concurrency=0.5))
@@ -113,7 +114,7 @@ def test_plans_replay_move_by_move(name, seed, sizes, step):
     rng = np.random.default_rng(seed)
     p = _make(name)
     for n in sizes:
-        p.place_batch(_batch(rng, n))
+        p.place_batch(*columns(_batch(rng, n)))
         live = sorted(p.assignment(), key=lambda r: (r.array, r.key))
         for ref in live[:: int(rng.integers(3, 12))]:
             p.remove(ref)
@@ -131,7 +132,7 @@ def test_chunks_twice_in_one_plan_price_like_the_loops(name):
     """Concatenated plans (a chunk moved twice) price per move too."""
     rng = np.random.default_rng(5)
     p = _make(name)
-    p.place_batch(_batch(rng, 120))
+    p.place_batch(*columns(_batch(rng, 120)))
     plans = [p.scale_out([2]), p.scale_out([3, 4])]
     _assert_priced_like_the_loops(RebalancePlan.concat(plans))
 
@@ -141,7 +142,7 @@ def _relocation_twins(seed):
     items = _batch(rng, 80)
     twins = [_make("round_robin", nodes=(0, 1, 2)) for _ in range(2)]
     for p in twins:
-        p.place_batch(items)
+        p.place_batch(*columns(items))
         for node in (7, 8):
             p._nodes.append(node)
             p._ledger.add_node(node)
@@ -202,7 +203,7 @@ def test_relocate_many_rejects_repeats_and_strangers():
 
 def test_incremental_contract_names_the_first_stray_move():
     p = _make("kd_tree")
-    p.place_batch(_batch(np.random.default_rng(1), 60))
+    p.place_batch(*columns(_batch(np.random.default_rng(1), 60)))
     first = sorted(p.chunks_on(0), key=lambda r: (r.array, r.key))[0]
     p._extend = lambda new: p._relocate_many([first], 1)
     with pytest.raises(
@@ -231,7 +232,7 @@ def _pinned_digest(name):
     p = _make(name)
     rows = []
     for step in range(4):
-        p.place_batch([
+        p.place_batch(*columns([
             (
                 ChunkRef("ab"[i % 2], (
                     int(rng.integers(0, 30)),
@@ -241,7 +242,7 @@ def _pinned_digest(name):
                 float(rng.lognormal(3, 1)),
             )
             for i in range(150)
-        ])
+        ]))
         live = sorted(p.assignment(), key=lambda r: (r.array, r.key))
         for ref in live[step::9]:
             p.remove(ref)

@@ -42,6 +42,7 @@ from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.catalog import concat_payload
 from repro.errors import SegmentCorruptError, StorageError
 from tests.oracles import concat_payload_per_chunk
+from tests.helpers import read_of
 
 from test_cluster_machine import run_focused
 
@@ -285,7 +286,7 @@ class TestExtentsGiveWayToTheTier:
         assert all(c.extent is not None for c in chunks)
         budget = 3 * chunks[0].size_bytes
         store = _tiered_store(str(tmp_path), budget=budget)
-        assert store.put_many(chunks) == chunks
+        assert store.put_many(chunks) == list(chunks)
         tier = store.tier
         tier.check()
         for chunk in chunks:
@@ -294,7 +295,7 @@ class TestExtentsGiveWayToTheTier:
             assert chunk.is_resident == (chunk.ref() in tier._resident)
         assert 0 < tier.resident_count < len(chunks)
         assert tier.resident_bytes <= budget
-        got = concat_payload(chunks, ["v", "tag"], 2)
+        got = concat_payload(read_of(chunks), ["v", "tag"], 2)
         assert np.array_equal(got[0], want[0])
         assert got[1]["v"].tobytes() == want[1]["v"].tobytes()
         assert got[1]["tag"].tolist() == want[1]["tag"].tolist()
@@ -307,7 +308,7 @@ class TestExtentsGiveWayToTheTier:
         tier = store.tier
         assert tier.resident_count == 0
         assert not any(c.is_resident for c in chunks)
-        concat_payload(chunks, ["v", "n", "tag"], 2)
+        concat_payload(read_of(chunks), ["v", "n", "tag"], 2)
         # one payload_parts() per cold handle, whatever the column count
         assert tier.fault_count == len(chunks)
         tier.check()

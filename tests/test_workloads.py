@@ -219,7 +219,7 @@ class TestAisWorkload:
         for cycle in range(1, small_ais.n_cycles + 1):
             chunks = small_ais.batch(cycle).chunks
             partitioner.place_batch(
-                [(c.ref(), c.size_bytes) for c in chunks]
+                [c.ref() for c in chunks], chunks.sizes, chunks.keys
             )
             catalog.put_batch(chunks)
         pairs = catalog.pairs_of_array("broadcast")

@@ -987,9 +987,9 @@ def _incr_view_fixture():
     """A maintained grid view over the routing cluster, plus one delta.
 
     The view is primed at the pre-churn epoch, then ~1% fresh chunks
-    are ingested.  Rewinding ``view.cursor`` to the primed epoch makes
-    every refresh replay the same addition-only delta — constant work
-    per round through the planner, the delta gather, and the fold.
+    are ingested.  Rewinding ``view.cursors[0]`` to the primed epoch
+    makes every refresh replay the same addition-only delta — constant
+    work per round through the planner, the delta gather, and the fold.
     """
     cluster = _routing_cluster()
     view = MaintainedGridStats(
@@ -997,7 +997,7 @@ def _incr_view_fixture():
         track_minmax=False,
     )
     view.refresh()
-    cursor = view.cursor
+    cursor = view.cursors[0]
     delta_n = max(64, CATALOG_CHUNKS // 100)
     fresh = []
     for i in range(delta_n):
@@ -1020,7 +1020,7 @@ def test_incr_cycle_full(benchmark):
     benchmark.extra_info["items"] = CATALOG_CHUNKS + delta_n
 
     def cycle():
-        view.cursor = -1  # unprimed: the planner is skipped, full arm
+        view.cursors[0] = -1  # unprimed: the planner is skipped, full arm
         return view.refresh()
 
     report = benchmark(cycle)
@@ -1034,7 +1034,7 @@ def test_incr_cycle_delta(benchmark):
     benchmark.extra_info["items"] = CATALOG_CHUNKS + delta_n
 
     def cycle():
-        view.cursor = cursor
+        view.cursors[0] = cursor
         return view.refresh()
 
     report = benchmark(cycle)

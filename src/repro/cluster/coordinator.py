@@ -203,8 +203,9 @@ def execute_rebalance(
     # Grouped physical movement: bulk evictions, then bulk installs.
     payload = np.empty(len(moved), dtype=object)
     for node, idx in _groups(origin[net]):
-        payload[net[idx]] = nodes[node].store.evict_many(
-            moved[net[idx]].tolist()
+        payload[net[idx]] = np.fromiter(
+            nodes[node].store.evict_many(moved[net[idx]].tolist()),
+            dtype=object, count=len(idx),
         )
     for node, idx in _groups(final[net]):
         nodes[node].store.put_many(payload[net[idx]].tolist())

@@ -610,7 +610,6 @@ def figure8_retention(
     node_capacity_gb: float = 100.0,
     queries_per_cycle: int = 3,
     seed: int = 11,
-    verify_incremental: bool = True,
 ) -> RetentionResult:
     """Drive a staircase-up / plateau / churn run with expiring data.
 
@@ -626,9 +625,9 @@ def figure8_retention(
     A maintained grid-statistics view
     (:class:`~repro.query.incremental.MaintainedGridStats`) rides the
     whole staircase, folding each cycle's content delta (expiry as
-    negative rows); when ``verify_incremental`` the refreshed view is
-    checked against a full recompute every cycle — the maintained ≡
-    recomputed contract, enforced inline.
+    negative rows); the refreshed view is checked against a full
+    recompute every cycle — the maintained ≡ recomputed contract,
+    enforced inline.
     """
     rng = np.random.default_rng(seed)
     partitioner = make_partitioner(
@@ -688,26 +687,25 @@ def figure8_retention(
         # Fold this cycle's content delta into the maintained view;
         # snapshot the delta columns first (refresh advances the
         # cursor past them).
-        delta = session.deltas_since("R", view.cursor)
+        delta = session.deltas_since("R", view.cursors[0])
         result.delta_added_chunks.append(int(delta.added.sum()))
         result.delta_removed_chunks.append(int(delta.removed.sum()))
         result.delta_gb.append(delta.bytes_touched / GB)
         report = view.refresh()
         result.maintenance_modes.append(report.mode)
-        if verify_incremental:
-            got = view.result()
-            want = view.recompute()
-            if not (
-                np.array_equal(got[0], want[0])
-                and np.array_equal(got[1], want[1])
-                and np.allclose(got[2], want[2], rtol=1e-9, atol=1e-9)
-                and np.array_equal(got[3], want[3])
-                and np.array_equal(got[4], want[4])
-            ):
-                raise QueryError(
-                    "maintained grid statistics diverged from full "
-                    f"recompute at cycle {cycle}"
-                )
+        got = view.result()
+        want = view.recompute()
+        if not (
+            np.array_equal(got[0], want[0])
+            and np.array_equal(got[1], want[1])
+            and np.allclose(got[2], want[2], rtol=1e-9, atol=1e-9)
+            and np.array_equal(got[3], want[3])
+            and np.array_equal(got[4], want[4])
+        ):
+            raise QueryError(
+                "maintained grid statistics diverged from full "
+                f"recompute at cycle {cycle}"
+            )
         cluster.check_consistency()
         result.live_gb.append(cluster.total_bytes / GB)
         result.ingested_gb.append(ingested / GB)
@@ -883,7 +881,7 @@ def incremental_churn(
             order = rng.permutation(len(combos))[:churned]
             cluster.ingest([make_chunk(*combos[i]) for i in order])
 
-            delta = cluster.session().deltas_since("C", view.cursor)
+            delta = cluster.session().deltas_since("C", view.cursors[0])
             started = time.perf_counter()
             report = view.refresh()
             refresh_ms = (time.perf_counter() - started) * 1e3

@@ -19,18 +19,20 @@ repo's numpy-column discipline:
   grid group-by statistics (count/sum/min/max per bucket) under signed
   cell batches; :class:`DeltaJoinState` maintains position/equi join
   aggregates with the bilinear rule ``Δ(A ⋈ B) = ΔA ⋈ B + A' ⋈ ΔB``.
-  Both keep sorted key columns and splice new groups in with
-  ``searchsorted`` + ``np.insert`` — the ``_ArrayView`` idiom, no dicts.
+  Both fold a batch through one signed ``np.unique`` + ``bincount``
+  group-by and one sorted-key splice (``searchsorted`` +
+  ``np.insert``, the ``_ArrayView`` idiom, no dicts).
 * **Non-invertible aggregates** — min/max cannot subtract a removal, so
   deletions only *mark groups dirty*; the maintained query re-aggregates
   just the dirty buckets from a region-scoped payload gather
   (:meth:`ClusterSession.payload_in_region`), keeping the touched-group
   contract from the issue.
-* **Tempura-style planning** — every :meth:`refresh` asks
-  :func:`repro.query.cost.maintenance_plan` to price the delta fold
-  against a full recompute from catalog byte columns and runs the
-  cheaper arm.  At ~100 % churn the delta carries the expired chunks at
-  ``-1`` plus their replacements at ``+1`` (≈2× live bytes) and full
+* **One refresh loop, Tempura-style planning** — both views read
+  their arrays as :class:`JoinSide` s through one :meth:`refresh`: it
+  pins every side, asks :func:`repro.query.cost.maintenance_plan` to
+  price the delta fold against a full recompute, and runs the cheaper
+  arm.  At ~100 % churn the delta carries the expired chunks at ``-1``
+  plus their replacements at ``+1`` (≈2× live bytes) and full
   recompute wins; in steady state the delta is a sliver.
 
 Specification
@@ -68,6 +70,7 @@ from repro.query.cost import (
     charge_scan,
     maintenance_plan,
 )
+from repro.query.executor import require_count, require_positive
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +107,55 @@ def delta_cells(
     return coords, values, weights
 
 
+def _signed_groups(
+    keys: np.ndarray,
+    values: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+    return_index: bool = False,
+) -> Tuple[np.ndarray, ...]:
+    """``np.unique``'s ``(uniq, inverse)`` of ``keys``, each slot's
+    weighted row count and value sum (float64; ``weights`` default +1),
+    then with ``return_index`` each slot's first row (a stable sort)."""
+    uniq, *first, inverse = np.unique(
+        keys, return_index=return_index, return_inverse=True
+    )
+    w = None if weights is None else weights.astype(np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    n = uniq.shape[0]
+    counts = np.bincount(inverse, w, n).astype(np.float64, copy=False)
+    sums = np.bincount(inverse, vals if w is None else w * vals, n)
+    return uniq, inverse, counts, sums, *first
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """``searchsorted`` slots of ``keys`` in ``sorted_keys``, and a mask
+    of the keys found there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = np.zeros(keys.shape[0], dtype=bool)
+    in_range = pos < sorted_keys.shape[0]
+    found[in_range] = sorted_keys[pos[in_range]] == keys[in_range]
+    return pos, found
+
+
+def _splice(state, keys: np.ndarray, fills: Dict[str, object]) -> np.ndarray:
+    """Slots of sorted-unique ``keys`` in ``state._keys``, splicing the
+    missing ones in; ``fills`` maps each parallel column to a new row's
+    value (a scalar, or an array aligned with ``keys``)."""
+    if state._keys is None:
+        state._keys = keys[:0]
+    pos, found = _lookup(state._keys, keys)
+    if found.all():
+        return pos
+    fresh = ~found
+    at = pos[fresh]
+    state._keys = np.insert(state._keys, at, keys[fresh])
+    for name, fill in fills.items():
+        if isinstance(fill, np.ndarray):
+            fill = fill[fresh]
+        setattr(state, name, np.insert(getattr(state, name), at, fill, axis=0))
+    return np.searchsorted(state._keys, keys)
+
+
 # ----------------------------------------------------------------------
 # mergeable group-by state
 # ----------------------------------------------------------------------
@@ -111,11 +163,12 @@ class GridGroupByState:
     """Per-bucket count/sum/min/max integrated under signed cell batches.
 
     The ZSet integrator behind the maintained grid statistics: buckets
-    are interned into a sorted int64 key column (new groups splice in
-    via ``searchsorted`` + ``np.insert``, the ``_ArrayView`` idiom) and
+    are interned into a sorted key column (new groups splice in via
+    ``searchsorted`` + ``np.insert``, the ``_ArrayView`` idiom) and
     every :meth:`apply` folds a whole batch with ``np.bincount`` /
     ``ufunc.at`` — no per-cell Python.  A batch outside the key packing
-    re-keys the groups under a wider one (order-preserving).
+    re-keys the groups under a wider one (order-preserving); buckets
+    never span time, so widening on demand stays cheap.
 
     Counts and sums are linear, so signed folds maintain them exactly.
     Min/max are *not* invertible: positive weights tighten them
@@ -123,7 +176,8 @@ class GridGroupByState:
     :meth:`rescan` then re-aggregates only the dirty buckets from a live
     cell gather covering them (:meth:`dirty_cell_bounds` gives the
     bounding box to fetch).  :meth:`emit` refuses to read through dirty
-    extrema.
+    extrema.  ``dims`` must be non-negative, one per positive integer
+    cell size, or the constructor raises :class:`QueryError`.
     """
 
     __slots__ = (
@@ -139,7 +193,15 @@ class GridGroupByState:
         track_minmax: bool = True,
     ) -> None:
         self.dims = tuple(int(d) for d in dims)
-        self.cell_sizes = tuple(int(s) for s in cell_sizes)
+        self.cell_sizes = tuple(
+            require_count("cell_sizes", s) for s in cell_sizes
+        )
+        dims_ok = self.dims and min(self.dims) >= 0
+        if not dims_ok or len(self.dims) != len(self.cell_sizes):
+            raise QueryError(
+                f"dims {dims!r} must be non-negative dimensions, one per "
+                f"cell size {cell_sizes!r}"
+            )
         self.track_minmax = bool(track_minmax)
         self.clear()
 
@@ -163,31 +225,13 @@ class GridGroupByState:
         """Whether any bucket's extrema were invalidated by a removal."""
         return self.track_minmax and bool(self.dirty.any())
 
-    def _bucket_keys(self, buckets: np.ndarray) -> np.ndarray:
-        """Sortable keys of bucket rows, widening the packing to fit."""
+    def _bucket_keys(self, coords: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Bucket rows of cells and their keys, widening the packing."""
+        buckets = ops.grid_buckets(coords, self.dims, self.cell_sizes)
         if not len(self) or not packing_admits(buckets, self._packing):
             self._packing = joint_packing(buckets, self._rows)
             self._keys = position_keys(self._rows, self._packing)
-        return position_keys(buckets, self._packing)
-
-    def _intern(self, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Slot indices of sorted-unique ``keys``, inserting new groups."""
-        pos = np.searchsorted(self._keys, keys)
-        found = np.zeros(keys.shape[0], dtype=bool)
-        in_range = pos < self._keys.shape[0]
-        found[in_range] = self._keys[pos[in_range]] == keys[in_range]
-        fresh = ~found
-        if fresh.any():
-            at = pos[fresh]
-            self._keys = np.insert(self._keys, at, keys[fresh])
-            self._rows = np.insert(self._rows, at, rows[fresh], axis=0)
-            self.counts = np.insert(self.counts, at, 0)
-            self.sums = np.insert(self.sums, at, 0.0)
-            self.mins = np.insert(self.mins, at, np.inf)
-            self.maxs = np.insert(self.maxs, at, -np.inf)
-            self.dirty = np.insert(self.dirty, at, False)
-            pos = np.searchsorted(self._keys, keys)
-        return pos
+        return buckets, position_keys(buckets, self._packing)
 
     def apply(
         self,
@@ -205,21 +249,15 @@ class GridGroupByState:
         """
         if coords.shape[0] == 0:
             return
-        buckets = ops.grid_buckets(coords, self.dims, self.cell_sizes)
-        keys = self._bucket_keys(buckets)
-        uniq, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
+        buckets, keys = self._bucket_keys(coords)
+        uniq, inverse, d_counts, d_sums, first = _signed_groups(
+            keys, values, weights, return_index=True
         )
-        w = weights.astype(np.float64)
-        vals = values.astype(np.float64)
-        d_counts = np.rint(
-            np.bincount(inverse, weights=w, minlength=uniq.shape[0])
-        ).astype(np.int64)
-        d_sums = np.bincount(
-            inverse, weights=w * vals, minlength=uniq.shape[0]
-        )
-        pos = self._intern(uniq, buckets[first])
-        self.counts[pos] += d_counts
+        pos = _splice(self, uniq, {
+            "_rows": buckets[first], "counts": 0, "sums": 0.0, "mins": np.inf,
+            "maxs": -np.inf, "dirty": False,
+        })
+        self.counts[pos] += np.rint(d_counts).astype(np.int64)
         self.sums[pos] += d_sums
         if (self.counts[pos] < 0).any():
             raise QueryError(
@@ -229,13 +267,11 @@ class GridGroupByState:
         if not self.track_minmax:
             return
         slots = pos[inverse]
+        vals = np.asarray(values, dtype=np.float64)
         added = weights > 0
-        if added.any():
-            np.minimum.at(self.mins, slots[added], vals[added])
-            np.maximum.at(self.maxs, slots[added], vals[added])
-        removed = ~added
-        if removed.any():
-            self.dirty[np.unique(slots[removed])] = True
+        np.minimum.at(self.mins, slots[added], vals[added])
+        np.maximum.at(self.maxs, slots[added], vals[added])
+        self.dirty[slots[~added]] = True
 
     def dirty_cell_bounds(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Cell-space bounding interval of the dirty buckets, per dim.
@@ -247,12 +283,10 @@ class GridGroupByState:
         if not self.dirty.any():
             raise QueryError("no dirty groups to bound")
         rows = self._rows[self.dirty]
-        lo = rows.min(axis=0)
-        hi = rows.max(axis=0) + 1
         sizes = np.asarray(self.cell_sizes, dtype=np.int64)
         return (
-            tuple(int(v) for v in lo * sizes),
-            tuple(int(v) for v in hi * sizes),
+            tuple(int(v) for v in rows.min(axis=0) * sizes),
+            tuple(int(v) for v in (rows.max(axis=0) + 1) * sizes),
         )
 
     def rescan(self, coords: np.ndarray, values: np.ndarray) -> None:
@@ -265,21 +299,14 @@ class GridGroupByState:
         """
         if not self.dirty.any():
             return
-        slots = np.flatnonzero(self.dirty)
-        self.mins[slots] = np.inf
-        self.maxs[slots] = -np.inf
-        if coords.shape[0] and self._keys is not None:
-            buckets = ops.grid_buckets(coords, self.dims, self.cell_sizes)
-            keys = self._bucket_keys(buckets)
-            pos = np.searchsorted(self._keys, keys)
-            in_range = pos < self._keys.shape[0]
-            hit = np.zeros(keys.shape[0], dtype=bool)
-            hit[in_range] = self._keys[pos[in_range]] == keys[in_range]
+        self.mins[self.dirty] = np.inf
+        self.maxs[self.dirty] = -np.inf
+        if coords.shape[0]:
+            pos, hit = _lookup(self._keys, self._bucket_keys(coords)[1])
             hit[hit] = self.dirty[pos[hit]]
-            if hit.any():
-                vals = values.astype(np.float64)
-                np.minimum.at(self.mins, pos[hit], vals[hit])
-                np.maximum.at(self.maxs, pos[hit], vals[hit])
+            vals = np.asarray(values, dtype=np.float64)[hit]
+            np.minimum.at(self.mins, pos[hit], vals)
+            np.maximum.at(self.maxs, pos[hit], vals)
         self.dirty[:] = False
 
     def emit(
@@ -302,13 +329,8 @@ class GridGroupByState:
                 "dirty min/max groups; rescan live cells before emit"
             )
         live = self.counts > 0
-        return (
-            self._rows[live],
-            self.counts[live],
-            self.sums[live],
-            self.mins[live],
-            self.maxs[live],
-        )
+        columns = (self._rows, self.counts, self.sums, self.mins, self.maxs)
+        return tuple(column[live] for column in columns)
 
 
 # ----------------------------------------------------------------------
@@ -363,25 +385,6 @@ class DeltaJoinState:
         # Counts are integer-valued floats, so "zero" is exact.
         return (self.cnt_a[at] == 0) & (self.cnt_b[at] == 0)
 
-    def _intern(self, keys: np.ndarray) -> np.ndarray:
-        if self._keys is None:
-            self._keys = keys[:0]
-        pos = np.searchsorted(self._keys, keys)
-        found = np.zeros(keys.shape[0], dtype=bool)
-        in_range = pos < self._keys.shape[0]
-        found[in_range] = self._keys[pos[in_range]] == keys[in_range]
-        fresh = ~found
-        if fresh.any():
-            at = pos[fresh]
-            self._keys = np.insert(self._keys, at, keys[fresh])
-            self.cnt_a = np.insert(self.cnt_a, at, 0.0)
-            self.sum_a = np.insert(self.sum_a, at, 0.0)
-            self.cnt_b = np.insert(self.cnt_b, at, 0.0)
-            self.sum_b = np.insert(self.sum_b, at, 0.0)
-            self._dead += int(at.shape[0])
-            pos = np.searchsorted(self._keys, keys)
-        return pos
-
     def apply(
         self,
         side: str,
@@ -406,16 +409,13 @@ class DeltaJoinState:
             raise QueryError(f"unknown join side {side!r}")
         if keys.shape[0] == 0:
             return
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        w = weights.astype(np.float64)
-        d_cnt = np.bincount(inverse, weights=w, minlength=uniq.shape[0])
-        d_sum = np.bincount(
-            inverse,
-            weights=w * values.astype(np.float64),
-            minlength=uniq.shape[0],
-        )
-        pos = self._intern(uniq)
-        self._dead -= int(self._is_dead(pos).sum())
+        uniq, _, d_cnt, d_sum = _signed_groups(keys, values, weights)
+        known = len(self)
+        pos = _splice(self, uniq, dict.fromkeys(
+            ("cnt_a", "sum_a", "cnt_b", "sum_b"), 0.0
+        ))
+        # New keys arrive dead; the fold below may revive any slot.
+        self._dead += len(self) - known - int(self._is_dead(pos).sum())
         if side == "a":
             self.pair_count += float(d_cnt @ self.cnt_b[pos])
             self.product_sum += float(d_sum @ self.sum_b[pos])
@@ -431,11 +431,8 @@ class DeltaJoinState:
             # Dropping a retired key also discards the float residue
             # its sums keep.
             live = ~self._is_dead(slice(None))
-            self._keys = self._keys[live]
-            self.cnt_a = self.cnt_a[live]
-            self.sum_a = self.sum_a[live]
-            self.cnt_b = self.cnt_b[live]
-            self.sum_b = self.sum_b[live]
+            for name in ("_keys", "cnt_a", "sum_a", "cnt_b", "sum_b"):
+                setattr(self, name, getattr(self, name)[live])
             self._dead = 0
 
     def emit(self) -> Dict[str, float]:
@@ -462,24 +459,8 @@ def join_aggregate_full(
     """
     if keys_a.ndim == 2:
         keys_a, keys_b = joint_position_keys(keys_a, keys_b)
-    uniq_a, inv_a = np.unique(keys_a, return_inverse=True)
-    cnt_a = np.bincount(inv_a, minlength=uniq_a.shape[0]).astype(
-        np.float64
-    )
-    sum_a = np.bincount(
-        inv_a,
-        weights=np.asarray(values_a, dtype=np.float64),
-        minlength=uniq_a.shape[0],
-    )
-    uniq_b, inv_b = np.unique(keys_b, return_inverse=True)
-    cnt_b = np.bincount(inv_b, minlength=uniq_b.shape[0]).astype(
-        np.float64
-    )
-    sum_b = np.bincount(
-        inv_b,
-        weights=np.asarray(values_b, dtype=np.float64),
-        minlength=uniq_b.shape[0],
-    )
+    uniq_a, _, cnt_a, sum_a = _signed_groups(keys_a, values_a)
+    uniq_b, _, cnt_b, sum_b = _signed_groups(keys_b, values_b)
     _, at_a, at_b = np.intersect1d(
         uniq_a, uniq_b, assume_unique=True, return_indices=True
     )
@@ -508,16 +489,158 @@ class MaintenanceReport:
     plan: Optional[MaintenancePlan]
 
 
-class MaintainedGridStats:
+@dataclass(frozen=True)
+class JoinSide:
+    """One side of a maintained view: what to read and how to key it."""
+
+    #: Array name.
+    array: str
+    #: Attributes the side reads from the payload.
+    attrs: Tuple[str, ...]
+    #: ``(coords, values) -> (keys, join_values)`` column extractor;
+    #: ``keys`` is a 1-d column, or an ``(n, d)`` position table.
+    extract: Callable[..., Tuple[np.ndarray, np.ndarray]]
+
+
+def position_side(array: str, attr: str) -> JoinSide:
+    """A position-join side: cells key on their coordinates."""
+    return JoinSide(
+        array=array,
+        attrs=(attr,),
+        extract=lambda coords, values: (coords, values[attr]),
+    )
+
+
+def equi_side(array: str, key_attr: str, value_attr: str) -> JoinSide:
+    """An equi-join side: cells key on an id attribute's values."""
+    return JoinSide(
+        array=array,
+        attrs=tuple(dict.fromkeys((key_attr, value_attr))),
+        extract=lambda coords, values: (
+            np.asarray(values[key_attr]),
+            values[value_attr],
+        ),
+    )
+
+
+class _MaintainedView:
+    """The refresh loop of a view over one or more :class:`JoinSide` s.
+
+    A subclass supplies ``state``, ``_fold(session, acc, costs, delta)``
+    (fold the sides' deltas, or rebuild from their payloads; ``None``
+    declines a delta) and ``_from_scratch(*columns)``, the oracle over
+    the sides' live columns.  ``ndim`` must be an integer ``>= 1`` and
+    ``cpu_intensity`` finite and ``> 0``, or :class:`QueryError` raises.
+    """
+
+    def __init__(
+        self, cluster, sides: Sequence[JoinSide], ndim: int,
+        cpu_intensity: float,
+    ) -> None:
+        if isinstance(cluster, ClusterSession):
+            cluster = cluster.cluster
+        self.cluster = cluster
+        self.sides = tuple(sides)
+        self.ndim = require_count("ndim", ndim)
+        self.cpu_intensity = require_positive("cpu_intensity", cpu_intensity)
+        #: Per side, the payload epoch folded up to (``-1``: unprimed).
+        self.cursors = [-1] * len(self.sides)
+
+    def _read(self, session, acc, costs, delta: bool):
+        """Charge, then gather, each side: its delta since its cursor as
+        signed cells, or all of it at ``+1``.  Returns one extracted
+        ``(keys, values, weights)`` per side, cells read, bytes charged."""
+        batches, rows, scanned = [], 0, 0.0
+        for side, cursor in zip(self.sides, self.cursors):
+            attrs = side.attrs
+            read = (
+                session.deltas_since(side.array, cursor) if delta
+                else session.chunks_of_array(side.array)
+            )
+            scanned += charge_scan(
+                acc, read, attrs, costs, self.cpu_intensity
+            )
+            if delta:
+                coords, values, weights = delta_cells(read, attrs, self.ndim)
+            else:
+                coords, values = session.array_payload(
+                    side.array, attrs, self.ndim
+                )
+                weights = np.ones(coords.shape[0], dtype=np.int64)
+            batches.append((*side.extract(coords, values), weights))
+            rows += int(coords.shape[0])
+        return batches, rows, scanned
+
+    def _plan(self, session, costs) -> MaintenancePlan:
+        """One side's planner verdict, or the sides' arms summed."""
+        plans = [
+            maintenance_plan(
+                session, side.array, cursor, side.attrs, costs,
+                self.cpu_intensity,
+            )
+            for side, cursor in zip(self.sides, self.cursors)
+        ]
+        if len(plans) == 1:
+            return plans[0]
+        delta_seconds = sum(p.delta_seconds for p in plans)
+        full_seconds = sum(p.full_seconds for p in plans)
+        return MaintenancePlan(
+            choice="delta" if delta_seconds <= full_seconds else "full",
+            delta_bytes=sum(p.delta_bytes for p in plans),
+            full_bytes=sum(p.full_bytes for p in plans),
+            delta_seconds=delta_seconds,
+            full_seconds=full_seconds,
+        )
+
+    def refresh(self) -> MaintenanceReport:
+        """Bring the view up to its arrays' pinned payload epochs.
+
+        Every side pins at one consistent global epoch
+        (:meth:`~repro.cluster.session.ClusterSession.pin`), so the
+        fold, any dirty-bucket rescan and the cursors all observe one
+        snapshot — a join never mixes a pre-mutation *a* with a
+        post-mutation *b*, and a mutation landing mid-refresh is folded
+        on the *next* cycle instead of being half-applied or skipped.
+        """
+        session = self.cluster.session().pin(
+            [side.array for side in self.sides]
+        )
+        acc = accumulator_for(session)
+        costs = session.costs
+        plan = self._plan(session, costs) if min(self.cursors) >= 0 else None
+        folded = None
+        if plan is not None and plan.incremental:
+            folded = self._fold(session, acc, costs, delta=True)
+        mode = "full" if folded is None else "delta"
+        rows, scanned = folded or self._fold(session, acc, costs, delta=False)
+        self.cursors = [
+            int(session.payload_epoch_of(side.array)) for side in self.sides
+        ]
+        return MaintenanceReport(mode, rows, scanned, acc.max_seconds(), plan)
+
+    def result(self):
+        """The maintained view (the state's ``emit``)."""
+        return self.state.emit()
+
+    def recompute(self):
+        """Full-recompute oracle over live payloads (state untouched)."""
+        session = self.cluster.session()
+        columns = []
+        for side in self.sides:
+            columns.extend(side.extract(*session.array_payload(
+                side.array, side.attrs, self.ndim
+            )))
+        return self._from_scratch(*columns)
+
+
+class MaintainedGridStats(_MaintainedView):
     """A maintained grid-statistics view over one array attribute.
 
     The incremental counterpart of a full
-    :func:`~repro.query.operators.group_stats_by_grid_arrays` sweep:
-    holds a :class:`GridGroupByState` plus an epoch ``cursor``, and each
-    :meth:`refresh` folds only the catalog delta since the cursor —
-    unless the Tempura-style planner rules the full recompute cheaper.
-    Dirty min/max groups re-aggregate from a region-scoped payload
-    gather clipped to the dirty buckets' bounding box inside ``domain``.
+    :func:`~repro.query.operators.group_stats_by_grid_arrays` sweep: a
+    :class:`GridGroupByState` over one :func:`position_side`.  Dirty
+    min/max groups re-aggregate from a region-scoped payload gather
+    clipped to the dirty buckets' bounding box inside ``domain``.
 
     Parameters
     ----------
@@ -556,155 +679,42 @@ class MaintainedGridStats:
                 "min/max maintenance needs a domain Box to bound "
                 "dirty-group rescans"
             )
-        if isinstance(cluster, ClusterSession):
-            cluster = cluster.cluster
-        self.cluster = cluster
-        self.array = array
-        self.attr = attr
-        self.ndim = int(ndim)
+        super().__init__(
+            cluster, [position_side(array, attr)], ndim, cpu_intensity
+        )
         self.domain = domain
-        self.cpu_intensity = float(cpu_intensity)
         self.state = GridGroupByState(dims, cell_sizes, track_minmax)
-        #: Epoch cursor: the payload epoch the state has folded up to.
-        #: ``-1`` means unprimed (the first refresh always recomputes).
-        self.cursor = -1
+        if max(self.state.dims) >= self.ndim:
+            raise QueryError(f"dims {dims!r} exceed ndim={ndim}")
 
-    def _dirty_region(self) -> Box:
-        lows, highs = self.state.dirty_cell_bounds()
-        lo = list(self.domain.lo)
-        hi = list(self.domain.hi)
-        for d, low, high in zip(self.state.dims, lows, highs):
-            lo[d] = max(lo[d], low)
-            hi[d] = min(hi[d], high)
-        return Box(tuple(lo), tuple(hi))
-
-    def _refresh_full(self, session, acc, costs) -> Tuple[int, float]:
-        scanned = charge_scan(
-            acc, session.chunks_of_array(self.array), [self.attr], costs,
-            self.cpu_intensity,
+    def _fold(self, session, acc, costs, delta: bool) -> Tuple[int, float]:
+        [(coords, values, weights)], rows, scanned = self._read(
+            session, acc, costs, delta
         )
-        coords, values = session.array_payload(
-            self.array, [self.attr], self.ndim
-        )
-        self.state.clear()
-        if coords.shape[0]:
-            self.state.apply(
-                coords,
-                values[self.attr],
-                np.ones(coords.shape[0], dtype=np.int64),
-            )
-        return int(coords.shape[0]), scanned
-
-    def _refresh_delta(self, session, acc, costs) -> Tuple[int, float]:
-        delta = session.deltas_since(self.array, self.cursor)
-        scanned = charge_scan(
-            acc, delta, [self.attr], costs, self.cpu_intensity
-        )
-        coords, values, weights = delta_cells(
-            delta, [self.attr], self.ndim
-        )
-        if coords.shape[0]:
-            self.state.apply(coords, values[self.attr], weights)
+        if not delta:
+            self.state.clear()
+        self.state.apply(coords, values, weights)
         if self.state.needs_rescan:
-            region = self._dirty_region()
+            side = self.sides[0]
+            lows, highs = self.state.dirty_cell_bounds()
+            lo, hi = list(self.domain.lo), list(self.domain.hi)
+            for d, low, high in zip(self.state.dims, lows, highs):
+                lo[d] = max(lo[d], low)
+                hi[d] = min(hi[d], high)
+            region = Box(tuple(lo), tuple(hi))
             scanned += charge_scan(
-                acc, session.chunks_in_region(self.array, region),
-                [self.attr], costs, self.cpu_intensity,
+                acc, session.chunks_in_region(side.array, region),
+                side.attrs, costs, self.cpu_intensity,
             )
-            live_coords, live_values = session.payload_in_region(
-                self.array, region, [self.attr], self.ndim
-            )
-            self.state.rescan(live_coords, live_values[self.attr])
-        return int(coords.shape[0]), scanned
+            self.state.rescan(*side.extract(*session.payload_in_region(
+                side.array, region, side.attrs, self.ndim
+            )))
+        return rows, scanned
 
-    def refresh(self) -> MaintenanceReport:
-        """Bring the view up to the array's pinned payload epoch.
-
-        Each refresh reads through a fresh epoch-pinned session, so the
-        delta fold, any dirty-bucket rescan, and the cursor all observe
-        one snapshot: a mutation landing mid-refresh is folded on the
-        *next* cycle instead of being half-applied or silently skipped.
-        """
-        session = self.cluster.session()
-        acc = accumulator_for(session)
-        costs = session.costs
-        plan = None
-        if self.cursor >= 0:
-            plan = maintenance_plan(
-                session, self.array, self.cursor, [self.attr],
-                costs, self.cpu_intensity,
-            )
-        if plan is not None and plan.incremental:
-            mode = "delta"
-            rows, scanned = self._refresh_delta(session, acc, costs)
-        else:
-            mode = "full"
-            rows, scanned = self._refresh_full(session, acc, costs)
-        self.cursor = int(session.payload_epoch_of(self.array))
-        return MaintenanceReport(
-            mode=mode,
-            rows=rows,
-            scanned_bytes=scanned,
-            seconds=acc.max_seconds(),
-            plan=plan,
-        )
-
-    def result(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The maintained ``(buckets, counts, sums, mins, maxs)`` view."""
-        return self.state.emit()
-
-    def recompute(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Full-recompute oracle over the live cells (state untouched)."""
-        coords, values = self.cluster.session().array_payload(
-            self.array, [self.attr], self.ndim
-        )
+    def _from_scratch(self, coords: np.ndarray, values: np.ndarray):
         return ops.group_stats_by_grid_arrays(
-            coords,
-            values[self.attr],
-            self.state.dims,
-            self.state.cell_sizes,
+            coords, values, self.state.dims, self.state.cell_sizes
         )
-
-
-@dataclass(frozen=True)
-class JoinSide:
-    """One side of a maintained join: what to read and how to key it."""
-
-    #: Array name.
-    array: str
-    #: Attributes the side reads from the payload.
-    attrs: Tuple[str, ...]
-    #: ``(coords, values) -> (keys, join_values)`` column extractor;
-    #: ``keys`` is a 1-d column, or an ``(n, d)`` position table.
-    extract: Callable[
-        [np.ndarray, Dict[str, np.ndarray]],
-        Tuple[np.ndarray, np.ndarray],
-    ]
-
-
-def position_side(array: str, attr: str) -> JoinSide:
-    """A position-join side: cells key on their coordinates."""
-    return JoinSide(
-        array=array,
-        attrs=(attr,),
-        extract=lambda coords, values: (coords, values[attr]),
-    )
-
-
-def equi_side(array: str, key_attr: str, value_attr: str) -> JoinSide:
-    """An equi-join side: cells key on an id attribute's values."""
-    return JoinSide(
-        array=array,
-        attrs=tuple(dict.fromkeys((key_attr, value_attr))),
-        extract=lambda coords, values: (
-            np.asarray(values[key_attr]),
-            values[value_attr],
-        ),
-    )
 
 
 def _declared_bounds(schema) -> Optional[np.ndarray]:
@@ -717,18 +727,19 @@ def _declared_bounds(schema) -> Optional[np.ndarray]:
     return np.array([[d.start for d in dims], ends], dtype=np.int64)
 
 
-class MaintainedJoin:
+class MaintainedJoin(_MaintainedView):
     """A maintained position/equi join aggregate between two arrays.
 
-    Holds a :class:`DeltaJoinState` plus one epoch cursor per side;
-    each :meth:`refresh` folds both sides' deltas bilinearly (side *a*
-    against the old *b* state, then side *b* against the updated *a*)
-    when the planner prices the combined delta fold cheaper than
-    rescanning both arrays — otherwise it rebuilds the state from full
-    payloads.  Position tables key as int64 under one packing fixed at
-    each rebuild from the sides' declared dimension bounds and live
-    cells; a delta that does not fit it takes the rebuild arm.
+    A :class:`DeltaJoinState` over sides *a* and *b*: the delta arm
+    folds side *a* against the old *b* state, then side *b* against the
+    updated *a*.  Position tables key as int64 under one packing fixed
+    at each rebuild from the sides' declared dimension bounds and live
+    cells — time grows every cycle, so widening on demand would re-key
+    the whole state each refresh; a delta that does not fit the packing
+    takes the rebuild arm.
     """
+
+    _from_scratch = staticmethod(join_aggregate_full)
 
     def __init__(
         self,
@@ -738,56 +749,20 @@ class MaintainedJoin:
         ndim: int,
         cpu_intensity: float = 0.8,
     ) -> None:
-        if isinstance(cluster, ClusterSession):
-            cluster = cluster.cluster
-        self.cluster = cluster
-        self.side_a = side_a
-        self.side_b = side_b
-        self.ndim = int(ndim)
-        self.cpu_intensity = float(cpu_intensity)
+        super().__init__(cluster, (side_a, side_b), ndim, cpu_intensity)
         self.state = DeltaJoinState()
         self._packing: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Per-side epoch cursors (``-1`` = unprimed).
-        self.cursors = {"a": -1, "b": -1}
-
-    def _sides(self) -> Tuple[Tuple[str, JoinSide], ...]:
-        return (("a", self.side_a), ("b", self.side_b))
 
     def _fold(
         self, session, acc, costs, delta: bool
     ) -> Optional[Tuple[int, float]]:
-        """Read every side — its delta, or all of it — then fold them;
-        ``None`` when a delta falls outside the key packing."""
-        batches = []
-        rows = 0
-        scanned = 0.0
-        for label, side in self._sides():
-            attrs = list(side.attrs)
-            if delta:
-                read = session.deltas_since(side.array, self.cursors[label])
-                scanned += charge_scan(
-                    acc, read, attrs, costs, self.cpu_intensity
-                )
-                coords, values, weights = delta_cells(
-                    read, attrs, self.ndim
-                )
-            else:
-                scanned += charge_scan(
-                    acc, session.chunks_of_array(side.array), attrs, costs,
-                    self.cpu_intensity,
-                )
-                coords, values = session.array_payload(
-                    side.array, attrs, self.ndim
-                )
-                weights = np.ones(coords.shape[0], dtype=np.int64)
-            batches.append((label, *side.extract(coords, values), weights))
-            rows += int(coords.shape[0])
-        tables = [keys for _, keys, _, _ in batches if keys.ndim == 2]
+        batches, rows, scanned = self._read(session, acc, costs, delta)
+        tables = [keys for keys, _, _ in batches if keys.ndim == 2]
         if not delta:
             self.state.clear()
             bounds = [
                 _declared_bounds(session.snapshot_of(side.array).schema)
-                for _, side in self._sides()
+                for side in self.sides
             ]
             self._packing = (
                 joint_packing(*bounds, *tables)
@@ -796,76 +771,8 @@ class MaintainedJoin:
             )
         elif not all(packing_admits(t, self._packing) for t in tables):
             return None
-        for label, keys, join_values, weights in batches:
+        for label, (keys, join_values, weights) in zip("ab", batches):
             if keys.ndim == 2:
                 keys = position_keys(keys, self._packing)
             self.state.apply(label, keys, join_values, weights)
         return rows, scanned
-
-    def refresh(self) -> MaintenanceReport:
-        """Bring the join up to both arrays' pinned payload epochs.
-
-        Both sides pin at one consistent global epoch
-        (:meth:`~repro.cluster.session.ClusterSession.pin`), so the
-        bilinear fold never mixes a pre-mutation *a* with a
-        post-mutation *b*; cursors advance to the pinned epochs.
-        """
-        session = self.cluster.session().pin(
-            [side.array for _, side in self._sides()]
-        )
-        acc = accumulator_for(session)
-        costs = session.costs
-        plan = None
-        primed = all(c >= 0 for c in self.cursors.values())
-        if primed:
-            plans = [
-                maintenance_plan(
-                    session, side.array, self.cursors[label],
-                    list(side.attrs), costs, self.cpu_intensity,
-                )
-                for label, side in self._sides()
-            ]
-            delta_seconds = sum(p.delta_seconds for p in plans)
-            full_seconds = sum(p.full_seconds for p in plans)
-            plan = MaintenancePlan(
-                choice=(
-                    "delta" if delta_seconds <= full_seconds else "full"
-                ),
-                delta_bytes=sum(p.delta_bytes for p in plans),
-                full_bytes=sum(p.full_bytes for p in plans),
-                delta_seconds=delta_seconds,
-                full_seconds=full_seconds,
-            )
-        folded = None
-        if plan is not None and plan.incremental:
-            folded = self._fold(session, acc, costs, delta=True)
-        mode = "full" if folded is None else "delta"
-        rows, scanned = folded or self._fold(
-            session, acc, costs, delta=False
-        )
-        for label, side in self._sides():
-            self.cursors[label] = int(
-                session.payload_epoch_of(side.array)
-            )
-        return MaintenanceReport(
-            mode=mode,
-            rows=rows,
-            scanned_bytes=scanned,
-            seconds=acc.max_seconds(),
-            plan=plan,
-        )
-
-    def result(self) -> Dict[str, float]:
-        """The maintained ``{"pairs", "product_sum"}`` aggregates."""
-        return self.state.emit()
-
-    def recompute(self) -> Dict[str, float]:
-        """Full-recompute oracle over live payloads (state untouched)."""
-        session = self.cluster.session()
-        columns = []
-        for _, side in self._sides():
-            coords, values = session.array_payload(
-                side.array, list(side.attrs), self.ndim
-            )
-            columns.extend(side.extract(coords, values))
-        return join_aggregate_full(*columns)

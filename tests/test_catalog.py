@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 from repro.arrays import Box, ChunkData, ChunkRef, parse_schema
 from repro.arrays.array import chunk_cells
 from repro.arrays.storage import ChunkStore
-from repro.config import parity
 from repro.arrays.coords import pack_rows_void
 from repro.cluster import (
     CostParameters,
@@ -51,7 +50,6 @@ from repro.core.catalog import ChunkCatalog, _ArrayView, concat_payload
 from repro.errors import (
     ChunkError,
     ClusterError,
-    ConfigError,
     StorageError,
 )
 from tests.oracles import (
@@ -692,11 +690,6 @@ class TestCatalogInternals:
         assert read.sizes.tolist() == [c.size_bytes for c, _ in pairs]
         assert read.nodes.tolist() == [n for _, n in pairs]
         assert read.schema is SCHEMAS["A"]
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            with parity(catalog="scan"):
-                pass  # pragma: no cover
 
     def test_concat_payload_empty(self):
         coords, values = concat_payload(read_of([]), ["v"], ndim=3)

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import ChunkData, parse_schema
-from repro.config import parity
-from repro.errors import ConfigError, QueryError
+from repro.errors import QueryError
 from repro.harness.runner import ExperimentRunner, RunConfig
 from repro.query import AisKnn, ais_suite, modis_suite
 from repro.query.cost import (
@@ -339,13 +338,6 @@ class TestKnnAccountingParity:
         assert len(set(ref_members[0].tolist())) > 1
         for got, want in zip(members, ref_members):
             assert np.array_equal(got, want)
-
-
-class TestCostModeSwitch:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            with parity(cost="scalar"):
-                pass  # pragma: no cover
 
 
 # ----------------------------------------------------------------------

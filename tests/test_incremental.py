@@ -14,8 +14,9 @@ Covers the maintenance contract:
 * an unprimed cursor forces the recompute arm and still matches,
   including through the figure-8 retention staircase with the planner
   pinned to "full" from the test side;
-* the mergeable state objects enforce their own invariants (dirty
-  extrema refuse to emit, negative counts raise, unknown sides raise).
+* the mergeable state objects and the views enforce their own
+  invariants (dirty extrema refuse to emit, negative counts, unknown
+  sides and hostile constructor arguments raise).
 """
 
 import numpy as np
@@ -26,9 +27,8 @@ from hypothesis import strategies as st
 from repro.arrays import Box, ChunkData, parse_schema
 from repro.arrays.coords import pack_rows_void, position_keys, row_packing
 from repro.cluster import CostParameters, ElasticCluster, GB
-from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.errors import ConfigError, QueryError
+from repro.errors import QueryError
 from repro.harness import figure8_retention, incremental_churn
 from repro.query import incremental
 from repro.query import operators as ops
@@ -146,7 +146,7 @@ class TestPureRelocation:
         cluster.ingest(list(batch.values()))
         view = _grid_view(cluster)
         view.refresh()
-        cursor = view.cursor
+        cursor = view.cursors[0]
         state = view.state
         counts_column = view.state.counts    # backing array identity
         epoch_before = cluster.catalog.epoch_of("A")
@@ -198,7 +198,9 @@ class TestPlannerDecision:
         cluster.ingest([
             _chunk("A", 9, 1, 1, 1.0), _chunk("A", 9, 2, 2, 2.0),
         ])
-        plan = maintenance_plan(cluster.session(), "A", view.cursor, ["v"])
+        plan = maintenance_plan(
+            cluster.session(), "A", view.cursors[0], ["v"]
+        )
         assert plan.incremental
         assert plan.delta_bytes < plan.full_bytes
         report = view.refresh()
@@ -223,7 +225,9 @@ class TestPlannerDecision:
                 float(rng.lognormal(2, 1)),
             )
         cluster.ingest(list(batch.values()))
-        plan = maintenance_plan(cluster.session(), "A", view.cursor, ["v"])
+        plan = maintenance_plan(
+            cluster.session(), "A", view.cursors[0], ["v"]
+        )
         # the delta carries every expiry at -1 plus every ingest at +1,
         # ≈2× the live bytes: full recompute must win
         assert not plan.incremental
@@ -236,13 +240,15 @@ class TestPlannerDecision:
         cluster, _ = self._loaded()
         view = _grid_view(cluster)
         view.refresh()
-        plan = maintenance_plan(cluster.session(), "A", view.cursor, ["v"])
+        plan = maintenance_plan(
+            cluster.session(), "A", view.cursors[0], ["v"]
+        )
         assert plan.incremental
         assert plan.delta_bytes == 0.0
         assert plan.delta_seconds == 0.0
 
 
-class TestParityOracleMode:
+class TestForcedFullArm:
     """The full-recompute arm, forced from the test side, still matches."""
 
     def test_full_mode_forces_recompute_arm(self):
@@ -251,16 +257,11 @@ class TestParityOracleMode:
         view = _grid_view(cluster)
         view.refresh()
         cluster.ingest([_chunk("A", 1, 2, 2, 4.0)])
-        view.cursor = -1                     # unprimed: no delta to fold
+        view.cursors[0] = -1                 # unprimed: no delta to fold
         report = view.refresh()
         assert report.mode == "full"
         assert report.plan is None           # planner never consulted
         _assert_grid_parity(view)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            with parity(incr="full"):
-                pass  # pragma: no cover
 
     def test_staircase_parity_both_modes(self, monkeypatch):
         # figure8_retention verifies incremental ≡ recompute inline
@@ -277,9 +278,7 @@ class TestParityOracleMode:
                     patch.setattr(
                         incremental, "maintenance_plan", always_full
                     )
-                result = figure8_retention(
-                    cycles=8, verify_incremental=True
-                )
+                result = figure8_retention(cycles=8)
             if mode == "full":
                 assert set(result.maintenance_modes) == {"full"}
             else:
@@ -362,6 +361,38 @@ class TestStateInvariants:
             MaintainedGridStats(
                 cluster, "A", "v", dims=(1, 2), cell_sizes=(4, 4),
                 ndim=3, domain=None,
+            )
+
+    @pytest.mark.parametrize("name, bad", [
+        ("cpu_intensity", dict(cpu_intensity=float("nan"))),
+        ("cpu_intensity", dict(cpu_intensity=float("inf"))),
+        ("cpu_intensity", dict(cpu_intensity=-1.0)),
+        ("cell_sizes", dict(cell_sizes=(0, 0))),
+        ("cell_sizes", dict(cell_sizes=(-4, 4))),
+        ("dims", dict(dims=(5,), cell_sizes=(4,))),
+        ("dims", dict(dims=(1, 2), cell_sizes=(4,))),
+        ("ndim", dict(ndim=0)),
+    ], ids=[
+        "cpu-nan", "cpu-inf", "cpu-negative", "cell-zero",
+        "cell-negative", "dim-past-ndim", "dims-unpaired", "ndim-zero",
+    ])
+    def test_grid_view_rejects_hostile_arguments(self, name, bad):
+        cluster = _make_cluster("round_robin")
+        with pytest.raises(QueryError, match=name):
+            _grid_view(cluster, **bad)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("cpu_intensity", dict(cpu_intensity=float("nan"))),
+        ("cpu_intensity", dict(cpu_intensity=float("inf"))),
+        ("cpu_intensity", dict(cpu_intensity=-1.0)),
+        ("ndim", dict(ndim=0)),
+    ], ids=["cpu-nan", "cpu-inf", "cpu-negative", "ndim-zero"])
+    def test_join_view_rejects_hostile_arguments(self, name, bad):
+        cluster = _make_cluster("round_robin")
+        with pytest.raises(QueryError, match=name):
+            MaintainedJoin(
+                cluster, position_side("A", "v"), position_side("B", "v"),
+                **{"ndim": 3, **bad},
             )
 
     def test_join_state_rejects_unknown_side(self):

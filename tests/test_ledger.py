@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from repro.arrays import Box, ChunkRef
-from repro.config import parity
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.ledger import ArrayChunkLedger
-from repro.errors import ConfigError
 from tests.oracles import DictChunkLedger, Move
 from tests.helpers import columns, placements, split_of
 
@@ -73,9 +71,6 @@ class TestLedgerSelection:
             assert isinstance(_make(name, "array")._ledger, ArrayChunkLedger)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            with parity(ledger="dict"):
-                pass  # pragma: no cover
         with pytest.raises(TypeError):
             make_partitioner("round_robin", [0], ledger="dict")
 

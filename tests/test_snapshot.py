@@ -344,6 +344,16 @@ class TestSpillChurnSnapshotReads:
             assert s["resident_bytes"] <= 25.0 + 1e-6
 
 
+#: Retired parity fields, each with a value it used to accept.
+RETIRED_SWITCHES = [
+    ("catalog", "scan"),
+    ("cost", "scalar"),
+    ("ledger", "dict"),
+    ("incr", "full"),
+    ("storage", "memory"),
+]
+
+
 class TestParityConfig:
     def test_defaults_and_current(self, monkeypatch):
         from repro import config
@@ -406,23 +416,22 @@ class TestParityConfig:
         with pytest.raises(ConfigError):
             ParityConfig(exec="sideways")
 
+    @pytest.mark.parametrize("field, value", RETIRED_SWITCHES)
+    def test_retired_field_rejected(self, field, value):
+        from repro import config
+
+        with pytest.raises(ConfigError):
+            with parity(**{field: value}):
+                pass  # pragma: no cover
+        with pytest.raises(ConfigError):
+            config.mode(field)
+
     def test_retired_switches_are_gone(self, tmp_path, monkeypatch):
         from repro import config
         from repro.cluster import TieredStorage
 
         assert set(config.PARITY_FIELDS) == {"exec"}
-        for field, value in (
-            ("cost", "scalar"),
-            ("ledger", "dict"),
-            ("catalog", "scan"),
-            ("incr", "full"),
-            ("storage", "memory"),
-        ):
-            with pytest.raises(ConfigError):
-                with parity(**{field: value}):
-                    pass  # pragma: no cover
-            with pytest.raises(ConfigError):
-                config.mode(field)
+        for field, value in RETIRED_SWITCHES:
             monkeypatch.setenv(f"REPRO_{field.upper()}", value)
         # The old variables are inert: a tiered cluster still writes its
         # segment directories and recovers from them.

@@ -17,6 +17,7 @@ from repro.cluster.metrics import relative_std
 from repro.core.consistent_hash import ConsistentHashPartitioner
 from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.core.uniform_range import UniformRangePartitioner
+from tests.helpers import columns
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 
@@ -46,8 +47,8 @@ def test_ablation_vnodes(benchmark):
             p = ConsistentHashPartitioner(
                 list(range(8)), virtual_nodes=vnodes
             )
-            for ref, _size in _chunks():
-                p.place(ref, 1.0)
+            refs = [ref for ref, _size in _chunks()]
+            p.place_batch(refs, [1.0] * len(refs))
             counts = [len(p.chunks_on(n)) for n in p.nodes]
             spreads[vnodes] = relative_std(counts)
         return spreads
@@ -68,8 +69,7 @@ def test_ablation_tree_height(benchmark):
             p = UniformRangePartitioner(
                 [0, 1], GRID, height=height, split_dims=(1, 2)
             )
-            for ref, size in _chunks():
-                p.place(ref, size)
+            p.place_batch(*columns(_chunks()))
             plan = p.scale_out([2, 3, 4, 5])
             rsd = relative_std(list(p.node_loads().values()))
             out[height] = (rsd, plan.chunk_count)
@@ -92,8 +92,7 @@ def test_ablation_quadtree_pairs(benchmark):
             p = IncrementalQuadtreePartitioner(
                 [0], GRID, split_dims=(1, 2), allow_pairs=allow_pairs
             )
-            for ref, size in _chunks(skew=True):
-                p.place(ref, size)
+            p.place_batch(*columns(_chunks(skew=True)))
             total = p.total_bytes
             p.scale_out([1])
             loads = p.node_loads()

@@ -54,6 +54,7 @@ from tests.oracles import (
     concat_payload_per_chunk,
     execute_rebalance_scalar,
     halo_shuffle_bytes_scalar,
+    place_scalar,
 )
 from tests.helpers import columns as columns_of, read_of
 
@@ -100,7 +101,7 @@ def test_placement_throughput(benchmark, name):
             name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=1e12
         )
         for ref, size in refs:
-            p.place(ref, size)
+            place_scalar(p, ref, size)
         return p
 
     p = benchmark(place_all)

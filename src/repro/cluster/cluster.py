@@ -18,11 +18,9 @@ the specification of the session's reads and live in
 
 from __future__ import annotations
 
-import math
 import os
 import weakref
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkRef
@@ -43,7 +41,7 @@ from repro.core.base import ElasticPartitioner
 from repro.core.catalog import ChunkCatalog
 from repro.config import mode as parity_mode
 from repro.core.provisioner import LeadingStaircase
-from repro.errors import ClusterError
+from repro.errors import ClusterError, require_count, require_positive
 
 
 @dataclass(frozen=True)
@@ -120,15 +118,9 @@ class ElasticCluster:
         ledger_compact_ratio: Optional[float] = 0.5,
         storage: Optional[TieredStorage] = None,
     ) -> None:
-        if (
-            isinstance(node_capacity_bytes, bool)
-            or not isinstance(node_capacity_bytes, Real)
-            or not 0 < node_capacity_bytes < math.inf
-        ):
-            raise ClusterError(
-                "node_capacity_bytes must be finite and > 0, got "
-                f"{node_capacity_bytes!r}"
-            )
+        capacity = require_positive(
+            "node_capacity_bytes", node_capacity_bytes, ClusterError
+        )
         if costs is None:
             costs = CostParameters.from_env()
         if ledger_compact_ratio is not None and not (
@@ -138,7 +130,7 @@ class ElasticCluster:
                 "ledger_compact_ratio must be in [0, 1] or None"
             )
         self.partitioner = partitioner
-        self.node_capacity_bytes = float(node_capacity_bytes)
+        self.node_capacity_bytes = capacity
         self.costs = costs
         self.provisioner = provisioner
         self.ledger_compact_ratio = ledger_compact_ratio
@@ -378,14 +370,8 @@ class ElasticCluster:
         compaction runs when the dead-slot ratio exceeds
         ``ledger_compact_ratio``.
         """
-        if (
-            isinstance(count, bool)
-            or not isinstance(count, Integral)
-            or count < 1
-        ):
-            raise ClusterError(f"count must be an integer >= 1, got {count!r}")
         new_ids = []
-        for _ in range(count):
+        for _ in range(require_count("count", count, ClusterError)):
             node_id = self._next_node_id
             self._next_node_id += 1
             self.nodes[node_id] = self._make_node(node_id)

@@ -17,10 +17,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkRef
 from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, require_positive
 
 
 class AppendPartitioner(ElasticPartitioner):
@@ -43,26 +42,14 @@ class AppendPartitioner(ElasticPartitioner):
         node_capacity_bytes: float,
     ) -> None:
         super().__init__(nodes)
-        if node_capacity_bytes <= 0:
-            raise PartitioningError(
-                f"node capacity must be positive, got {node_capacity_bytes}"
-            )
-        self.node_capacity_bytes = float(node_capacity_bytes)
+        self.node_capacity_bytes = require_positive(
+            "node_capacity_bytes", node_capacity_bytes, PartitioningError
+        )
         self._cursor = 0
 
     @property
     def cursor_node(self) -> NodeId:
         """The node currently receiving new chunks."""
-        return self._nodes[self._cursor]
-
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        # Advance past full nodes; stop at the last node regardless.
-        while (
-            self._cursor < len(self._nodes) - 1
-            and self._ledger.load_of(self._nodes[self._cursor]) + size_bytes
-            > self.node_capacity_bytes
-        ):
-            self._cursor += 1
         return self._nodes[self._cursor]
 
     def _place_split(self, split):
@@ -72,7 +59,8 @@ class AppendPartitioner(ElasticPartitioner):
         batch-ordered bytes that land on it, starting from its load:
         ``cumsum`` adds left to right like the ledger's ``+=``, so the
         first prefix over capacity marks the same crossing chunk, bit
-        for bit, as sequential :meth:`place`.  Merges count where they
+        for bit, as a per-chunk walk that advances the cursor past every
+        node the next chunk would overflow.  Merges count where they
         land: a known ref onto its node, a duplicate onto the node its
         first occurrence took.
         """

@@ -1,15 +1,17 @@
 """Elastic partitioner framework.
 
 A partitioner owns the *partitioning table* of a growing array database: it
-decides which node receives each newly inserted chunk (:meth:`place`) and,
-when the cluster scales out, which chunks move where
-(:meth:`scale_out` → :class:`RebalancePlan`).
+decides which node receives each newly inserted chunk
+(:meth:`~ElasticPartitioner.place_batch`) and, when the cluster scales
+out, which chunks move where (:meth:`~ElasticPartitioner.scale_out` →
+:class:`RebalancePlan`).
 
 The base class keeps the authoritative bookkeeping — chunk→node assignment,
 chunk sizes, per-node byte loads — so that every concrete algorithm only
 implements two decisions:
 
-* ``_locate(ref)``: the node the current partitioning table maps a chunk to.
+* ``_place_split(split)``: the nodes of a batch's first-time chunks under
+  the current partitioning table.
 * ``_extend(new_nodes)``: update the table for newly added nodes and return
   the moves it implies, as one :class:`RebalancePlan`.
 
@@ -20,9 +22,12 @@ are newly added nodes (paper §4.1).
 Batch placement contract
 ------------------------
 :meth:`ElasticPartitioner.place_batch` routes a whole insert batch through
-the partitioner in one call.  Its semantics are defined by equivalence to
-calling :meth:`place` sequentially in batch order — including duplicate
-refs within one batch, which merge into their first placement:
+the partitioner in one call (the coordinator receives inserts in bulk,
+paper §3.4).  Its semantics are defined by equivalence to placing the
+items one at a time in batch order, each first-time chunk by its
+scheme's per-chunk rule and each known ref merged onto its current node
+— including duplicate refs within one batch, which merge into their
+first placement:
 
 * the chunk→node assignment, the owners of the returned ids, and every
   per-chunk size are **bit-identical** to the sequential outcome;
@@ -30,16 +35,18 @@ refs within one batch, which merge into their first placement:
   may differ in the last float ulps, because the batch path is free to
   accumulate them in a different order (vectorized reductions);
 * when a batch fails validation mid-way, an override may have applied a
-  different prefix than the scalar loop — the ledger stays internally
-  consistent, but the exact partial state is unspecified.
+  different prefix than the sequential loop — the ledger stays
+  internally consistent, but the exact partial state is unspecified.
 
-The specification is sequential :meth:`place`.  ``place_batch`` runs on
-columns: :meth:`ElasticPartitioner._partition_batch` splits the batch
-into index columns (a :class:`BatchSplit`), the scheme chooses the nodes
-of its first-time refs in one vectorized or amortized call
-(``_place_split``), and the table commits the split and returns one
-table id per item.  ``tests/test_batch_parity.py`` checks the
-equivalence for every registered scheme.
+The specification is the sequential ``place_scalar`` in
+``tests/oracles/partitioners.py``, which keeps each scheme's per-chunk
+decision rule.  ``place_batch`` runs on columns:
+:meth:`ElasticPartitioner._partition_batch` splits the batch into index
+columns (a :class:`BatchSplit`), the scheme chooses the nodes of its
+first-time refs in one vectorized or amortized call (``_place_split``),
+and the table commits the split and returns one table id per item.
+``tests/test_batch_parity.py`` checks the equivalence for every
+registered scheme.
 
 Ledger invariants
 -----------------
@@ -53,8 +60,9 @@ interned exactly once.  The table is redundant by design and must stay
 consistent at every public-method boundary:
 
 * ``sum(sizes) == total_bytes`` — the running counter updated by
-  :meth:`place` / :meth:`update_size` / :meth:`remove` (relocations move
-  bytes between nodes but never change the total).
+  :meth:`~ElasticPartitioner.place_batch` and
+  :meth:`~ElasticPartitioner.remove` (relocations move bytes between
+  nodes but never change the total).
 * ``sum(loads) == total_bytes`` and ``loads[n] == sum of sizes of chunks
   assigned to n``.
 * every assigned chunk's node is in ``nodes``.
@@ -342,29 +350,6 @@ class ElasticPartitioner(ABC):
         ranges.  Must not move existing chunks.  The default is a no-op.
         """
 
-    def place(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        """Assign a chunk to a node and record its bytes.
-
-        Placing an already-known chunk models a merge into an existing
-        physical chunk: the bytes are added on its current node and no
-        relocation happens (SciDB's no-overwrite store appends, it never
-        rewrites).
-
-        Returns:
-            The node id that received the chunk.
-        """
-        if not 0.0 <= size_bytes < math.inf:
-            raise PartitioningError(
-                f"invalid chunk size {size_bytes} for {ref}"
-            )
-        existing = self._ledger.get_node(ref)
-        if existing is not None:
-            self._merge_existing(ref, float(size_bytes), existing)
-            return existing
-        node = self._place_new(ref, float(size_bytes))
-        self._commit_new(ref, float(size_bytes), node)
-        return node
-
     def place_batch(
         self,
         refs: Sequence[ChunkRef],
@@ -373,8 +358,8 @@ class ElasticPartitioner(ABC):
     ) -> np.ndarray:
         """Place a whole insert batch; return each item's table id.
 
-        Semantically equivalent to calling :meth:`place` once per item in
-        batch order (see the module docstring's batch contract): known
+        Equivalent to placing the items one at a time in batch order
+        (see the module docstring's batch contract): known
         refs merge onto their current node, duplicates within the batch
         into their first placement (and share its id).  ``keys`` are the
         refs' key rows when the caller has them; the table stores them.
@@ -502,15 +487,6 @@ class ElasticPartitioner(ABC):
                 )
         return plan
 
-    def update_size(self, ref: ChunkRef, delta_bytes: float) -> None:
-        """Grow (or shrink) the recorded bytes of an existing chunk."""
-        current = self.size_of(ref)  # raises if never placed
-        if current + delta_bytes < 0:
-            raise PartitioningError(
-                f"chunk {ref} size would become negative"
-            )
-        self._ledger.update_size(ref, delta_bytes)
-
     def compact_ledger(self, min_dead_fraction: float = 0.0) -> bool:
         """Reclaim dead ledger slots left by removed chunks.
 
@@ -545,14 +521,9 @@ class ElasticPartitioner(ABC):
     # subclass responsibilities
     # ------------------------------------------------------------------
     @abstractmethod
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        """Choose the node for a chunk seen for the first time."""
-
-    @abstractmethod
     def _place_split(self, split: BatchSplit) -> Sequence[NodeId]:
-        """The nodes of ``split``'s first-time refs, in batch order: one
-        :meth:`_place_new` per ``split.first`` item (plus what merges
-        update), for every batch."""
+        """The nodes of ``split``'s first-time refs, in batch order (and
+        whatever scheme state the batch's merges update)."""
 
     @abstractmethod
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
@@ -566,26 +537,8 @@ class ElasticPartitioner(ABC):
         """
 
     # ------------------------------------------------------------------
-    # ledger primitives (shared by place and the place_batch overrides)
+    # ledger primitives
     # ------------------------------------------------------------------
-    def _merge_existing(
-        self, ref: ChunkRef, size_bytes: float, node: NodeId
-    ) -> NodeId:
-        """Add bytes to an already-placed chunk on its current node."""
-        self._ledger.merge(ref, size_bytes)
-        return node
-
-    def _commit_new(
-        self, ref: ChunkRef, size_bytes: float, node: NodeId
-    ) -> NodeId:
-        """Record a first-time placement decided by the subclass."""
-        if not self._ledger.has_node(node):
-            raise PartitioningError(
-                f"{self.name} placed {ref} on unknown node {node}"
-            )
-        self._ledger.commit_new(ref, size_bytes, node)
-        return node
-
     def _forget(
         self, ref: ChunkRef, size_bytes: float, node: NodeId
     ) -> None:
@@ -642,8 +595,8 @@ class ElasticPartitioner(ABC):
 
         ``nodes`` holds the node of each ``split.first`` item.
         Assignments and per-chunk sizes come out bit-identical to
-        sequential :meth:`place`; loads and the total may reassociate
-        (the module docstring's batch contract).
+        sequential placement; loads and the total may reassociate (the
+        module docstring's batch contract).
         """
         uniq, first = np.unique(nodes, return_index=True)
         for node in uniq[np.argsort(first)].tolist():

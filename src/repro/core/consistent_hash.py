@@ -23,7 +23,7 @@ from repro.arrays.chunk import ChunkRef
 from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.hashing import hash_chunk_ref, hash_node_point
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, require_count
 
 DEFAULT_VIRTUAL_NODES = 64
 
@@ -47,11 +47,9 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
     ) -> None:
         super().__init__(nodes)
-        if virtual_nodes < 1:
-            raise PartitioningError(
-                f"virtual_nodes must be >= 1, got {virtual_nodes}"
-            )
-        self.virtual_nodes = int(virtual_nodes)
+        self.virtual_nodes = require_count(
+            "virtual_nodes", virtual_nodes, PartitioningError
+        )
         self._ring: List[Tuple[int, NodeId]] = []
         # Parallel numpy views of the sorted ring, rebuilt lazily after
         # inserts, so batch lookups are one searchsorted instead of a
@@ -89,16 +87,6 @@ class ConsistentHashPartitioner(ElasticPartitioner):
             self._hash_cache[ref] = h
         return h
 
-    def owner_of(self, ref: ChunkRef) -> NodeId:
-        """Ring lookup: first node clockwise from the chunk's position."""
-        if not self._ring:
-            raise PartitioningError("empty hash ring")
-        h = self._hash_of(ref)
-        idx = bisect.bisect_right(self._ring, (h, float("inf")))
-        if idx == len(self._ring):
-            idx = 0  # wrap around the circle
-        return self._ring[idx][1]
-
     def _owners_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Batch ring lookup: one searchsorted over all chunk hashes."""
         if not self._ring:
@@ -109,16 +97,13 @@ class ConsistentHashPartitioner(ElasticPartitioner):
             dtype=np.uint64,
             count=len(refs),
         )
-        # side="right" matches bisect_right with the (h, inf) sentinel:
-        # a chunk colliding with a ring point belongs to the next arc.
+        # side="right": a chunk colliding with a ring point belongs to
+        # the next arc.
         pos = np.searchsorted(points, hashes, side="right")
         pos[pos == len(points)] = 0  # wrap around the circle
         return ring_nodes[pos]
 
     # ------------------------------------------------------------------
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        return self.owner_of(ref)
-
     def _place_split(self, split):
         """Amortized batch placement: ring positions of every new ref
         are resolved with a single vectorized searchsorted."""

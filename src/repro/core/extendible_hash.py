@@ -99,23 +99,6 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
         return self._buckets[self._directory[slot]]
 
     # ------------------------------------------------------------------
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        bucket = self.bucket_for(ref)
-        bucket.members.add(ref)
-        bucket.bytes += size_bytes
-        return bucket.node
-
-    # Keep the invariant ``bucket.bytes == sum of member ledger sizes``:
-    # scale-out splits and :meth:`remove` subtract full ledger sizes, so
-    # merges and size updates must credit the bucket too.
-    def _merge_existing(self, ref, size_bytes, node):
-        self.bucket_for(ref).bytes += size_bytes
-        return super()._merge_existing(ref, size_bytes, node)
-
-    def update_size(self, ref: ChunkRef, delta_bytes: float) -> None:
-        super().update_size(ref, delta_bytes)
-        self.bucket_for(ref).bytes += delta_bytes
-
     def _place_split(self, split):
         """Amortized batch placement: placement never changes the
         directory, so each new chunk pays one hash + two lookups."""
@@ -129,8 +112,8 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
             bucket.members.add(ref)
             bucket.bytes += size
             commit_nodes.append(bucket.node)
-        # Merges credit their bucket too (bucket.bytes mirrors the
-        # ledger), matching the scalar path's _merge_existing override.
+        # Merges credit their bucket too: ``bucket.bytes`` mirrors the
+        # member ledger sizes, which scale-out splits and removes debit.
         merges = split.merges
         sizes = split.sizes[merges].tolist()
         for ref, size in zip(split.refs[merges].tolist(), sizes):

@@ -224,9 +224,6 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         self._bounds = bounds
         self._range_nodes = list(self._nodes)
 
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        return self._owner_of_index(self.curve_index(ref))
-
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         return RebalancePlan.concat(
             [self._split_heaviest_onto(n) for n in new_nodes]

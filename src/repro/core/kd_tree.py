@@ -20,13 +20,11 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
 from repro.core.base import (
     ElasticPartitioner,
     NodeId,
     RebalancePlan,
-    check_key_arity,
     grid_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
@@ -169,10 +167,6 @@ class KdTreePartitioner(ElasticPartitioner):
         return owners
 
     # ------------------------------------------------------------------
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        check_key_arity(ref, self.grid.ndim)
-        return self.locate_key(ref.key)
-
     def _place_split(self, split):
         """Vectorized batch placement via :meth:`locate_keys`; per-ref
         scalar descent when a key coordinate does not fit int64."""

@@ -249,11 +249,6 @@ class ArrayChunkLedger:
         node_list = self._node_list
         return {r: node_list[node[i]] for r, i in self._id_of.items()}
 
-    def refs_on(self, node: NodeId) -> List[ChunkRef]:
-        """Refs assigned to one node (column-scan order)."""
-        on = self._node[: self._hwm] == self._slot_of[node]
-        return self._refs[: self._hwm][on].tolist()
-
     def ids_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """Dense ids of many interned refs (KeyError on an unknown one)."""
         return np.fromiter(
@@ -313,45 +308,7 @@ class ArrayChunkLedger:
         rank = np.argsort(np.argsort(np.array(arrays)))
         return np.lexsort((*self._key[ids][:, ::-1].T, rank[codes]))
 
-    def sizes_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """Bulk byte sizes of many refs (one column gather)."""
-        return self._size[self.ids_of(refs)]
-
-    def key_column(
-        self, refs: Sequence[ChunkRef], dim: int
-    ) -> np.ndarray:
-        """Bulk chunk-key coordinates of many refs along one dimension."""
-        if self._keys_ok and self._key is not None:
-            return self._key[self.ids_of(refs), dim]
-        return np.fromiter(
-            (r.key[dim] for r in refs), dtype=np.int64, count=len(refs)
-        )
-
     # -- mutation ------------------------------------------------------
-    def commit_new(
-        self, ref: ChunkRef, size_bytes: float, node: NodeId
-    ) -> None:
-        """Intern ``ref`` to a fresh (or recycled) id on ``node``."""
-        i = int(self._alloc(1)[0])
-        slot = self._slot_of[node]
-        self._id_of[ref] = i
-        self._refs[i] = ref
-        self._size[i] = size_bytes
-        self._node[i] = slot
-        self._store_keys(np.array([i], dtype=np.int64), [ref])
-        self._load[slot] += size_bytes
-        self._count[slot] += 1
-        self._total += size_bytes
-
-    def merge(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        """Add bytes to an already-placed chunk; returns its node."""
-        i = self._id_of[ref]
-        slot = int(self._node[i])
-        self._size[i] += size_bytes
-        self._load[slot] += size_bytes
-        self._total += size_bytes
-        return self._node_list[slot]
-
     def remove(self, ref: ChunkRef) -> Tuple[NodeId, float]:
         """Drop a chunk; its id joins the free list for reuse."""
         i = self._id_of.pop(ref)
@@ -392,15 +349,6 @@ class ArrayChunkLedger:
         self._count -= np.bincount(src_slots, minlength=m)
         self._node[ids] = dst_slots
         self._load[self._count == 0] = 0.0  # emptied sources, as remove
-
-    def update_size(self, ref: ChunkRef, delta_bytes: float) -> NodeId:
-        """Grow/shrink a chunk's recorded bytes; returns its node."""
-        i = self._id_of[ref]
-        slot = int(self._node[i])
-        self._size[i] += delta_bytes
-        self._load[slot] += delta_bytes
-        self._total += delta_bytes
-        return self._node_list[slot]
 
     def commit_batch(self, split, nodes: np.ndarray) -> np.ndarray:
         """Apply a :class:`~repro.core.base.BatchSplit` (``nodes``: one

@@ -32,7 +32,6 @@ from repro.core.base import (
     ElasticPartitioner,
     NodeId,
     RebalancePlan,
-    check_key_arity,
     grid_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
@@ -126,19 +125,8 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
             keys, self.grid.lo, np.asarray(self.grid.hi) - 1
         )
 
-    def locate_key(self, key: Sequence[int]) -> NodeId:
-        """Owner of the cell containing (the clamped) ``key``."""
-        clamped = self._clamp(key)
-        for node in sorted(self._cells):
-            for box in self._cells[node]:
-                if box.contains(clamped):
-                    return node
-        raise PartitioningError(
-            f"quadtree cells do not tile the grid (key {key})"
-        )
-
     def locate_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Owners of many keys at once: :meth:`locate_key` over rows.
+        """Owners of many keys at once: each row's cell owner.
 
         Clamps the ``(n, ndim)`` int64 key array onto the grid, then
         paints owners with one box mask per cell of :meth:`all_cells`.
@@ -155,10 +143,6 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
         ]
 
     # ------------------------------------------------------------------
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        check_key_arity(ref, self.grid.ndim)
-        return self.locate_key(ref.key)
-
     def _place_split(self, split):
         """Batch placement via :meth:`locate_keys`."""
         return self.locate_keys(self._clamped_keys(split.new_refs()))

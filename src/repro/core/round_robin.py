@@ -30,12 +30,6 @@ class RoundRobinPartitioner(ElasticPartitioner):
         self._counter = 0
         self._ordinal: Dict[ChunkRef, int] = {}
 
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        ordinal = self._counter
-        self._counter += 1
-        self._ordinal[ref] = ordinal
-        return self._nodes[ordinal % len(self._nodes)]
-
     def _place_split(self, split):
         """Amortized batch placement: arrival ordinals of the batch's
         new refs are assigned arithmetically in one bulk update

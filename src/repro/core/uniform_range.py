@@ -30,11 +30,10 @@ from repro.core.base import (
     ElasticPartitioner,
     NodeId,
     RebalancePlan,
-    check_key_arity,
     grid_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, require_count
 
 DEFAULT_HEIGHT = 8
 
@@ -104,10 +103,8 @@ class UniformRangePartitioner(ElasticPartitioner):
         split_dims: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__(nodes)
-        if height < 1:
-            raise PartitioningError(f"height must be >= 1, got {height}")
+        self.height = require_count("height", height, PartitioningError)
         self.grid = grid
-        self.height = int(height)
         self.split_dims = (
             tuple(range(grid.ndim)) if split_dims is None
             else tuple(sorted({int(d) for d in split_dims}))
@@ -184,15 +181,13 @@ class UniformRangePartitioner(ElasticPartitioner):
             return []
         keys = grid_keys(refs, self.grid.ndim)
         if keys is None:  # beyond-int64 keys
-            return [self._place_new(r, 0.0) for r in refs]
+            return [
+                self._leaf_owner[self.leaf_index_of(r.key)] for r in refs
+            ]
         owners = np.asarray(self._leaf_owner)
         return owners[self.leaf_indices_of(keys)].tolist()
 
     # ------------------------------------------------------------------
-    def _place_new(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        check_key_arity(ref, self.grid.ndim)
-        return self._leaf_owner[self.leaf_index_of(ref.key)]
-
     def _place_split(self, split):
         """Batch placement via :meth:`leaf_indices_of`."""
         return self._owners_of(split.new_refs())

@@ -8,6 +8,10 @@ misuse of numpy, for instance) from domain failures.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
+from typing import Type
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -72,3 +76,46 @@ class ConfigError(ReproError):
 
 class WorkloadError(ReproError):
     """Raised by workload generators for invalid configurations."""
+
+
+def require_count(name: str, value: int, error: Type[ReproError]) -> int:
+    """``value`` as an int, or ``error`` unless it is an integer ``>= 1``
+    (a count of samples, days, ring points, tree levels, ...)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Integral)
+        or value < 1
+    ):
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def require_positive(
+    name: str, value: float, error: Type[ReproError]
+) -> float:
+    """``value`` as a float, or ``error`` unless it is a finite real
+    ``> 0``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def require_fraction(
+    name: str, value: float, error: Type[ReproError], *, zero_ok: bool
+) -> float:
+    """``value`` as a float, or ``error`` unless it is a real in
+    ``[0, 1]`` (``(0, 1]`` without ``zero_ok``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not (0 <= value <= 1 and (zero_ok or value > 0))
+    ):
+        interval = "[0, 1]" if zero_ok else "(0, 1]"
+        raise error(
+            f"{name} must be finite and in {interval}, got {value!r}"
+        )
+    return float(value)

@@ -20,14 +20,11 @@ the session's reads.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from numbers import Integral, Real
 from typing import Iterable, List, Union
 
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.session import ClusterSession
-from repro.errors import QueryError
 from repro.query.cost import CostAccumulator, charge_io
 from repro.query.result import QueryResult
 
@@ -66,45 +63,6 @@ class Query(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name})"
-
-
-def require_count(name: str, value: int) -> int:
-    """``value`` as an int, or :class:`QueryError` unless it is an
-    integer ``>= 1`` (a query parameter counting samples, days, ...)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Integral)
-        or value < 1
-    ):
-        raise QueryError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def require_positive(name: str, value: float) -> float:
-    """``value`` as a float, or :class:`QueryError` unless it is a
-    finite real ``> 0``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Real)
-        or not (math.isfinite(value) and value > 0)
-    ):
-        raise QueryError(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
-
-
-def require_fraction(name: str, value: float, *, zero_ok: bool) -> float:
-    """``value`` as a float, or :class:`QueryError` unless it is a real
-    in ``[0, 1]`` (``(0, 1]`` without ``zero_ok``)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Real)
-        or not (0 <= value <= 1 and (zero_ok or value > 0))
-    ):
-        interval = "[0, 1]" if zero_ok else "(0, 1]"
-        raise QueryError(
-            f"{name} must be finite and in {interval}, got {value!r}"
-        )
-    return float(value)
 
 
 def _run_charged(

@@ -62,7 +62,7 @@ from repro.arrays.coords import (
 )
 from repro.cluster.session import ClusterSession
 from repro.core.catalog import concat_payload
-from repro.errors import QueryError
+from repro.errors import QueryError, require_count, require_positive
 from repro.query import operators as ops
 from repro.query.cost import (
     MaintenancePlan,
@@ -70,7 +70,6 @@ from repro.query.cost import (
     charge_scan,
     maintenance_plan,
 )
-from repro.query.executor import require_count, require_positive
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +193,7 @@ class GridGroupByState:
     ) -> None:
         self.dims = tuple(int(d) for d in dims)
         self.cell_sizes = tuple(
-            require_count("cell_sizes", s) for s in cell_sizes
+            require_count("cell_sizes", s, QueryError) for s in cell_sizes
         )
         dims_ok = self.dims and min(self.dims) >= 0
         if not dims_ok or len(self.dims) != len(self.cell_sizes):
@@ -541,8 +540,10 @@ class _MaintainedView:
             cluster = cluster.cluster
         self.cluster = cluster
         self.sides = tuple(sides)
-        self.ndim = require_count("ndim", ndim)
-        self.cpu_intensity = require_positive("cpu_intensity", cpu_intensity)
+        self.ndim = require_count("ndim", ndim, QueryError)
+        self.cpu_intensity = require_positive(
+            "cpu_intensity", cpu_intensity, QueryError
+        )
         #: Per side, the payload epoch folded up to (``-1``: unprimed).
         self.cursors = [-1] * len(self.sides)
 

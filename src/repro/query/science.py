@@ -29,6 +29,7 @@ from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import Box, region_mask
 from repro.cluster.session import ClusterSession
 from repro.core.catalog import Read
+from repro.errors import QueryError, require_count, require_positive
 from repro.query import operators as ops
 from repro.query.cost import (
     accumulator_for,
@@ -40,12 +41,7 @@ from repro.query.cost import (
     node_byte_sums,
     sum_endpoint_bytes,
 )
-from repro.query.executor import (
-    CATEGORY_SCIENCE,
-    Query,
-    require_count,
-    require_positive,
-)
+from repro.query.executor import CATEGORY_SCIENCE, Query
 from repro.query.result import QueryResult
 from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE, AisWorkload
 from repro.workloads.modis import ModisWorkload
@@ -79,7 +75,7 @@ class ModisRollingAverage(Query):
 
     def __init__(self, workload: ModisWorkload, days: int = 3) -> None:
         self.workload = workload
-        self.days = require_count("days", days)
+        self.days = require_count("days", days, QueryError)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         lo = max(1, cycle - self.days + 1)
@@ -147,8 +143,10 @@ class ModisKMeans(Query):
         self, workload: ModisWorkload, k: int = 4, iterations: int = 8
     ) -> None:
         self.workload = workload
-        self.k = require_count("k", k)
-        self.iterations = require_count("iterations", iterations)
+        self.k = require_count("k", k, QueryError)
+        self.iterations = require_count(
+            "iterations", iterations, QueryError
+        )
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         # Both bands route through the catalog's key-interval test; one
@@ -253,7 +251,7 @@ class ModisWindowAggregate(Query):
 
     def __init__(self, workload: ModisWorkload, window: int = 6) -> None:
         self.workload = workload
-        self.window = require_count("window", window)
+        self.window = require_count("window", window, QueryError)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         day = cycle - 1
@@ -310,7 +308,9 @@ class AisDensityMap(Query):
         self, workload: AisWorkload, coarse_degrees: int = 8
     ) -> None:
         self.workload = workload
-        self.coarse_degrees = require_count("coarse_degrees", coarse_degrees)
+        self.coarse_degrees = require_count(
+            "coarse_degrees", coarse_degrees, QueryError
+        )
 
     @property
     def grid_cell_sizes(self) -> Tuple[int, int]:
@@ -371,8 +371,8 @@ class AisKnn(Query):
         self, workload: AisWorkload, samples: int = 56, k: int = 5
     ) -> None:
         self.workload = workload
-        self.samples = require_count("samples", samples)
-        self.k = require_count("k", k)
+        self.samples = require_count("samples", samples, QueryError)
+        self.k = require_count("k", k, QueryError)
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         # The benchmarks refer to the newest data more frequently (§3.3,
@@ -559,8 +559,12 @@ class AisCollisionPrediction(Query):
         radius_deg: float = 0.5,
     ) -> None:
         self.workload = workload
-        self.minutes_ahead = require_positive("minutes_ahead", minutes_ahead)
-        self.radius_deg = require_positive("radius_deg", radius_deg)
+        self.minutes_ahead = require_positive(
+            "minutes_ahead", minutes_ahead, QueryError
+        )
+        self.radius_deg = require_positive(
+            "radius_deg", radius_deg, QueryError
+        )
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         latest = cycle * TIME_CHUNKS_PER_CYCLE - 1

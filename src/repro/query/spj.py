@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.session import ClusterSession
+from repro.errors import QueryError, require_fraction
 from repro.query import operators as ops
 from repro.query.cost import (
     accumulator_for,
@@ -30,7 +31,7 @@ from repro.query.cost import (
     elapsed_time,
     node_byte_sums,
 )
-from repro.query.executor import CATEGORY_SPJ, Query, require_fraction
+from repro.query.executor import CATEGORY_SPJ, Query
 from repro.query.result import QueryResult
 from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE, AisWorkload
 from repro.workloads.modis import ModisWorkload
@@ -90,9 +91,11 @@ class ModisQuantileSort(Query):
     ) -> None:
         self.workload = workload
         self.sample_fraction = require_fraction(
-            "sample_fraction", sample_fraction, zero_ok=False
+            "sample_fraction", sample_fraction, QueryError, zero_ok=False
         )
-        self.qs = tuple(require_fraction("qs", q, zero_ok=True) for q in qs)
+        self.qs = tuple(
+            require_fraction("qs", q, QueryError, zero_ok=True) for q in qs
+        )
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         # Whole-array query: cost prices the pinned read's byte/owner

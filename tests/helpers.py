@@ -3,7 +3,8 @@
 :meth:`ElasticPartitioner.place_batch` takes a ref column and a size
 column and returns table ids; tests written over ``(ref, size)`` item
 lists go through :func:`columns` and :func:`placements`, and ledger
-tests commit the :func:`split_of` such a list.
+tests commit the :func:`split_of` such a list (one row at a time:
+:func:`commit_row`).
 :func:`~repro.core.catalog.concat_payload` gathers a
 :class:`~repro.core.catalog.Read`; tests that gather hand-picked chunk
 lists build one with :func:`read_of`.
@@ -47,6 +48,14 @@ def split_of(ledger, items: Sequence[Tuple[ChunkRef, float]]) -> BatchSplit:
         column, np.asarray(sizes, dtype=np.float64), None,
         np.asarray(origin, dtype=np.int64), np.asarray(known, dtype=bool),
         np.asarray(first, dtype=np.int64), np.asarray(merges, dtype=np.int64),
+    )
+
+
+def commit_row(ledger, ref: ChunkRef, size: float, node: int):
+    """Commit one chunk to ``ledger`` through a one-row ``commit_batch``:
+    first-time onto ``node``, a known ref merged onto its own node."""
+    return ledger.commit_batch(
+        split_of(ledger, [(ref, size)]), np.array([node], dtype=np.int64)
     )
 
 

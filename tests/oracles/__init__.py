@@ -116,7 +116,11 @@ from tests.oracles.parallel import (
     serial_kmeans,
     serial_knn_mean,
 )
-from tests.oracles.partitioners import try_split_scalar
+from tests.oracles.partitioners import (
+    locate_key_scalar,
+    place_scalar,
+    try_split_scalar,
+)
 from tests.oracles.rebalance import (
     Move,
     bytes_by_dest_scalar,
@@ -131,6 +135,10 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (ArrayChunkLedger, DictChunkLedger, "same"),
     # ingest
     (chunk_cells, chunk_cells_scalar, "same"),
+    # placement: one chunk at a time through each scheme's rule
+    (ElasticPartitioner.place_batch, place_scalar, "lowered"),
+    (IncrementalQuadtreePartitioner.locate_keys, locate_key_scalar,
+     "lowered"),
     # the Incremental Quadtree's split: per-chunk tally and give
     (IncrementalQuadtreePartitioner._try_split, try_split_scalar, "same"),
     # rebalance plans: one Move and one ledger write per chunk, and the

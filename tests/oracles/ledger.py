@@ -13,7 +13,7 @@ replays a call one :meth:`DictChunkLedger.relocate` at a time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,10 +91,6 @@ class DictChunkLedger:
         """A copy of the full chunk → node map."""
         return dict(self._assignment)
 
-    def refs_on(self, node: NodeId) -> List[ChunkRef]:
-        """Refs assigned to one node (iteration order)."""
-        return [r for r, n in self._assignment.items() if n == node]
-
     def ids_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
         """The "ids" of placed refs: the refs (KeyError on an unknown one)."""
         for ref in refs:
@@ -106,8 +102,8 @@ class DictChunkLedger:
         return _column(self._assignment)
 
     def ids_on(self, node: NodeId) -> np.ndarray:
-        """The refs assigned to one node."""
-        return _column(self.refs_on(node))
+        """The refs assigned to one node (iteration order)."""
+        return _column([r for r, n in self._assignment.items() if n == node])
 
     def refs_at(self, ids: np.ndarray) -> np.ndarray:
         """The refs of ids (they are the refs)."""
@@ -121,7 +117,10 @@ class DictChunkLedger:
 
     def sizes_at(self, ids: np.ndarray) -> np.ndarray:
         """Recorded bytes of every ref."""
-        return self.sizes_of(list(ids))
+        sizes = self._sizes
+        return np.fromiter(
+            (sizes[r] for r in ids), dtype=np.float64, count=len(ids)
+        )
 
     def keys_of(self, ids: np.ndarray) -> np.ndarray:
         """Chunk keys of every ref as ``(n, ndim)`` int64 rows."""
@@ -137,39 +136,7 @@ class DictChunkLedger:
             dtype=np.int64,
         )
 
-    def sizes_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """Bulk byte sizes of many placed refs."""
-        sizes = self._sizes
-        return np.fromiter(
-            (sizes[r] for r in refs), dtype=np.float64, count=len(refs)
-        )
-
-    def key_column(
-        self, refs: Sequence[ChunkRef], dim: int
-    ) -> np.ndarray:
-        """Bulk chunk-key coordinates of many refs along one dimension."""
-        return np.fromiter(
-            (r.key[dim] for r in refs), dtype=np.int64, count=len(refs)
-        )
-
     # -- mutation ------------------------------------------------------
-    def commit_new(
-        self, ref: ChunkRef, size_bytes: float, node: NodeId
-    ) -> None:
-        """Record a first-time placement of ``ref`` on ``node``."""
-        self._assignment[ref] = node
-        self._sizes[ref] = size_bytes
-        self._loads[node] += size_bytes
-        self._total += size_bytes
-
-    def merge(self, ref: ChunkRef, size_bytes: float) -> NodeId:
-        """Add bytes to an already-placed chunk; returns its node."""
-        node = self._assignment[ref]
-        self._sizes[ref] += size_bytes
-        self._loads[node] += size_bytes
-        self._total += size_bytes
-        return node
-
     def remove(self, ref: ChunkRef) -> Tuple[NodeId, float]:
         """Drop a chunk; returns ``(node it held, its bytes)``."""
         node = self._assignment.pop(ref)
@@ -206,14 +173,6 @@ class DictChunkLedger:
         self._loads[source] -= size
         self._loads[dest] += size
         return source, size
-
-    def update_size(self, ref: ChunkRef, delta_bytes: float) -> NodeId:
-        """Grow/shrink a chunk's recorded bytes; returns its node."""
-        node = self._assignment[ref]
-        self._sizes[ref] += delta_bytes
-        self._loads[node] += delta_bytes
-        self._total += delta_bytes
-        return node
 
     # -- compaction (no-ops: dicts do not fragment) --------------------
     @property

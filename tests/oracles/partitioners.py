@@ -1,24 +1,159 @@
-"""The per-chunk Incremental Quadtree split: the spec the masked one matches.
+"""Per-chunk partitioner paths: the specs the batch paths match.
 
-Moved verbatim from ``repro.core.quadtree``: one clamped ``Box.contains``
-scan per donor chunk to tally bytes per child cell, then one more per
-chunk to pick the chunks the new host receives.
-``tests/test_range_partitioners.py`` swaps :func:`try_split_scalar` in
-for :meth:`IncrementalQuadtreePartitioner._try_split` through the
+Sequential placement, moved from ``repro.core.base`` and the eight
+schemes once every insert went through ``place_batch``:
+:func:`place_scalar` is ``ElasticPartitioner.place``, and ``_PLACE_NEW``
+holds each scheme's ``_place_new`` rule for a chunk seen for the first
+time.  A known ref merges its bytes onto its current node; Extendible
+Hash credits its bucket too.  Either way the table takes the chunk
+through its one-row ``commit_batch``.
+``tests/test_batch_parity.py`` compares ``place_batch`` against a loop
+of :func:`place_scalar` for every scheme.
+
+The per-chunk Incremental Quadtree split, moved from
+``repro.core.quadtree``: one clamped ``Box.contains`` scan per donor
+chunk to tally bytes per child cell, then one more per chunk to pick the
+chunks the new host receives.  ``tests/test_range_partitioners.py``
+swaps :func:`try_split_scalar` in for
+:meth:`IncrementalQuadtreePartitioner._try_split` through the
 ``oracles`` fixture and compares the rebalance plans move for move.
 The chosen chunks move one :func:`tests.oracles.rebalance.relocate_scalar`
 at a time, and their moves become the split's column plan.
+:func:`locate_key_scalar` is the quadtree's cell lookup for one key.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import bisect
+import math
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.arrays.coords import Box
-from repro.core.base import NodeId, RebalancePlan
+from repro.core.base import (
+    ElasticPartitioner,
+    NodeId,
+    RebalancePlan,
+    check_key_arity,
+)
+from repro.errors import PartitioningError
 
 from tests.oracles.rebalance import Move, relocate_scalar
+
+
+def place_scalar(
+    p: ElasticPartitioner, ref: ChunkRef, size_bytes: float
+) -> NodeId:
+    """Assign a chunk to a node and record its bytes.
+
+    Placing an already-known chunk models a merge into an existing
+    physical chunk: the bytes are added on its current node and no
+    relocation happens (SciDB's no-overwrite store appends, it never
+    rewrites).
+
+    Returns:
+        The node id that received the chunk.
+    """
+    if not 0.0 <= size_bytes < math.inf:
+        raise PartitioningError(
+            f"invalid chunk size {size_bytes} for {ref}"
+        )
+    split = p._partition_batch([ref], [size_bytes])
+    existing = p._ledger.get_node(ref)
+    if existing is not None:
+        if p.name == "extendible_hash":
+            # Keep the invariant ``bucket.bytes == sum of member ledger
+            # sizes``: scale-out splits and remove subtract full ledger
+            # sizes, so merges must credit the bucket too.
+            p.bucket_for(ref).bytes += float(size_bytes)
+        p._commit_batch(split, np.empty(0, dtype=np.int64))
+        return existing
+    node = _PLACE_NEW[p.name](p, ref, float(size_bytes))
+    p._commit_batch(split, np.array([node], dtype=np.int64))
+    return node
+
+
+def _append(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    # Advance past full nodes; stop at the last node regardless.
+    while (
+        p._cursor < len(p._nodes) - 1
+        and p._ledger.load_of(p._nodes[p._cursor]) + size_bytes
+        > p.node_capacity_bytes
+    ):
+        p._cursor += 1
+    return p._nodes[p._cursor]
+
+
+def _round_robin(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    ordinal = p._counter
+    p._counter += 1
+    p._ordinal[ref] = ordinal
+    return p._nodes[ordinal % len(p._nodes)]
+
+
+def _consistent_hash(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    """Ring lookup: first node clockwise from the chunk's position."""
+    if not p._ring:
+        raise PartitioningError("empty hash ring")
+    h = p._hash_of(ref)
+    idx = bisect.bisect_right(p._ring, (h, float("inf")))
+    if idx == len(p._ring):
+        idx = 0  # wrap around the circle
+    return p._ring[idx][1]
+
+
+def _extendible_hash(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    bucket = p.bucket_for(ref)
+    bucket.members.add(ref)
+    bucket.bytes += size_bytes
+    return bucket.node
+
+
+def _uniform_range(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    check_key_arity(ref, p.grid.ndim)
+    return p._leaf_owner[p.leaf_index_of(ref.key)]
+
+
+def _hilbert_curve(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    return p._owner_of_index(p.curve_index(ref))
+
+
+def _kd_tree(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    check_key_arity(ref, p.grid.ndim)
+    return p.locate_key(ref.key)
+
+
+def _incremental_quadtree(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+    check_key_arity(ref, p.grid.ndim)
+    return locate_key_scalar(p, ref.key)
+
+
+#: Each scheme's choice of node for a chunk seen for the first time.
+_PLACE_NEW: Dict[str, Callable[..., NodeId]] = {
+    "append": _append,
+    "round_robin": _round_robin,
+    "consistent_hash": _consistent_hash,
+    "extendible_hash": _extendible_hash,
+    "uniform_range": _uniform_range,
+    "hilbert_curve": _hilbert_curve,
+    "kd_tree": _kd_tree,
+    "incremental_quadtree": _incremental_quadtree,
+}
+
+
+def locate_key_scalar(self, key: Sequence[int]) -> NodeId:
+    """``IncrementalQuadtreePartitioner.locate_key``: the owner of the
+    cell containing (the clamped) ``key``."""
+    clamped = self._clamp(key)
+    for node in sorted(self._cells):
+        for box in self._cells[node]:
+            if box.contains(clamped):
+                return node
+    raise PartitioningError(
+        f"quadtree cells do not tile the grid (key {key})"
+    )
 
 
 def try_split_scalar(

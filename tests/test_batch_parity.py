@@ -7,15 +7,15 @@ Covers the tentpole contract of the vectorized hot paths:
   fallback when the index space exceeds int64).
 * :meth:`RectangleHilbert.index_batch` ≡ :meth:`RectangleHilbert.index`,
   including overflow-epoch coordinates beyond the declared extents.
-* :meth:`ElasticPartitioner.place_batch` ≡ sequential
-  :meth:`ElasticPartitioner.place` for every registered scheme,
+* :meth:`ElasticPartitioner.place_batch` ≡ a sequential loop of
+  :func:`tests.oracles.place_scalar` for every registered scheme,
   including duplicate refs within one batch, and at a node capacity
   small enough that Append's fill cursor crosses nodes mid-batch —
   with merges onto the cursor node and onto nodes ahead of it.
 * The grid schemes reject a key of the wrong arity with a
   :class:`ChunkError`, on the scalar and the batch path alike.
 * The running ``total_bytes`` counter stays equal to the size ledger
-  through place / update_size / remove.
+  through placements and removes.
 """
 
 import numpy as np
@@ -32,6 +32,7 @@ from repro.arrays.sfc import (
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import ChunkError, PartitioningError
 from tests.helpers import columns, placements
+from tests.oracles import place_scalar
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 #: Small enough that Append's cursor crosses three of four nodes inside
@@ -195,7 +196,7 @@ class TestPlaceBatchParity:
         bat = make_partitioner(
             name, [0, 1, 2, 3], grid=GRID, node_capacity_bytes=capacity
         )
-        expected = {ref: seq.place(ref, size) for ref, size in items}
+        expected = {ref: place_scalar(seq, ref, size) for ref, size in items}
         placed = placements(bat, items)
         # Assignments, placements, and per-chunk sizes are bit-exact.
         assert placed == expected
@@ -220,7 +221,7 @@ class TestPlaceBatchParity:
             name, [0, 1], grid=GRID, node_capacity_bytes=capacity
         )
         ref0, size0 = items[0]
-        first = p.place(ref0, size0)
+        first = place_scalar(p, ref0, size0)
         placed = placements(p, items[1:])
         # The scalar-placed chunk keeps its node; batch merges agree.
         assert p.locate(ref0) == first
@@ -291,7 +292,7 @@ class TestAppendFillWalk:
         entries = [(pool[i], s, n) for i, (s, n) in adopted.items()]
         seq.adopt_batch(entries)
         bat.adopt_batch(entries)
-        expected = {ref: seq.place(ref, s) for ref, s in batch}
+        expected = {ref: place_scalar(seq, ref, s) for ref, s in batch}
         assert placements(bat, batch) == expected
         assert bat.assignment() == seq.assignment()
         assert bat.cursor_node == seq.cursor_node
@@ -316,7 +317,7 @@ class TestKeyArity:
         bad = ChunkRef("a", key)
         with pytest.raises(ChunkError) as info:
             if path == "place":
-                p.place(bad, 1.0)
+                place_scalar(p, bad, 1.0)
             else:  # ragged beside a good key
                 p.place_batch([ChunkRef("a", (1, 2, 3)), bad], [1.0, 1.0])
         assert str(bad) in str(info.value)
@@ -336,10 +337,7 @@ class TestRunningTotalAndRemove:
         )
         p.place_batch(*columns(items))
         assert p.total_bytes == pytest.approx(self._ledger_total(p))
-        some = list(p.assignment())[:20]
-        for ref in some[:10]:
-            p.update_size(ref, 3.5)
-        for ref in some[10:]:
+        for ref in list(p.assignment())[10:20]:
             removed_from = p.remove(ref)
             assert removed_from in p.nodes
         assert p.total_bytes == pytest.approx(self._ledger_total(p))
@@ -358,18 +356,17 @@ class TestRunningTotalAndRemove:
             p.remove(ChunkRef("a", (0, 0, 0)))
 
     def test_extendible_bucket_bytes_track_ledger(self):
-        """bucket.bytes must mirror member ledger sizes through merges,
-        size updates, and removes (scale-out splits subtract full
-        ledger sizes, so a drifting bucket counter corrupts them)."""
+        """bucket.bytes must mirror member ledger sizes through merges
+        and removes (scale-out splits subtract full ledger sizes, so a
+        drifting bucket counter corrupts them)."""
         p = make_partitioner(
             "extendible_hash", [0, 1], grid=GRID,
             node_capacity_bytes=1e12,
         )
         ref = ChunkRef("a", (1, 2, 3))
-        p.place(ref, 100.0)
-        p.place(ref, 50.0)           # merge via scalar path
+        place_scalar(p, ref, 100.0)
+        place_scalar(p, ref, 50.0)    # merge via the sequential spec
         p.place_batch([ref], [25.0])  # merge via batch path
-        p.update_size(ref, 10.0)
         for b in p.buckets():
             assert b.bytes == pytest.approx(
                 sum(p.size_of(m) for m in b.members)
@@ -385,10 +382,10 @@ class TestRunningTotalAndRemove:
                 name, [0, 1], grid=GRID, node_capacity_bytes=1e12
             )
             ref = ChunkRef("a", (1, 2, 3))
-            p.place(ref, 10.0)
+            p.place_batch([ref], [10.0])
             p.remove(ref)
             assert p.chunk_count == 0
-            node = p.place(ref, 4.0)
+            (node,) = p.table.owners(p.place_batch([ref], [4.0])).tolist()
             assert node in p.nodes
             assert p.size_of(ref) == 4.0
             assert p.total_bytes == pytest.approx(4.0)

@@ -738,7 +738,7 @@ class TestCatalogInternals:
         partitioner = table_partitioner()
         catalog = ChunkCatalog(partitioner.table)
         placed = _chunk("A", 0, 0, 0, 10.0)
-        partitioner.place(placed.ref(), placed.size_bytes)
+        partitioner.place_batch([placed.ref()], [placed.size_bytes])
         with pytest.raises(ClusterError):
             catalog.put_batch([placed, _chunk("A", 1, 0, 0, 10.0)])
         assert catalog.chunk_count == 0

@@ -31,7 +31,7 @@ from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.catalog import _NO_EXTENT, _ArrayView, concat_payload
 from repro.errors import ChunkError, ClusterError, PartitioningError
 from tests.conftest import make_cluster
-from tests.oracles import concat_payload_per_chunk
+from tests.oracles import concat_payload_per_chunk, place_scalar
 
 A = parse_schema("A<i:int32, j:double>[x=1:40,4, y=1:40,4]")
 B = parse_schema("B<v:double>[x=1:40,4, y=1:40,4]")
@@ -346,7 +346,7 @@ class TestNonFiniteSizes:
                              node_capacity_bytes=1e12)
         good, bad = ChunkRef("A", (1, 1)), ChunkRef("A", (2, 2))
         with pytest.raises(PartitioningError, match="chunk size"):
-            p.place(bad, size)
+            place_scalar(p, bad, size)
         with pytest.raises(PartitioningError, match=str(bad)):
             p.place_batch([good, bad, bad], [1.0, size, size])
         assert p.chunk_count == 0 and p.total_bytes == 0.0

@@ -3,8 +3,8 @@
 The array-backed chunk ledger (interned ref ids + numpy columns) must be
 observationally identical to the dict ledger it replaced
 (``tests/oracles/ledger.py``) through every public
-partitioner operation — placement (scalar and batch, with duplicates),
-merges, size updates, removals, relocation, and scale-out — for every
+partitioner operation — placement (sequential and batch, with
+duplicates), merges, removals, relocation, and scale-out — for every
 registered scheme.  Per-chunk state is bit-exact; per-node loads and the
 running total agree up to float reassociation (the documented batch
 contract).
@@ -16,8 +16,8 @@ import pytest
 from repro.arrays import Box, ChunkRef
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.ledger import ArrayChunkLedger
-from tests.oracles import DictChunkLedger, Move
-from tests.helpers import columns, placements, split_of
+from tests.oracles import DictChunkLedger, Move, place_scalar
+from tests.helpers import columns, commit_row, placements, split_of
 
 GRID = Box((0, 0, 0), (40, 29, 23))
 
@@ -92,16 +92,12 @@ class TestLedgerParity:
         arr.place_batch(*columns(items[:250]))
         dic.place_batch(*columns(items[:250]))
         for ref, size in items[250:300]:
-            assert arr.place(ref, size) == dic.place(ref, size)
+            assert place_scalar(arr, ref, size) == place_scalar(dic, ref, size)
         survivors = sorted(
             dic.assignment(), key=lambda r: (r.array, r.key)
         )
         for ref in survivors[::7]:
             assert arr.remove(ref) == dic.remove(ref)
-        for ref in survivors[1::11]:
-            if ref in dic.assignment():
-                arr.update_size(ref, 5.5)
-                dic.update_size(ref, 5.5)
         arr.place_batch(*columns(items[300:]))
         dic.place_batch(*columns(items[300:]))
         _assert_same_state(arr, dic)
@@ -139,7 +135,7 @@ class TestArrayLedgerInternals:
         led = self._ledger()
         refs = [ChunkRef("a", (i, 0, 0)) for i in range(10)]
         for i, ref in enumerate(refs):
-            led.commit_new(ref, float(i + 1), i % 2)
+            commit_row(led, ref, float(i + 1), i % 2)
         hwm_before = led._hwm
         for ref in refs[:4]:
             led.remove(ref)
@@ -155,9 +151,9 @@ class TestArrayLedgerInternals:
         rng = np.random.default_rng(5)
         refs = [ChunkRef("a", (i, 1, 2)) for i in range(50)]
         for ref in refs:
-            led.commit_new(ref, float(rng.lognormal(2, 1)), 0)
+            commit_row(led, ref, float(rng.lognormal(2, 1)), 0)
         for ref in refs[::5]:
-            led.merge(ref, 3.25)
+            commit_row(led, ref, 3.25, 0)  # a merge
         for ref in refs[1::9]:
             led.remove(ref)
         alive = [r for r in refs if led.contains(r)]
@@ -168,23 +164,23 @@ class TestArrayLedgerInternals:
 
     def test_key_column_and_mixed_arity_fallback(self):
         led = self._ledger()
-        led.commit_new(ChunkRef("a", (3, 4, 5)), 1.0, 0)
-        led.commit_new(ChunkRef("a", (6, 7, 8)), 1.0, 1)
         refs = [ChunkRef("a", (3, 4, 5)), ChunkRef("a", (6, 7, 8))]
-        assert led.key_column(refs, 1).tolist() == [4, 7]
+        commit_row(led, refs[0], 1.0, 0)
+        commit_row(led, refs[1], 1.0, 1)
+        assert led.keys_of(led.ids_of(refs))[:, 1].tolist() == [4, 7]
         assert led._keys_ok
         # A ref with a different arity disables the dense key column
         # but bulk reads must still work through the tuple fallback.
-        led.commit_new(ChunkRef("b", (1, 2)), 1.0, 0)
+        commit_row(led, ChunkRef("b", (1, 2)), 1.0, 0)
         assert not led._keys_ok
-        assert led.key_column(refs, 0).tolist() == [3, 6]
+        assert led.keys_of(led.ids_of(refs))[:, 0].tolist() == [3, 6]
 
     @pytest.mark.parametrize("ledger", [ArrayChunkLedger, DictChunkLedger])
     def test_emptied_nodes_and_ledger_hold_exact_zeros(self, ledger):
         led = ledger((0, 1))
         refs = [ChunkRef("a", (i, 0, 0)) for i in range(3)]
         for ref, size in zip(refs, (0.1, 0.2, 0.3)):
-            led.commit_new(ref, size, 0)
+            commit_row(led, ref, size, 0)
         assert 0.1 + 0.2 + 0.3 - 0.1 - 0.2 - 0.3 != 0.0  # float residue
         led.relocate_many(led.ids_of(refs), np.array([1, 1, 1]))
         assert led.load_of(0) == 0.0  # not the subtraction's residue
@@ -196,8 +192,8 @@ class TestArrayLedgerInternals:
     def test_refs_on_matches_assignment(self):
         led = self._ledger()
         for i in range(20):
-            led.commit_new(ChunkRef("a", (i, 0, 0)), 1.0, i % 2)
-        on0 = set(led.refs_on(0))
+            commit_row(led, ChunkRef("a", (i, 0, 0)), 1.0, i % 2)
+        on0 = set(led.refs_at(led.ids_on(0)).tolist())
         assert on0 == {
             r for r, n in led.assignment().items() if n == 0
         }
@@ -208,14 +204,14 @@ class TestArrayLedgerInternals:
         led = ArrayChunkLedger([-1, 0])
         refs = [ChunkRef("a", (i, 0, 0)) for i in range(3)]
         for i, ref in enumerate(refs):
-            led.commit_new(ref, 1.0, -1 if i % 2 == 0 else 0)
+            commit_row(led, ref, 1.0, -1 if i % 2 == 0 else 0)
         led.remove(refs[0])
-        assert led.refs_on(-1) == [refs[2]]
-        assert led.refs_on(0) == [refs[1]]
+        assert led.refs_at(led.ids_on(-1)).tolist() == [refs[2]]
+        assert led.refs_at(led.ids_on(0)).tolist() == [refs[1]]
         assert led.node_of(refs[2]) == -1
         oracle = DictChunkLedger([-1, 0])
         for i, ref in enumerate(refs):
-            oracle.commit_new(ref, 1.0, -1 if i % 2 == 0 else 0)
+            commit_row(oracle, ref, 1.0, -1 if i % 2 == 0 else 0)
         oracle.remove(refs[0])
         assert led.assignment() == oracle.assignment()
 

@@ -3,7 +3,7 @@
 Covers the ISSUE-3 compaction contract:
 
 * property test — compaction at random points of a random op sequence
-  (scalar/batch placement, merges, removals, size updates, scale-out)
+  (sequential/batch placement, merges, removals, scale-out)
   leaves every observable (assignment, sizes, key columns, loads,
   totals) identical to a never-compacted dict-ledger twin, for every
   registered partitioning scheme;
@@ -28,8 +28,8 @@ from repro.core.ledger import ArrayChunkLedger
 from repro.errors import ClusterError, PartitioningError
 from repro.harness.runner import ExperimentRunner, RunConfig
 from repro.workloads import ModisWorkload
-from tests.oracles import DictChunkLedger, Move
-from tests.helpers import placements, split_of
+from tests.oracles import DictChunkLedger, Move, place_scalar
+from tests.helpers import commit_row, placements, split_of
 
 GRID = Box((0, 0, 0), (64, 16, 16))
 
@@ -63,14 +63,11 @@ def _assert_same_observables(array_p, dict_p):
     assert array_p.chunk_count == dict_p.chunk_count
     refs = sorted(dict_p.assignment(), key=lambda r: (r.array, r.key))
     if refs:
-        assert array_p.table.sizes_of(refs).tolist() == pytest.approx(
-            dict_p.table.sizes_of(refs).tolist()
-        )
-        for dim in range(3):
-            assert np.array_equal(
-                array_p.table.key_column(refs, dim),
-                dict_p.table.key_column(refs, dim),
-            )
+        tables = array_p.table, dict_p.table
+        sizes = [t.sizes_at(t.ids_of(refs)).tolist() for t in tables]
+        assert sizes[0] == pytest.approx(sizes[1])
+        keys = [t.keys_of(t.ids_of(refs)) for t in tables]
+        assert np.array_equal(*keys)
     for node, load in dict_p.node_loads().items():
         assert array_p.load_of(node) == pytest.approx(load, rel=1e-9)
     assert array_p.total_bytes == pytest.approx(
@@ -87,8 +84,8 @@ class TestCompactionProperty:
         seed=st.integers(0, 2**31),
         script=st.lists(
             st.sampled_from(
-                ["batch", "place", "remove", "update", "grow",
-                 "compact", "compact_hard"]
+                ["batch", "place", "remove", "grow", "compact",
+                 "compact_hard"]
             ),
             min_size=4,
             max_size=14,
@@ -110,7 +107,9 @@ class TestCompactionProperty:
             elif op == "place":
                 take = int(rng.integers(1, 10))
                 for ref, size in items[cursor:cursor + take]:
-                    assert arr.place(ref, size) == dic.place(ref, size)
+                    assert place_scalar(arr, ref, size) == place_scalar(
+                        dic, ref, size
+                    )
                 cursor += take
             elif op == "remove":
                 refs = sorted(
@@ -118,13 +117,6 @@ class TestCompactionProperty:
                 )
                 for ref in refs[:: max(1, len(refs) // 5)][:8]:
                     assert arr.remove(ref) == dic.remove(ref)
-            elif op == "update":
-                refs = sorted(
-                    dic.assignment(), key=lambda r: (r.array, r.key)
-                )
-                for ref in refs[:5]:
-                    arr.update_size(ref, 2.25)
-                    dic.update_size(ref, 2.25)
             elif op == "grow":
                 ids = [next_node]
                 next_node += 1
@@ -151,7 +143,7 @@ class TestArrayLedgerCompact:
         led = ArrayChunkLedger([0, 1])
         refs = [ChunkRef("a", (i, 0, 0)) for i in range(n)]
         for i, ref in enumerate(refs):
-            led.commit_new(ref, float(i + 1), i % 2)
+            commit_row(led, ref, float(i + 1), i % 2)
         removed = refs[::remove_every]
         for ref in removed:
             led.remove(ref)
@@ -172,17 +164,23 @@ class TestArrayLedgerCompact:
 
     def test_compact_preserves_observables(self):
         led, survivors = self._churned()
+        def sizes():
+            return led.sizes_at(led.ids_of(survivors)).tolist()
+
+        def keys():
+            return led.keys_of(led.ids_of(survivors))[:, 0].tolist()
+
         before = {
             "assignment": led.assignment(),
-            "sizes": led.sizes_of(survivors).tolist(),
-            "keys": led.key_column(survivors, 0).tolist(),
+            "sizes": sizes(),
+            "keys": keys(),
             "loads": led.node_loads(),
             "total": led.total_bytes,
         }
         assert led.compact() is True
         assert led.assignment() == before["assignment"]
-        assert led.sizes_of(survivors).tolist() == before["sizes"]
-        assert led.key_column(survivors, 0).tolist() == before["keys"]
+        assert sizes() == before["sizes"]
+        assert keys() == before["keys"]
         assert led.node_loads() == pytest.approx(before["loads"])
         assert led.total_bytes == pytest.approx(before["total"])
 
@@ -203,7 +201,7 @@ class TestArrayLedgerCompact:
     def test_dense_ledger_is_noop(self):
         led = ArrayChunkLedger([0])
         for i in range(10):
-            led.commit_new(ChunkRef("a", (i,)), 1.0, 0)
+            commit_row(led, ChunkRef("a", (i,)), 1.0, 0)
         assert led.compact() is False  # nothing reclaimable
         assert led.chunk_count == 10
 
@@ -214,7 +212,7 @@ class TestArrayLedgerCompact:
     def test_reuse_after_compact(self):
         led, survivors = self._churned()
         led.compact()
-        led.commit_new(ChunkRef("z", (999, 0, 0)), 5.0, 1)
+        commit_row(led, ChunkRef("z", (999, 0, 0)), 5.0, 1)
         assert led.size_of(ChunkRef("z", (999, 0, 0))) == 5.0
         items = [(ChunkRef("z", (1000 + i, 0, 0)), 1.0) for i in range(80)]
         led.commit_batch(
@@ -225,7 +223,7 @@ class TestArrayLedgerCompact:
 
     def test_dict_ledger_compact_is_noop(self):
         led = DictChunkLedger([0])
-        led.commit_new(ChunkRef("a", (1,)), 1.0, 0)
+        commit_row(led, ChunkRef("a", (1,)), 1.0, 0)
         led.remove(ChunkRef("a", (1,)))
         assert led.compact() is False
         assert led.dead_slot_fraction == 0.0

@@ -7,6 +7,7 @@ from repro.core import make_partitioner
 from repro.core.base import RebalancePlan
 from repro.core.round_robin import RoundRobinPartitioner
 from repro.errors import PartitioningError
+from tests.helpers import placements
 
 GRID = Box((0, 0), (8, 8))
 
@@ -15,7 +16,7 @@ class TestLedger:
     def test_place_records_assignment_and_load(self):
         p = RoundRobinPartitioner([0, 1])
         ref = ChunkRef("a", (0, 0))
-        node = p.place(ref, 100.0)
+        node = placements(p, [(ref, 100.0)])[ref]
         assert p.locate(ref) == node
         assert p.load_of(node) == 100.0
         assert p.total_bytes == 100.0
@@ -24,26 +25,16 @@ class TestLedger:
     def test_replace_existing_merges_bytes_in_place(self):
         p = RoundRobinPartitioner([0, 1])
         ref = ChunkRef("a", (0, 0))
-        first = p.place(ref, 100.0)
-        second = p.place(ref, 50.0)
+        first = placements(p, [(ref, 100.0)])[ref]
+        second = placements(p, [(ref, 50.0)])[ref]
         assert first == second
         assert p.size_of(ref) == 150.0
         assert p.chunk_count == 1
 
-    def test_update_size(self):
-        p = RoundRobinPartitioner([0, 1])
-        ref = ChunkRef("a", (0, 0))
-        node = p.place(ref, 100.0)
-        p.update_size(ref, 25.0)
-        assert p.size_of(ref) == 125.0
-        assert p.load_of(node) == 125.0
-        with pytest.raises(PartitioningError):
-            p.update_size(ref, -1000.0)
-
     def test_negative_size_rejected(self):
         p = RoundRobinPartitioner([0])
         with pytest.raises(PartitioningError):
-            p.place(ChunkRef("a", (0, 0)), -1.0)
+            p.place_batch([ChunkRef("a", (0, 0))], [-1.0])
 
     def test_locate_unknown_chunk(self):
         p = RoundRobinPartitioner([0])
@@ -53,8 +44,7 @@ class TestLedger:
     def test_chunks_on(self):
         p = RoundRobinPartitioner([0, 1])
         refs = [ChunkRef("a", (i, 0)) for i in range(4)]
-        for r in refs:
-            p.place(r, 10.0)
+        p.place_batch(refs, [10.0] * len(refs))
         assert sorted(
             p.chunks_on(0) + p.chunks_on(1),
             key=lambda r: r.key,
@@ -64,8 +54,9 @@ class TestLedger:
 
     def test_heaviest_node(self):
         p = RoundRobinPartitioner([0, 1, 2])
-        p.place(ChunkRef("a", (0, 0)), 10.0)   # node 0
-        p.place(ChunkRef("a", (1, 0)), 500.0)  # node 1
+        p.place_batch(  # nodes 0 and 1
+            [ChunkRef("a", (0, 0)), ChunkRef("a", (1, 0))], [10.0, 500.0]
+        )
         assert p.heaviest_node() == 1
         assert p.heaviest_node(among=[0, 2]) == 0  # tie-ish, 0 wins by id
 
@@ -105,11 +96,12 @@ class TestScaleOut:
             p = make_partitioner(
                 name, [0, 1], grid=grid3d, node_capacity_bytes=1e6
             )
-            total = 0.0
-            for i in range(50):
-                key = (i % 8, (i * 3) % 16, (i * 7) % 12)
-                p.place(ChunkRef("a", key), float(10 + i))
-                total += 10 + i
+            refs = [
+                ChunkRef("a", (i % 8, (i * 3) % 16, (i * 7) % 12))
+                for i in range(50)
+            ]
+            p.place_batch(refs, [float(10 + i) for i in range(50)])
+            total = sum(10 + i for i in range(50))
             p.scale_out([2, 3])
             assert sum(p.node_loads().values()) == pytest.approx(total)
             assert p.total_bytes == pytest.approx(total)

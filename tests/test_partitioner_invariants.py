@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.arrays import Box, ChunkRef
 from repro.core import ALL_PARTITIONERS, PAPER_TAXONOMY, make_partitioner
+from tests.helpers import columns, placements
 from tests.oracles import Move
 
 GRID = Box((0, 0, 0), (8, 12, 10))
@@ -55,11 +56,11 @@ chunk_stream = st.lists(
 @given(chunks=chunk_stream, data=st.data())
 def test_full_lifecycle_invariants(name, chunks, data):
     p = build(name)
-    placed = {}
-    for key, size in chunks:
-        ref = ChunkRef("arr", key)
-        node = p.place(ref, size)
+    items = [(ChunkRef("arr", key), size) for key, size in chunks]
+    for node in placements(p, items).values():
         assert node in p.nodes, f"{name} placed on unknown node"
+    placed = {}
+    for ref, size in items:
         placed[ref] = placed.get(ref, 0.0) + size
 
     total = sum(placed.values())
@@ -92,16 +93,16 @@ def test_full_lifecycle_invariants(name, chunks, data):
 def test_lookup_agrees_with_assignment_after_growth(name):
     p = build(name)
     rng = np.random.default_rng(7)
-    refs = []
+    items = []
     for _ in range(150):
         key = (
             int(rng.integers(0, 8)),
             int(rng.integers(0, 12)),
             int(rng.integers(0, 10)),
         )
-        ref = ChunkRef("arr", key)
-        p.place(ref, float(rng.lognormal(2, 1)))
-        refs.append(ref)
+        items.append((ChunkRef("arr", key), float(rng.lognormal(2, 1))))
+    refs = [ref for ref, _ in items]
+    p.place_batch(*columns(items))
     p.scale_out([2, 3])
     p.scale_out([4, 5])
     assignment = p.assignment()
@@ -109,14 +110,15 @@ def test_lookup_agrees_with_assignment_after_growth(name):
         assert p.locate(ref) == assignment[ref]
 
     # new placements after growth land where lookups say
+    later = []
     for _ in range(30):
         key = (
             int(rng.integers(0, 8)),
             int(rng.integers(0, 12)),
             int(rng.integers(0, 10)),
         )
-        ref = ChunkRef("other", key)
-        node = p.place(ref, 5.0)
+        later.append((ChunkRef("other", key), 5.0))
+    for ref, node in placements(p, later).items():
         assert p.locate(ref) == node
 
 
@@ -129,6 +131,7 @@ def test_skew_aware_split_targets_heaviest(name):
     heavily burdened node (paper §4.1)."""
     p = build(name)
     rng = np.random.default_rng(11)
+    items = []
     for _ in range(200):
         # heavy corner hotspot
         if rng.random() < 0.8:
@@ -141,7 +144,8 @@ def test_skew_aware_split_targets_heaviest(name):
                 int(rng.integers(0, 10)),
             )
             size = 5.0
-        p.place(ChunkRef("arr", key), size)
+        items.append((ChunkRef("arr", key), size))
+    p.place_batch(*columns(items))
     loads = p.node_loads()
     heaviest = max(loads, key=loads.get)
     before_max = loads[heaviest]
@@ -158,8 +162,8 @@ def test_empty_database_scale_out(name):
     p = build(name)
     plan = p.scale_out([2])
     assert plan.is_empty()
-    node = p.place(ChunkRef("arr", (0, 0, 0)), 10.0)
-    assert node in p.nodes
+    ref = ChunkRef("arr", (0, 0, 0))
+    assert placements(p, [(ref, 10.0)])[ref] in p.nodes
 
 
 @pytest.mark.parametrize("name", ALL_PARTITIONERS)
@@ -176,10 +180,8 @@ def test_determinism_across_instances(name):
         for _ in range(80)
     ]
     sizes = [float(rng.lognormal(2, 1)) for _ in range(80)]
-    for key, size in zip(keys, sizes):
-        assert a.place(ChunkRef("arr", key), size) == b.place(
-            ChunkRef("arr", key), size
-        )
+    items = [(ChunkRef("arr", key), size) for key, size in zip(keys, sizes)]
+    assert placements(a, items) == placements(b, items)
     plan_a = a.scale_out([2, 3])
     plan_b = b.scale_out([2, 3])
     assert [(m.ref, m.source, m.dest) for m in Move.rows(plan_a)] == [

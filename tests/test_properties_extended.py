@@ -17,6 +17,11 @@ from repro.core.quadtree import IncrementalQuadtreePartitioner
 
 GRID = Box((0, 0), (16, 16))
 
+
+def _columns(chunks):
+    """``(key, size)`` draws as ``place_batch``'s ref and size columns."""
+    return [ChunkRef("a", key) for key, _ in chunks], [s for _, s in chunks]
+
 workload_strategy = st.lists(
     st.tuples(
         st.tuples(st.integers(0, 15), st.integers(0, 15)),
@@ -34,8 +39,7 @@ def test_extendible_hash_directory_invariants(chunks, growth):
     """Directory algebra: every slot points at a bucket whose pattern
     matches the slot's low local-depth bits; local depth <= global."""
     p = ExtendibleHashPartitioner([0, 1])
-    for key, size in chunks:
-        p.place(ChunkRef("a", key), size)
+    p.place_batch(*_columns(chunks))
     p.scale_out(list(range(2, 2 + growth)))
 
     for slot in range(p.directory_size):
@@ -56,10 +60,8 @@ def test_extendible_hash_directory_invariants(chunks, growth):
 def test_hilbert_ranges_sorted_and_exhaustive(chunks, growth):
     """Range boundaries stay strictly sorted; every index has an owner."""
     p = HilbertCurvePartitioner([0, 1], (16, 16))
-    p.prepare_batch([ChunkRef("a", k) for k, _ in chunks],
-                    [s for _, s in chunks])
-    for key, size in chunks:
-        p.place(ChunkRef("a", key), size)
+    p.prepare_batch(*_columns(chunks))
+    p.place_batch(*_columns(chunks))
     p.scale_out(list(range(2, 2 + growth)))
 
     bounds = [r[0] for r in p.ranges()]
@@ -80,8 +82,7 @@ def test_hilbert_ranges_sorted_and_exhaustive(chunks, growth):
 def test_kd_tree_leaves_partition_grid(chunks, growth):
     """Leaves are pairwise disjoint and cover the grid exactly."""
     p = KdTreePartitioner([0, 1], GRID)
-    for key, size in chunks:
-        p.place(ChunkRef("a", key), size)
+    p.place_batch(*_columns(chunks))
     p.scale_out(list(range(2, 2 + growth)))
 
     leaves = [p.leaf_of(n).box for n in p.nodes]
@@ -102,8 +103,7 @@ def test_kd_tree_leaves_partition_grid(chunks, growth):
 def test_quadtree_cells_partition_grid(chunks, growth):
     """Host cells tile the grid after arbitrary growth."""
     p = IncrementalQuadtreePartitioner([0], GRID)
-    for key, size in chunks:
-        p.place(ChunkRef("a", key), size)
+    p.place_batch(*_columns(chunks))
     p.scale_out(list(range(1, 1 + growth)))
 
     cells = [box for box, _ in p.all_cells()]
@@ -122,8 +122,7 @@ def test_quadtree_cells_partition_grid(chunks, growth):
 def test_kd_depth_logarithmic(chunks):
     """Lookup cost stays logarithmic-ish: depth <= node count."""
     p = KdTreePartitioner([0, 1], GRID)
-    for key, size in chunks:
-        p.place(ChunkRef("a", key), size)
+    p.place_batch(*_columns(chunks))
     for batch_start in (2, 4, 6):
         p.scale_out([batch_start, batch_start + 1])
     assert p.depth() <= p.node_count

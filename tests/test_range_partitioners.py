@@ -1,5 +1,7 @@
 """Hilbert Curve, K-d Tree, Incremental Quadtree, Uniform Range."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from repro.core.kd_tree import KdInner, KdTreePartitioner
 from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.core.uniform_range import UniformRangePartitioner, build_leaves
 from repro.errors import PartitioningError
-from tests.oracles import Move
+from tests.oracles import Move, locate_key_scalar, place_scalar
 from tests.helpers import columns, placements
 
 GRID = Box((0, 0), (16, 16))
@@ -20,7 +22,7 @@ GRID3 = Box((0, 0, 0), (8, 16, 12))
 
 def fill(p, n=120, grid=GRID, seed=3, skew=False):
     rng = np.random.default_rng(seed)
-    placed = []
+    items = []
     for _ in range(n):
         key = tuple(
             int(rng.integers(lo, hi)) for lo, hi in zip(grid.lo, grid.hi)
@@ -29,10 +31,9 @@ def fill(p, n=120, grid=GRID, seed=3, skew=False):
             key = tuple(min(hi - 1, lo + int(abs(rng.normal(0, 1.2))))
                         for lo, hi in zip(grid.lo, grid.hi))
         size = float(rng.lognormal(2, 1)) if skew else 10.0
-        ref = ChunkRef("a", key)
-        p.place(ref, size)
-        placed.append(ref)
-    return placed
+        items.append((ChunkRef("a", key), size))
+    p.place_batch(*columns(items))
+    return [ref for ref, _ in items]
 
 
 class TestHilbertPartitioner:
@@ -52,12 +53,12 @@ class TestHilbertPartitioner:
         ]
         p.prepare_batch(*columns(batch))
         # Both nodes now own curve positions that occur in the batch.
-        owners = {p.place(ref, size) for ref, size in batch}
+        owners = {place_scalar(p, ref, size) for ref, size in batch}
         assert owners == {0, 1}
 
     def test_prepare_batch_noop_after_data_placed(self):
         p = HilbertCurvePartitioner([0, 1], (16, 16))
-        p.place(ChunkRef("a", (0, 0)), 10.0)
+        p.place_batch([ChunkRef("a", (0, 0))], [10.0])
         before = p.ranges()
         p.prepare_batch([ChunkRef("a", (5, 5))], [10.0])
         assert p.ranges() == before
@@ -79,10 +80,10 @@ class TestHilbertPartitioner:
         # band1/band2 at the same key share a curve position; a split
         # must never separate them (the join-locality guarantee).
         p = HilbertCurvePartitioner([0, 1], (16, 16))
-        for x in range(8):
-            for y in range(4):
-                p.place(ChunkRef("band1", (x, y)), 10.0)
-                p.place(ChunkRef("band2", (x, y)), 10.0)
+        p.place_batch(*columns([
+            (ChunkRef(band, (x, y)), 10.0)
+            for x in range(8) for y in range(4) for band in ("band1", "band2")
+        ]))
         p.scale_out([2, 3])
         for x in range(8):
             for y in range(4):
@@ -92,8 +93,8 @@ class TestHilbertPartitioner:
 
     def test_unbounded_growth_keeps_working(self):
         p = HilbertCurvePartitioner([0, 1], (4, 4))
-        p.place(ChunkRef("a", (3, 3)), 10.0)
-        node = p.place(ChunkRef("a", (40, 3)), 10.0)  # deep overflow
+        p.place_batch([ChunkRef("a", (3, 3))], [10.0])
+        node = place_scalar(p, ChunkRef("a", (40, 3)), 10.0)  # deep overflow
         assert node in p.nodes
 
     def test_repeated_scale_out_of_an_empty_table(self):
@@ -122,9 +123,10 @@ class TestKdTree:
     def test_storage_median_split(self):
         p = KdTreePartitioner([0], Box((0,), (10,)))
         # 90 bytes at coordinate 1, 10 bytes spread above
-        p.place(ChunkRef("a", (1,)), 90.0)
-        for x in range(2, 10):
-            p.place(ChunkRef("a", (x,)), 10.0 / 8)
+        p.place_batch(
+            [ChunkRef("a", (x,)) for x in range(1, 10)],
+            [90.0] + [10.0 / 8] * 8,
+        )
         p.scale_out([1])
         # split point should isolate the heavy coordinate
         loads = p.node_loads()
@@ -212,8 +214,9 @@ class TestQuadtree:
 
     def test_locate_clamps_out_of_grid_keys(self):
         p = IncrementalQuadtreePartitioner([0, 1], GRID3, split_dims=(1, 2))
-        node = p.locate_key((999, 3, 3))
+        node = locate_key_scalar(p, (999, 3, 3))
         assert node in p.nodes
+        assert p.locate_keys(np.array([[999, 3, 3]])).tolist() == [node]
 
     @pytest.mark.parametrize("split_dims", [None, (1, 2)])
     @pytest.mark.parametrize("seed", range(4))
@@ -308,9 +311,10 @@ class TestUniformRange:
 
     def test_balanced_chunk_counts_on_uniform_data(self):
         p = UniformRangePartitioner([0, 1, 2, 3], GRID, height=6)
-        for x in range(16):
-            for y in range(16):
-                p.place(ChunkRef("a", (x, y)), 10.0)
+        p.place_batch(
+            [ChunkRef("a", (x, y)) for x in range(16) for y in range(16)],
+            [10.0] * 256,
+        )
         loads = list(p.node_loads().values())
         assert max(loads) / min(loads) < 1.5
 
@@ -323,6 +327,16 @@ class TestUniformRange:
     def test_invalid_height(self):
         with pytest.raises(PartitioningError):
             UniformRangePartitioner([0], GRID, height=0)
+
+    @pytest.mark.parametrize(
+        "height", [2.5, math.nan, math.inf, True, "4"],
+        ids=["fraction", "nan", "inf", "bool", "str"],
+    )
+    def test_height_must_be_a_count(self, height):
+        # 2.5 was silently truncated to 2; NaN and inf escaped as a
+        # bare ValueError / OverflowError.
+        with pytest.raises(PartitioningError, match="height"):
+            UniformRangePartitioner([0], GRID, height=height)
 
 
 def _per_ref_moves(p, new_nodes):
@@ -416,7 +430,7 @@ class TestUniformRangeLeafTable:
         items.insert(5, (huge, 9.0))
         seq = UniformRangePartitioner([0, 1, 2], GRID, height=4)
         bat = UniformRangePartitioner([0, 1, 2], GRID, height=4)
-        expected = {ref: seq.place(ref, size) for ref, size in items}
+        expected = {ref: place_scalar(seq, ref, size) for ref, size in items}
         assert placements(bat, items) == expected
         assert expected[huge] == seq.leaf_owners()[
             seq.leaf_index_of((15, 3))  # clamps onto the border cell

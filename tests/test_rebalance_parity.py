@@ -38,7 +38,7 @@ from tests.oracles import (
     relocate_scalar,
     total_bytes_scalar,
 )
-from tests.helpers import columns
+from tests.helpers import columns, commit_row
 
 GRID = Box((0, 0, 0), (24, 16, 12))
 COSTS = (CostParameters(), CostParameters(fabric_concurrency=0.5))
@@ -71,7 +71,7 @@ def _dict_twin(p):
     """A dict ledger holding exactly ``p``'s state, loads bit for bit."""
     twin = DictChunkLedger(p.nodes)
     for ref, node in p.assignment().items():
-        twin.commit_new(ref, p.size_of(ref), node)
+        commit_row(twin, ref, p.size_of(ref), node)
     twin._loads = p.node_loads()
     twin._total = p.total_bytes
     return twin

@@ -8,26 +8,18 @@ Paper shapes asserted:
   longer than the incremental ones (§6.2.1: ~2.5x);
 * the three fine-grained schemes (RR, Extendible, Consistent) balance
   storage far better than the rest (paper: 13 % vs 44 % mean RSD).
+
+The two §6.2.1 means are read from ``headline_claims``, the one place
+their arithmetic lives.
 """
 
 
 from benchmarks.conftest import run_once
-from repro.harness import figure4_insert_reorg
-from repro.harness.experiments import FINE_GRAINED, GLOBAL_SCHEMES
-
-INCREMENTAL_MOVERS = (
-    "consistent_hash",
-    "extendible_hash",
-    "hilbert_curve",
-    "incremental_quadtree",
-    "kd_tree",
-)
+from repro.harness import figure4_insert_reorg, headline_claims
 
 
-def test_figure4(benchmark, bench_modis, bench_ais):
-    result = run_once(
-        benchmark, figure4_insert_reorg, bench_modis, bench_ais
-    )
+def test_figure4(benchmark, bench_sweep):
+    result = run_once(benchmark, figure4_insert_reorg, bench_sweep)
     print()
     print(result.render())
 
@@ -40,27 +32,16 @@ def test_figure4(benchmark, bench_modis, bench_ais):
         # Append never moves data
         assert data["append"][1] == 0.0
 
-    # global reorganization penalty (averaged over both workloads)
-    def mean_reorg(names):
-        return sum(
-            result.data[w][n][1]
-            for w in result.data for n in names
-        ) / (2 * len(names))
+    claims = headline_claims(bench_sweep)
 
-    ratio = mean_reorg(GLOBAL_SCHEMES) / mean_reorg(INCREMENTAL_MOVERS)
+    # global reorganization penalty (averaged over both workloads)
+    ratio = claims.global_reorg_ratio
     print(f"global/incremental reorg ratio: {ratio:.2f}x (paper ~2.5x)")
     assert ratio > 1.4
 
     # fine-grained RSD advantage
-    def mean_rsd(names):
-        return sum(
-            result.data[w][n][2]
-            for w in result.data for n in names
-        ) / (2 * len(names))
-
-    fine = mean_rsd(FINE_GRAINED)
-    other = mean_rsd([n for n in result.data["modis"]
-                      if n not in FINE_GRAINED])
+    fine = claims.fine_grained_rsd_pct
+    other = claims.other_rsd_pct
     print(f"mean RSD fine-grained {fine:.0f}% vs others {other:.0f}% "
           f"(paper: 13% vs 44%)")
     assert fine * 2 < other

@@ -6,19 +6,18 @@ Paper shapes asserted:
 * the range partitioners run the AIS SPJ benchmark more slowly than the
   hash schemes (coarse slicing vs fine-grained balance);
 * in total workload cost (Eq. 1 node-hours) the clustered trio beats the
-  Round Robin baseline by >15 % (paper: >20 %).
+  Round Robin baseline by >15 % (paper: >20 %), read from
+  ``headline_claims``.
 """
 
 
 from benchmarks.conftest import run_once
-from repro.harness import figure4_insert_reorg, figure5_benchmarks
-from repro.harness.experiments import CLUSTERED_TRIO, headline_claims
+from repro.harness import figure5_benchmarks, headline_claims
+from repro.harness.experiments import CLUSTERED_TRIO
 
 
-def test_figure5(benchmark, bench_modis, bench_ais):
-    result = run_once(
-        benchmark, figure5_benchmarks, bench_modis, bench_ais
-    )
+def test_figure5(benchmark, bench_sweep):
+    result = run_once(benchmark, figure5_benchmarks, bench_sweep)
     print()
     print(result.render())
 
@@ -42,28 +41,15 @@ def test_figure5(benchmark, bench_modis, bench_ais):
     assert spj_ais["incremental_quadtree"] > spj_ais["consistent_hash"]
 
     # total-cost win over the baseline (Eq. 1)
-    baseline = (
-        result.node_hours["modis"]["round_robin"]
-        + result.node_hours["ais"]["round_robin"]
-    )
-    trio = [
-        result.node_hours["modis"][n] + result.node_hours["ais"][n]
-        for n in CLUSTERED_TRIO
-    ]
-    win = (baseline - sum(trio) / len(trio)) / baseline * 100.0
+    win = headline_claims(bench_sweep).clustered_win_pct
     print(f"clustered trio total-cost win vs baseline: {win:.0f}% "
           f"(paper: >20%)")
     assert win > 15.0
 
 
-def test_headline_claims(benchmark, bench_modis, bench_ais):
-    """The §6.2.1/§6.2.3 prose claims, recomputed in one pass."""
-    def both():
-        f4 = figure4_insert_reorg(bench_modis, bench_ais)
-        f5 = figure5_benchmarks(bench_modis, bench_ais)
-        return headline_claims(f4, f5)
-
-    claims = run_once(benchmark, both)
+def test_headline_claims(benchmark, bench_sweep):
+    """The §6.2.1/§6.2.3 prose claims, recomputed from the sweep."""
+    claims = run_once(benchmark, headline_claims, bench_sweep)
     print()
     print(claims.render())
     assert claims.fine_grained_rsd_pct < 25.0

@@ -14,8 +14,8 @@ from benchmarks.conftest import run_once
 from repro.harness import figure6_join_series
 
 
-def test_figure6(benchmark, bench_modis):
-    result = run_once(benchmark, figure6_join_series, bench_modis)
+def test_figure6(benchmark, bench_sweep):
+    result = run_once(benchmark, figure6_join_series, bench_sweep)
     print()
     print(result.render())
 

@@ -17,8 +17,8 @@ from benchmarks.conftest import run_once
 from repro.harness import figure7_knn_series
 
 
-def test_figure7(benchmark, bench_ais):
-    result = run_once(benchmark, figure7_knn_series, bench_ais)
+def test_figure7(benchmark, bench_sweep):
+    result = run_once(benchmark, figure7_knn_series, bench_sweep)
     print()
     print(result.render())
 

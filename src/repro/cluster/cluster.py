@@ -41,7 +41,7 @@ from repro.core.base import ElasticPartitioner
 from repro.core.catalog import ChunkCatalog
 from repro.config import mode as parity_mode
 from repro.core.provisioner import LeadingStaircase
-from repro.errors import ClusterError, require_count, require_positive
+from repro.errors import ClusterError, require_count, require_fraction, require_positive
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,10 @@ class ElasticCluster:
         )
         if costs is None:
             costs = CostParameters.from_env()
-        if ledger_compact_ratio is not None and not (
-            0.0 <= ledger_compact_ratio <= 1.0
-        ):
-            raise ClusterError(
-                "ledger_compact_ratio must be in [0, 1] or None"
+        if ledger_compact_ratio is not None:
+            ledger_compact_ratio = require_fraction(
+                "ledger_compact_ratio", ledger_compact_ratio, ClusterError,
+                zero_ok=True,
             )
         self.partitioner = partitioner
         self.node_capacity_bytes = capacity

@@ -93,7 +93,7 @@ import numpy as np
 from repro.arrays.chunk import ChunkRef
 from repro.core.ledger import ArrayChunkLedger
 from repro.core.traits import PartitionerTraits
-from repro.errors import ChunkError, PartitioningError
+from repro.errors import ChunkError, PartitioningError, require_index
 
 NodeId = int
 
@@ -105,6 +105,17 @@ def check_key_arity(ref: ChunkRef, ndim: int) -> None:
             f"chunk {ref} has a {len(ref.key)}-d key; "
             f"the grid is {ndim}-d"
         )
+
+
+def split_dims_of(split_dims: Optional[Sequence[int]], ndim: int) -> Tuple[int, ...]:
+    """``split_dims`` sorted and deduplicated (default: all ``ndim``), or
+    :class:`PartitioningError` unless each is a dimension index."""
+    if split_dims is None:
+        return tuple(range(ndim))
+    dims = sorted({require_index("split_dims", d, PartitioningError) for d in split_dims})
+    if dims and dims[-1] >= ndim:
+        raise PartitioningError(f"split_dims {split_dims} invalid for a {ndim}-d grid")
+    return tuple(dims)
 
 
 def grid_keys(

@@ -29,7 +29,7 @@ from repro.core.base import (
     grid_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, require_count
 
 
 class HilbertCurvePartitioner(ElasticPartitioner):
@@ -54,7 +54,10 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         grid_extents: Sequence[int],
     ) -> None:
         super().__init__(nodes)
-        self._curve = RectangleHilbert(grid_extents)
+        self._curve = RectangleHilbert([
+            require_count("grid_extents", e, PartitioningError)
+            for e in grid_extents
+        ])
         # Ranges are encoded as sorted boundary positions: node i owns
         # [bounds[i], bounds[i+1]).  The last node's range is unbounded
         # above so overflow epochs (growing time dimension) stay owned.

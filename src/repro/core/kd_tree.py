@@ -28,7 +28,7 @@ from repro.core.base import (
     grid_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, require_index
 
 
 @dataclass
@@ -88,7 +88,10 @@ class KdTreePartitioner(ElasticPartitioner):
         self.grid = grid
         if split_order is None:
             split_order = tuple(range(grid.ndim))
-        order = [int(d) for d in split_order]
+        order = [
+            require_index("split_order", d, PartitioningError)
+            for d in split_order
+        ]
         if len(set(order)) != len(order) or any(
             not 0 <= d < grid.ndim for d in order
         ):

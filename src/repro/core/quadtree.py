@@ -33,6 +33,7 @@ from repro.core.base import (
     NodeId,
     RebalancePlan,
     grid_keys,
+    split_dims_of,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError
@@ -73,14 +74,11 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
         super().__init__(nodes)
         self.grid = grid
         self.allow_pairs = bool(allow_pairs)
-        if split_dims is None:
-            split_dims = tuple(range(grid.ndim))
-        dims = sorted({int(d) for d in split_dims})
-        if not dims or any(not 0 <= d < grid.ndim for d in dims):
+        self.split_dims = split_dims_of(split_dims, grid.ndim)
+        if not self.split_dims:
             raise PartitioningError(
                 f"split_dims {split_dims} invalid for a {grid.ndim}-d grid"
             )
-        self.split_dims = tuple(dims)
         self._cells: Dict[NodeId, List[Box]] = {self._nodes[0]: [grid]}
         for node in self._nodes[1:]:
             self._split_heaviest_onto(node)

@@ -31,6 +31,7 @@ from repro.core.base import (
     NodeId,
     RebalancePlan,
     grid_keys,
+    split_dims_of,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError, require_count
@@ -55,10 +56,7 @@ def build_leaves(
             the unbounded time dimension out for spatio-temporal arrays
             so monotone growth spreads over every leaf.
     """
-    dims = (
-        tuple(range(grid.ndim)) if split_dims is None
-        else tuple(sorted({int(d) for d in split_dims}))
-    )
+    dims = split_dims_of(split_dims, grid.ndim)
     leaves: List[Box] = []
 
     def rec(box: Box, depth: int) -> None:
@@ -105,14 +103,7 @@ class UniformRangePartitioner(ElasticPartitioner):
         super().__init__(nodes)
         self.height = require_count("height", height, PartitioningError)
         self.grid = grid
-        self.split_dims = (
-            tuple(range(grid.ndim)) if split_dims is None
-            else tuple(sorted({int(d) for d in split_dims}))
-        )
-        if any(not 0 <= d < grid.ndim for d in self.split_dims):
-            raise PartitioningError(
-                f"split_dims {split_dims} invalid for {grid.ndim}-d grid"
-            )
+        self.split_dims = split_dims_of(split_dims, grid.ndim)
         self._leaves = build_leaves(grid, self.height, self.split_dims)
         if len(self._leaves) < len(nodes):
             raise PartitioningError(

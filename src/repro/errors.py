@@ -78,6 +78,14 @@ class WorkloadError(ReproError):
     """Raised by workload generators for invalid configurations."""
 
 
+def require_index(name: str, value: int, error: Type[ReproError]) -> int:
+    """``value`` as an int, or ``error`` unless it is an integer ``>= 0``
+    (a dimension index)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise error(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def require_count(name: str, value: int, error: Type[ReproError]) -> int:
     """``value`` as an int, or ``error`` unless it is an integer ``>= 1``
     (a count of samples, days, ring points, tree levels, ...)."""

@@ -3,7 +3,8 @@
 Every function returns a small result object carrying the raw data plus a
 ``render()`` method that prints the same rows/series the paper reports.
 The benchmarks under ``benchmarks/`` call these functions; so can users
-(see ``examples/``).
+(see ``examples/``).  Figures 4–7 and the §6.2 headline claims are
+projections of one :func:`paper_sweep`, which runs each scheme once.
 
 Scale note: the default workload scales (cell counts) are sized for
 laptop runs; modeled bytes always sit at paper scale (630 GB MODIS /
@@ -23,6 +24,7 @@ from repro.arrays.coords import Box
 from repro.arrays.schema import parse_schema
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.costs import DEFAULT_COSTS, GB, CostParameters
+from repro.cluster.metrics import RunMetrics
 from repro.core.registry import PARTITIONER_CLASSES, make_partitioner
 from repro.core.traits import DISPLAY_NAMES, PAPER_ORDER, PAPER_TAXONOMY, TRAIT_COLUMNS
 from repro.core.tuning import (
@@ -94,6 +96,49 @@ def table1_taxonomy() -> TaxonomyResult:
 
 
 # ----------------------------------------------------------------------
+# The §6.2 sweep — Figures 4–7 and the headline claims read one run each
+# ----------------------------------------------------------------------
+@dataclass
+class SchemeRun:
+    """One scheme's §6.2 run on one workload, the suite on every cycle."""
+
+    metrics: RunMetrics
+    #: query category -> total simulated seconds (the Figure 5 bars)
+    category_seconds: Dict[str, float]
+
+
+@dataclass
+class PaperSweep:
+    """Every (workload, scheme) run of §6.2, made once.
+
+    Figures 4–7 and :func:`headline_claims` are projections of it.
+    Queries never move or price placement, so the insert, reorg and RSD
+    numbers of Figure 4 are those of an ingest-only run.
+    """
+
+    #: workload name -> scheme -> run
+    runs: Dict[str, Dict[str, SchemeRun]]
+
+
+def paper_sweep(
+    modis: Optional[ModisWorkload] = None,
+    ais: Optional[AisWorkload] = None,
+    partitioners: Sequence[str] = tuple(PAPER_ORDER),
+) -> PaperSweep:
+    """Run the §6.2 experiment: each scheme on MODIS and AIS, 2→8 nodes
+    (+2 per capacity breach), the benchmark suite every cycle."""
+    runs: Dict[str, Dict[str, SchemeRun]] = {}
+    for workload in (modis or default_modis(), ais or default_ais()):
+        runs[workload.name] = {}
+        for name in partitioners:
+            runner = ExperimentRunner(workload, RunConfig(partitioner=name))
+            runs[workload.name][name] = SchemeRun(
+                runner.run(), runner.query_category_seconds()
+            )
+    return PaperSweep(runs=runs)
+
+
+# ----------------------------------------------------------------------
 # Figure 4 — insert + reorganization durations, RSD labels
 # ----------------------------------------------------------------------
 @dataclass
@@ -104,17 +149,15 @@ class InsertReorgResult:
     data: Dict[str, Dict[str, Tuple[float, float, float]]]
 
     def render(self) -> str:
-        present = [
-            name for name in PAPER_ORDER
+        rows = [
+            (
+                DISPLAY_NAMES[name],
+                *self.data["modis"][name],
+                *self.data["ais"][name],
+            )
+            for name in PAPER_ORDER
             if all(name in self.data[w] for w in self.data)
         ]
-        rows = []
-        for name in present:
-            row: List[object] = [DISPLAY_NAMES[name]]
-            for workload in ("modis", "ais"):
-                ins, reorg, rsd = self.data[workload][name]
-                row.extend([ins, reorg, rsd])
-            rows.append(tuple(row))
         return format_table(
             [
                 "Partitioner",
@@ -129,32 +172,19 @@ class InsertReorgResult:
         )
 
 
-def figure4_insert_reorg(
-    modis: Optional[ModisWorkload] = None,
-    ais: Optional[AisWorkload] = None,
-    partitioners: Sequence[str] = tuple(PAPER_ORDER),
-) -> InsertReorgResult:
-    """Run the §6.2.1 ingest experiment: 2→8 nodes, +2 per breach."""
-    workloads: List[CyclicWorkload] = [
-        modis or default_modis(),
-        ais or default_ais(),
-    ]
-    data: Dict[str, Dict[str, Tuple[float, float, float]]] = {}
-    for workload in workloads:
-        per_scheme: Dict[str, Tuple[float, float, float]] = {}
-        for name in partitioners:
-            runner = ExperimentRunner(
-                workload,
-                RunConfig(partitioner=name, run_queries=False),
+def figure4_insert_reorg(sweep: PaperSweep) -> InsertReorgResult:
+    """Figure 4 (§6.2.1): insert and reorg minutes, mean storage RSD."""
+    return InsertReorgResult(data={
+        workload: {
+            name: (
+                run.metrics.total_insert_seconds / 60.0,
+                run.metrics.total_reorg_seconds / 60.0,
+                run.metrics.mean_storage_rsd * 100.0,
             )
-            metrics = runner.run()
-            per_scheme[name] = (
-                metrics.total_insert_seconds / 60.0,
-                metrics.total_reorg_seconds / 60.0,
-                metrics.mean_storage_rsd * 100.0,
-            )
-        data[workload.name] = per_scheme
-    return InsertReorgResult(data=data)
+            for name, run in runs.items()
+        }
+        for workload, runs in sweep.runs.items()
+    })
 
 
 # ----------------------------------------------------------------------
@@ -170,19 +200,19 @@ class BenchmarkTimesResult:
     node_hours: Dict[str, Dict[str, float]]
 
     def render(self) -> str:
-        rows = []
-        for name in PAPER_ORDER:
-            row: List[object] = [DISPLAY_NAMES[name]]
-            for workload in ("modis", "ais"):
-                cat = self.data[workload][name]
-                row.extend(
-                    [cat.get("science", 0.0), cat.get("spj", 0.0)]
-                )
-            row.append(
+        rows = [
+            (
+                DISPLAY_NAMES[name],
+                *(
+                    self.data[workload][name].get(category, 0.0)
+                    for workload in ("modis", "ais")
+                    for category in ("science", "spj")
+                ),
                 self.node_hours["modis"][name]
-                + self.node_hours["ais"][name]
+                + self.node_hours["ais"][name],
             )
-            rows.append(tuple(row))
+            for name in PAPER_ORDER
+        ]
         return format_table(
             [
                 "Partitioner",
@@ -195,36 +225,27 @@ class BenchmarkTimesResult:
         )
 
 
-def figure5_benchmarks(
-    modis: Optional[ModisWorkload] = None,
-    ais: Optional[AisWorkload] = None,
-    partitioners: Sequence[str] = tuple(PAPER_ORDER),
-) -> BenchmarkTimesResult:
-    """Run the full §6.2.2 benchmark sweep (queries every cycle)."""
-    workloads: List[CyclicWorkload] = [
-        modis or default_modis(),
-        ais or default_ais(),
-    ]
-    data: Dict[str, Dict[str, Dict[str, float]]] = {}
-    node_hours: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        data[workload.name] = {}
-        node_hours[workload.name] = {}
-        for name in partitioners:
-            runner = ExperimentRunner(
-                workload, RunConfig(partitioner=name)
-            )
-            metrics = runner.run()
-            minutes = {
-                category: seconds / 60.0
-                for category, seconds in
-                runner.query_category_seconds().items()
+def figure5_benchmarks(sweep: PaperSweep) -> BenchmarkTimesResult:
+    """Figure 5 (§6.2.2): benchmark minutes per category, Eq. 1 cost."""
+    return BenchmarkTimesResult(
+        data={
+            workload: {
+                name: {
+                    category: seconds / 60.0
+                    for category, seconds in run.category_seconds.items()
+                }
+                for name, run in runs.items()
             }
-            data[workload.name][name] = minutes
-            node_hours[workload.name][name] = (
-                metrics.workload_cost_node_hours
-            )
-    return BenchmarkTimesResult(data=data, node_hours=node_hours)
+            for workload, runs in sweep.runs.items()
+        },
+        node_hours={
+            workload: {
+                name: run.metrics.workload_cost_node_hours
+                for name, run in runs.items()
+            }
+            for workload, runs in sweep.runs.items()
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -249,41 +270,33 @@ class QuerySeriesResult:
         )
 
 
-def figure6_join_series(
-    modis: Optional[ModisWorkload] = None,
-    partitioners: Sequence[str] = tuple(PAPER_ORDER),
+def _query_series(
+    sweep: PaperSweep, workload: str, query_name: str, title: str
 ) -> QuerySeriesResult:
-    """Figure 6: NDVI join duration per cycle on (unskewed) MODIS."""
-    workload = modis or default_modis()
-    series: Dict[str, List[float]] = {}
-    for name in partitioners:
-        runner = ExperimentRunner(workload, RunConfig(partitioner=name))
-        metrics = runner.run()
-        series[name] = [
-            v / 60.0 for v in metrics.query_series("join_ndvi")
-        ]
+    """One query's per-cycle minutes for every scheme of one workload."""
     return QuerySeriesResult(
-        title="Figure 6: Join duration for unskewed data (minutes)",
-        query_name="join_ndvi",
-        series=series,
+        title=title,
+        query_name=query_name,
+        series={
+            name: [v / 60.0 for v in run.metrics.query_series(query_name)]
+            for name, run in sweep.runs[workload].items()
+        },
     )
 
 
-def figure7_knn_series(
-    ais: Optional[AisWorkload] = None,
-    partitioners: Sequence[str] = tuple(PAPER_ORDER),
-) -> QuerySeriesResult:
+def figure6_join_series(sweep: PaperSweep) -> QuerySeriesResult:
+    """Figure 6: NDVI join duration per cycle on (unskewed) MODIS."""
+    return _query_series(
+        sweep, "modis", "join_ndvi",
+        "Figure 6: Join duration for unskewed data (minutes)",
+    )
+
+
+def figure7_knn_series(sweep: PaperSweep) -> QuerySeriesResult:
     """Figure 7: k-nearest-neighbours duration per cycle on skewed AIS."""
-    workload = ais or default_ais()
-    series: Dict[str, List[float]] = {}
-    for name in partitioners:
-        runner = ExperimentRunner(workload, RunConfig(partitioner=name))
-        metrics = runner.run()
-        series[name] = [v / 60.0 for v in metrics.query_series("knn")]
-    return QuerySeriesResult(
-        title="Figure 7: k-nearest neighbors on skewed data (minutes)",
-        query_name="knn",
-        series=series,
+    return _query_series(
+        sweep, "ais", "knn",
+        "Figure 7: k-nearest neighbors on skewed data (minutes)",
     )
 
 
@@ -565,23 +578,13 @@ class RetentionResult:
             {
                 "Live (GB)": self.live_gb,
                 "Ingested (GB)": self.ingested_gb,
-                "Nodes": [float(n) for n in self.nodes],
-                "Live chunks": [float(c) for c in self.live_chunks],
-                "Ledger slots": [
-                    float(c) for c in self.ledger_capacity
-                ],
-                "Catalog slots": [
-                    float(c) for c in self.catalog_capacity
-                ],
-                "Catalog epoch": [
-                    float(e) for e in self.catalog_epochs
-                ],
-                "Delta +chunks": [
-                    float(a) for a in self.delta_added_chunks
-                ],
-                "Delta -chunks": [
-                    float(r) for r in self.delta_removed_chunks
-                ],
+                "Nodes": self.nodes,
+                "Live chunks": self.live_chunks,
+                "Ledger slots": self.ledger_capacity,
+                "Catalog slots": self.catalog_capacity,
+                "Catalog epoch": self.catalog_epochs,
+                "Delta +chunks": self.delta_added_chunks,
+                "Delta -chunks": self.delta_removed_chunks,
                 "Delta (GB)": self.delta_gb,
             },
             title=(
@@ -855,10 +858,11 @@ def incremental_churn(
         refresh_wall_ms=[], full_wall_ms=[], modes=[],
     )
     for fraction in churn_fractions:
+        # Keyed by the ChurnResult field each median lands in.
         samples: Dict[str, List[float]] = {
             k: [] for k in (
-                "delta_chunks", "delta_gb", "full_gb", "delta_s",
-                "full_s", "refresh_ms", "full_ms",
+                "delta_chunks", "delta_gb", "full_gb", "delta_arm_seconds",
+                "full_arm_seconds", "refresh_wall_ms", "full_wall_ms",
             )
         }
         modes: List[str] = []
@@ -901,29 +905,14 @@ def incremental_churn(
             samples["delta_chunks"].append(float(len(delta)))
             samples["delta_gb"].append(delta.bytes_touched / GB)
             samples["full_gb"].append(report.plan.full_bytes / GB)
-            samples["delta_s"].append(report.plan.delta_seconds)
-            samples["full_s"].append(report.plan.full_seconds)
-            samples["refresh_ms"].append(refresh_ms)
-            samples["full_ms"].append(full_ms)
+            samples["delta_arm_seconds"].append(report.plan.delta_seconds)
+            samples["full_arm_seconds"].append(report.plan.full_seconds)
+            samples["refresh_wall_ms"].append(refresh_ms)
+            samples["full_wall_ms"].append(full_ms)
             modes.append(report.mode)
         result.churn_fractions.append(float(fraction))
-        result.delta_chunks.append(
-            float(np.median(samples["delta_chunks"]))
-        )
-        result.delta_gb.append(float(np.median(samples["delta_gb"])))
-        result.full_gb.append(float(np.median(samples["full_gb"])))
-        result.delta_arm_seconds.append(
-            float(np.median(samples["delta_s"]))
-        )
-        result.full_arm_seconds.append(
-            float(np.median(samples["full_s"]))
-        )
-        result.refresh_wall_ms.append(
-            float(np.median(samples["refresh_ms"]))
-        )
-        result.full_wall_ms.append(
-            float(np.median(samples["full_ms"]))
-        )
+        for field_name, values in samples.items():
+            getattr(result, field_name).append(float(np.median(values)))
         result.modes.append(max(set(modes), key=modes.count))
     return result
 
@@ -933,7 +922,7 @@ def incremental_churn(
 # ----------------------------------------------------------------------
 @dataclass
 class ClaimsResult:
-    """The §6.2 prose claims, recomputed from Figure 4/5 data."""
+    """The §6.2 prose claims, recomputed from the §6.2 sweep."""
 
     fine_grained_rsd_pct: float
     other_rsd_pct: float
@@ -961,56 +950,46 @@ CLUSTERED_TRIO = ("incremental_quadtree", "hilbert_curve", "kd_tree")
 GLOBAL_SCHEMES = ("round_robin", "uniform_range")
 
 
-def headline_claims(
-    fig4: InsertReorgResult,
-    fig5: BenchmarkTimesResult,
-) -> ClaimsResult:
-    """Recompute the §6.2.1/§6.2.3 headline numbers from run data."""
-    rsd_values: Dict[str, List[float]] = {"fine": [], "other": []}
-    for workload in fig4.data.values():
-        for name, (_, _, rsd) in workload.items():
-            bucket = "fine" if name in FINE_GRAINED else "other"
-            rsd_values[bucket].append(rsd)
-
-    incremental = [
-        n for n in PAPER_ORDER if n not in GLOBAL_SCHEMES
+def headline_claims(sweep: PaperSweep) -> ClaimsResult:
+    """Recompute the §6.2.1/§6.2.3 headline numbers from the sweep."""
+    fig4 = figure4_insert_reorg(sweep).data
+    rsd = [
+        (name in FINE_GRAINED, values[2])
+        for per_scheme in fig4.values()
+        for name, values in per_scheme.items()
     ]
+    fine = [pct for is_fine, pct in rsd if is_fine]
+    other = [pct for is_fine, pct in rsd if not is_fine]
+
     def mean_reorg(names: Sequence[str]) -> float:
-        vals = [
-            fig4.data[w][n][1]
-            for w in fig4.data
-            for n in names
-        ]
+        vals = [fig4[w][n][1] for w in fig4 for n in names]
         return sum(vals) / len(vals) if vals else 0.0
 
     # Append moves nothing, so exclude it from the incremental mean the
     # ratio uses (the paper's 2.5x compares schemes that actually move
     # data).
-    moving_incremental = [n for n in incremental if n != "append"]
+    moving = mean_reorg([
+        n for n in PAPER_ORDER if n not in (*GLOBAL_SCHEMES, "append")
+    ])
     ratio = (
-        mean_reorg(GLOBAL_SCHEMES) / mean_reorg(moving_incremental)
-        if mean_reorg(moving_incremental) > 0 else float("inf")
+        mean_reorg(GLOBAL_SCHEMES) / moving if moving > 0 else float("inf")
     )
 
-    baseline_hours = (
-        fig5.node_hours["modis"]["round_robin"]
-        + fig5.node_hours["ais"]["round_robin"]
-    )
-    trio_hours = [
-        fig5.node_hours["modis"][n] + fig5.node_hours["ais"][n]
-        for n in CLUSTERED_TRIO
-    ]
+    def total_hours(name: str) -> float:
+        return sum(
+            runs[name].metrics.workload_cost_node_hours
+            for runs in sweep.runs.values()
+        )
+
+    baseline_hours = total_hours("round_robin")
+    trio_hours = [total_hours(n) for n in CLUSTERED_TRIO]
     win = (
         (baseline_hours - sum(trio_hours) / len(trio_hours))
         / baseline_hours * 100.0
     )
     return ClaimsResult(
-        fine_grained_rsd_pct=(
-            sum(rsd_values["fine"]) / len(rsd_values["fine"])
-        ),
-        other_rsd_pct=(
-            sum(rsd_values["other"]) / len(rsd_values["other"])
-        ),
+        fine_grained_rsd_pct=sum(fine) / len(fine),
+        other_rsd_pct=sum(other) / len(other),
         global_reorg_ratio=ratio,
         clustered_win_pct=win,
     )

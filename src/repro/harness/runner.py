@@ -41,7 +41,7 @@ class RunConfig:
         staircase: optional (s, p) parameters — switches provisioning to
             the leading staircase control loop.
         run_queries: run the benchmark suite each cycle (disable for
-            ingest-only experiments like Figure 4).
+            ingest-only experiments like the Figure 8 staircase).
         virtual_nodes / tree_height: partitioner-specific knobs.
         costs: simulation cost constants.
         storage: optional tiered-storage root — when set, every node

@@ -403,6 +403,14 @@ class TestClusterChurn:
         with pytest.raises(ClusterError):
             ElasticCluster(partitioner, 1e12, ledger_compact_ratio=1.5)
 
+    @pytest.mark.parametrize("ratio", ["0.5", True, float("nan")])
+    def test_non_real_compact_ratio_rejected(self, ratio):
+        partitioner = make_partitioner(
+            "round_robin", [0], grid=GRID, node_capacity_bytes=1e12
+        )
+        with pytest.raises(ClusterError, match="ledger_compact_ratio"):
+            ElasticCluster(partitioner, 1e12, ledger_compact_ratio=ratio)
+
     @pytest.mark.parametrize("fraction", [float("nan"), -1, 2])
     def test_bad_threshold_rejected_on_both_paths(self, fraction):
         cluster = _churn_cluster(None)

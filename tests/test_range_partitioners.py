@@ -269,6 +269,44 @@ class TestQuadtree:
             )
 
 
+BAD_DIMS = [(1.5,), (True,), (float("nan"),), ("1",)]
+
+
+class TestBadSplitArguments:
+    """Non-integral dimension indices and extents are rejected with the
+    argument named, never truncated."""
+
+    @pytest.mark.parametrize("dims", BAD_DIMS)
+    def test_uniform_range_split_dims(self, dims):
+        with pytest.raises(PartitioningError, match="split_dims"):
+            UniformRangePartitioner([0], GRID3, split_dims=dims)
+        with pytest.raises(PartitioningError, match="split_dims"):
+            build_leaves(GRID3, height=2, split_dims=dims)
+
+    @pytest.mark.parametrize("dims", BAD_DIMS)
+    def test_quadtree_split_dims(self, dims):
+        with pytest.raises(PartitioningError, match="split_dims"):
+            IncrementalQuadtreePartitioner([0], GRID3, split_dims=dims)
+
+    @pytest.mark.parametrize("order", BAD_DIMS)
+    def test_kd_tree_split_order(self, order):
+        with pytest.raises(PartitioningError, match="split_order"):
+            KdTreePartitioner([0], GRID3, split_order=order)
+
+    @pytest.mark.parametrize(
+        "extent", [2.5, True, float("nan"), 0, "16"]
+    )
+    def test_hilbert_grid_extents(self, extent):
+        with pytest.raises(PartitioningError, match="grid_extents"):
+            HilbertCurvePartitioner([0], (16, extent))
+
+    def test_dimension_zero_is_valid(self):
+        assert UniformRangePartitioner(
+            [0], GRID3, split_dims=(np.int64(0),)
+        ).split_dims == (0,)
+        assert KdTreePartitioner([0], GRID3, split_order=(0,)).split_order == (0,)
+
+
 class TestUniformRange:
     def test_leaf_count(self):
         leaves = build_leaves(GRID, height=4)

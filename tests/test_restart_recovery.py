@@ -95,6 +95,19 @@ class TestRecoveryUnit:
         with pytest.raises(ClusterError, match="do not match"):
             ElasticCluster.recover(partitioner, 1000 * GB, storage)
 
+    @pytest.mark.parametrize("ratio", ["0.5", True])
+    def test_recover_checks_compact_ratio(self, tmp_path, ratio):
+        cluster, storage = _loaded(tmp_path)
+        del cluster
+        partitioner = make_partitioner(
+            "hilbert_curve", [0, 1, 2], grid=GRID,
+            node_capacity_bytes=1000 * GB,
+        )
+        with pytest.raises(ClusterError, match="ledger_compact_ratio"):
+            ElasticCluster.recover(
+                partitioner, 1000 * GB, storage, ledger_compact_ratio=ratio
+            )
+
     def test_recover_missing_root_is_typed(self, tmp_path):
         partitioner = make_partitioner(
             "hilbert_curve", [0], grid=GRID,

@@ -14,6 +14,7 @@ from repro.harness import (
     default_modis,
     figure4_insert_reorg,
     figure8_staircase,
+    paper_sweep,
     table1_taxonomy,
     table2_sampling,
     table3_cost_model,
@@ -228,6 +229,18 @@ class TestIncrementalScaleOutThroughTheHarness:
         assert any(onto_preexisting.values()), onto_preexisting
 
 
+SWEEP_SCHEMES = ("append", "round_robin", "kd_tree")
+
+
+@pytest.fixture(scope="module")
+def tiny_sweep():
+    return paper_sweep(
+        ModisWorkload(**TINY_MODIS),
+        AisWorkload(**TINY_AIS),
+        partitioners=SWEEP_SCHEMES,
+    )
+
+
 class TestExperimentEntryPoints:
     def test_table1_matches_paper(self):
         result = table1_taxonomy()
@@ -240,12 +253,8 @@ class TestExperimentEntryPoints:
         assert by_name["K-d Tree"] == (True, False, True, True)
         assert by_name["Uniform Range"] == (False, False, False, True)
 
-    def test_figure4_shapes(self):
-        result = figure4_insert_reorg(
-            ModisWorkload(**TINY_MODIS),
-            AisWorkload(**TINY_AIS),
-            partitioners=("append", "round_robin", "kd_tree"),
-        )
+    def test_figure4_shapes(self, tiny_sweep):
+        result = figure4_insert_reorg(tiny_sweep)
         for workload in ("modis", "ais"):
             data = result.data[workload]
             # Append never moves data
@@ -253,6 +262,22 @@ class TestExperimentEntryPoints:
             # the global baseline reorganizes more than the k-d tree
             assert data["round_robin"][1] > 0.0
         assert "Figure 4" in result.render()
+
+    def test_sweep_figure4_equals_ingest_only_runs(self, tiny_sweep):
+        # The sweep runs the suite every cycle and Figure 4 reads its
+        # ingest numbers: that holds only while no query moves or
+        # prices placement.
+        result = figure4_insert_reorg(tiny_sweep)
+        for workload in (ModisWorkload(**TINY_MODIS), AisWorkload(**TINY_AIS)):
+            for name in SWEEP_SCHEMES:
+                metrics = ExperimentRunner(
+                    workload, RunConfig(partitioner=name, run_queries=False)
+                ).run()
+                assert result.data[workload.name][name] == (
+                    metrics.total_insert_seconds / 60.0,
+                    metrics.total_reorg_seconds / 60.0,
+                    metrics.mean_storage_rsd * 100.0,
+                ), (workload.name, name)
 
     def test_figure8_staircase_covers_demand(self):
         result = figure8_staircase(

@@ -527,19 +527,25 @@ def test_cost_scan_scalar(benchmark):
     assert len(out) == COST_NODES
 
 
+def _cost_read(layout):
+    """The layout as one :class:`Read` (what a session read returns)."""
+    chunks = np.empty(len(layout), dtype=object)
+    chunks[:] = [c for c, _ in layout]
+    return Read(
+        chunks,
+        np.array([c.size_bytes for c, _ in layout]),
+        np.array([n for _, n in layout], dtype=np.int64),
+        _COST_SCHEMA,
+        np.array([c.key for c, _ in layout], dtype=np.int64),
+    )
+
+
 def test_cost_scan_batch(benchmark):
     """One read's columns: one fused multiply + one np.add.at pass."""
     layout = _cost_layout()
     costs = CostParameters()
     benchmark.extra_info["items"] = len(layout)
-    chunks = np.empty(len(layout), dtype=object)
-    chunks[:] = [c for c, _ in layout]
-    read = Read(
-        chunks,
-        np.array([c.size_bytes for c, _ in layout]),
-        np.array([n for _, n in layout], dtype=np.int64),
-        _COST_SCHEMA,
-    )
+    read = _cost_read(layout)
 
     def scan():
         acc = CostAccumulator(range(COST_NODES))
@@ -571,7 +577,9 @@ def test_halo_bytes_batch(benchmark):
     layout = _cost_layout()
     benchmark.extra_info["items"] = len(layout)
 
-    out = benchmark(halo_shuffle_bytes, layout, ["a"], (1, 2), 0.5)
+    out = benchmark(
+        halo_shuffle_bytes, _cost_read(layout), ["a"], (1, 2), 0.5
+    )
     ref = halo_shuffle_bytes_scalar(layout, ["a"], (1, 2), 0.5)
     assert set(out) == set(ref)
     assert all(abs(out[n] - v) <= 1e-9 * v for n, v in ref.items())

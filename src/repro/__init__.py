@@ -29,7 +29,6 @@ from repro.arrays import (
     ChunkData,
     ChunkRef,
     DimensionSpec,
-    LocalArray,
     parse_schema,
 )
 from repro.cluster import (
@@ -76,7 +75,6 @@ __all__ = [
     "GB",
     "InsertBatch",
     "LeadingStaircase",
-    "LocalArray",
     "ModisWorkload",
     "ParityConfig",
     "QueryResult",

@@ -8,8 +8,7 @@ Public surface:
   :func:`~repro.arrays.schema.parse_schema` — array declarations.
 * :class:`~repro.arrays.chunk.ChunkData`,
   :class:`~repro.arrays.chunk.ChunkRef`, :class:`~repro.arrays.chunk.ChunkBatch`.
-* :class:`~repro.arrays.array.LocalArray`,
-  :func:`~repro.arrays.array.chunk_cells` — cell-level ingest and reads.
+* :func:`~repro.arrays.array.chunk_cells` — cell-level ingest.
 * :class:`~repro.arrays.storage.ChunkStore`,
   :class:`~repro.arrays.storage.SpillTier` — node-local storage with
   an optional byte-budgeted LRU over the disk tier.
@@ -22,7 +21,7 @@ Public surface:
   :class:`~repro.arrays.sfc.RectangleHilbert` — space-filling curve.
 """
 
-from repro.arrays.array import LocalArray, chunk_cells
+from repro.arrays.array import chunk_cells
 from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkKey, ChunkRef, empty_chunk
 from repro.arrays.coords import Box, bounding_box
 from repro.arrays.schema import (
@@ -54,7 +53,6 @@ __all__ = [
     "DiskIO",
     "SegmentStore",
     "SpillTier",
-    "LocalArray",
     "RectangleHilbert",
     "bits_for_extent",
     "bounding_box",

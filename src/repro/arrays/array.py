@@ -1,8 +1,4 @@
-"""Local (single-process) arrays: a chunk map plus cell-level operations.
-
-:class:`LocalArray` is the in-memory materialization of one array — the
-coordinator uses it to chunk incoming cells, and the query engine uses the
-same interface on each simulated node's slice of the data.
+"""Cell-level ingest: a batch of cells becomes a batch of chunks.
 
 :func:`chunk_cells` is where cell memory is allocated: each call sorts
 its batch by chunk key into one :class:`~repro.arrays.chunk.CellArena`
@@ -13,186 +9,14 @@ per-chunk array is created on the ingest path.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import CellArena, ChunkBatch, ChunkData, ChunkKey
-from repro.arrays.coords import Box, pack_rows, region_mask, row_packing
+from repro.arrays.chunk import CellArena, ChunkBatch, ChunkData
+from repro.arrays.coords import pack_rows, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.errors import ChunkError
-
-
-class LocalArray:
-    """An array held in one process: ``chunk key -> ChunkData``.
-
-    Args:
-        schema: the array's schema.
-        chunks: optional initial chunks.
-    """
-
-    def __init__(
-        self,
-        schema: ArraySchema,
-        chunks: Optional[Iterable[ChunkData]] = None,
-    ) -> None:
-        self.schema = schema
-        self._chunks: Dict[ChunkKey, ChunkData] = {}
-        for chunk in chunks or ():
-            self.add_chunk(chunk)
-
-    # ------------------------------------------------------------------
-    # chunk-level interface
-    # ------------------------------------------------------------------
-    def add_chunk(self, chunk: ChunkData) -> None:
-        """Insert a chunk, merging with an existing chunk at the same key."""
-        if chunk.schema.name != self.schema.name:
-            raise ChunkError(
-                f"chunk of array {chunk.schema.name!r} added to "
-                f"{self.schema.name!r}"
-            )
-        existing = self._chunks.get(chunk.key)
-        if existing is None:
-            self._chunks[chunk.key] = chunk
-        else:
-            self._chunks[chunk.key] = existing.merged_with(chunk)
-
-    def chunk(self, key: Sequence[int]) -> ChunkData:
-        """Fetch one chunk; raises :class:`ChunkError` when absent."""
-        k = tuple(int(c) for c in key)
-        try:
-            return self._chunks[k]
-        except KeyError:
-            raise ChunkError(
-                f"array {self.schema.name} has no chunk {k}"
-            ) from None
-
-    def chunk_keys(self) -> List[ChunkKey]:
-        """All materialized chunk keys (sorted for determinism)."""
-        return sorted(self._chunks)
-
-    def chunks(self) -> Iterator[ChunkData]:
-        """Iterate chunks in key order."""
-        for key in self.chunk_keys():
-            yield self._chunks[key]
-
-    def __len__(self) -> int:
-        return len(self._chunks)
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, tuple) and key in self._chunks
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    @property
-    def cell_count(self) -> int:
-        """Total non-empty cells across all chunks."""
-        return sum(c.cell_count for c in self._chunks.values())
-
-    @property
-    def size_bytes(self) -> float:
-        """Total modeled bytes across all chunks."""
-        return float(sum(c.size_bytes for c in self._chunks.values()))
-
-    # ------------------------------------------------------------------
-    # cell-level ingest
-    # ------------------------------------------------------------------
-    def insert_cells(
-        self,
-        coords: np.ndarray,
-        attributes: Mapping[str, np.ndarray],
-        inflate: float = 1.0,
-    ) -> Sequence[ChunkData]:
-        """Chunk a batch of cells and add them to the array.
-
-        Args:
-            coords: ``(cells, ndim)`` int coordinates.
-            attributes: one value column per schema attribute.
-            inflate: multiplier applied to the actual numpy footprint to
-                obtain the modeled ``size_bytes`` of each produced chunk.
-
-        Returns:
-            The list of newly produced (pre-merge) chunks, one per distinct
-            chunk key in the batch, in key order.
-        """
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] != self.schema.ndim:
-            raise ChunkError(
-                f"coords must have shape (cells, {self.schema.ndim}), "
-                f"got {coords.shape}"
-            )
-        if coords.shape[0] == 0:
-            return ChunkBatch.of([])
-
-        produced = chunk_cells(self.schema, coords, attributes, inflate)
-        for chunk in produced:
-            self.add_chunk(chunk)
-        return produced
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def scan(
-        self, attrs: Optional[Sequence[str]] = None
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Materialize all cells as ``(coords, {attr: values})``."""
-        names = list(attrs) if attrs is not None else list(
-            self.schema.attribute_names
-        )
-        keys = self.chunk_keys()
-        if not keys:
-            empty = np.empty((0, self.schema.ndim), dtype=np.int64)
-            return empty, {
-                n: np.empty(0, dtype=self.schema.attribute(n).dtype
-                            if self.schema.attribute(n).dtype != "object"
-                            else object)
-                for n in names
-            }
-        coords = np.concatenate(
-            [self._chunks[k].coords for k in keys], axis=0
-        )
-        values = {
-            n: np.concatenate([self._chunks[k].values(n) for k in keys])
-            for n in names
-        }
-        return coords, values
-
-    def chunks_in_region(self, region: Box) -> List[ChunkData]:
-        """Chunks whose cell boxes intersect a region of *cell* space."""
-        out = []
-        for key in self.chunk_keys():
-            if self.schema.chunk_box(key).intersects(region):
-                out.append(self._chunks[key])
-        return out
-
-    def subarray(
-        self, region: Box, attrs: Optional[Sequence[str]] = None
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Cells falling inside a half-open region of cell space."""
-        names = list(attrs) if attrs is not None else list(
-            self.schema.attribute_names
-        )
-        picked_coords = []
-        picked_values: Dict[str, List[np.ndarray]] = {n: [] for n in names}
-        for chunk in self.chunks_in_region(region):
-            mask = region_mask(chunk.coords, region)
-            if not mask.any():
-                continue
-            picked_coords.append(chunk.coords[mask])
-            for n in names:
-                picked_values[n].append(chunk.values(n)[mask])
-        if not picked_coords:
-            empty = np.empty((0, self.schema.ndim), dtype=np.int64)
-            return empty, {
-                n: np.empty(0, dtype=self.schema.attribute(n).dtype
-                            if self.schema.attribute(n).dtype != "object"
-                            else object)
-                for n in names
-            }
-        coords = np.concatenate(picked_coords, axis=0)
-        values = {n: np.concatenate(picked_values[n]) for n in names}
-        return coords, values
 
 
 def _validated_keys(

@@ -32,7 +32,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ChunkError
+from repro.errors import ChunkError, require_count
 
 
 def _axes_to_transpose(x: List[int], bits: int) -> List[int]:
@@ -298,12 +298,12 @@ class RectangleHilbert:
     """
 
     def __init__(self, extents: Sequence[int]) -> None:
-        extents = tuple(int(e) for e in extents)
+        extents = tuple(
+            require_count(f"extents[{d}]", e, ChunkError)
+            for d, e in enumerate(extents)
+        )
         if not extents:
             raise ChunkError("rectangle needs at least one dimension")
-        for e in extents:
-            if e < 1:
-                raise ChunkError(f"invalid rectangle extent {e}")
         self.extents = extents
         self.ndim = len(extents)
         self.bits = bits_for_extent(max(extents))

@@ -113,7 +113,13 @@ from typing import (
 import numpy as np
 
 from repro.arrays.chunk import ChunkBatch, ChunkData, ChunkKey, ChunkRef
-from repro.arrays.coords import Box, joint_position_keys, region_mask
+from repro.arrays.coords import (
+    Box,
+    joint_position_keys,
+    position_keys,
+    region_mask,
+    row_packing,
+)
 from repro.core.ledger import ArrayChunkLedger, array_codes, resize_column
 from repro.errors import ChunkError, ClusterError
 
@@ -216,6 +222,23 @@ class Read:
         rows = None if self._rows is None else self._rows[pos]
         return Read(self.chunks[pos], self.sizes[pos], self.nodes[pos],
                     self.schema, rows, self._extents[pos])
+
+    def union(self, other: "Read") -> "Read":
+        """This read's rows, then those of ``other`` whose chunk keys it
+        lacks: the first occurrence of each key, in order."""
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        both = Read(
+            np.concatenate([self.chunks, other.chunks]),
+            np.concatenate([self.sizes, other.sizes]),
+            np.concatenate([self.nodes, other.nodes]), self.schema,
+            np.concatenate([self.rows, other.rows]),
+            np.concatenate([self._extents, other._extents]),
+        )
+        keys = position_keys(both.rows, row_packing(both.rows))
+        return both.take(np.sort(np.unique(keys, return_index=True)[1]))
 
     def key_matched(self, other: "Read") -> Tuple["Read", "Read"]:
         """The rows of this read and of ``other`` whose chunk keys both

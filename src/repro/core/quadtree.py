@@ -36,7 +36,7 @@ from repro.core.base import (
     split_dims_of,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, require_flag
 
 
 class IncrementalQuadtreePartitioner(ElasticPartitioner):
@@ -73,7 +73,9 @@ class IncrementalQuadtreePartitioner(ElasticPartitioner):
     ) -> None:
         super().__init__(nodes)
         self.grid = grid
-        self.allow_pairs = bool(allow_pairs)
+        self.allow_pairs = require_flag(
+            "allow_pairs", allow_pairs, PartitioningError
+        )
         self.split_dims = split_dims_of(split_dims, grid.ndim)
         if not self.split_dims:
             raise PartitioningError(

@@ -12,6 +12,8 @@ import math
 from numbers import Integral, Real
 from typing import Type
 
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -96,6 +98,14 @@ def require_count(name: str, value: int, error: Type[ReproError]) -> int:
     ):
         raise error(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def require_flag(name: str, value: bool, error: Type[ReproError]) -> bool:
+    """``value`` as a bool, or ``error`` unless it is a ``bool`` or a
+    numpy ``bool_`` (a truthy string or int is not a flag)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def require_positive(

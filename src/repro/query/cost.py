@@ -27,12 +27,12 @@ update.  A scan is priced from the read that touched it: every session
 read — whole array, region, delta — is one
 :class:`~repro.core.catalog.Read` carrying the touched chunks'
 ``(sizes, nodes)`` columns, and :func:`charge_scan` (or
-:func:`node_byte_sums`, for a merge phase) prices it directly.  A plain
-``(chunk, node)`` pair list is lowered to the same columns by
-:func:`scan_columns` first.  Halo and co-location shuffles find
-cross-node chunk pairs with one packed-key ``searchsorted`` per stencil
-offset (:func:`neighbor_pairs`) rather than a Python dict probe per
-neighbour.
+:func:`node_byte_sums`, for a merge phase) prices it directly; a
+:class:`~repro.core.catalog.Read` is the only input every kernel here
+takes.  Halo shuffles find cross-node chunk pairs with one packed-key
+``searchsorted`` per stencil offset (:func:`neighbor_pairs`) rather
+than a Python dict probe per neighbour, and a co-location shuffle
+prices two key-matched side reads row against row.
 
 The specification of every kernel here is its per-chunk dict walk in
 ``tests/oracles/cost.py``; ``tests/test_cost_parity.py`` runs the full
@@ -53,7 +53,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import position_keys, row_packing
 from repro.arrays.schema import ArraySchema
 from repro.cluster.costs import GB, CostParameters
@@ -133,11 +132,6 @@ class CostAccumulator:
         """Accumulate seconds onto a single node."""
         self._busy[self.slots_of(np.asarray([node]))[0]] += seconds
 
-    def add_mapping(self, per_node: Mapping[int, float]) -> None:
-        """Fold a ``node -> seconds`` mapping into the column."""
-        for node, seconds in per_node.items():
-            self.add_one(node, seconds)
-
     # -- reads ---------------------------------------------------------
     def max_seconds(self) -> float:
         """The slowest node's busy-seconds (0.0 with no nodes)."""
@@ -206,23 +200,22 @@ def attr_fraction(
 
 
 def scan_columns(
-    chunks_nodes: Sequence[Tuple[ChunkData, int]],
+    chunks_nodes: Read,
     attrs: Optional[Sequence[str]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower a read to parallel ``(sizes, nodes)`` columns.
+    """A read's ``(sizes, nodes)`` columns, priced for ``attrs``.
 
-    The one lowering of the batch cost path: every downstream charge is
-    a vector operation over these columns.  A
-    :class:`~repro.core.catalog.Read` (whole array, region or delta)
-    already holds them; a plain (chunk, node) pair list is walked once.
-    All chunks belong to one array (every query touches one array per
-    scan), so the vertical-partitioning attribute fraction is applied as
-    a single multiply.
+    The one lowering of the cost path: every downstream charge is a
+    vector operation over these columns.  All chunks belong to one
+    array (every query touches one array per scan), so the
+    vertical-partitioning attribute fraction is applied as a single
+    multiply.
 
     Parameters
     ----------
-    chunks_nodes : Read or sequence of (ChunkData, int)
-        The touched chunks and their hosting nodes.
+    chunks_nodes : Read
+        The touched chunks and their hosting nodes (whole array, region
+        or delta).
     attrs : sequence of str or None
         Attributes read (``None`` = all); fewer attributes = less I/O,
         the column-store benefit.
@@ -230,32 +223,19 @@ def scan_columns(
     Returns
     -------
     sizes : numpy.ndarray of float64
-        Modeled bytes the query reads from each chunk (read-only when
-        ``attrs`` is ``None`` and the input is a read).
+        Modeled bytes the query reads from each chunk (the read's own
+        read-only column when ``attrs`` is ``None``).
     nodes : numpy.ndarray of int64
         Hosting node of each chunk.
     """
-    if isinstance(chunks_nodes, Read):
-        sizes, nodes = chunks_nodes.sizes, chunks_nodes.nodes
-        schema = chunks_nodes.schema
-    else:
-        n = len(chunks_nodes)
-        nodes = np.fromiter(
-            (node for _, node in chunks_nodes), dtype=np.int64, count=n
-        )
-        sizes = np.fromiter(
-            (chunk.size_bytes for chunk, _ in chunks_nodes),
-            dtype=np.float64,
-            count=n,
-        )
-        schema = chunks_nodes[0][0].schema if n else None
+    sizes = chunks_nodes.sizes
     if attrs is not None and sizes.size:
-        sizes = sizes * attr_fraction(schema, attrs)
-    return sizes, nodes
+        sizes = sizes * attr_fraction(chunks_nodes.schema, attrs)
+    return sizes, chunks_nodes.nodes
 
 
 def node_byte_sums(
-    chunks_nodes: Sequence[Tuple[ChunkData, int]],
+    chunks_nodes: Read,
     attrs: Optional[Sequence[str]] = None,
     fraction: float = 1.0,
 ) -> Dict[int, float]:
@@ -266,7 +246,7 @@ def node_byte_sums(
 
     Parameters
     ----------
-    chunks_nodes : Read or sequence of (ChunkData, int)
+    chunks_nodes : Read
         The touched chunks and their hosting nodes.
     attrs : sequence of str or None
         Attributes whose bytes count (``None`` = all).
@@ -413,16 +393,13 @@ def add_scan_work(
 
 def charge_scan(
     acc: CostAccumulator,
-    chunks_nodes: Sequence[Tuple[ChunkData, int]],
+    chunks_nodes: Read,
     attrs: Optional[Sequence[str]],
     costs: CostParameters,
     cpu_intensity: float,
 ) -> float:
-    """Charge scan work for one read: the one scan charge.
-
-    A :class:`~repro.core.catalog.Read` — whole array, region or delta —
-    is priced from its own columns; a plain (chunk, node) pair list is
-    lowered by :func:`scan_columns` first.
+    """Charge scan work for one read (whole array, region or delta),
+    priced from its own columns: the one scan charge.
 
     Returns
     -------
@@ -661,7 +638,7 @@ def sum_endpoint_bytes(
 # halo (ghost-cell) exchange
 # ----------------------------------------------------------------------
 def halo_shuffle_bytes(
-    chunks_nodes: Sequence[Tuple[ChunkData, int]],
+    chunks_nodes: Read,
     attrs: Optional[Sequence[str]],
     spatial_dims: Sequence[int],
     halo_fraction: float = 0.25,
@@ -677,7 +654,7 @@ def halo_shuffle_bytes(
 
     Parameters
     ----------
-    chunks_nodes : Read or sequence of (ChunkData, int)
+    chunks_nodes : Read
         The touched chunks (unique keys) and their hosting nodes.
     attrs : sequence of str or None
         Attributes exchanged (``None`` = all).
@@ -691,14 +668,9 @@ def halo_shuffle_bytes(
     dict of int to float
         ``node -> bytes`` on the wire (in + out summed per node).
     """
-    n = len(chunks_nodes)
-    if n == 0:
+    if len(chunks_nodes) == 0:
         return {}
-    keys = (
-        chunks_nodes.rows if isinstance(chunks_nodes, Read)
-        else np.array([c.key for c, _ in chunks_nodes], dtype=np.int64)
-    )
-    src, dst = neighbor_pairs(keys, spatial_dims)
+    src, dst = neighbor_pairs(chunks_nodes.rows, spatial_dims)
     sizes, nodes = scan_columns(chunks_nodes, attrs)
     cross = nodes[src] != nodes[dst]
     src, dst = src[cross], dst[cross]
@@ -713,7 +685,8 @@ def halo_shuffle_bytes(
 # co-location (dimension-aligned join) shuffle
 # ----------------------------------------------------------------------
 def colocation_shuffle_bytes(
-    pairs: Sequence[Tuple[ChunkData, int, ChunkData, int]],
+    side_a: Read,
+    side_b: Read,
     attrs_small: Optional[Sequence[str]] = None,
 ) -> Dict[int, float]:
     """Network bytes for a dimension-aligned join of two arrays.
@@ -725,8 +698,10 @@ def colocation_shuffle_bytes(
 
     Parameters
     ----------
-    pairs : sequence of (ChunkData, int, ChunkData, int)
-        ``(chunk_a, node_a, chunk_b, node_b)`` per common key.
+    side_a, side_b : Read
+        The two arrays' key-matched reads
+        (:meth:`~repro.core.catalog.Read.key_matched`): row ``i`` of
+        each holds the same chunk key.
     attrs_small : sequence of str or None
         Attributes of the shipped side actually needed.
 
@@ -735,29 +710,16 @@ def colocation_shuffle_bytes(
     dict of int to float
         ``node -> bytes`` on the wire.
     """
-    n = len(pairs)
-    if n == 0:
-        return {}
-    sizes_a = np.fromiter(
-        (p[0].size_bytes for p in pairs), dtype=np.float64, count=n
-    )
-    nodes_a = np.fromiter(
-        (p[1] for p in pairs), dtype=np.int64, count=n
-    )
-    sizes_b = np.fromiter(
-        (p[2].size_bytes for p in pairs), dtype=np.float64, count=n
-    )
-    nodes_b = np.fromiter(
-        (p[3] for p in pairs), dtype=np.int64, count=n
-    )
+    nodes_a, nodes_b = side_a.nodes, side_b.nodes
     cross = nodes_a != nodes_b
     if not cross.any():
         return {}
+    sizes_a, sizes_b = side_a.sizes, side_b.sizes
     a_ships = sizes_a <= sizes_b
     shipped = np.where(a_ships, sizes_a, sizes_b)
     if attrs_small is not None:
-        frac_a = attr_fraction(pairs[0][0].schema, attrs_small)
-        frac_b = attr_fraction(pairs[0][2].schema, attrs_small)
+        frac_a = attr_fraction(side_a.schema, attrs_small)
+        frac_b = attr_fraction(side_b.schema, attrs_small)
         shipped = shipped * np.where(a_ships, frac_a, frac_b)
     src = np.where(a_ships, nodes_a, nodes_b)[cross]
     dst = np.where(a_ships, nodes_b, nodes_a)[cross]

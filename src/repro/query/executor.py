@@ -21,11 +21,11 @@ the session's reads.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Union
+from typing import Any, Iterable, List, Union
 
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.session import ClusterSession
-from repro.query.cost import CostAccumulator, charge_io
+from repro.query.cost import CostAccumulator, charge_io, elapsed_time
 from repro.query.result import QueryResult
 
 #: Either query target: a session, or a cluster to open one on.
@@ -60,6 +60,35 @@ class Query(ABC):
     @abstractmethod
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         """Compute the answer from the session's pinned snapshots."""
+
+    def _result(
+        self,
+        cluster: ClusterSession,
+        acc: CostAccumulator,
+        value: Any,
+        scanned: float = 0.0,
+        network: float = 0.0,
+        shuffle: bool = False,
+    ) -> QueryResult:
+        """The one build of this query's :class:`QueryResult`.
+
+        ``acc`` holds the run's per-node busy-seconds and ``network``
+        its wire bytes as endpoint sums.  A node-to-node ``shuffle``
+        counts each transfer at both ends, so half of ``network``
+        crosses the fabric and can set the elapsed time
+        (:func:`~repro.query.cost.elapsed_time`); a merge phase ships
+        to the coordinator and sets no fabric floor.
+        """
+        wire = network / 2.0 if shuffle else 0.0
+        return QueryResult(
+            name=self.name,
+            category=self.category,
+            value=value,
+            elapsed_seconds=elapsed_time(acc, cluster.costs, wire),
+            per_node_seconds=acc.as_dict(),
+            network_bytes=network,
+            scanned_bytes=scanned,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name})"

@@ -62,7 +62,12 @@ from repro.arrays.coords import (
 )
 from repro.cluster.session import ClusterSession
 from repro.core.catalog import concat_payload
-from repro.errors import QueryError, require_count, require_positive
+from repro.errors import (
+    QueryError,
+    require_count,
+    require_flag,
+    require_positive,
+)
 from repro.query import operators as ops
 from repro.query.cost import (
     MaintenancePlan,
@@ -201,7 +206,9 @@ class GridGroupByState:
                 f"dims {dims!r} must be non-negative dimensions, one per "
                 f"cell size {cell_sizes!r}"
             )
-        self.track_minmax = bool(track_minmax)
+        self.track_minmax = require_flag(
+            "track_minmax", track_minmax, QueryError
+        )
         self.clear()
 
     def clear(self) -> None:

@@ -32,14 +32,6 @@ class QueryResult:
     scanned_bytes: float = 0.0
     io_bytes: float = 0.0
 
-    @property
-    def parallelism(self) -> float:
-        """Effective parallelism: total busy time over elapsed time."""
-        busy = sum(self.per_node_seconds.values())
-        if self.elapsed_seconds <= 0:
-            return 1.0
-        return busy / self.elapsed_seconds
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QueryResult({self.name}, {self.elapsed_seconds:.1f}s, "

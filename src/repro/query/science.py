@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData
 from repro.arrays.coords import Box, region_mask
 from repro.cluster.session import ClusterSession
 from repro.core.catalog import Read
@@ -35,7 +34,6 @@ from repro.query.cost import (
     accumulator_for,
     charge_network,
     charge_scan,
-    elapsed_time,
     halo_shuffle_bytes,
     neighbor_pairs,
     node_byte_sums,
@@ -89,15 +87,9 @@ class ModisRollingAverage(Query):
             cluster.chunks_in_region("band1", region)
             for region in regions
         ]
-        # The caps are disjoint, but dedup the scan set defensively so a
+        # The caps are disjoint, but price the union of their reads so a
         # chunk spanning several regions is never charged twice.
-        touched: List[Tuple[ChunkData, int]] = []
-        seen: set = set()
-        for pairs in routed:
-            for chunk, node in pairs:
-                if chunk.key not in seen:
-                    seen.add(chunk.key)
-                    touched.append((chunk, node))
+        touched = routed[0].union(routed[1])
         acc = accumulator_for(cluster)
         scanned = charge_scan(
             acc, touched, ["radiance"], cluster.costs,
@@ -122,14 +114,8 @@ class ModisRollingAverage(Query):
                 coords, values["radiance"], dims=[0], cell_sizes=[1440]
             ))
         daily = merge_regional_daily_means(per_region)
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={"daily_polar_radiance": daily},
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-            scanned_bytes=scanned,
+        return self._result(
+            cluster, acc, {"daily_polar_radiance": daily}, scanned, network
         )
 
 
@@ -188,14 +174,9 @@ class ModisKMeans(Query):
             }
         else:
             value = {"points": 0, "centroids": [], "mean_residual": None}
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value=value,
-            elapsed_seconds=elapsed_time(acc, cluster.costs) + barrier,
-            per_node_seconds=acc.as_dict(),
-            scanned_bytes=scanned,
-        )
+        result = self._result(cluster, acc, value, scanned)
+        result.elapsed_seconds += barrier
+        return result
 
     def _ndvi_points(
         self,
@@ -268,7 +249,6 @@ class ModisWindowAggregate(Query):
             halo_fraction=0.5,
         )
         network = charge_network(acc, halo, cluster.costs)
-        wire = network / 2.0
 
         coords, values = cluster.gather_payload(
             touched, ["radiance"], ndim=3
@@ -279,16 +259,9 @@ class ModisWindowAggregate(Query):
             coords, values["radiance"],
             spatial_dims=(1, 2), window=self.window,
         )
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={"windows": int(windows.shape[0])},
-            elapsed_seconds=elapsed_time(
-                acc, cluster.costs, wire_bytes=wire
-            ),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-            scanned_bytes=scanned,
+        return self._result(
+            cluster, acc, {"windows": int(windows.shape[0])},
+            scanned, network, shuffle=True,
         )
 
 
@@ -341,18 +314,10 @@ class AisDensityMap(Query):
             dims=list(self.grid_dims),
             cell_sizes=list(self.grid_cell_sizes),
         )
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={
-                "buckets": int(counts.shape[0]),
-                "busiest": int(counts.max()) if counts.size else 0,
-            },
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-            scanned_bytes=scanned,
-        )
+        return self._result(cluster, acc, {
+            "buckets": int(counts.shape[0]),
+            "busiest": int(counts.max()) if counts.size else 0,
+        }, scanned, network)
 
 
 class AisKnn(Query):
@@ -385,11 +350,10 @@ class AisKnn(Query):
             "broadcast", self.workload.time_chunk_box(latest, latest + 1),
         )
         n = len(read)
+        acc = accumulator_for(cluster)
         if not n:
-            return QueryResult(
-                name=self.name, category=self.category,
-                value={"samples": 0, "mean_knn_distance": None},
-                elapsed_seconds=cluster.costs.query_overhead_seconds,
+            return self._result(
+                cluster, acc, {"samples": 0, "mean_knn_distance": None}
             )
 
         # Uniform ship sample: draw positions from the latest slice.  The
@@ -409,7 +373,6 @@ class AisKnn(Query):
         # order, so sampling stays deterministic; the distance math
         # then runs once per distinct neighbourhood with all its query
         # points batched.
-        acc = accumulator_for(cluster)
         wire_map, queries_by_key, key_order, (src, dst) = (
             self._account_samples(
                 acc, cluster, read, cells, sampled_keys, rng
@@ -443,21 +406,12 @@ class AisKnn(Query):
             distances.extend(d[np.isfinite(d)].tolist())
 
         network = charge_network(acc, wire_map, cluster.costs)
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={
-                "samples": len(sampled_keys),
-                "mean_knn_distance": (
-                    float(np.mean(distances)) if distances else None
-                ),
-            },
-            elapsed_seconds=elapsed_time(
-                acc, cluster.costs, wire_bytes=network / 2.0
+        return self._result(cluster, acc, {
+            "samples": len(sampled_keys),
+            "mean_knn_distance": (
+                float(np.mean(distances)) if distances else None
             ),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-        )
+        }, network=network, shuffle=True)
 
     def _account_samples(
         self, acc, cluster, read, cells, sampled_keys, rng
@@ -582,7 +536,6 @@ class AisCollisionPrediction(Query):
             halo_fraction=0.5,
         )
         network = charge_network(acc, halo, cluster.costs)
-        wire = network / 2.0
 
         # Batch: dead-reckon every chunk's moving ships in one call and
         # count close pairs with the chunk index as the segment key, so
@@ -602,14 +555,7 @@ class AisCollisionPrediction(Query):
         collisions = ops.count_close_pairs(
             lon, lat, self.radius_deg, segments=segments[moving]
         )
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={"predicted_close_pairs": int(collisions)},
-            elapsed_seconds=elapsed_time(
-                acc, cluster.costs, wire_bytes=wire
-            ),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-            scanned_bytes=scanned,
+        return self._result(
+            cluster, acc, {"predicted_close_pairs": int(collisions)},
+            scanned, network, shuffle=True,
         )

@@ -16,7 +16,7 @@ Six queries, three per workload:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.query.cost import (
     charge_network,
     charge_scan,
     colocation_shuffle_bytes,
-    elapsed_time,
     node_byte_sums,
 )
 from repro.query.executor import CATEGORY_SPJ, Query
@@ -61,20 +60,13 @@ class ModisSelection(Query):
         coords, values = cluster.payload_in_region(
             "band1", region, ["radiance"], ndim=len(region.lo)
         )
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={
-                "cells": int(coords.shape[0]),
-                "mean_radiance": (
-                    float(values["radiance"].mean())
-                    if coords.shape[0] else float("nan")
-                ),
-            },
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            scanned_bytes=scanned,
-        )
+        return self._result(cluster, acc, {
+            "cells": int(coords.shape[0]),
+            "mean_radiance": (
+                float(values["radiance"].mean())
+                if coords.shape[0] else float("nan")
+            ),
+        }, scanned)
 
 
 class ModisQuantileSort(Query):
@@ -112,7 +104,7 @@ class ModisQuantileSort(Query):
         sample_bytes = node_byte_sums(
             read, ["radiance"], fraction=self.sample_fraction
         )
-        charge_network(acc, sample_bytes, cluster.costs)
+        network = charge_network(acc, sample_bytes, cluster.costs)
 
         _coords, vals = cluster.array_payload(
             "band1", ["radiance"], ndim=3
@@ -122,19 +114,9 @@ class ModisQuantileSort(Query):
             values, self.sample_fraction, seed=cycle
         )
         quants = ops.quantiles(sample, self.qs)
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={
-                "quantiles": {
-                    q: float(v) for q, v in zip(self.qs, quants)
-                }
-            },
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=sum(sample_bytes.values()),
-            scanned_bytes=scanned,
-        )
+        return self._result(cluster, acc, {
+            "quantiles": {q: float(v) for q, v in zip(self.qs, quants)}
+        }, scanned, network)
 
 
 class ModisJoinNdvi(Query):
@@ -166,11 +148,8 @@ class ModisJoinNdvi(Query):
         scanned += charge_scan(
             acc, side2, attrs, cluster.costs, cpu_intensity=0.8
         )
-        shuffle = colocation_shuffle_bytes(
-            [(*a, *b) for a, b in zip(side1, side2)], attrs_small=attrs
-        )
+        shuffle = colocation_shuffle_bytes(side1, side2, attrs_small=attrs)
         network = charge_network(acc, shuffle, cluster.costs)
-        wire = network / 2.0  # endpoint sums count each transfer twice
 
         # Batch join: concatenate each band's day slice and intersect
         # the packed positions once — cell positions are globally unique
@@ -186,23 +165,13 @@ class ModisJoinNdvi(Query):
             coords1, vals1["radiance"], coords2, vals2["radiance"]
         )
         ndvi_all = ops.ndvi(v1, v2) if v1.shape[0] else np.empty(0)
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={
-                "cells": int(ndvi_all.shape[0]),
-                "mean_ndvi": (
-                    float(np.nanmean(ndvi_all))
-                    if ndvi_all.size else float("nan")
-                ),
-            },
-            elapsed_seconds=elapsed_time(
-                acc, cluster.costs, wire_bytes=wire
+        return self._result(cluster, acc, {
+            "cells": int(ndvi_all.shape[0]),
+            "mean_ndvi": (
+                float(np.nanmean(ndvi_all))
+                if ndvi_all.size else float("nan")
             ),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-            scanned_bytes=scanned,
-        )
+        }, scanned, network, shuffle=True)
 
 
 class AisSelectionHouston(Query):
@@ -227,13 +196,9 @@ class AisSelectionHouston(Query):
             "broadcast", region, ["ship_id"], ndim=len(region.lo)
         )
         distinct = int(np.unique(values["ship_id"]).size) if coords.shape[0] else 0
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={"cells": int(coords.shape[0]), "ships": distinct},
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            scanned_bytes=scanned,
+        return self._result(
+            cluster, acc, {"cells": int(coords.shape[0]), "ships": distinct},
+            scanned,
         )
 
 
@@ -263,14 +228,9 @@ class AisDistinctShips(Query):
             "broadcast", ["ship_id"], ndim=3
         )
         distinct = ops.sorted_distinct(vals["ship_id"])
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={"distinct_ships": int(distinct.size)},
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            network_bytes=network,
-            scanned_bytes=scanned,
+        return self._result(
+            cluster, acc, {"distinct_ships": int(distinct.size)},
+            scanned, network,
         )
 
 
@@ -286,25 +246,6 @@ class AisVesselJoin(Query):
 
     def __init__(self, workload: AisWorkload) -> None:
         self.workload = workload
-        # The vessel array is static and replicated; sort its lookup
-        # table once per array object instead of per cycle.  Holding
-        # the array itself keys the cache by identity safely (an id()
-        # key could be reused after garbage collection).
-        self._lookup_cache: Optional[
-            Tuple[object, np.ndarray, np.ndarray]
-        ] = None
-
-    def _vessel_lookup(self) -> Tuple[np.ndarray, np.ndarray]:
-        array = self.workload.vessel_array
-        cached = self._lookup_cache
-        if cached is not None and cached[0] is array:
-            return cached[1], cached[2]
-        vessel_coords, vessel_vals = array.scan(["ship_type"])
-        ids, types = ops.make_sorted_lookup(
-            vessel_coords[:, 0], vessel_vals["ship_type"]
-        )
-        self._lookup_cache = (array, ids, types)
-        return ids, types
 
     def _run(self, cluster: ClusterSession, cycle: int) -> QueryResult:
         hi = cycle * TIME_CHUNKS_PER_CYCLE
@@ -318,7 +259,7 @@ class AisVesselJoin(Query):
             cpu_intensity=0.8,
         )
 
-        vessel_ids, vessel_types = self._vessel_lookup()
+        vessel_ids, vessel_types = self.workload.vessel_columns()
 
         # Batch join: one lookup over the concatenated ship ids, one
         # unique/count pass for the per-type histogram.
@@ -334,11 +275,6 @@ class AisVesselJoin(Query):
         type_counts = {
             int(t): int(c) for t, c in zip(uniq_types, counts)
         }
-        return QueryResult(
-            name=self.name,
-            category=self.category,
-            value={"broadcasts_by_type": type_counts},
-            elapsed_seconds=elapsed_time(acc, cluster.costs),
-            per_node_seconds=acc.as_dict(),
-            scanned_bytes=scanned,
+        return self._result(
+            cluster, acc, {"broadcasts_by_type": type_counts}, scanned
         )

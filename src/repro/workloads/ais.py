@@ -15,11 +15,11 @@ derivative.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.arrays.array import LocalArray, cell_byte_width, chunk_cells
+from repro.arrays.array import cell_byte_width, chunk_cells
 from repro.arrays.coords import Box, unique_row_index
 from repro.arrays.schema import ArraySchema, parse_schema
 from repro.cluster.costs import GB
@@ -37,11 +37,6 @@ BROADCAST_SCHEMA_TEXT = (
     " status:int32, voyage_id:int64, ship_id:int64,"
     " receiver_type:char, receiver_id:string, provenance:string>"
     "[time=0,*,43200, longitude=-180,-66,4, latitude=0,90,4]"
-)
-
-VESSEL_SCHEMA_TEXT = (
-    "vessel<ship_type:int32, length:float32, width:float32,"
-    " hazmat:bool>[vessel_id=0,*,100000]"
 )
 
 MINUTES_PER_DAY = 1440
@@ -115,13 +110,11 @@ class AisWorkload(CyclicWorkload):
         self.seasonal_amplitude = float(seasonal_amplitude)
 
         self.broadcast: ArraySchema = parse_schema(BROADCAST_SCHEMA_TEXT)
-        self.vessel_schema: ArraySchema = parse_schema(VESSEL_SCHEMA_TEXT)
         self.ports: Tuple[Port, ...] = DEFAULT_PORTS
         self.spatial: SpatialModel = port_hotspots(
             LON_CHUNKS, LAT_CHUNKS, self.ports,
             hot_mass=0.94, spread=0.35, seed=seed ^ 0xA15,
         )
-        self._vessel_array: Optional[LocalArray] = None
         #: modeled footprint of the replicated vessel array (paper: 25 MB).
         self.vessel_bytes: float = 25e6
 
@@ -149,28 +142,14 @@ class AisWorkload(CyclicWorkload):
     # ------------------------------------------------------------------
     # replicated vessel array
     # ------------------------------------------------------------------
-    @property
-    def vessel_array(self) -> LocalArray:
-        """The replicated 1-d vessel metadata array (built lazily)."""
-        if self._vessel_array is None:
-            rng = np.random.default_rng((self.seed, 0))
-            ids = np.arange(self.ships, dtype=np.int64).reshape(-1, 1)
-            attrs = {
-                "ship_type": rng.integers(
-                    0, 6, size=self.ships
-                ).astype(np.int32),
-                "length": (
-                    20 + rng.random(self.ships).astype(np.float32) * 380
-                ),
-                "width": (
-                    5 + rng.random(self.ships).astype(np.float32) * 55
-                ),
-                "hazmat": rng.random(self.ships) < 0.08,
-            }
-            array = LocalArray(self.vessel_schema)
-            array.insert_cells(ids, attrs)
-            self._vessel_array = array
-        return self._vessel_array
+    def vessel_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The replicated vessel array's ``(vessel_id, ship_type)``
+        columns, sorted by id: ids ``0..ships-1`` (int64), each ship's
+        type the seed's first draw (int32, six types).  The join reads
+        no other vessel attribute."""
+        rng = np.random.default_rng((self.seed, 0))
+        types = rng.integers(0, 6, size=self.ships).astype(np.int32)
+        return np.arange(self.ships, dtype=np.int64), types
 
     # ------------------------------------------------------------------
     # query regions

@@ -33,6 +33,7 @@ from repro.core.ledger import ArrayChunkLedger
 from repro.core.quadtree import IncrementalQuadtreePartitioner
 from repro.parallel.engine import ProcessEngine
 from repro.query.cost import (
+    CostAccumulator,
     add_scan_work,
     charge_network,
     charge_scan,
@@ -78,6 +79,7 @@ from tests.oracles.cluster import (
 )
 from tests.oracles.cost import (
     account_samples_scalar,
+    add_mapping,
     add_network_work_scalar,
     add_scan_work_scalar,
     array_scan_columns_scan,
@@ -89,6 +91,7 @@ from tests.oracles.cost import (
     charge_scan_scalar,
     colocation_shuffle_bytes_scalar,
     halo_shuffle_bytes_scalar,
+    pair_columns,
     region_scan_columns_scan,
     spatial_neighbors,
 )
@@ -163,6 +166,7 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     (ChunkCatalog.put_batch, put_batch_per_chunk, "same"),
     (ChunkCatalog.remove_batch, remove_batch_per_chunk, "same"),
     # cost kernels
+    (CostAccumulator.add, add_mapping, "lowered"),
     (add_scan_work, add_scan_work_scalar, "lowered"),
     (charge_network, add_network_work_scalar, "lowered"),
     (halo_shuffle_bytes, halo_shuffle_bytes_scalar, "same"),
@@ -170,6 +174,8 @@ ORACLES: List[Tuple[Callable[..., Any], Callable[..., Any], str]] = [
     # the stencil lookup, one key at a time
     (neighbor_pairs, spatial_neighbors, "lowered"),
     # a session read lowered by scan_columns, against the store walk's
+    # and a pair list's
+    (scan_columns, pair_columns, "lowered"),
     (scan_columns, array_scan_columns_scan, "lowered"),
     (scan_columns, region_scan_columns_scan, "lowered"),
     # cost charges, as the queries call them

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.arrays.chunk import ChunkData, ChunkKey
 from repro.cluster.costs import CostParameters
-from repro.query.cost import CostAccumulator, scan_columns
+from repro.query.cost import CostAccumulator, attr_fraction
 
 from tests.oracles.cluster import chunks_in_region_scan, chunks_of_array_scan
 
@@ -147,10 +147,13 @@ def halo_shuffle_bytes_scalar(
 
 
 def colocation_shuffle_bytes_scalar(
-    pairs: Sequence[Tuple[ChunkData, int, ChunkData, int]],
+    side_a: Iterable[Tuple[ChunkData, int]],
+    side_b: Iterable[Tuple[ChunkData, int]],
     attrs_small: Optional[Sequence[str]] = None,
 ) -> Dict[int, float]:
     """Parity oracle: per-pair dict updates for the join shuffle.
+
+    Row ``i`` of ``side_a`` and of ``side_b`` hold the same chunk key.
 
     Returns
     -------
@@ -158,7 +161,7 @@ def colocation_shuffle_bytes_scalar(
         ``node -> bytes`` on the wire.
     """
     wire: Dict[int, float] = {}
-    for chunk_a, node_a, chunk_b, node_b in pairs:
+    for (chunk_a, node_a), (chunk_b, node_b) in zip(side_a, side_b):
         if node_a == node_b:
             continue
         if chunk_a.size_bytes <= chunk_b.size_bytes:
@@ -177,6 +180,12 @@ def colocation_shuffle_bytes_scalar(
 # ----------------------------------------------------------------------
 # the scalar arms of the charge_* dispatchers
 # ----------------------------------------------------------------------
+def add_mapping(acc: CostAccumulator, per_node: Mapping[int, float]) -> None:
+    """Fold a ``node -> seconds`` mapping into ``acc``, node by node."""
+    for node, seconds in per_node.items():
+        acc.add_one(node, seconds)
+
+
 def charge_scan_scalar(
     acc: CostAccumulator,
     chunks_nodes: Sequence[Tuple[ChunkData, int]],
@@ -189,7 +198,7 @@ def charge_scan_scalar(
     scanned = add_scan_work_scalar(
         per_node, chunks_nodes, attrs, costs, cpu_intensity
     )
-    acc.add_mapping(per_node)
+    add_mapping(acc, per_node)
     return scanned
 
 
@@ -259,20 +268,36 @@ def charge_network_scalar(
     """Per-node NIC charge, folded into ``acc``."""
     per_node: Dict[int, float] = {}
     total = add_network_work_scalar(per_node, bytes_by_node, costs)
-    acc.add_mapping(per_node)
+    add_mapping(acc, per_node)
     return total
 
 
 # ----------------------------------------------------------------------
 # the pair-list lowerings a catalog-less cluster fell back to
 # ----------------------------------------------------------------------
+def pair_columns(
+    pairs: Sequence[Tuple[ChunkData, int]],
+    attrs: Optional[Sequence[str]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sizes, nodes)`` of a (chunk, node) pair list, walked once: the
+    pair-list arm ``scan_columns`` had before it took a read only."""
+    n = len(pairs)
+    nodes = np.fromiter((node for _, node in pairs), dtype=np.int64, count=n)
+    sizes = np.fromiter(
+        (chunk.size_bytes for chunk, _ in pairs), dtype=np.float64, count=n
+    )
+    if attrs is not None and n:
+        sizes = sizes * attr_fraction(pairs[0][0].schema, attrs)
+    return sizes, nodes
+
+
 def array_scan_columns_scan(
     cluster,
     array: str,
     attrs: Optional[Sequence[str]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(sizes, nodes)`` of one array, lowered from the store walk."""
-    return scan_columns(chunks_of_array_scan(cluster, array), attrs)
+    return pair_columns(chunks_of_array_scan(cluster, array), attrs)
 
 
 def region_scan_columns_scan(
@@ -282,7 +307,7 @@ def region_scan_columns_scan(
     attrs: Optional[Sequence[str]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(sizes, nodes)`` of a region, lowered from the box-test walk."""
-    return scan_columns(
+    return pair_columns(
         chunks_in_region_scan(cluster, array, region), attrs
     )
 
@@ -355,7 +380,7 @@ def account_samples_scalar(
         queries_by_key[center_key].append(
             int(rng.integers(0, pts_cells[center_key]))
         )
-    acc.add_mapping(per_node)
+    add_mapping(acc, per_node)
     index = {key: i for i, key in enumerate(all_keys)}
     src: List[int] = []
     dst: List[int] = []

@@ -1,9 +1,9 @@
-"""Chunk payloads, chunk refs, LocalArray ingest and reads."""
+"""Chunk payloads, chunk refs and cell chunking."""
 
 import numpy as np
 import pytest
 
-from repro.arrays import Box, ChunkData, ChunkRef, LocalArray, empty_chunk
+from repro.arrays import ChunkData, ChunkRef, empty_chunk
 from repro.arrays import parse_schema
 from repro.arrays.array import chunk_cell_sets, chunk_cells
 from repro.arrays.chunk import CellArena
@@ -300,82 +300,3 @@ class TestExtents:
             assert chunk.extent is None
         assert merged.cell_count == 2 * first.cell_count
         assert not spilled.is_resident
-
-
-class TestLocalArray:
-    def test_insert_and_scan(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        coords = np.array([[1, 1], [2, 3], [3, 3], [4, 4], [2, 2], [3, 2]])
-        arr.insert_cells(
-            coords,
-            {"i": np.arange(6, dtype=np.int32),
-             "j": np.linspace(0, 1, 6)},
-        )
-        assert arr.cell_count == 6
-        assert len(arr) == 4
-        scanned_coords, scanned = arr.scan()
-        assert scanned_coords.shape == (6, 2)
-        assert set(scanned) == {"i", "j"}
-
-    def test_merge_on_same_key(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        for _ in range(2):
-            arr.insert_cells(
-                np.array([[1, 1]]),
-                {"i": np.array([1], dtype=np.int32),
-                 "j": np.array([0.5])},
-            )
-        assert len(arr) == 1
-        assert arr.chunk((0, 0)).cell_count == 2
-
-    def test_subarray(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        arr.insert_cells(
-            np.array([[1, 1], [2, 2], [4, 4]]),
-            {"i": np.array([1, 2, 3], dtype=np.int32),
-             "j": np.array([1.0, 2.0, 3.0])},
-        )
-        coords, values = arr.subarray(Box((1, 1), (3, 3)), ["i"])
-        assert coords.shape[0] == 2
-        assert sorted(values["i"].tolist()) == [1, 2]
-
-    def test_subarray_empty_region(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        coords, values = arr.subarray(Box((1, 1), (2, 2)))
-        assert coords.shape[0] == 0
-        assert values["i"].shape[0] == 0
-
-    def test_chunks_in_region(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        arr.insert_cells(
-            np.array([[1, 1], [4, 4]]),
-            {"i": np.array([1, 2], dtype=np.int32),
-             "j": np.array([1.0, 2.0])},
-        )
-        hits = arr.chunks_in_region(Box((1, 1), (2, 2)))
-        assert [c.key for c in hits] == [(0, 0)]
-
-    def test_missing_chunk_raises(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        with pytest.raises(ChunkError):
-            arr.chunk((0, 0))
-
-    def test_wrong_schema_chunk_rejected(self, tiny_schema):
-        from repro.arrays import parse_schema
-
-        other = parse_schema("B<i:int32, j:float>[x=1:4,2, y=1:4,2]")
-        arr = LocalArray(tiny_schema)
-        chunk = make_chunk(other)
-        with pytest.raises(ChunkError):
-            arr.add_chunk(chunk)
-
-    def test_size_accumulates(self, tiny_schema):
-        arr = LocalArray(tiny_schema)
-        arr.insert_cells(
-            np.array([[1, 1], [4, 4]]),
-            {"i": np.array([1, 2], dtype=np.int32),
-             "j": np.array([1.0, 2.0])},
-        )
-        assert arr.size_bytes == pytest.approx(
-            sum(c.size_bytes for c in arr.chunks())
-        )

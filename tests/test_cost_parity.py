@@ -37,6 +37,7 @@ from repro.query.cost import (
 )
 from repro.cluster.costs import CostParameters
 from repro.core.catalog import Read
+from tests.helpers import read_of
 from tests.oracles import (
     account_samples_scalar,
     add_network_work_scalar,
@@ -45,6 +46,7 @@ from tests.oracles import (
     halo_shuffle_bytes_scalar,
     spatial_neighbors,
 )
+from tests.oracles.cost import add_mapping
 
 SCHEMA = parse_schema(
     "G<a:double, b:int32, c:int64>[t=0:*,1, x=0:99,1, y=0:99,1]"
@@ -96,6 +98,11 @@ def _layout(n, seed, nodes=4):
     return out
 
 
+def _read(layout):
+    """A :class:`Read` of ``(chunk, node)`` pairs, in their order."""
+    return read_of([c for c, _ in layout], [n for _, n in layout])
+
+
 def _far_chunk(key, size):
     """A chunk whose key sits in one of two clusters 2**40 apart."""
     far = 2**40 * (key[0] % 2)
@@ -134,8 +141,8 @@ class TestCostAccumulator:
         a = CostAccumulator([0, 1])
         b = CostAccumulator([0, 1])
         a.add(np.array([0, 1, 0]), np.array([1.0, 2.0, 3.0]))
-        b.add_mapping({0: 1.0})
-        b.add_mapping({1: 2.0, 0: 3.0})
+        add_mapping(b, {0: 1.0})
+        add_mapping(b, {1: 2.0, 0: 3.0})
         assert a.as_dict() == pytest.approx(b.as_dict())
 
     def test_empty_accumulator(self):
@@ -152,7 +159,7 @@ class TestScanParity:
     def test_matches_scalar(self, seed, attrs):
         layout = _layout(60, seed)
         acc = CostAccumulator(range(4))
-        sizes, nodes = scan_columns(layout, attrs)
+        sizes, nodes = scan_columns(_read(layout), attrs)
         scanned = add_scan_work(acc, sizes, nodes, COSTS, 1.7)
         per_node = {}
         ref_scanned = add_scan_work_scalar(
@@ -174,7 +181,7 @@ class TestScanParity:
 
     def test_empty_layout(self):
         acc = CostAccumulator(range(2))
-        sizes, nodes = scan_columns([], ["a"])
+        sizes, nodes = scan_columns(read_of([]), ["a"])
         assert add_scan_work(acc, sizes, nodes, COSTS, 1.0) == 0.0
         assert acc.as_dict() == {}
 
@@ -191,7 +198,7 @@ class TestNetworkParity:
 
     def test_node_byte_sums_matches_manual(self):
         layout = _layout(40, 4)
-        sums = node_byte_sums(layout, ["a"], fraction=0.01)
+        sums = node_byte_sums(_read(layout), ["a"], fraction=0.01)
         manual = {}
         for chunk, node in layout:
             manual[node] = (
@@ -248,15 +255,15 @@ class TestHaloParity:
     @pytest.mark.parametrize("attrs", [None, ["a", "b"]])
     def test_matches_scalar(self, seed, attrs):
         layout = _layout(70, seed)
-        wire = halo_shuffle_bytes(layout, attrs, (1, 2), 0.5)
+        wire = halo_shuffle_bytes(_read(layout), attrs, (1, 2), 0.5)
         ref = halo_shuffle_bytes_scalar(layout, attrs, (1, 2), 0.5)
         assert set(wire) == set(ref)
         for node, v in ref.items():
             assert wire[node] == pytest.approx(v, rel=1e-9)
 
     def test_co_located_is_free(self):
-        layout = [(c, 0) for c, _ in _layout(30, 14)]
-        assert halo_shuffle_bytes(layout, None, (1, 2)) == {}
+        read = read_of([c for c, _ in _layout(30, 14)])
+        assert halo_shuffle_bytes(read, None, (1, 2)) == {}
 
     def test_matches_scalar_on_unpackable_extent(self):
         # Chunk keys 2**40 apart defeat int64 packing; the void-key arm
@@ -265,7 +272,7 @@ class TestHaloParity:
             (_far_chunk(c.key, c.size_bytes), node)
             for c, node in _layout(40, 15)
         ]
-        wire = halo_shuffle_bytes(layout, ["a"], (1, 2), 0.5)
+        wire = halo_shuffle_bytes(_read(layout), ["a"], (1, 2), 0.5)
         ref = halo_shuffle_bytes_scalar(layout, ["a"], (1, 2), 0.5)
         assert ref  # the layout does have cross-node neighbours
         assert set(wire) == set(ref)
@@ -279,19 +286,17 @@ class TestColocationParity:
     def test_matches_scalar(self, seed, attrs):
         a = _layout(40, seed)
         b = _layout(40, seed + 100)
-        pairs = [
-            (ca, na, cb, nb) for (ca, na), (cb, nb) in zip(a, b)
-        ]
-        wire = colocation_shuffle_bytes(pairs, attrs_small=attrs)
-        ref = colocation_shuffle_bytes_scalar(pairs, attrs_small=attrs)
+        wire = colocation_shuffle_bytes(
+            _read(a), _read(b), attrs_small=attrs
+        )
+        ref = colocation_shuffle_bytes_scalar(a, b, attrs_small=attrs)
         assert set(wire) == set(ref)
         for node, v in ref.items():
             assert wire[node] == pytest.approx(v, rel=1e-9)
 
     def test_co_located_pairs_free(self):
-        a = _layout(5, 30)
-        pairs = [(c, 1, c, 1) for c, _ in a]
-        assert colocation_shuffle_bytes(pairs) == {}
+        side = read_of([c for c, _ in _layout(5, 30)], [1] * 5)
+        assert colocation_shuffle_bytes(side, side) == {}
 
 
 class TestKnnAccountingParity:

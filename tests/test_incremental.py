@@ -355,6 +355,17 @@ class TestStateInvariants:
                 np.array([-1]),
             )
 
+    @pytest.mark.parametrize("flag", ["no", 2, None])
+    def test_track_minmax_must_be_a_bool(self, flag):
+        with pytest.raises(QueryError, match="track_minmax"):
+            GridGroupByState(dims=(0,), cell_sizes=(4,), track_minmax=flag)
+        with pytest.raises(QueryError, match="track_minmax"):
+            MaintainedGridStats(
+                _make_cluster("round_robin"), "A", "v", dims=(1, 2),
+                cell_sizes=(4, 4), ndim=3, domain=DOMAIN,
+                track_minmax=flag,
+            )
+
     def test_minmax_requires_domain(self):
         cluster = _make_cluster("round_robin")
         with pytest.raises(QueryError):

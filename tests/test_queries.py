@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.arrays import Box
 from repro.cluster import CostParameters, GB
 from repro.core.catalog import ArraySnapshot
 from repro.core.traits import PAPER_ORDER
@@ -26,14 +27,19 @@ from repro.query import (
 )
 from repro.query.cost import (
     CostAccumulator,
+    accumulator_for,
+    charge_network,
+    charge_scan,
     colocation_shuffle_bytes,
     elapsed_time,
     halo_shuffle_bytes,
+    node_byte_sums,
 )
 from repro.query.executor import CATEGORY_SCIENCE, CATEGORY_SPJ
 from repro.harness.runner import ExperimentRunner, RunConfig
 from repro.cluster.session import ClusterSession
 from repro.workloads.ais import TIME_CHUNKS_PER_CYCLE
+from tests.helpers import read_of
 from tests.oracles.cost import spatial_neighbors
 
 
@@ -65,7 +71,7 @@ class TestCostHelpers:
     def test_elapsed_time_is_slowest_node(self):
         costs = CostParameters(query_overhead_seconds=2.0)
         acc = CostAccumulator([0, 1])
-        acc.add_mapping({0: 10.0, 1: 30.0})
+        acc.add(np.array([0, 1]), np.array([10.0, 30.0]))
         assert elapsed_time(acc, costs) == 32.0
         assert elapsed_time(CostAccumulator([]), costs) == 2.0
 
@@ -77,7 +83,7 @@ class TestCostHelpers:
         )
         # 8 GB on the wire / 2 concurrent = 4 GB -> 100 s > node max
         acc = CostAccumulator([0])
-        acc.add_mapping({0: 10.0})
+        acc.add_one(0, 10.0)
         assert elapsed_time(acc, costs,
                             wire_bytes=8 * GB) == pytest.approx(100.0)
 
@@ -85,8 +91,8 @@ class TestCostHelpers:
         from tests.test_cluster import make_chunks
 
         chunks = make_chunks(tiny_schema, 6)
-        pairs = [(c, 0) for c in chunks]  # all on node 0
-        assert halo_shuffle_bytes(pairs, None, (0, 1)) == {}
+        read = read_of(chunks)  # all on node 0
+        assert halo_shuffle_bytes(read, None, (0, 1)) == {}
 
     def test_halo_bytes_charge_both_endpoints(self, tiny_schema):
         from tests.test_cluster import make_chunks
@@ -95,10 +101,8 @@ class TestCostHelpers:
         by_key = {}
         for c in chunks:
             by_key.setdefault(c.key, c)
-        pairs = [
-            (c, i % 2) for i, c in enumerate(by_key.values())
-        ]
-        wire = halo_shuffle_bytes(pairs, None, (0, 1), halo_fraction=0.5)
+        read = read_of(by_key.values(), np.arange(len(by_key)) % 2)
+        wire = halo_shuffle_bytes(read, None, (0, 1), halo_fraction=0.5)
         if wire:
             assert set(wire) <= {0, 1}
             assert all(v > 0 for v in wire.values())
@@ -108,11 +112,11 @@ class TestCostHelpers:
 
         a = make_chunks(tiny_schema, 1, size_each=10 * GB / 10)[0]
         b = make_chunks(tiny_schema, 1, size_each=2 * GB / 10)[0]
-        wire = colocation_shuffle_bytes([(a, 0, b, 1)])
+        wire = colocation_shuffle_bytes(read_of([a]), read_of([b], [1]))
         # smaller side (b) ships: both endpoints pay its bytes
         assert wire[0] == pytest.approx(b.size_bytes)
         assert wire[1] == pytest.approx(b.size_bytes)
-        assert colocation_shuffle_bytes([(a, 0, b, 0)]) == {}
+        assert colocation_shuffle_bytes(read_of([a]), read_of([b])) == {}
 
 
 class TestModisSuite:
@@ -128,6 +132,43 @@ class TestModisSuite:
         assert by_name["modis_selection"].value["cells"] > 0
         quants = by_name["modis_sort"].value["quantiles"]
         assert quants[0.25] <= quants[0.5] <= quants[0.95]
+
+    def test_rolling_average_charges_a_shared_chunk_once(
+        self, modis_cluster, small_modis, monkeypatch
+    ):
+        # Two overlapping caps: every chunk either touches is priced
+        # once, as one scan (and one merge) of the distinct chunks.
+        cycle = small_modis.n_cycles
+        t1 = cycle * 1440
+        north = Box((0, -180, 30), (t1, 181, 91))
+        wide = Box((0, -180, -10), (t1, 181, 60))
+        monkeypatch.setattr(
+            small_modis, "polar_caps", lambda lo, hi: (north, wide)
+        )
+        session = modis_cluster.session()
+        distinct = {}
+        for box in (north, wide):
+            for chunk, node in session.chunks_in_region("band1", box):
+                distinct.setdefault(chunk.key, (chunk, node))
+        shared = len(session.chunks_in_region("band1", north)) + len(
+            session.chunks_in_region("band1", wide)
+        ) - len(distinct)
+        assert shared > 0
+        read = read_of(
+            [c for c, _ in distinct.values()],
+            [n for _, n in distinct.values()],
+        )
+        acc = accumulator_for(session)
+        scanned = charge_scan(
+            acc, read, ["radiance"], session.costs, cpu_intensity=1.2
+        )
+        charge_network(
+            acc, node_byte_sums(read, ["radiance"], fraction=0.01),
+            session.costs,
+        )
+        result = ModisRollingAverage(small_modis).run(session, cycle)
+        assert result.scanned_bytes == scanned
+        assert result.per_node_seconds == acc.as_dict()
 
     def test_ndvi_join_answer_sane(self, modis_cluster, small_modis):
         from repro.query.spj import ModisJoinNdvi
@@ -233,22 +274,6 @@ class TestAisSuite:
         assert counts
         assert all(t >= 0 for t in counts)
         assert -1 not in counts  # every broadcast resolves to a vessel
-
-    def test_vessel_join_lookup_hoisted_across_cycles(self, ais_cluster,
-                                                      small_ais):
-        """Regression: the sorted vessel table is built once, not per run."""
-        from repro.query.spj import AisVesselJoin
-
-        query = AisVesselJoin(small_ais)
-        first = query.run(ais_cluster.session(), small_ais.n_cycles)
-        cached = query._lookup_cache
-        assert cached is not None
-        second = query.run(ais_cluster.session(), small_ais.n_cycles)
-        assert query._lookup_cache is cached  # reused, not re-sorted
-        assert (
-            first.value["broadcasts_by_type"]
-            == second.value["broadcasts_by_type"]
-        )
 
     def test_knn_distance_finite(self, ais_cluster, small_ais):
         from repro.query.science import AisKnn

@@ -173,6 +173,11 @@ class TestKdTree:
 
 
 class TestQuadtree:
+    @pytest.mark.parametrize("flag", ["no", 2, None])
+    def test_allow_pairs_must_be_a_bool(self, flag):
+        with pytest.raises(PartitioningError, match="allow_pairs"):
+            IncrementalQuadtreePartitioner([0], GRID, allow_pairs=flag)
+
     def test_cells_tile_grid(self):
         p = IncrementalQuadtreePartitioner([0, 1, 2, 3], GRID)
         cells = [box for box, _ in p.all_cells()]

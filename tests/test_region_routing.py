@@ -44,6 +44,7 @@ from tests.oracles import (
     payload_in_region_scan,
     region_scan_columns_scan,
 )
+from tests.oracles.cost import pair_columns
 
 from test_cluster_machine import lifecycle, replay, run_focused
 
@@ -243,7 +244,7 @@ class TestRegionCostLowering:
         region = Box((0, 2, 3), (9, 13, 12))
         session = cluster.session()
         read = session.chunks_in_region("A", region)
-        ref_sizes, ref_nodes = scan_columns(list(read), ["v"])
+        ref_sizes, ref_nodes = pair_columns(list(read), ["v"])
         sizes, nodes = scan_columns(read, ["v"])
         assert np.allclose(sizes, ref_sizes)
         assert np.array_equal(nodes, ref_nodes)
@@ -268,7 +269,7 @@ class TestRegionCostLowering:
             )
             acc_pairs = CostAccumulator(cluster.node_ids)
             scanned_pairs = pair_charge(
-                acc_pairs, list(session.chunks_in_region("A", region)),
+                acc_pairs, session.chunks_in_region("A", region),
                 ["v"], costs, 1.5,
             )
             assert scanned_region == pytest.approx(scanned_pairs)
@@ -287,7 +288,7 @@ class TestRegionCostLowering:
         read = cluster.session().chunks_in_region("A", region)
         pairs = list(read)
         assert [read[i] for i in range(len(read))] == pairs
-        ref_sizes, ref_nodes = scan_columns(pairs)
+        ref_sizes, ref_nodes = pair_columns(pairs)
         assert np.array_equal(read.sizes, ref_sizes)
         assert np.array_equal(read.nodes, ref_nodes)
         assert read.rows.tolist() == [list(c.key) for c, _ in pairs]
@@ -303,7 +304,6 @@ class TestRegionCostLowering:
         region = Box((0, 0, 0), (9, 12, 12))
         costs = cluster.costs
         read = cluster.session().chunks_in_region("A", region)
-        pairs = list(read)
         cols = (read.sizes, read.nodes, read.schema)
         for routed_charge, pair_charge in (
             (charge_scan_routed, charge_scan),
@@ -316,7 +316,7 @@ class TestRegionCostLowering:
             )
             acc_pairs = CostAccumulator(cluster.node_ids)
             scanned_pairs = pair_charge(
-                acc_pairs, pairs, ["v"], costs, 1.5
+                acc_pairs, read, ["v"], costs, 1.5
             )
             assert scanned_routed == pytest.approx(scanned_pairs)
             got = acc_routed.as_dict()

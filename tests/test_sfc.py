@@ -127,6 +127,14 @@ class TestRectangleHilbert:
         with pytest.raises(ChunkError):
             RectangleHilbert(())
 
+    @pytest.mark.parametrize(
+        "extent", [2.5, True, float("nan"), float("inf"), 0]
+    )
+    def test_extent_must_be_a_count(self, extent):
+        # 2.5 used to truncate to 2 and NaN to raise a bare ValueError.
+        with pytest.raises(ChunkError, match=r"extents\[0\]"):
+            RectangleHilbert((extent, 4))
+
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

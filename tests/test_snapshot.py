@@ -39,6 +39,7 @@ from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.errors import ConfigError
 from repro.query.cost import scan_columns
 
+from tests.helpers import read_of
 from tests.oracles.cluster import (
     array_payload_scan,
     chunks_of_array_scan,
@@ -104,7 +105,8 @@ class _StoreWalk:
         return placement_of_array_scan(self.cluster, array)
 
     def chunks_of_array(self, array):
-        return chunks_of_array_scan(self.cluster, array)
+        pairs = chunks_of_array_scan(self.cluster, array)
+        return read_of([c for c, _ in pairs], [n for _, n in pairs])
 
     def payload_in_region(self, array, region, attrs, ndim):
         return payload_in_region_scan(

@@ -174,13 +174,30 @@ class TestAisWorkload:
         volumes = [b.total_bytes for b in small_ais.batches()]
         assert max(volumes) / min(volumes) > 1.2
 
-    def test_vessel_array_replicated_metadata(self, small_ais):
-        vessels = small_ais.vessel_array
-        assert vessels.cell_count == small_ais.ships
+    def test_vessel_columns_join_the_seed_ship_types(self, small_ais):
+        from collections import Counter
+
+        from repro.cluster import ElasticCluster
+        from repro.core import make_partitioner
+        from repro.query.spj import AisVesselJoin
+
+        ids, _types = small_ais.vessel_columns()
+        assert ids.tolist() == list(range(small_ais.ships))
         assert small_ais.vessel_bytes == pytest.approx(25e6)
-        # vessel ids cover the fleet
-        coords, _ = vessels.scan()
-        assert set(coords[:, 0].tolist()) == set(range(small_ais.ships))
+        # The join's type histogram over cycle 1 is the raw ship-type
+        # draw of the seed's vessel stream, counted per broadcast.
+        cluster = ElasticCluster(make_partitioner("round_robin", [0, 1]), GB)
+        batch = small_ais.batch(1)
+        cluster.ingest(batch.chunks)
+        drawn = np.random.default_rng((small_ais.seed, 0)).integers(
+            0, 6, size=small_ais.ships
+        )
+        ship_ids = np.concatenate(
+            [c.values("ship_id") for c in batch.chunks]
+        )
+        want = Counter(drawn[ship_ids].tolist())
+        got = AisVesselJoin(small_ais).run(cluster, 1)
+        assert got.value["broadcasts_by_type"] == dict(want)
 
     def test_broadcast_attrs_consistent(self, small_ais):
         batch = small_ais.batch(1)

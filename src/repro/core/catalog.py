@@ -88,9 +88,13 @@ prefix after an epoch cursor in one ``searchsorted``, returning the
 added/removed chunk columns (extents included) the incremental
 query-maintenance layer (:mod:`repro.query.incremental`) folds into its
 operator state.  The log stores refs, payload handles and extents, not
-table ids, so :meth:`compact` leaves it untouched; replaying it from
-epoch 0 must land exactly on the live set (:meth:`verify_delta_log`).
-It never drops a row, so it keeps every handle and arena it logged.
+table ids, so :meth:`compact` leaves it untouched.  A reader of deltas
+declares its cursors (:meth:`ChunkCatalog.declare`, held weakly); before
+an append, the rows at or below the lowest live one (with none, the
+newest logged epoch) are dropped once they are half of the log, by
+swapping in a new log of the tail, so a snapshot keeps the log it
+pinned.  A cursor below that floor raises
+:class:`~repro.errors.DeltaFloorError`.
 
 Specification
 -------------
@@ -121,7 +125,7 @@ from repro.arrays.coords import (
     row_packing,
 )
 from repro.core.ledger import ArrayChunkLedger, array_codes, resize_column
-from repro.errors import ChunkError, ClusterError
+from repro.errors import ChunkError, ClusterError, DeltaFloorError, require_index
 
 NodeId = int
 #: A concatenated cell table: ``(coords, {attr: values})``.
@@ -267,7 +271,8 @@ class Read:
         """The chunks' keys as ``(n, ndim)`` int64 rows, in read order."""
         if self._rows is None:
             keys = [c.key for c in self.chunks.tolist()]
-            return np.array(keys, dtype=np.int64).reshape(len(keys), -1)
+            width = -1 if keys else 0 if self.schema is None else self.schema.ndim
+            return np.array(keys, dtype=np.int64).reshape(len(keys), width)
         return self._rows
 
     def __len__(self) -> int:
@@ -342,6 +347,14 @@ class CatalogDelta(Read):
         return float(self.sizes.sum())
 
 
+class DeclaredCursors(list):
+    """A reader's cursors (:meth:`ChunkCatalog.declare`): item ``i`` is
+    the payload epoch it has folded ``arrays[i]`` in up to, and no row
+    after it is dropped while the list lives (negative: holds none)."""
+
+    __slots__ = ("arrays", "__weakref__")
+
+
 class _DeltaLog:
     """Append-only columnar log of one array's content mutations.
 
@@ -349,16 +362,17 @@ class _DeltaLog:
     ``epochs`` is non-decreasing by construction, so
     :meth:`since` finds a cursor with one ``searchsorted`` and the tail
     gather is O(delta).  Rows are keyed by ref and payload handle — not
-    table ids — so compaction never rewrites the log.
+    table ids — so compaction never rewrites the log.  ``floor`` is the
+    epoch of the last row dropped (0: none); no cursor below it reads.
     """
 
     __slots__ = ("epochs", "signs", "refs", "chunks", "sizes", "nodes",
-                 "extents", "count")
+                 "extents", "count", "floor")
 
     _INITIAL_CAPACITY = 64
 
-    def __init__(self) -> None:
-        cap = self._INITIAL_CAPACITY
+    def __init__(self, cap: int = _INITIAL_CAPACITY) -> None:
+        self.floor = 0
         self.epochs = np.zeros(cap, dtype=np.int64)
         self.signs = np.zeros(cap, dtype=np.int8)
         self.refs = np.empty(cap, dtype=object)
@@ -399,6 +413,17 @@ class _DeltaLog:
         self.nodes[sl] = np.asarray(nodes, dtype=np.int64)
         self.extents[sl] = extents
         self.count = need
+
+    def tail(self, lo: int) -> "_DeltaLog":
+        """A new log of the rows from ``lo`` on (this one is left to the
+        snapshots that pinned it)."""
+        n = self.count - lo
+        tail = _DeltaLog(max(self._INITIAL_CAPACITY, 2 * n))
+        for name in ("epochs", "signs", "refs", "chunks", "sizes", "nodes", "extents"):
+            getattr(tail, name)[:n] = getattr(self, name)[lo:self.count]
+        tail.count = n
+        tail.floor = int(self.epochs[lo - 1])
+        return tail
 
     def since(
         self, epoch: int, count: int, schema: Optional[object]
@@ -703,8 +728,19 @@ class ArraySnapshot:
         pin — never a half-applied batch that lands mid-refresh.  Pure
         relocations log nothing, so a cursor held across a rebalance
         sees an *empty* delta; so do unknown arrays and a cursor at the
-        pinned payload epoch.
+        pinned payload epoch.  Raises :class:`ClusterError` unless
+        ``epoch`` is an integer from 0 to the catalog's epoch, and
+        :class:`DeltaFloorError` below the pinned log's floor.
         """
+        epoch = require_index("epoch", epoch, ClusterError)
+        catalog = self._catalog()
+        if catalog is not None and epoch > catalog.epoch:
+            raise ClusterError(f"epoch {epoch} is past the catalog's")
+        if epoch < self._log.floor:
+            raise DeltaFloorError(
+                f"epoch {epoch} is below the floor {self._log.floor} of "
+                f"{self.array!r}'s delta log; declare cursors to hold rows"
+            )
         return self._log.since(epoch, self._log_count, self.schema)
 
     # Names the benchmark's span table wraps; each is the read above.
@@ -747,6 +783,7 @@ class ChunkCatalog:
         self._views: Dict[str, _ArrayView] = {}
         self._schema_of: Dict[str, object] = {}
         self._deltas: Dict[str, _DeltaLog] = {}
+        self._readers = weakref.WeakValueDictionary()  # id -> DeclaredCursors
         self._epoch = 0
         # payload LRU: (array, payload epoch, normalized attrs, ndim
         # [, region.lo, region.hi]) -> (coords, values); most recently
@@ -856,6 +893,18 @@ class ChunkCatalog:
         """One array's content mutations strictly after ``epoch``."""
         return self.snapshot(array).deltas_since(epoch)
 
+    def declare(
+        self, arrays: Sequence[str], epochs: Optional[Sequence[int]] = None
+    ) -> DeclaredCursors:
+        """Cursors into ``arrays``' delta logs (default ``-1``, holding
+        nothing), which the holder moves as it folds; held weakly."""
+        cursors = DeclaredCursors([-1] * len(arrays) if epochs is None else epochs)
+        if len(cursors) != len(arrays):
+            raise ClusterError(f"{len(cursors)} epochs for {len(arrays)} arrays")
+        cursors.arrays = tuple(arrays)
+        self._readers[id(cursors)] = cursors
+        return cursors
+
     # Names the benchmark's span table wraps; each is a read above.
     scan_columns_of = pairs_of_array
     region_scan_columns = region_read = pairs_in_region
@@ -898,8 +947,10 @@ class ChunkCatalog:
         Summing each ref's signs in log order must reproduce the
         catalog's current live chunks exactly: every live ref at net
         weight ``+1`` with its last-added handle being the stored one,
-        every expired ref at net weight ``0``, and nothing else.  Run
-        from ``ElasticCluster.check_consistency`` after every mutation
+        every expired ref at net weight ``0``, and nothing else.  The
+        replay starts from the empty set, or in a log with a floor from
+        the live set run backwards through its rows.  Run from
+        ``ElasticCluster.check_consistency`` after every mutation
         batch in the test suites.
 
         Raises
@@ -907,15 +958,8 @@ class ChunkCatalog:
         ClusterError
             On any divergence between the replayed and live sets.
         """
-        replayed: Dict[str, Dict[ChunkRef, Tuple[int, ChunkData]]] = {}
-        for array, log in self._deltas.items():
-            net = replayed.setdefault(array, {})
-            n = log.count
-            for sign, ref, chunk in zip(
-                log.signs[:n].tolist(),
-                log.refs[:n].tolist(),
-                log.chunks[:n].tolist(),
-            ):
+        def replay(net, rows):
+            for sign, ref, chunk in rows:
                 weight, handle = net.get(ref, (0, None))
                 weight += sign
                 if weight < 0 or weight > 1:
@@ -924,8 +968,10 @@ class ChunkCatalog:
                         f"{weight} for {ref} during replay"
                     )
                 net[ref] = (weight, chunk if sign > 0 else handle)
+            return {ref: entry for ref, entry in net.items() if entry[0]}
+
         refs = self._table._refs
-        for array, net in replayed.items():
+        for array, log in self._deltas.items():
             view = self._views.get(array)
             ids = view.ids if view is not None else np.empty(0, np.int64)
             live = {
@@ -934,10 +980,13 @@ class ChunkCatalog:
                     refs[ids].tolist(), self._chunks[ids].tolist()
                 )
             }
-            survivors = {
-                ref: entry for ref, entry in net.items()
-                if entry[0] > 0
-            }
+            rows = list(zip(*(
+                c[:log.count].tolist() for c in (log.signs, log.refs, log.chunks)
+            )))
+            base = replay(dict(live), [
+                (-sign, ref, chunk) for sign, ref, chunk in rows[::-1]
+            ]) if log.floor else {}
+            survivors = replay(base, rows)
             if set(survivors) != set(live):
                 missing = set(live) - set(survivors)
                 extra = set(survivors) - set(live)
@@ -1054,10 +1103,24 @@ class ChunkCatalog:
         for code, array in enumerate(arrays):
             rows = codes == code
             if rows.any():
-                log = self._deltas.get(array) or self._deltas.setdefault(
-                    array, _DeltaLog()
-                )
+                log = self._deltas.get(array)
+                log = _DeltaLog() if log is None else self._folded(array, log)
+                self._deltas[array] = log
                 log.append(self._epoch, *(c[rows] for c in columns))
+
+    def _folded(self, array: str, log: _DeltaLog) -> _DeltaLog:
+        """``log`` less its rows at or below the floor once they are half
+        of it: the tail copy is at most the rows dropped, so folding
+        costs amortized O(rows appended)."""
+        n = log.count
+        if not n:
+            return log
+        held = [epoch for cursors in self._readers.values()
+                for name, epoch in zip(cursors.arrays, cursors)
+                if name == array and epoch >= 0]
+        floor = min(held, default=int(log.epochs[n - 1]))
+        drop = int(np.searchsorted(log.epochs[:n], floor, side="right"))
+        return log.tail(drop) if drop and 2 * drop >= n else log
 
     def put_batch(
         self,

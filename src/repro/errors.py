@@ -52,6 +52,10 @@ class ClusterError(ReproError):
     """Raised by the shared-nothing cluster simulator."""
 
 
+class DeltaFloorError(ClusterError):
+    """A delta read below its log's floor, whose rows no cursor held."""
+
+
 class QueryError(ReproError):
     """Raised by the query engine for unsatisfiable or invalid queries."""
 

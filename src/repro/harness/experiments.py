@@ -689,8 +689,8 @@ def figure8_retention(
             session.array_payload("R", ["v"], ndim=3)
         # Fold this cycle's content delta into the maintained view;
         # snapshot the delta columns first (refresh advances the
-        # cursor past them).
-        delta = session.deltas_since("R", view.cursors[0])
+        # cursor past them; unprimed, it reads from epoch 0).
+        delta = session.deltas_since("R", max(view.cursors[0], 0))
         result.delta_added_chunks.append(int(delta.added.sum()))
         result.delta_removed_chunks.append(int(delta.removed.sum()))
         result.delta_gb.append(delta.bytes_touched / GB)

@@ -305,6 +305,7 @@ def maintenance_plan(
     attrs: Optional[Sequence[str]] = None,
     costs: Optional[CostParameters] = None,
     cpu_intensity: float = 1.0,
+    delta: Optional[Read] = None,
 ) -> MaintenancePlan:
     """Price incremental maintenance against full recompute, pick one.
 
@@ -322,6 +323,8 @@ def maintenance_plan(
         Cost constants (defaults to ``cluster.costs``).
     cpu_intensity : float
         Multiplier on the per-GB compute rate, as in the scan charges.
+    delta : Read or None
+        ``cluster.deltas_since(array, since_epoch)``, if already read.
 
     Returns
     -------
@@ -331,11 +334,10 @@ def maintenance_plan(
     """
     if costs is None:
         costs = cluster.costs
+    if delta is None:
+        delta = cluster.deltas_since(array, since_epoch)
     d_acc = accumulator_for(cluster)
-    delta_bytes = charge_scan(
-        d_acc, cluster.deltas_since(array, since_epoch), attrs, costs,
-        cpu_intensity,
-    )
+    delta_bytes = charge_scan(d_acc, delta, attrs, costs, cpu_intensity)
     f_acc = accumulator_for(cluster)
     full_bytes = charge_scan(
         f_acc, cluster.chunks_of_array(array), attrs, costs, cpu_intensity

@@ -42,8 +42,8 @@ specification: the maintained result must match it to 1e-9 on floats
 and exactly on integer aggregates, which is what
 ``tests/test_incremental.py`` pins through randomized
 ingest/expiry/rebalance interleavings.  Delta-vs-full is a costed
-per-refresh decision, not a setting; an unprimed cursor (``-1``) is
-what forces the full arm.
+per-refresh decision, not a setting; an unprimed cursor (``-1``), or
+one below its delta log's floor, forces the full arm.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from repro.arrays.coords import (
 from repro.cluster.session import ClusterSession
 from repro.core.catalog import concat_payload
 from repro.errors import (
+    DeltaFloorError,
     QueryError,
     require_count,
     require_flag,
@@ -532,11 +533,12 @@ def equi_side(array: str, key_attr: str, value_attr: str) -> JoinSide:
 class _MaintainedView:
     """The refresh loop of a view over one or more :class:`JoinSide` s.
 
-    A subclass supplies ``state``, ``_fold(session, acc, costs, delta)``
-    (fold the sides' deltas, or rebuild from their payloads; ``None``
-    declines a delta) and ``_from_scratch(*columns)``, the oracle over
-    the sides' live columns.  ``ndim`` must be an integer ``>= 1`` and
-    ``cpu_intensity`` finite and ``> 0``, or :class:`QueryError` raises.
+    A subclass supplies ``state``, ``_fold(session, acc, costs, deltas)``
+    (fold the sides' delta reads, or rebuild from their payloads when
+    ``deltas`` is ``None``; ``None`` declines them) and
+    ``_from_scratch(*columns)``, the oracle over the sides' live
+    columns.  ``ndim`` must be an integer ``>= 1`` and ``cpu_intensity``
+    finite and ``> 0``, or :class:`QueryError` raises.
     """
 
     def __init__(
@@ -551,24 +553,25 @@ class _MaintainedView:
         self.cpu_intensity = require_positive(
             "cpu_intensity", cpu_intensity, QueryError
         )
-        #: Per side, the payload epoch folded up to (``-1``: unprimed).
-        self.cursors = [-1] * len(self.sides)
+        #: Per side, the payload epoch folded up to (``-1``: unprimed),
+        #: declared to the catalog so its logs keep the rows after it.
+        self.cursors = cluster.catalog.declare([s.array for s in self.sides])
 
-    def _read(self, session, acc, costs, delta: bool):
-        """Charge, then gather, each side: its delta since its cursor as
-        signed cells, or all of it at ``+1``.  Returns one extracted
-        ``(keys, values, weights)`` per side, cells read, bytes charged."""
+    def _read(self, session, acc, costs, deltas):
+        """Charge, then gather, each side: its delta read as signed cells,
+        or all of it at ``+1``.  Returns one extracted ``(keys, values,
+        weights)`` per side, cells read, bytes charged."""
         batches, rows, scanned = [], 0, 0.0
-        for side, cursor in zip(self.sides, self.cursors):
+        for i, side in enumerate(self.sides):
             attrs = side.attrs
             read = (
-                session.deltas_since(side.array, cursor) if delta
-                else session.chunks_of_array(side.array)
+                session.chunks_of_array(side.array) if deltas is None
+                else deltas[i]
             )
             scanned += charge_scan(
                 acc, read, attrs, costs, self.cpu_intensity
             )
-            if delta:
+            if deltas is not None:
                 coords, values, weights = delta_cells(read, attrs, self.ndim)
             else:
                 coords, values = session.array_payload(
@@ -579,14 +582,15 @@ class _MaintainedView:
             rows += int(coords.shape[0])
         return batches, rows, scanned
 
-    def _plan(self, session, costs) -> MaintenancePlan:
-        """One side's planner verdict, or the sides' arms summed."""
+    def _plan(self, session, costs, deltas) -> MaintenancePlan:
+        """One side's planner verdict, or the sides' arms summed, priced
+        from the delta reads the fold takes."""
         plans = [
             maintenance_plan(
                 session, side.array, cursor, side.attrs, costs,
-                self.cpu_intensity,
+                self.cpu_intensity, delta=delta,
             )
-            for side, cursor in zip(self.sides, self.cursors)
+            for side, cursor, delta in zip(self.sides, self.cursors, deltas)
         ]
         if len(plans) == 1:
             return plans[0]
@@ -615,13 +619,20 @@ class _MaintainedView:
         )
         acc = accumulator_for(session)
         costs = session.costs
-        plan = self._plan(session, costs) if min(self.cursors) >= 0 else None
+        deltas = None  # unprimed, or a cursor below its log's floor: full
+        if min(self.cursors) >= 0:
+            try:
+                deltas = [session.deltas_since(side.array, cursor)
+                          for side, cursor in zip(self.sides, self.cursors)]
+            except DeltaFloorError:
+                pass
+        plan = None if deltas is None else self._plan(session, costs, deltas)
         folded = None
         if plan is not None and plan.incremental:
-            folded = self._fold(session, acc, costs, delta=True)
+            folded = self._fold(session, acc, costs, deltas)
         mode = "full" if folded is None else "delta"
-        rows, scanned = folded or self._fold(session, acc, costs, delta=False)
-        self.cursors = [
+        rows, scanned = folded or self._fold(session, acc, costs, None)
+        self.cursors[:] = [
             int(session.payload_epoch_of(side.array)) for side in self.sides
         ]
         return MaintenanceReport(mode, rows, scanned, acc.max_seconds(), plan)
@@ -695,11 +706,11 @@ class MaintainedGridStats(_MaintainedView):
         if max(self.state.dims) >= self.ndim:
             raise QueryError(f"dims {dims!r} exceed ndim={ndim}")
 
-    def _fold(self, session, acc, costs, delta: bool) -> Tuple[int, float]:
+    def _fold(self, session, acc, costs, deltas) -> Tuple[int, float]:
         [(coords, values, weights)], rows, scanned = self._read(
-            session, acc, costs, delta
+            session, acc, costs, deltas
         )
-        if not delta:
+        if deltas is None:
             self.state.clear()
         self.state.apply(coords, values, weights)
         if self.state.needs_rescan:
@@ -762,11 +773,11 @@ class MaintainedJoin(_MaintainedView):
         self._packing: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _fold(
-        self, session, acc, costs, delta: bool
+        self, session, acc, costs, deltas
     ) -> Optional[Tuple[int, float]]:
-        batches, rows, scanned = self._read(session, acc, costs, delta)
+        batches, rows, scanned = self._read(session, acc, costs, deltas)
         tables = [keys for keys, _, _ in batches if keys.ndim == 2]
-        if not delta:
+        if deltas is None:
             self.state.clear()
             bounds = [
                 _declared_bounds(session.snapshot_of(side.array).schema)

@@ -70,7 +70,8 @@ def _extent(chunk: ChunkData) -> Tuple[int, int, int]:
 def _log_deltas(
     self: ChunkCatalog, log_by_array: Dict[str, List[Tuple]]
 ) -> None:
-    """Append collected (sign, ref, chunk, size, node, extent) rows.
+    """Append collected (sign, ref, chunk, size, node, extent) rows,
+    each log first folded below its floor as ``_log_rows`` folds it.
 
     Called after :meth:`_touch`, so every appended row carries the
     epoch the mutation landed at — ``deltas_since(array, cursor)``
@@ -82,8 +83,8 @@ def _log_deltas(
         if not entries:
             continue
         log = self._deltas.get(array)
-        if log is None:
-            log = self._deltas[array] = _DeltaLog()
+        log = _DeltaLog() if log is None else self._folded(array, log)
+        self._deltas[array] = log
         signs, refs, chunks, sizes, nodes, extents = zip(*entries)
         log.append(epoch, signs, list(refs), list(chunks), sizes,
                    nodes, np.array(extents, dtype=np.int64))

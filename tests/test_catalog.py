@@ -399,7 +399,7 @@ class TestLiveReadsAreSnapshotReads:
             catalog.payload_in_region(array, region, ["v"], 3),
             snap.payload_in_region(region, ["v"], 3),
         )
-        for cursor in (0, snap.payload_epoch - 1, snap.payload_epoch):
+        for cursor in (0, max(snap.payload_epoch - 1, 0), snap.payload_epoch):
             live = catalog.deltas_since(array, cursor)
             pinned = snap.deltas_since(cursor)
             for column in (
@@ -419,6 +419,8 @@ class TestLiveReadsAreSnapshotReads:
             for t in range(2) for x in range(12)
         ]
         b_chunks = [_chunk("B", 0, x, x, 7.0) for x in range(5)]
+        # Reads from cursor 0 below: hold every row from it.
+        held = cluster.catalog.declare(["A", "B"], [0, 0])
         cluster.ingest(a_chunks + b_chunks)
         cluster.scale_out(1)
         cluster.remove_chunks([c.ref() for c in a_chunks[:4]])
@@ -434,6 +436,7 @@ class TestLiveReadsAreSnapshotReads:
         assert len(unknown) == 0 and unknown.epoch == 0
         assert len(catalog.deltas_since("nope", 0)) == 0
         assert catalog.payload_of_array("nope", ["v"], 3)[0].shape == (0, 3)
+        del held
 
 
 class TestGroupedRebalance:
@@ -695,6 +698,14 @@ class TestCatalogInternals:
         coords, values = concat_payload(read_of([]), ["v"], ndim=3)
         assert coords.shape == (0, 3)
         assert values["v"].shape == (0,)
+
+    def test_empty_reads_have_empty_rows(self, populated):
+        _, catalog, _ = populated
+        rows = read_of([]).rows
+        assert rows.shape == (0, 0) and rows.dtype == np.int64
+        delta = catalog.deltas_since("A", catalog.payload_epoch_of("A"))
+        assert not len(delta) and delta.schema is SCHEMAS["A"]
+        assert delta.rows.shape == (0, 3) and delta.rows.dtype == np.int64
 
     def test_repeated_ref_in_one_batch_takes_one_id(self, table_partitioner):
         # A ref listed twice is interned once, by the table: 64 refs

@@ -12,9 +12,12 @@ with in-batch duplicate refs and re-ingests of live refs), ``expire``,
 ``scale_out``, ``compact`` (the catalog's and the partitioner's),
 ``pin`` / ``release`` of a session pinned on both arrays,
 ``refresh_views`` (a grid-statistics view with extrema and a position
-join), ``read_twice`` and ``route`` (draws a region box).  Initialization
-ingests a first batch, opens one pin and primes the views, so later
-mutations land under an open pin and a primed delta cursor.
+join), ``read_twice``, ``route`` (draws a region box) and
+``advance_cursor`` (moves the machine's own declared delta cursor to
+the current payload epochs, so the logs fold under every other step).
+Initialization declares that cursor at 0, ingests a first batch, opens
+one pin and primes the views, so later mutations land under an open pin
+and a primed delta cursor.
 
 After every step, on both twins:
 
@@ -24,7 +27,8 @@ After every step, on both twins:
   region payloads;
 * session reads ≡ the store walks of ``tests/oracles/cluster.py``, and
   region routing ≡ ``chunks_in_region_scan`` on the drawn boxes;
-* an explicit ``deltas_since(array, 0)`` replay equals the live set;
+* an explicit ``deltas_since`` replay from the declared cursor, over
+  the live set recorded there, equals the live set;
 * fresh maintained views ≡ their ``recompute()`` (Liu: an incremental
   program is correct iff it equals the from-scratch one);
 * every open pin reads its captured fingerprint after the payload
@@ -198,6 +202,15 @@ class ClusterMachine(RuleBasedStateMachine):
             for cluster in self.twins
         ]
         self.views_fresh = False
+        # The replay cursor: declared before the first ingest, with the
+        # live refs per array at it.
+        self.replay_cursors = [
+            cluster.catalog.declare(ARRAYS, [0] * len(ARRAYS))
+            for cluster in self.twins
+        ]
+        self.replay_bases = [
+            {array: set() for array in ARRAYS} for _ in self.twins
+        ]
         self.live = set()
         self.pins = []
         self.regions = list(REGIONS[1:])
@@ -341,6 +354,18 @@ class ClusterMachine(RuleBasedStateMachine):
     def route(self, region):
         self.regions = [region, self.regions[0]]
 
+    @rule()
+    def advance_cursor(self):
+        for cluster, cursors, bases in zip(
+            self.twins, self.replay_cursors, self.replay_bases
+        ):
+            session = cluster.session()
+            for i, array in enumerate(ARRAYS):
+                cursors[i] = session.payload_epoch_of(array)
+                bases[array] = {
+                    c.ref() for c, _ in session.chunks_of_array(array)
+                }
+
     # -- invariants ----------------------------------------------------
     @invariant()
     def consistent(self):
@@ -392,11 +417,13 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def delta_replay_equals_live_set(self):
-        for cluster in self.twins:
+        for cluster, cursors, bases in zip(
+            self.twins, self.replay_cursors, self.replay_bases
+        ):
             session = cluster.session()
-            for array in ARRAYS:
-                delta = session.deltas_since(array, 0)
-                weight = {}
+            for i, array in enumerate(ARRAYS):
+                delta = session.deltas_since(array, cursors[i])
+                weight = dict.fromkeys(bases[array], 1)
                 for ref, sign in zip(
                     delta.refs.tolist(), delta.signs.tolist()
                 ):
@@ -427,7 +454,7 @@ MACHINE_SETTINGS = settings(max_examples=4, stateful_step_count=12)
 #: derandomized example repeats one rule, so two examples are too few.)
 FOCUSED_SETTINGS = settings(max_examples=3, stateful_step_count=8)
 RULES = ("ingest", "expire", "scale_out", "compact", "pin", "release",
-         "refresh_views", "read_twice", "route")
+         "refresh_views", "read_twice", "route", "advance_cursor")
 INVARIANTS = ("consistent", "memory_equals_tier", "reads_equal_store_walks",
               "delta_replay_equals_live_set", "views_equal_recompute",
               "pins_read_their_capture")

@@ -28,7 +28,7 @@ from repro.arrays import Box, ChunkData, parse_schema
 from repro.arrays.coords import pack_rows_void, position_keys, row_packing
 from repro.cluster import CostParameters, ElasticCluster, GB
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.errors import QueryError
+from repro.errors import ClusterError, DeltaFloorError, QueryError
 from repro.harness import figure8_retention, incremental_churn
 from repro.query import incremental
 from repro.query import operators as ops
@@ -742,13 +742,14 @@ class TestDeltaCells:
 
     def test_signs_follow_rows(self):
         cluster = _make_cluster("round_robin")
+        held = cluster.catalog.declare(["A"], [0])  # read from 0 below
         cluster.ingest([
             _chunk("A", 0, 1, 1, 1.0), _chunk("A", 0, 2, 2, 2.0),
         ])
         cluster.remove_chunks(
             [c.ref() for c, _ in cluster.session().chunks_of_array("A")][:1]
         )
-        delta = cluster.session().deltas_since("A", 0)
+        delta = cluster.session().deltas_since("A", held[0])
         coords, values, weights = delta_cells(delta, ["v"], 3)
         assert coords.shape == (3, 3)
         assert sorted(weights.tolist()) == [-1, 1, 1]
@@ -773,6 +774,8 @@ class TestDeltaCells:
         runner = ExperimentRunner(
             small_modis, RunConfig(partitioner="kd_tree", run_queries=False)
         )
+        # Every cursor from 0 is read below: hold the whole log.
+        held = runner.cluster.catalog.declare(["band1"], [0])
         runner.run()
         cluster = runner.cluster
         pairs = list(cluster.session().chunks_of_array("band1"))
@@ -790,3 +793,110 @@ class TestDeltaCells:
             assert got[2].dtype == want[2].dtype
             assert np.array_equal(got[2], want[2])
         assert len(cluster.session().deltas_since("band1", 0)) > len(pairs)
+        del held
+
+
+class TestBoundedHistory:
+    """The delta log forgets the rows every declared reader folded in."""
+
+    WINDOW, BATCH = 4, 6
+
+    def _cycle(self, cluster, window, t):
+        cluster.ingest([
+            _chunk("A", t, x, (5 * x + t) % 16, float(t + x))
+            for x in range(self.BATCH)
+        ])
+        window.append(t)
+        if len(window) > self.WINDOW:
+            gone = window.pop(0)
+            cluster.remove_chunks([
+                _chunk("A", gone, x, (5 * x + gone) % 16, 0.0).ref()
+                for x in range(self.BATCH)
+            ])
+
+    @pytest.mark.parametrize("with_view", [True, False])
+    def test_log_rows_track_the_live_set(self, with_view):
+        cluster = _make_cluster("hilbert_curve")
+        view = _grid_view(cluster) if with_view else None
+        window = []
+        for t in range(48):
+            self._cycle(cluster, window, t)
+            if view is not None:
+                view.refresh()
+            live = len(cluster.session().chunks_of_array("A"))
+            log = cluster.catalog._deltas["A"]
+            assert log.count <= live + self.WINDOW * self.BATCH + self.BATCH
+            cluster.check_consistency()  # replays the tail from its floor
+        assert cluster.catalog._deltas["A"].floor > 0
+        if view is not None:
+            assert view.refresh().mode == "delta"
+            _assert_grid_parity(view)
+
+    def test_pinned_snapshot_reads_through_a_fold(self):
+        cluster = _make_cluster("round_robin")
+        window = []
+        for t in range(3):
+            self._cycle(cluster, window, t)
+        snap = cluster.session().snapshot_of("A")
+        log = cluster.catalog._deltas["A"]
+        cursors = range(log.floor, snap.payload_epoch + 1)
+
+        def columns(delta):
+            numeric = [delta.epochs, delta.signs, delta.sizes, delta.nodes,
+                       delta._extents]
+            return (
+                [c.tobytes() for c in numeric],
+                [id(h) for h in delta.refs.tolist() + delta.chunks.tolist()],
+            )
+
+        before = [columns(snap.deltas_since(c)) for c in cursors]
+        for t in range(3, 6):
+            self._cycle(cluster, window, t)
+        folded = cluster.catalog._deltas["A"]
+        assert folded is not log and folded.floor > snap.payload_epoch
+        assert [columns(snap.deltas_since(c)) for c in cursors] == before
+        with pytest.raises(DeltaFloorError, match=f"epoch {log.floor}"):
+            cluster.session().deltas_since("A", log.floor)
+
+    def test_cursor_below_the_floor_takes_the_full_arm(self):
+        cluster = _make_cluster("kd_tree")
+        view = _grid_view(cluster)
+        window = []
+        for t in range(8):
+            self._cycle(cluster, window, t)
+            view.refresh()
+        floor = cluster.catalog._deltas["A"].floor
+        assert floor > 1
+        view.cursors[0] = 1  # forced below the floor
+        with pytest.raises(DeltaFloorError, match="epoch 1 "):
+            cluster.session().deltas_since("A", view.cursors[0])
+        report = view.refresh()
+        assert report.mode == "full" and report.plan is None
+        _assert_grid_parity(view)
+        assert view.cursors[0] == cluster.catalog.payload_epoch_of("A")
+        self._cycle(cluster, window, 8)
+        assert view.refresh().mode == "delta"
+        _assert_grid_parity(view)
+
+    def test_a_dead_reader_releases_its_hold(self):
+        cluster = _make_cluster("round_robin")
+        held = cluster.catalog.declare(["A"], [0])
+        window = []
+        for t in range(6):
+            self._cycle(cluster, window, t)
+        assert cluster.catalog._deltas["A"].floor == 0
+        del held
+        self._cycle(cluster, window, 6)
+        assert cluster.catalog._deltas["A"].floor > 0
+
+    @pytest.mark.parametrize(
+        "epoch", [float("nan"), 10**30, 1.5, True, "3", None],
+        ids=["nan", "huge", "float", "bool", "str", "none"],
+    )
+    def test_garbage_epochs_raise(self, epoch):
+        cluster = _make_cluster("round_robin")
+        self._cycle(cluster, [], 0)
+        with pytest.raises(ClusterError, match="epoch"):
+            cluster.catalog.deltas_since("A", epoch)
+        with pytest.raises(ClusterError, match="epoch"):
+            cluster.catalog.snapshot("A").deltas_since(epoch)

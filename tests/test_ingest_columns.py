@@ -172,9 +172,11 @@ class TestRunGather:
     @pytest.fixture(scope="class")
     def cluster(self):
         cluster = make_cluster("round_robin", GRID, nodes=3)
+        held = cluster.catalog.declare(["A"], [0])  # the delta read from 0
         for batch in _batches():
             cluster.ingest(batch)
-        return cluster
+        yield cluster
+        del held
 
     def _reads(self, cluster):
         session = cluster.session()

@@ -102,7 +102,7 @@ class ElasticCluster:
         ledger_compact_ratio: dead-slot ratio above which the chunk
             table is compacted during the reorganization cycle (after
             rebalances and removals) — one compaction, which remaps the
-            catalog's published columns in the same write window — so
+            catalog's per-array views in the same call — so
             churn-heavy retention workloads keep bounded index memory.
             ``None`` disables compaction entirely.
 
@@ -447,18 +447,19 @@ class ElasticCluster:
     def check_consistency(self) -> None:
         """Verify stores, the chunk table, and the catalog agree.
 
-        Every stored chunk must sit on its planned owner and be
-        published with the stored handle, and the planned and published
-        owner columns must be equal (one vector compare,
-        :meth:`ChunkCatalog.verify_published`).  Every array's delta log
-        must replay from epoch 0 onto the catalog's live set
+        Every stored chunk must sit on its owner in the chunk table and
+        be published there with the stored handle; the catalog's views
+        must hold exactly the table's live ids (one vector compare,
+        :meth:`ChunkCatalog.verify_published`); the table's and the
+        stores' byte totals must agree.  Every array's delta log must
+        replay onto the catalog's live set
         (:meth:`ChunkCatalog.verify_delta_log`) — the invariant the
         incremental maintenance layer depends on.
 
         Raises:
             ClusterError: on any disagreement between physical chunk
-                placement, the partitioning table, the chunk catalog's
-                columns, and the replayed delta log.
+                placement, the chunk table, the catalog's views, and
+                the replayed delta log.
         """
         catalogued = 0
         for node_id, node in self.nodes.items():

@@ -64,7 +64,7 @@ def execute_insert(
     Runs on the batch's columns (a :class:`ChunkBatch`; a list is
     converted once), its schemas checked against the published ones
     first.  One ``place_batch`` call routes the batch, updates the byte
-    ledger and returns the table ids, whose planned owners are the
+    ledger and returns the table ids, whose owners are the
     targets.  Chunks are stored grouped per destination (a stable
     argsort, so each store pays one bulk install and same-ref merges
     replay in batch order) and the stored objects are published with
@@ -136,7 +136,7 @@ def execute_rebalance(
     chunk), collapses per-chunk move chains to ``first source → final
     destination``, then runs one bulk eviction per donor and one bulk
     install per receiver (stores in order of first appearance), followed
-    by one catalog relocation pass that publishes the plan's ids.  It
+    by one catalog relocation pass over the plan's ids.  It
     reads the plan's columns: one stable argsort groups moves by chunk.
     """
     n = plan.chunk_count
@@ -171,6 +171,14 @@ def execute_rebalance(
             raise ClusterError(
                 f"rebalance source {sources[i]} does not hold {refs[i]}"
             ) from None
+    else:
+        live = np.isin(keys, catalog.table.live_ids())
+        if not live.all():
+            i = int(np.argmin(live))
+            raise ClusterError(
+                f"rebalance id {keys[i]} of {refs[i]} is not a live "
+                "chunk-table id"
+            )
     by_chunk = np.argsort(keys, kind="stable")
     head = np.ones(n + 1, dtype=bool)  # each chunk's first move, sentinel
     head[1:-1] = keys[by_chunk][1:] != keys[by_chunk][:-1]

@@ -52,9 +52,9 @@ Ledger invariants
 -----------------
 The bookkeeping lives in the chunk table
 (:class:`repro.core.ledger.ArrayChunkLedger`), which interns refs to
-dense integer ids and keeps bytes/planned owner/coordinates in parallel
+dense integer ids and keeps bytes/owner/coordinates in parallel
 numpy columns.  The partitioner creates it (partitioners also run
-without a cluster); in a cluster the chunk catalog publishes from the
+without a cluster); in a cluster the chunk catalog publishes into the
 same table object (:attr:`ElasticPartitioner.table`), so every chunk is
 interned exactly once.  The table is redundant by design and must stay
 consistent at every public-method boundary:
@@ -149,7 +149,9 @@ class RebalancePlan:
     a partitioner built the plan.  A chunk may move more than once
     (sequential splits), each hop starting where the last one ended.
     The aggregates add sizes in move order: bit-equal to a per-move
-    accumulation.
+    accumulation.  Every column must hold one row per ref, the node
+    columns integers and ``sizes`` finite bytes ``>= 0``
+    (:class:`~repro.errors.PartitioningError` naming the column).
     """
 
     refs: np.ndarray
@@ -159,12 +161,30 @@ class RebalancePlan:
     ids: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        refs = np.empty(len(self.refs), dtype=object)
+        n = len(self.refs)
+        refs = np.empty(n, dtype=object)
         refs[:] = self.refs
         self.refs = refs
-        self.sources = np.asarray(self.sources, dtype=np.int64)
-        self.dests = np.asarray(self.dests, dtype=np.int64)
-        self.sizes = np.asarray(self.sizes, dtype=np.float64)
+        kinds = {"sources": "iu", "dests": "iu", "sizes": "iuf", "ids": None}
+        for name, kind in kinds.items():
+            column = getattr(self, name)
+            if column is None:
+                continue
+            column = np.asarray(column)
+            ok = column.shape == (n,) and (
+                not n or kind is None or column.dtype.kind in kind)
+            if ok and name == "sizes":
+                ok = bool((np.isfinite(column) & (column >= 0)).all())
+            if not ok:
+                raise PartitioningError(
+                    f"plan column {name} must hold {n} "
+                    f"{'finite sizes >= 0' if name == 'sizes' else 'integers'}"
+                    f", got shape {column.shape} of dtype {column.dtype}"
+                )
+            if kind is not None:  # a dict ledger's ids are its refs
+                dtype = np.float64 if name == "sizes" else np.int64
+                column = column.astype(dtype, copy=False)
+            setattr(self, name, column)
         same = self.sources == self.dests
         if same.any():
             i = int(np.argmax(same))
@@ -505,8 +525,9 @@ class ElasticPartitioner(ABC):
         refs and shrinks its columns when at least
         ``min_dead_fraction`` of the allocated slots are dead.
         Observable partitioner state is unchanged either way.  A
-        published table compacts inside its catalog's write window
-        (:meth:`repro.core.catalog.ChunkCatalog.compact`).
+        published table compacts through its catalog
+        (:meth:`repro.core.catalog.ChunkCatalog.compact`), which remaps
+        its per-array views with the same old → new ids.
 
         Returns:
             Whether a compaction actually ran.

@@ -1,27 +1,18 @@
 """The cluster-wide columnar chunk catalog.
 
-:class:`ChunkCatalog` is the single authoritative, incrementally
-maintained index of every chunk physically stored in the cluster:
-``(array, chunk key, owner node, bytes, payload handle, extent)``.  It
-interns nothing: it publishes from the partitioner's chunk table
-(:class:`repro.core.ledger.ArrayChunkLedger`, the one ``ChunkRef -> id``
-map), in columns indexed by the table's ids — payload handles, bytes,
-the published owner, and each handle's extent ``(arena number, lo,
-hi)`` in its ingest batch's arena, written from the batch's columns.
-The coordinator updates it in place on every mutation, so a read is an
-O(live-chunks-of-array) column gather with **no per-node store walk and
-no per-query re-sort**.
-
-Planned and published owners
-----------------------------
-The table's owner is the *planned* one (``partitioner.scale_out``
-rewrites it before a byte moves); the catalog copies it into the
-*published* owner in the same mutation once the stores hold the
-bytes (:meth:`ChunkCatalog.put_batch`,
-:meth:`ChunkCatalog.relocate_batch`).  Snapshots gather published
-columns only, and the two are equal at quiescence
-(:meth:`ChunkCatalog.verify_published`; the id lifecycle is in
-``docs/invariants.md``).
+:class:`ChunkCatalog` publishes every chunk physically stored in the
+cluster: ``(array, chunk key, owner node, bytes, payload handle,
+extent)``.  Every one of those per-chunk facts lives once, in the
+partitioner's chunk table (:class:`repro.core.ledger.ArrayChunkLedger`,
+the one ``ChunkRef -> id`` map); the catalog writes the table's handle
+and extent columns ``(arena number, lo, hi)`` from each ingest batch's
+columns, and an id is published exactly when its handle is set.  What
+the catalog keeps itself is per array or per reader: the sorted views,
+the schemas, the delta logs, the declared cursors, the snapshot memo
+and the payload LRU.  The coordinator updates it in place on every
+mutation, so a read is an O(live-chunks-of-array) column gather with
+**no per-node store walk and no per-query re-sort** (the id lifecycle
+is in ``docs/invariants.md``).
 
 One reader
 ----------
@@ -110,6 +101,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
+from numbers import Integral
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -124,7 +116,9 @@ from repro.arrays.coords import (
     region_mask,
     row_packing,
 )
-from repro.core.ledger import ArrayChunkLedger, array_codes, resize_column
+from repro.core.ledger import (
+    NO_EXTENT, ArrayChunkLedger, array_codes, resize_column,
+)
 from repro.errors import ChunkError, ClusterError, DeltaFloorError, require_index
 
 NodeId = int
@@ -179,10 +173,6 @@ def concat_payload(read: "Read", attrs: Sequence[str], ndim: int = 0) -> Payload
     return coords, values
 
 
-#: The extent of an unpublished id or of a chunk with its own arrays.
-_NO_EXTENT = (-1, 0, 0)
-
-
 class Read:
     """One array's chunks as one snapshot read returned them.
 
@@ -209,7 +199,7 @@ class Read:
         extents: Optional[np.ndarray] = None,
     ) -> None:
         if extents is None:
-            extents = np.full((len(sizes), 3), _NO_EXTENT, dtype=np.int64)
+            extents = np.full((len(sizes), 3), NO_EXTENT, dtype=np.int64)
         for column in (chunks, sizes, nodes, rows, extents):
             if column is not None:
                 column.flags.writeable = False
@@ -379,7 +369,7 @@ class _DeltaLog:
         self.chunks = np.empty(cap, dtype=object)
         self.sizes = np.zeros(cap, dtype=np.float64)
         self.nodes = np.full(cap, -1, dtype=np.int64)
-        self.extents = np.full((cap, 3), _NO_EXTENT, dtype=np.int64)
+        self.extents = np.full((cap, 3), NO_EXTENT, dtype=np.int64)
         self.count = 0
 
     def append(
@@ -403,7 +393,7 @@ class _DeltaLog:
             self.chunks = resize_column(self.chunks, new_cap, None)
             self.sizes = resize_column(self.sizes, new_cap, 0.0)
             self.nodes = resize_column(self.nodes, new_cap, -1)
-            self.extents = resize_column(self.extents, new_cap, _NO_EXTENT)
+            self.extents = resize_column(self.extents, new_cap, NO_EXTENT)
         sl = slice(self.count, need)
         self.epochs[sl] = epoch
         self.signs[sl] = np.asarray(signs, dtype=np.int8)
@@ -507,10 +497,10 @@ class _ArrayView:
 class ArraySnapshot:
     """An immutable, epoch-pinned view of one array's catalog state.
 
-    MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers the array's
-    id/key/published-owner/bytes column slices (cheap — the per-array
-    views are already copy-on-write-shaped) plus the length of its delta log at
-    capture time.  Every read below answers from those frozen columns,
+    MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers the array's key
+    rows and its ids' ref/handle/bytes/owner/extent table rows (cheap —
+    the per-array views are already copy-on-write-shaped) plus the
+    length of its delta log at capture time.  Every read below answers from those frozen columns,
     so a query holding a snapshot never sees a half-applied rebalance,
     an expiry, or an ingest that lands after the pin — payload handles
     are immutable :class:`~repro.arrays.chunk.ChunkData` objects (merges
@@ -548,19 +538,19 @@ class ArraySnapshot:
             self._rows = view.rows.copy()
         self.array = array
         self.schema = catalog._schema_of.get(array)
-        # Fancy-indexed gathers are already fresh copies.  A published
-        # id's ref is fixed until the id is unpublished, so the table's
-        # ref column is read like a published one.
-        self._refs = catalog._table._refs[ids]
-        self._chunks = catalog._chunks[ids]
-        self._sizes = catalog._size[ids]
-        self._nodes = nodes = catalog._owner[ids]
+        # Fancy-indexed gathers are already fresh copies, so the pin
+        # keeps the owners of its capture through later moves.
+        table = catalog.table
+        self._refs = table._refs[ids]
+        self._chunks = table._chunks[ids]
+        self._sizes = table._size[ids]
+        self._nodes = nodes = table.owners(ids)
         self._node_bounds = (
             (int(nodes.min()), int(nodes.max())) if len(ids) else None
         )
         self._read = Read(
             self._chunks, self._sizes, nodes, self.schema, self._rows,
-            catalog._extent[ids],
+            table._extent[ids],
         )
         self._region_read: Optional[Tuple[Tuple[Any, Any], Read]] = None
         self._log = log = catalog._deltas.get(array, _EMPTY_LOG)
@@ -752,12 +742,11 @@ class ArraySnapshot:
 class ChunkCatalog:
     """Columnar cluster-wide chunk index (see module docstring).
 
-    Its columns are indexed by ``table``'s ids and sized to its
-    capacity: the payload handle (the exact
+    It publishes into ``table``'s handle column the exact
     :class:`~repro.arrays.chunk.ChunkData` object the owning node's
-    store holds, ``None`` for an unpublished id), modeled bytes, the
-    published owner and the handle's extent (``(cap, 3)``; ``(-1, 0,
-    0)`` when unpublished).  A table has at most one live publisher.
+    store holds (``None`` for an unpublished id), and into its extent
+    column that handle's extent.  A table has at most one live
+    publisher.
     """
 
     #: Upper bound on live payload-cache entries (LRU eviction beyond
@@ -775,11 +764,6 @@ class ChunkCatalog:
             )
         table.publisher = self
         self._table = table
-        cap = table.column_capacity
-        self._chunks = np.full(cap, None, dtype=object)
-        self._size = np.zeros(cap, dtype=np.float64)
-        self._owner = np.full(cap, -1, dtype=np.int64)
-        self._extent = np.full((cap, 3), _NO_EXTENT, dtype=np.int64)
         self._views: Dict[str, _ArrayView] = {}
         self._schema_of: Dict[str, object] = {}
         self._deltas: Dict[str, _DeltaLog] = {}
@@ -801,19 +785,6 @@ class ChunkCatalog:
     def table(self) -> ArrayChunkLedger:
         """The chunk table this catalog publishes from."""
         return self._table
-
-    def _fit_columns(self) -> None:
-        """Grow the published columns to the table's capacity.
-
-        Ids are born in the partitioner's commit, which may grow the
-        table; the catalog catches up when it next publishes.
-        """
-        cap = self._table.column_capacity
-        if len(self._chunks) < cap:
-            self._chunks = resize_column(self._chunks, cap, None)
-            self._size = resize_column(self._size, cap, 0.0)
-            self._owner = resize_column(self._owner, cap, -1)
-            self._extent = resize_column(self._extent, cap, _NO_EXTENT)
 
     # -- reads ---------------------------------------------------------
     @property
@@ -853,7 +824,7 @@ class ChunkCatalog:
     def payload_of(self, ref: ChunkRef) -> Optional[ChunkData]:
         """The published payload handle of ``ref``, or ``None``."""
         i = self._table._id_of.get(ref)
-        return None if i is None or i >= len(self._chunks) else self._chunks[i]
+        return None if i is None else self._table._chunks[i]
 
     # -- per-array reads: each is a read of the current snapshot -------
     # (entry points for tests and the benchmark's span table; queries
@@ -897,10 +868,19 @@ class ChunkCatalog:
         self, arrays: Sequence[str], epochs: Optional[Sequence[int]] = None
     ) -> DeclaredCursors:
         """Cursors into ``arrays``' delta logs (default ``-1``, holding
-        nothing), which the holder moves as it folds; held weakly."""
+        nothing), which the holder moves as it folds; held weakly.
+        Raises :class:`ClusterError` unless each epoch is an integer from
+        ``-1`` to :attr:`epoch`."""
         cursors = DeclaredCursors([-1] * len(arrays) if epochs is None else epochs)
         if len(cursors) != len(arrays):
             raise ClusterError(f"{len(cursors)} epochs for {len(arrays)} arrays")
+        for epoch in cursors:
+            if isinstance(epoch, bool) or not isinstance(epoch, Integral) or (
+                    not -1 <= epoch <= self._epoch):
+                raise ClusterError(
+                    f"epochs must be integers from -1 to {self._epoch}, "
+                    f"got {epoch!r}"
+                )
         cursors.arrays = tuple(arrays)
         self._readers[id(cursors)] = cursors
         return cursors
@@ -970,14 +950,14 @@ class ChunkCatalog:
                 net[ref] = (weight, chunk if sign > 0 else handle)
             return {ref: entry for ref, entry in net.items() if entry[0]}
 
-        refs = self._table._refs
+        refs, chunks = self._table._refs, self._table._chunks
         for array, log in self._deltas.items():
             view = self._views.get(array)
             ids = view.ids if view is not None else np.empty(0, np.int64)
             live = {
                 ref: (1, chunk)
                 for ref, chunk in zip(
-                    refs[ids].tolist(), self._chunks[ids].tolist()
+                    refs[ids].tolist(), chunks[ids].tolist()
                 )
             }
             rows = list(zip(*(
@@ -1009,11 +989,10 @@ class ChunkCatalog:
                 )
 
     def verify_published(self) -> None:
-        """Planned == published, as one vector compare at quiescence.
+        """The views hold every id the table holds, and nothing else.
 
-        Every id the table holds, and nothing else, must be published on
-        its planned owner.  Between ``partitioner.scale_out`` and the
-        rebalance's :meth:`relocate_batch` the two legitimately differ,
+        One vector compare at quiescence: between the partitioner's
+        commit and :meth:`put_batch` the table holds ids no view does,
         so only ``ElasticCluster.check_consistency`` calls this (it
         raises :class:`ClusterError` on a difference).
         """
@@ -1026,13 +1005,6 @@ class ChunkCatalog:
             raise ClusterError(
                 f"catalog publishes {len(published)} chunks but the "
                 f"table holds {len(live)}"
-            )
-        stale = np.count_nonzero(
-            self._owner[live] != self._table.owners(live)
-        )
-        if stale:
-            raise ClusterError(
-                f"{stale} published owners differ from the planned ones"
             )
 
     # -- snapshots -----------------------------------------------------
@@ -1131,69 +1103,65 @@ class ChunkCatalog:
 
         ``chunks`` (a :class:`~repro.arrays.chunk.ChunkBatch` or a list)
         must be the objects the node stores hold after the physical put
-        (a merge stores a new merged :class:`ChunkData`, and the catalog
-        handle follows it); their sizes and extents come from the
-        batch's columns.  ``ids`` are their table ids, as ``place_batch``
-        returned them; without them they are read here
-        (:class:`ClusterError`, nothing published, when a chunk holds
-        none).
+        (a merge stores a new merged :class:`ChunkData`, and the table's
+        handle follows it); their extents come from the batch's columns.
+        ``ids`` are their table ids, as ``place_batch`` returned them;
+        without them they are read here (:class:`ClusterError`, nothing
+        published, when a chunk holds none).
 
         Column code: each put's predecessor is the previous put of its
         id in the batch (one stable sort of ``ids``) or else the
-        published handle.  None — publish on the planned owner and
-        merge the key row (the table's key column) into the array's
-        view; another handle — a merge, logged as the retiring handle
+        table's handle.  None — a new id: merge its key row (the
+        table's key column) into the array's view; another handle — a
+        merge, logged as the retiring handle (at its own ``size_bytes``)
         at ``-1`` then the new one at ``+1``; the same handle — nothing
-        logged.  Columns are written by fancy indexing (an id's last
-        put wins), delta rows appended as columns.  The per-chunk loop
-        this replaced is the spec (``tests/oracles/catalog.py``).
+        logged.  Handles and extents are written by fancy indexing (an
+        id's last put wins), delta rows appended as columns.  The
+        per-chunk loop this replaced is the spec
+        (``tests/oracles/catalog.py``).
         """
         batch = ChunkBatch.of(chunks)
         n = len(batch)
         if not n:
             return
+        table = self._table
         if ids is None:
             try:
-                ids = self._table.ids_of(list(map(ChunkData.ref, batch)))
+                ids = table.ids_of(list(map(ChunkData.ref, batch)))
             except KeyError as exc:
                 raise ClusterError(
                     f"chunk {exc.args[0]} is not in the chunk table"
                 ) from None
-        self._fit_columns()
         handles = np.fromiter(batch.chunks, dtype=object, count=n)
         sizes = batch.sizes
         extents = np.stack([batch.arena_no, batch.lo, batch.hi], axis=1)
-        refs = self._table._refs[ids]
-        owner = self._owner[ids]
-        unpublished = owner < 0  # a published id has an owner
-        owner[unpublished] = self._table.owners(ids[unpublished])
+        refs = table._refs[ids]
+        owner = table.owners(ids)
         # Chain in-batch duplicates: ``prev`` is the position of the
         # previous put of the same id, -1 for its first put.
         order = np.argsort(ids, kind="stable")
         repeat = ids[order[1:]] == ids[order[:-1]]
         prev = np.full(n, -1, dtype=np.int64)
         prev[order[1:][repeat]] = order[:-1][repeat]
-        before = self._chunks[ids]
-        before_size = self._size[ids]
-        before_extent = self._extent[ids]
+        before = table._chunks[ids]
+        before_extent = table._extent[ids]
         chained = prev >= 0
         before[chained] = handles[prev[chained]]
-        before_size[chained] = sizes[prev[chained]]
         before_extent[chained] = extents[prev[chained]]
-        new = unpublished & ~chained
+        new = np.equal(before, None)  # unpublished and not chained
         merged = ~new
         merged[merged] = before[merged] != handles[merged]  # by identity
+        before_size = np.zeros(n)
+        before_size[merged] = [h.size_bytes for h in before[merged].tolist()]
         last = np.ones(n, dtype=bool)
         last[order[:-1][repeat]] = False
-        self._chunks[ids[last]] = handles[last]
-        self._size[ids[last]] = sizes[last]
-        self._extent[ids[last]] = extents[last]
-        self._owner[ids[new]] = owner[new]
+        table._chunks[ids[last]] = handles[last]
+        table._extent[ids[last]] = extents[last]
         arrays, codes = batch.arrays, batch.codes
         for code, array in enumerate(arrays):
             mine = new & (codes == code)
             if mine.any():
-                keys = self._table.keys_of(ids[mine])
+                keys = table.keys_of(ids[mine])
                 self._schema_of.setdefault(array, batch.schemas[code])
                 view = self._views.get(array) or self._views.setdefault(
                     array, _ArrayView(keys.shape[1])
@@ -1213,15 +1181,11 @@ class ChunkCatalog:
         )
 
     def relocate_batch(self, ids: np.ndarray) -> None:
-        """Publish the planned owners of moved chunks (table ids).
-
-        Called once the stores hold the moved bytes: the published owner
-        of each id is copied from the table's planned one (sorted views
-        unchanged).
-        """
+        """Mark moved chunks (table ids) as moved, once the stores hold
+        their bytes: their arrays' epochs advance (payload epochs and
+        sorted views stay; the owners are already the table's)."""
         if not len(ids):
             return
-        self._owner[ids] = self._table.owners(ids)
         self._touch(array_codes(self._table.refs_at(ids))[0], contents=False)
 
     def remove_batch(self, refs: Sequence[ChunkRef]) -> None:
@@ -1230,65 +1194,53 @@ class ChunkCatalog:
         Runs before ``partitioner.remove`` (the ids must still be
         interned).  One ``ids_of`` pass, then column code: each dropped
         chunk enters the array's delta log at ``-1`` with the payload
-        handle, bytes, and owner it retired with (gathered as columns
-        before the slots are cleared) — expiry is a negative delta to
-        the incremental maintenance layer.
+        handle, bytes, owner and extent it retired with (gathered as
+        columns before the handles are cleared) — expiry is a negative
+        delta to the incremental maintenance layer.
         """
         if not refs:
             return
-        ids = self._table.ids_of(refs)
-        ref_col = self._table._refs[ids]
+        table = self._table
+        ids = table.ids_of(refs)
+        ref_col = table._refs[ids]
         arrays, codes = array_codes(ref_col)
-        handles = self._chunks[ids]
-        sizes = self._size[ids]
-        owners = self._owner[ids]
-        extents = self._extent[ids]
-        self._chunks[ids] = None
-        self._size[ids] = 0.0
-        self._owner[ids] = -1
-        self._extent[ids] = _NO_EXTENT
+        handles = table._chunks[ids]
+        table._chunks[ids] = None
         for code, array in enumerate(arrays):
             self._views[array].drop(ids[codes == code])
         self._touch(arrays)
         self._log_rows(
             arrays, codes, np.full(len(ids), -1), ref_col, handles,
-            sizes, owners, extents,
+            table._size[ids], table.owners(ids), table._extent[ids],
         )
 
     # -- compaction ----------------------------------------------------
     @property
     def column_capacity(self) -> int:
-        """Allocated per-chunk column slots (the table's, at quiescence)."""
-        return len(self._chunks)
+        """Allocated per-chunk column slots (the table's)."""
+        return self._table.column_capacity
 
     def compact(self, min_dead_fraction: float = 0.0) -> bool:
-        """Compact the chunk table and remap the published columns.
+        """Compact the chunk table and remap the views' ids.
 
         The one compaction of a published table: in one step the table
         re-interns its live ids
-        (:meth:`repro.core.ledger.ArrayChunkLedger.compact_ids`) and the
-        published columns and per-array views are remapped with the
-        same old → new ids (views keep their sort order).  Observable
-        state — pairs, placements, scan columns, epochs, and live
-        payload-cache entries — is unchanged.
+        (:meth:`repro.core.ledger.ArrayChunkLedger.compact_ids`) and
+        the per-array views are remapped with the same old → new ids
+        (views keep their sort order).  Observable state — pairs,
+        placements, scan columns, epochs, and live payload-cache
+        entries — is unchanged.
 
         Returns
         -------
         bool
             ``True`` when the columns were rebuilt.
         """
-        self._fit_columns()
         old_ids = self._table.compact_ids(min_dead_fraction)
         if old_ids is None:
             return False
-        cap = self._table.column_capacity
-        mapping = np.full(len(self._chunks), -1, dtype=np.int64)
-        mapping[old_ids] = np.arange(len(old_ids), dtype=np.int64)
-        self._chunks = resize_column(self._chunks[old_ids], cap, None)
-        self._size = resize_column(self._size[old_ids], cap, 0.0)
-        self._owner = resize_column(self._owner[old_ids], cap, -1)
-        self._extent = resize_column(self._extent[old_ids], cap, _NO_EXTENT)
         for view in self._views.values():
-            if len(view.ids):
-                view.ids = mapping[view.ids]
+            # Live ids ascend in ``old_ids``, so a view id's new id is
+            # its position there.
+            view.ids = np.searchsorted(old_ids, view.ids)
         return True

@@ -1,19 +1,18 @@
 """The chunk table: the one ``ChunkRef -> id`` intern table of a cluster.
 
-The table answers "which node should hold this chunk and how big is it"
-and maintains the per-node byte loads plus the running total.
+The table answers "which node holds this chunk and how big is it" and
+maintains the per-node byte loads plus the running total.
 :class:`ArrayChunkLedger` interns every :class:`ChunkRef` to a dense
-integer id and keeps the per-chunk state in parallel numpy columns —
-the ref, bytes, the **planned** owning node, and (when all refs share
-one arity) the chunk-key coordinates.  Batch commits, merges, and
-rebalance reads then become vector operations over those columns
-instead of per-ref dict traffic through Python-level ``__hash__``.
+integer id and keeps every per-chunk fact once, in parallel numpy
+columns.  Batch commits, merges, and rebalance reads then become vector
+operations over those columns instead of per-ref dict traffic through
+Python-level ``__hash__``.
 
-The partitioner creates and writes the table (partitioners also run
-without a cluster); in a cluster the chunk catalog
-(:class:`repro.core.catalog.ChunkCatalog`) publishes from the same
-object, adding a **published** owner column that equals the planned one
-at quiescence (``docs/invariants.md``, "The chunk id lifecycle").
+The partitioner creates the table (partitioners also run without a
+cluster); in a cluster the chunk catalog
+(:class:`repro.core.catalog.ChunkCatalog`) publishes into the same
+object, writing its handle and extent columns (``docs/invariants.md``,
+"The chunk id lifecycle").
 
 Its specification is the dict-of-refs ledger in
 ``tests/oracles/ledger.py``: ``tests/test_ledger.py`` drives both
@@ -26,7 +25,7 @@ churn the columns therefore hold more slots than live chunks.
 :meth:`ArrayChunkLedger.compact` re-interns the live refs into fresh,
 exactly-sized columns once the dead-slot ratio crosses a configurable
 threshold, bounding index memory over long churn-heavy runs.  A
-published table compacts once, inside the catalog's write window
+published table compacts through its catalog
 (:meth:`repro.core.catalog.ChunkCatalog.compact`); the cluster triggers
 it from its reorganization cycle (``tests/test_ledger_compaction.py``).
 
@@ -51,6 +50,9 @@ from repro.arrays.chunk import ChunkRef
 from repro.errors import PartitioningError
 
 NodeId = int
+
+#: The extent of an unpublished id or of a chunk with its own arrays.
+NO_EXTENT = (-1, 0, 0)
 
 
 def resize_column(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
@@ -81,10 +83,11 @@ class ArrayChunkLedger:
 
     Every first-time ref is interned to a dense integer id; the id
     indexes the ``_refs``, ``_size`` (float64 bytes), ``_node`` (int64
-    planned owner) and — when every ref shares one key arity — ``_key``
-    (int64 chunk coordinates) columns.  Removed ids go on a free list
-    and are reused by later placements, so the columns stay dense under
-    churn.
+    owner), ``_chunks`` (payload handle, ``None`` while unpublished),
+    ``_extent`` (``(arena number, lo, hi)`` rows) and — when every ref
+    shares one key arity — ``_key`` (int64 chunk coordinates) columns.
+    Removed ids go on a free list and are reused by later placements,
+    so the columns stay dense under churn.
 
     Node ids are likewise interned to dense slots (the ``_load``
     column); the ``_node`` column stores the *slot*, not the raw node
@@ -105,6 +108,8 @@ class ArrayChunkLedger:
         self._refs = np.empty(cap, dtype=object)
         self._size = np.zeros(cap, dtype=np.float64)
         self._node = np.full(cap, -1, dtype=np.int64)
+        self._chunks = np.full(cap, None, dtype=object)
+        self._extent = np.full((cap, 3), NO_EXTENT, dtype=np.int64)
         self._key: Optional[np.ndarray] = None  # (cap, ndim) int64
         self._key_width: Optional[int] = None
         self._keys_ok = True
@@ -131,6 +136,8 @@ class ArrayChunkLedger:
         self._refs = resize_column(self._refs, new_cap, None)
         self._size = resize_column(self._size, new_cap, 0.0)
         self._node = resize_column(self._node, new_cap, -1)
+        self._chunks = resize_column(self._chunks, new_cap, None)
+        self._extent = resize_column(self._extent, new_cap, NO_EXTENT)
         if self._key is not None:
             self._key = resize_column(self._key, new_cap, 0)
 
@@ -257,7 +264,7 @@ class ArrayChunkLedger:
         )
 
     def owners(self, ids: np.ndarray) -> np.ndarray:
-        """Planned owner node ids of many live ids (one gather)."""
+        """Owner node ids of many live ids (one gather)."""
         slots = self._node[ids]
         dead = slots < 0  # a -1 slot must not index the list from its end
         if dead.any():
@@ -317,6 +324,8 @@ class ArrayChunkLedger:
         self._node[i] = -1
         self._size[i] = 0.0
         self._refs[i] = None
+        self._chunks[i] = None
+        self._extent[i] = NO_EXTENT
         self._free.append(i)
         self._load[slot] -= size
         self._count[slot] -= 1
@@ -394,9 +403,10 @@ class ArrayChunkLedger:
     def column_capacity(self) -> int:
         """Allocated per-chunk column slots (live + dead + headroom).
 
-        This is what the ledger's memory actually costs: every parallel
-        column (`refs`, bytes, owner slot, key coordinates) holds this
-        many entries regardless of how many are alive.
+        This is what the table's memory actually costs: every parallel
+        column (`refs`, bytes, owner slot, handle, extent, key
+        coordinates) holds this many entries regardless of how many are
+        alive.
         """
         return len(self._size)
 
@@ -432,9 +442,9 @@ class ArrayChunkLedger:
         loads, the running total — is unchanged (property-checked by
         ``tests/test_ledger_compaction.py``).
 
-        A published table compacts through its catalog's write window
-        (:meth:`repro.core.catalog.ChunkCatalog.compact`), so the two
-        id spaces never part.
+        A published table compacts through its catalog
+        (:meth:`repro.core.catalog.ChunkCatalog.compact`), so the
+        catalog's views never hold a stale id.
 
         Parameters
         ----------
@@ -457,7 +467,7 @@ class ArrayChunkLedger:
     def compact_ids(
         self, min_dead_fraction: float = 0.0
     ) -> Optional[np.ndarray]:
-        """:meth:`compact` without the catalog hand-off (its window).
+        """:meth:`compact` without the catalog hand-off.
 
         Returns the old id of every new id ``0 .. live-1`` (ascending),
         or ``None`` when nothing ran.
@@ -486,6 +496,8 @@ class ArrayChunkLedger:
         self._refs = resize_column(self._refs[ids], new_cap, None)
         self._size = resize_column(self._size[ids], new_cap, 0.0)
         self._node = resize_column(self._node[ids], new_cap, -1)
+        self._chunks = resize_column(self._chunks[ids], new_cap, None)
+        self._extent = resize_column(self._extent[ids], new_cap, NO_EXTENT)
         if self._key is not None:
             self._key = resize_column(self._key[ids], new_cap, 0)
         self._id_of = dict(zip(self._refs[:live].tolist(), range(live)))

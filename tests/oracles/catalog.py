@@ -11,12 +11,13 @@ element for element and dtype for dtype
 oracles in ``tests/oracles/cluster.py`` concatenate through it.
 
 :func:`put_batch_per_chunk` and :func:`remove_batch_per_chunk` — the
-publish and unpublish bodies from before they became column code, moved
-verbatim (``put_batch_per_chunk`` also takes the coordinator's ``ids``
-and an object-array batch, and ``_log_deltas`` became a function of the
-catalog; both also keep the extent columns, read per handle): one
-branch per chunk (new / merged / same handle), one tuple per delta-log
-row, one ``ChunkRef`` hash per dict probe.  They are the
+publish and unpublish bodies from before they became column code
+(``put_batch_per_chunk`` also takes the coordinator's ``ids`` and an
+object-array batch, and ``_log_deltas`` became a function of the
+catalog; both write the chunk table's handle and extent columns, the
+extent read per handle): one branch per chunk (new / merged / same
+handle), one tuple per delta-log row, one ``ChunkRef`` hash per dict
+probe.  They are the
 specification :meth:`ChunkCatalog.put_batch` and
 :meth:`ChunkCatalog.remove_batch` must equal column for column, in view
 order and delta-log row for row (``TestColumnarPublish`` in
@@ -30,9 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
-from repro.core.catalog import (
-    _NO_EXTENT, ChunkCatalog, Read, _ArrayView, _DeltaLog,
-)
+from repro.core.catalog import ChunkCatalog, Read, _ArrayView, _DeltaLog
+from repro.core.ledger import NO_EXTENT
 from repro.errors import ClusterError
 
 
@@ -63,7 +63,7 @@ def _extent(chunk: ChunkData) -> Tuple[int, int, int]:
     """A handle's ``(arena number, lo, hi)`` (own arrays: none)."""
     extent = chunk.extent
     if extent is None:
-        return _NO_EXTENT
+        return NO_EXTENT
     return (extent[0].number, extent[1], extent[2])
 
 
@@ -98,28 +98,27 @@ def put_batch_per_chunk(
     """Publish stored chunks (insert or merge), in batch order."""
     if not len(chunks):
         return
+    table = self.table
     refs = [chunk.ref() for chunk in chunks]
     if ids is None:
         try:
-            ids = self._table.ids_of(refs)
+            ids = table.ids_of(refs)
         except KeyError as exc:
             raise ClusterError(
                 f"chunk {exc.args[0]} is not in the chunk table"
             ) from None
-    planned = self._table.owners(ids).tolist()
-    self._fit_columns()
+    owners = table.owners(ids).tolist()
     new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
     log_by_array: Dict[str, List[Tuple]] = {}
     touched = set()
     for ref, chunk, i, node in zip(
-        refs, chunks, ids.tolist(), planned
+        refs, chunks, ids.tolist(), owners
     ):
         array = ref.array
         touched.add(array)
         entries = log_by_array.setdefault(array, [])
-        old = self._chunks[i]
+        old = table._chunks[i]
         if old is None:
-            self._owner[i] = node
             if array not in self._schema_of:
                 self._schema_of[array] = chunk.schema
             new_ids, new_keys = new_by_array.setdefault(
@@ -133,17 +132,15 @@ def put_batch_per_chunk(
         elif old is not chunk:
             # A merge replaced the stored payload: the retiring
             # handle leaves the ZSet, the merged one enters it.
-            old_node = int(self._owner[i])
             entries.append(
-                (-1, ref, old, float(self._size[i]), old_node,
-                 tuple(self._extent[i].tolist()))
+                (-1, ref, old, old.size_bytes, node,
+                 tuple(table._extent[i].tolist()))
             )
             entries.append(
-                (1, ref, chunk, chunk.size_bytes, old_node, _extent(chunk))
+                (1, ref, chunk, chunk.size_bytes, node, _extent(chunk))
             )
-        self._chunks[i] = chunk
-        self._size[i] = chunk.size_bytes
-        self._extent[i] = _extent(chunk)
+        table._chunks[i] = chunk
+        table._extent[i] = _extent(chunk)
     for array, (new_ids, new_keys) in new_by_array.items():
         view = self._views.get(array)
         if view is None:
@@ -163,18 +160,16 @@ def remove_batch_per_chunk(
     """Unpublish chunks; the table frees their ids afterwards."""
     if not refs:
         return
-    ids = self._table.ids_of(refs)
+    table = self.table
+    ids = table.ids_of(refs)
     by_array: Dict[str, List[int]] = {}
     log_by_array: Dict[str, List[Tuple]] = {}
     for ref, i in zip(refs, ids.tolist()):
         log_by_array.setdefault(ref.array, []).append(
-            (-1, ref, self._chunks[i], float(self._size[i]),
-             int(self._owner[i]), tuple(self._extent[i].tolist()))
+            (-1, ref, table._chunks[i], float(table._size[i]),
+             table.node_of(ref), tuple(table._extent[i].tolist()))
         )
-        self._chunks[i] = None
-        self._size[i] = 0.0
-        self._owner[i] = -1
-        self._extent[i] = _NO_EXTENT
+        table._chunks[i] = None
         by_array.setdefault(ref.array, []).append(i)
     for array, dead in by_array.items():
         self._views[array].drop(

@@ -9,8 +9,8 @@ Covers the catalog contract:
 * the grouped rebalance executor is physically equivalent to the
   per-move oracle, including chained moves;
 * :class:`ChunkStore`'s batch APIs and the dirty-bit sorted-ref cache;
-* the one compaction (table and published columns in one write
-  window) preserves every observable;
+* the one compaction (the table's ids and the catalog's views in one
+  call) preserves every observable;
 * the columnar publish (``put_batch`` / ``remove_batch``) equals the
   per-chunk loops in ``tests/oracles/catalog.py`` column for column, in
   view order and delta-log row for row — in-batch duplicates, merges,
@@ -482,8 +482,8 @@ class TestGroupedRebalance:
         """Factory: four chunks stored on node 0 of three, published.
 
         Returns ``(nodes, catalog, chunks, partitioner)``; plans the
-        partitioner emits (``_relocate_many``) move the planned owners the
-        catalog publishes when the plan executes.
+        partitioner emits (``_relocate_many``) move the table's owners,
+        which the catalog reads.
         """
 
         def build():
@@ -571,6 +571,17 @@ class TestGroupedRebalance:
         assert nodes[0].store.get(good) is chunks[0]
         assert catalog.placement_of_array("A")[good.key] == 0
 
+    @pytest.mark.parametrize("ids", [[99], [-1], [10]])
+    def test_plan_ids_must_be_live(self, nodes_with_chunks, ids):
+        nodes, catalog, chunks, _ = nodes_with_chunks()
+        plan = RebalancePlan(
+            [chunks[0].ref()], sources=[0], dests=[1],
+            sizes=[chunks[0].size_bytes], ids=ids,
+        )
+        with pytest.raises(ClusterError, match="live chunk-table id"):
+            execute_rebalance(nodes, plan, CostParameters(), catalog)
+        assert nodes[0].store.get(chunks[0].ref()) is chunks[0]
+
     def test_unknown_node_rejected(self, nodes_with_chunks):
         nodes, catalog, chunks, _ = nodes_with_chunks()
         plan = RebalancePlan(
@@ -656,8 +667,8 @@ class TestCatalogInternals:
         return partitioner, catalog, chunks
 
     def test_compact_preserves_observables(self, populated):
-        # One compaction rewrites the table's ids and the published
-        # columns together; every read is unchanged.
+        # One compaction rewrites the table's ids and the views' ids
+        # together; every read is unchanged.
         partitioner, catalog, chunks = populated
         _unpublish(partitioner, catalog, [c.ref() for c in chunks[::2]])
         payload_before = catalog.payload_of_array("A", ["v"], ndim=3)
@@ -1008,7 +1019,8 @@ FLAT = parse_schema("C<v:double>[t=0:*,1, x=0:15,1]")
 
 
 def _publish_fingerprint(catalog):
-    """Every published column, view and delta-log row, handles labelled.
+    """Every table column the catalog publishes into, view and delta-log
+    row, handles labelled.
 
     A handle is labelled by its first appearance (log rows first, then
     the handle column), so two catalogs fed isomorphic handle streams —
@@ -1035,11 +1047,12 @@ def _publish_fingerprint(catalog):
             log.nodes[:n].tolist(),
             log.extents[:n].tolist(),
         )
+    table = catalog.table
     columns = (
-        [label(h) for h in catalog._chunks],
-        catalog._size.tolist(),
-        catalog._owner.tolist(),
-        catalog._extent.tolist(),
+        [label(h) for h in table._chunks],
+        table._size.tolist(),
+        table._node.tolist(),
+        table._extent.tolist(),
     )
     views = {
         array: (
@@ -1144,7 +1157,7 @@ class TestColumnarPublish:
             assert _publish_fingerprint(vec) == _publish_fingerprint(ref)
             # same objects in, so the handle columns agree by identity
             assert all(
-                a is b for a, b in zip(vec._chunks, ref._chunks)
+                a is b for a, b in zip(vec.table._chunks, ref.table._chunks)
             )
             vec.verify_published()
             vec.verify_delta_log()

@@ -1,19 +1,19 @@
-"""One chunk table, two owner columns.
+"""One chunk table.
 
 The partitioner's chunk table (:class:`repro.core.ledger.ArrayChunkLedger`)
-is a cluster's only ``ChunkRef -> id`` intern table; the catalog
-publishes from it.  Covers:
+is a cluster's only ``ChunkRef -> id`` intern table and holds every
+per-chunk column; the catalog publishes into it.  Covers:
 
 * :func:`_assert_one_table`, the quiescent-point contract — the catalog
-  on the partitioner's table object, planned == published owners, the
-  two column capacities equal — asserted after every step of the
-  ``tests/test_cluster_machine.py`` machine on every scheme, here run
-  on ingest, expiry, scale-out and compaction alone;
-* a snapshot pinned between ``partitioner.scale_out`` and the
-  rebalance reports the published (pre-move) owners;
+  on the partitioner's table object, a handle on exactly the live ids,
+  the catalog's views holding exactly those ids — asserted after every
+  step of the ``tests/test_cluster_machine.py`` machine on every
+  scheme, here run on ingest, expiry, scale-out and compaction alone;
+* a snapshot pinned before a scale-out keeps reporting the pre-move
+  owners;
 * ``compact_ledger`` on a published table runs the one compaction
-  through the catalog's write window, a second catalog over one table
-  is refused, and a freed id has no planned owner;
+  through the catalog, a second catalog over one table is refused, and
+  a freed id has no owner;
 * ``ElasticCluster.chunk_data`` reads the catalog only;
 * ``check_consistency`` raises on each fault it checks.
 """
@@ -27,13 +27,11 @@ from repro.cluster import (
     ElasticCluster,
     GB,
     TieredStorage,
-    execute_rebalance,
 )
 from repro.cluster.session import ClusterSession
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.catalog import ChunkCatalog
 from repro.errors import ClusterError, StorageError
-from tests.oracles import Move
 
 GRID = Box((0, 0, 0), (10_000, 16, 16))
 SCHEMA = parse_schema("A<v:double>[t=0:*,1, x=0:15,1, y=0:15,1]")
@@ -76,7 +74,8 @@ def _assert_one_table(cluster):
     assert catalog.table is partitioner.table
     table = partitioner.table
     live = table.live_ids()
-    assert np.array_equal(catalog._owner[live], table.owners(live))
+    published = np.flatnonzero(~np.equal(table._chunks, None))
+    assert np.array_equal(published, live)
     assert catalog.chunk_count == partitioner.chunk_count
     assert catalog.column_capacity == partitioner.ledger_column_capacity
     catalog.verify_published()
@@ -99,27 +98,23 @@ class TestOneTableProperty:
 
 
 class TestPlannedVersusPublished:
-    def test_snapshot_between_plan_and_move_reports_published_owners(self):
+    def test_pin_before_scale_out_keeps_its_owners(self):
         cluster = _cluster("round_robin", nodes=2)
         rng = np.random.default_rng(5)
         cluster.ingest(_batch(0, 40, rng))
-        before = cluster.session().placement_of_array("A")
-        # The first half of ElasticCluster.scale_out: the partitioner
-        # plans (rewriting the table's owners) before a byte moves.
-        new_id = max(cluster.nodes) + 1
-        cluster.nodes[new_id] = cluster._make_node(new_id)
-        plan = cluster.partitioner.scale_out([new_id])
-        assert plan.chunk_count > 0
         pinned = cluster.catalog.snapshot("A")
-        assert pinned.placement() == before
-        assert {int(n) for n in pinned.node_ids()} <= {0, 1}
-        with pytest.raises(ClusterError):
-            cluster.catalog.verify_published()  # mid-flight: they differ
-        execute_rebalance(cluster.nodes, plan, cluster.costs, cluster.catalog)
+        before = pinned.placement()
+        assert before == cluster.session().placement_of_array("A")
+        report = cluster.scale_out(1)
+        assert report.chunks_moved > 0
         assert pinned.placement() == before  # the pin never moves
-        moved = {m.ref.key: m.dest for m in Move.rows(plan)}
+        assert {int(n) for n in pinned.node_ids()} <= {0, 1}
         after = cluster.session().placement_of_array("A")
-        assert after == {**before, **moved}
+        assert after != before
+        assert after == {
+            ref.key: node
+            for ref, node in cluster.partitioner.table.assignment().items()
+        }
         _assert_one_table(cluster)
 
     def test_compact_ledger_runs_through_the_catalog(self):
@@ -210,18 +205,21 @@ class TestConsistencyFaults:
         with pytest.raises(ClusterError, match="table says"):
             cluster.check_consistency()
 
-    def test_planned_versus_published_owner(self, cluster):
-        ref = _chunk(0, 1, 0, 1.0).ref()
-        cluster.catalog._owner[self._id(cluster, ref)] = 7
-        with pytest.raises(ClusterError, match="published owners"):
-            cluster.check_consistency()
-
     def test_handle_identity(self, cluster):
         ref = _chunk(0, 2, 0, 1.0).ref()
-        cluster.catalog._chunks[self._id(cluster, ref)] = _chunk(
+        cluster.catalog.table._chunks[self._id(cluster, ref)] = _chunk(
             0, 2, 0, 10.0
         )
         with pytest.raises(ClusterError, match="payload handle"):
+            cluster.check_consistency()
+
+    def test_view_holds_a_freed_id(self, cluster):
+        # The stores and the table drop a chunk behind the catalog's
+        # back: its view still lists the freed id.
+        ref = _chunk(0, 1, 0, 1.0).ref()
+        cluster.nodes[cluster.locate(ref)].store.evict_many([ref])
+        cluster.partitioner.remove(ref)
+        with pytest.raises(ClusterError, match="catalog publishes"):
             cluster.check_consistency()
 
     def test_byte_totals(self, cluster):

@@ -890,6 +890,20 @@ class TestBoundedHistory:
         assert cluster.catalog._deltas["A"].floor > 0
 
     @pytest.mark.parametrize(
+        "epoch", [None, "x", float("nan"), 10**30, 1.5, True],
+        ids=["none", "str", "nan", "huge", "float", "bool"],
+    )
+    def test_garbage_declared_epochs_raise(self, epoch):
+        # Accepted, a garbage cursor broke the next ingest's fold after
+        # the table, the stores and the views were written.
+        cluster = _make_cluster("round_robin")
+        self._cycle(cluster, [], 0)
+        with pytest.raises(ClusterError, match="epochs"):
+            cluster.catalog.declare(["A"], [epoch])
+        self._cycle(cluster, [], 1)
+        cluster.check_consistency()
+
+    @pytest.mark.parametrize(
         "epoch", [float("nan"), 10**30, 1.5, True, "3", None],
         ids=["nan", "huge", "float", "bool", "str", "none"],
     )

@@ -28,7 +28,8 @@ from repro.arrays import Box, ChunkBatch, ChunkData, ChunkRef, parse_schema
 from repro.arrays.array import chunk_cell_sets, chunk_cells
 from repro.arrays.coords import pack_rows_void, row_packing
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.core.catalog import _NO_EXTENT, _ArrayView, concat_payload
+from repro.core.catalog import _ArrayView, concat_payload
+from repro.core.ledger import NO_EXTENT
 from repro.errors import ChunkError, ClusterError, PartitioningError
 from tests.conftest import make_cluster
 from tests.oracles import concat_payload_per_chunk, place_scalar
@@ -106,9 +107,8 @@ def _state(cluster):
         None if table._key is None else table._key[:hwm].tolist(),
         {n: v.hex() for n, v in table.node_loads().items()},
         table.total_bytes.hex(),
-        [_label(h) for h in catalog._chunks[:hwm]],
-        [s.hex() for s in catalog._size[:hwm]],
-        catalog._owner[:hwm].tolist(), catalog._extent[:hwm].tolist(),
+        [_label(h) for h in table._chunks[:hwm]],
+        table._extent[:hwm].tolist(),
         {a: (v.ids.tolist(), v.rows.tolist(), v.epoch, v.payload_epoch)
          for a, v in sorted(catalog._views.items())},
         logs, stores,
@@ -154,7 +154,7 @@ def test_batch_and_list_ingest_leave_identical_state(name):
         clusters[1].ingest(list(batch))
     for cluster in clusters:
         cluster.check_consistency()
-    merged = clusters[0].catalog._extent[:, 0] < 0
+    merged = clusters[0].catalog.table._extent[:, 0] < 0
     assert merged[: clusters[0].catalog.table._hwm].any()
     assert _state(clusters[0]) == _state(clusters[1])
 
@@ -253,7 +253,7 @@ class TestViewOrder:
 
 def _extent(handle):
     ext = handle.extent
-    return list(_NO_EXTENT) if ext is None else [ext[0].number, ext[1], ext[2]]
+    return list(NO_EXTENT) if ext is None else [ext[0].number, ext[1], ext[2]]
 
 
 def test_remove_resets_and_compact_remaps_the_extent_columns():
@@ -265,10 +265,10 @@ def test_remove_resets_and_compact_remaps_the_extent_columns():
     refs = sorted(table.assignment(), key=lambda r: (r.array, r.key))
     gone = refs[::3]
     gone_ids = table.ids_of(gone)
-    retired = catalog._extent[gone_ids].tolist()
-    assert any(e != list(_NO_EXTENT) for e in retired)
+    retired = table._extent[gone_ids].tolist()
+    assert any(e != list(NO_EXTENT) for e in retired)
     cluster.remove_chunks(gone)
-    assert catalog._extent[gone_ids].tolist() == [list(_NO_EXTENT)] * len(gone)
+    assert table._extent[gone_ids].tolist() == [list(NO_EXTENT)] * len(gone)
     log = catalog._deltas["A"]
     tail = log.signs[:log.count] < 0
     logged = dict(zip(log.refs[:log.count][tail].tolist(),
@@ -277,10 +277,10 @@ def test_remove_resets_and_compact_remaps_the_extent_columns():
         e for r, e in zip(gone, retired) if r.array == "A"
     ]
     assert cluster.partitioner.compact_ledger(0.0)
-    assert len(catalog._extent) == table.column_capacity < len(refs) + 64
-    assert catalog._extent.tolist() == [
-        list(_NO_EXTENT) if h is None else _extent(h)
-        for h in catalog._chunks.tolist()
+    assert len(table._extent) == table.column_capacity < len(refs) + 64
+    assert table._extent.tolist() == [
+        list(NO_EXTENT) if h is None else _extent(h)
+        for h in table._chunks.tolist()
     ]
     cluster.check_consistency()
 

@@ -114,6 +114,20 @@ class TestMoveAndPlan:
                 [ChunkRef("a", (0,))], sources=[1], dests=[1], sizes=[5.0]
             )
 
+    @pytest.mark.parametrize("column, value", [
+        ("sizes", [float("nan")]),
+        ("sizes", [-5.0]),
+        ("sizes", [1.0, 2.0]),
+        ("sources", ["a"]),
+        ("dests", [1.5]),
+        ("ids", [0, 1]),
+    ])
+    def test_malformed_column_is_named(self, column, value):
+        columns = dict(sources=[0], dests=[1], sizes=[5.0], ids=[0])
+        columns[column] = value
+        with pytest.raises(PartitioningError, match=f"column {column}"):
+            RebalancePlan([ChunkRef("a", (0,))], **columns)
+
     def test_plan_aggregations(self):
         plan = RebalancePlan(
             [ChunkRef("a", (0,)), ChunkRef("a", (1,)), ChunkRef("a", (2,))],

@@ -23,10 +23,7 @@ from repro.harness import incremental_churn
 
 
 def test_incremental_churn(benchmark):
-    result = run_once(
-        benchmark, incremental_churn,
-        churn_fractions=(0.05, 0.25, 1.0),
-    )
+    result = run_once(benchmark, incremental_churn)
     print()
     print(result.render())
 

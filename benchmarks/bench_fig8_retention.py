@@ -26,10 +26,7 @@ from repro.harness import figure8_retention
 
 
 def test_figure8_retention(benchmark):
-    result = run_once(
-        benchmark, figure8_retention,
-        cycles=20, retention_cycles=4, queries_per_cycle=3,
-    )
+    result = run_once(benchmark, figure8_retention, cycles=20)
     print()
     print(result.render())
 

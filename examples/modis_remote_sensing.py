@@ -27,7 +27,7 @@ def main() -> None:
     )
     runner = ExperimentRunner(
         workload,
-        RunConfig(partitioner="incremental_quadtree", run_queries=False),
+        RunConfig(partitioner="incremental_quadtree"), queries=(),
     )
 
     print("ingesting 10 days of two-band imagery...\n")

@@ -397,16 +397,6 @@ class Box:
                 return False  # separated by a gap in dimension d
         return touching_dim is not None
 
-    def corners(self) -> Iterator[Coordinate]:
-        """Iterate the ``2^n`` corner lattice points (hi is exclusive)."""
-        ranges = [(l, h - 1) for l, h in zip(self.lo, self.hi)]
-        n = self.ndim
-        for mask in range(1 << n):
-            yield tuple(
-                ranges[d][1] if mask & (1 << d) else ranges[d][0]
-                for d in range(n)
-            )
-
     def points(self) -> Iterator[Coordinate]:
         """Iterate every lattice point in row-major order.
 

@@ -233,10 +233,6 @@ class ArraySchema:
         return len(self.dimensions)
 
     @property
-    def dimension_names(self) -> Tuple[str, ...]:
-        return tuple(d.name for d in self.dimensions)
-
-    @property
     def attribute_names(self) -> Tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
@@ -333,28 +329,6 @@ class ArraySchema:
                 return None
             lows[d], highs[d] = interval
         return lows, highs
-
-    def grid_extent(self, observed: Optional[Iterable[Coordinate]] = None
-                    ) -> Coordinate:
-        """Per-dimension chunk counts of the grid.
-
-        Bounded dimensions use their declared chunk count.  Unbounded
-        dimensions take their extent from ``observed`` chunk coordinates
-        (max + 1); if no observation is available they default to 1.
-        """
-        observed_max = [0] * self.ndim
-        if observed is not None:
-            for key in observed:
-                for d in range(self.ndim):
-                    if key[d] + 1 > observed_max[d]:
-                        observed_max[d] = key[d] + 1
-        extent = []
-        for d, dim in enumerate(self.dimensions):
-            if dim.chunk_count is not None:
-                extent.append(max(dim.chunk_count, observed_max[d]))
-            else:
-                extent.append(max(1, observed_max[d]))
-        return tuple(extent)
 
     # ------------------------------------------------------------------
     # rendering / parsing

@@ -495,9 +495,6 @@ class ChunkStore:
         except KeyError:
             raise StorageError(f"store does not hold chunk {ref}") from None
 
-    def maybe_get(self, ref: ChunkRef) -> Optional[ChunkData]:
-        return self._chunks.get(ref)
-
     def evict(self, ref: ChunkRef) -> ChunkData:
         """Remove and return a chunk (the send side of a rebalance move)."""
         return self.evict_many([ref])[0]

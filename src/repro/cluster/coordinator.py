@@ -179,6 +179,13 @@ def execute_rebalance(
                 f"rebalance id {keys[i]} of {refs[i]} is not a live "
                 "chunk-table id"
             )
+        named = catalog.table.refs_at(keys)
+        other = named != refs
+        if other.any():
+            i = int(np.argmax(other))
+            raise ClusterError(
+                f"rebalance id {keys[i]} names {named[i]}, not {refs[i]}"
+            )
     by_chunk = np.argsort(keys, kind="stable")
     head = np.ones(n + 1, dtype=bool)  # each chunk's first move, sentinel
     head[1:-1] = keys[by_chunk][1:] != keys[by_chunk][:-1]

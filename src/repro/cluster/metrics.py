@@ -49,6 +49,8 @@ class CycleMetrics:
     bytes_moved: float = 0.0
     storage_rsd: float = 0.0
     query_seconds_by_name: Dict[str, float] = field(default_factory=dict)
+    #: the arm (``"delta"`` / ``"full"``) each maintained view refreshed by
+    refresh_modes: List[str] = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:
@@ -84,10 +86,6 @@ class RunMetrics:
         return float(sum(c.reorg_seconds for c in self.cycles))
 
     @property
-    def total_query_seconds(self) -> float:
-        return float(sum(c.query_seconds for c in self.cycles))
-
-    @property
     def total_bytes_moved(self) -> float:
         return float(sum(c.bytes_moved for c in self.cycles))
 
@@ -119,19 +117,3 @@ class RunMetrics:
     def nodes_series(self) -> List[int]:
         """Per-cycle provisioned node count (Figure 8)."""
         return [c.nodes for c in self.cycles]
-
-    def demand_series(self) -> List[float]:
-        """Per-cycle post-insert storage demand (Figure 8's demand curve)."""
-        return [c.demand_bytes for c in self.cycles]
-
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers for reports."""
-        return {
-            "cycles": len(self.cycles),
-            "node_hours": self.workload_cost_node_hours,
-            "insert_minutes": self.total_insert_seconds / 60.0,
-            "reorg_minutes": self.total_reorg_seconds / 60.0,
-            "query_minutes": self.total_query_seconds / 60.0,
-            "mean_rsd_pct": self.mean_storage_rsd * 100.0,
-            "bytes_moved": self.total_bytes_moved,
-        }

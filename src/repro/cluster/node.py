@@ -42,16 +42,6 @@ class Node:
         return self.store.used_bytes
 
     @property
-    def free_bytes(self) -> float:
-        """Remaining capacity (can be negative when over capacity)."""
-        return self.capacity_bytes - self.store.used_bytes
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity in use."""
-        return self.store.used_bytes / self.capacity_bytes
-
-    @property
     def over_capacity(self) -> bool:
         return self.store.used_bytes > self.capacity_bytes
 

@@ -218,10 +218,6 @@ class RebalancePlan:
     def chunk_count(self) -> int:
         return len(self.refs)
 
-    def bytes_by_source(self) -> Dict[NodeId, float]:
-        """Outbound bytes per source node."""
-        return sum_by_node(self.sources, self.sizes)
-
     def bytes_by_dest(self) -> Dict[NodeId, float]:
         """Inbound bytes per destination node."""
         return sum_by_node(self.dests, self.sizes)

@@ -340,9 +340,34 @@ class CatalogDelta(Read):
 class DeclaredCursors(list):
     """A reader's cursors (:meth:`ChunkCatalog.declare`): item ``i`` is
     the payload epoch it has folded ``arrays[i]`` in up to, and no row
-    after it is dropped while the list lives (negative: holds none)."""
+    after it is dropped while the list lives (negative: holds none).
+    Assigning anything but integers ``>= -1``, or resizing or
+    reordering the list, raises :class:`ClusterError` and changes
+    nothing: item ``i`` stays the cursor of ``arrays[i]``."""
 
     __slots__ = ("arrays", "__weakref__")
+
+    def __setitem__(self, index, value) -> None:
+        values = list(value) if isinstance(index, slice) else [value]
+        for epoch in values:
+            if isinstance(epoch, bool) or not isinstance(epoch, Integral) or (
+                    epoch < -1):
+                raise ClusterError(
+                    f"a declared cursor must be an integer >= -1, got {epoch!r}"
+                )
+        if isinstance(index, slice):
+            if len(values) != len(range(*index.indices(len(self)))):
+                raise ClusterError(
+                    f"{len(values)} cursors for a slice of another length"
+                )
+            value = values
+        super().__setitem__(index, value)
+
+    def _fixed(self, *args, **kwargs):
+        raise ClusterError("declared cursors cannot be resized or reordered")
+
+    append = extend = insert = pop = remove = clear = _fixed
+    sort = reverse = __delitem__ = __iadd__ = __imul__ = _fixed
 
 
 class _DeltaLog:

@@ -38,6 +38,7 @@ from repro.harness.reporting import format_series_table, format_table
 from repro.harness.runner import ExperimentRunner, RunConfig
 from repro.query.incremental import MaintainedGridStats
 from repro.workloads.ais import AisWorkload
+from repro.workloads.batch import InsertBatch
 from repro.workloads.model import CyclicWorkload
 from repro.workloads.modis import ModisWorkload
 
@@ -350,8 +351,8 @@ def figure8_staircase(
                 initial_nodes=2,
                 node_capacity_gb=node_capacity_gb,
                 staircase={"s": samples, "p": p},
-                run_queries=False,
             ),
+            queries=(),
         )
         metrics = runner.run()
         steps[p] = metrics.nodes_series()
@@ -483,7 +484,6 @@ def table3_cost_model(
             initial_nodes=2,
             node_capacity_gb=node_capacity_gb,
             staircase={"s": samples, "p": min(p_values)},
-            run_queries=True,
         ),
     )
     for cycle in range(1, lo):
@@ -514,7 +514,6 @@ def table3_cost_model(
                 initial_nodes=2,
                 node_capacity_gb=node_capacity_gb,
                 staircase={"s": samples, "p": p},
-                run_queries=True,
             ),
         )
         metrics = runner.run()
@@ -537,6 +536,63 @@ _RETENTION_GRID = Box((0, 0, 0), (10_000, 64, 64))
 _RETENTION_SCHEMA = parse_schema(
     "R<v:double>[t=0:*,1, x=0:63,1, y=0:63,1]"
 )
+#: The run's fixed shape: a batch lives ``RETENTION_CYCLES`` cycles; the
+#: first ``RAMP_CYCLES`` cycles draw ``RAMP_CHUNKS`` keys each, the rest
+#: ``STEADY_CHUNKS``; ``RETENTION_QUERIES`` whole-array gathers a cycle.
+RETENTION_CYCLES = 4
+RAMP_CYCLES, RAMP_CHUNKS, STEADY_CHUNKS = 4, 120, 30
+RETENTION_QUERIES = 3
+RETENTION_SEED = 11
+
+
+class _RetentionWorkload(CyclicWorkload):
+    """The retention staircase's batches: each chunk one cell at a random
+    ``(x, y)`` of its cycle's time slice, a lognormal paper-scale size
+    (median 0.5 GB); a draw that lands on a taken key replaces it."""
+
+    name = "retention"
+    schemas = (_RETENTION_SCHEMA,)
+
+    def __init__(self, n_cycles: int) -> None:
+        super().__init__(n_cycles, RETENTION_SEED)
+        self._rng = np.random.default_rng(self.seed)
+        self.batches()  # one generator feeds every cycle: draw in order
+
+    def grid_box(self) -> Box:
+        return _RETENTION_GRID
+
+    def _generate_batch(self, cycle: int) -> InsertBatch:
+        t, rng = cycle - 1, self._rng
+        by_key = {}
+        for _ in range(RAMP_CHUNKS if t < RAMP_CYCLES else STEADY_CHUNKS):
+            key = (t, int(rng.integers(0, 64)), int(rng.integers(0, 64)))
+            by_key[key] = ChunkData(
+                _RETENTION_SCHEMA, key, np.array([key], dtype=np.int64),
+                {"v": np.array([1.0])},
+                size_bytes=float(rng.lognormal(np.log(0.5 * GB), 0.6)),
+            )
+        return InsertBatch(cycle, list(by_key.values()))
+
+    @property
+    def target_total_bytes(self) -> float:
+        return self.demand_curve()[-1]
+
+
+def _retention_view(cluster: ElasticCluster) -> MaintainedGridStats:
+    return MaintainedGridStats(
+        cluster, "R", "v", dims=(1, 2), cell_sizes=(8, 8), ndim=3,
+        domain=_RETENTION_GRID,
+    )
+
+
+def _grid_stats_equal(got, want, columns: int = 5) -> bool:
+    """Maintained ≡ recomputed grid statistics: rows, counts and extrema
+    exact, sums to 1e-9 (the first ``columns`` of ``emit``'s five)."""
+    return all(
+        np.allclose(g, w, rtol=1e-9, atol=1e-9) if i == 2
+        else np.array_equal(g, w)
+        for i, (g, w) in enumerate(zip(got[:columns], want[:columns]))
+    )
 
 
 @dataclass
@@ -604,127 +660,74 @@ class RetentionResult:
         )
 
 
-def figure8_retention(
-    cycles: int = 20,
-    retention_cycles: int = 4,
-    ramp_cycles: int = 4,
-    ramp_chunks: int = 120,
-    steady_chunks: int = 30,
-    node_capacity_gb: float = 100.0,
-    queries_per_cycle: int = 3,
-    seed: int = 11,
-) -> RetentionResult:
+def figure8_retention(cycles: int = 20) -> RetentionResult:
     """Drive a staircase-up / plateau / churn run with expiring data.
 
-    Each cycle ingests a batch of paper-scale chunks (a heavy ramp for
-    the first ``ramp_cycles`` cycles, then steady state), expires every
-    chunk older than ``retention_cycles`` cycles via
-    :meth:`ElasticCluster.remove_chunks`, scales out +2 nodes whenever
-    demand crosses 85 % of capacity (the fixed §6.2 schedule), and runs
-    ``queries_per_cycle`` repeated whole-array payload gathers — the
-    repeats are served from the catalog's per-epoch cache until the next
-    mutation bumps the epoch.
-
-    A maintained grid-statistics view
-    (:class:`~repro.query.incremental.MaintainedGridStats`) rides the
-    whole staircase, folding each cycle's content delta (expiry as
-    negative rows); the refreshed view is checked against a full
-    recompute every cycle — the maintained ≡ recomputed contract,
-    enforced inline.
+    A runner configuration: Hilbert-curve placement, +2 nodes whenever
+    demand would cross 85 % of capacity, a ``RETENTION_CYCLES`` window
+    and a maintained grid-statistics view
+    (:class:`~repro.query.incremental.MaintainedGridStats`) folding each
+    cycle's content delta (expiry as negative rows).  After each cycle
+    it runs ``RETENTION_QUERIES`` whole-array gathers (the repeats hit
+    the catalog's per-epoch payload cache), checks the view against a
+    full recompute and the cluster's consistency, and records the
+    cycle's delta and index sizes.
     """
-    rng = np.random.default_rng(seed)
-    partitioner = make_partitioner(
-        "hilbert_curve", [0, 1], grid=_RETENTION_GRID,
-        node_capacity_bytes=node_capacity_gb * GB,
+    workload = _RetentionWorkload(cycles)
+    runner = ExperimentRunner(
+        workload,
+        RunConfig(
+            partitioner="hilbert_curve", fill=0.85,
+            retention_cycles=RETENTION_CYCLES, ledger_compact_ratio=0.3,
+            views=(_retention_view,),
+        ),
+        queries=(),
     )
-    cluster = ElasticCluster(
-        partitioner,
-        node_capacity_bytes=node_capacity_gb * GB,
-        costs=CostParameters(),
-        ledger_compact_ratio=0.3,
-    )
-    result = RetentionResult(
-        retention_cycles=retention_cycles,
-        live_gb=[], ingested_gb=[], nodes=[], live_chunks=[],
-        ledger_capacity=[], catalog_capacity=[], catalog_epochs=[],
-        storage_rsd=[], delta_added_chunks=[], delta_removed_chunks=[],
-        delta_gb=[], maintenance_modes=[],
-        payload_cache_hits=0, payload_cache_misses=0,
-    )
-    view = MaintainedGridStats(
-        cluster, "R", "v", dims=(1, 2), cell_sizes=(8, 8), ndim=3,
-        domain=_RETENTION_GRID,
-    )
-    window: List[List] = []
-    ingested = 0.0
-    for cycle in range(cycles):
-        per_cycle = ramp_chunks if cycle < ramp_cycles else steady_chunks
-        by_key = {}
-        for _ in range(per_cycle):
-            key = (
-                cycle,
-                int(rng.integers(0, 64)),
-                int(rng.integers(0, 64)),
-            )
-            by_key[key] = ChunkData(
-                _RETENTION_SCHEMA, key,
-                np.array([key], dtype=np.int64),
-                {"v": np.array([1.0])},
-                size_bytes=float(rng.lognormal(np.log(0.5 * GB), 0.6)),
-            )
-        batch = list(by_key.values())
-        ingested += sum(c.size_bytes for c in batch)
-        demand = cluster.total_bytes + sum(c.size_bytes for c in batch)
-        if demand > 0.85 * cluster.capacity_bytes:
-            cluster.scale_out(2)
-        cluster.ingest(batch)
-        window.append([c.ref() for c in batch])
-        if len(window) > retention_cycles:
-            cluster.remove_chunks(window.pop(0))
-        # Repeated whole-array reads between reorganizations through an
-        # epoch-pinned session: the first pays the concatenation, the
-        # rest hit the per-epoch cache.
+    cluster, (view,) = runner.cluster, runner.views
+    # Keyed by the RetentionResult field each cycle's reading lands in.
+    series: Dict[str, list] = {k: [] for k in (
+        "live_chunks", "ledger_capacity", "catalog_capacity",
+        "catalog_epochs", "delta_added_chunks", "delta_removed_chunks",
+        "delta_gb",
+    )}
+    for cycle in range(1, cycles + 1):
+        # The cycle's delta starts at the view's cursor before the cycle
+        # (unprimed: epoch 0); nothing is appended after the refresh, so
+        # the log still holds those rows when they are read below.
+        since = max(view.cursors[0], 0)
+        runner.run_cycle(cycle)
         session = cluster.session()
-        for _ in range(queries_per_cycle):
+        for _ in range(RETENTION_QUERIES):
             session.array_payload("R", ["v"], ndim=3)
-        # Fold this cycle's content delta into the maintained view;
-        # snapshot the delta columns first (refresh advances the
-        # cursor past them; unprimed, it reads from epoch 0).
-        delta = session.deltas_since("R", max(view.cursors[0], 0))
-        result.delta_added_chunks.append(int(delta.added.sum()))
-        result.delta_removed_chunks.append(int(delta.removed.sum()))
-        result.delta_gb.append(delta.bytes_touched / GB)
-        report = view.refresh()
-        result.maintenance_modes.append(report.mode)
-        got = view.result()
-        want = view.recompute()
-        if not (
-            np.array_equal(got[0], want[0])
-            and np.array_equal(got[1], want[1])
-            and np.allclose(got[2], want[2], rtol=1e-9, atol=1e-9)
-            and np.array_equal(got[3], want[3])
-            and np.array_equal(got[4], want[4])
-        ):
+        if not _grid_stats_equal(view.result(), view.recompute()):
             raise QueryError(
                 "maintained grid statistics diverged from full "
                 f"recompute at cycle {cycle}"
             )
         cluster.check_consistency()
-        result.live_gb.append(cluster.total_bytes / GB)
-        result.ingested_gb.append(ingested / GB)
-        result.nodes.append(cluster.node_count)
-        result.live_chunks.append(cluster.partitioner.chunk_count)
-        result.ledger_capacity.append(
-            cluster.partitioner.ledger_column_capacity
-        )
-        result.catalog_capacity.append(
-            cluster.catalog.column_capacity
-        )
-        result.catalog_epochs.append(cluster.catalog.epoch)
-        result.storage_rsd.append(cluster.storage_rsd())
-    result.payload_cache_hits = cluster.catalog.payload_hits
-    result.payload_cache_misses = cluster.catalog.payload_misses
-    return result
+        delta = session.deltas_since("R", since)
+        for key, value in zip(series, (
+            cluster.partitioner.chunk_count,
+            cluster.partitioner.ledger_column_capacity,
+            cluster.catalog.column_capacity,
+            cluster.catalog.epoch,
+            int(delta.added.sum()),
+            int(delta.removed.sum()),
+            delta.bytes_touched / GB,
+        )):
+            series[key].append(value)
+    done = runner.metrics.cycles
+    return RetentionResult(
+        retention_cycles=RETENTION_CYCLES,
+        live_gb=[c.demand_bytes / GB for c in done],
+        ingested_gb=[d / GB for d in workload.demand_curve()],
+        nodes=runner.metrics.nodes_series(),
+        storage_rsd=[c.storage_rsd for c in done],
+        maintenance_modes=[c.refresh_modes[0] for c in done],
+        payload_cache_hits=cluster.catalog.payload_hits,
+        payload_cache_misses=cluster.catalog.payload_misses,
+        **series,
+    )
 
 
 _CHURN_GRID = Box((0, 0, 0), (10_000, 8, 8))
@@ -788,23 +791,26 @@ class ChurnResult:
         return table + "\nplanner arms: " + " ".join(self.modes)
 
 
-def incremental_churn(
-    churn_fractions: Sequence[float] = (0.05, 0.25, 1.0),
-    base_chunks: int = 384,
-    cycles_per_fraction: int = 3,
-    node_count: int = 2,
-    seed: int = 13,
-) -> ChurnResult:
+#: Chunk fractions replaced per cycle, ascending.
+CHURN_FRACTIONS = (0.05, 0.25, 1.0)
+#: Dense 8×8 chunks of the churned array (six full t-slices).
+CHURN_BASE_CHUNKS = 384
+CHURN_NODES = 2
+CHURN_SEED = 13
+
+
+def incremental_churn(cycles_per_fraction: int = 3) -> ChurnResult:
     """Measure maintained-view refresh cost across churn fractions.
 
-    Builds one array of ``base_chunks`` dense 8×8 chunks, then for each
-    churn fraction runs ``cycles_per_fraction`` replace cycles (expire a
-    random fraction of live chunks, ingest equally many new ones) and
-    refreshes a :class:`~repro.query.incremental.MaintainedGridStats`
-    view each cycle, verifying it against a full recompute.  Reported
-    figures are per-fraction medians; wall-clock numbers time the
-    real numpy work (delta fold vs whole-array sweep), modeled seconds
-    price both planner arms from catalog byte columns.
+    Builds one array of ``CHURN_BASE_CHUNKS`` dense 8×8 chunks, then for
+    each of ``CHURN_FRACTIONS`` runs ``cycles_per_fraction`` replace
+    cycles (expire that fraction of live chunks at random, ingest
+    equally many new ones) and refreshes a
+    :class:`~repro.query.incremental.MaintainedGridStats` view each
+    cycle, verifying it against a full recompute.  Reported figures are
+    per-fraction medians; wall-clock numbers time the real numpy work
+    (delta fold vs whole-array sweep), modeled seconds price both
+    planner arms from catalog byte columns.
 
     The view maintains count/sum/mean only (``track_minmax=False``):
     uniformly random churn dirties buckets across the whole grid, so
@@ -812,9 +818,9 @@ def incremental_churn(
     array — the region-scoped rescan pays off for spatially localized
     expiry (the retention staircase), not for uniform churn.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CHURN_SEED)
     partitioner = make_partitioner(
-        "hilbert_curve", list(range(node_count)), grid=_CHURN_GRID,
+        "hilbert_curve", list(range(CHURN_NODES)), grid=_CHURN_GRID,
         node_capacity_bytes=1000 * GB,
     )
     cluster = ElasticCluster(
@@ -843,7 +849,7 @@ def incremental_churn(
     # per slice); churn cycles write to disjoint slices further out.
     cluster.ingest([
         make_chunk(i // 64, (i % 64) // 8, i % 8)
-        for i in range(base_chunks)
+        for i in range(CHURN_BASE_CHUNKS)
     ])
     t = 0  # churn cycles write slices at t*16 + s, clear of the base
     view = MaintainedGridStats(
@@ -857,7 +863,7 @@ def incremental_churn(
         delta_arm_seconds=[], full_arm_seconds=[],
         refresh_wall_ms=[], full_wall_ms=[], modes=[],
     )
-    for fraction in churn_fractions:
+    for fraction in CHURN_FRACTIONS:
         # Keyed by the ChurnResult field each median lands in.
         samples: Dict[str, List[float]] = {
             k: [] for k in (
@@ -892,12 +898,7 @@ def incremental_churn(
             started = time.perf_counter()
             want = view.recompute()
             full_ms = (time.perf_counter() - started) * 1e3
-            got = view.result()
-            if not (
-                np.array_equal(got[0], want[0])
-                and np.array_equal(got[1], want[1])
-                and np.allclose(got[2], want[2], rtol=1e-9, atol=1e-9)
-            ):
+            if not _grid_stats_equal(view.result(), want, columns=3):
                 raise QueryError(
                     "maintained view diverged from full recompute at "
                     f"churn fraction {fraction}"

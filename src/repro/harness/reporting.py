@@ -35,15 +35,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    label: str,
-    values: Sequence[float],
-    fmt: str = "{:.2f}",
-) -> str:
-    """One labelled series line (per-cycle values)."""
-    return f"{label:>16s}: " + " ".join(fmt.format(v) for v in values)
-
-
 def format_series_table(
     series: Dict[str, Sequence[float]],
     x_label: str = "cycle",

@@ -1,14 +1,18 @@
-"""The experiment runner: full workload-cycle loops (paper §3.4, §6).
+"""The experiment runner: the one workload-cycle loop (paper §3.4, §6).
 
 :class:`ExperimentRunner` drives one workload against one cluster
-configuration through all three phases of every cycle — ingest (with
-provisioning and reorganization), then the query benchmark — and records
-:class:`~repro.cluster.metrics.CycleMetrics` for each.
+configuration, one cycle at a time, and records
+:class:`~repro.cluster.metrics.CycleMetrics` for each.  A cycle is, in
+order: scale out (fixed schedule) → ingest → expire the batch that left
+the retention window → refresh the maintained views → run the query
+suite.  Every experiment that cycles a cluster configures this loop
+through :class:`RunConfig` rather than writing its own.
 
 Two provisioning modes mirror the paper's two experiment families:
 
 * **fixed schedule** (§6.2): start with 2 nodes and add 2 whenever the
-  incoming insert would exceed capacity — the partitioner comparison.
+  incoming insert would exceed ``fill`` of capacity — the partitioner
+  comparison.
 * **leading staircase** (§6.3): the PD control loop decides when and how
   many nodes to add.
 """
@@ -16,19 +20,20 @@ Two provisioning modes mirror the paper's two experiment families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import ElasticCluster, TieredStorage
 from repro.cluster.costs import DEFAULT_COSTS, GB, CostParameters
 from repro.cluster.metrics import CycleMetrics, RunMetrics
 from repro.core.provisioner import LeadingStaircase
 from repro.core.registry import make_partitioner
+from repro.errors import ConfigError, require_count, require_fraction
 from repro.query.executor import Query, run_suite
 from repro.query.suites import suite_for
 from repro.workloads.model import CyclicWorkload
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Configuration of one experiment run.
 
@@ -40,13 +45,26 @@ class RunConfig:
             schedule (paper §6.2: 2).  Ignored when ``staircase`` is set.
         staircase: optional (s, p) parameters — switches provisioning to
             the leading staircase control loop.
-        run_queries: run the benchmark suite each cycle (disable for
-            ingest-only experiments like the Figure 8 staircase).
+        fill: the fixed schedule scales out while demand exceeds this
+            fraction of capacity, in ``(0, 1]``.
+        retention_cycles: when set, each cycle expires the batch ingested
+            ``retention_cycles`` cycles earlier (a sliding window); the
+            removal's seconds count as reorganization.
+        ledger_compact_ratio: dead-slot ratio past which the chunk table
+            compacts (``None``: never); see :class:`ElasticCluster`.
+        views: factories ``cluster -> view``, built once with the cluster
+            (:attr:`ExperimentRunner.views`); every cycle refreshes each
+            view before the suite and charges its seconds to the query
+            phase.
         virtual_nodes / tree_height: partitioner-specific knobs.
         costs: simulation cost constants.
         storage: optional tiered-storage root — when set, every node
             spills cold payloads to segment files under it and keeps a
             byte-budgeted LRU of hot chunks (out-of-core runs).
+
+    Raises:
+        ConfigError: ``fill``, ``retention_cycles`` or a view factory is
+            invalid.
     """
 
     partitioner: str
@@ -54,11 +72,29 @@ class RunConfig:
     node_capacity_gb: float = 100.0
     fixed_step: int = 2
     staircase: Optional[Dict[str, int]] = None
-    run_queries: bool = True
+    fill: float = 1.0
+    retention_cycles: Optional[int] = None
+    ledger_compact_ratio: Optional[float] = 0.5
+    views: Sequence[Callable[[ElasticCluster], Any]] = ()
     virtual_nodes: int = 64
     tree_height: int = 8
     costs: CostParameters = field(default_factory=lambda: DEFAULT_COSTS)
     storage: Optional[TieredStorage] = None
+
+    def __post_init__(self) -> None:
+        # Frozen: a value checked here cannot be swapped for an
+        # unchecked one before the runner reads it.
+        require_fraction("fill", self.fill, ConfigError, zero_ok=False)
+        if self.retention_cycles is not None:
+            require_count(
+                "retention_cycles", self.retention_cycles, ConfigError
+            )
+        object.__setattr__(self, "views", tuple(self.views))
+        for factory in self.views:
+            if not callable(factory):
+                raise ConfigError(
+                    f"views must be callables cluster -> view, got {factory!r}"
+                )
 
 
 class ExperimentRunner:
@@ -68,7 +104,7 @@ class ExperimentRunner:
         workload: the data + query workload.
         config: cluster and provisioning configuration.
         queries: benchmark suite override (defaults to the workload's §3.3
-            suite).
+            suite; ``()`` runs no suite).
     """
 
     def __init__(
@@ -83,7 +119,10 @@ class ExperimentRunner:
             list(queries) if queries is not None else suite_for(workload)
         )
         self.cluster = self._build_cluster()
+        self.views = tuple(factory(self.cluster) for factory in config.views)
         self.metrics = RunMetrics()
+        #: refs of the batches still inside the retention window
+        self._window: List[List] = []
 
     # ------------------------------------------------------------------
     def _build_cluster(self) -> ElasticCluster:
@@ -111,6 +150,7 @@ class ExperimentRunner:
             node_capacity_bytes=capacity,
             costs=cfg.costs,
             provisioner=provisioner,
+            ledger_compact_ratio=cfg.ledger_compact_ratio,
             storage=cfg.storage,
         )
 
@@ -119,6 +159,7 @@ class ExperimentRunner:
         """Execute one workload cycle; returns its metrics."""
         batch = self.workload.batch(cycle)
         cluster = self.cluster
+        cfg = self.config
 
         reorg_seconds = 0.0
         nodes_added = 0
@@ -126,16 +167,16 @@ class ExperimentRunner:
         bytes_moved = 0.0
 
         if cluster.provisioner is None:
-            # Fixed schedule: add `fixed_step` nodes when the incoming
-            # insert would exceed present capacity (§6.2's 2→8 ladder).
-            # The relative epsilon keeps float summation order (which
-            # varies by partitioner) from flipping a demand-equals-
-            # capacity comparison.
+            # Fixed schedule: add `fixed_step` nodes while the incoming
+            # insert would push demand past `fill` of capacity (§6.2's
+            # 2→8 ladder).  The relative epsilon keeps float summation
+            # order (which varies by partitioner) from flipping a
+            # demand-equals-capacity comparison.
             demand = cluster.total_bytes + batch.total_bytes
-            while demand > cluster.capacity_bytes * (1 + 1e-9):
-                report = cluster.scale_out(self.config.fixed_step)
+            while demand > cfg.fill * cluster.capacity_bytes * (1 + 1e-9):
+                report = cluster.scale_out(cfg.fixed_step)
                 reorg_seconds += report.elapsed_seconds
-                nodes_added += self.config.fixed_step
+                nodes_added += cfg.fixed_step
                 chunks_moved += report.chunks_moved
                 bytes_moved += report.bytes_moved
             ingest = cluster.ingest(batch.chunks)
@@ -147,9 +188,16 @@ class ExperimentRunner:
                 bytes_moved = ingest.rebalance.bytes_moved
             nodes_added = ingest.nodes_added
 
-        query_seconds = 0.0
+        if cfg.retention_cycles is not None:
+            self._window.append([c.ref() for c in batch.chunks])
+            if len(self._window) > cfg.retention_cycles:
+                removed = cluster.remove_chunks(self._window.pop(0))
+                reorg_seconds += removed.elapsed_seconds
+
+        reports = [view.refresh() for view in self.views]
+        query_seconds = sum((r.seconds for r in reports), 0.0)
         by_name: Dict[str, float] = {}
-        if self.config.run_queries and self.queries:
+        if self.queries:
             # One epoch-pinned session per benchmark pass: every query
             # of the suite reads the same post-ingest view.
             session = cluster.session()
@@ -169,6 +217,7 @@ class ExperimentRunner:
             bytes_moved=bytes_moved,
             storage_rsd=cluster.storage_rsd(),
             query_seconds_by_name=by_name,
+            refresh_modes=[r.mode for r in reports],
         )
         self.metrics.add(metrics)
         return metrics

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.arrays.chunk import ChunkData
 
@@ -33,7 +33,3 @@ class InsertBatch:
     @property
     def cell_count(self) -> int:
         return int(sum(c.cell_count for c in self.chunks))
-
-    def arrays(self) -> Tuple[str, ...]:
-        """Names of the arrays this batch touches."""
-        return tuple(sorted({c.schema.name for c in self.chunks}))

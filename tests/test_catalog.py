@@ -24,6 +24,7 @@ Covers the catalog contract:
 
 import gc
 import os
+import re
 import tempfile
 import weakref
 
@@ -581,6 +582,23 @@ class TestGroupedRebalance:
         with pytest.raises(ClusterError, match="live chunk-table id"):
             execute_rebalance(nodes, plan, CostParameters(), catalog)
         assert nodes[0].store.get(chunks[0].ref()) is chunks[0]
+
+    def test_plan_ids_must_name_the_plan_refs(self, nodes_with_chunks):
+        # Accepted, the store moved chunks[0] while the catalog
+        # relocated chunks[1]'s id.
+        nodes, catalog, chunks, _ = nodes_with_chunks()
+        ref, other = chunks[0].ref(), chunks[1].ref()
+        plan = RebalancePlan(
+            [ref], sources=[0], dests=[1],
+            sizes=[chunks[0].size_bytes], ids=catalog.table.ids_of([other]),
+        )
+        with pytest.raises(ClusterError, match=re.escape(f"names {other}, not {ref}")):
+            execute_rebalance(nodes, plan, CostParameters(), catalog)
+        assert nodes[0].store.get(ref) is chunks[0]
+        assert ref not in nodes[1].store
+        assert catalog.placement_of_array("A") == {
+            c.ref().key: 0 for c in chunks
+        }
 
     def test_unknown_node_rejected(self, nodes_with_chunks):
         nodes, catalog, chunks, _ = nodes_with_chunks()

@@ -351,8 +351,7 @@ class TestKnnAccountingParity:
 @pytest.fixture(scope="module")
 def modis_cluster(small_modis):
     runner = ExperimentRunner(
-        small_modis, RunConfig(partitioner="hilbert_curve",
-                               run_queries=False)
+        small_modis, RunConfig(partitioner="hilbert_curve"), queries=()
     )
     runner.run()
     return runner.cluster
@@ -361,7 +360,7 @@ def modis_cluster(small_modis):
 @pytest.fixture(scope="module")
 def ais_cluster(small_ais):
     runner = ExperimentRunner(
-        small_ais, RunConfig(partitioner="kd_tree", run_queries=False)
+        small_ais, RunConfig(partitioner="kd_tree"), queries=()
     )
     runner.run()
     return runner.cluster

@@ -19,6 +19,8 @@ Covers the maintenance contract:
   sides and hostile constructor arguments raise).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,9 +297,7 @@ class TestChurnExperiment:
     """Cycle cost tracks delta size, not array size."""
 
     def test_speedup_and_cost_scaling(self):
-        result = incremental_churn(
-            churn_fractions=(0.05, 0.25, 1.0), cycles_per_fraction=2
-        )
+        result = incremental_churn(cycles_per_fraction=2)
         speedups = result.speedups()
         # ≥5x modeled per-cycle speedup at 5 % churn
         assert speedups[0] >= 5.0
@@ -772,7 +772,7 @@ class TestDeltaCells:
         from repro.harness import ExperimentRunner, RunConfig
 
         runner = ExperimentRunner(
-            small_modis, RunConfig(partitioner="kd_tree", run_queries=False)
+            small_modis, RunConfig(partitioner="kd_tree"), queries=()
         )
         # Every cursor from 0 is read below: hold the whole log.
         held = runner.cluster.catalog.declare(["band1"], [0])
@@ -900,6 +900,53 @@ class TestBoundedHistory:
         self._cycle(cluster, [], 0)
         with pytest.raises(ClusterError, match="epochs"):
             cluster.catalog.declare(["A"], [epoch])
+        self._cycle(cluster, [], 1)
+        cluster.check_consistency()
+
+    @pytest.mark.parametrize(
+        "epoch", [None, "x", float("nan"), 1.5, True, -2],
+        ids=["none", "str", "nan", "float", "bool", "below"],
+    )
+    def test_garbage_moved_cursors_raise(self, epoch):
+        # Accepted, an item or slice assignment broke the next ingest's
+        # fold with a bare TypeError after the table and the stores
+        # were written.
+        cluster = _make_cluster("round_robin")
+        self._cycle(cluster, [], 0)
+        held = cluster.catalog.declare(["A"], [0])
+        with pytest.raises(ClusterError, match=re.escape(repr(epoch))):
+            held[0] = epoch
+        with pytest.raises(ClusterError, match="cursor"):
+            held[:] = [epoch]
+        assert held == [0]
+        self._cycle(cluster, [], 1)
+        cluster.check_consistency()
+
+    @pytest.mark.parametrize("resize", [
+        lambda held: held.__setitem__(slice(None), [0, 0]),
+        lambda held: held.insert(0, None),
+        lambda held: held.append(0),
+        lambda held: held.extend([0]),
+        lambda held: held.__iadd__([0]),
+        lambda held: held.pop(),
+        lambda held: held.__delitem__(0),
+        lambda held: held.clear(),
+        lambda held: held.reverse(),
+    ], ids=[
+        "slice", "insert", "append", "extend", "iadd", "pop", "del",
+        "clear", "reverse",
+    ])
+    def test_the_cursors_cannot_be_resized(self, resize):
+        # Accepted, ``insert(0, None)`` put None at the array's index:
+        # the next ingest's fold raised a bare TypeError.
+        cluster = _make_cluster("round_robin")
+        self._cycle(cluster, [], 0)
+        held = cluster.catalog.declare(["A"], [0])
+        with pytest.raises(ClusterError, match="cursors"):
+            resize(held)
+        assert held == [0]
+        held[:] = [-1]
+        assert held == [-1]
         self._cycle(cluster, [], 1)
         cluster.check_consistency()
 

@@ -43,7 +43,7 @@ def test_incremental_partitioners_never_touch_old_nodes(ais):
     ]
     for name in incremental:
         runner = ExperimentRunner(
-            ais, RunConfig(partitioner=name, run_queries=False)
+            ais, RunConfig(partitioner=name), queries=()
         )
         runner.run()  # base class raises on contract violation
         runner.cluster.check_consistency()
@@ -94,7 +94,7 @@ def test_cost_in_node_hours_matches_equation_1(modis):
 
 def test_growing_cluster_keeps_capacity_ahead_of_demand(ais):
     runner = ExperimentRunner(
-        ais, RunConfig(partitioner="extendible_hash", run_queries=False)
+        ais, RunConfig(partitioner="extendible_hash"), queries=()
     )
     metrics = runner.run()
     for c in metrics.cycles:
@@ -108,7 +108,7 @@ def test_rsd_ordering_hash_beats_range_on_skew(ais):
     better than coarse range schemes."""
     def mean_rsd(name):
         runner = ExperimentRunner(
-            ais, RunConfig(partitioner=name, run_queries=False)
+            ais, RunConfig(partitioner=name), queries=()
         )
         return runner.run().mean_storage_rsd
 

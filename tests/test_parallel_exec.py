@@ -174,7 +174,7 @@ class TestGatherOverExtents:
 
     def test_worker_gather_equals_local_gather(self, ais):
         runner = ExperimentRunner(
-            ais, RunConfig(partitioner="hilbert_curve", run_queries=False)
+            ais, RunConfig(partitioner="hilbert_curve"), queries=()
         )
         runner.run()
         cluster = runner.cluster

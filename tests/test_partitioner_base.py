@@ -135,7 +135,6 @@ class TestMoveAndPlan:
         )
         assert plan.total_bytes == 175.0
         assert plan.chunk_count == 3
-        assert plan.bytes_by_source() == {0: 150.0, 1: 25.0}
         assert plan.bytes_by_dest() == {2: 125.0, 3: 50.0}
         assert plan.touched_nodes() == (0, 1, 2, 3)
         assert not plan.is_empty()

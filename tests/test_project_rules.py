@@ -1,4 +1,4 @@
-"""Two project rules, checked over the AST of ``src/repro``.
+"""Three project rules, checked over the AST of ``src/repro``.
 
 * **env** (RL201): no ``repro`` module other than ``repro/config.py``
   touches the process environment (``os.environ`` / ``getenv`` /
@@ -10,6 +10,9 @@
   ``resource_tracker.unregister`` (RL401); an attached
   ``SharedMemory(name=...)`` segment is both closed and unlinked
   (RL402).
+* **cycle** (RL301), scoped to ``repro/harness/``: no ``scale_out(``
+  call outside ``repro/harness/runner.py``.  An experiment configures
+  ``ExperimentRunner``'s one cycle loop rather than writing its own.
 
 Nothing under ``src/`` is imported; a finding is ``(line, code)``.  Each
 fixture is an inline source with the module path it pretends to have.
@@ -26,6 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ENV_NAMES = {"environ", "getenv", "getenvb", "putenv"}
 WHY = {
     "RL201": "environment access outside repro/config.py; use repro.config",
+    "RL301": "scale_out outside the runner; configure ExperimentRunner instead",
     "RL401": "created segment needs a finally close() and unlink/unregister",
     "RL402": "attached segment must be both close()d and unlink()ed",
     "RL403": "SharedMemory(create=True) result is not bound to a name",
@@ -49,6 +53,17 @@ def env_findings(tree: ast.AST, rel: str) -> list:
             and node.value.id in os_names)
         or (isinstance(node, ast.Name) and node.id in direct
             and isinstance(node.ctx, ast.Load))
+    ]
+
+
+def cycle_findings(tree: ast.AST, rel: str) -> list:
+    if not rel.startswith("repro/harness/") or rel == "repro/harness/runner.py":
+        return []
+    return [
+        (node.lineno, "RL301") for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "scale_out" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
     ]
 
 
@@ -109,7 +124,10 @@ def shm_findings(tree: ast.AST, rel: str) -> list:
 
 def findings(source: str, rel: str) -> list:
     tree = ast.parse(source)
-    return sorted(set(env_findings(tree, rel) + shm_findings(tree, rel)))
+    return sorted(set(
+        env_findings(tree, rel) + shm_findings(tree, rel)
+        + cycle_findings(tree, rel)
+    ))
 
 
 def test_src_repro_keeps_both_rules():
@@ -126,6 +144,16 @@ def test_src_repro_keeps_both_rules():
 
 
 FIXTURES = [
+    ("fail_hand_written_cycle", "repro/harness/experiments.py", ["RL301"], """
+def grow(cluster, batch):
+    if cluster.total_bytes + batch.total_bytes > 0.85 * cluster.capacity_bytes:
+        cluster.scale_out(2)
+    cluster.ingest(batch.chunks)
+"""),
+    ("pass_runner_cycle", "repro/harness/runner.py", [], """
+def run_cycle(self, cycle):
+    report = self.cluster.scale_out(self.config.fixed_step)
+"""),
     ("fail_from_import", "repro/cluster/costs.py", ["RL201"], """
 from os import getenv
 def scan_rate():

@@ -46,7 +46,7 @@ from tests.oracles.cost import spatial_neighbors
 @pytest.fixture(scope="module")
 def modis_cluster(small_modis):
     runner = ExperimentRunner(
-        small_modis, RunConfig(partitioner="kd_tree", run_queries=False)
+        small_modis, RunConfig(partitioner="kd_tree"), queries=()
     )
     runner.run()
     return runner.cluster
@@ -55,7 +55,7 @@ def modis_cluster(small_modis):
 @pytest.fixture(scope="module")
 def ais_cluster(small_ais):
     runner = ExperimentRunner(
-        small_ais, RunConfig(partitioner="kd_tree", run_queries=False)
+        small_ais, RunConfig(partitioner="kd_tree"), queries=()
     )
     runner.run()
     return runner.cluster
@@ -196,7 +196,7 @@ class TestModisSuite:
         # same chunks, same nodes, same order — the comprehension over
         # every (chunk, node) of the band used to, scale-outs included.
         runner = ExperimentRunner(
-            small_modis, RunConfig(partitioner=scheme, run_queries=False)
+            small_modis, RunConfig(partitioner=scheme), queries=()
         )
         runner.run()
         cluster = runner.cluster
@@ -470,7 +470,7 @@ class TestOneRoutePerRegion:
         ):
             runner = ExperimentRunner(
                 workload,
-                RunConfig(partitioner="hilbert_curve", run_queries=False),
+                RunConfig(partitioner="hilbert_curve"), queries=(),
             )
             runner.run()
             routed = 0

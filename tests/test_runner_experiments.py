@@ -1,11 +1,12 @@
 """ExperimentRunner cycle loop and the table/figure entry points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.arrays import Box, ChunkData, parse_schema
-from repro.cluster import CostParameters, ElasticCluster, GB
-from repro.core import make_partitioner
+from repro.cluster import GB
 from repro.core.traits import PAPER_ORDER, PAPER_TAXONOMY
 from repro.harness import (
     ExperimentRunner,
@@ -19,12 +20,12 @@ from repro.harness import (
     table2_sampling,
     table3_cost_model,
 )
-from repro.harness.reporting import (
-    format_series,
-    format_series_table,
-    format_table,
-)
+from repro.errors import ConfigError
+from repro.harness.reporting import format_series_table, format_table
+from repro.query.incremental import MaintainedGridStats
 from repro.workloads import AisWorkload, ModisWorkload
+from repro.workloads.batch import InsertBatch
+from repro.workloads.model import CyclicWorkload
 
 TINY_MODIS = dict(n_cycles=5, cells_per_band_per_cycle=300,
                   target_total_gb=225.0)
@@ -36,8 +37,8 @@ class TestRunnerFixedSchedule:
     def test_fixed_schedule_scales_by_step(self):
         runner = ExperimentRunner(
             ModisWorkload(**TINY_MODIS),
-            RunConfig(partitioner="consistent_hash", run_queries=False,
-                      fixed_step=2),
+            RunConfig(partitioner="consistent_hash", fixed_step=2),
+            queries=(),
         )
         metrics = runner.run()
         assert metrics.cycles[0].nodes == 2
@@ -50,7 +51,7 @@ class TestRunnerFixedSchedule:
     def test_capacity_always_covers_demand(self):
         runner = ExperimentRunner(
             ModisWorkload(**TINY_MODIS),
-            RunConfig(partitioner="kd_tree", run_queries=False),
+            RunConfig(partitioner="kd_tree"), queries=(),
         )
         metrics = runner.run()
         for c in metrics.cycles:
@@ -74,8 +75,8 @@ class TestRunnerFixedSchedule:
             RunConfig(
                 partitioner="consistent_hash",
                 staircase={"s": 2, "p": 1},
-                run_queries=False,
             ),
+            queries=(),
         )
         metrics = runner.run()
         assert metrics.cycles[-1].nodes >= 3
@@ -85,7 +86,7 @@ class TestRunnerFixedSchedule:
     def test_every_partitioner_survives_a_full_run(self, name):
         runner = ExperimentRunner(
             AisWorkload(**TINY_AIS),
-            RunConfig(partitioner=name, run_queries=False),
+            RunConfig(partitioner=name), queries=(),
         )
         metrics = runner.run()
         assert len(metrics.cycles) == 5
@@ -133,29 +134,34 @@ _RETENTION_SCHEMA = parse_schema(
 )
 
 
-def _retention_diff(name, cycles=12, per_cycle=20, retention=2):
-    """The ``figure8_retention`` loop, per scheme: ingest, expire the
-    batch older than ``retention`` cycles, +2 nodes at 85 % fill.  The
-    batches keep growing, so rebalances keep coming after expiry and
-    index compaction have started."""
-    rng = np.random.default_rng(5)
-    partitioner = make_partitioner(
-        name, [0, 1], grid=_RETENTION_GRID,
-        node_capacity_bytes=10 * GB,
-    )
-    cluster = ElasticCluster(
-        partitioner, node_capacity_bytes=10 * GB,
-        costs=CostParameters(), ledger_compact_ratio=0.3,
-    )
-    diff = _ScaleOutDiff(cluster)
-    window = []
-    calls_at_first_compaction = None
-    for cycle in range(cycles):
+class _RetentionBatches(CyclicWorkload):
+    """``figure8_retention``'s shape at test scale: cycle ``i`` draws
+    ``per_cycle * i`` keys of its time slice (de-duplicated, in key
+    order), each a lognormal ~0.1 GB, from one generator."""
+
+    name = "retention"
+    schemas = (_RETENTION_SCHEMA,)
+
+    def __init__(self, cycles=12, per_cycle=20):
+        super().__init__(cycles, seed=5)
+        self.per_cycle = per_cycle
+        self._rng = np.random.default_rng(self.seed)
+        self.batches()  # one generator feeds every cycle: draw in order
+
+    def grid_box(self):
+        return _RETENTION_GRID
+
+    @property
+    def target_total_bytes(self):
+        return self.demand_curve()[-1]
+
+    def _generate_batch(self, cycle):
+        rng = self._rng
         keys = {
-            (cycle, int(rng.integers(0, 32)), int(rng.integers(0, 32)))
-            for _ in range(per_cycle * (1 + cycle))
+            (cycle - 1, int(rng.integers(0, 32)), int(rng.integers(0, 32)))
+            for _ in range(self.per_cycle * cycle)
         }
-        batch = [
+        return InsertBatch(cycle, [
             ChunkData(
                 _RETENTION_SCHEMA, key,
                 np.array([key], dtype=np.int64),
@@ -163,25 +169,109 @@ def _retention_diff(name, cycles=12, per_cycle=20, retention=2):
                 size_bytes=float(rng.lognormal(np.log(0.1 * GB), 0.6)),
             )
             for key in sorted(keys)
-        ]
-        demand = cluster.total_bytes + sum(c.size_bytes for c in batch)
-        if demand > 0.85 * cluster.capacity_bytes:
-            cluster.scale_out(2)
-        cluster.ingest(batch)
-        window.append([c.ref() for c in batch])
-        if len(window) > retention:
-            capacity = cluster.catalog.column_capacity
-            cluster.remove_chunks(window.pop(0))
-            if (
-                calls_at_first_compaction is None
-                and cluster.catalog.column_capacity < capacity
-            ):
-                calls_at_first_compaction = diff.calls
+        ])
+
+
+def _retention_diff(name, retention=2):
+    """The ``figure8_retention`` loop, per scheme, through the runner:
+    ingest, expire the batch older than ``retention`` cycles, +2 nodes
+    at 85 % fill.  The batches keep growing, so rebalances keep coming
+    after expiry and index compaction have started."""
+    runner = ExperimentRunner(
+        _RetentionBatches(),
+        RunConfig(
+            partitioner=name, node_capacity_gb=10, fill=0.85,
+            retention_cycles=retention, ledger_compact_ratio=0.3,
+        ),
+        queries=(),
+    )
+    cluster = runner.cluster
+    diff = _ScaleOutDiff(cluster)
+    calls_at_first_compaction = None
+    remove_chunks = cluster.remove_chunks
+
+    def expire(refs):
+        # The drop shows across the removal alone: within a cycle the
+        # ingest before it grows the catalog's columns again.
+        nonlocal calls_at_first_compaction
+        capacity = cluster.catalog.column_capacity
+        report = remove_chunks(refs)
+        if (
+            calls_at_first_compaction is None
+            and cluster.catalog.column_capacity < capacity
+        ):
+            calls_at_first_compaction = diff.calls
+        return report
+
+    cluster.remove_chunks = expire
+    runner.run()
     cluster.check_consistency()
     # expiry compacted the indexes, and rebalances ran after that
     assert calls_at_first_compaction is not None
     assert diff.calls > calls_at_first_compaction
     return diff
+
+
+class TestRunConfigContract:
+    """The runner's window, fill and views: bad values are typed errors
+    naming the field, and the window keeps exactly the last batches."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fill", v) for v in (float("nan"), 0, -1, 1.5, True)]
+        + [("retention_cycles", v) for v in (0, -1, True)]
+        + [("views", (42,))],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(partitioner="hilbert_curve", **{field: value})
+
+    def test_checked_values_cannot_be_swapped_afterwards(self):
+        # Assignable, a NaN fill never scaled out: 233 GB sat on 200.
+        config = RunConfig(partitioner="hilbert_curve")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.fill = float("nan")
+
+    def test_window_keeps_the_last_batches(self):
+        k = 3
+        workload = _RetentionBatches(cycles=7, per_cycle=4)
+        runner = ExperimentRunner(
+            workload,
+            RunConfig(
+                partitioner="hilbert_curve", node_capacity_gb=1000,
+                retention_cycles=k,
+                views=(lambda cluster: MaintainedGridStats(
+                    cluster, "R", "v", dims=(1, 2), cell_sizes=(8, 8),
+                    ndim=3, domain=_RETENTION_GRID,
+                ),),
+            ),
+            queries=(),
+        )
+        cluster = runner.cluster
+        expired = []
+        remove_chunks = cluster.remove_chunks
+
+        def record(refs):
+            report = remove_chunks(refs)
+            expired.append(report.elapsed_seconds)
+            return report
+
+        cluster.remove_chunks = record
+        for cycle in range(1, workload.n_cycles + 1):
+            metrics = runner.run_cycle(cycle)
+            assert set(cluster.partitioner.assignment()) == {
+                c.ref()
+                for batch in workload.batches()[max(0, cycle - k):cycle]
+                for c in batch.chunks
+            }
+            # no scale-out at 1000 GB a node: reorganization is expiry
+            assert metrics.nodes_added == 0
+            assert len(expired) == max(0, cycle - k)
+            assert metrics.reorg_seconds == (expired[-1] if cycle > k else 0.0)
+            assert len(metrics.refresh_modes) == 1
+            assert metrics.query_seconds > 0  # the view's refresh
+        assert all(seconds > 0 for seconds in expired)
+        cluster.check_consistency()
 
 
 class TestIncrementalScaleOutThroughTheHarness:
@@ -210,7 +300,7 @@ class TestIncrementalScaleOutThroughTheHarness:
         )
         for name in PAPER_ORDER:
             runner = ExperimentRunner(
-                workload, RunConfig(partitioner=name, run_queries=False)
+                workload, RunConfig(partitioner=name), queries=()
             )
             diff = _ScaleOutDiff(runner.cluster)
             runner.run()
@@ -271,7 +361,7 @@ class TestExperimentEntryPoints:
         for workload in (ModisWorkload(**TINY_MODIS), AisWorkload(**TINY_AIS)):
             for name in SWEEP_SCHEMES:
                 metrics = ExperimentRunner(
-                    workload, RunConfig(partitioner=name, run_queries=False)
+                    workload, RunConfig(partitioner=name), queries=()
                 ).run()
                 assert result.data[workload.name][name] == (
                     metrics.total_insert_seconds / 60.0,
@@ -331,9 +421,6 @@ class TestReporting:
         assert len(lines) == 4
         assert "2.50" in text
         assert "X" in text  # booleans render as Table-1 marks
-
-    def test_format_series(self):
-        assert "lbl" in format_series("lbl", [1.0, 2.0])
 
     def test_format_series_table(self):
         text = format_series_table({"a": [1.0, 2.0]}, title="T")

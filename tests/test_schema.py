@@ -85,7 +85,6 @@ class TestDimensionSpec:
 class TestParser:
     def test_paper_example(self, tiny_schema):
         assert tiny_schema.name == "A"
-        assert tiny_schema.dimension_names == ("x", "y")
         assert tiny_schema.attribute_names == ("i", "j")
         assert tiny_schema.dimension("x").chunk_interval == 2
         assert tiny_schema.attribute("j").dtype == "float64"
@@ -157,14 +156,6 @@ class TestSchemaChunkMath:
     def test_chunk_box_clamped_at_edge(self):
         s = parse_schema("B<v:int32>[x=0:4,2]")  # extent 5, chunks 3
         assert s.chunk_box((2,)).hi == (5,)
-
-    def test_grid_extent_bounded(self, tiny_schema):
-        assert tiny_schema.grid_extent() == (2, 2)
-
-    def test_grid_extent_unbounded_uses_observations(self):
-        s = parse_schema("T<v:int32>[t=0:*,10, x=0:9,5]")
-        assert s.grid_extent() == (1, 2)
-        assert s.grid_extent([(4, 0), (7, 1)]) == (8, 2)
 
     def test_cell_width(self, tiny_schema):
         assert tiny_schema.cell_width_bytes == 4 + 8

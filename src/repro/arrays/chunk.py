@@ -63,9 +63,9 @@ class ChunkRef:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", tuple(int(c) for c in self.key))
-        # Refs key every ledger dict in the placement hot path; caching
-        # the hash makes each dict operation a C-level lookup instead of
-        # re-hashing (array, key) through a generated Python method.
+        # Refs key the node stores' dicts; caching the hash makes each
+        # dict operation a C-level lookup instead of re-hashing
+        # (array, key) through a generated Python method.
         object.__setattr__(self, "_hash", hash((self.array, self.key)))
 
     def __hash__(self) -> int:

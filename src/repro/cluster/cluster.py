@@ -392,6 +392,10 @@ class ElasticCluster:
         (``benchmarks/bench_fig8_retention.py`` drives the figure-scale
         staircase; ``tests/test_ledger_compaction.py`` pins the bound).
         """
+        refs = list(refs)
+        bad = [r for r in refs if not isinstance(r, ChunkRef)]
+        if bad:
+            raise ClusterError(f"refs must hold ChunkRefs, not {bad[0]!r}")
         report = execute_remove(
             self.nodes, self.partitioner, refs, self.costs, self.catalog
         )
@@ -462,6 +466,7 @@ class ElasticCluster:
                 the replayed delta log.
         """
         catalogued = 0
+        table = self.catalog.table
         for node_id, node in self.nodes.items():
             tier = node.store.tier
             if tier is not None:
@@ -472,19 +477,21 @@ class ElasticCluster:
                             f"chunk {ref} stored on node {node_id} has "
                             "no segment backing (write-through violated)"
                         )
-            for ref in node.store.refs():
-                table_node = self.partitioner.locate(ref)
-                if table_node != node_id:
+            refs = list(node.store.refs())
+            ids = self.partitioner._ids(refs)  # raises: never placed
+            owners, handles = table.owners(ids).tolist(), table._chunks[ids]
+            for ref, owner, handle in zip(refs, owners, handles):
+                if owner != node_id:
                     raise ClusterError(
                         f"chunk {ref} stored on node {node_id} but table "
-                        f"says {table_node}"
+                        f"says {owner}"
                     )
-                if self.catalog.payload_of(ref) is not node.store.get(ref):
+                if handle is not node.store.get(ref):
                     raise ClusterError(
                         f"catalog does not publish the stored payload "
                         f"handle of {ref}"
                     )
-                catalogued += 1
+            catalogued += len(refs)
         self.catalog.verify_published()
         if self.catalog.chunk_count != catalogued:
             raise ClusterError(

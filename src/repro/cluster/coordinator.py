@@ -87,8 +87,10 @@ def execute_insert(
     count = len(batch)
     refs = list(map(ChunkData.ref, batch.chunks))
     sizes = batch.sizes
-    partitioner.prepare_batch(refs, sizes)
-    ids = partitioner.place_batch(refs, sizes, batch.keys)
+    partitioner.prepare_batch(refs, sizes, batch.keys)
+    ids = partitioner.place_batch(
+        refs, sizes, batch.keys, (batch.arrays, batch.codes)
+    )
     targets = catalog.table.owners(ids)
     groups = _groups(targets)
     unknown = sorted(node for node, _ in groups if node not in nodes)
@@ -274,10 +276,9 @@ def execute_remove(
     """
     refs = list(refs)
     table = partitioner.table
-    try:
-        ids = table.ids_of(refs)
-    except KeyError as err:  # resolve the prefix before the unknown ref
-        ids = table.ids_of(refs[: refs.index(err.args[0])])
+    ids = table.lookup(refs)  # resolved once; -1 = never placed
+    unknown = ids < 0
+    ids = ids[: int(np.argmax(unknown)) if unknown.any() else len(ids)]
     owners = table.owners(ids)
     # The first bad ref in batch order names the error: a repeat, a ref
     # on a node the cluster does not have, or one never placed.
@@ -298,10 +299,9 @@ def execute_remove(
     for node, idx in _groups(owners):
         nodes[node].store.evict_many(ref_col[idx].tolist())
     freed_by_node = sum_by_node(owners, table.sizes_at(ids))
-    # Unpublish before the table frees the ids.
-    catalog.remove_batch(refs)
-    for ref in refs:
-        partitioner.remove(ref)
+    # Unpublish before the table frees the ids (in one batch pass).
+    catalog.remove_batch(ids)
+    partitioner.remove(ids)
     elapsed = max(
         (costs.io_time(b) for b in freed_by_node.values()), default=0.0
     )

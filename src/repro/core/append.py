@@ -88,9 +88,10 @@ class AppendPartitioner(ElasticPartitioner):
         target = np.full(len(merges), -1, dtype=np.int64)
         if known.any():
             position = {n: i for i, n in enumerate(self._nodes)}
+            # every known item is a merge: ``found`` is theirs, in order
             target[known] = [
-                position[self._ledger.node_of(ref)]
-                for ref in split.refs[merges[known]].tolist()
+                position[n]
+                for n in self._ledger.owners(split.found).tolist()
             ]
         return offset, first, target, split.sizes[merges]
 

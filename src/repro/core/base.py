@@ -62,7 +62,8 @@ consistent at every public-method boundary:
 * ``sum(sizes) == total_bytes`` — the running counter updated by
   :meth:`~ElasticPartitioner.place_batch` and
   :meth:`~ElasticPartitioner.remove` (relocations move bytes between
-  nodes but never change the total).
+  nodes but never change the total; a removal batch subtracts in batch
+  order, as one chunk at a time would).
 * ``sum(loads) == total_bytes`` and ``loads[n] == sum of sizes of chunks
   assigned to n``.
 * every assigned chunk's node is in ``nodes``.
@@ -70,6 +71,11 @@ consistent at every public-method boundary:
 Subclasses read the ledger per ref or node (``node_of`` / ``size_of`` /
 ``load_of``) or, on bulk paths, through its id columns (``live_ids`` /
 ``ids_on`` / ``key_order`` / ``owners`` / ``keys_of`` / ``sizes_at``).
+A scheme that keeps a fact per chunk (a curve position, a stable hash,
+an arrival ordinal) derives it for a batch's first-time chunks
+(``_derive``); the table stores it as a column beside its own, frees it
+with the id and gathers it on compaction, and the scheme reads it back
+with ``column_at``.
 
 Rebalance plans
 ---------------
@@ -83,7 +89,6 @@ The per-move path (``Move``, one ``_relocate`` per chunk, the loops over
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -91,7 +96,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
-from repro.core.ledger import ArrayChunkLedger
+from repro.core.ledger import ArrayChunkLedger, BatchSplit, key_rows
 from repro.core.traits import PartitionerTraits
 from repro.errors import ChunkError, PartitioningError, require_index
 
@@ -118,6 +123,16 @@ def split_dims_of(split_dims: Optional[Sequence[int]], ndim: int) -> Tuple[int, 
     return tuple(dims)
 
 
+def split_keys(split: BatchSplit, ndim: int) -> Optional[np.ndarray]:
+    """The ``(n, ndim)`` key rows of ``split``'s first-time items: the
+    batch's own rows when it carries ``ndim``-wide ones, else
+    :func:`grid_keys` of the refs."""
+    keys = split.keys
+    if keys is not None and keys.shape[1] == ndim:
+        return keys[split.first]
+    return grid_keys(split.new_refs(), ndim)
+
+
 def grid_keys(
     refs: Sequence[ChunkRef], ndim: int
 ) -> Optional[np.ndarray]:
@@ -130,11 +145,8 @@ def grid_keys(
     """
     if not refs:
         return np.empty((0, ndim), dtype=np.int64)
-    try:
-        keys = np.array([r.key for r in refs], dtype=np.int64)
-    except (ValueError, OverflowError):
-        keys = None
-    if keys is None or keys.shape != (len(refs), ndim):
+    keys = key_rows(refs, ndim)
+    if keys is None:
         for ref in refs:
             check_key_arity(ref, ndim)
     return keys
@@ -228,27 +240,6 @@ class RebalancePlan:
 
     def is_empty(self) -> bool:
         return not len(self.refs)
-
-
-@dataclass(eq=False)
-class BatchSplit:
-    """An insert batch split into first-time placements and merges:
-    the items (``refs``, ``sizes``, ``keys`` rows or ``None``), each
-    item's first position in the batch (``origin``) and whether it was
-    placed before (``known``); ``first`` holds the first positions of
-    unknown refs, ``merges`` every other position, both ascending."""
-
-    refs: np.ndarray
-    sizes: np.ndarray
-    keys: Optional[np.ndarray]
-    origin: np.ndarray
-    known: np.ndarray
-    first: np.ndarray
-    merges: np.ndarray
-
-    def new_refs(self) -> List[ChunkRef]:
-        """The first-time refs, in batch order."""
-        return self.refs[self.first].tolist()
 
 
 def sum_by_node(nodes: np.ndarray, sizes: np.ndarray) -> Dict[NodeId, float]:
@@ -366,15 +357,19 @@ class ElasticPartitioner(ABC):
     # mutation
     # ------------------------------------------------------------------
     def prepare_batch(
-        self, refs: Sequence[ChunkRef], sizes: np.ndarray
+        self,
+        refs: Sequence[ChunkRef],
+        sizes: np.ndarray,
+        keys: Optional[np.ndarray] = None,
     ) -> None:
         """Observe a whole insert batch before its chunks are placed.
 
         The coordinator receives inserts in bulk (paper §3.4), so a
-        partitioner may inspect the batch — its refs and their sizes —
-        to refine its table *before* any chunk lands; the Hilbert
-        partitioner uses the first batch to set data-aware initial
-        ranges.  Must not move existing chunks.  The default is a no-op.
+        partitioner may inspect the batch — its refs, their sizes and
+        key rows — to refine its table *before* any chunk lands; the
+        Hilbert partitioner uses the first batch to set data-aware
+        initial ranges.  Must not move existing chunks.  The default is
+        a no-op.
         """
 
     def place_batch(
@@ -382,16 +377,21 @@ class ElasticPartitioner(ABC):
         refs: Sequence[ChunkRef],
         sizes: np.ndarray,
         keys: Optional[np.ndarray] = None,
+        arrays: Optional[Tuple[List[str], np.ndarray]] = None,
     ) -> np.ndarray:
         """Place a whole insert batch; return each item's table id.
 
         Equivalent to placing the items one at a time in batch order
         (see the module docstring's batch contract): known
         refs merge onto their current node, duplicates within the batch
-        into their first placement (and share its id).  ``keys`` are the
-        refs' key rows when the caller has them; the table stores them.
+        into their first placement (and share its id).  ``keys`` (key
+        rows) and ``arrays`` (``(names, codes)``, as a
+        :class:`~repro.arrays.chunk.ChunkBatch` carries them) are the
+        batch's columns when the caller has them; the table interns by
+        them and stores the keys.
         """
-        split = self._partition_batch(refs, sizes, keys)
+        split = self._partition_batch(refs, sizes, keys, arrays)
+        split.columns = self._derive(split)
         nodes = np.asarray(self._place_split(split), dtype=np.int64)
         return self._commit_batch(split, nodes)
 
@@ -406,8 +406,8 @@ class ElasticPartitioner(ABC):
         restore exactly those placements — :meth:`place_batch` would
         choose fresh nodes and disagree with where the bytes physically
         live.  Adoption commits the recorded ``(ref, size, node)``
-        triples straight to the ledger, then lets the scheme rebuild
-        what private state it can via :meth:`_adopt_batch`.
+        triples straight to the table, with the scheme columns
+        :meth:`_derive` computes for them.
 
         Only valid on an empty partitioner whose node set covers every
         recorded node.  Schemes whose placement depends on unrecoverable
@@ -421,57 +421,34 @@ class ElasticPartitioner(ABC):
                 f"{self.name} already tracks {self.chunk_count} chunks; "
                 "adoption requires an empty partitioner"
             )
-        first_sizes: Dict[ChunkRef, float] = {}
-        commit_nodes: List[NodeId] = []
-        has_node = self._ledger.has_node
-        for ref, size_bytes, node in entries:
-            if not 0.0 <= size_bytes < math.inf:
-                raise PartitioningError(
-                    f"invalid chunk size {size_bytes} for {ref}"
-                )
-            if not has_node(node):
-                raise PartitioningError(
-                    f"recovered chunk {ref} belongs to unknown "
-                    f"node {node}"
-                )
-            if ref in first_sizes:
-                raise PartitioningError(
-                    f"duplicate chunk {ref} in adoption batch"
-                )
-            first_sizes[ref] = float(size_bytes)
-            commit_nodes.append(node)
-        self._ledger.commit_batch(
-            self._partition_batch(list(first_sizes), list(first_sizes.values())),
-            np.asarray(commit_nodes, dtype=np.int64),
-        )
-        self._adopt_batch(entries)
+        refs, sizes, nodes = tuple(zip(*entries)) or ((), (), ())
+        split = self._partition_batch(refs, sizes)
+        stray = [not self._ledger.has_node(n) for n in nodes] + [True]
+        bad = stray.index(True)
+        if len(split.merges) and split.merges[0] < bad:
+            raise PartitioningError(
+                f"duplicate chunk {refs[split.merges[0]]} in adoption batch"
+            )
+        if bad < len(refs):
+            raise PartitioningError(
+                f"recovered chunk {refs[bad]} belongs to unknown "
+                f"node {nodes[bad]}"
+            )
+        split.columns = self._derive(split)
+        self._ledger.commit_batch(split, np.array(nodes, dtype=np.int64))
 
-    def _adopt_batch(
-        self,
-        entries: Sequence[Tuple[ChunkRef, float, NodeId]],
-    ) -> None:
-        """Subclass hook: rebuild scheme-private state after adoption.
+    def remove(self, *chunks) -> NodeId:
+        """Drop chunks — refs, or one int array of table ids — from the
+        table in one pass (deletion / expiry), all resolved first.
 
-        Called after the base ledger holds every adopted chunk.  The
-        default is a no-op — correct for schemes whose placement is a
-        pure function of the ledger; schemes with side tables override
-        it to rebuild what the recorded placements imply.
+        Returns the node that held the chunk for one ref, else the
+        owners column; :class:`PartitioningError` when a chunk was never
+        placed or is named twice.
         """
-
-    def remove(self, ref: ChunkRef) -> NodeId:
-        """Drop a chunk from the ledger (deletion / expiry).
-
-        Returns:
-            The node that held the chunk.
-
-        Raises:
-            PartitioningError: when the chunk was never placed.
-        """
-        if not self._ledger.contains(ref):
-            raise PartitioningError(f"chunk {ref} was never placed")
-        node, size = self._ledger.remove(ref)
-        self._forget(ref, size, node)
-        return node
+        one = len(chunks) == 1
+        ids = chunks[0] if one and isinstance(chunks[0], np.ndarray) else chunks
+        owners, _ = self._ledger.remove_ids(self._ids(ids))
+        return int(owners[0]) if one and ids is chunks else owners
 
     def scale_out(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         """Add nodes and compute the rebalance the partitioning table needs.
@@ -553,6 +530,12 @@ class ElasticPartitioner(ABC):
         """The nodes of ``split``'s first-time refs, in batch order (and
         whatever scheme state the batch's merges update)."""
 
+    def _derive(self, split: BatchSplit) -> Dict[str, np.ndarray]:
+        """The scheme columns of ``split``'s first-time items, by name
+        (a curve position, a stable hash, an arrival ordinal); the
+        table stores them with the ids.  The default derives none."""
+        return {}
+
     @abstractmethod
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         """Update the partitioning table for ``new_nodes``; return moves.
@@ -567,30 +550,22 @@ class ElasticPartitioner(ABC):
     # ------------------------------------------------------------------
     # ledger primitives
     # ------------------------------------------------------------------
-    def _forget(
-        self, ref: ChunkRef, size_bytes: float, node: NodeId
-    ) -> None:
-        """Subclass hook: drop scheme-private per-chunk state on remove.
-
-        Called after the base ledger already dropped ``ref``.  The default
-        is a no-op; schemes with side tables (hash-bucket membership,
-        arrival ordinals, index caches) override it.
-        """
-
     def _partition_batch(
         self,
         refs: Sequence[ChunkRef],
         sizes: np.ndarray,
         keys: Optional[np.ndarray] = None,
+        arrays: Optional[Tuple[List[str], np.ndarray]] = None,
     ) -> BatchSplit:
         """Split a batch into first-time placements and merges.
 
         Checks the sizes column once (finite and non-negative, else
         :class:`PartitioningError` naming the first offending item),
-        then one C-level ``dict.setdefault`` pass finds first
-        occurrences and one probes the table.  Does not touch the ledger.
+        then the table splits the batch by its key rows
+        (:meth:`~repro.core.ledger.ArrayChunkLedger.split_batch`).  Does
+        not intern anything.
         """
-        refs = list(refs)
+        refs = np.fromiter(refs, dtype=object, count=len(refs))
         n = len(refs)
         sizes = np.asarray(sizes, dtype=np.float64)
         if sizes.shape != (n,):
@@ -601,20 +576,7 @@ class ElasticPartitioner(ABC):
             raise PartitioningError(
                 f"invalid chunk size {sizes[i]} for {refs[i]}"
             )
-        column = np.fromiter(refs, dtype=object, count=n)
-        seen: Dict[ChunkRef, int] = {}
-        origin = np.fromiter(
-            map(seen.setdefault, refs, range(n)), dtype=np.int64, count=n
-        )
-        known = (
-            self._ledger.contains_many(refs) if self._ledger.chunk_count
-            else np.zeros(n, dtype=bool)
-        )
-        first = (origin == np.arange(n)) & ~known
-        return BatchSplit(
-            column, sizes, keys, origin, known,
-            np.flatnonzero(first), np.flatnonzero(~first),
-        )
+        return self._ledger.split_batch(refs, sizes, keys, arrays)
 
     def _commit_batch(
         self, split: BatchSplit, nodes: np.ndarray
@@ -642,14 +604,7 @@ class ElasticPartitioner(ABC):
         applied at once.
         """
         led = self._ledger
-        ids = refs_or_ids
-        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "i"):
-            try:
-                ids = led.ids_of(refs_or_ids)
-            except KeyError as err:
-                raise PartitioningError(
-                    f"chunk {err.args[0]} was never placed"
-                ) from None
+        ids = self._ids(refs_or_ids)
         dests = np.broadcast_to(np.asarray(dests, dtype=np.int64), ids.shape)
         uniq, first = np.unique(dests, return_index=True)
         for node in uniq[np.argsort(first)].tolist():
@@ -660,6 +615,18 @@ class ElasticPartitioner(ABC):
         )
         led.relocate_many(ids, dests)
         return plan
+
+    def _ids(self, refs_or_ids) -> np.ndarray:
+        """Table ids of refs (:class:`PartitioningError` naming the first
+        never placed); an int array of table ids passes through."""
+        if isinstance(refs_or_ids, np.ndarray) and refs_or_ids.dtype.kind == "i":
+            return refs_or_ids
+        try:
+            return self._ledger.ids_of(refs_or_ids)
+        except KeyError as err:
+            raise PartitioningError(
+                f"chunk {err.args[0]} was never placed"
+            ) from None
 
     def _reshuffle(self, ids: np.ndarray, dests: np.ndarray) -> RebalancePlan:
         """Move every chunk of ``ids`` not on its ``dests`` entry there,

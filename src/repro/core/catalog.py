@@ -7,7 +7,7 @@ partitioner's chunk table (:class:`repro.core.ledger.ArrayChunkLedger`,
 the one ``ChunkRef -> id`` map); the catalog writes the table's handle
 and extent columns ``(arena number, lo, hi)`` from each ingest batch's
 columns, and an id is published exactly when its handle is set.  What
-the catalog keeps itself is per array or per reader: the sorted views,
+the catalog keeps itself is per array or per reader: the epochs,
 the schemas, the delta logs, the declared cursors, the snapshot memo
 and the payload LRU.  The coordinator updates it in place on every
 mutation, so a read is an O(live-chunks-of-array) column gather with
@@ -31,14 +31,14 @@ one; only tests and the benchmark's span table call them.  A live read
 and a pinned read are therefore the same code over the same frozen
 columns, and nothing outside a capture ever gathers a mutable column.
 (The by-ref probe :meth:`~ChunkCatalog.payload_of` is
-``check_consistency``'s view of the published table, not a query read.)
+``ElasticCluster.chunk_data``'s, not a query read.)
 
-Per-array sorted views
-----------------------
-For each array the catalog keeps its live chunk ids sorted by chunk key
-(the order ``ClusterSession.chunks_of_array`` returns).  A batch of
-inserts merges in by int64 position keys with one ``searchsorted`` +
-``insert``; removals mask ids out; relocations leave the order alone.
+Per-array key order
+-------------------
+An array's published chunks are its slice of the chunk table's key
+index — live ids sorted by chunk key (the order
+``ClusterSession.chunks_of_array`` returns) — whose handle is set; the
+catalog keeps no sorted copy of its own.
 
 Epochs and the payload cache
 ----------------------------
@@ -117,7 +117,7 @@ from repro.arrays.coords import (
     row_packing,
 )
 from repro.core.ledger import (
-    NO_EXTENT, ArrayChunkLedger, array_codes, resize_column,
+    NO_EXTENT, ArrayChunkLedger, resize_column,
 )
 from repro.errors import ChunkError, ClusterError, DeltaFloorError, require_index
 
@@ -472,15 +472,11 @@ _EMPTY_LOG = _DeltaLog()
 
 
 class _ArrayView:
-    """One array's live chunk ids, kept sorted by chunk key.
+    """One published array's mutation counters.
 
-    The keys are kept as an ``(n, ndim)`` int64 matrix: inserts merge
-    by position keys (:func:`~repro.arrays.coords.joint_position_keys`),
-    and region routing selects chunks with one vectorized
-    per-dimension interval comparison over the snapshot's copy of it
-    (:meth:`ArraySnapshot.pairs_in_region` and siblings), never
-    touching ``Box`` objects or per-chunk Python.
-
+    Its chunks are the array's slice of the chunk table's key index
+    (:meth:`~repro.core.ledger.ArrayChunkLedger.array_ids`, already in
+    key order) whose handle is set (:meth:`ChunkCatalog._published`).
     ``epoch`` advances on *any* mutation touching the array;
     ``payload_epoch`` only on mutations that change cell contents
     (inserts, merges, removals) — pure relocations move ownership, not
@@ -488,43 +484,18 @@ class _ArrayView:
     survives rebalances.
     """
 
-    __slots__ = ("ids", "rows", "epoch", "payload_epoch", "width")
+    __slots__ = ("epoch", "payload_epoch")
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.ids = np.empty(0, dtype=np.int64)
-        self.rows = np.empty((0, width), dtype=np.int64)
+    def __init__(self) -> None:
         self.epoch = 0
         self.payload_epoch = 0
-
-    def insert(self, new_ids: np.ndarray, new_keys: np.ndarray) -> None:
-        """Merge pre-validated new ids into the sorted view.
-
-        Old and new key rows become int64 position keys under one
-        packing of their union (void rows when its extent defeats
-        int64; the same lexicographic order either way); the new keys
-        are ordered by one ``argsort`` and merged with one
-        ``searchsorted``.
-        """
-        old, new = joint_position_keys(self.rows, new_keys)
-        order = np.argsort(new, kind="stable")
-        positions = np.searchsorted(old, new[order])
-        self.ids = np.insert(self.ids, positions, new_ids[order])
-        self.rows = np.insert(self.rows, positions, new_keys[order], axis=0)
-
-    def drop(self, dead_ids: np.ndarray) -> None:
-        """Remove ids from the view (order of survivors unchanged)."""
-        keep = ~np.isin(self.ids, dead_ids)
-        self.ids = self.ids[keep]
-        self.rows = self.rows[keep]
 
 
 class ArraySnapshot:
     """An immutable, epoch-pinned view of one array's catalog state.
 
-    MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers the array's key
-    rows and its ids' ref/handle/bytes/owner/extent table rows (cheap —
-    the per-array views are already copy-on-write-shaped) plus the
+    MVCC-lite: :meth:`ChunkCatalog.snapshot` gathers the array's
+    published ids' key/ref/handle/bytes/owner/extent table rows plus the
     length of its delta log at capture time.  Every read below answers from those frozen columns,
     so a query holding a snapshot never sees a half-applied rebalance,
     an expiry, or an ingest that lands after the pin — payload handles
@@ -552,20 +523,19 @@ class ArraySnapshot:
         empty log.
         """
         view = catalog._views.get(array)
-        if view is None:
-            ids = np.empty(0, dtype=np.int64)
-            self.epoch = self.payload_epoch = 0
-            self._rows = np.empty((0, 0), dtype=np.int64)
-        else:
-            ids = view.ids
-            self.epoch = view.epoch
-            self.payload_epoch = view.payload_epoch
-            self._rows = view.rows.copy()
+        ids = catalog._published(array)
         self.array = array
         self.schema = catalog._schema_of.get(array)
         # Fancy-indexed gathers are already fresh copies, so the pin
         # keeps the owners of its capture through later moves.
         table = catalog.table
+        if view is None:
+            self.epoch = self.payload_epoch = 0
+            self._rows = np.empty((0, 0), dtype=np.int64)
+        else:
+            self.epoch = view.epoch
+            self.payload_epoch = view.payload_epoch
+            self._rows = table.keys_of(ids).reshape(len(ids), self.schema.ndim)
         self._refs = table._refs[ids]
         self._chunks = table._chunks[ids]
         self._sizes = table._size[ids]
@@ -815,7 +785,7 @@ class ChunkCatalog:
     @property
     def chunk_count(self) -> int:
         """Number of published chunks across all arrays."""
-        return sum(len(v.ids) for v in self._views.values())
+        return sum(len(self._published(a)) for a in self._views)
 
     @property
     def epoch(self) -> int:
@@ -840,16 +810,22 @@ class ChunkCatalog:
 
     def arrays(self) -> List[str]:
         """Names of arrays with at least one live chunk, sorted."""
-        return sorted(a for a, v in self._views.items() if len(v.ids))
+        return sorted(a for a in self._views if len(self._published(a)))
 
     def schema_of(self, array: str) -> Optional[object]:
         """The schema ``array`` was first published with, or ``None``."""
         return self._schema_of.get(array)
 
+    def _published(self, array: str) -> np.ndarray:
+        """``array``'s published ids in key order: its slice of the
+        table's key index whose handle is set."""
+        ids = self._table.array_ids(array)
+        return ids[np.not_equal(self._table._chunks[ids], None)]
+
     def payload_of(self, ref: ChunkRef) -> Optional[ChunkData]:
         """The published payload handle of ``ref``, or ``None``."""
-        i = self._table._id_of.get(ref)
-        return None if i is None else self._table._chunks[i]
+        i = int(self._table.lookup([ref])[0])
+        return None if i < 0 else self._table._chunks[i]
 
     # -- per-array reads: each is a read of the current snapshot -------
     # (entry points for tests and the benchmark's span table; queries
@@ -977,8 +953,7 @@ class ChunkCatalog:
 
         refs, chunks = self._table._refs, self._table._chunks
         for array, log in self._deltas.items():
-            view = self._views.get(array)
-            ids = view.ids if view is not None else np.empty(0, np.int64)
+            ids = self._published(array)
             live = {
                 ref: (1, chunk)
                 for ref, chunk in zip(
@@ -1014,17 +989,17 @@ class ChunkCatalog:
                 )
 
     def verify_published(self) -> None:
-        """The views hold every id the table holds, and nothing else.
+        """Every id the table holds is published, and nothing else.
 
         One vector compare at quiescence: between the partitioner's
-        commit and :meth:`put_batch` the table holds ids no view does,
-        so only ``ElasticCluster.check_consistency`` calls this (it
-        raises :class:`ClusterError` on a difference).
+        commit and :meth:`put_batch` the table holds ids without a
+        handle, so only ``ElasticCluster.check_consistency`` calls this
+        (it raises :class:`ClusterError` on a difference).
         """
         live = self._table.live_ids()
         published = np.sort(np.concatenate(
             [np.empty(0, np.int64)]
-            + [v.ids for v in self._views.values()]
+            + [self._published(a) for a in self._views]
         ))
         if not np.array_equal(live, published):
             raise ClusterError(
@@ -1136,8 +1111,8 @@ class ChunkCatalog:
 
         Column code: each put's predecessor is the previous put of its
         id in the batch (one stable sort of ``ids``) or else the
-        table's handle.  None — a new id: merge its key row (the
-        table's key column) into the array's view; another handle — a
+        table's handle.  None — a new id: published from here on (its
+        array registered on first sight); another handle — a
         merge, logged as the retiring handle (at its own ``size_bytes``)
         at ``-1`` then the new one at ``+1``; the same handle — nothing
         logged.  Handles and extents are written by fancy indexing (an
@@ -1184,14 +1159,9 @@ class ChunkCatalog:
         table._extent[ids[last]] = extents[last]
         arrays, codes = batch.arrays, batch.codes
         for code, array in enumerate(arrays):
-            mine = new & (codes == code)
-            if mine.any():
-                keys = table.keys_of(ids[mine])
+            if (new & (codes == code)).any():
                 self._schema_of.setdefault(array, batch.schemas[code])
-                view = self._views.get(array) or self._views.setdefault(
-                    array, _ArrayView(keys.shape[1])
-                )
-                view.insert(ids[mine], keys)
+                self._views.setdefault(array, _ArrayView())
         self._touch(arrays)
         # One row per new put, two per merge (retiring handle first).
         emits = new + 2 * merged
@@ -1208,34 +1178,30 @@ class ChunkCatalog:
     def relocate_batch(self, ids: np.ndarray) -> None:
         """Mark moved chunks (table ids) as moved, once the stores hold
         their bytes: their arrays' epochs advance (payload epochs and
-        sorted views stay; the owners are already the table's)."""
+        key order stay; the owners are already the table's)."""
         if not len(ids):
             return
-        self._touch(array_codes(self._table.refs_at(ids))[0], contents=False)
+        self._touch(self._table.arrays_at(ids)[0], contents=False)
 
-    def remove_batch(self, refs: Sequence[ChunkRef]) -> None:
-        """Unpublish chunks; the table frees their ids afterwards.
+    def remove_batch(self, ids: np.ndarray) -> None:
+        """Unpublish chunks (table ids); the table frees them afterwards.
 
         Runs before ``partitioner.remove`` (the ids must still be
-        interned).  One ``ids_of`` pass, then column code: each dropped
-        chunk enters the array's delta log at ``-1`` with the payload
-        handle, bytes, owner and extent it retired with (gathered as
-        columns before the handles are cleared) — expiry is a negative
-        delta to the incremental maintenance layer.
+        live).  Column code: each dropped chunk enters the array's
+        delta log at ``-1`` with the payload handle, bytes, owner and
+        extent it retired with (gathered as columns before the handles
+        are cleared) — expiry is a negative delta to the incremental
+        maintenance layer.
         """
-        if not refs:
+        if not len(ids):
             return
         table = self._table
-        ids = table.ids_of(refs)
-        ref_col = table._refs[ids]
-        arrays, codes = array_codes(ref_col)
+        arrays, codes = table.arrays_at(ids)
         handles = table._chunks[ids]
         table._chunks[ids] = None
-        for code, array in enumerate(arrays):
-            self._views[array].drop(ids[codes == code])
         self._touch(arrays)
         self._log_rows(
-            arrays, codes, np.full(len(ids), -1), ref_col, handles,
+            arrays, codes, np.full(len(ids), -1), table._refs[ids], handles,
             table._size[ids], table.owners(ids), table._extent[ids],
         )
 
@@ -1246,13 +1212,11 @@ class ChunkCatalog:
         return self._table.column_capacity
 
     def compact(self, min_dead_fraction: float = 0.0) -> bool:
-        """Compact the chunk table and remap the views' ids.
+        """Compact the chunk table.
 
-        The one compaction of a published table: in one step the table
-        re-interns its live ids
-        (:meth:`repro.core.ledger.ArrayChunkLedger.compact_ids`) and
-        the per-array views are remapped with the same old → new ids
-        (views keep their sort order).  Observable state — pairs,
+        The one compaction of a published table
+        (:meth:`repro.core.ledger.ArrayChunkLedger.compact_ids`; the
+        catalog holds no ids of its own).  Observable state — pairs,
         placements, scan columns, epochs, and live payload-cache
         entries — is unchanged.
 
@@ -1261,11 +1225,4 @@ class ChunkCatalog:
         bool
             ``True`` when the columns were rebuilt.
         """
-        old_ids = self._table.compact_ids(min_dead_fraction)
-        if old_ids is None:
-            return False
-        for view in self._views.values():
-            # Live ids ascend in ``old_ids``, so a view id's new id is
-            # its position there.
-            view.ids = np.searchsorted(old_ids, view.ids)
-        return True
+        return self._table.compact_ids(min_dead_fraction) is not None

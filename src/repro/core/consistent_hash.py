@@ -15,13 +15,12 @@ parallel operators rather than spatial analytics.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkRef
 from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
-from repro.core.hashing import hash_chunk_ref, hash_node_point
+from repro.core.hashing import hash_node_point
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError, require_count
 
@@ -56,9 +55,6 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         # bisect per chunk.
         self._ring_points: Optional[np.ndarray] = None
         self._ring_nodes: Optional[np.ndarray] = None
-        # Chunk hashes are blake2b digests (not vectorizable); cache them
-        # so each ref is hashed once across placements and scale-outs.
-        self._hash_cache: Dict[ChunkRef, int] = {}
         for node in self._nodes:
             self._add_to_ring(node)
 
@@ -80,23 +76,11 @@ class ConsistentHashPartitioner(ElasticPartitioner):
             )
         return self._ring_points, self._ring_nodes
 
-    def _hash_of(self, ref: ChunkRef) -> int:
-        h = self._hash_cache.get(ref)
-        if h is None:
-            h = hash_chunk_ref(ref)
-            self._hash_cache[ref] = h
-        return h
-
-    def _owners_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+    def _owners_of(self, hashes: np.ndarray) -> np.ndarray:
         """Batch ring lookup: one searchsorted over all chunk hashes."""
         if not self._ring:
             raise PartitioningError("empty hash ring")
         points, ring_nodes = self._ring_arrays()
-        hashes = np.fromiter(
-            (self._hash_of(r) for r in refs),
-            dtype=np.uint64,
-            count=len(refs),
-        )
         # side="right": a chunk colliding with a ring point belongs to
         # the next arc.
         pos = np.searchsorted(points, hashes, side="right")
@@ -104,13 +88,17 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         return ring_nodes[pos]
 
     # ------------------------------------------------------------------
+    def _derive(self, split):
+        """The stable-hash column of the batch's first-time chunks (a
+        blake2b digest each: the table keeps them, so each chunk is
+        hashed once across placements and scale-outs)."""
+        return {"hash": split.new_hashes()}
+
     def _place_split(self, split):
         """Amortized batch placement: ring positions of every new ref
         are resolved with a single vectorized searchsorted."""
-        return self._owners_of(split.new_refs()) if len(split.first) else []
-
-    def _forget(self, ref, size_bytes, node) -> None:
-        self._hash_cache.pop(ref, None)
+        hashes = split.columns["hash"]
+        return self._owners_of(hashes) if len(hashes) else []
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         for node in new_nodes:
@@ -120,4 +108,6 @@ class ConsistentHashPartitioner(ElasticPartitioner):
         # destination is always a new node (old arcs only shrink).  One
         # batch lookup covers the whole table.
         ids = self._ledger.live_ids()
-        return self._reshuffle(ids, self._owners_of(self._ledger.refs_at(ids)))
+        return self._reshuffle(
+            ids, self._owners_of(self._ledger.column_at("hash", ids))
+        )

@@ -15,10 +15,10 @@ structure — good balance, no spatial locality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, sub
-from typing import Dict, List, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.arrays.chunk import ChunkRef
 from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
@@ -33,14 +33,13 @@ MAX_GLOBAL_DEPTH = 20
 
 @dataclass
 class Bucket:
-    """One hash bucket: a node assignment plus membership bookkeeping."""
+    """One hash bucket on one node; its members are the chunks whose
+    ``hash`` column the directory maps to it."""
 
     bucket_id: int
     local_depth: int
     pattern: int  # the low `local_depth` bits shared by all members
     node: NodeId
-    members: Set[ChunkRef] = field(default_factory=set)
-    bytes: float = 0.0
 
 
 class ExtendibleHashPartitioner(ElasticPartitioner):
@@ -98,42 +97,37 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
         slot = hash_chunk_ref(ref) & ((1 << self._global_depth) - 1)
         return self._buckets[self._directory[slot]]
 
+    def _bucket_ids(self, hashes: np.ndarray) -> np.ndarray:
+        """The bucket of each hash: its directory slot's."""
+        mask = np.uint64((1 << self._global_depth) - 1)
+        return np.asarray(self._directory, dtype=np.int64)[hashes & mask]
+
+    def _membership(self):
+        """Every live id, its hash and its bucket (one column gather)."""
+        ids = self._ledger.live_ids()
+        hashes = self._ledger.column_at("hash", ids).astype(np.uint64)
+        return ids, hashes, self._bucket_ids(hashes)
+
+    def bucket_bytes(self) -> Dict[int, float]:
+        """Bytes per bucket id: its members' table sizes, summed."""
+        ids, _, of = self._membership()
+        sums = np.bincount(
+            of, weights=self._ledger.sizes_at(ids),
+            minlength=self._next_bucket_id,
+        )
+        return {b: float(sums[b]) for b in sorted(self._buckets)}
+
     # ------------------------------------------------------------------
+    def _derive(self, split):
+        """The stable-hash column of the batch's first-time chunks."""
+        return {"hash": split.new_hashes()}
+
     def _place_split(self, split):
-        """Amortized batch placement: placement never changes the
-        directory, so each new chunk pays one hash + two lookups."""
-        commit_nodes: List[NodeId] = []
-        mask = (1 << self._global_depth) - 1
-        directory = self._directory
-        buckets = self._buckets
-        sizes = split.sizes[split.first].tolist()
-        for ref, size in zip(split.new_refs(), sizes):
-            bucket = buckets[directory[hash_chunk_ref(ref) & mask]]
-            bucket.members.add(ref)
-            bucket.bytes += size
-            commit_nodes.append(bucket.node)
-        # Merges credit their bucket too: ``bucket.bytes`` mirrors the
-        # member ledger sizes, which scale-out splits and removes debit.
-        merges = split.merges
-        sizes = split.sizes[merges].tolist()
-        for ref, size in zip(split.refs[merges].tolist(), sizes):
-            buckets[directory[hash_chunk_ref(ref) & mask]].bytes += size
-        return commit_nodes
-
-    def _forget(self, ref, size_bytes, node) -> None:
-        bucket = self.bucket_for(ref)
-        bucket.members.discard(ref)
-        bucket.bytes -= size_bytes
-
-    def _adopt_batch(self, entries) -> None:
-        # Rebuild bucket membership so ``bucket.bytes == sum of member
-        # ledger sizes`` holds for adopted chunks (removes and merges
-        # debit/credit buckets).  The directory itself restarts at its
-        # initial depth — bucket→node history is not persisted.
-        for ref, size, _node in entries:
-            bucket = self.bucket_for(ref)
-            bucket.members.add(ref)
-            bucket.bytes += float(size)
+        """Vectorized batch placement: placement never changes the
+        directory, so each new chunk's node is its bucket's."""
+        nodes = {b: bucket.node for b, bucket in self._buckets.items()}
+        of = self._bucket_ids(split.columns["hash"]).tolist()
+        return np.fromiter(map(nodes.__getitem__, of), np.int64, len(of))
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         plans: List[RebalancePlan] = []
@@ -157,14 +151,19 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
         ]
         if not donor_buckets:
             return RebalancePlan.empty()
+        weight = self.bucket_bytes()
         bucket = max(
-            donor_buckets, key=lambda b: (b.bytes, -b.bucket_id)
+            donor_buckets, key=lambda b: (weight[b.bucket_id], -b.bucket_id)
         )
 
         if bucket.local_depth >= MAX_GLOBAL_DEPTH:
             raise PartitioningError(
                 "extendible hash reached maximum directory depth"
             )
+        # Members with the new bit set migrate, in (array, key) order.
+        bit = 1 << bucket.local_depth
+        ids, hashes, of = self._membership()
+        ids = ids[(of == bucket.bucket_id) & (hashes & np.uint64(bit) != 0)]
         if bucket.local_depth == self._global_depth:
             # Double the directory: every slot s gains a twin s + 2^g
             # pointing at the same bucket.
@@ -173,7 +172,6 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
 
         # Split `bucket` on bit `local_depth`: members with that bit set
         # migrate to a sibling bucket hosted by the new node.
-        bit = 1 << bucket.local_depth
         sibling = self._new_bucket(
             local_depth=bucket.local_depth + 1,
             pattern=bucket.pattern | bit,
@@ -190,17 +188,6 @@ class ExtendibleHashPartitioner(ElasticPartitioner):
             ):
                 self._directory[slot] = sibling.bucket_id
 
-        # Members with the new bit set migrate in (array, key) order; the
-        # bucket counters take their sizes one by one, in that order.
-        led = self._ledger
-        ids = led.ids_of(
-            [ref for ref in bucket.members if hash_chunk_ref(ref) & bit]
+        return self._relocate_many(
+            ids[self._ledger.key_order(ids)], new_node
         )
-        ids = ids[led.key_order(ids)]
-        migrating = led.refs_at(ids).tolist()
-        sizes = led.sizes_at(ids).tolist()
-        bucket.members.difference_update(migrating)
-        bucket.bytes = reduce(sub, sizes, bucket.bytes)
-        sibling.members.update(migrating)
-        sibling.bytes = reduce(add, sizes, sibling.bytes)
-        return self._relocate_many(ids, new_node)

@@ -15,7 +15,7 @@ sends data, so the reorganization is incremental.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.core.base import (
     RebalancePlan,
     check_key_arity,
     grid_keys,
+    split_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError, require_count
@@ -65,7 +66,6 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         n = len(self._nodes)
         self._bounds: List[int] = [space * i // n for i in range(n)]
         self._range_nodes: List[NodeId] = list(self._nodes)
-        self._index_cache: Dict[ChunkRef, int] = {}
         self._bounds_fitted = n == 1  # single node never needs fitting
 
     # ------------------------------------------------------------------
@@ -84,41 +84,19 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         return out
 
     def curve_index(self, ref: ChunkRef) -> int:
-        """Curve position of a chunk (cached; key-only, so dimension-aligned
+        """Curve position of a chunk (key-only, so dimension-aligned
         arrays co-locate)."""
-        cached = self._index_cache.get(ref)
-        if cached is None:
-            check_key_arity(ref, self._curve.ndim)
-            cached = self._curve.index(ref.key)
-            self._index_cache[ref] = cached
-        return cached
+        check_key_arity(ref, self._curve.ndim)
+        return self._curve.index(ref.key)
 
-    def _compute_indices(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """Vectorized curve positions of many refs (cache untouched).
-
-        Stacks the keys into one ``(n, ndim)`` array and runs a single
-        :meth:`RectangleHilbert.index_batch` call instead of n scalar
-        Skilling transforms.  Falls back to the scalar transform per ref
-        when a coordinate does not fit int64; the result is then an
-        object-dtype array of exact ints, as with ``index_batch``
-        overflow.
-        """
-        keys = grid_keys(refs, self._curve.ndim)
+    def _positions(self, keys: Optional[np.ndarray], refs) -> np.ndarray:
+        """Curve positions of ``refs`` from their key rows: one
+        :meth:`RectangleHilbert.index_batch` call, int64 — or, when a
+        key (``keys`` is ``None``) or a position does not fit int64, an
+        object column of exact ints."""
         if keys is None:
-            return np.array(
-                [self._curve.index(r.key) for r in refs], dtype=object
-            )
+            return np.array([self.curve_index(r) for r in refs], dtype=object)
         return self._curve.index_batch(keys)
-
-    def _fill_index_cache(self, refs: Iterable[ChunkRef]) -> None:
-        """Batch-fill the index cache for any uncached refs."""
-        missing = list(dict.fromkeys(
-            r for r in refs if r not in self._index_cache
-        ))
-        if missing:
-            self._index_cache.update(
-                zip(missing, self._compute_indices(missing).tolist())
-            )
 
     def _owner_of_index(self, index: int) -> NodeId:
         slot = bisect.bisect_right(self._bounds, index) - 1
@@ -127,59 +105,31 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         return self._range_nodes[slot]
 
     # ------------------------------------------------------------------
+    def _derive(self, split):
+        """The curve position column of the batch's first-time chunks,
+        from the batch's key rows."""
+        keys = split_keys(split, self._curve.ndim)
+        return {"position": self._positions(keys, split.refs[split.first])}
+
     def _place_split(self, split):
         """Vectorized batch placement: one searchsorted for all refs.
 
-        Curve indices for the batch's new refs are computed with the
-        numpy Hilbert transform in one call (batch-filling the index
-        cache), then every ref's owning range is found with a single
-        ``np.searchsorted`` over the boundary table instead of a per-ref
-        ``bisect``.
+        Every new chunk's owning range is found from its position
+        (:meth:`_derive`) with a single ``np.searchsorted`` over the
+        boundary table instead of a per-ref ``bisect``.
         """
-        commit_nodes: List[NodeId] = []
-        if len(split.first):
-            unknown = split.new_refs()
-            cache = self._index_cache
-            if cache:
-                # prepare_batch (or earlier batches) warmed the cache:
-                # only compute what is actually missing.
-                self._fill_index_cache(unknown)
-                values = [cache[r] for r in unknown]
-                try:
-                    idx_arr = np.asarray(values, dtype=np.int64)
-                except OverflowError:
-                    idx_arr = np.array(values, dtype=object)
-            else:
-                # Cold cache: one direct vectorized pass, then batch-fill
-                # the cache (scale-out median splits read the same
-                # positions later).
-                idx_arr = self._compute_indices(unknown)
-                cache.update(zip(unknown, idx_arr.tolist()))
-            try:
-                if idx_arr.dtype == object:
-                    raise OverflowError
-                bounds = np.asarray(self._bounds, dtype=np.int64)
-            except OverflowError:
-                # Positions beyond int64 (gigantic overflow epochs):
-                # bisect per ref on exact Python ints.
-                commit_nodes = [
-                    self._owner_of_index(i) for i in idx_arr.tolist()
-                ]
-            else:
-                slots = np.searchsorted(
-                    bounds, idx_arr, side="right"
-                ) - 1
-                np.clip(slots, 0, None, out=slots)
-                commit_nodes = np.asarray(
-                    self._range_nodes, dtype=np.int64
-                )[slots]
-        return commit_nodes
-
-    def _forget(self, ref, size_bytes, node) -> None:
-        self._index_cache.pop(ref, None)
+        idx_arr = split.columns["position"]
+        if idx_arr.dtype == object or self._bounds[-1] >= 2**63:
+            # Positions beyond int64 (gigantic overflow epochs): bisect
+            # per ref on exact Python ints (the bounds ascend).
+            return [self._owner_of_index(i) for i in idx_arr.tolist()]
+        bounds = np.asarray(self._bounds, dtype=np.int64)
+        slots = np.searchsorted(bounds, idx_arr, side="right") - 1
+        np.clip(slots, 0, None, out=slots)
+        return np.asarray(self._range_nodes, dtype=np.int64)[slots]
 
     # ------------------------------------------------------------------
-    def prepare_batch(self, refs, sizes) -> None:
+    def prepare_batch(self, refs, sizes, keys=None) -> None:
         """Fit the initial range bounds to the first observed batch.
 
         An even division of the enclosing cube's index space can leave
@@ -196,16 +146,13 @@ class HilbertCurvePartitioner(ElasticPartitioner):
         refs = list(refs)
         if len(refs) < 2:
             return
-        # Index the whole batch with the vectorized curve transform (this
-        # also pre-warms the cache for the placement that follows), then
-        # find the byte medians with a sort + cumulative sum instead of a
-        # per-item Python loop.
-        self._fill_index_cache(refs)
-        indices = list(map(self._index_cache.__getitem__, refs))
-        try:
-            idx = np.asarray(indices, dtype=np.int64)
-        except OverflowError:
-            idx = np.array(indices, dtype=object)
+        # Index the whole batch with the vectorized curve transform,
+        # then find the byte medians with a sort + cumulative sum instead
+        # of a per-item Python loop.
+        ndim = self._curve.ndim
+        if keys is None or keys.shape[1] != ndim:
+            keys = grid_keys(refs, ndim)
+        idx = self._positions(keys, refs)
         sizes = np.asarray(sizes, dtype=np.float64)
         order = np.argsort(idx, kind="stable")
         idx_sorted = idx[order]
@@ -246,14 +193,9 @@ class HilbertCurvePartitioner(ElasticPartitioner):
             return RebalancePlan.empty()
 
         # Donor chunks in (curve position, array, key) order: a stable
-        # sort of the (array, key)-ordered ids on position.
-        refs = led.refs_at(ids).tolist()
-        self._fill_index_cache(refs)
-        positions = list(map(self._index_cache.__getitem__, refs))
-        try:
-            pos = np.asarray(positions, dtype=np.int64)
-        except OverflowError:  # positions beyond int64: exact ints
-            pos = np.array(positions, dtype=object)
+        # sort of the (array, key)-ordered ids on position (exact ints
+        # in an object column beyond int64).
+        pos = led.column_at("position", ids)
         order = np.argsort(pos, kind="stable")
         ids, pos = ids[order], pos[order]
         # Byte prefix sums come from one ledger column gather instead of
@@ -336,13 +278,13 @@ class HilbertCurvePartitioner(ElasticPartitioner):
             if slot + 1 < len(self._bounds)
             else None
         )
-        donor_chunks = self.chunks_on(donor)
-        if donor_chunks:
-            top = max(self.curve_index(r) for r in donor_chunks) + 1
+        ids = self._ledger.ids_on(donor)
+        if len(ids):
+            top = max(self._ledger.column_at("position", ids).tolist()) + 1
         else:
             top = self._bounds[slot] + 1
         if end is not None and top >= end:
-            if not donor_chunks:
+            if not len(ids):
                 self._range_nodes[slot] = new_node
             return
         self._bounds.insert(slot + 1, top)

@@ -25,7 +25,7 @@ from repro.core.base import (
     ElasticPartitioner,
     NodeId,
     RebalancePlan,
-    grid_keys,
+    split_keys,
 )
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 from repro.errors import PartitioningError, require_index
@@ -173,10 +173,9 @@ class KdTreePartitioner(ElasticPartitioner):
     def _place_split(self, split):
         """Vectorized batch placement via :meth:`locate_keys`; per-ref
         scalar descent when a key coordinate does not fit int64."""
-        unknown = split.new_refs()
-        keys = grid_keys(unknown, self.grid.ndim)
+        keys = split_keys(split, self.grid.ndim)
         if keys is None:
-            return [self.locate_key(r.key) for r in unknown]
+            return [self.locate_key(r.key) for r in split.new_refs()]
         return self.locate_keys(keys)
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:

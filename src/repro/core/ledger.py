@@ -1,52 +1,63 @@
-"""The chunk table: the one ``ChunkRef -> id`` intern table of a cluster.
+"""The chunk table: every per-chunk fact of a cluster, one row per id.
 
-The table answers "which node holds this chunk and how big is it" and
-maintains the per-node byte loads plus the running total.
 :class:`ArrayChunkLedger` interns every :class:`ChunkRef` to a dense
-integer id and keeps every per-chunk fact once, in parallel numpy
-columns.  Batch commits, merges, and rebalance reads then become vector
-operations over those columns instead of per-ref dict traffic through
-Python-level ``__hash__``.
+integer id and keeps each per-chunk fact once, in parallel numpy
+columns — its own (ref, bytes, owner, array, key, payload handle,
+extent) and the scheme columns a partitioner derives (a curve position,
+a stable hash, an arrival ordinal) — plus the per-node byte loads and
+the running total.  Commits, merges, removals and rebalance reads are
+column operations, not per-ref dict traffic through ``__hash__``.
 
-The partitioner creates the table (partitioners also run without a
-cluster); in a cluster the chunk catalog
+Interning reads the batch's key rows: the table keeps its live ids
+sorted by the position key of their ``(key, array code)`` rows
+(:func:`repro.arrays.coords.position_keys`, the packing widened on
+demand), so one ``searchsorted`` finds a batch's known chunks and one
+sort its duplicates.  Keys of mixed arity or beyond int64 take the
+exact path (``_keys_ok`` is ``False``): the index sorts ``(key tuple,
+array code)`` pairs instead.
+
+The partitioner creates the table; in a cluster the chunk catalog
 (:class:`repro.core.catalog.ChunkCatalog`) publishes into the same
 object, writing its handle and extent columns (``docs/invariants.md``,
-"The chunk id lifecycle").
-
-Its specification is the dict-of-refs ledger in
-``tests/oracles/ledger.py``: ``tests/test_ledger.py`` drives both
-through identical op sequences on every registered scheme.
+"The chunk id lifecycle").  Its specification is the dict-of-refs ledger
+in ``tests/oracles/ledger.py`` (``tests/test_ledger.py``,
+``tests/test_scheme_columns.py``).
 
 Compaction
 ----------
-Removed chunks leave their dense ids on a free list; under insert/expire
-churn the columns therefore hold more slots than live chunks.
-:meth:`ArrayChunkLedger.compact` re-interns the live refs into fresh,
-exactly-sized columns once the dead-slot ratio crosses a configurable
-threshold, bounding index memory over long churn-heavy runs.  A
+Removed ids go on a free list, so under insert/expire churn the columns
+hold more slots than live chunks.  :meth:`ArrayChunkLedger.compact`
+gathers the live rows of every column, scheme columns included, into
+exactly-sized ones once the dead-slot ratio crosses a threshold; a
 published table compacts through its catalog
-(:meth:`repro.core.catalog.ChunkCatalog.compact`); the cluster triggers
-it from its reorganization cycle (``tests/test_ledger_compaction.py``).
+(:meth:`repro.core.catalog.ChunkCatalog.compact`), which the cluster
+triggers from its reorganization cycle (``tests/test_ledger_compaction.py``).
 
 Float semantics
 ---------------
-Per-chunk sizes are stored and merged in batch order, so they stay
-bit-identical to the dict reference.  Per-node loads and the running
-total accumulate the same bytes but may reassociate the additions
-(vectorized reductions), so they agree only up to float ulps — the same
-contract `place_batch` already documents.
+Every write runs in batch order: a commit adds its first-time sizes,
+then its merges; a removal subtracts in batch order; a relocation moves
+bytes in call order — bit for bit the dict reference fed the same
+batches.  Against one-chunk-at-a-time placement, a batch interleaving
+merges with first-time chunks may reassociate the additions, so loads
+and the total agree up to float ulps (the ``place_batch`` contract).
 """
 
 from __future__ import annotations
 
 import weakref
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, attrgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
+from repro.arrays.coords import (
+    distinct, joint_packing, packing_admits, position_keys, row_packing,
+)
+from repro.core.hashing import hash_chunk_ref, hash_chunk_rows
 from repro.errors import PartitioningError
 
 NodeId = int
@@ -66,16 +77,58 @@ def resize_column(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
     return out
 
 
-def array_codes(refs: np.ndarray) -> Tuple[List[str], np.ndarray]:
-    """The distinct arrays of ``refs`` in first-seen order, and each
-    ref's index into them (C-level ``map`` passes, no Python frame per
-    ref)."""
-    names = list(map(attrgetter("array"), refs.tolist()))
-    index = {a: i for i, a in enumerate(dict.fromkeys(names))}
-    codes = np.fromiter(
-        map(index.__getitem__, names), dtype=np.int64, count=len(names)
-    )
-    return list(index), codes
+def key_rows(refs: np.ndarray, width: Optional[int]) -> Optional[np.ndarray]:
+    """The ``(n, width)`` int64 key rows of ``refs`` (any one width when
+    ``width`` is ``None``); ``None`` for another or mixed arities, empty
+    keys or a coordinate beyond int64."""
+    try:
+        keys = np.array(list(map(attrgetter("key"), refs)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    ok = keys.ndim == 2 and keys.shape[1] and width in (None, keys.shape[1])
+    return keys if ok else None
+
+
+def key_tuples(refs: np.ndarray) -> np.ndarray:
+    """The keys of ``refs`` as an object column of exact-int tuples."""
+    return np.fromiter(map(attrgetter("key"), refs), object, len(refs))
+
+
+@dataclass(eq=False)
+class BatchSplit:
+    """An insert batch split into first-time placements and merges:
+    the items (``refs``, ``sizes``, ``keys`` rows or ``None``), each
+    item's first position in the batch (``origin``) and whether it was
+    placed before (``known``, with ``found`` the table ids of those
+    items); ``first`` holds the first positions of unknown refs,
+    ``merges`` every other position, both ascending.  ``arrays`` is each
+    item's array code in the table that split it (``names`` its array
+    names by code); ``columns`` the scheme columns of the ``first``
+    items, which the commit writes."""
+
+    refs: np.ndarray
+    sizes: np.ndarray
+    keys: Optional[np.ndarray]
+    origin: np.ndarray
+    known: np.ndarray
+    first: np.ndarray
+    merges: np.ndarray
+    found: np.ndarray
+    arrays: np.ndarray
+    names: List[str]
+    columns: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def new_refs(self) -> List[ChunkRef]:
+        """The first-time refs, in batch order."""
+        return self.refs[self.first].tolist()
+
+    def new_hashes(self) -> np.ndarray:
+        """The first-time chunks' stable hashes, from their key rows
+        (:func:`~repro.core.hashing.hash_chunk_rows`)."""
+        if self.keys is None:  # ragged keys: one ref at a time
+            return np.fromiter(map(hash_chunk_ref, self.new_refs()), np.uint64)
+        first = self.first
+        return hash_chunk_rows(self.names, self.arrays[first], self.keys[first])
 
 
 class ArrayChunkLedger:
@@ -83,11 +136,12 @@ class ArrayChunkLedger:
 
     Every first-time ref is interned to a dense integer id; the id
     indexes the ``_refs``, ``_size`` (float64 bytes), ``_node`` (int64
-    owner), ``_chunks`` (payload handle, ``None`` while unpublished),
-    ``_extent`` (``(arena number, lo, hi)`` rows) and — when every ref
-    shares one key arity — ``_key`` (int64 chunk coordinates) columns.
-    Removed ids go on a free list and are reused by later placements,
-    so the columns stay dense under churn.
+    owner), ``_arr`` (array code), ``_chunks`` (payload handle, ``None``
+    while unpublished), ``_extent`` (``(arena number, lo, hi)`` rows),
+    — when every ref shares one key arity — ``_key`` (int64 chunk
+    coordinates) and the scheme columns (``_extra``, read with
+    :meth:`column_at`).  Removed ids go on a free list and are reused by
+    later placements, so the columns stay dense under churn.
 
     Node ids are likewise interned to dense slots (the ``_load``
     column); the ``_node`` column stores the *slot*, not the raw node
@@ -101,18 +155,24 @@ class ArrayChunkLedger:
     """
 
     _INITIAL_CAPACITY = 64
+    #: The table's own columns: name, the value of a free slot, dtype.
+    _COLUMNS = (("_refs", None, object), ("_size", 0.0, np.float64),
+                ("_node", -1, np.int64), ("_arr", -1, np.int64),
+                ("_chunks", None, object), ("_extent", NO_EXTENT, np.int64))
 
     def __init__(self, nodes: Sequence[NodeId]) -> None:
         cap = self._INITIAL_CAPACITY
-        self._id_of: Dict[ChunkRef, int] = {}
-        self._refs = np.empty(cap, dtype=object)
-        self._size = np.zeros(cap, dtype=np.float64)
-        self._node = np.full(cap, -1, dtype=np.int64)
-        self._chunks = np.full(cap, None, dtype=object)
-        self._extent = np.full((cap, 3), NO_EXTENT, dtype=np.int64)
+        for name, fill, dtype in self._COLUMNS:
+            setattr(self, name, np.full((cap,) + np.shape(fill), fill, dtype))
         self._key: Optional[np.ndarray] = None  # (cap, ndim) int64
         self._key_width: Optional[int] = None
         self._keys_ok = True
+        self._extra: Dict[str, np.ndarray] = {}  # scheme columns, free = 0
+        self._array_code: Dict[str, int] = {}  # in code order
+        # The key index: live ids sorted by their index keys (_encode).
+        self._index = np.empty(0, dtype=np.int64)
+        self._index_keys = np.empty(0, dtype=np.int64)
+        self._packing = None
         self._free: List[int] = []
         self._hwm = 0  # high-water mark of allocated ids
         self._total = 0.0
@@ -128,18 +188,18 @@ class ArrayChunkLedger:
         self._publisher: Optional[weakref.ref] = None
 
     # -- capacity ------------------------------------------------------
-    def _grow(self, need: int) -> None:
-        cap = len(self._size)
-        if need <= cap:
-            return
-        new_cap = max(need, cap * 2)
-        self._refs = resize_column(self._refs, new_cap, None)
-        self._size = resize_column(self._size, new_cap, 0.0)
-        self._node = resize_column(self._node, new_cap, -1)
-        self._chunks = resize_column(self._chunks, new_cap, None)
-        self._extent = resize_column(self._extent, new_cap, NO_EXTENT)
+    def _resize(self, capacity: int, ids: Optional[np.ndarray] = None) -> None:
+        """Every per-id column at ``capacity`` rows, holding its whole
+        old column (growth) or the rows of ``ids`` first (compaction)."""
+        def sized(column, fill):
+            rows = column if ids is None else column[ids]
+            return resize_column(rows, capacity, fill)
+
+        for name, fill, _ in self._COLUMNS:
+            setattr(self, name, sized(getattr(self, name), fill))
         if self._key is not None:
-            self._key = resize_column(self._key, new_cap, 0)
+            self._key = sized(self._key, 0)
+        self._extra = {n: sized(c, 0) for n, c in self._extra.items()}
 
     def _alloc(self, count: int) -> np.ndarray:
         """Allocate ``count`` ids: free-list first, then fresh slots."""
@@ -150,40 +210,111 @@ class ArrayChunkLedger:
             del self._free[len(self._free) - reuse:]
         fresh = count - reuse
         if fresh:
-            self._grow(self._hwm + fresh)
+            if self._hwm + fresh > len(self._size):
+                self._resize(max(self._hwm + fresh, 2 * len(self._size)))
             ids[reuse:] = np.arange(
                 self._hwm, self._hwm + fresh, dtype=np.int64
             )
             self._hwm += fresh
         return ids
 
-    def _store_keys(self, ids: np.ndarray, refs: Sequence[ChunkRef],
-                    keys: Optional[np.ndarray] = None) -> None:
-        """Fill the key-coordinate column for freshly interned refs
-        (from their ``(n, ndim)`` key rows when the caller has them)."""
-        if not self._keys_ok:
-            return
-        try:
-            if keys is None:
-                keys = np.array([r.key for r in refs], dtype=np.int64)
-        except (ValueError, OverflowError):
-            # Mixed arities or beyond-int64 coordinates: the coordinate
-            # column cannot represent this workload; disable it (bulk
-            # key reads then fall back to per-ref tuples).
-            self._keys_ok = False
-            self._key = None
-            return
-        width = keys.shape[1] if keys.ndim == 2 else 1
-        if self._key_width is None:
-            self._key_width = width
-            self._key = np.zeros(
-                (len(self._size), width), dtype=np.int64
+    # -- interning -----------------------------------------------------
+    def _array_codes(self, refs, arrays=None) -> np.ndarray:
+        """Each ref's array code (a new array gets the next one), from
+        the batch's ``(names, codes)`` columns when the caller has them,
+        else read off the refs (C-level ``map`` passes)."""
+        if arrays is None:
+            names = list(map(attrgetter("array"), refs))
+            index = {a: i for i, a in enumerate(dict.fromkeys(names))}
+            local = map(index.__getitem__, names)
+            arrays = list(index), np.fromiter(local, np.int64, len(names))
+        names, local = arrays
+        code = self._array_code
+        codes = [code.setdefault(a, len(code)) for a in names]
+        return np.array(codes, dtype=np.int64)[local]
+
+    def _to_exact(self) -> None:
+        """Take the exact path: the index re-keyed by key tuples, and no
+        key column."""
+        ids = self._index
+        self._index_keys = self._encode(
+            self._arr[ids], key_tuples(self._refs[ids])
+        )
+        self._keys_ok = False
+        self._key = None
+
+    def _encode(self, arrays: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Index keys of items: position keys of their ``(key, array
+        code)`` rows under the index's packing, which is widened (the
+        index re-encoded) when the rows fall outside it; on the exact
+        path ``(key tuple, array code)`` pairs.  The array code comes
+        last, so a growing first (time) dimension stays admitted."""
+        if keys.dtype == object:
+            return np.fromiter(zip(keys, arrays.tolist()), object, len(keys))
+        rows = np.column_stack([keys, arrays])
+        if not len(self._index):
+            self._packing = row_packing(rows)
+            self._index_keys = position_keys(rows[:0], self._packing)
+        elif not packing_admits(rows, self._packing):
+            held = np.column_stack(
+                [self._key[self._index], self._arr[self._index]]
             )
-        elif width != self._key_width:
-            self._keys_ok = False
-            self._key = None
-            return
-        self._key[ids] = keys.reshape(len(refs), width)
+            self._packing = joint_packing(held, rows)
+            self._index_keys = position_keys(held, self._packing)
+        return position_keys(rows, self._packing)
+
+    def _probe(self, q: np.ndarray) -> np.ndarray:
+        """Each index key's live id, -1 when not interned."""
+        if not len(self._index):
+            return np.full(len(q), -1, dtype=np.int64)
+        pos = np.searchsorted(self._index_keys, q)
+        np.minimum(pos, len(self._index) - 1, out=pos)
+        return np.where(self._index_keys[pos] == q, self._index[pos], -1)
+
+    def lookup(self, refs: Sequence[ChunkRef]) -> np.ndarray:
+        """Each ref's live id, -1 when it is not interned."""
+        n = len(refs)
+        column = np.fromiter(refs, dtype=object, count=n)
+        keys = (key_rows(column, self._key_width) if self._keys_ok
+                else key_tuples(column))
+        if keys is None and n > 1:  # one ragged or huge key among many
+            return np.concatenate([self.lookup([r]) for r in refs])
+        if keys is None:  # a key the table cannot hold
+            return np.full(n, -1, dtype=np.int64)
+        return self._probe(
+            self._encode(self._array_codes(column), keys)
+        )
+
+    def split_batch(
+        self, refs: np.ndarray, sizes: np.ndarray,
+        keys: Optional[np.ndarray] = None, arrays=None,
+    ) -> BatchSplit:
+        """Split a ref column into first-time placements and merges.
+
+        ``keys`` (key rows) and ``arrays`` (``(names, codes)``) are the
+        batch's columns when the caller has them (read from the refs
+        otherwise).  Registers the batch's arrays but interns nothing:
+        :meth:`commit_batch` does.
+        """
+        n = len(refs)
+        arrays = self._array_codes(refs, arrays)
+        if self._keys_ok and n:
+            if keys is None:
+                keys = key_rows(refs, self._key_width)
+            if keys is None or self._key_width not in (None, keys.shape[1]):
+                self._to_exact()
+        exact = not self._keys_ok or keys is None
+        q = self._encode(arrays, key_tuples(refs) if exact else keys)
+        ids = self._probe(q)
+        _, head, group = np.unique(q, return_index=True, return_inverse=True)
+        origin = head[group]
+        known = ids >= 0
+        first = (origin == np.arange(n)) & ~known
+        return BatchSplit(
+            refs, sizes, keys, origin, known, np.flatnonzero(first),
+            np.flatnonzero(~first), ids[known], arrays,
+            list(self._array_code),
+        )
 
     # -- nodes ---------------------------------------------------------
     def add_node(self, node: NodeId) -> None:
@@ -220,30 +351,20 @@ class ArrayChunkLedger:
     # -- reads ---------------------------------------------------------
     def contains(self, ref: ChunkRef) -> bool:
         """Whether ``ref`` is currently interned (placed)."""
-        return ref in self._id_of
-
-    def contains_many(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """:meth:`contains` of many refs, as a bool column (one C pass)."""
-        found = map(self._id_of.__contains__, refs)
-        return np.fromiter(found, dtype=bool, count=len(refs))
-
-    def get_node(self, ref: ChunkRef) -> Optional[NodeId]:
-        """Node holding ``ref``, or ``None`` when never placed."""
-        i = self._id_of.get(ref)
-        return None if i is None else self._node_list[self._node[i]]
+        return bool(self.lookup([ref])[0] >= 0)
 
     def node_of(self, ref: ChunkRef) -> NodeId:
         """Node holding ``ref`` (KeyError when never placed)."""
-        return self._node_list[self._node[self._id_of[ref]]]
+        return self._node_list[self._node[self.ids_of([ref])[0]]]
 
     def size_of(self, ref: ChunkRef) -> float:
         """Recorded bytes of ``ref`` (KeyError when never placed)."""
-        return float(self._size[self._id_of[ref]])
+        return float(self._size[self.ids_of([ref])[0]])
 
     @property
     def chunk_count(self) -> int:
         """Number of live chunks."""
-        return len(self._id_of)
+        return self._hwm - len(self._free)
 
     @property
     def total_bytes(self) -> float:
@@ -252,16 +373,17 @@ class ArrayChunkLedger:
 
     def assignment(self) -> Dict[ChunkRef, NodeId]:
         """A copy of the full chunk → node map."""
-        node = self._node
-        node_list = self._node_list
-        return {r: node_list[node[i]] for r, i in self._id_of.items()}
+        live = self.live_ids()
+        return dict(zip(self._refs[live].tolist(), self.owners(live).tolist()))
 
     def ids_of(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """Dense ids of many interned refs (KeyError on an unknown one)."""
-        return np.fromiter(
-            map(self._id_of.__getitem__, refs), dtype=np.int64,
-            count=len(refs),
-        )
+        """Dense ids of many interned refs (KeyError naming the first
+        unknown one)."""
+        ids = self.lookup(refs)
+        missing = ids < 0
+        if missing.any():
+            raise KeyError(refs[int(np.argmax(missing))])
+        return ids
 
     def owners(self, ids: np.ndarray) -> np.ndarray:
         """Owner node ids of many live ids (one gather)."""
@@ -273,11 +395,28 @@ class ArrayChunkLedger:
 
     def keys_of(self, ids: np.ndarray) -> np.ndarray:
         """Chunk keys of many live ids as ``(n, ndim)`` int64 rows."""
-        if self._keys_ok and self._key is not None:
+        if self._key is not None:
             return self._key[ids]
         return np.array(
             [r.key for r in self._refs[ids].tolist()], dtype=np.int64
         )
+
+    def array_ids(self, name: str) -> np.ndarray:
+        """The live ids of array ``name`` in key order (its slice of the
+        key index)."""
+        ids = self._index
+        return ids[self._arr[ids] == self._array_code.get(name, -1)]
+
+    def column_at(self, name: str, ids: np.ndarray) -> np.ndarray:
+        """A scheme column's values at many live ids (one gather; a
+        column no chunk has written yet reads as empty int64)."""
+        return self._extra.get(name, np.empty(0, np.int64))[ids]
+
+    def arrays_at(self, ids: np.ndarray) -> Tuple[List[str], np.ndarray]:
+        """The distinct arrays of ``ids`` and each id's index into them."""
+        uniq, codes = np.unique(self._arr[ids], return_inverse=True)
+        names = list(self._array_code)
+        return [names[c] for c in uniq.tolist()], codes
 
     def live_ids(self) -> np.ndarray:
         """Every interned id, ascending (a vector scan of the owners)."""
@@ -302,8 +441,8 @@ class ArrayChunkLedger:
         over the array ranks and key columns; without a key column
         (mixed arities, beyond-int64 coordinates) the refs sort as tuples.
         """
-        refs = self._refs[ids]
-        if not (self._keys_ok and self._key is not None):
+        if self._key is None:
+            refs = self._refs[ids]
             return np.array(
                 sorted(
                     range(len(ids)),
@@ -311,31 +450,43 @@ class ArrayChunkLedger:
                 ),
                 dtype=np.int64,
             )
-        arrays, codes = array_codes(refs)
-        rank = np.argsort(np.argsort(np.array(arrays)))
-        return np.lexsort((*self._key[ids][:, ::-1].T, rank[codes]))
+        rank = np.argsort(np.argsort(np.array(list(self._array_code))))
+        return np.lexsort((*self._key[ids][:, ::-1].T, rank[self._arr[ids]]))
 
     # -- mutation ------------------------------------------------------
     def remove(self, ref: ChunkRef) -> Tuple[NodeId, float]:
-        """Drop a chunk; its id joins the free list for reuse."""
-        i = self._id_of.pop(ref)
-        slot = int(self._node[i])
-        size = float(self._size[i])
-        self._node[i] = -1
-        self._size[i] = 0.0
-        self._refs[i] = None
-        self._chunks[i] = None
-        self._extent[i] = NO_EXTENT
-        self._free.append(i)
-        self._load[slot] -= size
-        self._count[slot] -= 1
-        self._total -= size
+        """Drop one chunk (:meth:`remove_ids` of its id)."""
+        owners, sizes = self.remove_ids(self.ids_of([ref]))
+        return int(owners[0]), float(sizes[0])
+
+    def remove_ids(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Drop live ids (each at most once); they join the free list.
+
+        One pass: loads and the total subtract the sizes in batch order
+        (bit-identical to removing one chunk at a time), every column
+        frees the ids in one write, the key index drops them.
+        Returns the owners and sizes the ids held.
+        """
+        if len(distinct(ids)) < len(ids):
+            raise PartitioningError("a chunk removed twice in one call")
+        owners = self.owners(ids)
+        slots, sizes = self._node[ids], self._size[ids]
+        np.subtract.at(self._load, slots, sizes)
+        self._count -= np.bincount(slots, minlength=len(self._count))
         # What holds no chunk holds exactly 0.0, not the float residue.
-        if not self._count[slot]:
-            self._load[slot] = 0.0
-        if not self._id_of:
+        self._load[self._count == 0] = 0.0
+        self._total = reduce(sub, sizes.tolist(), self._total)
+        keep = ~np.isin(self._index, ids)
+        self._index = self._index[keep]
+        self._index_keys = self._index_keys[keep]
+        for name, fill, _ in self._COLUMNS:
+            getattr(self, name)[ids] = fill
+        for column in self._extra.values():
+            column[ids] = 0
+        self._free.extend(ids.tolist())
+        if not self.chunk_count:
             self._total = 0.0
-        return self._node_list[slot], size
+        return owners, sizes
 
     def relocate_many(self, ids: np.ndarray, dests: np.ndarray) -> None:
         """Reassign live ids (each at most once) to ``dests``.
@@ -344,7 +495,7 @@ class ArrayChunkLedger:
         -size), (dest, +size)`` pairs in call order: the additions of one
         reassignment per chunk, so the loads come out bit-identical.
         """
-        if len(np.unique(ids)) < len(ids):
+        if len(distinct(ids)) < len(ids):
             raise PartitioningError("a chunk relocated twice in one call")
         src_slots, dst_slots = self._node[ids], self._slots_of(dests)
         sizes = self._size[ids]
@@ -359,44 +510,67 @@ class ArrayChunkLedger:
         self._node[ids] = dst_slots
         self._load[self._count == 0] = 0.0  # emptied sources, as remove
 
-    def commit_batch(self, split, nodes: np.ndarray) -> np.ndarray:
-        """Apply a :class:`~repro.core.base.BatchSplit` (``nodes``: one
-        per first-time item) with vectorized column writes.
+    def commit_batch(self, split: BatchSplit, nodes: np.ndarray) -> np.ndarray:
+        """Apply a :class:`BatchSplit` (``nodes``: one per first-time
+        item) with vectorized column writes.
 
-        First-time items land as fancy-index writes plus one
-        ``np.add.at`` into the loads; merges take their ref's id (a
-        known one's, or their first occurrence's) and accumulate
-        sizes/loads with unbuffered adds in batch order, so per-chunk
-        sizes stay bit-identical to sequential placement.  Returns each
-        item's id.
+        First-time items land as fancy-index writes (their scheme
+        columns from ``split.columns``) plus one ``np.add.at`` into the
+        loads; merges take their ref's id (a known one's, or their first
+        occurrence's) and accumulate sizes/loads with unbuffered adds in
+        batch order, so per-chunk sizes stay bit-identical to sequential
+        placement.  Returns each item's id.
         """
         first, merges = split.first, split.merges
         ids = np.full(len(split.refs), -1, dtype=np.int64)
+        ids[split.known] = split.found
         total_delta = 0.0
         if len(first):
-            refs = split.refs[first]
             sizes = split.sizes[first]
             slots = self._slots_of(nodes)  # validates node ids
             new = ids[first] = self._alloc(len(first))
-            self._refs[new] = refs
+            self._refs[new] = split.refs[first]
             self._size[new] = sizes
             self._node[new] = slots
-            keys = split.keys
-            self._store_keys(new, refs, None if keys is None else keys[first])
-            self._id_of.update(zip(refs.tolist(), new.tolist()))
+            self._arr[new] = split.arrays[first]
+            for name, values in split.columns.items():
+                column = self._extra.get(name)
+                if column is None:
+                    column = np.zeros(len(self._size), values.dtype)
+                if values.dtype == object:  # positions beyond int64
+                    column = column.astype(object)
+                column[new] = values
+                self._extra[name] = column
+            self._intern(split, new)
             np.add.at(self._load, slots, sizes)
             self._count += np.bincount(slots, minlength=len(self._count))
-            total_delta += float(sizes.sum())
+            total_delta = reduce(add, sizes.tolist(), total_delta)
         if len(merges):
-            known = np.flatnonzero(split.known)
-            ids[known] = self.ids_of(split.refs[known].tolist())
             ids = ids[split.origin]  # duplicates share their first's id
             mids, msizes = ids[merges], split.sizes[merges]
             np.add.at(self._size, mids, msizes)
             np.add.at(self._load, self._node[mids], msizes)
-            total_delta += float(msizes.sum())
+            total_delta = reduce(add, msizes.tolist(), total_delta)
         self._total += total_delta
         return ids
+
+    def _intern(self, split: BatchSplit, new: np.ndarray) -> None:
+        """Record freshly allocated ids: the key column and the index."""
+        first = split.first
+        if not self._keys_ok:
+            keys = key_tuples(split.refs[first])
+        else:
+            keys = split.keys[first]
+            if self._key is None:
+                self._key_width = keys.shape[1]
+                self._key = np.zeros((len(self._size), keys.shape[1]),
+                                     dtype=np.int64)
+            self._key[new] = keys
+        q = self._encode(split.arrays[first], keys)
+        order = np.argsort(q, kind="stable")
+        at = np.searchsorted(self._index_keys, q[order])
+        self._index_keys = np.insert(self._index_keys, at, q[order])
+        self._index = np.insert(self._index, at, new[order])
 
     # -- compaction ----------------------------------------------------
     @property
@@ -404,9 +578,9 @@ class ArrayChunkLedger:
         """Allocated per-chunk column slots (live + dead + headroom).
 
         This is what the table's memory actually costs: every parallel
-        column (`refs`, bytes, owner slot, handle, extent, key
-        coordinates) holds this many entries regardless of how many are
-        alive.
+        column (`refs`, bytes, owner slot, array, handle, extent, key
+        coordinates, scheme columns) holds this many entries regardless
+        of how many are alive.
         """
         return len(self._size)
 
@@ -420,7 +594,7 @@ class ArrayChunkLedger:
         down.
         """
         cap = len(self._size)
-        return 1.0 - len(self._id_of) / cap if cap else 0.0
+        return 1.0 - self.chunk_count / cap if cap else 0.0
 
     @property
     def publisher(self):
@@ -437,10 +611,10 @@ class ArrayChunkLedger:
         Drops every free-list slot and the unused capacity tail: live
         entries are gathered (in id order, so relative recency is
         preserved) into fresh columns sized ``max(live, initial
-        capacity)``, and the ref → id interning is rebuilt to match.
-        Observable state — assignment, sizes, key coordinates, per-node
-        loads, the running total — is unchanged (property-checked by
-        ``tests/test_ledger_compaction.py``).
+        capacity)``, and the key index is remapped to match.
+        Observable state — assignment, sizes, key coordinates, scheme
+        columns, per-node loads, the running total — is unchanged
+        (property-checked by ``tests/test_ledger_compaction.py``).
 
         A published table compacts through its catalog
         (:meth:`repro.core.catalog.ChunkCatalog.compact`), so the
@@ -483,24 +657,15 @@ class ArrayChunkLedger:
                 f"{min_dead_fraction!r}"
             )
         cap = len(self._size)
-        live = len(self._id_of)
+        live = self.chunk_count
         if cap == 0 or self.dead_slot_fraction < min_dead_fraction:
             return None
         new_cap = max(self._INITIAL_CAPACITY, live)
         if not self._free and cap <= new_cap:
             return None  # already dense: nothing to reclaim
-        ids = np.fromiter(
-            self._id_of.values(), dtype=np.int64, count=live
-        )
-        ids.sort()
-        self._refs = resize_column(self._refs[ids], new_cap, None)
-        self._size = resize_column(self._size[ids], new_cap, 0.0)
-        self._node = resize_column(self._node[ids], new_cap, -1)
-        self._chunks = resize_column(self._chunks[ids], new_cap, None)
-        self._extent = resize_column(self._extent[ids], new_cap, NO_EXTENT)
-        if self._key is not None:
-            self._key = resize_column(self._key[ids], new_cap, 0)
-        self._id_of = dict(zip(self._refs[:live].tolist(), range(live)))
+        ids = self.live_ids()
+        self._resize(new_cap, ids)
+        self._index = np.searchsorted(ids, self._index)
         self._free = []
         self._hwm = live
         return ids

@@ -10,11 +10,10 @@ never bytes).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkRef
 from repro.core.base import ElasticPartitioner, NodeId, RebalancePlan
 from repro.core.traits import PAPER_TAXONOMY, PartitionerTraits
 
@@ -28,43 +27,31 @@ class RoundRobinPartitioner(ElasticPartitioner):
     def __init__(self, nodes: Sequence[NodeId]) -> None:
         super().__init__(nodes)
         self._counter = 0
-        self._ordinal: Dict[ChunkRef, int] = {}
+
+    def _derive(self, split):
+        """Arrival ordinals of the batch's new refs, assigned
+        arithmetically (duplicates merge, consuming no ordinal); after
+        a restart, in adoption order."""
+        counter = self._counter
+        self._counter = counter + len(split.first)
+        return {"ordinal": np.arange(counter, self._counter, dtype=np.int64)}
 
     def _place_split(self, split):
-        """Amortized batch placement: arrival ordinals of the batch's
-        new refs are assigned arithmetically in one bulk update
-        (duplicates merge, consuming no ordinal)."""
-        counter, n_new = self._counter, len(split.first)
-        self._ordinal.update(
-            zip(split.new_refs(), range(counter, counter + n_new))
-        )
-        self._counter = counter + n_new
-        ordinals = np.arange(counter, counter + n_new) % len(self._nodes)
+        """Amortized batch placement: chunk ``i`` to node ``i mod k``."""
+        ordinals = split.columns["ordinal"] % len(self._nodes)
         return np.asarray(self._nodes, dtype=np.int64)[ordinals]
-
-    def _forget(self, ref, size_bytes, node) -> None:
-        self._ordinal.pop(ref, None)
-
-    def _adopt_batch(self, entries) -> None:
-        # Arrival order is not persisted; re-assign ordinals in the
-        # (deterministic) adoption order so post-recovery scale-outs
-        # reshuffle every adopted chunk consistently.
-        for ref, _size, _node in entries:
-            self._ordinal[ref] = self._counter
-            self._counter += 1
 
     def _extend(self, new_nodes: Sequence[NodeId]) -> RebalancePlan:
         # Recompute i mod k for every chunk under the new node count; any
         # chunk whose slot changes moves — typically (k-1)/k of the data
         # — in ordinal order.
-        refs = list(self._ordinal)
-        ordinals = np.fromiter(
-            self._ordinal.values(), dtype=np.int64, count=len(refs)
-        )
-        order = np.argsort(ordinals, kind="stable")  # dict order: a no-op
-        ids = self._ledger.ids_of(refs)[order]
+        led = self._ledger
+        ids = led.live_ids()
+        ordinals = led.column_at("ordinal", ids)
+        order = np.argsort(ordinals, kind="stable")
+        ids = ids[order]
         dests = np.asarray(self._nodes, dtype=np.int64)[
             ordinals[order] % len(self._nodes)
         ]
-        moving = dests != self._ledger.owners(ids)
+        moving = dests != led.owners(ids)
         return self._relocate_many(ids[moving], dests[moving])

@@ -21,7 +21,7 @@ repo's numpy-column discipline:
   aggregates with the bilinear rule ``Δ(A ⋈ B) = ΔA ⋈ B + A' ⋈ ΔB``.
   Both fold a batch through one signed ``np.unique`` + ``bincount``
   group-by and one sorted-key splice (``searchsorted`` +
-  ``np.insert``, the ``_ArrayView`` idiom, no dicts).
+  ``np.insert``, the chunk table's key-index idiom, no dicts).
 * **Non-invertible aggregates** — min/max cannot subtract a removal, so
   deletions only *mark groups dirty*; the maintained query re-aggregates
   just the dirty buckets from a region-scoped payload gather
@@ -169,7 +169,7 @@ class GridGroupByState:
 
     The ZSet integrator behind the maintained grid statistics: buckets
     are interned into a sorted key column (new groups splice in via
-    ``searchsorted`` + ``np.insert``, the ``_ArrayView`` idiom) and
+    ``searchsorted`` + ``np.insert``, the chunk table's key-index idiom) and
     every :meth:`apply` folds a whole batch with ``np.bincount`` /
     ``ufunc.at`` — no per-cell Python.  A batch outside the key packing
     re-keys the groups under a wider one (order-preserving); buckets

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.coords import (
+    distinct,
     group_keys,
     joint_packing,
     packing_strides,
@@ -76,7 +77,7 @@ def uniform_sample(
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values (the AIS ship-log query)."""
-    return np.unique(values)
+    return distinct(values)
 
 
 def _first_occurrences(

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.arrays.coords import distinct
 from repro.cluster.session import ClusterSession
 from repro.errors import QueryError, require_fraction
 from repro.query import operators as ops
@@ -195,9 +196,9 @@ class AisSelectionHouston(Query):
         coords, values = cluster.payload_in_region(
             "broadcast", region, ["ship_id"], ndim=len(region.lo)
         )
-        distinct = int(np.unique(values["ship_id"]).size) if coords.shape[0] else 0
+        ships = len(distinct(values["ship_id"])) if coords.shape[0] else 0
         return self._result(
-            cluster, acc, {"cells": int(coords.shape[0]), "ships": distinct},
+            cluster, acc, {"cells": int(coords.shape[0]), "ships": ships},
             scanned,
         )
 
@@ -227,9 +228,9 @@ class AisDistinctShips(Query):
         _coords, vals = cluster.array_payload(
             "broadcast", ["ship_id"], ndim=3
         )
-        distinct = ops.sorted_distinct(vals["ship_id"])
+        ships = ops.sorted_distinct(vals["ship_id"])
         return self._result(
-            cluster, acc, {"distinct_ships": int(distinct.size)},
+            cluster, acc, {"distinct_ships": int(ships.size)},
             scanned, network,
         )
 

@@ -4,7 +4,7 @@
 column and returns table ids; tests written over ``(ref, size)`` item
 lists go through :func:`columns` and :func:`placements`, and ledger
 tests commit the :func:`split_of` such a list (one row at a time:
-:func:`commit_row`).
+:func:`commit_row`; one array's key rows: :func:`commit_rows`).
 :func:`~repro.core.catalog.concat_payload` gathers a
 :class:`~repro.core.catalog.Read`; tests that gather hand-picked chunk
 lists build one with :func:`read_of`.
@@ -34,21 +34,11 @@ def placements(p, items: Sequence[Tuple[ChunkRef, float]]) -> Dict[ChunkRef, int
 
 
 def split_of(ledger, items: Sequence[Tuple[ChunkRef, float]]) -> BatchSplit:
-    """The :class:`BatchSplit` of ``items`` against ``ledger``, by a
-    per-item walk."""
+    """The :class:`BatchSplit` of ``items`` against ``ledger``."""
     refs, sizes = columns(items)
-    seen: Dict[ChunkRef, int] = {}
-    origin = [seen.setdefault(r, i) for i, r in enumerate(refs)]
-    known = [ledger.contains(r) for r in refs]
-    first = [i for i, o in enumerate(origin) if o == i and not known[i]]
-    merges = sorted(set(range(len(refs))) - set(first))
     column = np.empty(len(refs), dtype=object)
     column[:] = refs
-    return BatchSplit(
-        column, np.asarray(sizes, dtype=np.float64), None,
-        np.asarray(origin, dtype=np.int64), np.asarray(known, dtype=bool),
-        np.asarray(first, dtype=np.int64), np.asarray(merges, dtype=np.int64),
-    )
+    return ledger.split_batch(column, np.asarray(sizes, dtype=np.float64))
 
 
 def commit_row(ledger, ref: ChunkRef, size: float, node: int):
@@ -57,6 +47,16 @@ def commit_row(ledger, ref: ChunkRef, size: float, node: int):
     return ledger.commit_batch(
         split_of(ledger, [(ref, size)]), np.array([node], dtype=np.int64)
     )
+
+
+def commit_rows(ledger, array: str, rows: np.ndarray):
+    """Commit one chunk of ``array`` per int64 key row to ``ledger`` (1
+    byte each, on its first node), as one batch with its key column."""
+    refs = np.empty(len(rows), dtype=object)
+    refs[:] = [ChunkRef(array, tuple(r)) for r in rows.tolist()]
+    split = ledger.split_batch(refs, np.ones(len(rows)), rows)
+    nodes = np.full(len(split.first), ledger._node_list[0], dtype=np.int64)
+    return ledger.commit_batch(split, nodes)
 
 
 def read_of(chunks: Sequence[ChunkData], nodes=None) -> Read:

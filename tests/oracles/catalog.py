@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.chunk import ChunkData, ChunkKey, ChunkRef
+from repro.arrays.chunk import ChunkData
 from repro.core.catalog import ChunkCatalog, Read, _ArrayView, _DeltaLog
 from repro.core.ledger import NO_EXTENT
 from repro.errors import ClusterError
@@ -108,7 +108,6 @@ def put_batch_per_chunk(
                 f"chunk {exc.args[0]} is not in the chunk table"
             ) from None
     owners = table.owners(ids).tolist()
-    new_by_array: Dict[str, Tuple[List[int], List[ChunkKey]]] = {}
     log_by_array: Dict[str, List[Tuple]] = {}
     touched = set()
     for ref, chunk, i, node in zip(
@@ -121,11 +120,7 @@ def put_batch_per_chunk(
         if old is None:
             if array not in self._schema_of:
                 self._schema_of[array] = chunk.schema
-            new_ids, new_keys = new_by_array.setdefault(
-                array, ([], [])
-            )
-            new_ids.append(i)
-            new_keys.append(ref.key)
+            self._views.setdefault(array, _ArrayView())
             entries.append(
                 (1, ref, chunk, chunk.size_bytes, node, _extent(chunk))
             )
@@ -141,28 +136,16 @@ def put_batch_per_chunk(
             )
         table._chunks[i] = chunk
         table._extent[i] = _extent(chunk)
-    for array, (new_ids, new_keys) in new_by_array.items():
-        view = self._views.get(array)
-        if view is None:
-            view = _ArrayView(len(new_keys[0]))
-            self._views[array] = view
-        view.insert(
-            np.asarray(new_ids, dtype=np.int64),
-            np.asarray(new_keys, dtype=np.int64),
-        )
     self._touch(touched)
     _log_deltas(self, log_by_array)
 
 
-def remove_batch_per_chunk(
-    self: ChunkCatalog, refs: Sequence[ChunkRef]
-) -> None:
-    """Unpublish chunks; the table frees their ids afterwards."""
-    if not refs:
+def remove_batch_per_chunk(self: ChunkCatalog, ids: np.ndarray) -> None:
+    """Unpublish chunks (table ids); the table frees them afterwards."""
+    if not len(ids):
         return
     table = self.table
-    ids = table.ids_of(refs)
-    by_array: Dict[str, List[int]] = {}
+    refs = table.refs_at(ids).tolist()
     log_by_array: Dict[str, List[Tuple]] = {}
     for ref, i in zip(refs, ids.tolist()):
         log_by_array.setdefault(ref.array, []).append(
@@ -170,10 +153,5 @@ def remove_batch_per_chunk(
              table.node_of(ref), tuple(table._extent[i].tolist()))
         )
         table._chunks[i] = None
-        by_array.setdefault(ref.array, []).append(i)
-    for array, dead in by_array.items():
-        self._views[array].drop(
-            np.asarray(dead, dtype=np.int64)
-        )
-    self._touch(by_array)
+    self._touch(log_by_array)
     _log_deltas(self, log_by_array)

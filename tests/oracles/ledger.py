@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.chunk import ChunkRef
+from repro.core.ledger import BatchSplit
 from repro.errors import PartitioningError
 
 NodeId = int
@@ -38,6 +39,8 @@ class DictChunkLedger:
         self._sizes: Dict[ChunkRef, float] = {}
         self._loads: Dict[NodeId, float] = {int(n): 0.0 for n in nodes}
         self._total: float = 0.0
+        # scheme columns: name -> ({ref: value}, dtype)
+        self._columns: Dict[str, Tuple[Dict[ChunkRef, object], np.dtype]] = {}
 
     # -- nodes ---------------------------------------------------------
     def add_node(self, node: NodeId) -> None:
@@ -61,9 +64,28 @@ class DictChunkLedger:
         """Whether ``ref`` is currently placed."""
         return ref in self._assignment
 
-    def contains_many(self, refs: Sequence[ChunkRef]) -> np.ndarray:
-        """:meth:`contains` of many refs, as a bool column."""
-        return np.array([r in self._assignment for r in refs], dtype=bool)
+    def split_batch(self, refs, sizes, keys=None, arrays=None) -> BatchSplit:
+        """The :class:`BatchSplit` of a ref column, by a per-item walk
+        (a known item's "id" is its ref)."""
+        seen: Dict[ChunkRef, int] = {}
+        origin = [seen.setdefault(r, i) for i, r in enumerate(refs)]
+        known = [r in self._assignment for r in refs]
+        first = [i for i, o in enumerate(origin) if o == i and not known[i]]
+        merges = sorted(set(range(len(refs))) - set(first))
+        known = np.asarray(known, dtype=bool)
+        names = list(dict.fromkeys(r.array for r in refs))
+        codes = np.array([names.index(r.array) for r in refs], np.int64)
+        return BatchSplit(
+            refs, sizes, keys, np.asarray(origin, dtype=np.int64), known,
+            np.asarray(first, dtype=np.int64),
+            np.asarray(merges, dtype=np.int64), _column(refs[known]),
+            codes, names,
+        )
+
+    def column_at(self, name: str, ids: np.ndarray) -> np.ndarray:
+        """A scheme column's values of every ref."""
+        values, dtype = self._columns.get(name) or ({}, np.int64)
+        return np.array([values[r] for r in ids], dtype=dtype)
 
     def get_node(self, ref: ChunkRef) -> Optional[NodeId]:
         """Node holding ``ref``, or ``None`` when never placed."""
@@ -141,10 +163,25 @@ class DictChunkLedger:
         """Drop a chunk; returns ``(node it held, its bytes)``."""
         node = self._assignment.pop(ref)
         size = self._sizes.pop(ref)
+        for values, _ in self._columns.values():
+            del values[ref]
         self._loads[node] -= size
         self._total -= size
         self._settle_empty()
         return node, size
+
+    def remove_ids(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One :meth:`remove` per ref (each at most once); returns the
+        owners and sizes."""
+        if len(set(ids)) < len(ids):
+            raise PartitioningError("a chunk removed twice in one call")
+        for ref in ids:
+            self._assignment[ref]  # KeyError before anything is removed
+        done = [self.remove(ref) for ref in ids]
+        return (
+            np.array([n for n, _ in done], dtype=np.int64),
+            np.array([s for _, s in done], dtype=np.float64),
+        )
 
     def relocate_many(self, ids: np.ndarray, dests: np.ndarray) -> None:
         """One :meth:`relocate` per chunk (each at most once)."""
@@ -205,6 +242,11 @@ class DictChunkLedger:
         first_refs = split.refs[split.first].tolist()
         first_sizes = split.sizes[split.first].tolist()
         commit_nodes = np.asarray(nodes).tolist()
+        for name, values in split.columns.items():
+            column, _ = self._columns.setdefault(name, ({}, values.dtype))
+            if values.dtype == object:
+                self._columns[name] = (column, values.dtype)
+            column.update(zip(first_refs, values.tolist()))
         if first_refs:
             assignment.update(zip(first_refs, commit_nodes))
             sizes.update(zip(first_refs, first_sizes))

@@ -4,9 +4,10 @@ Sequential placement, moved from ``repro.core.base`` and the eight
 schemes once every insert went through ``place_batch``:
 :func:`place_scalar` is ``ElasticPartitioner.place``, and ``_PLACE_NEW``
 holds each scheme's ``_place_new`` rule for a chunk seen for the first
-time.  A known ref merges its bytes onto its current node; Extendible
-Hash credits its bucket too.  Either way the table takes the chunk
-through its one-row ``commit_batch``.
+time, which also derives the chunk's scheme column (an arrival ordinal,
+a stable hash, a curve position) one chunk at a time.  A known ref
+merges its bytes onto its current node.  Either way the table takes the
+chunk through its one-row ``commit_batch``.
 ``tests/test_batch_parity.py`` compares ``place_batch`` against a loop
 of :func:`place_scalar` for every scheme.
 
@@ -38,6 +39,7 @@ from repro.core.base import (
     RebalancePlan,
     check_key_arity,
 )
+from repro.core.hashing import hash_chunk_ref
 from repro.errors import PartitioningError
 
 from tests.oracles.rebalance import Move, relocate_scalar
@@ -61,21 +63,16 @@ def place_scalar(
             f"invalid chunk size {size_bytes} for {ref}"
         )
     split = p._partition_batch([ref], [size_bytes])
-    existing = p._ledger.get_node(ref)
+    existing = p._ledger.node_of(ref) if p._ledger.contains(ref) else None
     if existing is not None:
-        if p.name == "extendible_hash":
-            # Keep the invariant ``bucket.bytes == sum of member ledger
-            # sizes``: scale-out splits and remove subtract full ledger
-            # sizes, so merges must credit the bucket too.
-            p.bucket_for(ref).bytes += float(size_bytes)
         p._commit_batch(split, np.empty(0, dtype=np.int64))
         return existing
-    node = _PLACE_NEW[p.name](p, ref, float(size_bytes))
+    node = _PLACE_NEW[p.name](p, split, ref, float(size_bytes))
     p._commit_batch(split, np.array([node], dtype=np.int64))
     return node
 
 
-def _append(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+def _append(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
     # Advance past full nodes; stop at the last node regardless.
     while (
         p._cursor < len(p._nodes) - 1
@@ -86,46 +83,50 @@ def _append(p, ref: ChunkRef, size_bytes: float) -> NodeId:
     return p._nodes[p._cursor]
 
 
-def _round_robin(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+def _round_robin(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
     ordinal = p._counter
     p._counter += 1
-    p._ordinal[ref] = ordinal
+    split.columns["ordinal"] = np.array([ordinal], dtype=np.int64)
     return p._nodes[ordinal % len(p._nodes)]
 
 
-def _consistent_hash(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+def _consistent_hash(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
     """Ring lookup: first node clockwise from the chunk's position."""
     if not p._ring:
         raise PartitioningError("empty hash ring")
-    h = p._hash_of(ref)
+    h = hash_chunk_ref(ref)
+    split.columns["hash"] = np.array([h], dtype=np.uint64)
     idx = bisect.bisect_right(p._ring, (h, float("inf")))
     if idx == len(p._ring):
         idx = 0  # wrap around the circle
     return p._ring[idx][1]
 
 
-def _extendible_hash(p, ref: ChunkRef, size_bytes: float) -> NodeId:
-    bucket = p.bucket_for(ref)
-    bucket.members.add(ref)
-    bucket.bytes += size_bytes
-    return bucket.node
+def _extendible_hash(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
+    split.columns["hash"] = np.array([hash_chunk_ref(ref)], dtype=np.uint64)
+    return p.bucket_for(ref).node
 
 
-def _uniform_range(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+def _uniform_range(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
     check_key_arity(ref, p.grid.ndim)
     return p._leaf_owner[p.leaf_index_of(ref.key)]
 
 
-def _hilbert_curve(p, ref: ChunkRef, size_bytes: float) -> NodeId:
-    return p._owner_of_index(p.curve_index(ref))
+def _hilbert_curve(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
+    position = p.curve_index(ref)
+    try:
+        split.columns["position"] = np.array([position], dtype=np.int64)
+    except OverflowError:
+        split.columns["position"] = np.array([position], dtype=object)
+    return p._owner_of_index(position)
 
 
-def _kd_tree(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+def _kd_tree(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
     check_key_arity(ref, p.grid.ndim)
     return p.locate_key(ref.key)
 
 
-def _incremental_quadtree(p, ref: ChunkRef, size_bytes: float) -> NodeId:
+def _incremental_quadtree(p, split, ref: ChunkRef, size_bytes: float) -> NodeId:
     check_key_arity(ref, p.grid.ndim)
     return locate_key_scalar(p, ref.key)
 

@@ -356,9 +356,8 @@ class TestRunningTotalAndRemove:
             p.remove(ChunkRef("a", (0, 0, 0)))
 
     def test_extendible_bucket_bytes_track_ledger(self):
-        """bucket.bytes must mirror member ledger sizes through merges
-        and removes (scale-out splits subtract full ledger sizes, so a
-        drifting bucket counter corrupts them)."""
+        """Bucket bytes are the member ledger sizes through merges and
+        removes (scale-out picks the heaviest bucket by them)."""
         p = make_partitioner(
             "extendible_hash", [0, 1], grid=GRID,
             node_capacity_bytes=1e12,
@@ -367,14 +366,15 @@ class TestRunningTotalAndRemove:
         place_scalar(p, ref, 100.0)
         place_scalar(p, ref, 50.0)    # merge via the sequential spec
         p.place_batch([ref], [25.0])  # merge via batch path
+        weight = p.bucket_bytes()
         for b in p.buckets():
-            assert b.bytes == pytest.approx(
-                sum(p.size_of(m) for m in b.members)
+            assert weight[b.bucket_id] == sum(
+                p.size_of(m) for m in p.assignment() if p.bucket_for(m) is b
             )
+        assert sum(weight.values()) == 175.0
         p.remove(ref)
-        for b in p.buckets():
-            assert b.bytes == pytest.approx(0.0)
-            assert not b.members
+        assert set(p.bucket_bytes().values()) == {0.0}
+        assert not p.assignment()
 
     def test_removed_chunk_can_be_replaced(self):
         for name in ALL_PARTITIONERS:

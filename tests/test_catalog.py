@@ -47,7 +47,8 @@ from repro.cluster import (
 from repro.cluster.node import Node
 from repro.core import ALL_PARTITIONERS, make_partitioner
 from repro.core.base import RebalancePlan
-from repro.core.catalog import ChunkCatalog, _ArrayView, concat_payload
+from repro.core.catalog import ChunkCatalog, concat_payload
+from repro.core.ledger import ArrayChunkLedger
 from repro.errors import (
     ChunkError,
     ClusterError,
@@ -60,7 +61,7 @@ from tests.oracles import (
     put_batch_per_chunk,
     remove_batch_per_chunk,
 )
-from tests.helpers import columns, read_of
+from tests.helpers import columns, commit_rows, read_of
 
 from test_cluster_machine import lifecycle, replay, run_focused
 
@@ -90,7 +91,7 @@ def _publish(partitioner, catalog, chunks):
 
 def _unpublish(partitioner, catalog, refs):
     """Unpublish ``refs``, then free their table ids."""
-    catalog.remove_batch(refs)
+    catalog.remove_batch(catalog.table.ids_of(refs))
     for ref in refs:
         partitioner.remove(ref)
 
@@ -1074,7 +1075,8 @@ def _publish_fingerprint(catalog):
     )
     views = {
         array: (
-            view.ids.tolist(), view.rows.tolist(),
+            catalog._published(array).tolist(),
+            table.keys_of(catalog._published(array)).tolist(),
             view.epoch, view.payload_epoch,
         )
         for array, view in sorted(catalog._views.items())
@@ -1165,8 +1167,8 @@ class TestColumnarPublish:
                     replace=False,
                 )
                 refs = [live[int(i)] for i in picks]
-                vec.remove_batch(refs)
-                remove_batch_per_chunk(ref, refs)
+                vec.remove_batch(vec.table.ids_of(refs))
+                remove_batch_per_chunk(ref, ref.table.ids_of(refs))
                 for r in refs:
                     p_vec.remove(r)
                     p_ref.remove(r)
@@ -1246,7 +1248,8 @@ class TestColumnarPublish:
 
 
 class TestViewInsertOrder:
-    """``_ArrayView.insert`` orders rows exactly as the void sort did."""
+    """An array's slice of the table's key index, filled over batches,
+    orders its rows exactly as the void sort does."""
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -1256,11 +1259,11 @@ class TestViewInsertOrder:
             rng.integers(-6, 6, size=(60, width)), axis=0
         )
         rows = rows[rng.permutation(len(rows))]
-        ids = rng.permutation(len(rows)).astype(np.int64)
-        view = _ArrayView(width)
+        table = ArrayChunkLedger([0])
         cut = len(rows) // 3
-        view.insert(ids[:cut], rows[:cut])
-        view.insert(ids[cut:], rows[cut:])
+        for part in (rows[:cut], rows[cut:]):
+            commit_rows(table, "A", part)
         order = np.argsort(pack_rows_void(rows), kind="stable")
-        assert view.ids.tolist() == ids[order].tolist()
-        assert view.rows.tolist() == rows[order].tolist()
+        assert table.keys_of(table.array_ids("A")).tolist() == (
+            rows[order].tolist()
+        )

@@ -10,8 +10,9 @@
 * :func:`concat_payload` over whole-array, region, delta and empty
   reads that mix several arenas with merged chunks equals the
   per-chunk spec, and ``Read.cells`` equals each handle's count.
-* ``_ArrayView`` merges in the void-row order, also when the keys'
-  extent defeats int64 packing.
+* An array's slice of the chunk table's key index, filled over
+  batches, is in the void-row order, also when the keys' extent
+  defeats int64 packing.
 * ``remove_batch`` resets and ``compact`` remaps the extent columns.
 * A batch whose schema differs from the published one, and a
   non-finite or negative size, are rejected before anything changes.
@@ -28,10 +29,11 @@ from repro.arrays import Box, ChunkBatch, ChunkData, ChunkRef, parse_schema
 from repro.arrays.array import chunk_cell_sets, chunk_cells
 from repro.arrays.coords import pack_rows_void, row_packing
 from repro.core import ALL_PARTITIONERS, make_partitioner
-from repro.core.catalog import _ArrayView, concat_payload
-from repro.core.ledger import NO_EXTENT
+from repro.core.catalog import concat_payload
+from repro.core.ledger import NO_EXTENT, ArrayChunkLedger
 from repro.errors import ChunkError, ClusterError, PartitioningError
 from tests.conftest import make_cluster
+from tests.helpers import commit_rows
 from tests.oracles import concat_payload_per_chunk, place_scalar
 
 A = parse_schema("A<i:int32, j:double>[x=1:40,4, y=1:40,4]")
@@ -109,7 +111,9 @@ def _state(cluster):
         table.total_bytes.hex(),
         [_label(h) for h in table._chunks[:hwm]],
         table._extent[:hwm].tolist(),
-        {a: (v.ids.tolist(), v.rows.tolist(), v.epoch, v.payload_epoch)
+        {a: (catalog._published(a).tolist(),
+             table.keys_of(catalog._published(a)).tolist(),
+             v.epoch, v.payload_epoch)
          for a, v in sorted(catalog._views.items())},
         logs, stores,
     )
@@ -242,13 +246,13 @@ class TestViewOrder:
             rows = rows * (2**59)
             assert row_packing(rows) is None
         rows = rows[rng.permutation(len(rows))]
-        ids = rng.permutation(len(rows)).astype(np.int64)
-        view = _ArrayView(2)
+        table = ArrayChunkLedger([0])
         for part in np.array_split(np.arange(len(rows)), 3):
-            view.insert(ids[part], rows[part])
+            commit_rows(table, "A", rows[part])
         order = np.argsort(pack_rows_void(rows), kind="stable")
-        assert view.ids.tolist() == ids[order].tolist()
-        assert view.rows.tolist() == rows[order].tolist()
+        assert table.keys_of(table.array_ids("A")).tolist() == (
+            rows[order].tolist()
+        )
 
 
 def _extent(handle):

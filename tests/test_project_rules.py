@@ -1,4 +1,4 @@
-"""Three project rules, checked over the AST of ``src/repro``.
+"""Four project rules, checked over the AST of ``src/repro``.
 
 * **env** (RL201): no ``repro`` module other than ``repro/config.py``
   touches the process environment (``os.environ`` / ``getenv`` /
@@ -13,6 +13,11 @@
 * **cycle** (RL301), scoped to ``repro/harness/``: no ``scale_out(``
   call outside ``repro/harness/runner.py``.  An experiment configures
   ``ExperimentRunner``'s one cycle loop rather than writing its own.
+* **ref table** (RL302), scoped to ``repro/core/`` outside
+  ``repro/core/ledger.py``: no attribute or class field annotated as a
+  ``ChunkRef``-keyed dict or set (``Dict[ChunkRef, ...]``,
+  ``Set[ChunkRef]``, ...).  A per-chunk fact is a column of the chunk
+  table; only the table's own by-ref lookups key by ref.
 
 Nothing under ``src/`` is imported; a finding is ``(line, code)``.  Each
 fixture is an inline source with the module path it pretends to have.
@@ -21,6 +26,7 @@ fixture is an inline source with the module path it pretends to have.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +36,7 @@ ENV_NAMES = {"environ", "getenv", "getenvb", "putenv"}
 WHY = {
     "RL201": "environment access outside repro/config.py; use repro.config",
     "RL301": "scale_out outside the runner; configure ExperimentRunner instead",
+    "RL302": "ChunkRef-keyed dict/set attribute; make it a chunk-table column",
     "RL401": "created segment needs a finally close() and unlink/unregister",
     "RL402": "attached segment must be both close()d and unlink()ed",
     "RL403": "SharedMemory(create=True) result is not bound to a name",
@@ -64,6 +71,25 @@ def cycle_findings(tree: ast.AST, rel: str) -> list:
         if isinstance(node, ast.Call) and "scale_out" in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         )
+    ]
+
+
+REF_KEYED = re.compile(
+    r"\b(Dict|Set|FrozenSet|Mapping|MutableMapping|DefaultDict|OrderedDict"
+    r"|dict|set|frozenset|defaultdict)\[\s*['\"]?ChunkRef\b"
+)
+
+
+def ref_table_findings(tree: ast.AST, rel: str) -> list:
+    if not rel.startswith("repro/core/") or rel == "repro/core/ledger.py":
+        return []
+    return [
+        (node.lineno, "RL302")
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.AnnAssign)
+        and (isinstance(node.target, ast.Attribute) or node in cls.body)
+        and REF_KEYED.search(ast.unparse(node.annotation))
     ]
 
 
@@ -126,7 +152,7 @@ def findings(source: str, rel: str) -> list:
     tree = ast.parse(source)
     return sorted(set(
         env_findings(tree, rel) + shm_findings(tree, rel)
-        + cycle_findings(tree, rel)
+        + cycle_findings(tree, rel) + ref_table_findings(tree, rel)
     ))
 
 
@@ -153,6 +179,29 @@ def grow(cluster, batch):
     ("pass_runner_cycle", "repro/harness/runner.py", [], """
 def run_cycle(self, cycle):
     report = self.cluster.scale_out(self.config.fixed_step)
+"""),
+    ("fail_ref_keyed_cache", "repro/core/hilbert_curve.py", ["RL302"], """
+class HilbertCurvePartitioner:
+    def __init__(self, nodes):
+        self._index_cache: Dict[ChunkRef, int] = {}
+"""),
+    ("fail_ref_set_field", "repro/core/extendible_hash.py", ["RL302"], """
+@dataclass
+class Bucket:
+    node: int
+    members: Set[ChunkRef] = field(default_factory=set)
+"""),
+    ("pass_table_lookup_and_columns", "repro/core/ledger.py", [], """
+class ArrayChunkLedger:
+    def __init__(self, nodes):
+        self._id_of: Optional[Dict[ChunkRef, int]] = None
+"""),
+    ("pass_scheme_column", "repro/core/round_robin.py", [], """
+class RoundRobinPartitioner:
+    def _derive(self, split):
+        seen: Dict[ChunkRef, int] = {}
+        self._nodes: List[int] = []
+        return {"ordinal": np.arange(len(split.first))}
 """),
     ("fail_from_import", "repro/cluster/costs.py", ["RL201"], """
 from os import getenv

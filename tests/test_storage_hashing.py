@@ -108,6 +108,11 @@ class TestHashing:
         first = hash_chunk_ref(ref)
         for _ in range(3):
             assert hash_chunk_ref(ref) == first
+        assert first == 4796664864701176444
+        assert hash_chunk_ref(ChunkRef("band1", (3, -7, 2))) == (
+            14587493320216311765
+        )
+        assert hash_chunk_ref(ChunkRef("x", ())) == 12607306744664981954
 
     def test_hash_key_salt(self):
         assert hash_key((1, 2), "a") != hash_key((1, 2), "b")
